@@ -26,6 +26,15 @@ O(num_pieces) per call.  A second index restricted to *wanted* pieces
 path is behaviour-preserving: given the same seed it consumes the RNG
 identically and produces the same piece-selection trace as the naive
 scan (``use_rarity_index=False``), which tests assert.
+
+The default ``matrix`` backend keeps neither list nor buckets: counts
+live in a row of the swarm-shared :class:`AvailabilityMatrix` and the
+wanted pieces in a boolean mask.  A new-piece pick computes the
+candidate array once (wanted AND offered, ascending) and gathers the
+aligned copy counts from the row; every strategy — random first
+included — picks from those two arrays through
+``PieceSelector.select_arrays``, under the same trace-equivalence
+contract.
 """
 
 from __future__ import annotations
@@ -59,15 +68,11 @@ HAVE_NUMPY = _np is not None
 
 PeerKey = Hashable
 
-# Sentinel larger than any real copy count, used to mask out ineligible
-# pieces in the vectorized rarest-first selection.
-_COUNT_SENTINEL = 2**31 - 1
-
 
 def _unpacked_bits(bitfield: Bitfield):
     """A bitfield's pieces as a 0/1 uint8 vector (numpy only)."""
     return _np.unpackbits(
-        _np.frombuffer(bitfield.to_bytes(), dtype=_np.uint8),
+        _np.frombuffer(bitfield._bits, dtype=_np.uint8),
         count=bitfield.num_pieces,
     )
 
@@ -372,6 +377,8 @@ class PiecePicker:
 
     def peer_joined(self, remote_bitfield: Bitfield) -> None:
         """Account a new peer's full bitfield."""
+        if not remote_bitfield.count:
+            return  # a newcomer's (or a fresh link's placeholder) empty view
         if self._backend == "matrix":
             self._matrix.data[self._slot] += _unpacked_bits(remote_bitfield)
             return
@@ -380,6 +387,8 @@ class PiecePicker:
 
     def peer_left(self, remote_bitfield: Bitfield) -> None:
         """Remove a departed peer's contribution to the counts."""
+        if not remote_bitfield.count:
+            return
         if self._backend == "matrix":
             row = self._matrix.data[self._slot]
             row -= _unpacked_bits(remote_bitfield)
@@ -459,17 +468,13 @@ class PiecePicker:
             block = self._strict_priority_block(remote_bitfield, peer_key)
             if block is not None:
                 return block
-        if (
-            self._backend == "matrix"
-            and self._strict_priority
-            and self._bitfield._count >= self._random_first_threshold
-        ):
+        if self._backend == "matrix" and self._strict_priority:
             # Flattened miss path: when nothing wanted intersects the
             # remote's pieces no new piece can start and no selector draws
             # any randomness (the naive scan would build an empty candidate
-            # list; _select_from_matrix runs the same exact test three
-            # calls deeper), which is the overwhelmingly common outcome on
-            # a busy link.  Valid for every strategy, indexed or not.
+            # list; _select_new_piece runs the same exact test two calls
+            # deeper), which is the overwhelmingly common outcome on a
+            # busy link.  Valid for every strategy and for random first.
             if self._wanted_int & remote_bitfield.as_int():
                 block = self._start_new_piece(remote_bitfield, peer_key)
                 if block is not None:
@@ -535,18 +540,29 @@ class PiecePicker:
     def _select_new_piece(self, remote_bitfield: Bitfield) -> Optional[int]:
         """Pick the next piece to start, or None when nothing is startable."""
         random_first = self._bitfield.count < self._random_first_threshold
-        if not random_first and self._selector.uses_rarity_index:
-            if self._backend == "index":
-                return self._selector.select_indexed(
-                    self._wanted_index, remote_bitfield, self._rng
-                )
-            if self._backend == "matrix" and self._selector.matrix_vectorized:
-                # Only rarest first may be replaced by the vectorized
-                # matrix kernel; any other indexed strategy must keep its
-                # own policy and falls through to the candidate scan over
-                # the matrix row (the indexed wanted buckets do not exist
-                # on this backend).
-                return self._select_from_matrix(remote_bitfield)
+        selector = self._random_selector if random_first else self._selector
+        if self._backend == "matrix":
+            # Nothing wanted that the remote offers means no selection
+            # and — crucially — no RNG draw, so the big-int miss test is
+            # trace-exact for every strategy.
+            if not self._wanted_int & remote_bitfield.as_int():
+                return None
+            # The candidates of the reference scan, in its ascending
+            # order, and their copy counts gathered from the matrix row:
+            # every strategy picks from these two aligned arrays.
+            candidates = (
+                self._wanted_mask & _unpacked_bits(remote_bitfield)
+            ).nonzero()[0]
+            counts = self._matrix.data[self._slot][candidates]
+            return selector.select_arrays(candidates, counts, self._rng)
+        if (
+            self._backend == "index"
+            and not random_first
+            and selector.uses_rarity_index
+        ):
+            return selector.select_indexed(
+                self._wanted_index, remote_bitfield, self._rng
+            )
         candidates = [
             piece
             for piece in self._bitfield.pieces_only_in(remote_bitfield)
@@ -554,32 +570,7 @@ class PiecePicker:
         ]
         if not candidates:
             return None
-        selector = self._random_selector if random_first else self._selector
-        availability = (
-            self._matrix.data[self._slot]
-            if self._backend == "matrix"
-            else self._availability
-        )
-        return selector.select(candidates, availability, self._rng)
-
-    def _select_from_matrix(self, remote_bitfield: Bitfield) -> Optional[int]:
-        """Vectorized rarest-first over wanted pieces the remote offers.
-
-        RNG-identical to ``RarestFirstSelector.select_indexed``: both draw
-        one ``rng.choice`` over the ascending list of eligible pieces in
-        the rarest occupied bucket, and neither draws when nothing is
-        eligible.
-        """
-        # Common miss case first, at big-int speed: nothing wanted that
-        # the remote offers means no selection and — crucially — no RNG
-        # draw, so the short-circuit is trace-exact.
-        if not self._wanted_int & remote_bitfield.as_int():
-            return None
-        eligible = self._wanted_mask & (_unpacked_bits(remote_bitfield) != 0)
-        counts = self._matrix.data[self._slot]
-        masked = _np.where(eligible, counts, _COUNT_SENTINEL)
-        ties = _np.flatnonzero(masked == masked.min()).tolist()
-        return self._rng.choice(ties)
+        return selector.select(candidates, self._availability, self._rng)
 
     def _any_active_block(
         self, remote_bitfield: Bitfield, peer_key: PeerKey

@@ -37,28 +37,42 @@ from random import Random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from numpy import ndarray
+
     from repro.core.piece_picker import RarityIndex
     from repro.protocol.bitfield import Bitfield
 
 
+def _choose_with_count(
+    candidates: "ndarray", counts: "ndarray", count: int, rng: Random
+) -> int:
+    """One ``rng.choice`` over the candidates holding exactly ``count``
+    copies, in ascending piece order (the tie list ``select`` builds)."""
+    return rng.choice(candidates[counts == count].tolist())
+
+
 class PieceSelector(ABC):
-    """Chooses the next piece to start among ``candidates``."""
+    """Chooses the next piece to start among the startable candidates.
+
+    One policy, three entry points, one per availability backend of
+    :class:`~repro.core.piece_picker.PiecePicker`; all three must return
+    the same piece (or ``None``) and consume the RNG identically:
+
+    * :meth:`select` — the reference, over a candidate list (``naive``
+      backend, and the oracle the differential suites compare against);
+    * :meth:`select_indexed` — over the wanted-piece rarity buckets
+      (``index`` backend);
+    * :meth:`select_arrays` — over the candidate array and its aligned
+      copy counts (``matrix`` backend, the default).
+    """
 
     name = "abstract"
 
     uses_rarity_index = False
     """True when :meth:`select_indexed` implements an incremental fast
     path over the picker's :class:`~repro.core.piece_picker.RarityIndex`.
-    Strategies that leave this False always get the naive candidate-list
-    scan."""
-
-    matrix_vectorized = False
-    """True only for strategies whose selection the picker may replace
-    with its vectorized availability-matrix rarest-first kernel
-    (``PiecePicker._select_from_matrix``).  Any other strategy on the
-    matrix backend falls back to the naive candidate scan over the
-    matrix row — dispatching every indexed selector to the rarest-first
-    kernel would silently change its policy."""
+    Strategies that leave this False get the candidate-list scan on the
+    ``index`` backend."""
 
     @abstractmethod
     def select(
@@ -97,6 +111,25 @@ class PieceSelector(ABC):
             "%s does not implement the indexed path" % type(self).__name__
         )
 
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> Optional[int]:
+        """Array path of the matrix backend.
+
+        ``candidates`` holds the startable pieces in ascending order
+        (never empty) and ``counts[i]`` the copies of ``candidates[i]``
+        in the local peer set.  Must be trace-equivalent to
+        :meth:`select` over the same candidates.  This default runs
+        :meth:`select` itself, with the counts exposed as a piece ->
+        copies mapping; strategies override it to stay in array
+        operations.
+        """
+        pieces = candidates.tolist()
+        return self.select(pieces, dict(zip(pieces, counts.tolist())), rng)
+
     def __repr__(self) -> str:
         return "%s()" % type(self).__name__
 
@@ -113,7 +146,6 @@ class RarestFirstSelector(PieceSelector):
     name = "rarest-first"
 
     uses_rarity_index = True
-    matrix_vectorized = True
 
     def select(
         self,
@@ -146,6 +178,14 @@ class RarestFirstSelector(PieceSelector):
             if eligible:
                 return rng.choice(sorted(eligible))
         return None
+
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> int:
+        return _choose_with_count(candidates, counts, counts.min(), rng)
 
 
 def _unbound_scarcity() -> Optional[int]:
@@ -186,7 +226,6 @@ class ModeSuppressionSelector(PieceSelector):
     name = "mode-suppression"
 
     uses_rarity_index = True
-    matrix_vectorized = False  # keeps its own policy on the matrix backend
 
     def __init__(self, suppression: float = 0.9):
         if not 0.0 <= suppression <= 1.0:
@@ -248,6 +287,17 @@ class ModeSuppressionSelector(PieceSelector):
                 return rng.choice(sorted(eligible))
         return None
 
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> Optional[int]:
+        offered_min = int(counts.min())
+        if self._suppresses(offered_min, rng):
+            return None
+        return _choose_with_count(candidates, counts, offered_min, rng)
+
 
 class RandomSelector(PieceSelector):
     """Uniformly random piece selection."""
@@ -285,6 +335,14 @@ class RandomSelector(PieceSelector):
         candidates.sort()
         return rng.choice(candidates)
 
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> int:
+        return rng.choice(candidates.tolist())
+
 
 class SequentialSelector(PieceSelector):
     """Lowest-index-first selection (in-order / streaming)."""
@@ -318,6 +376,14 @@ class SequentialSelector(PieceSelector):
                 if best is None or lowest < best:
                     best = lowest
         return best
+
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> int:
+        return int(candidates[0])  # ascending: the first is the lowest
 
 
 class GlobalRarestSelector(PieceSelector):
@@ -433,6 +499,21 @@ class SequentialWindowSelector(PlaybackAwareSelector):
             return None
         return rng.choice(fallback)
 
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> int:
+        """The window is one contiguous slice of the ascending candidate
+        array; an empty slice falls back to every candidate."""
+        start = self._position()
+        low, high = candidates.searchsorted((start, start + self.window))
+        if low < high:
+            candidates = candidates[low:high]
+            counts = counts[low:high]
+        return _choose_with_count(candidates, counts, counts.min(), rng)
+
 
 class ProportionalFairSelector(PlaybackAwareSelector):
     """PFS/EPFS-style proportional-fair streaming selection.
@@ -526,6 +607,23 @@ class ProportionalFairSelector(PlaybackAwareSelector):
             self._weight(piece, count, position) for piece, count in pairs
         ]
         return self._pick(candidates, weights, rng)
+
+    def select_arrays(
+        self,
+        candidates: "ndarray",
+        counts: "ndarray",
+        rng: Random,
+    ) -> int:
+        """Weights stay Python floats, accumulated in candidate order:
+        an array ``power``/``sum`` may round differently from
+        :meth:`select`, and the single variate must land identically."""
+        position = self._position()
+        pieces = candidates.tolist()
+        weights = [
+            self._weight(piece, count, position)
+            for piece, count in zip(pieces, counts.tolist())
+        ]
+        return self._pick(pieces, weights, rng)
 
 
 #: Serializable selector registry: every strategy constructible from a

@@ -17,6 +17,24 @@ try:  # optional: only used to parse incoming bitfields faster
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
+#: For each byte value, the offsets (0 = most significant bit) of its set
+#: bits in ascending order: the iterators below look a whole byte up here
+#: instead of probing it one bit at a time.
+_BYTE_OFFSETS = tuple(
+    tuple(offset for offset in range(8) if byte & (0x80 >> offset))
+    for byte in range(256)
+)
+
+
+def _set_bit_indices(bits) -> Iterator[int]:
+    """Ascending indices of the set bits of a wire-order bitmap, skipping
+    zero bytes."""
+    for byte_index, byte in enumerate(bits):
+        if byte:
+            base = byte_index << 3
+            for offset in _BYTE_OFFSETS[byte]:
+                yield base + offset
+
 
 class Bitfield:
     """Mutable fixed-size bitmap over ``num_pieces`` pieces.
@@ -77,11 +95,7 @@ class Bitfield:
                 ).tolist()
             )
         else:
-            field._have = {
-                index
-                for index in range(num_pieces)
-                if field._bits[index >> 3] & (0x80 >> (index & 7))
-            }
+            field._have = set(_set_bit_indices(field._bits))
         field._count = len(field._have)
         return field
 
@@ -169,19 +183,15 @@ class Bitfield:
         views owned by matrix-attached peers update only their bits on
         the fused HAVE fan-out, so the bitmap is the authoritative
         representation."""
-        return iter(
-            [
-                index
-                for index in range(self._num_pieces)
-                if self._bits[index >> 3] & (0x80 >> (index & 7))
-            ]
-        )
+        return iter(list(_set_bit_indices(self._bits)))
 
     def missing_indices(self) -> Iterator[int]:
         """Iterate over indices of missing pieces, in increasing order."""
-        for index in range(self._num_pieces):
-            if not self._bits[index >> 3] & (0x80 >> (index & 7)):
-                yield index
+        size = len(self._bits)
+        # Every valid position set, spare padding bits zero.
+        every_piece = ((1 << self._num_pieces) - 1) << (size * 8 - self._num_pieces)
+        missing = every_piece & ~self.as_int()
+        return _set_bit_indices(missing.to_bytes(size, "big"))
 
     def as_int(self) -> int:
         """The bits as one big-endian integer (piece 0 at the most
@@ -206,11 +216,8 @@ class Bitfield:
         """Indices held by *other* but missing here."""
         if other._num_pieces != self._num_pieces:
             raise ValueError("bitfields cover different torrents")
-        for index in range(self._num_pieces):
-            mask = 0x80 >> (index & 7)
-            byte = index >> 3
-            if other._bits[byte] & mask and not self._bits[byte] & mask:
-                yield index
+        only_there = other.as_int() & ~self.as_int()
+        yield from _set_bit_indices(only_there.to_bytes(len(self._bits), "big"))
 
     # -- dunder ------------------------------------------------------------
 

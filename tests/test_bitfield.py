@@ -186,3 +186,60 @@ def test_property_interest_definition(num_pieces, data):
     b = Bitfield(num_pieces, have=theirs)
     assert a.interesting_in(b) == bool(theirs - ours)
     assert set(a.pieces_only_in(b)) == theirs - ours
+
+
+class TestIndexIterators:
+    """``have_indices`` / ``missing_indices`` / ``pieces_only_in`` walk
+    bytes, not bits; the per-index probe they replaced is the oracle."""
+
+    @staticmethod
+    def probed(field):
+        return [
+            index
+            for index in range(field.num_pieces)
+            if field._bits[index >> 3] & (0x80 >> (index & 7))
+        ]
+
+    def test_spare_bits_are_never_reported_missing(self):
+        # 11 pieces: the last byte has 5 spare (zero) padding bits.
+        assert list(Bitfield.full(11).missing_indices()) == []
+        assert list(Bitfield(11).missing_indices()) == list(range(11))
+        assert list(Bitfield(11, have=[10]).missing_indices()) == list(range(10))
+
+    def test_ends_and_zero_bytes(self):
+        field = Bitfield(35, have=[0, 34])  # three all-zero bytes between
+        assert list(field.have_indices()) == [0, 34]
+        assert list(Bitfield(35).pieces_only_in(field)) == [0, 34]
+        assert list(field.pieces_only_in(Bitfield.full(35))) == list(range(1, 34))
+
+    def test_empty_torrent(self):
+        field = Bitfield(0)
+        assert list(field.have_indices()) == []
+        assert list(field.missing_indices()) == []
+        assert list(field.pieces_only_in(Bitfield(0))) == []
+
+    def test_have_indices_reads_the_bitmap_not_the_mirror(self):
+        """The fused HAVE fan-out sets bits without touching ``have_set``."""
+        field = Bitfield(20, have=[3])
+        field._bits[2] |= 0x80 >> 1  # piece 17, bitmap only
+        assert list(field.have_indices()) == [3, 17]
+
+    def test_pieces_only_in_rejects_another_torrent(self):
+        with pytest.raises(ValueError):
+            list(Bitfield(5).pieces_only_in(Bitfield(6)))
+
+    @given(st.integers(0, 70), st.data())
+    def test_property_iterators_match_the_per_index_probe(self, num_pieces, data):
+        subsets = st.sets(st.integers(0, max(0, num_pieces - 1)), max_size=num_pieces)
+        ours = data.draw(subsets) if num_pieces else set()
+        theirs = data.draw(subsets) if num_pieces else set()
+        a = Bitfield(num_pieces, have=ours)
+        b = Bitfield(num_pieces, have=theirs)
+        have = self.probed(a)
+        assert list(a.have_indices()) == have == sorted(ours)
+        assert list(a.missing_indices()) == [
+            index for index in range(num_pieces) if index not in ours
+        ]
+        assert list(a.pieces_only_in(b)) == [
+            index for index in self.probed(b) if index not in ours
+        ]

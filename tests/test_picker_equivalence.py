@@ -184,8 +184,8 @@ def test_indexed_equals_naive_for_every_selector(spec):
 def test_fast_engine_equals_reference_for_every_selector(spec):
     """The mega-swarm fast paths (availability matrix + fused HAVE
     fan-out + numpy allocator) must stay trace-invisible for *every*
-    strategy — non-rarest selectors take the matrix backend's candidate
-    scan instead of the vectorized rarest-first kernel."""
+    strategy: on the matrix backend each one picks through its own
+    ``select_arrays`` over the picker's candidate/count arrays."""
     reference = run_traced(
         9, num_pieces=16, num_leechers=5, use_rarity_index=True,
         selector_spec=spec, extra=REFERENCE_EXTRA,
@@ -203,10 +203,10 @@ def test_fast_engine_equals_reference_for_every_selector(spec):
 
 @needs_numpy
 def test_sequential_selector_on_wheel_queue_with_numpy_allocator():
-    """Regression: a ``uses_rarity_index``-less strategy on the full
-    fast engine (wheel queue, numpy allocator, matrix backend) used to
-    be hijacked by the vectorized rarest-first kernel.  It must instead
-    run the strategy faithfully and match the reference engine."""
+    """Regression: a non-rarest strategy on the full fast engine (wheel
+    queue, numpy allocator, matrix backend) was once hijacked by a
+    rarest-first-only matrix kernel.  The matrix dispatch must run the
+    configured strategy faithfully and match the reference engine."""
     fast = run_traced(
         11, num_pieces=12, num_leechers=4, use_rarity_index=True,
         selector_spec="sequential",

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import piece_picker
 from repro.core.piece_picker import PiecePicker
 from repro.core.rarest_first import RarestFirstSelector
 from repro.protocol.bitfield import Bitfield
@@ -78,6 +79,29 @@ class TestAvailability:
         picker, __, __ = make_picker()
         with pytest.raises(RuntimeError):
             picker.peer_left(Bitfield(8, have=[0]))
+
+    @pytest.mark.skipif(not piece_picker.HAVE_NUMPY, reason="numpy not installed")
+    def test_an_empty_view_costs_the_matrix_backend_nothing(self, monkeypatch):
+        """Every link opens on an empty placeholder view that the first
+        BITFIELD replaces, and newcomers announce empty bitfields:
+        accounting either is a no-op, not a whole-row unpack and add."""
+        block = 16
+        picker = PiecePicker(
+            PieceGeometry(8 * block, piece_size=block, block_size=block),
+            Bitfield(8),
+            RarestFirstSelector(),
+            Random(1),
+            matrix=piece_picker.AvailabilityMatrix(8),
+        )
+        picker.peer_joined(Bitfield(8, have=[2]))
+
+        def forbidden(bitfield):
+            raise AssertionError("unpacked an empty view")
+
+        monkeypatch.setattr(piece_picker, "_unpacked_bits", forbidden)
+        picker.peer_left(Bitfield(8))
+        picker.peer_joined(Bitfield(8))
+        assert picker.availability == (0, 0, 1, 0, 0, 0, 0, 0)
 
 
 class TestRandomFirstPolicy:
