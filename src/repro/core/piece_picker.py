@@ -118,7 +118,11 @@ class AvailabilityMatrix:
         self._free.append(slot)
 
     def increment(self, slots: List[int], piece: int) -> None:
-        """``data[slot, piece] += 1`` for every (unique) slot at once."""
+        """``data[slot, piece] += 1`` for every slot at once.
+
+        The slots must be distinct: a fancy-indexed add applies a
+        repeated index once, which would silently lose a count."""
+        assert len(set(slots)) == len(slots), "duplicate matrix slots"
         self.data[slots, piece] += 1
 
 

@@ -362,11 +362,16 @@ class Instrumentation(PeerObserver):
                 record.remote_seed_since is None
                 and connection.remote_bitfield is not None
             ):
-                # remote_bitfield is updated by the peer after this hook,
-                # so check completeness including the incoming message.
+                # Is the remote complete once this message is applied?
+                # The view may or may not hold the announced piece yet
+                # (a per-link view lags this hook, a shared one does
+                # not); the answer must be the same either way.
                 if isinstance(message, Have):
-                    missing = connection.remote_bitfield.missing
-                    if missing == 1 and not connection.remote_bitfield.has(message.piece):
+                    view = connection.remote_bitfield
+                    missing = view.missing
+                    if missing == 0 or (
+                        missing == 1 and not view.has(message.piece)
+                    ):
                         record.remote_seed_since = now
                 else:
                     num_pieces = connection.remote_bitfield.num_pieces

@@ -42,7 +42,9 @@ class Bitfield:
     Alongside the wire-format bitmap, the held indices are mirrored in a
     plain ``set`` so swarm-scale consumers (the rarity-bucket piece
     index) can intersect piece sets at C speed instead of probing one
-    bit at a time.
+    bit at a time.  Invariant: bitmap, mirror and count always agree —
+    only this class's own methods write them, and the simulator may hand
+    one instance out as several neighbours' view of its owner.
     """
 
     __slots__ = ("_num_pieces", "_bits", "_count", "_have")
@@ -169,20 +171,12 @@ class Bitfield:
         """The held piece indices as a set (live view — do not mutate).
 
         This is what makes rarity-bucket intersections O(min(|bucket|,
-        |have|)) at C speed; treat it as read-only.  Caveat: the fused
-        HAVE fan-out skips this mirror on remote views owned by
-        matrix-attached peers (matrix-mode accounting is bit-level), so
-        for those views use ``have_indices``/``has``, which read the
-        authoritative bitmap."""
+        |have|)) at C speed; treat it as read-only."""
         return self._have
 
     def have_indices(self) -> Iterator[int]:
-        """Iterate over indices of held pieces, in increasing order.
-
-        Derived from the bitmap, not the ``have_set`` mirror: remote
-        views owned by matrix-attached peers update only their bits on
-        the fused HAVE fan-out, so the bitmap is the authoritative
-        representation."""
+        """Iterate over indices of held pieces, in increasing order
+        (a snapshot taken at call time)."""
         return iter(list(_set_bit_indices(self._bits)))
 
     def missing_indices(self) -> Iterator[int]:

@@ -4,7 +4,10 @@ Every established link is represented by *two* :class:`Connection`
 objects, one per endpoint, cross-linked through :attr:`Connection.twin`.
 Each endpoint mutates only its own object; the four protocol booleans
 (am_choking / peer_choking / am_interested / peer_interested) therefore
-mirror each other across the twins.
+mirror each other across the twins.  :attr:`Connection.remote_bitfield`
+is the endpoint's view of the remote's pieces: a per-link copy parsed
+from BITFIELD/HAVE messages, or, under the shared-view contract of
+DESIGN §12, the remote's own bitfield, which the endpoint only reads.
 
 A connection also carries the fluid-transfer machinery of the uploading
 direction: the queue of blocks the remote requested, and the byte

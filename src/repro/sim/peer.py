@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
 from repro.core.piece_picker import PiecePicker
@@ -131,6 +131,10 @@ class Peer:
             observer.on_attached(self)
 
         self.connections: Dict[str, Connection] = {}
+        # Fused HAVE fan-out targets (see _collect_have_targets), built
+        # on demand; reset to None by whatever changes the answer: a link
+        # established or closed, either end crashing.
+        self._have_targets: Optional[Tuple[List[int], List[PiecePicker]]] = None
         self.initiated_count = 0
         self.online = False
         self.joined_at: Optional[float] = None
@@ -262,7 +266,16 @@ class Peer:
             connection.closed = True
             connection.clear_upload_queue()
             self.swarm.forget_upload(connection)
+            twin = connection.twin
+            if twin is not None and not twin.closed:
+                connection.remote._have_targets = None
+                if twin.remote_bitfield is self.bitfield:
+                    # The half-open twin stops hearing from us, so a
+                    # shared view freezes here: were we to rejoin and
+                    # download on, it would run ahead of its counts.
+                    twin.remote_bitfield = self.bitfield.copy()
         self.connections.clear()
+        self._have_targets = None
         self.swarm.on_peer_crashed(self)
 
     def _stop_timers(self) -> None:
@@ -406,6 +419,7 @@ class Peer:
         remote_conn.twin = local_conn
         self.connections[remote.address] = local_conn
         remote.connections[self.address] = remote_conn
+        self._have_targets = remote._have_targets = None
         if initiated_by_local:
             self.initiated_count += 1
         else:
@@ -457,6 +471,7 @@ class Peer:
             return
         connection.closed = True
         self.connections.pop(connection.remote.address, None)
+        self._have_targets = None
         if connection.initiated_by_local:
             self.initiated_count -= 1
         self.picker.peer_left(connection.remote_bitfield)
@@ -554,7 +569,14 @@ class Peer:
     # -- piece-knowledge messages -----------------------------------------
 
     def _handle_bitfield(self, connection: Connection, message: BitfieldMessage) -> None:
-        incoming = Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
+        remote = connection.remote
+        if self.swarm._batched_have and not remote.super_seeding:
+            # Shared view (DESIGN §12): under synchronous lossless
+            # delivery a parsed copy would equal the remote's own bitfield
+            # whenever read.  A super-seeder advertises less than it holds.
+            incoming = remote.bitfield
+        else:
+            incoming = Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
         # The bitfield replaces anything previously known on this link.
         self.picker.peer_left(connection.remote_bitfield)
         connection.remote_bitfield = incoming
@@ -581,39 +603,33 @@ class Peer:
             self._fill_pipeline(connection)
 
     def broadcast_have_fused(self, message: Have) -> None:
-        """The HAVE flood, fused: one loop doing exactly what per-link
-        ``_send`` + ``_receive`` + ``_handle_have`` + the sender's
-        interest recheck do, with the per-message costs hoisted out.
+        """The HAVE flood, fused: what per-link ``_send`` + ``_receive`` +
+        ``_handle_have`` + the sender's interest recheck do, in one loop.
 
-        This is the dominant cost of a large swarm (every completed piece
-        touches every neighbour), so the loop body inlines the hot path —
-        the same checks in the same order as the reference functions,
-        with three deliberate strength reductions that are observably
-        identical:
-
-        * the receiver's ``remote_bitfield.set`` is inlined with the
-          byte index and mask precomputed once per broadcast;
-        * a matrix-backed receiver's availability increment writes the
-          matrix cell directly (``remote_has`` in matrix mode is exactly
-          that one-cell add);
-        * the sender's interest recheck runs only on links whose remote
-          holds the completed piece.  Completing a piece can only shrink
-          the interesting set, and only by that piece: a link whose
-          remote lacks it keeps a non-empty interesting set, so the
-          recheck it skips would have been a no-op.
-
-        Only valid under the fused-fan-out preconditions (synchronous,
-        lossless delivery): ``_send``'s latency/fault branches are
-        elided, not reimplemented.
+        Every neighbour's view of this peer *is* ``self.bitfield`` (see
+        ``_handle_bitfield``), which already holds the piece, so nothing
+        is written per link.  The neighbours' copy counts go up in one
+        batched add — exact, because a receiver's counts are read by that
+        receiver alone and nothing before its turn reaches it — and the
+        loop keeps, in the reference link order, observer emission and
+        what can react.  Only valid under the shared-view precondition
+        (DESIGN §12): ``_send``'s latency/fault branches are elided, not
+        reimplemented.
         """
         piece = message.piece
         now = self.simulator.now
+        targets = self._have_targets
+        if targets is None:
+            targets = self._have_targets = self._collect_have_targets()
+        slots, pickers = targets
+        if slots:
+            self.swarm.availability_matrix.increment(slots, piece)
+        for picker in pickers:
+            picker.remote_has(piece)
         byte_index = piece >> 3
         bit_mask = 0x80 >> (piece & 7)
-        # Sender-side interest recheck support, hoisted: the complement
-        # of our bits, our piece count and whether we are (still) a
-        # leecher — all constant across the loop, own state only changes
-        # afterwards.
+        # Sender-side interest recheck support, hoisted: all constant
+        # across the loop, own state only changes afterwards.
         not_ours = ~self.bitfield.as_int()
         own_count = self.bitfield.count
         sender_is_seed = self.is_seed
@@ -623,22 +639,17 @@ class Peer:
         # both observed into the same binary recorder, one call packs
         # the sent+received record pair, bypassing two observer hook
         # invocations per delivery (the bulk of --trace-all overhead).
-        pair_emit = None
-        shared_recorder = None
         sender_addr = self.address
-        if observer is not None:
-            shared_recorder = getattr(observer, "recorder", None)
-            if shared_recorder is not None:
-                pair_emit = getattr(shared_recorder, "emit_have_pair", None)
+        shared_recorder = getattr(observer, "recorder", None)
+        pair_emit = getattr(shared_recorder, "emit_have_pair", None)
         for connection in list(self.connections.values()):
             if not connection.closed:
                 twin = connection.twin
-                twin_open = twin is not None and not twin.closed
-                if twin_open:
+                if twin is not None and not twin.closed:
                     receiver = connection.remote
                     receiver_observer = receiver.observer
                 else:
-                    receiver = receiver_observer = None
+                    twin = receiver = receiver_observer = None
                 if (
                     pair_emit is not None
                     and receiver_observer is not None
@@ -651,33 +662,16 @@ class Peer:
                         observer.on_message_sent(now, connection, message)
                     if receiver_observer is not None:
                         receiver_observer.on_message_received(now, twin, message)
-                if twin_open:
-                    # -- inlined receiver side (_receive + _handle_have) --
+                if twin is not None:
+                    # -- the receiver's reactions (_handle_have) --
                     # ``last_message_at`` is deliberately not refreshed: its
                     # only reader is the fault sweep, and a fault plan
                     # disables the fused path entirely.
-                    remote_view = twin.remote_bitfield
-                    bits = remote_view._bits
-                    if not bits[byte_index] & bit_mask:
-                        bits[byte_index] |= bit_mask
-                        remote_view._count += 1
-                        picker = receiver.picker
-                        slot = picker._slot
-                        if slot is not None:
-                            # Matrix-attached receivers never read a remote
-                            # view's ``have_set`` mirror (all matrix-mode
-                            # accounting is bit-level), so skip maintaining
-                            # it — at swarm scale those set.add calls are a
-                            # measurable slice of the flood.
-                            picker._matrix.data[slot, piece] += 1
-                        else:
-                            remote_view._have.add(piece)
-                            picker.remote_has(piece)
                     if (
                         receiver.super_seeding
-                        and receiver._active_reveal.get(self.address) == piece
+                        and receiver._active_reveal.get(sender_addr) == piece
                     ):
-                        del receiver._active_reveal[self.address]
+                        del receiver._active_reveal[sender_addr]
                         receiver._reveal_next(twin)
                     if not twin.am_interested:
                         if receiver.state is not seed_state and not (
@@ -688,9 +682,10 @@ class Peer:
                     if not twin.peer_choking and twin.am_interested:
                         receiver._fill_pipeline(twin)
             # -- sender-side interest recheck (the reference loop's tail).
-            # A remote holding MORE pieces than we do necessarily holds
-            # one we miss, so interest survives and the full bitfield
-            # comparison is skipped (count prefilter, exact).
+            # Completing a piece can only shrink the interesting set, and
+            # only by that piece, so links whose remote lacks it are
+            # skipped; so are remotes holding MORE pieces than we do,
+            # which necessarily hold one we miss (both prefilters exact).
             if connection.am_interested:
                 remote_bits = connection.remote_bitfield
                 if sender_is_seed:
@@ -702,6 +697,17 @@ class Peer:
                     if not (remote_bits.as_int() & not_ours):
                         connection.am_interested = False
                         self._send(connection, NotInterested())
+
+    def _collect_have_targets(self) -> Tuple[List[int], List[PiecePicker]]:
+        """Neighbours that count our pieces (far end still open), split
+        by how: matrix slots for one batched add, list/index pickers."""
+        pickers = [
+            connection.remote.picker
+            for connection in self.connections.values()
+            if connection.twin is not None and not connection.twin.closed
+        ]
+        slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
+        return slots, [p for p in pickers if p.matrix_slot is None]
 
     # -- choke messages ------------------------------------------------------
 

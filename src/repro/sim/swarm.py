@@ -204,9 +204,10 @@ class Swarm:
             if use_matrix
             else None
         )
-        # Batched HAVE fan-out is only observably identical to per-link
-        # sends when delivery is synchronous and lossless: any latency or
-        # fault plan forces the reference path.
+        # Batched HAVE fan-out, and the shared remote views it rests on
+        # (Peer._handle_bitfield), are only observably identical to
+        # per-link sends and parsed views when delivery is synchronous
+        # and lossless: any latency or fault plan forces the reference.
         self._batched_have = (
             extra.get("have_fanout", "auto") != "unbatched"
             and self.config.message_latency == 0

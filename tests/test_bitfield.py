@@ -218,11 +218,22 @@ class TestIndexIterators:
         assert list(field.missing_indices()) == []
         assert list(field.pieces_only_in(Bitfield(0))) == []
 
-    def test_have_indices_reads_the_bitmap_not_the_mirror(self):
-        """The fused HAVE fan-out sets bits without touching ``have_set``."""
-        field = Bitfield(20, have=[3])
-        field._bits[2] |= 0x80 >> 1  # piece 17, bitmap only
-        assert list(field.have_indices()) == [3, 17]
+    def test_bitmap_mirror_and_count_agree_through_every_mutator(self):
+        """Only ``Bitfield`` writes its three representations, so they
+        never drift — shared remote views rely on it."""
+        made = [
+            Bitfield(20, have=[3, 17]),
+            Bitfield.full(20),
+            Bitfield.from_bytes(Bitfield(20, have=[0, 8, 19]).to_bytes(), 20),
+        ]
+        made.append(made[0].copy())
+        for field in made:
+            field.set(5)
+            field.clear(3)
+            field.clear(3)
+            assert self.probed(field) == sorted(field.have_set)
+            assert list(field.have_indices()) == sorted(field.have_set)
+            assert field.count == len(field.have_set)
 
     def test_pieces_only_in_rejects_another_torrent(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.instrumentation import Instrumentation
 from repro.instrumentation.logger import _IntervalTracker
+from repro.protocol.bitfield import Bitfield
 from repro.sim.config import KIB
 
 from tests.conftest import fast_config, tiny_swarm
@@ -246,6 +247,38 @@ class TestBitfieldSeedDetection:
             swarm.simulator.now, connection, BitfieldMessage(bits=bytes([0xFF]))
         )
         assert record.remote_seed_since == swarm.simulator.now
+
+
+class TestHaveSeedDetection:
+    """The HAVE hook answers "is the remote complete once this message
+    is applied?" whether or not its view already holds the piece: a
+    per-link view lags the hook, a shared view (DESIGN §12) does not."""
+
+    @staticmethod
+    def receive_have(view, piece):
+        from repro.instrumentation.replay import _ReplayConnection
+        from repro.protocol.messages import Have
+
+        trace = Instrumentation()
+        connection = _ReplayConnection("10.0.0.9", None, False, view.num_pieces)
+        connection.remote_bitfield = view
+        trace.on_message_received(42.0, connection, Have(piece=piece))
+        return trace.records["10.0.0.9"].remote_seed_since
+
+    def test_view_that_already_holds_the_final_piece(self):
+        assert self.receive_have(Bitfield.full(12), piece=7) == 42.0
+
+    def test_view_still_missing_the_final_piece(self):
+        lagging = Bitfield.full(12)
+        lagging.clear(7)
+        assert self.receive_have(lagging, piece=7) == 42.0
+
+    def test_remote_that_misses_another_piece_is_no_seed(self):
+        view = Bitfield.full(12)
+        view.clear(3)
+        assert self.receive_have(view, piece=7) is None  # 7 already applied
+        view.clear(7)
+        assert self.receive_have(view, piece=7) is None  # 7 still to apply
 
 
 class TestFlushBytesAcrossReconnect:

@@ -104,6 +104,40 @@ class TestAvailability:
         assert picker.availability == (0, 0, 1, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.skipif(not piece_picker.HAVE_NUMPY, reason="numpy not installed")
+class TestAvailabilityMatrixIncrement:
+    """The batched add behind the HAVE fan-out: one piece, many rows."""
+
+    def test_unique_slots_each_gain_one_copy(self):
+        matrix = piece_picker.AvailabilityMatrix(6, capacity=4)
+        slots = [matrix.acquire() for __ in range(4)]
+        matrix.increment([slots[0], slots[2]], 5)
+        matrix.increment([slots[2]], 5)
+        matrix.increment([], 1)
+        assert matrix.data[:, 5].tolist() == [1, 0, 2, 0]
+        assert int(matrix.data.sum()) == 3  # no other cell moved
+
+    def test_right_after_acquire_grew_and_reallocated_the_rows(self):
+        matrix = piece_picker.AvailabilityMatrix(4, capacity=2)
+        first = [matrix.acquire(), matrix.acquire()]
+        matrix.increment(first, 3)
+        before = matrix.data
+        grown = matrix.acquire()  # full: doubles into a new array
+        assert matrix.data is not before
+        matrix.increment(first + [grown], 3)
+        assert [int(matrix.data[slot, 3]) for slot in first + [grown]] == [2, 2, 1]
+        assert before[:, 3].tolist() == [1, 1]  # the old array is dead, not aliased
+
+    def test_duplicate_slots_are_asserted_against(self):
+        """A fancy-indexed add applies a repeated index once: silently
+        losing a count is the one thing this must never do."""
+        matrix = piece_picker.AvailabilityMatrix(4)
+        slot = matrix.acquire()
+        with pytest.raises(AssertionError):
+            matrix.increment([slot, slot], 0)
+        assert int(matrix.data.sum()) == 0
+
+
 class TestRandomFirstPolicy:
     def test_random_before_threshold(self):
         """Below 4 pieces the pick ignores rarity (it is random)."""

@@ -1,0 +1,290 @@
+"""The shared-view contract of DESIGN §12.
+
+Under synchronous lossless delivery (zero message latency, no fault
+plan, batched HAVE fan-out) a neighbour's view of a peer *is* that
+peer's bitfield, and a completed piece raises every neighbour's copy
+count in one batched add.  Three things pin that down:
+
+* **identity** — which views are shared, and that none is without the
+  precondition;
+* **differential runs** — shared views against the per-link reference
+  (``have_fanout=unbatched``) for every registered selector, with
+  observers on no peer, on one peer and on every peer;
+* **churn** — availability row ≡ Σ views over a peer's links on every
+  tick through join, leave, rejoin and a crash with no fault plan.
+"""
+
+from random import Random
+
+import pytest
+
+from repro.core.rarest_first import SELECTOR_REGISTRY
+from repro.instrumentation import Instrumentation, TraceRecorder, TracingObserver
+from repro.protocol.metainfo import make_metainfo
+from repro.sim.bandwidth import HAVE_NUMPY
+from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.swarm import Swarm
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+
+#: The per-link reference: parsed views, one ``_send`` per HAVE.  Nothing
+#: else is de-optimised, so a difference can only come from the views.
+UNBATCHED = {"have_fanout": "unbatched"}
+
+
+def make_swarm(seed=11, pieces=24, **config):
+    metainfo = make_metainfo(
+        "shared-%d" % seed, num_pieces=pieces, piece_size=4 * KIB, block_size=1 * KIB
+    )
+    return Swarm(metainfo, SwarmConfig(seed=seed, **config))
+
+
+def populate(swarm, leechers=5, super_seeding=False, selector=None):
+    """One seed now, *leechers* arriving over the first 30 s."""
+    rng = Random(swarm.config.seed)
+
+    def kwargs():
+        # A fresh selector per peer: playback-aware ones hold per-peer state.
+        return {} if selector is None else {"selector": SELECTOR_REGISTRY[selector]()}
+
+    swarm.add_peer(
+        config=PeerConfig(upload_capacity=8 * KIB, super_seeding=super_seeding),
+        is_seed=True,
+        **kwargs(),
+    )
+    for __ in range(leechers):
+        swarm.schedule_arrival(
+            rng.uniform(0.0, 30.0),
+            config=PeerConfig(upload_capacity=rng.choice([2, 4, 8]) * KIB),
+            **kwargs(),
+        )
+
+
+def links(swarm):
+    """Every link endpoint in the swarm."""
+    return [
+        connection
+        for peer in swarm.peers.values()
+        for connection in peer.connections.values()
+    ]
+
+
+# ---------------------------------------------------------------------------
+# identity
+# ---------------------------------------------------------------------------
+
+
+class TestIdentity:
+    def test_batched_views_are_the_remotes_bitfield(self):
+        swarm = make_swarm()
+        populate(swarm)
+        seen = []
+
+        def probe(now):
+            for connection in links(swarm):
+                assert connection.remote_bitfield is connection.remote.bitfield
+                seen.append(connection)
+
+        swarm.on_tick(probe)
+        swarm.run(120)
+        assert seen
+
+    def test_views_of_a_super_seeder_stay_per_link(self):
+        swarm = make_swarm()
+        populate(swarm, super_seeding=True)
+        kinds = set()
+
+        def probe(now):
+            for connection in links(swarm):
+                remote = connection.remote
+                shared = connection.remote_bitfield is remote.bitfield
+                assert shared != remote.super_seeding
+                kinds.add(shared)
+                if remote.super_seeding:
+                    # It advertised nothing and reveals piece by piece.
+                    assert connection.remote_bitfield.count < remote.bitfield.count
+
+        swarm.on_tick(probe)
+        swarm.run(120)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(message_latency=0.05),
+            dict(faults=FaultConfig(message_loss_rate=0.01)),
+            dict(extra=UNBATCHED),
+        ],
+        ids=["latency", "fault-plan", "unbatched"],
+    )
+    def test_no_view_is_shared_without_the_precondition(self, config):
+        swarm = make_swarm(**config)
+        populate(swarm)
+        seen = []
+
+        def probe(now):
+            for connection in links(swarm):
+                assert connection.remote_bitfield is not connection.remote.bitfield
+                seen.append(connection)
+
+        swarm.on_tick(probe)
+        swarm.run(120)
+        assert seen
+
+
+# ---------------------------------------------------------------------------
+# shared views vs the per-link reference
+# ---------------------------------------------------------------------------
+
+
+def run_observed(extra, selector, observed):
+    """One seeded run; everything an outside reader can tell apart."""
+    swarm = make_swarm(seed=9, pieces=16, extra=dict(extra))
+    recorder = TraceRecorder()
+    if observed == "every":
+        swarm.observer_factory = lambda: TracingObserver(recorder)
+    populate(swarm, selector=selector)
+    logger = None
+    if observed == "local":
+        # The logger is the one observer that reads a view at hook time.
+        logger = Instrumentation()
+        swarm.add_peer(
+            config=PeerConfig(upload_capacity=4 * KIB),
+            selector=SELECTOR_REGISTRY[selector](),
+            observer=logger,
+        )
+    replications = []
+    original = swarm.on_piece_replicated
+
+    def record(peer, piece):
+        replications.append((swarm.simulator.now, peer.address, piece))
+        original(peer, piece)
+
+    swarm.on_piece_replicated = record
+    rarest = []
+    swarm.on_tick(
+        lambda now: rarest.append(
+            [
+                (address, swarm.peers[address].picker.rarest_pieces_set())
+                for address in sorted(swarm.peers)
+            ]
+        )
+    )
+    result = swarm.run(250)
+    outcome = {
+        "replications": replications,
+        "rarest": rarest,
+        "completions": sorted(result.completions.items()),
+        "bytes_moved": result.bytes_moved,
+        "trace": recorder.close(),
+    }
+    if logger is not None:
+        logger.finalize()
+        outcome["logger"] = sorted(
+            (
+                address,
+                record.remote_seed_since,
+                record.presence.intervals,
+                record.local_interested_in_remote.intervals,
+                record.remote_interested_in_local.intervals,
+            )
+            for address, record in logger.records.items()
+        )
+        outcome["pieces"] = logger.piece_completions
+    return outcome
+
+
+@pytest.mark.parametrize("observed", ["none", "local", "every"])
+@pytest.mark.parametrize("selector", sorted(SELECTOR_REGISTRY))
+def test_shared_views_equal_the_per_link_reference(selector, observed):
+    shared = run_observed({}, selector, observed)
+    reference = run_observed(UNBATCHED, selector, observed)
+    assert shared["replications"], "nothing was downloaded"
+    assert shared == reference
+
+
+# ---------------------------------------------------------------------------
+# churn and invalidation
+# ---------------------------------------------------------------------------
+
+
+def sum_of_views(peer):
+    expected = [0] * peer.bitfield.num_pieces
+    for connection in peer.connections.values():
+        for piece in connection.remote_bitfield.have_indices():
+            expected[piece] += 1
+    return expected
+
+
+@needs_numpy
+def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
+    swarm = make_swarm(seed=5, pieces=32)
+    assert swarm._batched_have and swarm.faults is None
+    everyone = [
+        swarm.add_peer(config=PeerConfig(upload_capacity=16 * KIB), is_seed=True)
+    ]
+    for __ in range(6):
+        everyone.append(swarm.add_peer(config=PeerConfig(upload_capacity=4 * KIB)))
+    # Two leechers depart on completion; later arrivals keep joining.
+    for delay in (5.0, 15.0):
+        swarm.schedule_arrival(
+            delay, config=PeerConfig(upload_capacity=4 * KIB, seeding_time=10.0)
+        )
+    crashed = []
+    ticks = []
+
+    def probe(now):
+        ticks.append(now)
+        for peer in set(everyone) | set(swarm.peers.values()):
+            # The cached fan-out targets, when held, are never stale.
+            held_targets = peer._have_targets
+            assert held_targets in (None, peer._collect_have_targets()), (now, peer)
+            # A crash deliberately strands the victim's own counts (see
+            # PiecePicker.detach_matrix); everyone else must add up.
+            if peer.online and peer not in crashed:
+                assert list(peer.picker.availability) == sum_of_views(peer), (
+                    now,
+                    peer,
+                )
+
+    swarm.on_tick(probe)
+    swarm.run(12)
+
+    # -- clean leave, then rejoin on a re-acquired slot -----------------
+    leaver = everyone[2]
+    leaver.leave()
+    assert leaver.picker.matrix_slot is None
+    swarm.run(6)
+    leaver.join()
+    assert leaver.picker.matrix_slot is not None
+    swarm.run(6)
+
+    # -- a direct crash, no fault plan: links stay half-open for good ---
+    victim = everyone[3]
+    neighbours = [connection.remote for connection in victim.connections.values()]
+    assert neighbours
+    victim.crash()
+    crashed.append(victim)
+    stranded_row = list(victim.picker.availability)
+    held = victim.bitfield.count
+    for neighbour in neighbours:
+        view = neighbour.connections[victim.address].remote_bitfield
+        assert view is not victim.bitfield and view == victim.bitfield
+    swarm.run(6)
+    # Its neighbours completed pieces meanwhile; the dead end counted none.
+    assert list(victim.picker.availability) == stranded_row
+
+    # -- the victim comes back and downloads on from a newcomer (its old
+    # neighbours still hold the half-open links and refuse a second one) --
+    swarm.add_peer(config=PeerConfig(upload_capacity=16 * KIB), is_seed=True)
+    victim.join()
+    swarm.run(120)
+    assert victim.bitfield.count > held
+    for neighbour in neighbours:
+        stale = neighbour.connections.get(victim.address)
+        if stale is not None:  # the frozen view did not follow the victim
+            assert stale.remote_bitfield.count == held
+    assert len(ticks) > 100
+    # Closing every link subtracts every view: nothing may go negative.
+    for peer in list(swarm.peers.values()):
+        peer.leave()
