@@ -26,9 +26,9 @@ Two implementations share this module:
   rates (every operation is the same IEEE-754 double operation applied
   in an order-insensitive reduction or elementwise).
 
-:func:`resolve_allocator` maps a config string to one of the two (or the
-fast approximate :func:`upload_fair_allocation`), falling back to the
-reference when numpy is unavailable.
+:func:`resolve_allocator` picks the vectorized path when numpy is
+importable and the reference otherwise; the reference stays selectable
+by name as the oracle of the differential tests.
 """
 
 from __future__ import annotations
@@ -264,70 +264,21 @@ def max_min_allocation_numpy(
         flow.rate = float(rates[index])
 
 
-def upload_fair_allocation(
-    flows: List[Flow],
-    upload_capacity: Mapping[NodeId, float],
-    download_capacity: Mapping[NodeId, float],
-) -> None:
-    """Fast approximate allocation for upload-constrained swarms.
-
-    Each uploader splits its capacity equally among its active flows;
-    each downloader that would exceed its own capacity scales its inbound
-    flows down proportionally.  Capacity freed by that scaling is *not*
-    redistributed (one pass), which slightly under-uses uploaders feeding
-    capped downloaders.  In the paper's regime — 20 kB/s uploads against
-    downloads of up to 1500 kB/s — the downloader cap almost never binds,
-    and this model is indistinguishable from max–min while costing O(flows).
-    """
-    per_uploader: Dict[NodeId, int] = {}
-    for flow in flows:
-        flow.rate = 0.0
-        per_uploader[flow.uploader] = per_uploader.get(flow.uploader, 0) + 1
-    inbound: Dict[NodeId, float] = {}
-    for flow in flows:
-        capacity = upload_capacity.get(flow.uploader)
-        if capacity is None:
-            capacity = float("inf")
-        flow.rate = capacity / per_uploader[flow.uploader]
-        inbound[flow.downloader] = inbound.get(flow.downloader, 0.0) + flow.rate
-    for flow in flows:
-        cap = download_capacity.get(flow.downloader)
-        if cap is None:
-            continue
-        total = inbound[flow.downloader]
-        if total > cap > 0:
-            flow.rate *= cap / total
-
-
 Allocator = Callable[[List[Flow], Mapping, Mapping], None]
 
-_ALLOCATORS: Dict[str, Allocator] = {
-    "reference": max_min_allocation,
-    "numpy": max_min_allocation_numpy,
-    "upload-fair": upload_fair_allocation,
-}
-
-
 def resolve_allocator(name: str = "auto") -> Allocator:
-    """Map an allocator config string to its implementation.
+    """Map an allocator name to its implementation.
 
     ``"auto"`` (the default) selects the vectorized max–min path when
     numpy is importable and the reference otherwise — safe because the
-    two are bit-identical.  ``"numpy"`` demands the vectorized path and
-    raises without numpy; ``"reference"`` and ``"upload-fair"`` name the
-    other implementations explicitly.
+    two are bit-identical.  ``"reference"`` names the pure-python twin
+    explicitly.
     """
     if name == "auto":
         return max_min_allocation_numpy if HAVE_NUMPY else max_min_allocation
-    if name == "numpy" and not HAVE_NUMPY:
-        raise RuntimeError("allocator 'numpy' requested but numpy is not installed")
-    try:
-        return _ALLOCATORS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown allocator %r (expected auto/reference/numpy/upload-fair)"
-            % (name,)
-        )
+    if name == "reference":
+        return max_min_allocation
+    raise ValueError("unknown allocator %r (expected auto/reference)" % (name,))
 
 
 def allocation_summary(flows: List[Flow]) -> Dict[NodeId, float]:

@@ -6,28 +6,18 @@ order, so a run is bit-reproducible given the same seed.  :class:`Timer`
 wraps the recurring-callback pattern used by choke rounds, tracker
 announces and snapshot sampling.
 
-Two queue backends implement the same ``(time, sequence)`` total order:
-
-* ``"heap"`` — a single binary heap.  Simple, and fast enough for small
-  swarms; pop costs O(log n) over the whole queue.
-* ``"wheel"`` — a calendar queue (timer wheel with heap-ordered
-  buckets).  Events are bucketed by ``floor(time / bucket_width)``, so
-  each push/pop only touches the handful of events in the current
-  epoch, not the full horizon.  Because a smaller timestamp can never
-  land in a later epoch, draining the minimum epoch's bucket in heap
-  order yields *exactly* the same event sequence as the single heap —
-  the two backends are interchangeable and trace-equivalent (proven by
-  the differential harness in tests/test_trace_equivalence.py).
-
-Both store ``(time, sequence, event)`` tuples so ordering comparisons
-run at C speed instead of through a Python ``__lt__``.
+The queue is one binary heap of ``(time, sequence, event)`` tuples, so
+ordering comparisons run at C speed instead of through a Python
+``__lt__``.  The benchmark suite puts the loop and ``schedule_at``
+together under 1% of every simulator workload (DESIGN §12), which is
+why nothing fancier lives here.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 Callback = Callable[[], None]
 
@@ -60,90 +50,6 @@ class _Event:
 _Entry = Tuple[float, int, _Event]
 
 
-class _HeapQueue:
-    """One binary heap over all pending entries."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> _Entry:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __iter__(self):
-        return iter(self._heap)
-
-
-class _CalendarQueue:
-    """Epoch-bucketed calendar queue.
-
-    ``_buckets`` maps an integer epoch (``floor(time / width)``) to a
-    heap of entries in that epoch; ``_epochs`` is a heap of bucket keys.
-    An epoch key may linger in ``_epochs`` after its bucket drains; such
-    stale keys are skipped lazily in :meth:`peek_time`.
-    """
-
-    __slots__ = ("_width", "_buckets", "_epochs", "_size")
-
-    def __init__(self, width: float = 0.25) -> None:
-        if width <= 0:
-            raise ValueError("bucket width must be positive")
-        self._width = width
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._epochs: List[int] = []
-        self._size = 0
-
-    def push(self, entry: _Entry) -> None:
-        epoch = int(entry[0] / self._width)
-        bucket = self._buckets.get(epoch)
-        if bucket is None:
-            self._buckets[epoch] = bucket = []
-            heapq.heappush(self._epochs, epoch)
-        heapq.heappush(bucket, entry)
-        self._size += 1
-
-    def peek_time(self) -> Optional[float]:
-        epochs = self._epochs
-        buckets = self._buckets
-        while epochs:
-            bucket = buckets.get(epochs[0])
-            if bucket:
-                return bucket[0][0]
-            # Stale epoch key (bucket drained or never refilled): drop it.
-            buckets.pop(heapq.heappop(epochs), None)
-        return None
-
-    def pop(self) -> _Entry:
-        # Callers peek first, so the head epoch's bucket is non-empty.
-        epoch = self._epochs[0]
-        bucket = self._buckets[epoch]
-        entry = heapq.heappop(bucket)
-        self._size -= 1
-        if not bucket:
-            heapq.heappop(self._epochs)
-            del self._buckets[epoch]
-        return entry
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self._buckets.values())
-
-
-EVENT_QUEUES = ("heap", "wheel")
-
-
 class EventHandle:
     """Returned by :meth:`Simulator.schedule`; supports cancellation."""
 
@@ -165,24 +71,10 @@ class EventHandle:
 
 
 class Simulator:
-    """Event loop with a simulated clock starting at ``t = 0`` seconds.
+    """Event loop with a simulated clock starting at ``t = 0`` seconds."""
 
-    ``queue`` selects the backend: ``"heap"`` (default) or ``"wheel"``
-    (calendar queue; ``bucket_width`` is its epoch size in simulated
-    seconds).  The two produce identical event orders.
-    """
-
-    def __init__(self, queue: str = "heap", bucket_width: float = 0.25) -> None:
-        if queue == "heap":
-            self._queue = _HeapQueue()
-        elif queue == "wheel":
-            self._queue = _CalendarQueue(bucket_width)
-        else:
-            raise ValueError(
-                "unknown event queue %r (expected one of %s)"
-                % (queue, "/".join(EVENT_QUEUES))
-            )
-        self.queue_kind = queue
+    def __init__(self) -> None:
+        self._queue: List[_Entry] = []
         self._now = 0.0
         self._sequence = itertools.count()
         self._running = False
@@ -205,7 +97,7 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         """Events executed so far (cancelled tombstones excluded); the
-        numerator of the throughput benchmark's events/sec metric."""
+        benchmark suite reports it as ``sim.engine.events``."""
         return self._events_processed
 
     def schedule(self, delay: float, callback: Callback) -> EventHandle:
@@ -220,49 +112,28 @@ class Simulator:
                 % (time, self._now)
             )
         event = _Event(time, callback)
-        self._queue.push((time, next(self._sequence), event))
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
         return EventHandle(event)
 
     def run_until(self, end_time: float) -> None:
         """Execute events with timestamps ``<= end_time``; clock ends there."""
-        if self._running:
-            raise SimulationError("run_until is not reentrant")
-        self._running = True
-        queue = self._queue
-        try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                time, _sequence, event = queue.pop()
-                if event.cancelled:
-                    continue
-                self._now = time
-                self._events_processed += 1
-                profiler = self.profiler
-                if profiler is None:
-                    event.callback()
-                else:
-                    started = profiler.clock()
-                    event.callback()
-                    profiler.observe(
-                        _callback_label(event.callback),
-                        profiler.clock() - started,
-                        len(queue),
-                    )
-            self._now = max(self._now, end_time)
-        finally:
-            self._running = False
+        self._drain(end_time)
+        self._now = max(self._now, end_time)
 
     def run(self) -> None:
         """Execute every pending event (use only with finite schedules)."""
+        self._drain(float("inf"))
+
+    def _drain(self, end_time: float) -> None:
+        """Pop and execute events up to and including *end_time*."""
         if self._running:
-            raise SimulationError("run is not reentrant")
+            raise SimulationError("the event loop is not reentrant")
         self._running = True
         queue = self._queue
+        pop = heapq.heappop
         try:
-            while queue.peek_time() is not None:
-                time, _sequence, event = queue.pop()
+            while queue and queue[0][0] <= end_time:
+                time, _sequence, event = pop(queue)
                 if event.cancelled:
                     continue
                 self._now = time

@@ -84,23 +84,9 @@ class Swarm:
     def __init__(self, metainfo: Metainfo, config: Optional[SwarmConfig] = None):
         self.metainfo = metainfo
         self.config = config or SwarmConfig()
-        extra = self.config.extra
-        self.simulator = Simulator(
-            queue=extra.get("event_queue", "heap"),
-            bucket_width=float(extra.get("bucket_width", 0.25)),
-        )
-        # Bandwidth allocator selection.  The legacy "bandwidth_model"
-        # knob is honoured; otherwise "allocator" picks reference/numpy
-        # max-min explicitly, defaulting to "auto" (numpy when available
-        # — safe because the two paths are bit-identical).
-        allocator = extra.get("allocator")
-        if allocator is None:
-            allocator = (
-                "upload-fair"
-                if extra.get("bandwidth_model") == "upload-fair"
-                else "auto"
-            )
-        self._allocate = resolve_allocator(allocator)
+        engine = self.config.engine
+        self.simulator = Simulator()
+        self._allocate = resolve_allocator(engine.allocator)
         self.rng = Random(self.config.seed)
         # The tracker sampler is None-transparent: no spec builds the
         # same UniformSampler the tracker would default to, so runs
@@ -189,19 +175,11 @@ class Swarm:
         # Shared availability matrix: one int32 row per online peer, so a
         # completed piece's HAVE flood becomes a single vectorized
         # increment over the receivers' rows instead of per-peer python
-        # bookkeeping.  "auto" enables it when numpy is importable; the
-        # per-peer picker path it replaces is RNG- and trace-identical.
-        backend = extra.get("availability_backend", "auto")
-        if backend == "matrix" and not HAVE_NUMPY:
-            raise RuntimeError(
-                "availability_backend 'matrix' requested but numpy is missing"
-            )
-        use_matrix = backend == "matrix" or (backend == "auto" and HAVE_NUMPY)
-        if backend not in ("auto", "matrix", "index", "list"):
-            raise ValueError("unknown availability_backend %r" % (backend,))
+        # bookkeeping.  It needs numpy; the per-peer picker path it
+        # replaces is RNG- and trace-identical.
         self.availability_matrix: Optional[AvailabilityMatrix] = (
             AvailabilityMatrix(metainfo.geometry.num_pieces)
-            if use_matrix
+            if engine.availability_backend == "auto" and HAVE_NUMPY
             else None
         )
         # Batched HAVE fan-out, and the shared remote views it rests on
@@ -209,7 +187,7 @@ class Swarm:
         # per-link sends and parsed views when delivery is synchronous
         # and lossless: any latency or fault plan forces the reference.
         self._batched_have = (
-            extra.get("have_fanout", "auto") != "unbatched"
+            engine.have_fanout == "auto"
             and self.config.message_latency == 0
             and self.faults is None
         )

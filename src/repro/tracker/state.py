@@ -9,8 +9,8 @@ module provides that map at two levels:
   and leechers are additionally kept in dense per-role lists, so the
   samplers in :mod:`repro.tracker.sampling` can draw a peer set in
   O(num_want) (uniform, seed-biased) instead of materialising an O(n)
-  candidate list per announce — the difference between 10^4 and 10^6
-  announces/sec at realistic swarm sizes (``benchmarks/bench_tracker.py``).
+  candidate list per announce (the ``tracker_service`` workload of
+  ``benchmarks/suite`` measures the announce rate).
 
 * :class:`ShardedSwarmStore` — the infohash map, split over a fixed
   number of shards by a *stable* hash (CRC-32, never the seeded builtin

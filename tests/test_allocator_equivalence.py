@@ -1,10 +1,10 @@
 """Differential trace-equivalence harness for the mega-swarm engine.
 
-The fast engine paths — numpy max-min allocator, calendar-queue event
-wheel, shared availability matrix with the fused HAVE fan-out, and the
-binary trace container — are each *claimed* to be observably identical
-to the reference implementations they replace.  This suite pins those
-claims down three ways:
+The fast engine paths — numpy max-min allocator, shared availability
+matrix with the fused HAVE fan-out, and the binary trace container —
+are each *claimed* to be observably identical to the reference
+implementations they replace.  This suite pins those claims down three
+ways:
 
 * **property tests** drive the two allocators over random networks and
   require bit-identical rates (not approximately equal: the reference
@@ -39,20 +39,21 @@ from repro.sim.bandwidth import (
     max_min_allocation_numpy,
     resolve_allocator,
 )
-from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.config import (
+    KIB,
+    REFERENCE_ENGINE,
+    EngineConfig,
+    FaultConfig,
+    PeerConfig,
+    SwarmConfig,
+)
 from repro.sim.swarm import Swarm
 
 from random import Random
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-# The reference engine configuration: every fast path disabled.
-REFERENCE_EXTRA = {
-    "availability_backend": "index",
-    "have_fanout": "unbatched",
-    "allocator": "reference",
-    "event_queue": "heap",
-}
+FAST_ENGINE = EngineConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +117,7 @@ class TestAllocatorEquivalence:
 
     def test_resolve_allocator_names(self):
         assert resolve_allocator("reference") is max_min_allocation
-        assert resolve_allocator("numpy") is max_min_allocation_numpy
-        assert resolve_allocator("auto") in (
-            max_min_allocation,
-            max_min_allocation_numpy,
-        )
+        assert resolve_allocator("auto") is max_min_allocation_numpy
         with pytest.raises(ValueError):
             resolve_allocator("no-such-allocator")
 
@@ -130,7 +127,7 @@ class TestAllocatorEquivalence:
 # ---------------------------------------------------------------------------
 
 def run_swarm(
-    extra,
+    engine,
     seed=17,
     leechers=12,
     pieces=128,
@@ -143,7 +140,7 @@ def run_swarm(
     metainfo = make_metainfo(
         "equiv", num_pieces=pieces, piece_size=4 * KIB, block_size=4 * KIB
     )
-    config = SwarmConfig(seed=seed, extra=dict(extra), faults=faults)
+    config = SwarmConfig(seed=seed, engine=engine, faults=faults)
     swarm = Swarm(metainfo, config)
     if recorder is not None:
         swarm.observer_factory = lambda: TracingObserver(recorder)
@@ -175,43 +172,44 @@ def run_swarm(
 
 @needs_numpy
 class TestEngineDifferential:
+    @pytest.mark.parametrize(
+        "field, selects_twin",
+        [
+            ("allocator", lambda swarm: swarm._allocate is max_min_allocation),
+            (
+                "availability_backend",
+                lambda swarm: all(
+                    peer.picker.availability_backend == "index"
+                    for peer in swarm.peers.values()
+                ),
+            ),
+            ("have_fanout", lambda swarm: swarm._batched_have is False),
+        ],
+    )
+    def test_each_reference_value_selects_its_twin(self, field, selects_twin):
+        """Guard against a vacuous differential: every field of
+        REFERENCE_ENGINE must switch its path, and only its own."""
+        value = getattr(REFERENCE_ENGINE, field)
+        __, __, twin = run_swarm(EngineConfig(**{field: value}), horizon=40.0)
+        __, __, fast = run_swarm(FAST_ENGINE, horizon=40.0)
+        assert twin.peers and fast.peers
+        assert selects_twin(twin)
+        assert not selects_twin(fast)
+
     def test_fast_path_trace_equals_reference(self):
         fast = TraceRecorder()
         reference = TraceRecorder()
-        fast_fp, fast_state, __ = run_swarm({}, recorder=fast)
-        ref_fp, ref_state, __ = run_swarm(REFERENCE_EXTRA, recorder=reference)
+        fast_fp, fast_state, __ = run_swarm(FAST_ENGINE, recorder=fast)
+        ref_fp, ref_state, __ = run_swarm(REFERENCE_ENGINE, recorder=reference)
         assert fast_fp == ref_fp
         assert fast_state == ref_state
 
-    def test_wheel_trace_equals_heap(self):
-        heap = TraceRecorder()
-        wheel = TraceRecorder()
-        heap_fp, heap_state, __ = run_swarm(
-            {"event_queue": "heap"}, recorder=heap
-        )
-        wheel_fp, wheel_state, __ = run_swarm(
-            {"event_queue": "wheel"}, recorder=wheel
-        )
-        assert heap_fp == wheel_fp
-        assert heap_state == wheel_state
-
-    def test_wheel_bucket_width_does_not_change_the_trace(self):
-        fingerprints = set()
-        for width in (0.05, 0.25, 2.0):
-            recorder = TraceRecorder()
-            fp, __, __ = run_swarm(
-                {"event_queue": "wheel", "bucket_width": width},
-                recorder=recorder,
-            )
-            fingerprints.add(fp)
-        assert len(fingerprints) == 1
-
     def test_fast_path_equals_reference_under_churn(self):
         fast_fp, fast_state, __ = run_swarm(
-            {}, churn=True, recorder=TraceRecorder()
+            FAST_ENGINE, churn=True, recorder=TraceRecorder()
         )
         ref_fp, ref_state, __ = run_swarm(
-            REFERENCE_EXTRA, churn=True, recorder=TraceRecorder()
+            REFERENCE_ENGINE, churn=True, recorder=TraceRecorder()
         )
         assert fast_fp == ref_fp
         assert fast_state == ref_state
@@ -225,10 +223,10 @@ class TestEngineDifferential:
             crash_interval=20.0,
         )
         fast_fp, fast_state, __ = run_swarm(
-            {}, faults=faults, recorder=TraceRecorder()
+            FAST_ENGINE, faults=faults, recorder=TraceRecorder()
         )
         ref_fp, ref_state, __ = run_swarm(
-            REFERENCE_EXTRA, faults=faults, recorder=TraceRecorder()
+            REFERENCE_ENGINE, faults=faults, recorder=TraceRecorder()
         )
         assert fast_fp == ref_fp
         assert fast_state == ref_state
@@ -300,10 +298,10 @@ class TestFlowCacheUnderChurn:
 def traced_pair(tmp_path=None):
     """The same tiny run recorded by the JSONL and binary recorders."""
     jsonl = TraceRecorder()
-    run_swarm({}, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=jsonl)
+    run_swarm(FAST_ENGINE, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=jsonl)
     jsonl.close()
     binary = BinaryTraceRecorder()
-    run_swarm({}, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=binary)
+    run_swarm(FAST_ENGINE, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=binary)
     binary.close()
     return jsonl, binary
 

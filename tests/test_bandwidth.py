@@ -1,4 +1,4 @@
-"""Tests for the max-min fair and upload-fair bandwidth allocators."""
+"""Tests for the max-min fair bandwidth allocator."""
 
 from random import Random
 
@@ -9,7 +9,6 @@ from repro.sim.bandwidth import (
     Flow,
     allocation_summary,
     max_min_allocation,
-    upload_fair_allocation,
 )
 
 
@@ -80,27 +79,6 @@ class TestMaxMin:
         assert totals["d"] == pytest.approx(30.0)
 
 
-class TestUploadFair:
-    def test_equal_split(self):
-        flows = [Flow("a", "b"), Flow("a", "c")]
-        upload_fair_allocation(flows, {"a": 100.0}, {})
-        assert flows[0].rate == pytest.approx(50.0)
-        assert flows[1].rate == pytest.approx(50.0)
-
-    def test_download_cap_scales_inbound(self):
-        flows = [Flow("a", "x"), Flow("b", "x")]
-        upload_fair_allocation(flows, {"a": 100.0, "b": 100.0}, {"x": 100.0})
-        assert flows[0].rate + flows[1].rate == pytest.approx(100.0)
-
-    def test_no_redistribution(self):
-        # Unlike max-min, capacity freed by a capped downloader is lost.
-        flows = [Flow("a", "b"), Flow("a", "c")]
-        upload_fair_allocation(flows, {"a": 100.0}, {"b": 10.0})
-        rates = {f.downloader: f.rate for f in flows}
-        assert rates["b"] == pytest.approx(10.0)
-        assert rates["c"] == pytest.approx(50.0)
-
-
 @st.composite
 def _random_network(draw):
     num_up = draw(st.integers(1, 6))
@@ -162,11 +140,10 @@ def test_property_maxmin_is_maximal(network):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_upload_fair_matches_maxmin_when_upload_constrained(seed):
-    """In the paper's regime — upload caps far below download caps — the
-    one-pass upload-fair model and full max-min progressive filling must
-    agree flow for flow: only uploader links ever saturate, and both
-    models then split each uploader's capacity equally over its flows."""
+def test_maxmin_is_an_equal_split_when_upload_constrained(seed):
+    """In the paper's regime — upload caps far below download caps —
+    only uploader links ever saturate, so progressive filling must give
+    every flow an equal share of its uploader's capacity."""
     rng = Random(seed)
     num_up = rng.randint(1, 6)
     num_down = rng.randint(1, 6)
@@ -181,11 +158,14 @@ def test_upload_fair_matches_maxmin_when_upload_constrained(seed):
         )
         for __ in range(rng.randint(1, 12))
     ]
-    reference = [Flow(f.uploader, f.downloader) for f in flows]
     max_min_allocation(flows, uploads, downloads)
-    upload_fair_allocation(reference, uploads, downloads)
-    for maxmin_flow, fair_flow in zip(flows, reference):
-        assert maxmin_flow.rate == pytest.approx(fair_flow.rate, rel=1e-6)
+    fan_out = {}
+    for flow in flows:
+        fan_out[flow.uploader] = fan_out.get(flow.uploader, 0) + 1
+    for flow in flows:
+        assert flow.rate == pytest.approx(
+            uploads[flow.uploader] / fan_out[flow.uploader], rel=1e-6
+        )
 
 
 class TestUnconstrainedFlows:
@@ -202,21 +182,3 @@ class TestUnconstrainedFlows:
         rates = {f.uploader: f.rate for f in flows}
         assert rates["a"] == pytest.approx(10.0)
         assert rates["b"] == float("inf")
-
-
-@given(_random_network())
-def test_property_upload_fair_feasible(network):
-    flows, uploads, downloads = network
-    upload_fair_allocation(flows, uploads, downloads)
-    up_totals = {}
-    down_totals = {}
-    for flow in flows:
-        assert flow.rate >= 0.0
-        up_totals[flow.uploader] = up_totals.get(flow.uploader, 0.0) + flow.rate
-        down_totals[flow.downloader] = (
-            down_totals.get(flow.downloader, 0.0) + flow.rate
-        )
-    for node, total in up_totals.items():
-        assert total <= uploads[node] + 1e-6 * max(1.0, uploads[node])
-    for node, total in down_totals.items():
-        assert total <= downloads[node] + 1e-6 * max(1.0, downloads[node])

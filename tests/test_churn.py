@@ -1,6 +1,5 @@
 """Tests for churn processes and their interaction with the swarm."""
 
-import hashlib
 from random import Random
 
 import pytest
@@ -229,95 +228,57 @@ class TestOpenSystemArrivals:
         )
 
 
-def swarm_fingerprint(swarm) -> str:
-    """Digest of everything event ordering can influence: the peer
-    roster in join order, every peer's piece set, and the result's
-    timing maps."""
-    digest = hashlib.sha256()
-    digest.update(repr(list(swarm.peers)).encode())
-    for address, peer in swarm.peers.items():
-        digest.update(repr((address, sorted(peer.bitfield.have_set))).encode())
-    result = swarm.result
-    for mapping in (result.join_times, result.completions, result.departures):
-        digest.update(repr(sorted(mapping.items())).encode())
-    digest.update(repr(result.bytes_moved).encode())
-    return digest.hexdigest()
+class TestArrivalEdgeCases:
+    """Simultaneous arrivals and past-due arrivals clamped to "now" are
+    where an ordering slip in the event queue would silently reorder or
+    drop joins."""
 
-
-class TestEventQueueArrivalEquivalence:
-    """Heap-vs-wheel differential coverage of the arrival edge cases.
-
-    The calendar queue buckets events by ``floor(time / bucket_width)``
-    (width 0.25 s): arrivals landing *exactly* on a bucket boundary and
-    past-due arrivals clamped to "now" (which may itself sit on a
-    boundary after ``run_until``) are the spots where an epoch
-    off-by-one would silently reorder events.  Both backends must
-    produce fingerprint-identical swarms.
-    """
-
-    BUCKET_WIDTH = 0.25  # the engine's default wheel epoch size
-
-    def make_swarm(self, event_queue: str):
+    def make_swarm(self):
         return tiny_swarm(
             swarm_config=SwarmConfig(
-                seed=7, verify_piece_hashes=False, snapshot_interval=5.0,
-                extra={"event_queue": event_queue},
+                seed=7, verify_piece_hashes=False, snapshot_interval=5.0
             )
         )
 
-    def run_boundary_exact(self, event_queue: str):
-        swarm = self.make_swarm(event_queue)
+    def run_simultaneous(self):
+        swarm = self.make_swarm()
         swarm.add_peer(config=fast_config(), is_seed=True)
-        # Arrivals pinned to exact epoch boundaries, including several
-        # simultaneous ones whose relative order must be preserved.
-        for delay in (0.0, 0.25, 0.25, 0.25, 0.5, 2.0, 2.0, 7.75):
+        # Several arrivals share a timestamp, and 60.0 is exactly where
+        # run() stops: their relative order must be preserved and the
+        # last one must still join.
+        for delay in (0.0, 0.25, 0.25, 0.25, 0.5, 2.0, 2.0, 60.0):
             swarm.schedule_arrival(delay, config=fast_config(upload=2 * KIB))
         swarm.run(60.0)
         return swarm
 
-    def run_past_due_clamped(self, event_queue: str):
-        swarm = self.make_swarm(event_queue)
+    def test_every_simultaneous_arrival_joins(self):
+        assert len(self.run_simultaneous().peers) == 9
+
+    def test_simultaneous_arrivals_join_in_schedule_order(self):
+        """Addresses are handed out at add_peer time, so the roster
+        order *is* the event order."""
+        swarm = self.run_simultaneous()
+        join_times = swarm.result.join_times
+        roster = list(swarm.peers)
+        assert [join_times[address] for address in roster] == sorted(
+            join_times[address] for address in roster
+        )
+
+    def test_past_due_arrivals_are_clamped_to_now(self):
+        swarm = self.make_swarm()
         swarm.add_peer(config=fast_config(), is_seed=True)
-        # run_until leaves the clock exactly on a bucket boundary...
         swarm.run(50.0)
-        # ...where a whole past-due process is clamped to "now".
+        # A whole past-due process is clamped to "now"...
         scheduled = poisson_arrivals(
             swarm, rate=0.5, duration=20.0, config_factory=config_factory,
             rng=Random(4),
         )
         swarm.schedule_arrival(-5.0, config=fast_config(upload=2 * KIB))
-        # And again from a clock *off* the boundary grid.
+        # ...and again from a clock off the whole-second grid.
         swarm.run(10.1)
         swarm.schedule_arrival(-1.0, config=fast_config(upload=2 * KIB))
         swarm.run(30.0)
         assert len(swarm.peers) == 3 + scheduled
-        return swarm
-
-    def test_boundary_exact_arrivals_are_backend_invariant(self):
-        heap = self.run_boundary_exact("heap")
-        wheel = self.run_boundary_exact("wheel")
-        assert len(heap.peers) == len(wheel.peers) == 9
-        assert swarm_fingerprint(heap) == swarm_fingerprint(wheel)
-        assert (
-            heap.simulator.events_processed == wheel.simulator.events_processed
+        assert sorted(swarm.result.join_times.values()) == (
+            [0.0] + [50.0] * (scheduled + 1) + [60.1]
         )
-
-    def test_past_due_clamped_arrivals_are_backend_invariant(self):
-        heap = self.run_past_due_clamped("heap")
-        wheel = self.run_past_due_clamped("wheel")
-        assert swarm_fingerprint(heap) == swarm_fingerprint(wheel)
-        assert (
-            heap.simulator.events_processed == wheel.simulator.events_processed
-        )
-
-    def test_boundary_exact_join_order_is_schedule_order(self):
-        """Simultaneous boundary arrivals join in scheduling order on
-        both backends (addresses are handed out at add_peer time, so
-        the roster order *is* the event order)."""
-        for event_queue in ("heap", "wheel"):
-            swarm = self.run_boundary_exact(event_queue)
-            join_times = swarm.result.join_times
-            roster = list(swarm.peers)
-            assert [join_times[address] for address in roster] == sorted(
-                join_times[address] for address in roster
-            )

@@ -1,8 +1,16 @@
 """Tests for the configuration dataclasses and their §III-C defaults."""
 
+import dataclasses
+
 import pytest
 
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import (
+    KIB,
+    REFERENCE_ENGINE,
+    EngineConfig,
+    PeerConfig,
+    SwarmConfig,
+)
 
 
 class TestPeerConfigDefaults:
@@ -85,8 +93,41 @@ class TestSwarmConfigDefaults:
     def test_hash_verification_off_by_default(self):
         assert not SwarmConfig().verify_piece_hashes
 
-    def test_extra_dict_is_per_instance(self):
-        first = SwarmConfig()
-        second = SwarmConfig()
-        first.extra["x"] = 1
-        assert "x" not in second.extra
+    def test_free_form_knob_dictionary_is_gone(self):
+        with pytest.raises(TypeError):
+            SwarmConfig(**{"extra": {"availability_backend": "index"}})
+
+
+class TestEngineConfig:
+    FIELDS = ("allocator", "availability_backend", "have_fanout")
+
+    def test_three_fields_all_auto_by_default(self):
+        assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == self.FIELDS
+        assert SwarmConfig().engine == EngineConfig()
+        assert all(getattr(EngineConfig(), name) == "auto" for name in self.FIELDS)
+
+    def test_reference_engine_differs_in_every_field(self):
+        assert all(
+            getattr(REFERENCE_ENGINE, name) != "auto" for name in self.FIELDS
+        )
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_unknown_value_is_rejected_at_construction(self, field):
+        """A mistyped differential must not silently run the default
+        path and compare the fast engine with itself."""
+        for value in ("", "Auto", "numpy", "matrix", "list", "heap"):
+            with pytest.raises(ValueError):
+                EngineConfig(**{field: value})
+        # Another field's reference value is not valid here either.
+        for other in self.FIELDS:
+            if other != field:
+                with pytest.raises(ValueError):
+                    EngineConfig(**{field: getattr(REFERENCE_ENGINE, other)})
+
+    def test_unknown_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            EngineConfig(alocator="reference")
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            REFERENCE_ENGINE.allocator = "auto"

@@ -6,8 +6,7 @@ pickers must execute the *identical* schedule as a swarm of naive
 pickers — same RNG consumption, same piece selections, same completion
 order, same rarest-pieces-set trajectory.  These tests run the same
 seeded scenario twice, once per mode, and compare the traces event for
-event.  The engine-throughput benchmark relies on this equivalence to
-call its naive/indexed timing comparison apples-to-apples.
+event.
 """
 
 from random import Random
@@ -17,7 +16,13 @@ import pytest
 from repro.core.rarest_first import make_selector
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import HAVE_NUMPY
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import (
+    KIB,
+    REFERENCE_ENGINE,
+    EngineConfig,
+    PeerConfig,
+    SwarmConfig,
+)
 from repro.sim.swarm import Swarm
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -33,16 +38,6 @@ ALL_SELECTOR_SPECS = [
     "pfs:urgency=0.9,rarity_bias=1.0",
 ]
 
-#: The fully de-optimised engine: no availability matrix, unbatched
-#: HAVEs, reference allocator, heap queue (mirrors
-#: test_allocator_equivalence.REFERENCE_EXTRA).
-REFERENCE_EXTRA = {
-    "availability_backend": "index",
-    "have_fanout": "unbatched",
-    "allocator": "reference",
-    "event_queue": "heap",
-}
-
 
 def build_swarm(
     seed,
@@ -51,7 +46,7 @@ def build_swarm(
     use_rarity_index,
     churn=False,
     selector_spec=None,
-    extra=None,
+    engine=EngineConfig(),
 ):
     metainfo = make_metainfo(
         "equivalence-%d" % seed,
@@ -59,7 +54,7 @@ def build_swarm(
         piece_size=4 * KIB,
         block_size=1 * KIB,
     )
-    swarm = Swarm(metainfo, SwarmConfig(seed=seed, extra=dict(extra or {})))
+    swarm = Swarm(metainfo, SwarmConfig(seed=seed, engine=engine))
     rng = Random(seed)
 
     def config():
@@ -90,7 +85,7 @@ def run_traced(
     use_rarity_index,
     churn=False,
     selector_spec=None,
-    extra=None,
+    engine=EngineConfig(),
 ):
     """Run one swarm, recording every piece replication and per-tick
     rarest-pieces-set snapshots of every online peer."""
@@ -101,7 +96,7 @@ def run_traced(
         use_rarity_index,
         churn,
         selector_spec=selector_spec,
-        extra=extra,
+        engine=engine,
     )
     replications = []
     original = swarm.on_piece_replicated
@@ -188,11 +183,11 @@ def test_fast_engine_equals_reference_for_every_selector(spec):
     ``select_arrays`` over the picker's candidate/count arrays."""
     reference = run_traced(
         9, num_pieces=16, num_leechers=5, use_rarity_index=True,
-        selector_spec=spec, extra=REFERENCE_EXTRA,
+        selector_spec=spec, engine=REFERENCE_ENGINE,
     )
     fast = run_traced(
         9, num_pieces=16, num_leechers=5, use_rarity_index=True,
-        selector_spec=spec, extra={},
+        selector_spec=spec,
     )
     assert fast["replications"] == reference["replications"]
     assert fast["rarest_snapshots"] == reference["rarest_snapshots"]
@@ -202,23 +197,18 @@ def test_fast_engine_equals_reference_for_every_selector(spec):
 
 
 @needs_numpy
-def test_sequential_selector_on_wheel_queue_with_numpy_allocator():
-    """Regression: a non-rarest strategy on the full fast engine (wheel
-    queue, numpy allocator, matrix backend) was once hijacked by a
-    rarest-first-only matrix kernel.  The matrix dispatch must run the
-    configured strategy faithfully and match the reference engine."""
+def test_sequential_selector_on_fast_engine_matches_naive_reference():
+    """Regression: a non-rarest strategy on the full fast engine (numpy
+    allocator, matrix backend) was once hijacked by a rarest-first-only
+    matrix kernel.  The matrix dispatch must run the configured strategy
+    faithfully and match the reference engine on naive pickers."""
     fast = run_traced(
         11, num_pieces=12, num_leechers=4, use_rarity_index=True,
         selector_spec="sequential",
-        extra={
-            "event_queue": "wheel",
-            "allocator": "numpy",
-            "availability_backend": "matrix",
-        },
     )
     reference = run_traced(
         11, num_pieces=12, num_leechers=4, use_rarity_index=False,
-        selector_spec="sequential", extra=REFERENCE_EXTRA,
+        selector_spec="sequential", engine=REFERENCE_ENGINE,
     )
     assert fast["replications"] == reference["replications"]
     assert fast["completions"] == reference["completions"]

@@ -22,14 +22,14 @@ from repro.core.rarest_first import SELECTOR_REGISTRY
 from repro.instrumentation import Instrumentation, TraceRecorder, TracingObserver
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import HAVE_NUMPY
-from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, EngineConfig, FaultConfig, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: The per-link reference: parsed views, one ``_send`` per HAVE.  Nothing
 #: else is de-optimised, so a difference can only come from the views.
-UNBATCHED = {"have_fanout": "unbatched"}
+UNBATCHED = EngineConfig(have_fanout="unbatched")
 
 
 def make_swarm(seed=11, pieces=24, **config):
@@ -113,7 +113,7 @@ class TestIdentity:
         [
             dict(message_latency=0.05),
             dict(faults=FaultConfig(message_loss_rate=0.01)),
-            dict(extra=UNBATCHED),
+            dict(engine=UNBATCHED),
         ],
         ids=["latency", "fault-plan", "unbatched"],
     )
@@ -137,9 +137,9 @@ class TestIdentity:
 # ---------------------------------------------------------------------------
 
 
-def run_observed(extra, selector, observed):
+def run_observed(engine, selector, observed):
     """One seeded run; everything an outside reader can tell apart."""
-    swarm = make_swarm(seed=9, pieces=16, extra=dict(extra))
+    swarm = make_swarm(seed=9, pieces=16, engine=engine)
     recorder = TraceRecorder()
     if observed == "every":
         swarm.observer_factory = lambda: TracingObserver(recorder)
@@ -197,7 +197,7 @@ def run_observed(extra, selector, observed):
 @pytest.mark.parametrize("observed", ["none", "local", "every"])
 @pytest.mark.parametrize("selector", sorted(SELECTOR_REGISTRY))
 def test_shared_views_equal_the_per_link_reference(selector, observed):
-    shared = run_observed({}, selector, observed)
+    shared = run_observed(EngineConfig(), selector, observed)
     reference = run_observed(UNBATCHED, selector, observed)
     assert shared["replications"], "nothing was downloaded"
     assert shared == reference

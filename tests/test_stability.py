@@ -40,7 +40,7 @@ from repro.core.rarest_first import ModeSuppressionSelector
 from repro.models.fluid import FluidModel
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.churn import open_system_arrivals, poisson_arrivals
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, REFERENCE_ENGINE, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 from repro.workloads.open_system import StabilityDetector
 
@@ -55,13 +55,13 @@ ARRIVAL_RATE = 0.6  # above c0: rarest first unstable, suppression stable
 DURATION = 300.0
 
 
-def run_open_system(policy, seed=5):
+def run_open_system(policy, seed=5, **swarm_options):
     """One open-system flash-crowd run on the tiny torrent; returns the
     detector's verdict."""
     metainfo = make_metainfo(
         "stability", num_pieces=NUM_PIECES, piece_size=PIECE_SIZE, block_size=1 * KIB
     )
-    swarm = Swarm(metainfo, SwarmConfig(seed=seed))
+    swarm = Swarm(metainfo, SwarmConfig(seed=seed, **swarm_options))
     swarm.add_peer(config=PeerConfig(upload_capacity=SEED_UPLOAD), is_seed=True)
 
     def selector():
@@ -136,6 +136,15 @@ class TestOpenSystemBoundary:
         for policy, verdict in open_system_verdicts.items():
             sim = "stable" if verdict.stable else "unstable"
             assert classify_fluid(fluid_for(policy)) == sim, policy
+
+    @pytest.mark.parametrize("policy", ["rarest-first", "mode-suppression"])
+    def test_verdict_is_the_same_on_the_reference_engine(
+        self, open_system_verdicts, policy
+    ):
+        """The fast paths must be invisible to the detector: same
+        samples, same backlog, same classification."""
+        reference = run_open_system(policy, engine=REFERENCE_ENGINE)
+        assert reference == open_system_verdicts[policy]
 
     def test_fluid_boundary_sits_at_the_seed_piece_rate(self):
         c0 = SEED_UPLOAD / PIECE_SIZE

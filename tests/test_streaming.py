@@ -24,7 +24,7 @@ from repro.instrumentation import (
     iter_trace,
     replay_instrumentation,
 )
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, REFERENCE_ENGINE, PeerConfig, SwarmConfig
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
 pytestmark = pytest.mark.streaming
@@ -46,7 +46,7 @@ STREAM_RATE = 24.0 * KIB
 def run_streaming(
     recorder=None,
     selector_spec="seq-window:window=8",
-    extra=None,
+    engine=None,
     seed=7,
     duration=400.0,
     playback_rate=STREAM_RATE,
@@ -54,10 +54,8 @@ def run_streaming(
     """One seeded torrent-2 streaming run; returns the harness."""
     scenario = scaled_copy(scenario_by_id(2), duration=duration)
     swarm_config = None
-    if extra is not None:
-        swarm_config = SwarmConfig(
-            seed=seed, duration=duration, extra=dict(extra)
-        )
+    if engine is not None:
+        swarm_config = SwarmConfig(seed=seed, duration=duration, engine=engine)
     harness = build_experiment(
         scenario,
         seed=seed,
@@ -179,18 +177,18 @@ class TestStreamingReplayDeterminism:
                 harness.instrumentation, field
             ), field
 
-    def test_heap_and_wheel_queues_agree(self):
-        fingerprints = {}
-        summaries = {}
-        for queue in ("heap", "wheel"):
-            recorder = TraceRecorder()
-            harness = run_streaming(
-                recorder, extra={"event_queue": queue}, duration=300.0
-            )
-            fingerprints[queue] = recorder.close()
-            summaries[queue] = playback_summary(harness.instrumentation)
-        assert fingerprints["heap"] == fingerprints["wheel"]
-        assert summaries["heap"] == summaries["wheel"]
+    def test_fast_and_reference_engines_agree(self, jsonl_run):
+        """Playback bindings make selection depend on simulated time;
+        the fast paths must still yield the same trace and the same
+        playback outcomes as the all-reference engine."""
+        harness, fast_recorder = jsonl_run
+        recorder = TraceRecorder()
+        reference = run_streaming(recorder, engine=REFERENCE_ENGINE)
+        recorder.close()
+        assert recorder.fingerprint == fast_recorder.fingerprint
+        assert playback_summary(reference.instrumentation) == playback_summary(
+            harness.instrumentation
+        )
 
 
 class TestStreamingGating:

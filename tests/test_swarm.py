@@ -132,16 +132,6 @@ class TestScheduledArrivals:
         assert ticks[0] == 1.0
 
 
-class TestBandwidthModelChoice:
-    def test_upload_fair_model_also_completes(self):
-        config = SwarmConfig(seed=3, extra={"bandwidth_model": "upload-fair"})
-        swarm = tiny_swarm(swarm_config=config)
-        swarm.add_peer(config=fast_config(), is_seed=True)
-        leecher = swarm.add_peer(config=fast_config())
-        swarm.run(300)
-        assert leecher.bitfield.is_complete()
-
-
 class TestFlowFastPath:
     """The per-tick allocation cache: ticks whose active flow set did not
     change reuse the previous rates instead of re-running the allocator."""

@@ -190,10 +190,11 @@ def test_tracing_disabled_runs_reproduce_each_other():
     assert first == second
 
 
-def test_traced_experiment_outcome_matches_untraced():
+@pytest.mark.parametrize("trace_all", [False, True], ids=["local", "every-peer"])
+def test_traced_experiment_outcome_matches_untraced(trace_all):
     plain = build_experiment(small_scenario(), seed=11)
     plain_trace = plain.run()
-    recorder, harness = run_traced(seed=11)
+    recorder, harness = run_traced(seed=11, trace_all=trace_all)
     traced_trace = harness.instrumentation
     assert traced_trace.peer.bitfield.count == plain_trace.peer.bitfield.count
     assert traced_trace.seed_state_at == plain_trace.seed_state_at

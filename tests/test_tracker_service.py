@@ -194,6 +194,61 @@ class TestSamplers:
             state, "p0", 10, Random(9)
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["uniform", "seed-biased:seed_fraction=0.5", "rarity-aware:bias=1.0"],
+    )
+    def test_peer_set_under_sampling(self, spec):
+        """The paper's Fig. 5 argument (§IV-B) rests on the tracker
+        handing each peer a random subset of the swarm, which keeps
+        peer sets well connected and diverse: 200 announces into a
+        400-peer, 80-seed swarm must each return exactly ``num_want``
+        peers, never the requester, and together reach nearly everyone;
+        the uniform sampler must also reproduce the seed fraction."""
+        population, seeds, num_want, requesters = 400, 80, 50, 200
+        service, __ = make_service(num_shards=4, sampler=make_sampler(spec))
+        addresses = [
+            "10.0.%d.%d:6881" % (index // 250, index % 250 + 1)
+            for index in range(population)
+        ]
+        for index, address in enumerate(addresses):
+            service.announce(
+                AnnounceRequest(
+                    infohash=HASH_A,
+                    address=address,
+                    event="started",
+                    num_want=0,
+                    is_seed=index < seeds,
+                    have_count=100 if index < seeds else index % 100,
+                )
+            )
+        seed_set = set(addresses[:seeds])
+        covered = set()
+        seeds_returned = 0
+        for address in addresses[:requesters]:
+            peers = service.announce(
+                AnnounceRequest(
+                    infohash=HASH_A,
+                    address=address,
+                    event="",
+                    num_want=num_want,
+                    is_seed=address in seed_set,
+                )
+            ).peers
+            assert len(peers) == num_want
+            assert address not in peers
+            covered.update(peers)
+            seeds_returned += sum(1 for peer in peers if peer in seed_set)
+        # 200 draws of 50 from 400 leave a peer unseen with probability
+        # (1 - 50/400)^200 ~ 3e-12 under uniformity.
+        assert len(covered) / population > 0.98
+        seed_share = seeds_returned / (requesters * num_want)
+        if spec == "uniform":
+            # 20% +- 3pp over 10k sampled slots.
+            assert abs(seed_share - seeds / population) < 0.03
+        if spec.startswith("seed-biased"):
+            assert seed_share > seeds / population + 0.1
+
     def test_spec_round_trip(self):
         for spec in ("uniform", "seed-biased:seed_fraction=0.25",
                      "rarity-aware:bias=-2"):
