@@ -11,6 +11,8 @@
     python -m repro figure fairness --torrent 7
     python -m repro analyze trace.json --figure entropy
     python -m repro replay out.jsonl --figure entropy
+    python -m repro trace diff a.jsonl b.jsonl --context 5
+    python -m repro trace stats out.jsonl
     python -m repro metrics --torrent 19 --duration 400
     python -m repro model --arrival-rate 0.05 --upload 4096 --content 131072
     python -m repro campaign run --workers 4 --cache-dir campaign-cache
@@ -25,7 +27,9 @@ replicates) across worker processes with content-addressed caching —
 ``figure`` runs it and prints the requested figure's data; ``analyze``
 recomputes figures from a saved trace without re-simulating; ``replay``
 reconstructs the instrumentation from a structured JSONL trace (``run
---trace``) and prints any figure from it; ``metrics`` runs an experiment
+--trace``) and prints any figure from it; ``trace diff`` locates the
+first event at which two traces part (exit 1) and ``trace stats``
+summarises one; ``metrics`` runs an experiment
 with the metrics registry and engine profiler enabled and dumps both;
 ``model`` evaluates the Qiu–Srikant fluid model.
 """
@@ -52,9 +56,12 @@ from repro.instrumentation import (
     EngineProfiler,
     Instrumentation,
     TraceRecorder,
+    diff_traces,
     replay_instrumentation,
+    trace_stats,
     traced_peers,
 )
+from repro.instrumentation.replay import TraceFormatError
 from repro.models import FluidModel
 from repro.reporting import (
     ascii_table,
@@ -128,6 +135,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-peers", action="store_true",
         help="just list the traced peer addresses and exit",
     )
+
+    trace_parser = commands.add_parser(
+        "trace", help="trace forensics: diff two traces, summarise one"
+    )
+    trace_commands = trace_parser.add_subparsers(
+        dest="trace_command", required=True
+    )
+    trace_diff = trace_commands.add_parser(
+        "diff",
+        help="print the first event at which two traces (JSONL or RBT1) "
+        "diverge and the per-kind count delta; exit 1 on any divergence",
+    )
+    trace_diff.add_argument("a", help="left trace")
+    trace_diff.add_argument("b", help="right trace")
+    trace_diff.add_argument(
+        "--context", type=int, default=3, metavar="N",
+        help="events of context to print around the divergence (default 3)",
+    )
+    trace_stats_parser = trace_commands.add_parser(
+        "stats",
+        help="per-kind counts, per-peer event volumes and time span of a "
+        "trace (JSONL or RBT1)",
+    )
+    trace_stats_parser.add_argument("trace", help="trace to summarise")
 
     metrics_parser = commands.add_parser(
         "metrics",
@@ -493,6 +524,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figure": _cmd_figure,
         "analyze": _cmd_analyze,
         "replay": _cmd_replay,
+        "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "model": _cmd_model,
         "net": _cmd_net,
@@ -661,6 +693,60 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     _print_figure(trace, args.figure, args)
     return 0
+
+
+def _event_line(event: dict) -> str:
+    return json.dumps(event, separators=(",", ":"))
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """Exit 0: done / identical; 1: the traces diverge; 2: unreadable."""
+    try:
+        if args.trace_command == "stats":
+            return _trace_stats(args)
+        return _trace_diff(args)
+    except TraceFormatError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+def _trace_stats(args: argparse.Namespace) -> int:
+    stats = trace_stats(args.trace)
+    print("%d events from %d peers" % (stats.events, len(stats.peers)))
+    if stats.span is not None:
+        print("simulated time %r .. %r" % stats.span)
+    for column, counts in (("kind", stats.kinds), ("peer", stats.peers)):
+        rows = sorted(counts.items(), key=lambda row: (-row[1], row[0]))
+        print(ascii_table([column, "events"], rows))
+    return 0
+
+
+def _trace_diff(args: argparse.Namespace) -> int:
+    if args.context < 0:
+        raise SystemExit("--context must be >= 0")
+    diff = diff_traces(args.a, args.b, context=args.context)
+    if diff.identical:
+        print("traces are identical: %d events" % diff.events[0])
+        return 0
+    print("traces diverge at event %d" % diff.index)
+    first = diff.index - len(diff.before)
+    for offset, event in enumerate(diff.before):
+        print("    [%d] %s" % (first + offset, _event_line(event)))
+    for label, path, tail in (("A", args.a, diff.left), ("B", args.b, diff.right)):
+        print("%s: %s" % (label, path))
+        if not tail:
+            print("  > [%d] (trace ends here)" % diff.index)
+        for offset, event in enumerate(tail):
+            print(
+                "  %s [%d] %s"
+                % (">" if offset == 0 else " ", diff.index + offset, _event_line(event))
+            )
+    print("events: A %d, B %d" % diff.events)
+    if diff.kind_delta:
+        print("per-kind count delta (B - A):")
+        for kind, count in diff.kind_delta.items():
+            print("    %-12s %+d" % (kind, count))
+    return 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -25,7 +25,14 @@ from repro.instrumentation.replay import (
     ReplayedInstrumentation,
     iter_trace,
     replay_instrumentation,
+    stream_trace,
     traced_peers,
+)
+from repro.instrumentation.forensics import (
+    TraceDiff,
+    TraceStats,
+    diff_traces,
+    trace_stats,
 )
 from repro.instrumentation.trace import (
     TRACE_SCHEMA_VERSION,
@@ -49,5 +56,10 @@ __all__ = [
     "replay_instrumentation",
     "ReplayedInstrumentation",
     "iter_trace",
+    "stream_trace",
     "traced_peers",
+    "TraceDiff",
+    "TraceStats",
+    "diff_traces",
+    "trace_stats",
 ]

@@ -19,8 +19,11 @@ portable trace file alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from typing import Dict, Iterable, List, Optional, Union
+from contextlib import contextmanager
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.choke import ChokeDecision
 from repro.instrumentation.logger import Instrumentation, Snapshot
@@ -46,78 +49,185 @@ class TraceFormatError(ValueError):
     """The trace file is missing, truncated, or from another schema."""
 
 
+# Lines decoded by one ``json.loads`` call and hashed by one update (the
+# write side batches its hashing the same way).  One call per batch, not
+# per line, keeps the C scanner's key memo alive across the batch, so its
+# events share one copy of "t", "type", "peer", ... instead of carrying a
+# private copy each; it also bounds what a consumer that stops early has
+# made the reader pull from the source.
+_BATCH_LINES = 1024
+
+# The JSON string a footer line must contain whatever the separators.
+_FOOTER_MARK = '"trace_end"'
+
+
+@contextmanager
+def _trace_lines(source: TraceSource) -> Iterator[Iterable[str]]:
+    """The raw lines of *source*; a file stays open only inside the block."""
+    if isinstance(source, TraceRecorder):
+        source = source.path if source.path is not None else source.lines()
+    if not isinstance(source, str):
+        yield source
+        return
+    with open(source, "rb") as handle:
+        binary = handle.read(4) == b"RBT1"
+    if binary:
+        # A binary trace: decode it to the equivalent JSONL lines
+        # (imported lazily — bintrace imports this module's error).
+        from repro.instrumentation.bintrace import binary_to_jsonl
+
+        yield binary_to_jsonl(source)
+        return
+    # surrogateescape carries undecodable bytes through to the hash
+    # unchanged: a flipped byte is a fingerprint mismatch or an invalid
+    # line, never a UnicodeDecodeError.
+    with open(source, encoding="utf-8", errors="surrogateescape") as handle:
+        yield handle
+
+
+def _decode_each(
+    lines: List[str], offsets: Iterable[int], first: int
+) -> Iterator[object]:
+    """Decode line by line, lazily, naming the first line that fails
+    (*first* is the number of the line at offset 0)."""
+    for offset, line in zip(offsets, lines):
+        try:
+            yield json.loads(line)
+        except (ValueError, RecursionError):
+            raise TraceFormatError("line %d is not valid JSON" % (first + offset))
+
+
+def _decode(lines: List[str], offsets: Iterable[int], first: int) -> Iterable[object]:
+    """One decoded value per line: in a single call when the batch parses
+    to exactly that, line by line otherwise (a comma inside one line can
+    hide in the joined text, and the error has to name its line)."""
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        values = None
+    if values is not None and len(values) == len(lines):
+        return values
+    return _decode_each(lines, offsets, first)
+
+
+def _event_batches(
+    lines: Iterable[str], verify: bool, peer: Optional[str]
+) -> Iterator[List[dict]]:
+    """The events of *lines*, one list per batch of lines; raises what
+    :func:`stream_trace` documents."""
+    needle = None
+    if peer is not None and json.dumps(peer) == '"%s"' % peer:
+        # Only an address JSON writes one way can be searched for as
+        # text; any other peer is matched after decoding alone.
+        needle = '"%s"' % peer
+    lines = iter(lines)
+    header = next(filter(None, (line.rstrip("\n") for line in lines)), None)
+    if header is None:
+        raise TraceFormatError("empty trace")
+    start = next(_decode_each([header], [0], 1))
+    if not isinstance(start, dict):
+        raise TraceFormatError("line 1 is not a JSON object")
+    if start.get("type") != "trace_start":
+        raise TraceFormatError("missing trace_start header")
+    if verify and start.get("v") != TRACE_SCHEMA_VERSION:
+        raise TraceFormatError(
+            "trace schema v%s, reader supports v%d"
+            % (start.get("v"), TRACE_SCHEMA_VERSION)
+        )
+    hasher = hashlib.sha256((header + "\n").encode("utf-8", "surrogateescape"))
+    seen = 1  # non-blank lines before the current batch
+    footer: Optional[dict] = None
+    while footer is None:
+        batch = [line.rstrip("\n") for line in islice(lines, _BATCH_LINES)]
+        if not batch:
+            break
+        if "" in batch:
+            batch = [line for line in batch if line]
+        if needle is None:
+            offsets: Iterable[int] = range(len(batch))
+            picked = batch
+        else:
+            # Everything else cannot be an event of *peer* (or the
+            # footer) and is hashed and counted without being decoded.
+            offsets = [
+                offset
+                for offset, line in enumerate(batch)
+                if needle in line or _FOOTER_MARK in line
+            ]
+            picked = [batch[offset] for offset in offsets]
+        events: List[dict] = []
+        for offset, event in zip(offsets, _decode(picked, offsets, seen + 1)):
+            if not isinstance(event, dict):
+                raise TraceFormatError(
+                    "line %d is not a JSON object" % (seen + 1 + offset)
+                )
+            if event.get("type") == "trace_end":
+                # Whatever follows the footer is not part of the trace.
+                footer = event
+                del batch[offset:]
+                break
+            if peer is None or event.get("peer") == peer:
+                events.append(event)
+        if verify and batch:
+            hasher.update(
+                ("\n".join(batch) + "\n").encode("utf-8", "surrogateescape")
+            )
+        seen += len(batch)
+        yield events
+    if verify and footer is not None:
+        if footer.get("events") != seen - 1:
+            raise TraceFormatError(
+                "footer says %s events, found %d" % (footer.get("events"), seen - 1)
+            )
+        if footer.get("fingerprint") != hasher.hexdigest():
+            raise TraceFormatError("trace fingerprint mismatch (file edited?)")
+
+
+def stream_trace(
+    source: TraceSource, verify: bool = True, peer: Optional[str] = None
+) -> Iterator[dict]:
+    """Yield the events of a trace in order (header/footer stripped).
+
+    The one reader: everything that opens, decodes or verifies a trace
+    goes through this generator, and it holds one batch of lines at a
+    time, never the trace.  *source* is a file path (JSONL or RBT1), an
+    in-memory :class:`TraceRecorder`, or any iterable of JSONL lines.
+
+    A line that is not a JSON object raises :class:`TraceFormatError`
+    naming it, before any event of its batch is yielded.  With ``verify``
+    (the default) the header's schema version is checked up front and,
+    when a ``trace_end`` footer is present, the recomputed content
+    fingerprint and event count must match it — so silent truncation or
+    editing fails loudly.  A generator can only know that **on
+    exhaustion**: the mismatch is raised in place of ``StopIteration``,
+    after the last event, so a caller that folds the stream must not
+    hand out its result before the loop has ended.  A trace without a
+    footer (its writer crashed) still reads.
+
+    With ``peer`` only that peer's events are yielded.  Lines whose text
+    cannot contain the address are skipped undecoded — still hashed,
+    still counted — and every decoded event is still compared on its
+    ``peer`` field, so the text search can only save work, never decide.
+    """
+    with _trace_lines(source) as lines:
+        for events in _event_batches(lines, verify, peer):
+            yield from events
+
+
 def iter_trace(source: TraceSource, verify: bool = True) -> List[dict]:
     """Parse a trace into its event list (header/footer stripped).
 
-    *source* is a file path, an in-memory :class:`TraceRecorder`, or any
-    iterable of JSONL lines.  With ``verify`` (the default) the header's
-    schema version is checked and, when a ``trace_end`` footer is
-    present, the recomputed content fingerprint and event count must
-    match it — so silent truncation or editing fails loudly.
+    The list form of :func:`stream_trace`, for callers that index the
+    events or take their length; verification has passed when it
+    returns.
     """
-    if isinstance(source, TraceRecorder):
-        lines = source.lines()
-    elif isinstance(source, str):
-        with open(source, "rb") as handle:
-            head = handle.read(4)
-        if head == b"RBT1":
-            # A binary trace: decode it to the equivalent JSONL lines
-            # (imported lazily — bintrace imports this module's error).
-            from repro.instrumentation.bintrace import binary_to_jsonl
-
-            lines = binary_to_jsonl(source)
-        else:
-            with open(source) as handle:
-                lines = [line.rstrip("\n") for line in handle]
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    lines = [line for line in lines if line]
-    if not lines:
-        raise TraceFormatError("empty trace")
-
-    import hashlib
-
-    hasher = hashlib.sha256()
-    events: List[dict] = []
-    footer: Optional[dict] = None
-    for index, line in enumerate(lines):
-        try:
-            event = json.loads(line)
-        except ValueError:
-            raise TraceFormatError("line %d is not valid JSON" % (index + 1))
-        kind = event.get("type")
-        if index == 0:
-            if kind != "trace_start":
-                raise TraceFormatError("missing trace_start header")
-            if verify and event.get("v") != TRACE_SCHEMA_VERSION:
-                raise TraceFormatError(
-                    "trace schema v%s, reader supports v%d"
-                    % (event.get("v"), TRACE_SCHEMA_VERSION)
-                )
-            hasher.update(line.encode("utf-8"))
-            hasher.update(b"\n")
-            continue
-        if kind == "trace_end":
-            footer = event
-            break
-        hasher.update(line.encode("utf-8"))
-        hasher.update(b"\n")
-        events.append(event)
-    if verify and footer is not None:
-        if footer.get("events") != len(events):
-            raise TraceFormatError(
-                "footer says %s events, found %d" % (footer.get("events"), len(events))
-            )
-        digest = hasher.hexdigest()
-        if footer.get("fingerprint") != digest:
-            raise TraceFormatError("trace fingerprint mismatch (file edited?)")
-    return events
+    return list(stream_trace(source, verify=verify))
 
 
 def traced_peers(source: TraceSource) -> List[str]:
     """Addresses of every peer with an ``attach`` event, in trace order."""
     seen: List[str] = []
-    for event in iter_trace(source):
+    for event in stream_trace(source):
         if event.get("type") == "attach" and event["peer"] not in seen:
             seen.append(event["peer"])
     return seen
@@ -203,10 +313,12 @@ class _ReplayPeer:
         "became_seed_at",
         "simulator",
         "connections",
+        "num_pieces",
     )
 
     def __init__(self, address: str):
         self.address = address
+        self.num_pieces = 0  # until the attach event says
         self.is_seed = False
         self.online = True
         self.joined_at: Optional[float] = None
@@ -286,6 +398,111 @@ def _apply_open_entries(
             peer.connections.pop(address, None)
 
 
+def _replay_event(
+    event: dict,
+    instrumentation: ReplayedInstrumentation,
+    stub: _ReplayPeer,
+    open_connections: Dict[str, _ReplayConnection],
+) -> None:
+    """Drive the hook one trace event records, with the stub peer and
+    connections in the state the live hook saw."""
+    kind = event["type"]
+    now = event["t"]
+    stub.simulator.now = now
+    num_pieces = stub.num_pieces
+
+    if kind == "attach":
+        stub.num_pieces = event["pieces"]
+        stub.is_seed = event["seed"]
+        stub.joined_at = now
+        if event["seed"]:
+            # Peer.__init__ stamps initial seeds with became_seed_at=0.
+            stub.became_seed_at = 0.0
+    elif kind == "conn_open":
+        connection = _ReplayConnection(
+            event["remote"], event["client"], event["remote_complete"], num_pieces
+        )
+        stub.is_seed = event["local_seed"]
+        open_connections[event["remote"]] = connection
+        stub.connections[event["remote"]] = connection
+        instrumentation.on_connection_open(now, connection)
+    elif kind == "conn_close":
+        connection = open_connections.pop(event["remote"], None)
+        if connection is None:
+            # Open event predates the trace: the live observer had no
+            # state for this link either, so the hook is a no-op.
+            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
+        connection.uploaded.total = event["up"]
+        connection.downloaded.total = event["down"]
+        stub.connections.pop(event["remote"], None)
+        instrumentation.on_connection_close(now, connection)
+    elif kind in ("msg_sent", "msg_recv"):
+        connection = open_connections.get(event["remote"])
+        if connection is None:
+            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
+        message = _build_message(event)
+        if kind == "msg_sent":
+            instrumentation.on_message_sent(now, connection, message)
+        else:
+            instrumentation.on_message_received(now, connection, message)
+            # The live peer applies the message to its view of the
+            # remote bitfield *after* the hook; mirror that here so
+            # the next hook sees the same pre-message state.
+            if isinstance(message, BitfieldMessage):
+                connection.remote_bitfield = Bitfield.from_bytes(
+                    message.bits, num_pieces
+                )
+            elif isinstance(message, Have):
+                connection.remote_bitfield.set(message.piece)
+    elif kind == "choke":
+        stub.is_seed = event["local_seed"]
+        instrumentation.on_choke_round(
+            now, ChokeDecision(unchoked=list(event["unchoked"]))
+        )
+    elif kind == "rate":
+        connection = open_connections.get(event["remote"])
+        if connection is None:
+            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
+        instrumentation.on_rate_sample(
+            now, connection, event["down"], event["up"]
+        )
+    elif kind == "block":
+        connection = open_connections.get(event["remote"])
+        if connection is None:
+            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
+        instrumentation.on_block_received(
+            now, connection, event["piece"], event["offset"], event["length"]
+        )
+    elif kind == "piece":
+        instrumentation.on_piece_completed(now, event["piece"])
+    elif kind == "endgame":
+        instrumentation.on_endgame_entered(now)
+    elif kind == "seed_state":
+        _apply_open_entries(event["open"], stub, open_connections)
+        stub.is_seed = True
+        stub.became_seed_at = now
+        instrumentation.on_seed_state(now)
+    elif kind == "hash_fail":
+        instrumentation.on_hash_failure(now, event["piece"])
+    elif kind == "fault":
+        instrumentation.on_fault(now, event["kind"])
+    elif kind == "snapshot":
+        instrumentation.on_snapshot(now, Snapshot(**event["data"]))
+    elif kind == "playback":
+        instrumentation.on_playback(now, event["kind"], event["data"])
+    elif kind == "stability":
+        instrumentation.on_stability(now, event["kind"], event["data"])
+    elif kind == "announce":
+        instrumentation.on_announce(now, event["kind"], event["data"])
+    elif kind == "finalize":
+        _apply_open_entries(event["open"], stub, open_connections)
+        stub.joined_at = event["joined_at"]
+        stub.became_seed_at = event["became_seed_at"]
+        instrumentation.finalize(now=now)
+    # Unknown event types are skipped: newer minor revisions may add
+    # informational events without breaking old readers.
+
+
 def replay_instrumentation(
     source: TraceSource, peer: Optional[str] = None, verify: bool = True
 ) -> ReplayedInstrumentation:
@@ -293,120 +510,39 @@ def replay_instrumentation(
 
     ``peer`` selects which traced peer to reconstruct when the trace
     covers several (swarm-wide tracing); it defaults to the first peer
-    with an ``attach`` event.
+    with an ``attach`` event (the first event an observer emits, so
+    nothing of that peer precedes it).  The trace is folded as it
+    streams: nothing is returned unless :func:`stream_trace` ran to its
+    end, verification included.
     """
-    events = iter_trace(source, verify=verify)
+    events = stream_trace(source, verify=verify, peer=peer)
     if peer is None:
         for event in events:
-            if event.get("type") == "attach":
-                peer = event["peer"]
+            if event.get("type") == "attach" and event.get("peer") is not None:
                 break
-        if peer is None:
+        else:
             raise TraceFormatError("trace contains no attach event")
+        peer = event["peer"]
+        events = chain((event,), events)
 
     instrumentation = ReplayedInstrumentation()
     stub = _ReplayPeer(peer)
     instrumentation.on_attached(stub)
-    num_pieces = 0
     open_connections: Dict[str, _ReplayConnection] = {}
-
     for event in events:
         if event.get("peer") != peer:
             continue
         instrumentation.replayed_from_events += 1
-        kind = event["type"]
-        now = event["t"]
-        stub.simulator.now = now
-
-        if kind == "attach":
-            num_pieces = event["pieces"]
-            stub.is_seed = event["seed"]
-            stub.joined_at = now
-            if event["seed"]:
-                # Peer.__init__ stamps initial seeds with became_seed_at=0.
-                stub.became_seed_at = 0.0
-        elif kind == "conn_open":
-            connection = _ReplayConnection(
-                event["remote"], event["client"], event["remote_complete"], num_pieces
-            )
-            stub.is_seed = event["local_seed"]
-            open_connections[event["remote"]] = connection
-            stub.connections[event["remote"]] = connection
-            instrumentation.on_connection_open(now, connection)
-        elif kind == "conn_close":
-            connection = open_connections.pop(event["remote"], None)
-            if connection is None:
-                # Open event predates the trace: the live observer had no
-                # state for this link either, so the hook is a no-op.
-                connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-            connection.uploaded.total = event["up"]
-            connection.downloaded.total = event["down"]
-            stub.connections.pop(event["remote"], None)
-            instrumentation.on_connection_close(now, connection)
-        elif kind in ("msg_sent", "msg_recv"):
-            connection = open_connections.get(event["remote"])
-            if connection is None:
-                connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-            message = _build_message(event)
-            if kind == "msg_sent":
-                instrumentation.on_message_sent(now, connection, message)
-            else:
-                instrumentation.on_message_received(now, connection, message)
-                # The live peer applies the message to its view of the
-                # remote bitfield *after* the hook; mirror that here so
-                # the next hook sees the same pre-message state.
-                if isinstance(message, BitfieldMessage):
-                    connection.remote_bitfield = Bitfield.from_bytes(
-                        message.bits, num_pieces
-                    )
-                elif isinstance(message, Have):
-                    connection.remote_bitfield.set(message.piece)
-        elif kind == "choke":
-            stub.is_seed = event["local_seed"]
-            instrumentation.on_choke_round(
-                now, ChokeDecision(unchoked=list(event["unchoked"]))
-            )
-        elif kind == "rate":
-            connection = open_connections.get(event["remote"])
-            if connection is None:
-                connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-            instrumentation.on_rate_sample(
-                now, connection, event["down"], event["up"]
-            )
-        elif kind == "block":
-            connection = open_connections.get(event["remote"])
-            if connection is None:
-                connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-            instrumentation.on_block_received(
-                now, connection, event["piece"], event["offset"], event["length"]
-            )
-        elif kind == "piece":
-            instrumentation.on_piece_completed(now, event["piece"])
-        elif kind == "endgame":
-            instrumentation.on_endgame_entered(now)
-        elif kind == "seed_state":
-            _apply_open_entries(event["open"], stub, open_connections)
-            stub.is_seed = True
-            stub.became_seed_at = now
-            instrumentation.on_seed_state(now)
-        elif kind == "hash_fail":
-            instrumentation.on_hash_failure(now, event["piece"])
-        elif kind == "fault":
-            instrumentation.on_fault(now, event["kind"])
-        elif kind == "snapshot":
-            instrumentation.on_snapshot(now, Snapshot(**event["data"]))
-        elif kind == "playback":
-            instrumentation.on_playback(now, event["kind"], event["data"])
-        elif kind == "stability":
-            instrumentation.on_stability(now, event["kind"], event["data"])
-        elif kind == "announce":
-            instrumentation.on_announce(now, event["kind"], event["data"])
-        elif kind == "finalize":
-            _apply_open_entries(event["open"], stub, open_connections)
-            stub.joined_at = event["joined_at"]
-            stub.became_seed_at = event["became_seed_at"]
-            instrumentation.finalize(now=now)
-        # Unknown event types are skipped: newer minor revisions may add
-        # informational events without breaking old readers.
-
+        try:
+            _replay_event(event, instrumentation, stub, open_connections)
+        except KeyError as exc:
+            raise TraceFormatError(
+                "%s event %d of peer %s has no field %s"
+                % (
+                    event.get("type"),
+                    instrumentation.replayed_from_events,
+                    peer,
+                    exc,
+                )
+            ) from exc
     return instrumentation

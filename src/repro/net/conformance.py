@@ -30,10 +30,11 @@ particular interleaving a run took:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.instrumentation.replay import iter_trace
+from repro.instrumentation.trace import TraceRecorder
 from repro.protocol.bitfield import Bitfield
 
 TRACE_META_TYPES = ("trace_start", "trace_end")
@@ -41,12 +42,8 @@ TRACE_META_TYPES = ("trace_start", "trace_end")
 
 def load_events(source) -> List[dict]:
     """Parsed trace events from a recorder, a path, or a parsed list."""
-    if hasattr(source, "events"):
-        return source.events()
-    if isinstance(source, str):
-        with open(source) as handle:
-            parsed = [json.loads(line) for line in handle if line.strip()]
-        return [e for e in parsed if e.get("type") not in TRACE_META_TYPES]
+    if isinstance(source, (str, TraceRecorder)):
+        return iter_trace(source)
     return [e for e in source if e.get("type") not in TRACE_META_TYPES]
 
 

@@ -313,6 +313,35 @@ def test_iter_trace_rejects_wrong_schema_version(tmp_path):
         iter_trace(path)
 
 
+@pytest.mark.parametrize("stray", ["[1,2]", "3"])
+def test_iter_trace_rejects_a_line_that_is_not_an_object(stray):
+    # Valid JSON, wrong shape: used to be an AttributeError on .get.
+    lines = [
+        '{"type":"trace_start","v":1}',
+        '{"t":0.0,"type":"endgame","peer":"p"}',
+        stray,
+    ]
+    with pytest.raises(TraceFormatError, match="line 3 is not a JSON object"):
+        iter_trace(lines)
+    with pytest.raises(TraceFormatError, match="line 1 is not a JSON object"):
+        iter_trace([stray] + lines)
+
+
+def test_replay_names_the_event_that_lacks_a_field():
+    # Used to be a bare KeyError: 't'.
+    lines = [
+        '{"type":"trace_start","v":1}',
+        '{"t":0.0,"type":"attach","peer":"p","pieces":4,"seed":false}',
+        '{"type":"piece","peer":"p"}',
+    ]
+    with pytest.raises(
+        TraceFormatError, match="piece event 2 of peer p has no field 't'"
+    ):
+        replay_instrumentation(lines)
+    with pytest.raises(TraceFormatError, match="piece event 2 of peer p"):
+        replay_instrumentation(lines, peer="p")
+
+
 @pytest.mark.chaos
 def test_trace_without_footer_survives_writer_crash(tmp_path):
     # A crashed writer leaves JSONL lines on disk but no trace_end
