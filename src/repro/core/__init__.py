@@ -11,6 +11,9 @@
   the old rate-based seed state, and a bit-level tit-for-tat baseline;
 * :mod:`repro.core.rate_estimator` — the sliding-window transfer-rate
   estimator feeding the choke algorithm;
+* :mod:`repro.core.peer_core` — the client that runs the two algorithms:
+  what a peer does on each peer-wire message, transport-free, under both
+  the simulator's ``Peer`` and the live ``NetPeer``;
 * :mod:`repro.core.fairness` — the paper's two fairness criteria (§IV-B.1);
 * :mod:`repro.core.free_rider` — free-riding client behaviour.
 """
@@ -28,6 +31,7 @@ from repro.core.fairness import (
     leecher_fairness_violations,
     seed_service_uniformity,
 )
+from repro.core.peer_core import PeerCore
 from repro.core.piece_picker import PiecePicker
 from repro.core.rarest_first import (
     GlobalRarestSelector,
@@ -49,6 +53,7 @@ __all__ = [
     "GlobalRarestSelector",
     "LeecherChoker",
     "OldSeedChoker",
+    "PeerCore",
     "PiecePicker",
     "PieceSelector",
     "ProportionalFairSelector",

@@ -1,0 +1,542 @@
+"""The peer's protocol brain, written once for every transport.
+
+:class:`PeerCore` holds what a BitTorrent client decides on each
+peer-wire message (paper §II): piece knowledge from BITFIELD/HAVE,
+interest, the request pipeline through
+:class:`~repro.core.piece_picker.PiecePicker`, upload queues, block
+assembly with end-game CANCELs, the 10-second choke round through the
+pluggable :class:`~repro.core.choke.Choker` pair, and the seed
+transition.  It knows no transport: time is read as
+``self.simulator.now`` (any object with a ``now`` attribute) and every
+outbound message leaves through :meth:`PeerCore._send`.
+
+A *driver* subclasses it and supplies the transport.  The simulator's
+``Peer`` delivers through the event queue; the live ``NetPeer`` writes
+encoded frames to a socket.  The hooks a driver may override (the
+"driver hooks" section below; DESIGN §11 says what each driver does in
+them) each name a real difference between the two, and everything else
+resolves to the one definition here.
+
+Per-link state lives in :class:`LinkState`; the core touches nothing on
+a connection beyond the fields and the three upload-queue methods
+declared there.
+"""
+
+from __future__ import annotations
+
+import enum
+from collections import deque
+from random import Random
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
+
+from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
+from repro.core.piece_picker import PiecePicker
+from repro.core.rarest_first import PieceSelector, RarestFirstSelector
+from repro.core.rate_estimator import ByteCounter
+from repro.protocol.bitfield import Bitfield
+from repro.protocol.messages import (
+    Bitfield as BitfieldMessage,
+    Cancel,
+    Choke,
+    Have,
+    Interested,
+    Message,
+    NotInterested,
+    Piece,
+    Request,
+    Unchoke,
+)
+from repro.protocol.metainfo import BlockRef, Metainfo
+from repro.protocol.peer_id import PeerId, make_peer_id
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only, no runtime import
+    from repro.sim.config import PeerConfig
+    from repro.sim.observer import PeerObserver
+
+
+class PeerState(enum.Enum):
+    """Leecher (still downloading) or seed (holds every piece)."""
+
+    LEECHER = "leecher"
+    SEED = "seed"
+
+
+class LinkState:
+    """One endpoint's protocol view of a link to ``remote``.
+
+    ``remote`` is whatever identifies the far end to the observers (the
+    remote peer itself in the simulator, a handshake identity over a
+    socket); the core reads only ``remote.address``, through
+    :attr:`remote_key`.
+    """
+
+    __slots__ = (
+        "local",
+        "remote",
+        "remote_bitfield",
+        "am_choking",
+        "peer_choking",
+        "am_interested",
+        "peer_interested",
+        "initiated_by_local",
+        "closed",
+        "upload_queue",
+        "uploaded",
+        "downloaded",
+        "outstanding",
+        "request_times",
+        "last_message_at",
+        "last_unchoked_local",
+    )
+
+    def __init__(
+        self,
+        local: "PeerCore",
+        remote: Any,
+        now: float,
+        initiated_by_local: bool,
+        rate_window: float = 20.0,
+    ):
+        self.local = local
+        self.remote = remote
+        self.remote_bitfield = Bitfield(local.metainfo.geometry.num_pieces)
+        self.am_choking = True
+        self.peer_choking = True
+        self.am_interested = False
+        self.peer_interested = False
+        self.initiated_by_local = initiated_by_local
+        self.closed = False
+        # Upload direction (local serves remote).
+        self.upload_queue: Deque[BlockRef] = deque()
+        self.uploaded = ByteCounter(rate_window)
+        self.downloaded = ByteCounter(rate_window)
+        # Download direction (local requests from remote).
+        self.outstanding: set = set()  # BlockRefs requested, not yet received
+        self.request_times: Dict[BlockRef, float] = {}  # request issue times
+        self.last_message_at = now  # last time anything arrived on this link
+        # Choke bookkeeping for the seed algorithm and figure 10.
+        self.last_unchoked_local: Optional[float] = None
+
+    @property
+    def remote_key(self) -> str:
+        """Picker/choker key for this link: the remote's canonical address."""
+        return self.remote.address
+
+    # -- upload queue (drivers add what serving the queue needs) -----------
+
+    def enqueue_upload(self, block: BlockRef) -> None:
+        """Queue a requested block for upload, once."""
+        if block not in self.upload_queue:
+            self.upload_queue.append(block)
+
+    def cancel_queued_block(self, block: BlockRef) -> bool:
+        """Remove a block from the upload queue (CANCEL handling)."""
+        try:
+            self.upload_queue.remove(block)
+        except ValueError:
+            return False
+        return True
+
+    def clear_upload_queue(self) -> None:
+        self.upload_queue.clear()
+
+
+_HANDLER_NAMES = (
+    (BitfieldMessage, "_handle_bitfield"),
+    (Have, "_handle_have"),
+    (Interested, "_handle_interested"),
+    (NotInterested, "_handle_not_interested"),
+    (Choke, "_handle_choke"),
+    (Unchoke, "_handle_unchoke"),
+    (Request, "_handle_request"),
+    (Cancel, "_handle_cancel"),
+    (Piece, "_handle_piece"),
+)
+
+
+class PeerCore:
+    """Protocol state and message handling of one peer, transport-free."""
+
+    def __init__(
+        self,
+        address: Optional[str],
+        metainfo: Metainfo,
+        config: "PeerConfig",
+        clock: Any,
+        rng: Random,
+        bitfield: Bitfield,
+        selector: Optional[PieceSelector] = None,
+        leecher_choker: Optional[Choker] = None,
+        seed_choker: Optional[Choker] = None,
+        matrix: Any = None,
+        observer: Optional["PeerObserver"] = None,
+    ):
+        self.address = address
+        self.metainfo = metainfo
+        self.config = config
+        # Named for the simulator, whose ``now`` the observers also read;
+        # a wall clock with the same attribute serves a live peer.
+        self.simulator = clock
+        self.rng = rng
+        self.peer_id: PeerId = make_peer_id(config.client_id, rng)
+        self.bitfield = bitfield
+        self.selector = selector or RarestFirstSelector()
+        self.picker = PiecePicker(
+            metainfo.geometry,
+            self.bitfield,
+            self.selector,
+            rng,
+            random_first_threshold=config.random_first_threshold,
+            strict_priority=config.strict_priority,
+            endgame_enabled=config.endgame_enabled,
+            use_rarity_index=config.use_rarity_index,
+            matrix=matrix,
+        )
+        self.leecher_choker = leecher_choker or LeecherChoker(
+            optimistic_rounds=config.optimistic_rounds
+        )
+        self.seed_choker = seed_choker or SeedChoker(slots=config.unchoke_slots)
+        self.state = (
+            PeerState.SEED if self.bitfield.is_complete() else PeerState.LEECHER
+        )
+        self.observer = observer
+        self.connections: Dict[str, Any] = {}
+        self.online = False
+        self.joined_at: Optional[float] = None
+        self.became_seed_at: Optional[float] = (
+            0.0 if self.state is PeerState.SEED else None
+        )
+        self.total_uploaded = 0.0
+        self.total_downloaded = 0.0
+        # Whether PIECE payloads are assembled and hash-checked; a driver
+        # that moves real bytes turns it on.
+        self._materialize = False
+        self._piece_buffers: Dict[int, bytearray] = {}
+        self._was_in_endgame = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Message dispatch for _receive: one dict probe on the concrete
+        # message class instead of an isinstance chain (message classes
+        # are final).  Built per driver class, so a handler a driver
+        # overrides is the one dispatched.
+        cls._handlers = {
+            message_type: getattr(cls, name) for message_type, name in _HANDLER_NAMES
+        }
+
+    # ------------------------------------------------------------------
+    # identity & state
+    # ------------------------------------------------------------------
+
+    @property
+    def is_seed(self) -> bool:
+        return self.state is PeerState.SEED
+
+    @property
+    def choker(self) -> Choker:
+        return self.seed_choker if self.is_seed else self.leecher_choker
+
+    @property
+    def peer_set_size(self) -> int:
+        return len(self.connections)
+
+    def __repr__(self) -> str:
+        return "%s(%s, %s, %d/%d pieces)" % (
+            type(self).__name__,
+            self.address,
+            self.state.value,
+            self.bitfield.count,
+            self.bitfield.num_pieces,
+        )
+
+    # ------------------------------------------------------------------
+    # driver hooks
+    # ------------------------------------------------------------------
+
+    def _send(self, connection: LinkState, message: Message) -> None:
+        """Deliver *message* to the far end of *connection*."""
+        raise NotImplementedError
+
+    def _remote_view(
+        self, connection: LinkState, message: BitfieldMessage
+    ) -> Bitfield:
+        """The view of the remote's pieces an incoming BITFIELD yields."""
+        return Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
+
+    def _verify_and_store(self, piece: int) -> bool:
+        """True when the finished *piece* passes its hash check."""
+        if self._materialize:
+            data = bytes(self._piece_buffers.pop(piece, b""))
+            if not self.metainfo.verify_piece(piece, data):
+                if self.observer:
+                    self.observer.on_hash_failure(self.simulator.now, piece)
+                return False
+        return True
+
+    def _announce_piece(self, piece: int) -> None:
+        """HAVE to every neighbour, dropping interest the piece ended."""
+        have = Have(piece=piece)
+        for connection in list(self.connections.values()):
+            self._send(connection, have)
+            # Completing a piece can only *remove* interest; skip the
+            # bitfield scan for remotes we were not interested in anyway.
+            if connection.am_interested:
+                self._update_interest(connection)
+
+    def _announce_completed(self) -> None:
+        """Seed transition: report the completed download to the tracker."""
+
+    def _close_seed_link(self, connection: LinkState) -> None:
+        """Seed transition: drop a link whose remote is itself a seed."""
+        raise NotImplementedError
+
+    def _on_became_seed(self) -> None:
+        """Seed transition: the last edge, after the links are sorted out."""
+
+    # ------------------------------------------------------------------
+    # messaging
+    # ------------------------------------------------------------------
+
+    def _receive(self, connection: LinkState, message: Message) -> None:
+        if connection.closed:
+            return
+        connection.last_message_at = self.simulator.now
+        if self.observer:
+            self.observer.on_message_received(self.simulator.now, connection, message)
+        handler = self._handlers.get(type(message))
+        if handler is not None:
+            handler(self, connection, message)
+
+    def _handle_interested(self, connection: LinkState, message: Message) -> None:
+        connection.peer_interested = True
+
+    def _handle_not_interested(self, connection: LinkState, message: Message) -> None:
+        connection.peer_interested = False
+
+    # -- piece-knowledge messages -----------------------------------------
+
+    def _handle_bitfield(self, connection: LinkState, message: BitfieldMessage) -> None:
+        incoming = self._remote_view(connection, message)
+        # The bitfield replaces anything previously known on this link.
+        self.picker.peer_left(connection.remote_bitfield)
+        connection.remote_bitfield = incoming
+        self.picker.peer_joined(incoming)
+        self._update_interest(connection)
+
+    def _handle_have(self, connection: LinkState, message: Have) -> None:
+        if connection.remote_bitfield.set(message.piece):
+            self.picker.remote_has(message.piece)
+        # Fast path: a HAVE can only *add* interest, and only when the
+        # announced piece is one the local peer misses.
+        if not connection.am_interested:
+            if not self.is_seed and not self.bitfield.has(message.piece):
+                connection.am_interested = True
+                self._send(connection, Interested())
+        if not connection.peer_choking and connection.am_interested:
+            self._fill_pipeline(connection)
+
+    # -- choke messages ------------------------------------------------------
+
+    def _handle_choke(self, connection: LinkState, message: Message = None) -> None:
+        connection.peer_choking = True
+        # Everything in flight on this link is lost; give the blocks back
+        # to the picker so another peer can serve them.
+        self.picker.on_peer_gone(connection.remote_key)
+        connection.outstanding.clear()
+        connection.request_times.clear()
+
+    def _handle_unchoke(self, connection: LinkState, message: Message = None) -> None:
+        connection.peer_choking = False
+        if connection.am_interested:
+            self._fill_pipeline(connection)
+
+    # -- request/piece messages ----------------------------------------------
+
+    def _handle_request(self, connection: LinkState, message: Request) -> None:
+        if connection.am_choking:
+            return  # requests received while choking are dropped
+        if not self.bitfield.has(message.piece):
+            return
+        connection.enqueue_upload(
+            BlockRef(message.piece, message.offset, message.length)
+        )
+
+    def _handle_cancel(self, connection: LinkState, message: Cancel) -> None:
+        connection.cancel_queued_block(
+            BlockRef(message.piece, message.offset, message.length)
+        )
+
+    def _handle_piece(self, connection: LinkState, message: Piece) -> None:
+        geometry = self.metainfo.geometry
+        block_index = message.offset // geometry.block_size
+        try:
+            block = geometry.block_ref(message.piece, block_index)
+        except IndexError:
+            return
+        connection.outstanding.discard(block)
+        connection.request_times.pop(block, None)
+        if self.bitfield.has(block.piece):
+            return  # late duplicate (end game)
+        if self._materialize:
+            buffer = self._piece_buffers.setdefault(
+                block.piece, bytearray(geometry.piece_length(block.piece))
+            )
+            buffer[block.offset : block.offset + block.length] = message.data
+        completed, cancel_keys = self.picker.on_block_received(
+            block, connection.remote_key
+        )
+        if self.observer:
+            self.observer.on_block_received(
+                self.simulator.now, connection, block.piece, block.offset, block.length
+            )
+        # Sorted so the CANCEL send order (and hence any RNG draws made
+        # per message) never depends on set iteration order / the
+        # process hash seed.
+        for key in sorted(cancel_keys):
+            other = self.connections.get(key)
+            if other is not None:
+                other.outstanding.discard(block)
+                other.request_times.pop(block, None)
+                self._send(
+                    other,
+                    Cancel(piece=block.piece, offset=block.offset, length=block.length),
+                )
+        if completed:
+            self._on_piece_completed(block.piece)
+        if self.picker.in_endgame and not self._was_in_endgame:
+            self._was_in_endgame = True
+            if self.observer:
+                self.observer.on_endgame_entered(self.simulator.now)
+        if not connection.peer_choking and connection.am_interested:
+            self._fill_pipeline(connection)
+
+    def _on_piece_completed(self, piece: int) -> None:
+        if not self._verify_and_store(piece):
+            # A failed hash check: the piece is downloaded again.
+            self.picker.reset_piece(piece)
+            return
+        if self.observer:
+            self.observer.on_piece_completed(self.simulator.now, piece)
+        self._announce_piece(piece)
+        if self.bitfield.is_complete():
+            self._become_seed()
+
+    # ------------------------------------------------------------------
+    # interest management
+    # ------------------------------------------------------------------
+
+    def _update_interest(self, connection: LinkState) -> None:
+        should_be_interested = not self.is_seed and self.bitfield.interesting_in(
+            connection.remote_bitfield
+        )
+        if should_be_interested and not connection.am_interested:
+            connection.am_interested = True
+            self._send(connection, Interested())
+            if not connection.peer_choking:
+                self._fill_pipeline(connection)
+        elif not should_be_interested and connection.am_interested:
+            connection.am_interested = False
+            self._send(connection, NotInterested())
+
+    # ------------------------------------------------------------------
+    # request pipelining
+    # ------------------------------------------------------------------
+
+    def _fill_pipeline(self, connection: LinkState) -> None:
+        """Keep a small buffer of pending requests on this link (§II-C.1)."""
+        depth = self.config.request_pipeline_depth
+        next_request = self.picker.next_request
+        remote_bitfield = connection.remote_bitfield
+        remote_key = connection.remote_key
+        now = self.simulator.now  # one fill is one instant
+        while (
+            not connection.closed
+            and connection.am_interested
+            and not connection.peer_choking
+            and len(connection.outstanding) < depth
+        ):
+            block = next_request(remote_bitfield, remote_key)
+            if block is None:
+                break
+            connection.outstanding.add(block)
+            connection.request_times[block] = now
+            self._send(
+                connection,
+                Request(piece=block.piece, offset=block.offset, length=block.length),
+            )
+
+    # ------------------------------------------------------------------
+    # the choke round
+    # ------------------------------------------------------------------
+
+    def _choke_round(self) -> None:
+        if not self.online:
+            return
+        now = self.simulator.now
+        candidates: List[ChokeCandidate] = []
+        for connection in self.connections.values():
+            # Inlined ByteCounter.rate: one estimator expiry + divide,
+            # without the two-deep call chain, twice per connection per
+            # round across the whole swarm.
+            estimator = connection.downloaded._estimator
+            estimator._expire(now)
+            download_rate = max(0.0, estimator._total) / estimator._window
+            estimator = connection.uploaded._estimator
+            estimator._expire(now)
+            upload_rate = max(0.0, estimator._total) / estimator._window
+            if self.observer:
+                self.observer.on_rate_sample(
+                    now, connection, download_rate, upload_rate
+                )
+            candidates.append(
+                ChokeCandidate(
+                    key=connection.remote_key,
+                    interested=connection.peer_interested,
+                    choked=connection.am_choking,
+                    download_rate=download_rate,
+                    upload_rate=upload_rate,
+                    uploaded_to=connection.uploaded.total,
+                    downloaded_from=connection.downloaded.total,
+                    last_unchoked=connection.last_unchoked_local,
+                )
+            )
+        decision = self.choker.round(candidates, now, self.rng)
+        if self.observer:
+            self.observer.on_choke_round(now, decision)
+        unchoke_set = set(decision.unchoked)
+        for connection in list(self.connections.values()):
+            if connection.remote_key in unchoke_set:
+                if connection.am_choking:
+                    connection.am_choking = False
+                    connection.last_unchoked_local = now
+                    self._send(connection, Unchoke())
+            else:
+                if not connection.am_choking:
+                    connection.am_choking = True
+                    connection.clear_upload_queue()
+                    self._send(connection, Choke())
+
+    # ------------------------------------------------------------------
+    # seed transition
+    # ------------------------------------------------------------------
+
+    def _become_seed(self) -> None:
+        if self.state is PeerState.SEED:
+            return
+        self.state = PeerState.SEED
+        now = self.simulator.now
+        self.became_seed_at = now
+        self.seed_choker.reset()
+        if self.observer:
+            self.observer.on_seed_state(now)
+        self._announce_completed()
+        # "When a leecher becomes a seed, it closes its connections to all
+        # the seeds." (§IV-A.2.b)
+        for connection in list(self.connections.values()):
+            if connection.remote_bitfield.is_complete():
+                self._close_seed_link(connection)
+            elif connection.am_interested:
+                # A seed is interested in nobody.
+                connection.am_interested = False
+                self._send(connection, NotInterested())
+        self._on_became_seed()

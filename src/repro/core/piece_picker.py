@@ -39,9 +39,7 @@ contract.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from operator import neg
 from random import Random
 from typing import (
     Dict,
@@ -224,7 +222,13 @@ class _PartialPiece:
     def release(self, index: int) -> None:
         """Return an in-flight block to the unrequested pool (in order)."""
         del self.requested[index]
-        insort(self.unrequested, index, key=neg)
+        # By hand, not ``insort(..., key=neg)``: bisect's ``key`` needs
+        # Python 3.10.  Released blocks are the low offsets, near the end.
+        unrequested = self.unrequested
+        position = len(unrequested)
+        while position and unrequested[position - 1] < index:
+            position -= 1
+        unrequested.insert(position, index)
 
 
 class PiecePicker:

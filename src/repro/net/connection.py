@@ -1,16 +1,12 @@
 """One endpoint's view of a live TCP link.
 
-A :class:`NetConnection` mirrors the protocol state of the simulator's
-:class:`repro.sim.connection.Connection` — the four choke/interest
-booleans, the remote bitfield, the upload queue and the per-direction
-:class:`~repro.core.rate_estimator.ByteCounter` pair — but rides an
-asyncio stream pair instead of a twin object.  It exposes the exact
-attribute surface the instrumentation layer reads
-(``remote.address`` / ``remote.peer_id.client_id`` /
+A :class:`NetConnection` is a :class:`repro.core.peer_core.LinkState` —
+the link fields the shared protocol logic reads and the observers
+dereference (``remote.address`` / ``remote.peer_id.client_id`` /
 ``remote.bitfield`` / ``initiated_by_local`` / ``uploaded`` /
-``downloaded``), so a :class:`~repro.instrumentation.trace.TracingObserver`
-or :class:`~repro.instrumentation.logger.Instrumentation` attached to a
-live peer emits the same schema-v1 events as in the sim.
+``downloaded``) — plus what a socket needs: the asyncio stream pair, the
+incremental frame decoder, the event that wakes the uploader task when
+the upload queue fills, and the two tasks serving the link.
 """
 
 from __future__ import annotations
@@ -19,10 +15,9 @@ import asyncio
 import socket
 import struct
 import time
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.rate_estimator import ByteCounter
+from repro.core.peer_core import LinkState
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef
 from repro.protocol.peer_id import PeerId, parse_client_id
@@ -81,29 +76,14 @@ def make_remote_handle(
     return RemotePeerHandle(address, peer_id, connection)
 
 
-class NetConnection:
-    """Protocol + transfer state of one live link endpoint."""
+class NetConnection(LinkState):
+    """Link state plus the transport of one live link endpoint."""
 
     __slots__ = (
-        "local",
-        "remote",
         "reader",
         "writer",
         "stream",
-        "remote_bitfield",
-        "am_choking",
-        "peer_choking",
-        "am_interested",
-        "peer_interested",
-        "initiated_by_local",
-        "established_at",
-        "closed",
-        "upload_queue",
         "upload_ready",
-        "uploaded",
-        "downloaded",
-        "outstanding",
-        "last_unchoked_local",
         "reader_task",
         "uploader_task",
     )
@@ -117,47 +97,23 @@ class NetConnection:
         now: float,
         rate_window: float = 20.0,
     ):
-        self.local = local
-        self.remote: Optional[RemotePeerHandle] = None  # set after handshake
+        # ``remote`` is a RemotePeerHandle, known once the handshake ends.
+        super().__init__(local, None, now, initiated_by_local, rate_window)
         self.reader = reader
         self.writer = writer
         # The handshake is consumed separately (fixed 68-byte read), so
         # the frame decoder starts directly on length-prefixed messages.
         self.stream = MessageStream(expect_handshake=False)
-        self.remote_bitfield = Bitfield(local.metainfo.geometry.num_pieces)
-        self.am_choking = True
-        self.peer_choking = True
-        self.am_interested = False
-        self.peer_interested = False
-        self.initiated_by_local = initiated_by_local
-        self.established_at = now
-        self.closed = False
-        # Upload direction (local serves remote).
-        self.upload_queue: Deque[BlockRef] = deque()
         self.upload_ready = asyncio.Event()
-        self.uploaded = ByteCounter(rate_window)
-        self.downloaded = ByteCounter(rate_window)
-        # Download direction (local requests from remote).
-        self.outstanding: set = set()  # BlockRefs requested, not yet received
-        self.last_unchoked_local: Optional[float] = None
         self.reader_task: Optional[asyncio.Task] = None
         self.uploader_task: Optional[asyncio.Task] = None
 
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def remote_key(self) -> str:
-        """Picker/choker key for this link: the remote's canonical address."""
-        assert self.remote is not None
-        return self.remote.address
-
-    # -- upload queue ------------------------------------------------------
+    # -- upload queue (the uploader task sleeps on ``upload_ready``) --------
 
     def enqueue_upload(self, block: BlockRef) -> None:
-        if block in self.upload_queue:
-            return
-        self.upload_queue.append(block)
-        self.upload_ready.set()
+        if block not in self.upload_queue:
+            self.upload_queue.append(block)
+            self.upload_ready.set()
 
     def pop_upload(self) -> Optional[BlockRef]:
         if self.upload_queue:
@@ -168,13 +124,6 @@ class NetConnection:
     def clear_upload_queue(self) -> None:
         self.upload_queue.clear()
         self.upload_ready.clear()
-
-    def cancel_queued_block(self, block: BlockRef) -> bool:
-        try:
-            self.upload_queue.remove(block)
-        except ValueError:
-            return False
-        return True
 
     # -- transport ---------------------------------------------------------
 

@@ -1,21 +1,24 @@
-"""A live BitTorrent client: the sim peer's algorithms over real TCP.
+"""A live BitTorrent client: the shared peer core over real TCP.
 
-:class:`NetPeer` is a message-for-message port of
-:class:`repro.sim.peer.Peer` onto asyncio streams.  The decision-making
-cores are *shared objects*, not reimplementations: piece selection goes
-through :class:`~repro.core.piece_picker.PiecePicker` (rarity index,
-random-first, strict priority, end game), choking through
+:class:`NetPeer` is the asyncio driver of
+:class:`repro.core.peer_core.PeerCore`, the protocol logic the
+simulator's :class:`repro.sim.peer.Peer` also runs: what to do on each
+message, piece selection through
+:class:`~repro.core.piece_picker.PiecePicker`, choking through
 :class:`~repro.core.choke.LeecherChoker` /
-:class:`~repro.core.choke.SeedChoker` on 10-second rounds, and rate
-estimation through the same sliding-window counters.  What the sim's
-fluid model approximates — transfer capacity — is here enforced by a
-:class:`TokenBucket` on the upload path serving real
+:class:`~repro.core.choke.SeedChoker` on 10-second rounds and the seed
+transition are inherited, not written again.  This module supplies the
+transport: dial and handshake, one reader task per link that checks
+every frame against this torrent before the core sees it, delivery as
+encoded frames on the stream, and the upload path.  What the sim's fluid
+model approximates — transfer capacity — is here enforced by a
+:class:`TokenBucket` serving real
 :meth:`~repro.protocol.metainfo.Metainfo.piece_payload` bytes, verified
 by SHA-1 on completion.
 
 Concurrency model: one asyncio server task, one reader task and one
-uploader task per connection, plus one choke-round task.  Message
-handlers are synchronous (no awaits), so each inbound message is
+uploader task per connection, plus one choke-round task.  The core's
+message handlers are synchronous (no awaits), so each inbound message is
 processed atomically with respect to every other task of the peer —
 the same single-threaded semantics the discrete-event engine gives the
 sim peer, which is what makes the two traces comparable.
@@ -28,28 +31,20 @@ import struct
 from random import Random
 from typing import Dict, List, Optional
 
-from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
-from repro.core.piece_picker import PiecePicker
-from repro.core.rarest_first import RarestFirstSelector
+from repro.core.peer_core import PeerCore
 from repro.net.connection import NetConnection, WallClock, make_remote_handle
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
     HANDSHAKE_LENGTH,
     Bitfield as BitfieldMessage,
-    Cancel,
-    Choke,
     Handshake,
     Have,
-    Interested,
     Message,
     MessageError,
-    NotInterested,
     Piece,
     Request,
-    Unchoke,
 )
-from repro.protocol.metainfo import BlockRef, Metainfo
-from repro.protocol.peer_id import make_peer_id
+from repro.protocol.metainfo import Metainfo
 from repro.sim.config import PeerConfig
 from repro.sim.observer import PeerObserver
 from repro.tracker.tracker import Tracker
@@ -106,8 +101,8 @@ class TokenBucket:
                 self._tokens -= num_bytes
 
 
-class NetPeer:
-    """One live peer: TCP server + client, driven by the shared cores."""
+class NetPeer(PeerCore):
+    """One live peer: TCP server + client around the shared core."""
 
     def __init__(
         self,
@@ -121,44 +116,20 @@ class NetPeer:
         metrics=None,
         host: str = "127.0.0.1",
     ):
-        self.metainfo = metainfo
-        self.config = config
+        num_pieces = metainfo.geometry.num_pieces
+        super().__init__(
+            None,  # the address is known once the server is bound
+            metainfo,
+            config,
+            clock,
+            rng,
+            Bitfield.full(num_pieces) if is_seed else Bitfield(num_pieces),
+            observer=observer,
+        )
         self.tracker = tracker
-        # ``simulator`` duck-types the sim peer for the observers, which
-        # read exactly ``peer.simulator.now``.
-        self.simulator = clock
-        self.rng = rng
         self.metrics = metrics
         self.host = host
-        self.peer_id = make_peer_id(config.client_id, rng)
-        num_pieces = metainfo.geometry.num_pieces
-        self.bitfield = Bitfield.full(num_pieces) if is_seed else Bitfield(num_pieces)
-        self.selector = RarestFirstSelector()
-        self.picker = PiecePicker(
-            metainfo.geometry,
-            self.bitfield,
-            self.selector,
-            rng,
-            random_first_threshold=config.random_first_threshold,
-            strict_priority=config.strict_priority,
-            endgame_enabled=config.endgame_enabled,
-            use_rarity_index=config.use_rarity_index,
-        )
-        self.leecher_choker: Choker = LeecherChoker(
-            optimistic_rounds=config.optimistic_rounds
-        )
-        self.seed_choker: Choker = SeedChoker(slots=config.unchoke_slots)
-        self._seed = is_seed
-        self.observer = observer
-
-        self.connections: Dict[str, NetConnection] = {}
-        self.address: Optional[str] = None  # known once the server is bound
         self.port: Optional[int] = None
-        self.online = False
-        self.joined_at: Optional[float] = None
-        self.became_seed_at: Optional[float] = 0.0 if is_seed else None
-        self.total_uploaded = 0.0
-        self.total_downloaded = 0.0
         self.completed = asyncio.Event()
         if is_seed:
             self.completed.set()
@@ -172,34 +143,9 @@ class NetPeer:
                 (config.upload_capacity or 0.0) * 0.25,
             ),
         )
-        self._piece_buffers: Dict[int, bytearray] = {}
+        self._materialize = True  # real payload bytes, SHA-1-checked
         self._store: Dict[int, bytes] = {}  # verified piece payloads
-        self._was_in_endgame = False
         self._stopping = False
-
-    # ------------------------------------------------------------------
-    # identity & state
-    # ------------------------------------------------------------------
-
-    @property
-    def is_seed(self) -> bool:
-        return self._seed
-
-    @property
-    def choker(self) -> Choker:
-        return self.seed_choker if self._seed else self.leecher_choker
-
-    @property
-    def peer_set_size(self) -> int:
-        return len(self.connections)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "NetPeer(%s, %s, %d/%d pieces)" % (
-            self.address,
-            "seed" if self._seed else "leecher",
-            self.bitfield.count,
-            self.bitfield.num_pieces,
-        )
 
     def piece_payload(self, piece: int) -> bytes:
         """Serve a piece from the verified store (seeds generate lazily)."""
@@ -236,7 +182,7 @@ class NetPeer:
             self.address,
             event="started",
             num_want=num_want if num_want is not None else self.config.max_peer_set,
-            is_seed=self._seed,
+            is_seed=self.is_seed,
             rng=self.rng,
         )
         dialed = 0
@@ -262,13 +208,7 @@ class NetPeer:
         if self._server is not None:
             self._server.close()
         for connection in list(self.connections.values()):
-            if connection.uploader_task is not None:
-                connection.uploader_task.cancel()
-            try:
-                if connection.writer.can_write_eof():
-                    connection.writer.write_eof()
-            except (OSError, RuntimeError):
-                pass
+            self._half_close(connection)
         # Readers exit on EOF once every endpoint half-closes; bound the
         # drain so a wedged link cannot hang shutdown.
         readers = [
@@ -286,7 +226,7 @@ class NetPeer:
                     self.address,
                     event="stopped",
                     num_want=0,
-                    is_seed=self._seed,
+                    is_seed=self.is_seed,
                     rng=self.rng,
                 )
             except Exception:
@@ -389,6 +329,8 @@ class NetPeer:
                 raise MessageError(
                     "expected opening BITFIELD, got %s" % type(messages[0]).__name__
                 )
+            for message in messages:
+                self._check_frame(message)
         except (OSError, MessageError, asyncio.IncompleteReadError):
             writer.close()
             return False
@@ -400,14 +342,9 @@ class NetPeer:
             return False
 
         connection.remote = make_remote_handle(remote_address, shake.peer_id, connection)
-        opening = messages[0]
-        assert isinstance(opening, BitfieldMessage)
-        connection.remote_bitfield = Bitfield.from_bytes(
-            opening.bits, self.bitfield.num_pieces
-        )
         self.connections[remote_address] = connection
-        now = self.simulator.now
         if self.observer is not None:
+            now = self.simulator.now
             self.observer.on_connection_open(now, connection)
             # Our bitfield went out with the handshake; log it first so
             # the per-link trace reads conn_open, sent BITFIELD,
@@ -415,11 +352,8 @@ class NetPeer:
             self.observer.on_message_sent(
                 now, connection, BitfieldMessage(bits=self.bitfield.to_bytes())
             )
-            self.observer.on_message_received(now, connection, opening)
-        self.picker.peer_joined(connection.remote_bitfield)
-        self._update_interest(connection)
-        for message in messages[1:]:
-            self._dispatch(connection, message)
+        for message in messages:
+            self._deliver(connection, message)
         connection.reader_task = asyncio.ensure_future(self._reader_loop(connection))
         connection.uploader_task = asyncio.ensure_future(self._upload_loop(connection))
         return True
@@ -438,12 +372,13 @@ class NetPeer:
                 for message in connection.stream.feed(chunk):
                     if connection.closed:
                         return
-                    self._dispatch(connection, message)
+                    self._check_frame(message)
+                    self._deliver(connection, message)
         except asyncio.CancelledError:
             return
         except (OSError, MessageError):
-            # Reset or garbage on the wire: reap the link, mirroring the
-            # sim's fault-sweep semantics for half-open connections.
+            # Reset, garbage or a frame this torrent cannot contain: reap
+            # the link, as the sim's fault sweep reaps a half-open one.
             reaped = True
         if connection.closed:
             return
@@ -460,27 +395,45 @@ class NetPeer:
             if not other.peer_choking and other.am_interested:
                 self._fill_pipeline(other)
 
-    def _dispatch(self, connection: NetConnection, message: Message) -> None:
-        if self.observer is not None:
-            self.observer.on_message_received(self.simulator.now, connection, message)
-        if isinstance(message, BitfieldMessage):
-            self._handle_bitfield(connection, message)
-        elif isinstance(message, Have):
-            self._handle_have(connection, message)
-        elif isinstance(message, Interested):
-            connection.peer_interested = True
-        elif isinstance(message, NotInterested):
-            connection.peer_interested = False
-        elif isinstance(message, Choke):
-            self._handle_choke(connection)
-        elif isinstance(message, Unchoke):
-            self._handle_unchoke(connection)
-        elif isinstance(message, Request):
-            self._handle_request(connection, message)
-        elif isinstance(message, Cancel):
-            self._handle_cancel(connection, message)
-        elif isinstance(message, Piece):
-            self._handle_piece(connection, message)
+    def _check_frame(self, message: Message) -> None:
+        """Raise :class:`MessageError` for a frame that is well-formed
+        BEP 3 but cannot belong to this torrent.
+
+        The wire is outside input and the core trusts its messages, so a
+        piece index out of range, a bitfield of the wrong size or a block
+        that is not one of the torrent's blocks is stopped here, where the
+        reader's reap path handles it.  (CANCEL needs no check: cancelling
+        a block that is not queued is a no-op.)
+        """
+        geometry = self.metainfo.geometry
+        try:
+            if isinstance(message, (Request, Piece)):  # the bulk of a stream
+                is_request = isinstance(message, Request)
+                length = message.length if is_request else len(message.data)
+                block = geometry.block_ref(
+                    message.piece, message.offset // geometry.block_size
+                )
+                if (block.offset, block.length) != (message.offset, length):
+                    raise ValueError(
+                        "%d bytes at offset %d are not a block of piece %d"
+                        % (length, message.offset, message.piece)
+                    )
+            elif isinstance(message, Have):
+                geometry.piece_length(message.piece)  # IndexError out of range
+            elif isinstance(message, BitfieldMessage):
+                Bitfield.from_bytes(message.bits, geometry.num_pieces)
+        except (IndexError, ValueError) as exc:
+            raise MessageError("%s: %s" % (type(message).__name__, exc))
+
+    def _deliver(self, connection: NetConnection, message: Message) -> None:
+        """Hand one checked inbound frame to the core."""
+        if isinstance(message, Piece):
+            # Payload bytes count on arrival, duplicates included: the
+            # sender counted them when it wrote the frame.
+            size = len(message.data)
+            connection.downloaded.add(self.simulator.now, size)
+            self.total_downloaded += size
+        self._receive(connection, message)
 
     def _send(self, connection: NetConnection, message: Message) -> None:
         if connection.closed or self._stopping:
@@ -489,143 +442,14 @@ class NetPeer:
             self.observer.on_message_sent(self.simulator.now, connection, message)
         connection.write_raw(message.encode())
 
-    # ------------------------------------------------------------------
-    # message handlers (sim-peer semantics, verbatim)
-    # ------------------------------------------------------------------
-
-    def _handle_bitfield(self, connection: NetConnection, message: BitfieldMessage) -> None:
-        incoming = Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
-        self.picker.peer_left(connection.remote_bitfield)
-        connection.remote_bitfield = incoming
-        self.picker.peer_joined(incoming)
-        self._update_interest(connection)
-
-    def _handle_have(self, connection: NetConnection, message: Have) -> None:
-        if connection.remote_bitfield.set(message.piece):
-            self.picker.remote_has(message.piece)
-        if not connection.am_interested:
-            if not self._seed and not self.bitfield.has(message.piece):
-                connection.am_interested = True
-                self._send(connection, Interested())
-        if not connection.peer_choking and connection.am_interested:
-            self._fill_pipeline(connection)
-
-    def _handle_choke(self, connection: NetConnection) -> None:
-        connection.peer_choking = True
-        self.picker.on_peer_gone(connection.remote_key)
-        connection.outstanding.clear()
-
-    def _handle_unchoke(self, connection: NetConnection) -> None:
-        connection.peer_choking = False
-        if connection.am_interested:
-            self._fill_pipeline(connection)
-
-    def _handle_request(self, connection: NetConnection, message: Request) -> None:
-        if connection.am_choking:
-            return  # requests received while choking are dropped
-        if not self.bitfield.has(message.piece):
-            return
-        connection.enqueue_upload(
-            BlockRef(message.piece, message.offset, message.length)
-        )
-
-    def _handle_cancel(self, connection: NetConnection, message: Cancel) -> None:
-        connection.cancel_queued_block(
-            BlockRef(message.piece, message.offset, message.length)
-        )
-
-    def _handle_piece(self, connection: NetConnection, message: Piece) -> None:
-        geometry = self.metainfo.geometry
-        block_index = message.offset // geometry.block_size
-        try:
-            block = geometry.block_ref(message.piece, block_index)
-        except IndexError:
-            return
-        now = self.simulator.now
-        connection.downloaded.add(now, len(message.data))
-        self.total_downloaded += len(message.data)
-        connection.outstanding.discard(block)
-        if self.bitfield.has(block.piece):
-            return  # late duplicate (end game)
-        buffer = self._piece_buffers.setdefault(
-            block.piece, bytearray(geometry.piece_length(block.piece))
-        )
-        buffer[block.offset : block.offset + block.length] = message.data
-        completed, cancel_keys = self.picker.on_block_received(
-            block, connection.remote_key
-        )
-        if self.observer is not None:
-            self.observer.on_block_received(
-                now, connection, block.piece, block.offset, block.length
-            )
-        for key in sorted(cancel_keys):
-            other = self.connections.get(key)
-            if other is not None:
-                other.outstanding.discard(block)
-                self._send(
-                    other,
-                    Cancel(piece=block.piece, offset=block.offset, length=block.length),
-                )
-        if completed:
-            self._on_piece_completed(block.piece)
-        if self.picker.in_endgame and not self._was_in_endgame:
-            self._was_in_endgame = True
-            if self.observer is not None:
-                self.observer.on_endgame_entered(self.simulator.now)
-        if not connection.peer_choking and connection.am_interested:
-            self._fill_pipeline(connection)
-
-    def _on_piece_completed(self, piece: int) -> None:
-        now = self.simulator.now
-        data = bytes(self._piece_buffers.pop(piece, b""))
-        if not self.metainfo.verify_piece(piece, data):
-            if self.observer is not None:
-                self.observer.on_hash_failure(now, piece)
-            if self.metrics is not None:
-                self.metrics.inc("fault.hash_failure")
-            self.picker.reset_piece(piece)
-            return
-        self._store[piece] = data
-        if self.observer is not None:
-            self.observer.on_piece_completed(now, piece)
-        have = Have(piece=piece)
-        for connection in list(self.connections.values()):
-            self._send(connection, have)
-            if connection.am_interested:
-                self._update_interest(connection)
-        if self.bitfield.is_complete():
-            self._become_seed()
-
-    def _update_interest(self, connection: NetConnection) -> None:
-        should_be_interested = not self._seed and self.bitfield.interesting_in(
-            connection.remote_bitfield
-        )
-        if should_be_interested and not connection.am_interested:
-            connection.am_interested = True
-            self._send(connection, Interested())
-            if not connection.peer_choking:
-                self._fill_pipeline(connection)
-        elif not should_be_interested and connection.am_interested:
-            connection.am_interested = False
-            self._send(connection, NotInterested())
-
-    def _fill_pipeline(self, connection: NetConnection) -> None:
-        while (
-            not connection.closed
-            and connection.am_interested
-            and not connection.peer_choking
-            and len(connection.outstanding) < self.config.request_pipeline_depth
-        ):
-            block = self.picker.next_request(
-                connection.remote_bitfield, connection.remote_key
-            )
-            if block is None:
-                break
-            connection.outstanding.add(block)
-            self._send(
-                connection,
-                Request(piece=block.piece, offset=block.offset, length=block.length),
-            )
+    def _verify_and_store(self, piece: int) -> bool:
+        data = self._piece_buffers.get(piece, b"")
+        if PeerCore._verify_and_store(self, piece):
+            self._store[piece] = bytes(data)
+            return True
+        if self.metrics is not None:
+            self.metrics.inc("fault.hash_failure")
+        return False
 
     # ------------------------------------------------------------------
     # uploads (token-bucket paced)
@@ -673,57 +497,11 @@ class NetPeer:
         except asyncio.CancelledError:
             return
 
-    def _choke_round(self) -> None:
-        now = self.simulator.now
-        candidates: List[ChokeCandidate] = []
-        for connection in self.connections.values():
-            download_rate = connection.downloaded.rate(now)
-            upload_rate = connection.uploaded.rate(now)
-            if self.observer is not None:
-                self.observer.on_rate_sample(
-                    now, connection, download_rate, upload_rate
-                )
-            candidates.append(
-                ChokeCandidate(
-                    key=connection.remote_key,
-                    interested=connection.peer_interested,
-                    choked=connection.am_choking,
-                    download_rate=download_rate,
-                    upload_rate=upload_rate,
-                    uploaded_to=connection.uploaded.total,
-                    downloaded_from=connection.downloaded.total,
-                    last_unchoked=connection.last_unchoked_local,
-                )
-            )
-        decision = self.choker.round(candidates, now, self.rng)
-        if self.observer is not None:
-            self.observer.on_choke_round(now, decision)
-        unchoke_set = set(decision.unchoked)
-        for connection in list(self.connections.values()):
-            if connection.remote_key in unchoke_set:
-                if connection.am_choking:
-                    connection.am_choking = False
-                    connection.last_unchoked_local = now
-                    self._send(connection, Unchoke())
-            else:
-                if not connection.am_choking:
-                    connection.am_choking = True
-                    connection.clear_upload_queue()
-                    self._send(connection, Choke())
-
     # ------------------------------------------------------------------
     # seed transition & teardown
     # ------------------------------------------------------------------
 
-    def _become_seed(self) -> None:
-        if self._seed:
-            return
-        self._seed = True
-        now = self.simulator.now
-        self.became_seed_at = now
-        self.seed_choker.reset()
-        if self.observer is not None:
-            self.observer.on_seed_state(now)
+    def _announce_completed(self) -> None:
         try:
             self.tracker.announce(
                 self.address,
@@ -734,17 +512,14 @@ class NetPeer:
             )
         except Exception:
             pass
-        # "When a leecher becomes a seed, it closes its connections to
-        # all the seeds." (§IV-A.2.b)  Half-close (FIN) rather than
-        # hard-close: PIECE frames still in the socket buffer must be
-        # drained and counted on this side before the link dies, or the
-        # swarm's byte conservation breaks.
-        for connection in list(self.connections.values()):
-            if connection.remote_bitfield.is_complete():
-                self._half_close(connection)
-            elif connection.am_interested:
-                connection.am_interested = False
-                self._send(connection, NotInterested())
+
+    def _close_seed_link(self, connection: NetConnection) -> None:
+        # Half-close (FIN) rather than hard-close: PIECE frames still in
+        # the socket buffer must be drained and counted on this side
+        # before the link dies, or the swarm's byte conservation breaks.
+        self._half_close(connection)
+
+    def _on_became_seed(self) -> None:
         self.completed.set()
 
     def _half_close(self, connection: NetConnection) -> None:

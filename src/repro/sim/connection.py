@@ -1,58 +1,37 @@
-"""Per-link protocol state.
+"""The simulator's link endpoint: a :class:`LinkState` with a twin.
 
 Every established link is represented by *two* :class:`Connection`
 objects, one per endpoint, cross-linked through :attr:`Connection.twin`.
 Each endpoint mutates only its own object; the four protocol booleans
 (am_choking / peer_choking / am_interested / peer_interested) therefore
-mirror each other across the twins.  :attr:`Connection.remote_bitfield`
-is the endpoint's view of the remote's pieces: a per-link copy parsed
-from BITFIELD/HAVE messages, or, under the shared-view contract of
-DESIGN §12, the remote's own bitfield, which the endpoint only reads.
+mirror each other across the twins.  Those, and every other field the
+protocol logic reads, are declared in
+:class:`repro.core.peer_core.LinkState`.  ``remote_bitfield`` is the
+endpoint's view of the remote's pieces: a per-link copy parsed from
+BITFIELD/HAVE messages, or, under the shared-view contract of DESIGN
+§12, the remote's own bitfield, which the endpoint only reads.
 
-A connection also carries the fluid-transfer machinery of the uploading
-direction: the queue of blocks the remote requested, and the byte
-progress into the head block that the per-tick bandwidth allocation
-advances.
+What this class adds is the fluid-transfer machinery of the uploading
+direction: the byte progress into the head block of the upload queue
+that the per-tick bandwidth allocation advances, and keeping the swarm's
+set of links with something to serve current as the queue changes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.rate_estimator import ByteCounter
-from repro.protocol.bitfield import Bitfield
+from repro.core.peer_core import LinkState
 from repro.protocol.metainfo import BlockRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.peer import Peer
 
 
-class Connection:
+class Connection(LinkState):
     """One endpoint's view of a link to ``remote``."""
 
-    __slots__ = (
-        "local",
-        "remote",
-        "twin",
-        "remote_bitfield",
-        "am_choking",
-        "peer_choking",
-        "am_interested",
-        "peer_interested",
-        "initiated_by_local",
-        "established_at",
-        "closed",
-        "upload_queue",
-        "upload_progress",
-        "uploaded",
-        "downloaded",
-        "outstanding",
-        "request_times",
-        "last_message_at",
-        "last_unchoked_local",
-        "unchokes_given",
-    )
+    __slots__ = ("twin", "upload_progress")
 
     def __init__(
         self,
@@ -62,29 +41,9 @@ class Connection:
         initiated_by_local: bool,
         rate_window: float = 20.0,
     ):
-        self.local = local
-        self.remote = remote
+        super().__init__(local, remote, now, initiated_by_local, rate_window)
         self.twin: Optional["Connection"] = None
-        self.remote_bitfield = Bitfield(local.metainfo.geometry.num_pieces)
-        self.am_choking = True
-        self.peer_choking = True
-        self.am_interested = False
-        self.peer_interested = False
-        self.initiated_by_local = initiated_by_local
-        self.established_at = now
-        self.closed = False
-        # Upload direction (local serves remote).
-        self.upload_queue: Deque[BlockRef] = deque()
         self.upload_progress = 0.0  # bytes already sent of the head block
-        self.uploaded = ByteCounter(rate_window)
-        self.downloaded = ByteCounter(rate_window)
-        # Download direction (local requests from remote).
-        self.outstanding: set = set()  # BlockRefs requested, not yet received
-        self.request_times: Dict[BlockRef, float] = {}  # request issue times
-        self.last_message_at = now  # last time anything arrived on this link
-        # Choke bookkeeping for the seed algorithm and figure 10.
-        self.last_unchoked_local: Optional[float] = None
-        self.unchokes_given = 0
 
     # -- transfer helpers --------------------------------------------------
 
@@ -118,23 +77,21 @@ class Connection:
         return completed
 
     def cancel_queued_block(self, block: BlockRef) -> bool:
-        """Remove a block from the upload queue (CANCEL handling).
-
-        Partial progress into a cancelled head block is lost, as partially
-        received blocks are discarded by the protocol.
-        """
-        try:
-            index = self.upload_queue.index(block)
-        except ValueError:
-            return False
-        if index == 0:
+        """Partial progress into a cancelled head block is lost, as
+        partially received blocks are discarded by the protocol."""
+        if self.upload_queue and self.upload_queue[0] == block:
             self.upload_progress = 0.0
-        del self.upload_queue[index]
-        return True
+        return super().cancel_queued_block(block)
+
+    def enqueue_upload(self, block: BlockRef) -> None:
+        if block not in self.upload_queue:
+            self.upload_queue.append(block)
+            self.local.swarm.note_upload_activity(self)
 
     def clear_upload_queue(self) -> None:
         self.upload_queue.clear()
         self.upload_progress = 0.0
+        self.local.swarm.forget_upload(self)
 
     # -- liveness ----------------------------------------------------------
 
@@ -143,12 +100,6 @@ class Connection:
         """True when the remote endpoint is gone (crashed peer) but this
         endpoint has not noticed yet."""
         return not self.closed and (self.twin is None or self.twin.closed)
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def remote_key(self) -> str:
-        return self.remote.address
 
     def __repr__(self) -> str:
         flags = "".join(

@@ -1,14 +1,18 @@
 """A complete BitTorrent client for the simulator.
 
 Each :class:`Peer` runs the full protocol described in the paper's
-section II: it maintains a peer set through the tracker, exchanges
-BITFIELD/HAVE/INTERESTED messages to keep piece-distribution knowledge
-consistent, schedules block requests through a
+section II.  What it decides on each message — piece knowledge from
+BITFIELD/HAVE/INTERESTED, block requests through a
 :class:`repro.core.piece_picker.PiecePicker` (rarest first by default,
-with random-first, strict-priority and end-game policies), and runs a
-choke round every 10 seconds through pluggable
-:class:`repro.core.choke.Choker` strategies — the leecher algorithm and
-the new seed-state algorithm by default.
+with random-first, strict-priority and end-game policies), the choke
+round every 10 seconds through pluggable
+:class:`repro.core.choke.Choker` strategies — is
+:class:`repro.core.peer_core.PeerCore`, shared with the live
+:class:`repro.net.peer.NetPeer`.  This module is the simulator's driver
+around that core: joining, leaving and crashing, the tracker announces
+and peer-set management, message delivery through the event queue with
+latency and fault injection, the fused HAVE fan-out over shared remote
+views (DESIGN §12), super-seeding, the fault sweep and playback.
 
 Transfers are fluid: the swarm's per-tick bandwidth allocation calls
 :meth:`Peer.advance_uploads`, which turns allocated bytes into completed
@@ -17,17 +21,16 @@ blocks and PIECE messages to the downloading side.
 
 from __future__ import annotations
 
-import enum
 from random import Random
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
+from repro.core.choke import Choker
+from repro.core.peer_core import PeerCore, PeerState
 from repro.core.piece_picker import PiecePicker
-from repro.core.rarest_first import PieceSelector, RarestFirstSelector
+from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
-    Cancel,
     Choke,
     Have,
     Interested,
@@ -37,8 +40,7 @@ from repro.protocol.messages import (
     Request,
     Unchoke,
 )
-from repro.protocol.metainfo import BlockRef, Metainfo
-from repro.protocol.peer_id import PeerId, make_peer_id
+from repro.protocol.metainfo import Metainfo
 from repro.sim.config import PeerConfig
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
@@ -49,14 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.swarm import Swarm
 
 
-class PeerState(enum.Enum):
-    """Leecher (still downloading) or seed (holds every piece)."""
-
-    LEECHER = "leecher"
-    SEED = "seed"
-
-
-class Peer:
+class Peer(PeerCore):
     """One simulated BitTorrent client."""
 
     def __init__(
@@ -73,41 +68,28 @@ class Peer:
         initial_bitfield: Optional[Bitfield] = None,
         observer: Optional[PeerObserver] = None,
     ):
-        self.address = address
-        self.metainfo = metainfo
-        self.config = config
-        self.simulator = simulator
         self.swarm = swarm
-        self.rng = rng
-        self.peer_id: PeerId = make_peer_id(config.client_id, rng)
         num_pieces = metainfo.geometry.num_pieces
-        self.bitfield = (
-            initial_bitfield.copy() if initial_bitfield else Bitfield(num_pieces)
-        )
-        self.selector = selector or RarestFirstSelector()
-        # Swarm-shared availability matrix (mega-swarm fast path): the
-        # picker owns one row of it.  Peers that opt out of the rarity
-        # index keep the naive reference path for differential testing.
-        matrix = (
-            getattr(swarm, "availability_matrix", None)
-            if config.use_rarity_index
-            else None
-        )
-        self.picker = PiecePicker(
-            metainfo.geometry,
-            self.bitfield,
-            self.selector,
+        super().__init__(
+            address,
+            metainfo,
+            config,
+            simulator,
             rng,
-            random_first_threshold=config.random_first_threshold,
-            strict_priority=config.strict_priority,
-            endgame_enabled=config.endgame_enabled,
-            use_rarity_index=config.use_rarity_index,
-            matrix=matrix,
+            initial_bitfield.copy() if initial_bitfield else Bitfield(num_pieces),
+            selector=selector,
+            leecher_choker=leecher_choker,
+            seed_choker=seed_choker,
+            # Swarm-shared availability matrix (mega-swarm fast path): the
+            # picker owns one row of it.  Peers that opt out of the rarity
+            # index keep the naive reference path for differential testing.
+            matrix=(
+                getattr(swarm, "availability_matrix", None)
+                if config.use_rarity_index
+                else None
+            ),
+            observer=observer,
         )
-        self.leecher_choker = leecher_choker or LeecherChoker(
-            optimistic_rounds=config.optimistic_rounds
-        )
-        self.seed_choker = seed_choker or SeedChoker(slots=config.unchoke_slots)
         # Streaming playback model: only built when configured, so bulk
         # runs carry no extra state, events or trace records.
         if config.playback_rate is not None:
@@ -123,28 +105,14 @@ class Peer:
             # position; selectors must therefore never be shared between
             # peers (use a factory per peer).
             self.selector.bind_position(self.playback.position_piece)
-        self.state = (
-            PeerState.SEED if self.bitfield.is_complete() else PeerState.LEECHER
-        )
-        self.observer = observer
         if observer is not None:
             observer.on_attached(self)
 
-        self.connections: Dict[str, Connection] = {}
         # Fused HAVE fan-out targets (see _collect_have_targets), built
         # on demand; reset to None by whatever changes the answer: a link
         # established or closed, either end crashing.
         self._have_targets: Optional[Tuple[List[int], List[PiecePicker]]] = None
         self.initiated_count = 0
-        self.online = False
-        self.joined_at: Optional[float] = None
-        self.became_seed_at: Optional[float] = (
-            0.0 if self.state is PeerState.SEED else None
-        )
-        self.total_uploaded = 0.0
-        self.total_downloaded = 0.0
-        self._materialize = False  # set by swarm when hash checks are enabled
-        self._piece_buffers: Dict[int, bytearray] = {}
         # Super-seeding (§IV-A.4): advertise nothing, reveal pieces one
         # at a time per peer, preferring the least-revealed piece.
         self.super_seeding = config.super_seeding and self.bitfield.is_complete()
@@ -157,32 +125,7 @@ class Peer:
         self._announce_timer: Optional[Timer] = None
         self._fault_timer: Optional[Timer] = None
         self._last_refill = -float("inf")
-        self._was_in_endgame = False
         self._departure_handle = None
-
-    # ------------------------------------------------------------------
-    # identity & state
-    # ------------------------------------------------------------------
-
-    @property
-    def is_seed(self) -> bool:
-        return self.state is PeerState.SEED
-
-    @property
-    def choker(self) -> Choker:
-        return self.seed_choker if self.is_seed else self.leecher_choker
-
-    @property
-    def peer_set_size(self) -> int:
-        return len(self.connections)
-
-    def __repr__(self) -> str:
-        return "Peer(%s, %s, %d/%d pieces)" % (
-            self.address,
-            self.state.value,
-            self.bitfield.count,
-            self.bitfield.num_pieces,
-        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -265,7 +208,6 @@ class Peer:
             # Close only the local endpoint; the twin stays open.
             connection.closed = True
             connection.clear_upload_queue()
-            self.swarm.forget_upload(connection)
             twin = connection.twin
             if twin is not None and not twin.closed:
                 connection.remote._have_targets = None
@@ -479,7 +421,6 @@ class Peer:
         connection.clear_upload_queue()
         connection.outstanding.clear()
         connection.request_times.clear()
-        self.swarm.forget_upload(connection)
         if self.super_seeding:
             # Reveals to a departed peer are wasted ("seed wastage") but
             # their reveal counts stand: the piece was served or not.
@@ -550,64 +491,39 @@ class Peer:
         else:
             remote._receive(twin, message)
 
-    def _receive(self, connection: Connection, message: Message) -> None:
-        if connection.closed:
-            return
-        connection.last_message_at = self.simulator.now
-        if self.observer:
-            self.observer.on_message_received(self.simulator.now, connection, message)
-        handler = _DISPATCH.get(type(message))
-        if handler is not None:
-            handler(self, connection, message)
-
-    def _handle_interested(self, connection: Connection, message: Message) -> None:
-        connection.peer_interested = True
-
-    def _handle_not_interested(self, connection: Connection, message: Message) -> None:
-        connection.peer_interested = False
-
     # -- piece-knowledge messages -----------------------------------------
 
-    def _handle_bitfield(self, connection: Connection, message: BitfieldMessage) -> None:
+    def _remote_view(
+        self, connection: Connection, message: BitfieldMessage
+    ) -> Bitfield:
         remote = connection.remote
         if self.swarm._batched_have and not remote.super_seeding:
             # Shared view (DESIGN §12): under synchronous lossless
             # delivery a parsed copy would equal the remote's own bitfield
             # whenever read.  A super-seeder advertises less than it holds.
-            incoming = remote.bitfield
-        else:
-            incoming = Bitfield.from_bytes(message.bits, self.bitfield.num_pieces)
-        # The bitfield replaces anything previously known on this link.
-        self.picker.peer_left(connection.remote_bitfield)
-        connection.remote_bitfield = incoming
-        self.picker.peer_joined(incoming)
-        self._update_interest(connection)
+            return remote.bitfield
+        return PeerCore._remote_view(self, connection, message)
 
     def _handle_have(self, connection: Connection, message: Have) -> None:
-        if connection.remote_bitfield.set(message.piece):
-            self.picker.remote_has(message.piece)
         if (
             self.super_seeding
             and self._active_reveal.get(connection.remote.address) == message.piece
         ):
             # The peer finished the piece we revealed: offer it the next.
+            # (Ahead of the core's bookkeeping is as good as after it: the
+            # finished piece is already in the revealed set, so it is not
+            # a candidate either way, and a seed's own reaction to a HAVE
+            # sends nothing.)
             del self._active_reveal[connection.remote.address]
             self._reveal_next(connection)
-        # Fast path: a HAVE can only *add* interest, and only when the
-        # announced piece is one the local peer misses.
-        if not connection.am_interested:
-            if not self.is_seed and not self.bitfield.has(message.piece):
-                connection.am_interested = True
-                self._send(connection, Interested())
-        if not connection.peer_choking and connection.am_interested:
-            self._fill_pipeline(connection)
+        PeerCore._handle_have(self, connection, message)
 
     def broadcast_have_fused(self, message: Have) -> None:
         """The HAVE flood, fused: what per-link ``_send`` + ``_receive`` +
         ``_handle_have`` + the sender's interest recheck do, in one loop.
 
         Every neighbour's view of this peer *is* ``self.bitfield`` (see
-        ``_handle_bitfield``), which already holds the piece, so nothing
+        ``_remote_view``), which already holds the piece, so nothing
         is written per link.  The neighbours' copy counts go up in one
         batched add — exact, because a receiver's counts are read by that
         receiver alone and nothing before its turn reaches it — and the
@@ -709,173 +625,48 @@ class Peer:
         slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
         return slots, [p for p in pickers if p.matrix_slot is None]
 
-    # -- choke messages ------------------------------------------------------
-
-    def _handle_choke(self, connection: Connection, message: Message = None) -> None:
-        connection.peer_choking = True
-        # Everything in flight on this link is lost; give the blocks back
-        # to the picker so another peer can serve them.
-        self.picker.on_peer_gone(connection.remote_key)
-        connection.outstanding.clear()
-        connection.request_times.clear()
-
-    def _handle_unchoke(self, connection: Connection, message: Message = None) -> None:
-        connection.peer_choking = False
-        if connection.am_interested:
-            self._fill_pipeline(connection)
-
-    # -- request/piece messages ----------------------------------------------
+    # -- request messages ----------------------------------------------------
 
     def _handle_request(self, connection: Connection, message: Request) -> None:
         if connection.am_choking:
-            # Requests received while choking are dropped.  Under message
-            # faults the remote may have missed our CHOKE; resend it so
-            # its view of the link re-synchronises.
+            # Under message faults the remote may have missed our CHOKE;
+            # resend it so its view of the link re-synchronises.
             if self.swarm.faults is not None:
                 self._send(connection, Choke())
-            return
-        if not self.bitfield.has(message.piece):
             return
         if self.super_seeding and message.piece not in self._revealed_to.get(
             connection.remote.address, ()
         ):
             return  # only revealed pieces are served under super-seeding
-        block = BlockRef(message.piece, message.offset, message.length)
-        if block in connection.upload_queue:
-            return
-        connection.upload_queue.append(block)
-        self.swarm.note_upload_activity(connection)
+        PeerCore._handle_request(self, connection, message)
 
-    def _handle_cancel(self, connection: Connection, message: Cancel) -> None:
-        block = BlockRef(message.piece, message.offset, message.length)
-        connection.cancel_queued_block(block)
+    # -- finished pieces -----------------------------------------------------
 
-    def _handle_piece(self, connection: Connection, message: Piece) -> None:
-        geometry = self.metainfo.geometry
-        block_index = message.offset // geometry.block_size
-        try:
-            block = geometry.block_ref(message.piece, block_index)
-        except IndexError:
-            return
-        connection.outstanding.discard(block)
-        connection.request_times.pop(block, None)
-        if self.bitfield.has(block.piece):
-            return  # late duplicate (end game)
-        if self._materialize:
-            buffer = self._piece_buffers.setdefault(
-                block.piece, bytearray(geometry.piece_length(block.piece))
-            )
-            buffer[block.offset : block.offset + block.length] = message.data
-        completed, cancel_keys = self.picker.on_block_received(
-            block, connection.remote_key
-        )
-        if self.observer:
-            self.observer.on_block_received(
-                self.simulator.now, connection, block.piece, block.offset, block.length
-            )
-        # Sorted so the CANCEL send order (and hence any RNG draws made
-        # per message) never depends on set iteration order / the
-        # process hash seed.
-        for key in sorted(cancel_keys):
-            other = self.connections.get(key)
-            if other is not None:
-                other.outstanding.discard(block)
-                other.request_times.pop(block, None)
-                self._send(
-                    other,
-                    Cancel(piece=block.piece, offset=block.offset, length=block.length),
-                )
-        if completed:
-            self._on_piece_completed(block.piece)
-        if self.picker.in_endgame and not self._was_in_endgame:
-            self._was_in_endgame = True
-            if self.observer:
-                self.observer.on_endgame_entered(self.simulator.now)
-        if not connection.peer_choking and connection.am_interested:
-            self._fill_pipeline(connection)
-
-    def _on_piece_completed(self, piece: int) -> None:
-        now = self.simulator.now
+    def _verify_and_store(self, piece: int) -> bool:
         plan = self.swarm.faults
         if plan is not None and plan.should_fail_hash():
             # Injected corruption: the piece fails its hash check and is
             # re-downloaded, exactly as with a real SHA-1 mismatch.
             if self.observer:
+                now = self.simulator.now
                 self.observer.on_hash_failure(now, piece)
                 self.observer.on_fault(now, "hash_failure_injected")
             self._piece_buffers.pop(piece, None)
-            self.picker.reset_piece(piece)
-            return
-        if self._materialize:
-            data = bytes(self._piece_buffers.pop(piece, b""))
-            if not self.metainfo.verify_piece(piece, data):
-                if self.observer:
-                    self.observer.on_hash_failure(now, piece)
-                self.picker.reset_piece(piece)
-                return
-        if self.observer:
-            self.observer.on_piece_completed(now, piece)
+            return False
+        return PeerCore._verify_and_store(self, piece)
+
+    def _announce_piece(self, piece: int) -> None:
         if self.playback is not None:
-            self.playback.on_piece_completed(now, piece)
-        have = Have(piece=piece)
-        # The HAVE flood is the dominant cost of a large swarm; the swarm
-        # takes over the fan-out when it can batch the availability
-        # updates (synchronous lossless delivery), falling back to the
-        # observably-identical per-link loop otherwise.
-        if not self.swarm.broadcast_have(self, have):
-            for connection in list(self.connections.values()):
-                self._send(connection, have)
-                # Completing a piece can only *remove* interest; skip the
-                # bitfield scan for remotes we were not interested in anyway.
-                if connection.am_interested:
-                    self._update_interest(connection)
+            self.playback.on_piece_completed(self.simulator.now, piece)
+        # The HAVE flood is the dominant cost of a large swarm; when
+        # delivery is synchronous and lossless the fused loop batches the
+        # availability updates, otherwise the core's observably-identical
+        # per-link loop runs.
+        if self.swarm._batched_have:
+            self.broadcast_have_fused(Have(piece=piece))
+        else:
+            PeerCore._announce_piece(self, piece)
         self.swarm.on_piece_replicated(self, piece)
-        if self.bitfield.is_complete():
-            self._become_seed()
-
-    # ------------------------------------------------------------------
-    # interest management
-    # ------------------------------------------------------------------
-
-    def _update_interest(self, connection: Connection) -> None:
-        should_be_interested = not self.is_seed and self.bitfield.interesting_in(
-            connection.remote_bitfield
-        )
-        if should_be_interested and not connection.am_interested:
-            connection.am_interested = True
-            self._send(connection, Interested())
-            if not connection.peer_choking:
-                self._fill_pipeline(connection)
-        elif not should_be_interested and connection.am_interested:
-            connection.am_interested = False
-            self._send(connection, NotInterested())
-
-    # ------------------------------------------------------------------
-    # request pipelining
-    # ------------------------------------------------------------------
-
-    def _fill_pipeline(self, connection: Connection) -> None:
-        """Keep a small buffer of pending requests on this link (§II-C.1)."""
-        depth = self.config.request_pipeline_depth
-        next_request = self.picker.next_request
-        remote_bitfield = connection.remote_bitfield
-        remote_key = connection.remote_key
-        now = self.simulator.now  # no sim time passes within one fill
-        while (
-            not connection.closed
-            and connection.am_interested
-            and not connection.peer_choking
-            and len(connection.outstanding) < depth
-        ):
-            block = next_request(remote_bitfield, remote_key)
-            if block is None:
-                break
-            connection.outstanding.add(block)
-            connection.request_times[block] = now
-            self._send(
-                connection,
-                Request(piece=block.piece, offset=block.offset, length=block.length),
-            )
 
     # ------------------------------------------------------------------
     # uploads (driven by the swarm's fluid tick)
@@ -904,59 +695,6 @@ class Peer:
                 connection,
                 Piece(piece=block.piece, offset=block.offset, data=data),
             )
-
-    # ------------------------------------------------------------------
-    # the choke round
-    # ------------------------------------------------------------------
-
-    def _choke_round(self) -> None:
-        if not self.online:
-            return
-        now = self.simulator.now
-        candidates: List[ChokeCandidate] = []
-        for connection in self.connections.values():
-            # Inlined ByteCounter.rate: one estimator expiry + divide,
-            # without the two-deep call chain, twice per connection per
-            # round across the whole swarm.
-            estimator = connection.downloaded._estimator
-            estimator._expire(now)
-            download_rate = max(0.0, estimator._total) / estimator._window
-            estimator = connection.uploaded._estimator
-            estimator._expire(now)
-            upload_rate = max(0.0, estimator._total) / estimator._window
-            if self.observer:
-                self.observer.on_rate_sample(
-                    now, connection, download_rate, upload_rate
-                )
-            candidates.append(
-                ChokeCandidate(
-                    key=connection.remote_key,
-                    interested=connection.peer_interested,
-                    choked=connection.am_choking,
-                    download_rate=download_rate,
-                    upload_rate=upload_rate,
-                    uploaded_to=connection.uploaded.total,
-                    downloaded_from=connection.downloaded.total,
-                    last_unchoked=connection.last_unchoked_local,
-                )
-            )
-        decision = self.choker.round(candidates, now, self.rng)
-        if self.observer:
-            self.observer.on_choke_round(now, decision)
-        unchoke_set = set(decision.unchoked)
-        for connection in list(self.connections.values()):
-            if connection.remote_key in unchoke_set:
-                if connection.am_choking:
-                    connection.am_choking = False
-                    connection.last_unchoked_local = now
-                    connection.unchokes_given += 1
-                    self._send(connection, Unchoke())
-            else:
-                if not connection.am_choking:
-                    connection.am_choking = True
-                    connection.clear_upload_queue()
-                    self.swarm.forget_upload(connection)
-                    self._send(connection, Choke())
 
     # ------------------------------------------------------------------
     # fault sweep (only runs when a FaultPlan is installed)
@@ -1031,44 +769,15 @@ class Peer:
     # seed transition
     # ------------------------------------------------------------------
 
-    def _become_seed(self) -> None:
-        if self.state is PeerState.SEED:
-            return
-        self.state = PeerState.SEED
-        now = self.simulator.now
-        self.became_seed_at = now
-        self.seed_choker.reset()
-        if self.observer:
-            self.observer.on_seed_state(now)
+    def _announce_completed(self) -> None:
         self._announce(event="completed", num_want=0)
-        # "When a leecher becomes a seed, it closes its connections to all
-        # the seeds." (§IV-A.2.b)
-        for connection in list(self.connections.values()):
-            if connection.remote_bitfield.is_complete():
-                self._close_connection(connection, notify_remote=True)
-            else:
-                # A seed is interested in nobody.
-                if connection.am_interested:
-                    connection.am_interested = False
-                    self._send(connection, NotInterested())
+
+    def _close_seed_link(self, connection: Connection) -> None:
+        self._close_connection(connection, notify_remote=True)
+
+    def _on_became_seed(self) -> None:
         self.swarm.on_peer_completed(self)
         if self.config.seeding_time is not None:
             self._departure_handle = self.simulator.schedule(
                 self.config.seeding_time, self.leave
             )
-
-
-# Message dispatch for Peer._receive: one dict probe on the concrete
-# message class instead of an isinstance chain (message classes are
-# final — nothing subclasses them).
-_DISPATCH = {
-    BitfieldMessage: Peer._handle_bitfield,
-    Have: Peer._handle_have,
-    Interested: Peer._handle_interested,
-    NotInterested: Peer._handle_not_interested,
-    Choke: Peer._handle_choke,
-    Unchoke: Peer._handle_unchoke,
-    Request: Peer._handle_request,
-    Cancel: Peer._handle_cancel,
-    Piece: Peer._handle_piece,
-}

@@ -16,7 +16,6 @@ from repro.core.choke import Choker
 from repro.core.piece_picker import AvailabilityMatrix, HAVE_NUMPY
 from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
-from repro.protocol.messages import Have
 from repro.protocol.metainfo import Metainfo
 from repro.sim.bandwidth import Flow, resolve_allocator
 from repro.sim.config import PeerConfig, SwarmConfig
@@ -182,10 +181,11 @@ class Swarm:
             if engine.availability_backend == "auto" and HAVE_NUMPY
             else None
         )
-        # Batched HAVE fan-out, and the shared remote views it rests on
-        # (Peer._handle_bitfield), are only observably identical to
-        # per-link sends and parsed views when delivery is synchronous
-        # and lossless: any latency or fault plan forces the reference.
+        # Batched HAVE fan-out (Peer._announce_piece), and the shared
+        # remote views it rests on (Peer._remote_view), are only observably
+        # identical to per-link sends and parsed views when delivery is
+        # synchronous and lossless: any latency or fault plan forces the
+        # reference.
         self._batched_have = (
             engine.have_fanout == "auto"
             and self.config.message_latency == 0
@@ -348,23 +348,6 @@ class Swarm:
     def on_tick(self, callback: Callable[[float], None]) -> None:
         """Register an analysis callback invoked after every fluid tick."""
         self._on_tick_callbacks.append(callback)
-
-    # ------------------------------------------------------------------
-    # batched HAVE fan-out
-    # ------------------------------------------------------------------
-
-    def broadcast_have(self, peer: Peer, message: Have) -> bool:
-        """Fan a completed piece's HAVE out to every neighbour of *peer*
-        through the fused fast loop (:meth:`Peer.broadcast_have_fused`).
-
-        Returns False when the fast path is ineligible (message latency
-        or a fault plan make delivery asynchronous/lossy) and the caller
-        must run the reference per-link ``_send`` loop instead.
-        """
-        if not self._batched_have:
-            return False
-        peer.broadcast_have_fused(message)
-        return True
 
     def _tick(self) -> None:
         for connection in [
