@@ -31,14 +31,17 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence
 
 PeerKey = Hashable
 
 
-@dataclass(frozen=True)
-class ChokeCandidate:
-    """Snapshot of one remote peer as seen at a choke round."""
+class ChokeCandidate(NamedTuple):
+    """Snapshot of one remote peer as seen at a choke round.
+
+    A tuple type: a round builds one per link of the peer set, and the
+    chokers only ever read the fields.
+    """
 
     key: PeerKey
     interested: bool

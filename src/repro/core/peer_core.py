@@ -67,7 +67,8 @@ class LinkState:
     ``remote`` is whatever identifies the far end to the observers (the
     remote peer itself in the simulator, a handshake identity over a
     socket); the core reads only ``remote.address``, through
-    :attr:`remote_key`.
+    :attr:`remote_key`, and a driver files the link in
+    ``PeerCore.connections`` under that same key.
     """
 
     __slots__ = (
@@ -473,48 +474,47 @@ class PeerCore:
         if not self.online:
             return
         now = self.simulator.now
+        observer = self.observer
+        snapshot = ChokeCandidate._make
         candidates: List[ChokeCandidate] = []
-        for connection in self.connections.values():
-            # Inlined ByteCounter.rate: one estimator expiry + divide,
-            # without the two-deep call chain, twice per connection per
-            # round across the whole swarm.
-            estimator = connection.downloaded._estimator
-            estimator._expire(now)
-            download_rate = max(0.0, estimator._total) / estimator._window
-            estimator = connection.uploaded._estimator
-            estimator._expire(now)
-            upload_rate = max(0.0, estimator._total) / estimator._window
-            if self.observer:
-                self.observer.on_rate_sample(
-                    now, connection, download_rate, upload_rate
-                )
+        # ``connections`` is keyed by ``remote_key``.  Most of a peer set
+        # is idle at any round (four unchoke slots, §II-C.2), and an idle
+        # counter answers ``rate`` without an expiry.
+        for key, connection in self.connections.items():
+            downloaded = connection.downloaded
+            uploaded = connection.uploaded
+            download_rate = downloaded.rate(now)
+            upload_rate = uploaded.rate(now)
+            if observer:
+                observer.on_rate_sample(now, connection, download_rate, upload_rate)
             candidates.append(
-                ChokeCandidate(
-                    key=connection.remote_key,
-                    interested=connection.peer_interested,
-                    choked=connection.am_choking,
-                    download_rate=download_rate,
-                    upload_rate=upload_rate,
-                    uploaded_to=connection.uploaded.total,
-                    downloaded_from=connection.downloaded.total,
-                    last_unchoked=connection.last_unchoked_local,
+                snapshot(
+                    (
+                        key,
+                        connection.peer_interested,
+                        connection.am_choking,
+                        download_rate,
+                        upload_rate,
+                        uploaded.total,
+                        downloaded.total,
+                        connection.last_unchoked_local,
+                    )
                 )
             )
         decision = self.choker.round(candidates, now, self.rng)
-        if self.observer:
-            self.observer.on_choke_round(now, decision)
+        if observer:
+            observer.on_choke_round(now, decision)
         unchoke_set = set(decision.unchoked)
-        for connection in list(self.connections.values()):
-            if connection.remote_key in unchoke_set:
-                if connection.am_choking:
+        for key, connection in list(self.connections.items()):
+            if connection.am_choking:
+                if key in unchoke_set:
                     connection.am_choking = False
                     connection.last_unchoked_local = now
                     self._send(connection, Unchoke())
-            else:
-                if not connection.am_choking:
-                    connection.am_choking = True
-                    connection.clear_upload_queue()
-                    self._send(connection, Choke())
+            elif key not in unchoke_set:
+                connection.am_choking = True
+                connection.clear_upload_queue()
+                self._send(connection, Choke())
 
     # ------------------------------------------------------------------
     # seed transition

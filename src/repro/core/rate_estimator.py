@@ -54,6 +54,11 @@ class RateEstimator:
         behaviour: a peer that transferred one burst long ago decays
         toward zero as the samples age out.
         """
+        if not self._samples:
+            # Whatever empties the window (an expiry, a reset) leaves the
+            # running total at exactly 0.0, so an idle link's rate needs
+            # no expiry and no divide.
+            return 0.0
         self._expire(now)
         return max(0.0, self._total) / self._window
 
@@ -76,22 +81,32 @@ class RateEstimator:
             self._total = 0.0  # clamp float drift
 
 
-class ByteCounter:
-    """Monotonic byte accounting with a paired :class:`RateEstimator`.
+class ByteCounter(RateEstimator):
+    """A :class:`RateEstimator` that also keeps the lifetime byte total.
 
     Connections keep one counter per direction; the choke algorithm reads
     ``rate``, the fairness analysis reads ``total``.
     """
 
-    __slots__ = ("total", "_estimator")
+    __slots__ = ("total",)
 
     def __init__(self, window: float = 20.0):
+        super().__init__(window)
         self.total = 0.0
-        self._estimator = RateEstimator(window)
 
     def add(self, now: float, num_bytes: float) -> None:
+        # RateEstimator.add with its expiry unrolled into this frame: the
+        # fluid tick adds twice per active flow.  Same float operations on
+        # the running total, in the same order.
+        if num_bytes < 0:
+            raise ValueError("num_bytes must be non-negative")
+        samples = self._samples
+        if samples and now < samples[-1][0]:
+            raise ValueError("samples must be added in non-decreasing time order")
         self.total += num_bytes
-        self._estimator.add(now, num_bytes)
-
-    def rate(self, now: float) -> float:
-        return self._estimator.rate(now)
+        samples.append((now, num_bytes))
+        total = self._total + num_bytes
+        horizon = now - self._window
+        while samples and samples[0][0] <= horizon:
+            total -= samples.popleft()[1]
+        self._total = total if samples else 0.0  # clamp float drift

@@ -13,25 +13,27 @@ BITFIELD/HAVE messages, or, under the shared-view contract of DESIGN
 
 What this class adds is the fluid-transfer machinery of the uploading
 direction: the byte progress into the head block of the upload queue
-that the per-tick bandwidth allocation advances, and keeping the swarm's
-set of links with something to serve current as the queue changes.
+that the per-tick bandwidth allocation advances, how much of a tick's
+budget the queue can absorb, the link's entry in the swarm's flow set,
+and keeping that set current as the queue changes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.peer_core import LinkState
 from repro.protocol.metainfo import BlockRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.bandwidth import Flow
     from repro.sim.peer import Peer
 
 
 class Connection(LinkState):
     """One endpoint's view of a link to ``remote``."""
 
-    __slots__ = ("twin", "upload_progress")
+    __slots__ = ("twin", "upload_progress", "flow", "flow_key")
 
     def __init__(
         self,
@@ -44,12 +46,33 @@ class Connection(LinkState):
         super().__init__(local, remote, now, initiated_by_local, rate_window)
         self.twin: Optional["Connection"] = None
         self.upload_progress = 0.0  # bytes already sent of the head block
+        # The swarm's allocator entry for the uploading direction and its
+        # place in the allocation order, made by the swarm when the link
+        # first has something to serve and kept for the link's life.
+        self.flow: Optional[Flow] = None
+        self.flow_key: Optional[Tuple[str, str]] = None
 
     # -- transfer helpers --------------------------------------------------
 
+    def transferable_bytes(self, budget: float) -> float:
+        """``min(budget, queued_upload_bytes())``, walking the queue only
+        as far as the block that covers *budget*.
+
+        Exact, not approximate: block lengths are positive integers,
+        so the prefix sums only grow and so does ``prefix - progress``;
+        once one of them reaches *budget* the full sum does too.
+        """
+        queued = 0
+        progress = self.upload_progress
+        for block in self.upload_queue:
+            queued += block.length
+            if queued - progress >= budget:
+                return budget
+        return min(budget, queued - progress)
+
     def queued_upload_bytes(self) -> float:
         """Bytes still to send to satisfy the remote's pending requests."""
-        return sum(block.length for block in self.upload_queue) - self.upload_progress
+        return self.transferable_bytes(float("inf"))
 
     def has_active_upload(self) -> bool:
         """True when this endpoint is actively serving the remote."""

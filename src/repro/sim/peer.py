@@ -136,6 +136,7 @@ class Peer(PeerCore):
         the choke-round and tracker-announce timers."""
         if self.online:
             raise RuntimeError("%s already joined" % self.address)
+        self.swarm.on_peer_joined(self)
         if (
             self.picker.availability_backend == "matrix"
             and self.picker.matrix_slot is None
@@ -672,13 +673,14 @@ class Peer(PeerCore):
     # uploads (driven by the swarm's fluid tick)
     # ------------------------------------------------------------------
 
-    def advance_uploads(self, connection: Connection, num_bytes: float) -> None:
-        """Turn allocated bandwidth into completed blocks on *connection*."""
+    def advance_uploads(self, connection: Connection, num_bytes: float) -> float:
+        """Turn allocated bandwidth into completed blocks on *connection*;
+        returns the bytes actually moved."""
         if connection.closed or num_bytes <= 0:
-            return
-        transferable = min(num_bytes, connection.queued_upload_bytes())
+            return 0.0
+        transferable = connection.transferable_bytes(num_bytes)
         if transferable <= 0:
-            return
+            return 0.0
         now = self.simulator.now
         connection.uploaded.add(now, transferable)
         self.total_uploaded += transferable
@@ -695,6 +697,7 @@ class Peer(PeerCore):
                 connection,
                 Piece(piece=block.piece, offset=block.offset, data=data),
             )
+        return transferable
 
     # ------------------------------------------------------------------
     # fault sweep (only runs when a FaultPlan is installed)

@@ -9,6 +9,7 @@ baseline and by transient-state detection — real peers never see it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,6 +78,9 @@ class SwarmResult:
         return self.bytes_moved / self.capacity_seconds
 
 
+_ALLOCATION_ORDER = attrgetter("flow_key")
+
+
 class Swarm:
     """Builds and runs one torrent scenario."""
 
@@ -120,11 +124,11 @@ class Swarm:
         # Flow-set fast path: the candidate set carries a generation
         # counter bumped on every membership change, so a tick whose
         # active flow set did not change reuses the sorted connection
-        # list AND the previous allocation without re-keying anything.
+        # list AND the previous allocation (the rates left on each
+        # connection's flow) without re-keying anything.
         self._members_generation = 0
         self._flows_generation = -1
         self._active_connections: List[Connection] = []
-        self._flow_cache: List[Flow] = []
         self._upload_caps: Dict[str, float] = {}
         self._download_caps: Dict[str, float] = {}
         # Global piece-replication oracle over ONLINE peers, with an
@@ -217,7 +221,9 @@ class Swarm:
 
         ``is_seed`` gives the peer a full bitfield; ``initial_bitfield``
         overrides it for partially pre-seeded peers (e.g. the "joined
-        with almost all pieces" clients of §IV-A.1).
+        with almost all pieces" clients of §IV-A.1).  With ``join=False``
+        the peer stays out of every book of the swarm (``peers``, the
+        capacity maps, the replication oracle) until it joins.
         """
         address = address or self.make_address()
         if address in self.peers:
@@ -240,22 +246,12 @@ class Swarm:
             initial_bitfield=bitfield,
             observer=observer,
         )
-        self.peers[address] = peer
-        self._upload_caps[address] = peer.config.upload_capacity
-        if peer.config.download_capacity is not None:
-            self._download_caps[address] = peer.config.download_capacity
         if join:
             self.join_peer(peer)
         return peer
 
     def join_peer(self, peer: Peer) -> None:
         """Bring a created-but-offline peer online."""
-        for piece in peer.bitfield.have_indices():
-            count = self.global_counts[piece] + 1
-            self.global_counts[piece] = count
-            if count == 2:
-                self._scarce_pieces -= 1
-        self.result.join_times[peer.address] = self.simulator.now
         peer.join()
 
     def schedule_arrival(self, delay: float, **add_peer_kwargs) -> None:
@@ -286,6 +282,29 @@ class Swarm:
 
     def on_peer_completed(self, peer: Peer) -> None:
         self.result.completions[peer.address] = self.simulator.now
+
+    def on_peer_joined(self, peer: Peer) -> None:
+        """Enter a peer coming online into the swarm's books: the mirror
+        of :meth:`on_peer_left`, called by every :meth:`Peer.join` (the
+        first one and a rejoin after a leave or a crash alike)."""
+        address = peer.address
+        if self.peers.get(address, peer) is not peer:
+            raise ValueError("address %s already in use" % address)
+        self.peers[address] = peer
+        # The capacity maps feed the cached bandwidth allocation: a
+        # half-open flow towards this address may have been rated while
+        # the address had no download cap.
+        self._upload_caps[address] = peer.config.upload_capacity
+        if peer.config.download_capacity is not None:
+            self._download_caps[address] = peer.config.download_capacity
+        self._members_generation += 1
+        for piece in peer.bitfield.have_indices():
+            count = self.global_counts[piece] + 1
+            self.global_counts[piece] = count
+            if count == 2:
+                self._scarce_pieces -= 1
+        self.result.join_times[address] = self.simulator.now
+        self.result.departures.pop(address, None)
 
     def on_peer_left(self, peer: Peer) -> None:
         for piece in peer.bitfield.have_indices():
@@ -337,6 +356,10 @@ class Swarm:
             connection.has_active_upload()
             and connection not in self._upload_candidates
         ):
+            if connection.flow is None:
+                key = (connection.local.address, connection.remote.address)
+                connection.flow_key = key
+                connection.flow = Flow(*key)
             self._upload_candidates.add(connection)
             self._members_generation += 1
 
@@ -364,26 +387,22 @@ class Swarm:
                 # straight to advancing transfers at the cached rates,
                 # which are a pure function of the flow set and the
                 # static per-peer capacities.
-                active = sorted(
-                    self._upload_candidates,
-                    key=lambda c: (c.local.address, c.remote.address),
+                active = sorted(self._upload_candidates, key=_ALLOCATION_ORDER)
+                self._allocate(
+                    [connection.flow for connection in active],
+                    self._upload_caps,
+                    self._download_caps,
                 )
-                flows = [
-                    Flow(connection.local.address, connection.remote.address)
-                    for connection in active
-                ]
-                self._allocate(flows, self._upload_caps, self._download_caps)
                 self._active_connections = active
-                self._flow_cache = flows
                 self._flows_generation = self._members_generation
             dt = self.config.tick_interval
-            for connection, flow in zip(self._active_connections, self._flow_cache):
-                moved = min(flow.rate * dt, connection.queued_upload_bytes())
-                connection.local.advance_uploads(connection, flow.rate * dt)
-                self.result.bytes_moved += max(0.0, moved)
+            result = self.result
+            for connection in self._active_connections:
+                result.bytes_moved += connection.local.advance_uploads(
+                    connection, connection.flow.rate * dt
+                )
         else:
             self._active_connections = []
-            self._flow_cache = []
             self._flows_generation = self._members_generation
         self.result.capacity_seconds += self.config.tick_interval * sum(
             self._upload_caps.values()

@@ -1,5 +1,7 @@
 """Unit tests for the per-link connection state machine."""
 
+from collections import deque
+
 import pytest
 
 from repro.protocol.metainfo import BlockRef
@@ -73,6 +75,31 @@ class TestUploadQueue:
         conn_ab.upload_queue.extend([BlockRef(0, 0, 1000), BlockRef(0, 1000, 24)])
         conn_ab.advance_upload(100)
         assert conn_ab.queued_upload_bytes() == pytest.approx(924)
+
+    def test_one_block_budget_visits_one_block_of_a_long_queue(self):
+        """Complexity guard: serving a budget costs the blocks it covers,
+        not the queue behind them (counted, not timed)."""
+
+        class CountingQueue(deque):
+            visits = 0
+
+            def __iter__(self):
+                for block in deque.__iter__(self):
+                    CountingQueue.visits += 1
+                    yield block
+
+        __, a, b, conn_ab, __b = linked_pair()
+        conn_ab.am_choking = False
+        conn_ab.upload_queue = CountingQueue(
+            BlockRef(0, index * 1024, 1024) for index in range(1000)
+        )
+        moved = a.advance_uploads(conn_ab, 1024.0)
+        assert len(conn_ab.upload_queue) == 999
+        assert CountingQueue.visits <= 2
+        assert moved == 1024.0
+        # A budget the queue cannot cover is the one case that reads it all.
+        assert a.advance_uploads(conn_ab, 1e9) == 999 * 1024.0
+        assert not conn_ab.upload_queue
 
     def test_cancel_head_block_loses_progress(self):
         __, a, b, conn_ab, __b = linked_pair()

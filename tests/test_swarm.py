@@ -3,7 +3,9 @@ results bookkeeping, and the fluid tick plumbing."""
 
 import pytest
 
+import repro.sim.swarm as swarm_module
 from repro.protocol.bitfield import Bitfield
+from repro.protocol.metainfo import BlockRef
 from repro.sim.config import KIB, SwarmConfig
 
 from tests.conftest import fast_config, tiny_swarm
@@ -180,3 +182,129 @@ class TestFlowFastPath:
             )
 
         assert run_once(False) == run_once(True)
+
+    def test_forced_reallocation_reuses_each_links_flow(self, monkeypatch):
+        """Complexity guard: re-running the allocator over an unchanged
+        set of 50 links sorts and rates the flows those links already
+        carry; it constructs none (counted, not timed)."""
+        swarm = tiny_swarm(
+            num_pieces=4, piece_size=64 * KIB, block_size=64 * KIB, seed=3
+        )
+        for __ in range(30):
+            swarm.add_peer(config=fast_config(upload=1 * KIB))
+        links = [
+            connection
+            for peer in swarm.peers.values()
+            for connection in peer.connections.values()
+        ][:50]
+        assert len(links) == 50
+        for connection in links:
+            connection.am_choking = False
+            connection.enqueue_upload(BlockRef(0, 0, 64 * KIB))
+        swarm._tick()  # the first allocation over these links
+
+        built, allocated = [], []
+
+        class CountingFlow(swarm_module.Flow):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        allocate = swarm._allocate
+
+        def recording(flows, *caps):
+            allocated.append(list(flows))
+            allocate(flows, *caps)
+
+        monkeypatch.setattr(swarm_module, "Flow", CountingFlow)
+        swarm._allocate = recording
+        for __ in range(3):
+            swarm._members_generation += 1
+            swarm._tick()
+        assert len(allocated) == 3  # the allocator did run again each time
+        for flows in allocated:
+            assert [(flow.uploader, flow.downloader) for flow in flows] == sorted(
+                (c.local.address, c.remote.address) for c in links
+            )
+        assert built == []
+        assert all(
+            again is first
+            for flows in allocated[1:]
+            for again, first in zip(flows, allocated[0])
+        )
+
+
+class TestRejoinIsRegistered:
+    """A peer that comes back — after a clean leave or after a crash — is
+    entered into every book its departure took it out of (regression: the
+    rejoined peer had no capacity entry, so it uploaded unconstrained, and
+    was invisible to ``peer_by_address``, ``capacity_seconds``, the byte
+    tables and ``global_counts``)."""
+
+    CAP = 2 * KIB
+
+    @pytest.mark.parametrize("depart", ["leave", "crash"])
+    def test_books_after_rejoin(self, depart):
+        swarm = tiny_swarm(num_pieces=64, piece_size=16 * KIB, block_size=16 * KIB)
+        seed = swarm.add_peer(config=fast_config(upload=self.CAP), is_seed=True)
+        for __ in range(3):
+            swarm.add_peer(config=fast_config(upload=self.CAP))
+        swarm.run(15)
+        getattr(seed, depart)()
+        assert swarm.peer_by_address(seed.address) is None
+        swarm.run(5)
+        seed.join()
+        rejoined_at = swarm.simulator.now
+        # After a crash the old neighbours still hold their half-open
+        # links and refuse a second one; newcomers reach the seed through
+        # the tracker, which requires it to be findable by address.
+        for __ in range(3):
+            swarm.add_peer(config=fast_config(upload=self.CAP))
+        uploaded_before = seed.total_uploaded
+        uncapped = []
+
+        def every_uploader_is_capped(now):
+            uncapped.extend(
+                (now, connection.local.address)
+                for connection in swarm._upload_candidates
+                if connection.local.address not in swarm._upload_caps
+            )
+
+        swarm.on_tick(every_uploader_is_capped)
+        horizon = 40
+        result = swarm.run(horizon)
+
+        assert not uncapped
+        sent = seed.total_uploaded - uploaded_before
+        assert 0 < sent <= self.CAP * horizon
+        assert swarm.peer_by_address(seed.address) is seed
+        assert result.join_times[seed.address] == rejoined_at
+        assert seed.address not in result.departures
+        assert sum(result.bytes_uploaded.values()) == pytest.approx(
+            result.bytes_moved, rel=1e-12
+        )
+        assert sum(result.bytes_downloaded.values()) == pytest.approx(
+            result.bytes_moved, rel=1e-12
+        )
+        recount = [0] * 64
+        for peer in swarm.peers.values():
+            assert peer.online
+            for piece in peer.bitfield.have_indices():
+                recount[piece] += 1
+        assert list(swarm.global_counts) == recount
+        assert swarm.is_transient() == (min(recount) <= 1)
+
+    def test_offline_peer_is_in_no_book_until_it_joins(self):
+        """``capacity_seconds`` integrates over online peers only."""
+        swarm = tiny_swarm(num_pieces=4)
+        swarm.add_peer(config=fast_config(upload=self.CAP), is_seed=True)
+        waiting = swarm.add_peer(config=fast_config(upload=64 * KIB), join=False)
+        result = swarm.run(10)
+        assert result.capacity_seconds == self.CAP * 10
+        assert waiting.address not in swarm.peers
+        swarm.join_peer(waiting)
+        assert swarm.peer_by_address(waiting.address) is waiting
+        assert result.join_times[waiting.address] == 10.0
+        assert swarm.run(10).capacity_seconds == self.CAP * 20 + 64 * KIB * 10
+        with pytest.raises(ValueError):
+            swarm.add_peer(config=fast_config(), address=waiting.address)
