@@ -37,6 +37,7 @@ from repro.tracker.service import (
     TrackerOverloaded,
     TrackerService,
 )
+from repro.tracker.state import check_have
 from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import AnnounceResponse, encode_announce_response, encode_failure
 
@@ -90,13 +91,15 @@ def _request_from_params(
     num_want = int(params.get("numwant", b"%d" % DEFAULT_NUM_WANT))
     left = params.get("left")
     have = params.get("have")
+    have_count = int(have) if have is not None else None
+    check_have(have_count)
     return AnnounceRequest(
         infohash=infohash,
         address="%s:%d" % (ip, port),
         event=event,
         num_want=num_want if num_want >= 0 else DEFAULT_NUM_WANT,
         is_seed=(left == b"0") or event == "completed",
-        have_count=int(have) if have is not None else None,
+        have_count=have_count,
     )
 
 
@@ -195,16 +198,21 @@ class TrackerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            # Drain headers up to the blank line; announces carry none we need.
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            peername = writer.get_extra_info("peername") or ("127.0.0.1", 0)
-            body, status = self.handle_http_request(
-                request_line.decode("latin-1").strip(), peername[0]
-            )
+            try:
+                request_line = await reader.readline()
+                # Drain headers up to the blank line; announces carry none we need.
+                while True:
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+            except ValueError:
+                # readline's answer to a line over the stream limit (64 KiB).
+                body, status = encode_failure("request line too long"), 400
+            else:
+                peername = writer.get_extra_info("peername") or ("127.0.0.1", 0)
+                body, status = self.handle_http_request(
+                    request_line.decode("latin-1").strip(), peername[0]
+                )
             writer.write(
                 b"HTTP/1.0 %d %s\r\n"
                 b"Content-Type: text/plain\r\n"

@@ -198,15 +198,16 @@ class TrackerService:
         announce.
         """
         now = self._clock()
-        if self.is_down(now):
+        if self._outages and self.is_down(now):
             self.failed_announce_count += 1
             raise TrackerUnavailable("tracker outage at t=%.1f" % now)
+        event = request.event
         shed_factor = 1.0
         if self._rate is not None:
             rate = self._rate.observe(now)
             budget = self.budget
             overload = rate / budget.announces_per_second
-            if overload > budget.reject_factor and request.event != "stopped":
+            if overload > budget.reject_factor and event != "stopped":
                 # Keep-alives and joins are shed; departures always land
                 # (losing them would leak registry entries).
                 self.rejected_announces += 1
@@ -229,20 +230,14 @@ class TrackerService:
             self.expired_peers += len(
                 state.expire(now, self.expiry_intervals * self.interval)
             )
-        state.update(
-            request.address,
-            event=request.event,
-            is_seed=request.is_seed,
-            now=now,
-            have_count=request.have_count,
-        )
+        address = request.address
+        state.update(address, event, request.is_seed, now, request.have_count)
         peers: List[str] = []
-        if request.num_want > 0 and request.event != "stopped":
+        num_want = request.num_want
+        if num_want > 0 and event != "stopped":
             if rng is None:
                 rng = self.request_rng(state, request)
-            peers = self.sampler.sample(
-                state, request.address, request.num_want, rng
-            )
+            peers = self.sampler.sample(state, address, num_want, rng)
         seeds, leechers = state.scrape()
         return AnnounceResult(
             peers=peers,

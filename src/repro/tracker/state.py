@@ -10,7 +10,10 @@ module provides that map at two levels:
   samplers in :mod:`repro.tracker.sampling` can draw a peer set in
   O(num_want) (uniform, seed-biased) instead of materialising an O(n)
   candidate list per announce (the ``tracker_service`` workload of
-  ``benchmarks/suite`` measures the announce rate).
+  ``benchmarks/suite`` measures the announce rate).  Reported progress
+  is kept a second time as a dense ``have`` column aligned with the
+  registration-order list, so the rarity-aware sampler reads one list
+  of ints instead of one :class:`PeerEntry` per registered peer.
 
 * :class:`ShardedSwarmStore` — the infohash map, split over a fixed
   number of shards by a *stable* hash (CRC-32, never the seeded builtin
@@ -29,6 +32,21 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+#: Largest piece count an announce may report.  Comfortably above any
+#: real torrent (2**24 pieces of 16 KiB are 256 GiB of the smallest piece
+#: anyone ships), and small enough that every sampler weight derived
+#: from it stays a finite, non-zero float.  Progress comes from outside
+#: the program: an unchecked value reaches float arithmetic on every
+#: later announce of the swarm.
+MAX_HAVE = 1 << 24
+
+
+def check_have(have_count: Optional[int]) -> None:
+    """Raise :class:`ValueError` unless *have_count* is None or a piece
+    count in ``0 .. MAX_HAVE``."""
+    if have_count is not None and not 0 <= have_count <= MAX_HAVE:
+        raise ValueError("have outside 0..%d" % MAX_HAVE)
+
 
 @dataclass
 class PeerEntry:
@@ -38,8 +56,9 @@ class PeerEntry:
     is_seed: bool
     have_count: Optional[int] = None
     """Pieces the peer reported holding (from the announce's ``left``
-    field); None when the client did not report progress.  Feeds the
-    rarity-aware sampler."""
+    field); None when the client did not report progress.  Mirrored
+    into :attr:`SwarmState.have`, which is what the rarity-aware sampler
+    reads: change it through :meth:`SwarmState.update` only."""
 
     registered_at: float = 0.0
     last_seen: float = 0.0
@@ -65,20 +84,27 @@ class _DenseIndex:
     def __contains__(self, address: str) -> bool:
         return address in self._where
 
+    def position(self, address: str) -> Optional[int]:
+        """Index of *address* in ``order``; None when absent."""
+        return self._where.get(address)
+
     def add(self, address: str) -> None:
         if address in self._where:
             return
         self._where[address] = len(self.order)
         self.order.append(address)
 
-    def discard(self, address: str) -> None:
+    def discard(self, address: str) -> Optional[int]:
+        """Swap-remove *address*; returns the slot it held (None when
+        absent) so a column aligned with ``order`` can mirror the move."""
         index = self._where.pop(address, None)
         if index is None:
-            return
+            return None
         tail = self.order.pop()
         if tail != address:
             self.order[index] = tail
             self._where[tail] = index
+        return index
 
 
 class SwarmState:
@@ -88,6 +114,12 @@ class SwarmState:
         self.infohash = infohash
         self.entries: Dict[str, PeerEntry] = {}
         self.all = _DenseIndex()
+        self.have: List[int] = []
+        """``have_count or 0`` of every registered peer, aligned with
+        ``all.order``.  Written only in this class — appended on
+        registration, stored on a progress report, swap-removed with the
+        address — and read by the rarity-aware sampler."""
+
         self.seeds = _DenseIndex()
         self.leechers = _DenseIndex()
         self.announce_seq = 0
@@ -113,16 +145,18 @@ class SwarmState:
 
         ``event`` follows BEP 3: ``"started"``, ``"stopped"``,
         ``"completed"`` or ``""`` (keep-alive).  A ``stopped`` announce
-        returns a detached entry (no longer registered).
+        returns a detached entry (no longer registered).  A
+        ``have_count`` outside ``0 .. MAX_HAVE`` raises
+        :class:`ValueError` before anything is touched.
         """
+        check_have(have_count)
         self.announce_seq += 1
         if event == "stopped":
             entry = self.entries.pop(address, None)
             if entry is None:
                 entry = PeerEntry(address, is_seed, have_count, now, now)
-            self.all.discard(address)
-            self.seeds.discard(address)
-            self.leechers.discard(address)
+            else:
+                self._unregister(address)
             entry.last_seen = now
             return entry
         entry = self.entries.get(address)
@@ -130,10 +164,12 @@ class SwarmState:
             entry = PeerEntry(address, is_seed, have_count, now, now)
             self.entries[address] = entry
             self.all.add(address)
+            self.have.append(have_count or 0)
+        elif have_count is not None:
+            entry.have_count = have_count
+            self.have[self.all._where[address]] = have_count
         was_seed = address in self.seeds
         entry.is_seed = is_seed
-        if have_count is not None:
-            entry.have_count = have_count
         entry.last_seen = now
         if event == "completed":
             self.completed_count += 1
@@ -168,10 +204,18 @@ class SwarmState:
         ]
         for address in dead:
             del self.entries[address]
-            self.all.discard(address)
-            self.seeds.discard(address)
-            self.leechers.discard(address)
+            self._unregister(address)
         return dead
+
+    def _unregister(self, address: str) -> None:
+        """Swap-remove a registered peer from the dense lists and the
+        ``have`` column (its ``entries`` record is the caller's)."""
+        index = self.all.discard(address)
+        tail = self.have.pop()
+        if index < len(self.have):
+            self.have[index] = tail
+        self.seeds.discard(address)
+        self.leechers.discard(address)
 
     def scrape(self) -> Tuple[int, int]:
         """(seeds, leechers) currently registered."""

@@ -18,7 +18,9 @@ from repro.tracker.client import (
     TrackerEndpoint,
     announce_http,
     announce_udp,
+    build_announce_target,
 )
+from repro.tracker.sampling import make_sampler
 from repro.tracker.server import (
     UDP_ERROR,
     TrackerServer,
@@ -153,6 +155,96 @@ def server_port_types(response):
         isinstance(host, str) and 0 < port < 65536
         for host, port in response.peers
     )
+
+
+class TestHostileAnnounces:
+    """One bad request must cost its sender a 400 and nobody else
+    anything: before the bounds check a single ``have=-1`` was stored,
+    and every later announce of that swarm died in the sampler's float
+    arithmetic without a response."""
+
+    #: (sampler spec, hostile ``have``): division by zero, an int no
+    #: float can hold, and a negative base under a fractional exponent.
+    CASES = (
+        ("rarity-aware", "-1"),
+        ("rarity-aware", "9" * 400),
+        ("rarity-aware:bias=0.5", "-5"),
+    )
+
+    @staticmethod
+    def rarity_service(spec):
+        service = make_service(sampler=make_sampler(spec))
+        for request in announce_sequence(12):
+            service.announce(request)
+        return service
+
+    @staticmethod
+    def hostile_line(have):
+        target = build_announce_target(
+            AnnounceRequest(infohash=INFOHASH, address="10.7.0.66:6881",
+                            event="started", num_want=15),
+            6881,
+        )
+        return "GET %s&have=%s HTTP/1.0" % (target, have)
+
+    HONEST = AnnounceRequest(
+        infohash=INFOHASH, address="10.7.0.3:6881", num_want=15, have_count=40
+    )
+
+    @pytest.mark.parametrize(
+        "spec,have", CASES, ids=["zero-weight", "400-digits", "complex-key"]
+    )
+    def test_bad_have_is_a_400_and_the_swarm_keeps_answering(self, spec, have):
+        service = self.rarity_service(spec)
+        server = TrackerServer(service)
+        state = service.store.get(INFOHASH)
+        before = (state.announce_seq, state.addresses(), list(state.have))
+
+        body, status = server.handle_http_request(
+            self.hostile_line(have), "127.0.0.1"
+        )
+        assert status == 400
+        assert b"bad announce" in bdecode(body)[b"failure reason"]
+        assert (state.announce_seq, state.addresses(), state.have) == before
+
+        body, status = server.handle_http_request(
+            "GET %s HTTP/1.0" % build_announce_target(self.HONEST, 6881),
+            "127.0.0.1",
+        )
+        assert status == 200
+        assert len(decode_announce_response(body).peers) == 11
+
+    def test_over_a_real_socket(self):
+        # The three bad announces and a request line past the 64 KiB
+        # stream limit, each on its own connection and each answered
+        # (status line and all, not a reset); then an honest announce.
+        lines = [self.hostile_line(have).encode() for __, have in self.CASES]
+        lines.append(b"GET /announce?junk=" + b"a" * (65 * 1024) + b" HTTP/1.0")
+
+        async def scenario():
+            heads = []
+            async with TrackerServer(self.rarity_service("rarity-aware")) as server:
+                for line in lines:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.http_port
+                    )
+                    writer.write(line + b"\r\n\r\n")
+                    await writer.drain()
+                    raw = await asyncio.wait_for(reader.read(), TIMEOUT)
+                    writer.close()
+                    heads.append(raw)
+                honest = await announce_http(
+                    "127.0.0.1", server.http_port, self.HONEST, TIMEOUT
+                )
+            return heads, honest
+
+        heads, honest = run(scenario())
+        for raw in heads:
+            head, __, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 400 Bad Request")
+            assert b"failure reason" in bdecode(body)
+        assert b"too long" in heads[-1]
+        assert len(honest.peers) == 11
 
 
 class TestUdpRoundTrip:

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from random import Random
 
 from repro.sim.config import KIB, FaultConfig, SwarmConfig
@@ -27,7 +28,7 @@ from repro.tracker.service import (
     TrackerOverloaded,
     TrackerService,
 )
-from repro.tracker.state import ShardedSwarmStore, SwarmState, shard_of
+from repro.tracker.state import MAX_HAVE, ShardedSwarmStore, SwarmState, shard_of
 from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import pack_peers, unpack_peers
 
@@ -127,6 +128,133 @@ class TestSwarmStateRoles:
         # A stray stop for an unknown peer is harmless.
         state.update("ghost:1", "stopped", False, 2.0)
         assert len(state) == 0
+
+
+class SwarmStateMachine(RuleBasedStateMachine):
+    """Any order of announces and reaps keeps ``SwarmState``'s redundant
+    structures — the ``have`` column, the three dense lists and their
+    position maps — a faithful second copy of ``entries``."""
+
+    peers = st.sampled_from(["10.1.0.%d:6881" % index for index in range(12)])
+    progress = st.one_of(st.none(), st.integers(0, 50))
+
+    def __init__(self):
+        super().__init__()
+        self.state = SwarmState(b"machine")
+        self.now = 0.0
+
+    def announce(self, address, event, is_seed, have):
+        self.now += 1.0
+        before = self.state.announce_seq
+        self.state.update(address, event, is_seed, self.now, have)
+        assert self.state.announce_seq == before + 1
+
+    @rule(address=peers, is_seed=st.booleans(), have=progress)
+    def started(self, address, is_seed, have):
+        self.announce(address, "started", is_seed, have)
+
+    @rule(address=peers, is_seed=st.booleans(), have=progress)
+    def keep_alive(self, address, is_seed, have):
+        self.announce(address, "", is_seed, have)
+
+    @rule(address=peers, have=progress)
+    def completed(self, address, have):
+        self.announce(address, "completed", True, have)
+
+    @rule(address=peers, have=progress)
+    def stopped(self, address, have):
+        self.announce(address, "stopped", False, have)
+        assert address not in self.state.entries
+
+    @rule(max_age=st.integers(0, 12))
+    def expire(self, max_age):
+        self.now += 1.0
+        cutoff = self.now - max_age
+        stale = [a for a, e in self.state.entries.items() if e.last_seen < cutoff]
+        assert self.state.expire(self.now, float(max_age)) == stale
+
+    @invariant()
+    def column_mirrors_entries(self):
+        state = self.state
+        assert state.have == [
+            state.entries[address].have_count or 0 for address in state.all.order
+        ]
+
+    @invariant()
+    def roles_partition_the_registry(self):
+        state = self.state
+        assert sorted(state.all.order) == sorted(state.entries)
+        assert sorted(state.seeds.order + state.leechers.order) == sorted(state.entries)
+        for address, entry in state.entries.items():
+            assert (address in state.seeds) == entry.is_seed
+            assert (address in state.leechers) == (not entry.is_seed)
+
+    @invariant()
+    def position_maps_invert_their_lists(self):
+        for index in (self.state.all, self.state.seeds, self.state.leechers):
+            assert index._where == {a: i for i, a in enumerate(index.order)}
+
+
+SwarmStateMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestSwarmStateMachine = SwarmStateMachine.TestCase
+
+
+class TestProgressBounds:
+    """``have`` comes from outside; it must be a piece count before it
+    reaches the column (and, from there, float arithmetic)."""
+
+    @pytest.mark.parametrize("bad", [-1, -5, MAX_HAVE + 1, 10**400])
+    def test_update_rejects_before_touching_anything(self, bad):
+        state = SwarmState()
+        state.update("x:1", "started", False, 0.0, 7)
+        for event in ("started", "", "completed", "stopped"):
+            for address in ("x:1", "y:2"):
+                with pytest.raises(ValueError):
+                    state.update(address, event, False, 1.0, bad)
+        assert state.announce_seq == 1
+        assert state.addresses() == ["x:1"] and state.have == [7]
+        assert state.entries["x:1"].have_count == 7
+        assert state.entries["x:1"].last_seen == 0.0
+
+    def test_bounds_are_inclusive(self):
+        state = SwarmState()
+        state.update("x:1", "started", False, 0.0, 0)
+        state.update("y:2", "started", False, 0.0, MAX_HAVE)
+        assert state.have == [0, MAX_HAVE]
+
+    def test_service_announce_raises_and_keeps_serving(self):
+        service, __ = make_service(sampler=make_sampler("rarity-aware"))
+        populate(service)
+        with pytest.raises(ValueError):
+            service.announce(
+                AnnounceRequest(infohash=HASH_A, address="10.0.0.99:6881",
+                                event="started", num_want=20, have_count=-1)
+            )
+        result = service.announce(
+            AnnounceRequest(infohash=HASH_A, address="10.0.0.25:6881",
+                            event="", num_want=20, have_count=3)
+        )
+        assert len(result.peers) == 20
+        assert (result.seeds, result.leechers) == (10, 30)
+
+    @pytest.mark.parametrize(
+        "bias", [float("nan"), float("inf"), float("-inf"), 1e6, -1e6, 50.0, -50.0]
+    )
+    def test_rarity_aware_rejects_a_bias_without_finite_weights(self, bias):
+        with pytest.raises(ValueError):
+            RarityAwareSampler(bias)
+
+    def test_extreme_admissible_progress_is_answered(self):
+        # The bias check promises a finite, non-zero exponent all the way
+        # out to MAX_HAVE: hold it to that.
+        for bias in (-40.0, -1.0, 0.0, 1.0, 40.0):
+            state = SwarmState()
+            for index, have in enumerate((0, 1, MAX_HAVE, MAX_HAVE, None, 99)):
+                state.update("p%d:1" % index, "started", False, 0.0, have)
+            peers = RarityAwareSampler(bias).sample(state, "p0:1", 3, Random(1))
+            assert len(peers) == 3 and "p0:1" not in peers
 
 
 class TestSamplers:
@@ -261,6 +389,8 @@ class TestSamplers:
             parse_sampler_spec("uniform:oops")
         with pytest.raises(ValueError):
             SeedBiasedSampler(seed_fraction=1.5)
+        with pytest.raises(ValueError):
+            make_sampler("rarity-aware:bias=1e6")
 
 
 class TestCompactEncoding:
@@ -340,6 +470,21 @@ class TestServiceAnnounce:
             samples.append(result.peers)
         assert samples[0] == samples[1]
         assert len(samples[0]) == 20
+
+    def test_request_rng_derivation_is_pinned(self):
+        # sha256("seed|infohash|announce_seq") -> first 8 bytes, big
+        # endian -> Random(seed): changing any of it changes every wire
+        # answer.  Spelled out here independently, plus one literal draw.
+        state = SwarmState(HASH_A)
+        state.announce_seq = 3
+        service, __ = make_service()
+        rng = service.request_rng(
+            state, AnnounceRequest(infohash=HASH_A, address="a:1")
+        )
+        digest = hashlib.sha256(b"11|" + HASH_A + b"|3").digest()
+        expected = Random(int.from_bytes(digest[:8], "big"))
+        assert rng.getstate() == expected.getstate()
+        assert rng.getrandbits(64) == 6021674500926199929
 
     def test_registration_order_not_dict_order(self):
         # Samples are drawn over the dense registration-order list; a
