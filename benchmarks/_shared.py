@@ -42,7 +42,12 @@ from repro.campaign import (
     execute_shard,
 )
 from repro.instrumentation import Instrumentation, TraceRecorder
-from repro.workloads import TorrentScenario, build_experiment, scenario_by_id
+from repro.workloads import (
+    RunOptions,
+    TorrentScenario,
+    build_experiment,
+    scenario_by_id,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -79,7 +84,7 @@ def _paper_shard(torrent_id: int, seed: int, block_size: Optional[int]) -> Shard
         scenario="paper",
         replicate=0,
         seed=derive_shard_seed(seed, torrent_id, "paper", 0),
-        block_size=block_size,
+        options=RunOptions(block_size=block_size),
     )
 
 

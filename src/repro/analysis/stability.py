@@ -40,7 +40,7 @@ from repro.campaign.spec import (
     CampaignSpec,
 )
 from repro.models.fluid import FluidModel
-from repro.workloads import INTERNET_2005, scenario_by_id
+from repro.workloads import INTERNET_2005, resolve_scenario
 
 __all__ = [
     "POLICY_EFFECTIVENESS",
@@ -116,11 +116,8 @@ def classify_record(record: dict) -> Optional[str]:
 
 def _cell_geometry(scenario_name: str, torrent_id: int) -> Tuple[int, int]:
     """(piece_size, content_size) of a cell after variant overrides."""
-    variant = SCENARIOS[scenario_name]
-    base = scenario_by_id(torrent_id)
-    piece_size = variant.piece_size or base.piece_size
-    num_pieces = variant.num_pieces or base.num_pieces
-    return piece_size, num_pieces * piece_size
+    scenario = resolve_scenario(torrent_id, SCENARIOS[scenario_name].options)
+    return scenario.piece_size, scenario.content_size
 
 
 def phase_diagram(

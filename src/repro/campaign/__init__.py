@@ -53,7 +53,6 @@ from repro.campaign.spec import (
     DEFAULT_CAMPAIGN_SEED,
     DEFAULT_SCENARIO,
     PAPER_TORRENT_IDS,
-    PAYLOAD_FIELDS,
     SCENARIOS,
     CampaignSpec,
     ScenarioVariant,
@@ -77,7 +76,6 @@ __all__ = [
     "LocalBackend",
     "MANIFEST_NAME",
     "PAPER_TORRENT_IDS",
-    "PAYLOAD_FIELDS",
     "SCENARIOS",
     "ScenarioVariant",
     "ShardCache",

@@ -71,10 +71,10 @@ from repro.campaign.cache import DurationBook
 from repro.campaign.runner import (
     ShardTimeout,
     _run_guarded,
-    resolve_scenario,
     run_shard_payload,
 )
 from repro.campaign.spec import ShardSpec
+from repro.workloads import resolve_scenario
 
 PROTOCOL_VERSION = 1
 
@@ -164,7 +164,7 @@ def estimate_shard_cost(shard: ShardSpec) -> float:
     probes across the peer set over the run window.  Used only when no
     recorded duration exists for the shard's id.
     """
-    scenario = resolve_scenario(shard)
+    scenario = resolve_scenario(shard.torrent_id, shard.options)
     peers = scenario.seeds + scenario.leechers + 1
     duration_scale = scenario.duration / _REFERENCE_DURATION
     return scenario.num_pieces * peers * duration_scale / _COST_UNITS_PER_SECOND

@@ -29,13 +29,14 @@ property tests in ``tests/test_campaign_dispatch.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.campaign.cache import ShardCache, shard_cache_key
 from repro.campaign.runner import MANIFEST_NAME
-from repro.campaign.spec import PAYLOAD_FIELDS, CampaignSpec, expand_spec
+from repro.campaign.spec import CampaignSpec, expand_spec
+from repro.workloads import RunOptions
 
 #: Delta states in severity order (render order).
 DELTA_STATES = ("new", "changed", "evicted", "cached")
@@ -111,13 +112,18 @@ class InvalidationReport:
 
 
 def _field_diff(old_payload: dict, new_payload: dict) -> List[Tuple[str, object, object]]:
-    """Which payload coordinates moved between two shard payloads."""
+    """Which coordinates moved between two payloads of one shard id.
+
+    The id fixes torrent, scenario and replicate, so what can move is the
+    seed and the :class:`RunOptions` coordinates, walked in declaration
+    order; one absent from a payload is at its default.
+    """
+    defaults = {"seed": None}
+    defaults.update((f.name, f.default) for f in fields(RunOptions))
     changes = []
-    for name in PAYLOAD_FIELDS:
-        old = old_payload.get(name)
-        new = new_payload.get(name)
-        if name == "depart_on_completion":
-            old, new = bool(old), bool(new)
+    for name, default in defaults.items():
+        old = old_payload.get(name, default)
+        new = new_payload.get(name, default)
         if old != new:
             changes.append((name, old, new))
     return changes

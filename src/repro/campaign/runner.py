@@ -53,7 +53,7 @@ from repro.campaign.cache import DurationBook, ShardCache, shard_cache_key
 from repro.campaign.spec import CampaignSpec, ShardSpec, expand_spec
 from repro.instrumentation import Instrumentation, TraceRecorder
 from repro.instrumentation.replay import replay_instrumentation
-from repro.workloads import build_experiment, scaled_copy, scenario_by_id
+from repro.workloads import build_experiment, resolve_run
 
 #: XOR salt for the *global* ``random`` re-seed, so the hygiene seed and
 #: the simulation seed are distinct streams even though both derive from
@@ -70,25 +70,6 @@ class ShardTimeout(Exception):
 
 def _alarm(signum, frame):  # pragma: no cover - fires only on overrun
     raise ShardTimeout("shard exceeded its timeout")
-
-
-def resolve_scenario(shard: ShardSpec):
-    """The Table-I scenario with the shard's overrides applied."""
-    scenario = scenario_by_id(shard.torrent_id)
-    overrides = {}
-    if shard.duration is not None:
-        overrides["duration"] = shard.duration
-    if shard.arrival_rate is not None:
-        overrides["arrival_rate"] = shard.arrival_rate
-    if shard.seed_upload is not None:
-        overrides["initial_seed_upload"] = shard.seed_upload
-    if shard.num_pieces is not None:
-        overrides["num_pieces"] = shard.num_pieces
-    if shard.piece_size is not None:
-        overrides["piece_size"] = shard.piece_size
-    if overrides:
-        scenario = scaled_copy(scenario, **overrides)
-    return scenario
 
 
 def execute_shard(
@@ -124,55 +105,15 @@ def execute_shard(
     # simulation draws only from Random(shard.seed)-derived streams.
     random.seed(shard.seed ^ _RESEED_SALT)
 
-    scenario = resolve_scenario(shard)
-    swarm_config = None
-    if shard.faults is not None:
-        from repro.sim.config import SwarmConfig
-        from repro.sim.faults import FAULT_PRESETS
-
-        swarm_config = SwarmConfig(
-            seed=shard.seed,
-            duration=scenario.duration,
-            faults=FAULT_PRESETS[shard.faults],
-        )
-
-    # Piece-selection / streaming overrides.  A shard without them calls
-    # build_experiment with the exact historical arguments, so baseline
-    # traces (and their fingerprints) are unchanged.
-    strategy_kwargs: Dict = {}
-    if shard.selector is not None:
-        from repro.core.rarest_first import make_selector
-
-        spec = shard.selector
-        strategy_kwargs["local_selector"] = make_selector(spec)
-        strategy_kwargs["population_selector_factory"] = (
-            lambda: make_selector(spec)
-        )
-    if shard.playback_rate is not None:
-        strategy_kwargs["playback_rate"] = shard.playback_rate
-        strategy_kwargs["playback_startup_pieces"] = (
-            shard.playback_startup_pieces
-        )
-    if shard.depart_on_completion:
-        strategy_kwargs["depart_on_completion"] = True
-    if shard.flash_crowd_size is not None:
-        strategy_kwargs["flash_crowd_size"] = shard.flash_crowd_size
-    if shard.stability_interval is not None:
-        strategy_kwargs["stability_interval"] = shard.stability_interval
-    if shard.tracker_sampler is not None:
-        strategy_kwargs["tracker_sampler"] = shard.tracker_sampler
-
+    scenario, build_kwargs = resolve_run(
+        shard.torrent_id, shard.seed, shard.options
+    )
     trace_tmp = cache.trace_tmp_path(key) if cache is not None else None
     recorder = TraceRecorder(str(trace_tmp) if trace_tmp is not None else None)
     started = time.perf_counter()
     try:
         harness = build_experiment(
-            scenario,
-            seed=shard.seed,
-            block_size=shard.block_size,
-            swarm_config=swarm_config,
-            trace_recorder=recorder,
-            **strategy_kwargs,
+            scenario, trace_recorder=recorder, **build_kwargs
         )
         instrumentation = harness.run()
     except BaseException:
@@ -205,7 +146,7 @@ def execute_shard(
             "trace_fingerprint": fingerprint,
         },
     }
-    if shard.playback_rate is not None and instrumentation.playback_events:
+    if instrumentation.playback_events:
         from repro.analysis.streaming import playback_summary
 
         playback = playback_summary(instrumentation)

@@ -23,38 +23,15 @@ SHA-256 mix of the full tuple.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fnmatch import fnmatch
 from typing import List, Optional, Tuple
+
+from repro.workloads import RunOptions
 
 DEFAULT_CAMPAIGN_SEED = 3
 DEFAULT_SCENARIO = "paper"
 PAPER_TORRENT_IDS: Tuple[int, ...] = tuple(range(1, 27))
-
-#: Every key that can appear in :meth:`ShardSpec.as_payload`, in payload
-#: order.  The incremental differ (:mod:`repro.campaign.incremental`)
-#: walks this list to explain *which* coordinate invalidated a cached
-#: shard, so it must stay in lockstep with ``as_payload``.
-PAYLOAD_FIELDS: Tuple[str, ...] = (
-    "torrent_id",
-    "scenario",
-    "replicate",
-    "seed",
-    "duration",
-    "block_size",
-    "faults",
-    "selector",
-    "playback_rate",
-    "playback_startup_pieces",
-    "arrival_rate",
-    "seed_upload",
-    "num_pieces",
-    "piece_size",
-    "depart_on_completion",
-    "flash_crowd_size",
-    "stability_interval",
-    "tracker_sampler",
-)
 
 
 @dataclass(frozen=True)
@@ -62,58 +39,11 @@ class ScenarioVariant:
     """A named transform applied on top of a Table-I scenario."""
 
     name: str
-    duration: Optional[float] = None
-    """Override the scenario's simulated run length (seconds)."""
+    options: RunOptions = RunOptions()
 
-    block_size: Optional[int] = None
-    """Override the torrent's block size (bytes)."""
 
-    faults: Optional[str] = None
-    """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
-
-    selector: Optional[str] = None
-    """Piece-selection strategy spec for every peer in the swarm
-    (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
-    ``"seq-window:window=16"``).  None keeps the historical rarest-first
-    default and leaves the shard's trace byte-identical to pre-selector
-    campaigns."""
-
-    playback_rate: Optional[float] = None
-    """Streaming playback rate in bytes/second applied to the local peer
-    and every population leecher; None disables the playback model."""
-
-    playback_startup_pieces: Optional[int] = None
-    """Startup-buffer threshold (contiguous pieces) for streaming runs."""
-
-    arrival_rate: Optional[float] = None
-    """Poisson leecher arrival rate (peers/s) override for the scenario."""
-
-    seed_upload: Optional[float] = None
-    """Initial-seed upload capacity (bytes/s) override."""
-
-    num_pieces: Optional[int] = None
-    """Piece-count override (shrinks the content for fast sweeps)."""
-
-    piece_size: Optional[int] = None
-    """Piece-size override (bytes)."""
-
-    depart_on_completion: bool = False
-    """Open-system mode: every population leecher leaves the instant it
-    completes (see :mod:`repro.workloads.open_system`)."""
-
-    flash_crowd_size: Optional[int] = None
-    """Extra torrent-birth burst of that many leechers."""
-
-    stability_interval: Optional[float] = None
-    """Attach a swarm-stability detector sampling every that-many
-    seconds; None (the default) attaches nothing and leaves traces
-    byte-identical to pre-open-system campaigns."""
-
-    tracker_sampler: Optional[str] = None
-    """Tracker peer-sampling strategy spec
-    (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
-    ``"rarity-aware:bias=1.0"``).  None keeps the uniform default and
-    the shard's historical trace."""
+def _variant(name: str, **coordinates) -> ScenarioVariant:
+    return ScenarioVariant(name, RunOptions(**coordinates))
 
 
 #: The scenario registry.  ``paper`` is the evaluation as published;
@@ -126,19 +56,19 @@ class ScenarioVariant:
 #: selector's effect on startup delay and rebuffering.
 STREAMING_PLAYBACK_RATE = 16.0 * 1024
 SCENARIOS = {
-    "paper": ScenarioVariant("paper"),
-    "smoke": ScenarioVariant("smoke", duration=240.0),
-    "faults-light": ScenarioVariant("faults-light", faults="light"),
-    "faults-heavy": ScenarioVariant("faults-heavy", faults="heavy"),
-    "streaming-rarest": ScenarioVariant(
+    "paper": _variant("paper"),
+    "smoke": _variant("smoke", duration=240.0),
+    "faults-light": _variant("faults-light", faults="light"),
+    "faults-heavy": _variant("faults-heavy", faults="heavy"),
+    "streaming-rarest": _variant(
         "streaming-rarest", playback_rate=STREAMING_PLAYBACK_RATE
     ),
-    "streaming-seqwin": ScenarioVariant(
+    "streaming-seqwin": _variant(
         "streaming-seqwin",
         selector="seq-window:window=16",
         playback_rate=STREAMING_PLAYBACK_RATE,
     ),
-    "streaming-pfs": ScenarioVariant(
+    "streaming-pfs": _variant(
         "streaming-pfs",
         selector="pfs:urgency=0.95,rarity_bias=1.0",
         playback_rate=STREAMING_PLAYBACK_RATE,
@@ -149,7 +79,7 @@ SCENARIOS = {
     # (arrival_rate, seed_upload) x {flash-crowd, flash-crowd-suppress}
     # isolates mode suppression's effect on the stability boundary (see
     # repro.analysis.stability).
-    "flash-crowd": ScenarioVariant(
+    "flash-crowd": _variant(
         "flash-crowd",
         duration=1200.0,
         num_pieces=48,
@@ -159,7 +89,7 @@ SCENARIOS = {
         flash_crowd_size=12,
         stability_interval=30.0,
     ),
-    "flash-crowd-suppress": ScenarioVariant(
+    "flash-crowd-suppress": _variant(
         "flash-crowd-suppress",
         duration=1200.0,
         num_pieces=48,
@@ -188,6 +118,9 @@ def derive_shard_seed(
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
+_IDENTITY_FIELDS = ("torrent_id", "scenario", "replicate", "seed")
+
+
 @dataclass(frozen=True)
 class ShardSpec:
     """One independent run of a campaign: a fully resolved experiment."""
@@ -196,87 +129,25 @@ class ShardSpec:
     scenario: str
     replicate: int
     seed: int
-    duration: Optional[float] = None
-    block_size: Optional[int] = None
-    faults: Optional[str] = None
-    selector: Optional[str] = None
-    playback_rate: Optional[float] = None
-    playback_startup_pieces: Optional[int] = None
-    arrival_rate: Optional[float] = None
-    seed_upload: Optional[float] = None
-    num_pieces: Optional[int] = None
-    piece_size: Optional[int] = None
-    depart_on_completion: bool = False
-    flash_crowd_size: Optional[int] = None
-    stability_interval: Optional[float] = None
-    tracker_sampler: Optional[str] = None
+    options: RunOptions = RunOptions()
 
     @property
     def shard_id(self) -> str:
         return "t%02d-%s-r%d" % (self.torrent_id, self.scenario, self.replicate)
 
     def as_payload(self) -> dict:
-        """A picklable/JSON-safe dict from which the shard can be rebuilt.
-
-        The streaming/selector keys are only present when set: a shard
-        that uses neither serialises exactly as it did before they
-        existed, so cached results and cache keys of historical
-        campaigns stay valid.
-        """
-        payload = {
-            "torrent_id": self.torrent_id,
-            "scenario": self.scenario,
-            "replicate": self.replicate,
-            "seed": self.seed,
-            "duration": self.duration,
-            "block_size": self.block_size,
-            "faults": self.faults,
-        }
-        if self.selector is not None:
-            payload["selector"] = self.selector
-        if self.playback_rate is not None:
-            payload["playback_rate"] = self.playback_rate
-        if self.playback_startup_pieces is not None:
-            payload["playback_startup_pieces"] = self.playback_startup_pieces
-        if self.arrival_rate is not None:
-            payload["arrival_rate"] = self.arrival_rate
-        if self.seed_upload is not None:
-            payload["seed_upload"] = self.seed_upload
-        if self.num_pieces is not None:
-            payload["num_pieces"] = self.num_pieces
-        if self.piece_size is not None:
-            payload["piece_size"] = self.piece_size
-        if self.depart_on_completion:
-            payload["depart_on_completion"] = True
-        if self.flash_crowd_size is not None:
-            payload["flash_crowd_size"] = self.flash_crowd_size
-        if self.stability_interval is not None:
-            payload["stability_interval"] = self.stability_interval
-        if self.tracker_sampler is not None:
-            payload["tracker_sampler"] = self.tracker_sampler
+        """A picklable/JSON-safe dict from which the shard can be rebuilt:
+        the identity, then :meth:`RunOptions.as_payload` (whose
+        only-when-set rule keeps historical cache keys valid)."""
+        payload = {name: getattr(self, name) for name in _IDENTITY_FIELDS}
+        payload.update(self.options.as_payload())
         return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ShardSpec":
         return cls(
-            torrent_id=payload["torrent_id"],
-            scenario=payload["scenario"],
-            replicate=payload["replicate"],
-            seed=payload["seed"],
-            duration=payload.get("duration"),
-            block_size=payload.get("block_size"),
-            faults=payload.get("faults"),
-            selector=payload.get("selector"),
-            playback_rate=payload.get("playback_rate"),
-            playback_startup_pieces=payload.get("playback_startup_pieces"),
-            arrival_rate=payload.get("arrival_rate"),
-            seed_upload=payload.get("seed_upload"),
-            num_pieces=payload.get("num_pieces"),
-            piece_size=payload.get("piece_size"),
-            depart_on_completion=payload.get("depart_on_completion", False),
-            flash_crowd_size=payload.get("flash_crowd_size"),
-            stability_interval=payload.get("stability_interval"),
-            tracker_sampler=payload.get("tracker_sampler"),
+            *(payload[name] for name in _IDENTITY_FIELDS),
+            options=RunOptions.from_payload(payload),
         )
 
 
@@ -284,9 +155,10 @@ class ShardSpec:
 class CampaignSpec:
     """The declarative description of a campaign.
 
-    ``duration``/``block_size`` apply to every shard and take precedence
-    over the scenario variant's own overrides (they are the explicit
-    knob, the variant is the default).
+    The fields that share a name with a :class:`RunOptions` coordinate
+    (``duration`` ... ``tracker_sampler``) apply to every shard and,
+    when set, take precedence over the scenario variant's own value
+    (they are the explicit knob, the variant is the default).
     """
 
     name: str = "paper-table1"
@@ -303,20 +175,20 @@ class CampaignSpec:
     tracker_sampler: Optional[str] = None
 
     def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "torrent_ids": list(self.torrent_ids),
-            "scenarios": list(self.scenarios),
-            "replicates": self.replicates,
-            "campaign_seed": self.campaign_seed,
-            "duration": self.duration,
-            "block_size": self.block_size,
-            "selector": self.selector,
-            "playback_rate": self.playback_rate,
-            "arrival_rate": self.arrival_rate,
-            "seed_upload": self.seed_upload,
-            "tracker_sampler": self.tracker_sampler,
-        }
+        described = {f.name: getattr(self, f.name) for f in fields(self)}
+        described["torrent_ids"] = list(self.torrent_ids)
+        described["scenarios"] = list(self.scenarios)
+        return described
+
+    def overrides(self) -> RunOptions:
+        """The campaign-level coordinates, as the options they override."""
+        return RunOptions(
+            **{
+                f.name: getattr(self, f.name)
+                for f in fields(RunOptions)
+                if hasattr(self, f.name)
+            }
+        )
 
 
 def expand_spec(
@@ -330,34 +202,23 @@ def expand_spec(
     shards whose :attr:`~ShardSpec.shard_id` matches the glob (or
     contains it as a substring), e.g. ``"t07-*"`` or ``"faults"``.
 
-    Selector specs are validated here (fail fast, before any worker is
-    spawned) against the registry in :mod:`repro.core.rarest_first`.
+    An unknown scenario raises ``KeyError`` and a bad selector, sampler
+    or fault-preset spec ``ValueError`` here (``RunOptions`` validates
+    itself), before any worker is spawned.
     """
-    from repro.core.rarest_first import parse_selector_spec
-
-    from repro.tracker.sampling import parse_sampler_spec
-
-    for selector_spec in {spec.selector} | {
-        SCENARIOS[name].selector for name in spec.scenarios if name in SCENARIOS
-    }:
-        if selector_spec is not None:
-            parse_selector_spec(selector_spec)
-    for sampler_spec in {spec.tracker_sampler} | {
-        SCENARIOS[name].tracker_sampler
-        for name in spec.scenarios
-        if name in SCENARIOS
-    }:
-        if sampler_spec is not None:
-            parse_sampler_spec(sampler_spec)
+    overrides = spec.overrides()
+    merged = {}
+    for scenario in spec.scenarios:
+        variant = SCENARIOS.get(scenario)
+        if variant is None:
+            raise KeyError(
+                "unknown scenario %r (have: %s)"
+                % (scenario, ", ".join(sorted(SCENARIOS)))
+            )
+        merged[scenario] = overrides.over(variant.options)
     shards: List[ShardSpec] = []
     for torrent_id in spec.torrent_ids:
         for scenario in spec.scenarios:
-            variant = SCENARIOS.get(scenario)
-            if variant is None:
-                raise KeyError(
-                    "unknown scenario %r (have: %s)"
-                    % (scenario, ", ".join(sorted(SCENARIOS)))
-                )
             for replicate in range(spec.replicates):
                 shard = ShardSpec(
                     torrent_id=torrent_id,
@@ -366,48 +227,7 @@ def expand_spec(
                     seed=derive_shard_seed(
                         spec.campaign_seed, torrent_id, scenario, replicate
                     ),
-                    duration=(
-                        spec.duration
-                        if spec.duration is not None
-                        else variant.duration
-                    ),
-                    block_size=(
-                        spec.block_size
-                        if spec.block_size is not None
-                        else variant.block_size
-                    ),
-                    faults=variant.faults,
-                    selector=(
-                        spec.selector
-                        if spec.selector is not None
-                        else variant.selector
-                    ),
-                    playback_rate=(
-                        spec.playback_rate
-                        if spec.playback_rate is not None
-                        else variant.playback_rate
-                    ),
-                    playback_startup_pieces=variant.playback_startup_pieces,
-                    arrival_rate=(
-                        spec.arrival_rate
-                        if spec.arrival_rate is not None
-                        else variant.arrival_rate
-                    ),
-                    seed_upload=(
-                        spec.seed_upload
-                        if spec.seed_upload is not None
-                        else variant.seed_upload
-                    ),
-                    num_pieces=variant.num_pieces,
-                    piece_size=variant.piece_size,
-                    depart_on_completion=variant.depart_on_completion,
-                    flash_crowd_size=variant.flash_crowd_size,
-                    stability_interval=variant.stability_interval,
-                    tracker_sampler=(
-                        spec.tracker_sampler
-                        if spec.tracker_sampler is not None
-                        else variant.tracker_sampler
-                    ),
+                    options=merged[scenario],
                 )
                 if shard_filter and not _matches(shard.shard_id, shard_filter):
                     continue

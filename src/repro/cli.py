@@ -3,13 +3,11 @@
 ::
 
     python -m repro list-torrents
-    python -m repro run --torrent 7 --seed 3 --save trace.json
     python -m repro run --torrent 7 --trace out.jsonl --trace-all
     python -m repro figure entropy --torrent 7
     python -m repro figure replication --torrent 8 --leecher-only
     python -m repro figure interarrival --torrent 10 --kind piece
     python -m repro figure fairness --torrent 7
-    python -m repro analyze trace.json --figure entropy
     python -m repro replay out.jsonl --figure entropy
     python -m repro trace diff a.jsonl b.jsonl --context 5
     python -m repro trace stats out.jsonl
@@ -24,14 +22,13 @@ replicates) across worker processes with content-addressed caching —
 ``repro campaign run`` executes the missing shards and writes a
 ``manifest.json``; ``repro campaign status`` renders that manifest.
 ``run`` executes one Table-I experiment with the instrumented client;
-``figure`` runs it and prints the requested figure's data; ``analyze``
-recomputes figures from a saved trace without re-simulating; ``replay``
+``figure`` runs it and prints the requested figure's data; ``replay``
 reconstructs the instrumentation from a structured JSONL trace (``run
---trace``) and prints any figure from it; ``trace diff`` locates the
-first event at which two traces part (exit 1) and ``trace stats``
-summarises one; ``metrics`` runs an experiment
-with the metrics registry and engine profiler enabled and dumps both;
-``model`` evaluates the Qiu–Srikant fluid model.
+--trace``) and prints any figure from it without re-simulating;
+``trace diff`` locates the first event at which two traces part (exit 1)
+and ``trace stats`` summarises one; ``metrics`` runs an experiment and
+dumps the instrumentation's metrics registry; ``model`` evaluates the
+Qiu–Srikant fluid model.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -53,7 +51,6 @@ from repro.analysis import (
 )
 from repro.analysis.fairness import leecher_contribution, seed_contribution
 from repro.instrumentation import (
-    EngineProfiler,
     Instrumentation,
     TraceRecorder,
     diff_traces,
@@ -63,13 +60,13 @@ from repro.instrumentation import (
 )
 from repro.instrumentation.replay import TraceFormatError
 from repro.models import FluidModel
-from repro.reporting import (
-    ascii_table,
-    load_trace_summary,
-    save_trace_summary,
-    sparkline,
+from repro.reporting import ascii_table, sparkline
+from repro.workloads import TABLE1, RunOptions, build_experiment, resolve_run
+
+FIGURES = (
+    "entropy", "replication", "rarest-set", "peer-set", "interarrival",
+    "fairness",
 )
-from repro.workloads import TABLE1, build_experiment, scaled_copy, scenario_by_id
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,28 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one Table-I experiment with the instrumented client"
     )
     _experiment_arguments(run_parser)
-    run_parser.add_argument(
-        "--save", metavar="PATH", help="save the trace summary as JSON"
-    )
 
     figure_parser = commands.add_parser(
         "figure", help="run an experiment and print one figure's data"
     )
-    figure_parser.add_argument(
-        "name",
-        choices=["entropy", "replication", "rarest-set", "peer-set",
-                 "interarrival", "fairness"],
-        help="which figure to regenerate",
-    )
+    _figure_arguments(figure_parser, "name")
     _experiment_arguments(figure_parser)
-    figure_parser.add_argument(
-        "--kind", choices=["piece", "block"], default="piece",
-        help="interarrival item kind (figure 7 vs 8)",
-    )
-    figure_parser.add_argument(
-        "--leecher-only", action="store_true",
-        help="restrict series to the local peer's leecher state",
-    )
 
     replay_parser = commands.add_parser(
         "replay",
@@ -116,16 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "('run --trace') and print one figure — no simulation",
     )
     replay_parser.add_argument("trace", help="JSONL trace from 'run --trace'")
-    replay_parser.add_argument(
-        "--figure",
-        choices=["entropy", "replication", "rarest-set", "peer-set",
-                 "interarrival", "fairness"],
-        default="entropy",
-    )
-    replay_parser.add_argument(
-        "--kind", choices=["piece", "block"], default="piece"
-    )
-    replay_parser.add_argument("--leecher-only", action="store_true")
+    _figure_arguments(replay_parser, "--figure", default="entropy")
     replay_parser.add_argument(
         "--peer", metavar="ADDR", default=None,
         help="which traced peer to reconstruct (default: the first; "
@@ -162,25 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics_parser = commands.add_parser(
         "metrics",
-        help="run an experiment with the metrics registry + engine "
-        "profiler and dump both",
+        help="run an experiment and dump the instrumentation's metrics "
+        "registry (per-layer timing: python3 benchmarks/suite/run.py "
+        "--workload <w> --trace 1)",
     )
     _experiment_arguments(metrics_parser)
-
-    analyze_parser = commands.add_parser(
-        "analyze", help="recompute figures from a saved trace (no simulation)"
-    )
-    analyze_parser.add_argument("trace", help="JSON trace from 'run --save'")
-    analyze_parser.add_argument(
-        "--figure",
-        choices=["entropy", "replication", "rarest-set", "peer-set",
-                 "interarrival", "fairness"],
-        default="entropy",
-    )
-    analyze_parser.add_argument(
-        "--kind", choices=["piece", "block"], default="piece"
-    )
-    analyze_parser.add_argument("--leecher-only", action="store_true")
 
     campaign_parser = commands.add_parser(
         "campaign",
@@ -207,29 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
             "streaming-seqwin, streaming-pfs, flash-crowd, "
             "flash-crowd-suppress",
         )
-        parser.add_argument(
-            "--selector", default=None, metavar="SPEC",
-            help="override every shard's piece-selection strategy "
-            "(see 'repro run --selector')",
-        )
-        parser.add_argument(
-            "--playback-rate", type=float, default=None,
-            metavar="BYTES_PER_S",
-            help="override every shard's streaming playback rate",
-        )
-        parser.add_argument(
-            "--tracker-sampler", default=None, metavar="SPEC",
-            help="override every shard's tracker peer-sampling strategy "
-            "(see 'repro run --tracker-sampler')",
-        )
+        _run_option_arguments(parser)
         parser.add_argument("--replicates", type=int, default=1)
         parser.add_argument(
             "--campaign-seed", type=int, default=3,
             help="root seed every shard's RNG stream derives from",
-        )
-        parser.add_argument(
-            "--duration", type=float, default=None,
-            help="override every shard's simulated run length",
         )
         parser.add_argument(
             "--cache-dir", default="campaign-cache",
@@ -389,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve announces over HTTP-style TCP and UDP datagrams",
     )
+    tracker_serve.set_defaults(usage_error=tracker_serve.error)
     tracker_serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
     )
@@ -470,13 +411,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_option_arguments(parser: argparse.ArgumentParser) -> None:
+    """The run coordinates a single run and a whole campaign both take
+    (``run|figure|metrics`` and ``campaign run|diff``), declared once."""
+    # A bad value surfaces when the options are resolved, after parsing;
+    # the handler reports it through the subcommand's own parser.
+    parser.set_defaults(usage_error=parser.error)
+    parser.add_argument(
+        "--duration", type=float, default=None,
+        help="override the simulated run length (seconds) of the run, or "
+        "of every shard",
+    )
+    parser.add_argument(
+        "--selector", default=None, metavar="SPEC",
+        help="piece-selection strategy for every peer: rarest-first "
+        "(default), random, sequential, 'seq-window:window=16', "
+        "'pfs:urgency=0.95,rarity_bias=1.0', "
+        "'mode-suppression:suppression=0.9'",
+    )
+    parser.add_argument(
+        "--playback-rate", type=float, default=None, metavar="BYTES_PER_S",
+        help="streaming workload: play the content in-order at this rate "
+        "on the local peer and every leecher, reporting startup delay "
+        "and rebuffer metrics",
+    )
+    parser.add_argument(
+        "--tracker-sampler", default=None, metavar="SPEC",
+        help="tracker peer-sampling strategy: uniform (default), "
+        "'seed-biased:seed_fraction=0.5', 'rarity-aware:bias=1.0'",
+    )
+
+
 def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--torrent", type=int, default=7, help="Table-I id (1-26)")
     parser.add_argument("--seed", type=int, default=3, help="RNG seed")
-    parser.add_argument(
-        "--duration", type=float, default=None,
-        help="override the scenario's run length (simulated seconds)",
-    )
+    _run_option_arguments(parser)
     parser.add_argument(
         "--faults", choices=["off", "light", "heavy"], default="off",
         help="inject faults: 'light' = 2%% message loss + jitter + one "
@@ -493,26 +462,27 @@ def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
         help="trace every peer in the swarm, not just the local one",
     )
     parser.add_argument(
-        "--selector", default=None, metavar="SPEC",
-        help="piece-selection strategy for every peer: rarest-first "
-        "(default), random, sequential, 'seq-window:window=16', "
-        "'pfs:urgency=0.95,rarity_bias=1.0', "
-        "'mode-suppression:suppression=0.9'",
-    )
-    parser.add_argument(
-        "--playback-rate", type=float, default=None, metavar="BYTES_PER_S",
-        help="streaming workload: play the content in-order at this rate "
-        "on the local peer and every leecher, reporting startup delay "
-        "and rebuffer metrics",
-    )
-    parser.add_argument(
         "--playback-startup-pieces", type=int, default=None, metavar="N",
         help="contiguous pieces buffered before playback starts (default 2)",
     )
+
+
+def _figure_arguments(
+    parser: argparse.ArgumentParser, figure_flag: str, **figure_kwargs
+) -> None:
+    """Which figure to print and how (``figure`` names it positionally,
+    ``replay`` with ``--figure``)."""
     parser.add_argument(
-        "--tracker-sampler", default=None, metavar="SPEC",
-        help="tracker peer-sampling strategy: uniform (default), "
-        "'seed-biased:seed_fraction=0.5', 'rarity-aware:bias=1.0'",
+        figure_flag, choices=FIGURES, help="which figure to regenerate",
+        **figure_kwargs,
+    )
+    parser.add_argument(
+        "--kind", choices=["piece", "block"], default="piece",
+        help="interarrival item kind (figure 7 vs 8)",
+    )
+    parser.add_argument(
+        "--leecher-only", action="store_true",
+        help="restrict series to the local peer's leecher state",
     )
 
 
@@ -522,7 +492,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "list-torrents": _cmd_list_torrents,
         "run": _cmd_run,
         "figure": _cmd_figure,
-        "analyze": _cmd_analyze,
         "replay": _cmd_replay,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
@@ -558,10 +527,24 @@ def _cmd_list_torrents(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_options(args: argparse.Namespace) -> RunOptions:
+    """The coordinates the parsed flags name (flag dest = field name)."""
+    named = {
+        f.name: getattr(args, f.name)
+        for f in fields(RunOptions)
+        if hasattr(args, f.name)
+    }
+    if named["faults"] == "off":
+        named["faults"] = None
+    return RunOptions(**named)
+
+
 def _build_harness(args: argparse.Namespace, trace_recorder=None):
-    scenario = scenario_by_id(args.torrent)
-    if args.duration is not None:
-        scenario = scaled_copy(scenario, duration=args.duration)
+    try:
+        options = _run_options(args)
+        scenario, build_kwargs = resolve_run(args.torrent, args.seed, options)
+    except (KeyError, ValueError) as exc:
+        args.usage_error(exc.args[0])
     print(
         "running torrent %d (%s, %d+%d peers, %d pieces) for %.0f s ..."
         % (
@@ -574,53 +557,24 @@ def _build_harness(args: argparse.Namespace, trace_recorder=None):
         ),
         file=sys.stderr,
     )
-    swarm_config = None
-    if getattr(args, "faults", "off") != "off":
-        from repro.sim.config import SwarmConfig
-        from repro.sim.faults import FAULT_PRESETS
-
-        swarm_config = SwarmConfig(
-            seed=args.seed,
-            duration=scenario.duration,
-            faults=FAULT_PRESETS[args.faults],
-        )
-        print("fault injection: %s preset" % args.faults, file=sys.stderr)
-    strategy_kwargs = {}
-    selector_spec = getattr(args, "selector", None)
-    if selector_spec:
-        from repro.core.rarest_first import make_selector
-
-        strategy_kwargs["local_selector"] = make_selector(selector_spec)
-        strategy_kwargs["population_selector_factory"] = (
-            lambda: make_selector(selector_spec)
-        )
-        print("piece selector: %s" % selector_spec, file=sys.stderr)
-    playback_rate = getattr(args, "playback_rate", None)
-    if playback_rate is not None:
-        strategy_kwargs["playback_rate"] = playback_rate
-        strategy_kwargs["playback_startup_pieces"] = getattr(
-            args, "playback_startup_pieces", None
-        )
+    described = options.non_default()
+    if described:
         print(
-            "streaming playback: %.0f B/s" % playback_rate, file=sys.stderr
+            "run options: %s"
+            % ", ".join("%s=%s" % item for item in described.items()),
+            file=sys.stderr,
         )
-    tracker_sampler = getattr(args, "tracker_sampler", None)
-    if tracker_sampler is not None:
-        strategy_kwargs["tracker_sampler"] = tracker_sampler
-        print("tracker sampler: %s" % tracker_sampler, file=sys.stderr)
     return build_experiment(
         scenario,
-        seed=args.seed,
-        swarm_config=swarm_config,
         trace_recorder=trace_recorder,
-        trace_all_peers=getattr(args, "trace_all", False),
-        **strategy_kwargs,
+        trace_all_peers=args.trace_all,
+        **build_kwargs,
     )
 
 
 def _run_experiment(args: argparse.Namespace) -> Instrumentation:
     recorder = None
-    if getattr(args, "trace", None):
+    if args.trace:
         recorder = TraceRecorder(args.trace)
     harness = _build_harness(args, trace_recorder=recorder)
     trace = harness.run()
@@ -662,21 +616,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 playback.finished_at,
             )
         )
-    if args.save:
-        save_trace_summary(trace, args.save)
-        print("trace saved to %s" % args.save)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     trace = _run_experiment(args)
     _print_figure(trace, args.name, args)
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    trace = load_trace_summary(args.trace)
-    _print_figure(trace, args.figure, args)
     return 0
 
 
@@ -750,20 +695,14 @@ def _trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    harness = _build_harness(args)
-    profiler = EngineProfiler()
-    harness.swarm.simulator.set_profiler(profiler)
-    trace = harness.run()
+    trace = _build_harness(args).run()
     print("== instrumentation metrics ==")
     print(trace.metrics.render())
-    print()
-    print("== engine profile ==")
-    print(profiler.report())
     return 0
 
 
 def _print_figure(trace: Instrumentation, name: str, args) -> None:
-    leecher_only = getattr(args, "leecher_only", False)
+    leecher_only = args.leecher_only
     if name == "entropy":
         summary = summarize_entropy(trace)
         print(
@@ -863,21 +802,28 @@ def _print_figure(trace: Instrumentation, name: str, args) -> None:
 
 
 def _campaign_spec_from_args(args: argparse.Namespace):
-    from repro.campaign import CampaignSpec, parse_torrent_ids
+    from repro.campaign import CampaignSpec, expand_spec, parse_torrent_ids
 
-    return CampaignSpec(
-        name=args.name,
-        torrent_ids=parse_torrent_ids(args.torrents),
-        scenarios=tuple(
-            name.strip() for name in args.scenario.split(",") if name.strip()
-        ),
-        replicates=args.replicates,
-        campaign_seed=args.campaign_seed,
-        duration=args.duration,
-        selector=args.selector,
-        playback_rate=args.playback_rate,
-        tracker_sampler=args.tracker_sampler,
-    )
+    try:
+        spec = CampaignSpec(
+            name=args.name,
+            torrent_ids=parse_torrent_ids(args.torrents),
+            scenarios=tuple(
+                name.strip() for name in args.scenario.split(",") if name.strip()
+            ),
+            replicates=args.replicates,
+            campaign_seed=args.campaign_seed,
+            duration=args.duration,
+            selector=args.selector,
+            playback_rate=args.playback_rate,
+            tracker_sampler=args.tracker_sampler,
+        )
+        # Unknown scenario, bad selector / sampler spec: fail as a usage
+        # error before the cache is read or a worker spawned.
+        expand_spec(spec)
+    except (KeyError, ValueError) as exc:
+        args.usage_error(exc.args[0])
+    return spec
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -1152,9 +1098,12 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
     }
     if args.interval is not None:
         service_kwargs["interval"] = args.interval
-    service = TrackerService.from_spec(
-        time.monotonic, sampler_spec=args.sampler, **service_kwargs
-    )
+    try:
+        service = TrackerService.from_spec(
+            time.monotonic, sampler_spec=args.sampler, **service_kwargs
+        )
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     udp_port = args.udp_port if args.udp_port is not None else args.port
 
     async def serve() -> None:

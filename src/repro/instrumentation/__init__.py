@@ -12,7 +12,6 @@ from repro.instrumentation.logger import (
     Snapshot,
 )
 from repro.instrumentation.metrics import (
-    EngineProfiler,
     MetricsRegistry,
 )
 from repro.instrumentation.bintrace import (
@@ -45,7 +44,6 @@ __all__ = [
     "RemotePeerRecord",
     "Snapshot",
     "MetricsRegistry",
-    "EngineProfiler",
     "TraceRecorder",
     "TracingObserver",
     "TRACE_SCHEMA_VERSION",

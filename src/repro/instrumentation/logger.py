@@ -524,18 +524,10 @@ class Instrumentation(PeerObserver):
         """Compatibility view over the ``messages.sent`` counter."""
         return int(self._sent_counter.value)
 
-    @messages_sent.setter
-    def messages_sent(self, value: int) -> None:
-        self._sent_counter.reset_to(value)
-
     @property
     def messages_received(self) -> int:
         """Compatibility view over the ``messages.received`` counter."""
         return int(self._received_counter.value)
-
-    @messages_received.setter
-    def messages_received(self, value: int) -> None:
-        self._received_counter.reset_to(value)
 
     @property
     def fault_counters(self) -> Dict[str, int]:
@@ -548,14 +540,6 @@ class Instrumentation(PeerObserver):
             kind: int(count)
             for kind, count in self.metrics.with_prefix("fault.").items()
         }
-
-    @fault_counters.setter
-    def fault_counters(self, counters: Dict[str, int]) -> None:
-        for kind in self.metrics.with_prefix("fault."):
-            if kind not in counters:
-                self.metrics.counter("fault." + kind).reset_to(0)
-        for kind, count in counters.items():
-            self.metrics.counter("fault." + kind).reset_to(count)
 
     @property
     def _seed_since(self) -> Optional[float]:

@@ -3,12 +3,12 @@
 The paper's methodology is log-then-analyse; a production-scale swarm
 additionally needs *cheap, always-on* aggregates that can be read while
 the system runs.  This module provides them as a tiny, dependency-free
-registry shared by the instrumentation layer, the CLI's ``metrics``
-command and the engine profiler:
+registry shared by the instrumentation layer and the CLI's ``metrics``
+command:
 
 * :class:`Counter` — monotonically increasing totals (messages, faults);
 * :class:`Gauge` — last-write-wins values (peer-set size, queue depth);
-* :class:`Histogram` — fixed-bucket distributions (per-event wall time);
+* :class:`Histogram` — fixed-bucket distributions;
 * :class:`WindowedRate` — events per second over a sliding window.
 
 Everything is deterministic: observing a value never draws randomness
@@ -39,7 +39,6 @@ __all__ = [
     "Histogram",
     "WindowedRate",
     "MetricsRegistry",
-    "EngineProfiler",
 ]
 
 
@@ -56,10 +55,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only increase; use a Gauge")
         self.value += amount
-
-    def reset_to(self, value: float) -> None:
-        """Overwrite the total (trace-loading/compatibility path only)."""
-        self.value = float(value)
 
     def __repr__(self) -> str:
         return "Counter(%s=%g)" % (self.name, self.value)
@@ -306,60 +301,3 @@ class MetricsRegistry:
                     "  %-40s total=%-10d window=%gs" % (name, rate.count, rate.window)
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-class EngineProfiler:
-    """Per-event-type timing and queue-depth profile of a simulator run.
-
-    Install with :meth:`repro.sim.engine.Simulator.set_profiler`; the
-    engine then wraps every executed callback with a wall-clock sample
-    and reports ``(label, elapsed_seconds, queue_depth)`` here.  Labels
-    are callback qualnames (``Peer._choke_round``,
-    ``Swarm._tick``, ``Timer._fire``, ...), giving a per-event-type cost
-    breakdown of the hot loop.
-
-    Profiling only affects wall-clock observation — never simulated
-    time, event order or RNG draws — so a profiled run's trace is
-    byte-identical to an unprofiled one.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry or MetricsRegistry()
-        from time import perf_counter  # wall clock, profiling only
-
-        self.clock = perf_counter
-
-    def observe(self, label: str, elapsed: float, queue_depth: int) -> None:
-        registry = self.registry
-        registry.inc("events." + label)
-        registry.histogram("seconds." + label).observe(elapsed)
-        registry.gauge("queue.depth").set(queue_depth)
-
-    def report(self, limit: int = 12) -> str:
-        """Top event types by cumulative wall time, one line each."""
-        histograms = [
-            histogram
-            for name, histogram in self.registry._histograms.items()
-            if name.startswith("seconds.")
-        ]
-        histograms.sort(key=lambda h: h.sum, reverse=True)
-        depth = self.registry.gauge("queue.depth")
-        lines = [
-            "engine profile (top %d event types by cumulative wall time):"
-            % min(limit, len(histograms)),
-            "  %-44s %10s %12s %12s" % ("event type", "count", "total s", "mean us"),
-        ]
-        for histogram in histograms[:limit]:
-            lines.append(
-                "  %-44s %10d %12.4f %12.2f"
-                % (
-                    histogram.name[len("seconds."):],
-                    histogram.total,
-                    histogram.sum,
-                    histogram.mean() * 1e6,
-                )
-            )
-        lines.append(
-            "  queue depth: last=%d max=%d" % (depth.value, depth.max_value)
-        )
-        return "\n".join(lines)

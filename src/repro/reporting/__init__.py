@@ -1,19 +1,12 @@
-"""Result rendering: ASCII tables, ASCII charts, CSV export and trace
-serialisation for the regenerated figures."""
+"""Result rendering: ASCII tables, ASCII charts and CSV export for the
+regenerated figures."""
 
 from repro.reporting.render import ascii_chart, ascii_table, sparkline
-from repro.reporting.export import (
-    load_trace_summary,
-    save_trace_summary,
-    series_to_csv,
-    table_to_csv,
-)
+from repro.reporting.export import series_to_csv, table_to_csv
 
 __all__ = [
     "ascii_chart",
     "ascii_table",
-    "load_trace_summary",
-    "save_trace_summary",
     "series_to_csv",
     "sparkline",
     "table_to_csv",

@@ -1,32 +1,18 @@
-"""CSV export of figure series and JSON trace-summary serialisation.
+"""CSV export of figure series and tables.
 
-The paper's raw material is the instrumented client's logs; a downstream
-user reproducing the analysis offline needs those logs out of the
-process.  :func:`save_trace_summary` persists the analysable core of an
-:class:`~repro.instrumentation.logger.Instrumentation` (per-peer
-intervals, byte totals, arrivals, snapshots) as a single JSON document;
-:func:`load_trace_summary` restores an equivalent object the analysis
-modules accept.
+The on-disk record of a *run* is the structured trace (``repro run
+--trace`` / :func:`repro.instrumentation.replay.replay_instrumentation`);
+this module only writes the derived series out for plotting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 from typing import Sequence, Union
 
-from repro.instrumentation.logger import (
-    Instrumentation,
-    RemotePeerRecord,
-    Snapshot,
-    _IntervalTracker,
-)
-
 PathLike = Union[str, Path]
-
-FORMAT_VERSION = 1
 
 
 def series_to_csv(
@@ -69,131 +55,3 @@ def table_to_csv(
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def _intervals(tracker: _IntervalTracker) -> list:
-    return [list(pair) for pair in tracker.intervals]
-
-
-def _record_to_dict(record: RemotePeerRecord) -> dict:
-    return {
-        "address": record.address,
-        "client_id": record.client_id,
-        "presence": _intervals(record.presence),
-        "local_interested_in_remote": _intervals(record.local_interested_in_remote),
-        "remote_interested_in_local": _intervals(record.remote_interested_in_local),
-        "unchoke_times": list(record.unchoke_times),
-        "unchoked_rounds_leecher": record.unchoked_rounds_leecher,
-        "unchoked_rounds_seed": record.unchoked_rounds_seed,
-        "uploaded_leecher_state": record.uploaded_leecher_state,
-        "uploaded_seed_state": record.uploaded_seed_state,
-        "downloaded_leecher_state": record.downloaded_leecher_state,
-        "downloaded_seed_state": record.downloaded_seed_state,
-        "remote_seed_since": record.remote_seed_since,
-    }
-
-
-def _record_from_dict(data: dict) -> RemotePeerRecord:
-    record = RemotePeerRecord(address=data["address"], client_id=data["client_id"])
-    record.presence.intervals = [tuple(p) for p in data["presence"]]
-    record.local_interested_in_remote.intervals = [
-        tuple(p) for p in data["local_interested_in_remote"]
-    ]
-    record.remote_interested_in_local.intervals = [
-        tuple(p) for p in data["remote_interested_in_local"]
-    ]
-    record.unchoke_times = list(data["unchoke_times"])
-    record.unchoked_rounds_leecher = data["unchoked_rounds_leecher"]
-    record.unchoked_rounds_seed = data["unchoked_rounds_seed"]
-    record.uploaded_leecher_state = data["uploaded_leecher_state"]
-    record.uploaded_seed_state = data["uploaded_seed_state"]
-    record.downloaded_leecher_state = data["downloaded_leecher_state"]
-    record.downloaded_seed_state = data["downloaded_seed_state"]
-    record.remote_seed_since = data["remote_seed_since"]
-    return record
-
-
-class _FrozenTrace(Instrumentation):
-    """A loaded trace: analysis-compatible, detached from any peer."""
-
-    def __init__(self, joined_at: float, finalized_at: float):
-        super().__init__()
-        self._joined_at = joined_at
-        self._finalized_at = finalized_at
-
-    def finalize(self, now=None) -> None:  # already closed on save
-        return
-
-    @property
-    def _seed_since(self):
-        return self.seed_state_at
-
-    @property
-    def leecher_interval(self):
-        end = self.seed_state_at
-        if end is None:
-            end = self._finalized_at
-        return (self._joined_at, end)
-
-    @property
-    def seed_interval(self):
-        if self.seed_state_at is None:
-            return None
-        return (self.seed_state_at, self._finalized_at)
-
-
-def save_trace_summary(
-    instrumentation: Instrumentation, path: PathLike
-) -> None:
-    """Persist the analysable core of a finalized trace as JSON."""
-    instrumentation.finalize()
-    start, end = instrumentation.leecher_interval
-    seed_interval = instrumentation.seed_interval
-    document = {
-        "version": FORMAT_VERSION,
-        "joined_at": start,
-        "finalized_at": (
-            seed_interval[1] if seed_interval is not None else end
-        ),
-        "seed_state_at": instrumentation.seed_state_at,
-        "endgame_at": instrumentation.endgame_at,
-        "messages_sent": instrumentation.messages_sent,
-        "messages_received": instrumentation.messages_received,
-        "fault_counters": instrumentation.fault_counters,
-        "records": [
-            _record_to_dict(record)
-            for record in instrumentation.records.values()
-        ],
-        "block_arrivals": [list(entry) for entry in instrumentation.block_arrivals],
-        "piece_completions": [
-            list(entry) for entry in instrumentation.piece_completions
-        ],
-        "choke_rounds": [list(entry) for entry in instrumentation.choke_rounds],
-        "snapshots": [vars(snapshot) for snapshot in instrumentation.snapshots],
-    }
-    Path(path).write_text(json.dumps(document))
-
-
-def load_trace_summary(path: PathLike) -> Instrumentation:
-    """Restore a trace saved by :func:`save_trace_summary`."""
-    document = json.loads(Path(path).read_text())
-    if document.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            "unsupported trace version %r" % document.get("version")
-        )
-    trace = _FrozenTrace(document["joined_at"], document["finalized_at"])
-    trace.seed_state_at = document["seed_state_at"]
-    trace.endgame_at = document["endgame_at"]
-    trace.messages_sent = document["messages_sent"]
-    trace.messages_received = document["messages_received"]
-    # Key absent in summaries written before the metrics registry.
-    trace.fault_counters = document.get("fault_counters", {})
-    for entry in document["records"]:
-        trace.records[entry["address"]] = _record_from_dict(entry)
-    trace.block_arrivals = [tuple(entry) for entry in document["block_arrivals"]]
-    trace.piece_completions = [
-        tuple(entry) for entry in document["piece_completions"]
-    ]
-    trace.choke_rounds = [tuple(entry) for entry in document["choke_rounds"]]
-    trace.snapshots = [Snapshot(**entry) for entry in document["snapshots"]]
-    return trace

@@ -26,15 +26,6 @@ class SimulationError(RuntimeError):
     """Raised on engine misuse (e.g. scheduling in the past)."""
 
 
-def _callback_label(callback: Callback) -> str:
-    """A stable per-event-type label for profiling: the callback's
-    qualname (``Peer._choke_round``, ``Timer._fire``, ...)."""
-    label = getattr(callback, "__qualname__", None)
-    if label is None:
-        label = type(callback).__name__
-    return label
-
-
 class _Event:
     """Per-event state.  Cancellation is a tombstone flag; ordering lives
     in the queue tuples, not here."""
@@ -79,15 +70,6 @@ class Simulator:
         self._sequence = itertools.count()
         self._running = False
         self._events_processed = 0
-        self.profiler = None
-        """Optional :class:`repro.instrumentation.metrics.EngineProfiler`
-        (or anything with ``clock()`` and ``observe(label, elapsed,
-        queue_depth)``).  Profiling observes wall time only — simulated
-        time, event order and RNG draws are untouched."""
-
-    def set_profiler(self, profiler) -> None:
-        """Install (or with ``None`` remove) a per-event profiler."""
-        self.profiler = profiler
 
     @property
     def now(self) -> float:
@@ -138,17 +120,7 @@ class Simulator:
                     continue
                 self._now = time
                 self._events_processed += 1
-                profiler = self.profiler
-                if profiler is None:
-                    event.callback()
-                else:
-                    started = profiler.clock()
-                    event.callback()
-                    profiler.observe(
-                        _callback_label(event.callback),
-                        profiler.clock() - started,
-                        len(queue),
-                    )
+                event.callback()
         finally:
             self._running = False
 

@@ -43,6 +43,11 @@ from repro.tracker.wire import AnnounceResponse, encode_announce_response, encod
 
 DEFAULT_NUM_WANT = 50
 
+#: The most peers one announce is answered with, whatever it asks for.
+#: ``numwant`` comes from outside the program (an unbounded integer on
+#: the HTTP path) and feeds sampler arithmetic; real trackers cap it too.
+MAX_NUM_WANT = 200
+
 #: BEP 15 magic constant opening every UDP connect request.
 UDP_PROTOCOL_ID = 0x41727101980
 UDP_CONNECT = 0
@@ -67,6 +72,11 @@ def parse_query(query: str) -> Dict[str, bytes]:
         key, _, value = part.partition("=")
         params[key] = unquote_to_bytes(value.replace("+", "%20"))
     return params
+
+
+def _bounded_num_want(num_want: int) -> int:
+    """Negative asks for the default (BEP 15's -1); the rest is capped."""
+    return min(num_want, MAX_NUM_WANT) if num_want >= 0 else DEFAULT_NUM_WANT
 
 
 def split_address(address: str) -> Tuple[str, int]:
@@ -97,7 +107,7 @@ def _request_from_params(
         infohash=infohash,
         address="%s:%d" % (ip, port),
         event=event,
-        num_want=num_want if num_want >= 0 else DEFAULT_NUM_WANT,
+        num_want=_bounded_num_want(num_want),
         is_seed=(left == b"0") or event == "completed",
         have_count=have_count,
     )
@@ -330,7 +340,7 @@ class TrackerServer:
             infohash=infohash,
             address="%s:%d" % (host, port),
             event=event,
-            num_want=num_want if num_want >= 0 else DEFAULT_NUM_WANT,
+            num_want=_bounded_num_want(num_want),
             is_seed=(left == 0) or event == "completed",
         )
         try:

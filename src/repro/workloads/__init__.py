@@ -16,8 +16,11 @@ from repro.workloads.open_system import (
 from repro.workloads.torrents import (
     TABLE1,
     ExperimentHarness,
+    RunOptions,
     TorrentScenario,
     build_experiment,
+    resolve_run,
+    resolve_scenario,
     scaled_copy,
     scenario_by_id,
 )
@@ -28,6 +31,7 @@ __all__ = [
     "CapacityDistribution",
     "ExperimentHarness",
     "INTERNET_2005",
+    "RunOptions",
     "StabilityDetector",
     "StabilitySample",
     "StabilityVerdict",
@@ -37,6 +41,8 @@ __all__ = [
     "scaled_copy",
     "build_experiment",
     "client_share",
+    "resolve_run",
+    "resolve_scenario",
     "sample_client_id",
     "scenario_by_id",
     "uniform_capacity",

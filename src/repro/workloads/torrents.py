@@ -23,20 +23,26 @@ torrents start from scratch: one slow initial seed, empty leechers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.choke import Choker
-from repro.core.rarest_first import PieceSelector
+from repro.core.rarest_first import (
+    PieceSelector,
+    make_selector,
+    parse_selector_spec,
+)
 from repro.instrumentation.logger import Instrumentation
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import Metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.faults import FAULT_PRESETS
 from repro.sim.observer import FanoutObserver
 from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
+from repro.tracker.sampling import parse_sampler_spec
 from repro.workloads.capacities import (
     CapacityDistribution,
     INTERNET_2005,
@@ -488,3 +494,169 @@ def build_experiment(
 def scaled_copy(scenario: TorrentScenario, **overrides) -> TorrentScenario:
     """A copy of *scenario* with fields replaced (for ablations)."""
     return replace(scenario, **overrides)
+
+
+#: Field metadata: the coordinate is written into every payload, default
+#: or not (see :meth:`RunOptions.as_payload`).
+_ALWAYS = {"always_in_payload": True}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The serialisable coordinates of one Table-I run.
+
+    This is the one list: scenario variants, shard payloads, cache keys,
+    the campaign-level merge and the incremental differ walk
+    ``dataclasses.fields(RunOptions)`` in declaration order, and
+    :func:`resolve_run` is the one place a coordinate is applied.  Every
+    default means "as the paper ran it" and leaves the trace
+    byte-identical to a run that predates the coordinate.  Adding one is
+    a field here plus a line in :func:`resolve_scenario` or
+    :func:`resolve_run`; ``tests/test_run_options.py`` fails on a field
+    that neither changes.
+    """
+
+    duration: Optional[float] = field(default=None, metadata=_ALWAYS)
+    """Override the scenario's simulated run length (seconds)."""
+
+    block_size: Optional[int] = field(default=None, metadata=_ALWAYS)
+    """Override the torrent's block size (bytes)."""
+
+    faults: Optional[str] = field(default=None, metadata=_ALWAYS)
+    """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
+
+    selector: Optional[str] = None
+    """Piece-selection strategy spec for every peer in the swarm
+    (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
+    ``"seq-window:window=16"``); None is rarest first."""
+
+    playback_rate: Optional[float] = None
+    """Streaming playback rate in bytes/second applied to the local peer
+    and every population leecher; None disables the playback model."""
+
+    playback_startup_pieces: Optional[int] = None
+    """Startup-buffer threshold (contiguous pieces) for streaming runs."""
+
+    arrival_rate: Optional[float] = None
+    """Poisson leecher arrival rate (peers/s) override for the scenario."""
+
+    seed_upload: Optional[float] = None
+    """Initial-seed upload capacity (bytes/s) override."""
+
+    num_pieces: Optional[int] = None
+    """Piece-count override (shrinks the content for fast sweeps)."""
+
+    piece_size: Optional[int] = None
+    """Piece-size override (bytes)."""
+
+    depart_on_completion: bool = False
+    """Open-system mode: every population leecher leaves the instant it
+    completes (see :mod:`repro.workloads.open_system`)."""
+
+    flash_crowd_size: Optional[int] = None
+    """Extra torrent-birth burst of that many leechers."""
+
+    stability_interval: Optional[float] = None
+    """Attach a swarm-stability detector sampling every that-many
+    seconds; None attaches nothing."""
+
+    tracker_sampler: Optional[str] = None
+    """Tracker peer-sampling strategy spec
+    (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
+    ``"rarity-aware:bias=1.0"``); None is the uniform draw."""
+
+    def __post_init__(self) -> None:
+        # Config errors fail where the run is described, before any
+        # worker is spawned or any event simulated.
+        if self.selector is not None:
+            parse_selector_spec(self.selector)
+        if self.tracker_sampler is not None:
+            parse_sampler_spec(self.tracker_sampler)
+        if self.faults is not None and self.faults not in FAULT_PRESETS:
+            raise ValueError(
+                "unknown fault preset %r (have: %s)"
+                % (self.faults, ", ".join(sorted(FAULT_PRESETS)))
+            )
+
+    def non_default(self) -> Dict:
+        """The coordinates that differ from the paper's run, in order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
+
+    def over(self, base: "RunOptions") -> "RunOptions":
+        """*base* with this object's non-default coordinates laid over
+        it: the explicit value wins, the base is the default."""
+        return replace(base, **self.non_default())
+
+    def as_payload(self) -> Dict:
+        """JSON-safe dict: ``duration``/``block_size``/``faults`` always,
+        every other coordinate only when set — so a run that uses none of
+        the later coordinates serialises (and cache-keys) exactly as it
+        did before they existed."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("always_in_payload")
+            or getattr(self, f.name) != f.default
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict) -> "RunOptions":
+        """Rebuild from :meth:`as_payload` output (other keys ignored)."""
+        return cls(
+            **{f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        )
+
+
+def resolve_scenario(torrent_id: int, options: RunOptions) -> TorrentScenario:
+    """The Table-I scenario with the run's overrides applied."""
+    overrides = {
+        "duration": options.duration,
+        "arrival_rate": options.arrival_rate,
+        "initial_seed_upload": options.seed_upload,
+        "num_pieces": options.num_pieces,
+        "piece_size": options.piece_size,
+    }
+    return scaled_copy(
+        scenario_by_id(torrent_id),
+        **{name: value for name, value in overrides.items() if value is not None},
+    )
+
+
+def resolve_run(
+    torrent_id: int, seed: int, options: RunOptions
+) -> Tuple[TorrentScenario, Dict]:
+    """``(scenario, keyword arguments)`` for :func:`build_experiment`.
+
+    The one translation from a described run to a built one, shared by
+    the campaign's ``execute_shard`` and the CLI's ``run|figure|metrics``
+    (which add only their own trace recorder).  It returns the arguments
+    instead of calling ``build_experiment`` so that each caller's call
+    stays a real one the benchmark suite's tracer can see.
+    """
+    scenario = resolve_scenario(torrent_id, options)
+    kwargs: Dict = {
+        "seed": seed,
+        "block_size": options.block_size,
+        "playback_rate": options.playback_rate,
+        "playback_startup_pieces": options.playback_startup_pieces,
+        "depart_on_completion": options.depart_on_completion,
+        "flash_crowd_size": options.flash_crowd_size or 0,
+        "stability_interval": options.stability_interval,
+        "tracker_sampler": options.tracker_sampler,
+    }
+    if options.faults is not None:
+        kwargs["swarm_config"] = SwarmConfig(
+            seed=seed,
+            duration=scenario.duration,
+            faults=FAULT_PRESETS[options.faults],
+        )
+    if options.selector is not None:
+        # Selectors carry per-peer state: one instance per peer.
+        spec = options.selector
+        kwargs["local_selector"] = make_selector(spec)
+        kwargs["population_selector_factory"] = lambda: make_selector(spec)
+    return scenario, kwargs

@@ -106,17 +106,17 @@ class TestSpecExpansion:
             expand_spec(CampaignSpec(scenarios=("nonsense",)))
 
     def test_spec_duration_beats_variant_duration(self):
-        assert SCENARIOS["smoke"].duration == 240.0
+        assert SCENARIOS["smoke"].options.duration == 240.0
         shards = expand_spec(smoke_spec((2,), duration=99.0))
-        assert shards[0].duration == 99.0
+        assert shards[0].options.duration == 99.0
         shards = expand_spec(smoke_spec((2,)))
-        assert shards[0].duration == 240.0
+        assert shards[0].options.duration == 240.0
 
     def test_faults_variant_sets_preset(self):
         shards = expand_spec(
             CampaignSpec(torrent_ids=(2,), scenarios=("faults-light",))
         )
-        assert shards[0].faults == "light"
+        assert shards[0].options.faults == "light"
 
     def test_payload_roundtrip(self):
         shard = expand_spec(smoke_spec((7,)))[0]

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -37,55 +38,58 @@ class TestListTorrents:
 
 
 class TestRunAndAnalyze:
+    """Offline analysis of a saved run: ``run --trace`` then ``replay``
+    (the one on-disk record of a run), every figure."""
+
     @pytest.fixture(scope="class")
     def saved_trace(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli") / "trace.json"
+        path = tmp_path_factory.mktemp("cli") / "trace.jsonl"
         code = main(
             [
                 "run",
                 "--torrent", "19",
                 "--seed", "5",
                 "--duration", "400",
-                "--save", str(path),
+                "--trace", str(path),
             ]
         )
         assert code == 0
         return path
 
     def test_run_saves_valid_json(self, saved_trace):
-        document = json.loads(saved_trace.read_text())
-        assert document["version"] == 1
-        assert document["records"]
+        events = [json.loads(line) for line in saved_trace.read_text().splitlines()]
+        assert events[0] == {"type": "trace_start", "v": 1}
+        assert len(events) > 2
 
     def test_analyze_entropy(self, saved_trace, capsys):
-        code, out = run_cli(capsys, "analyze", str(saved_trace))
+        code, out = run_cli(capsys, "replay", str(saved_trace))
         assert code == 0
         assert "a/b" in out and "c/d" in out
 
     def test_analyze_replication(self, saved_trace, capsys):
         code, out = run_cli(
-            capsys, "analyze", str(saved_trace), "--figure", "replication"
+            capsys, "replay", str(saved_trace), "--figure", "replication"
         )
         assert code == 0
         assert "mean" in out
 
     def test_analyze_rarest_set(self, saved_trace, capsys):
         code, out = run_cli(
-            capsys, "analyze", str(saved_trace), "--figure", "rarest-set"
+            capsys, "replay", str(saved_trace), "--figure", "rarest-set"
         )
         assert code == 0
         assert "rarest" in out
 
     def test_analyze_peer_set(self, saved_trace, capsys):
         code, out = run_cli(
-            capsys, "analyze", str(saved_trace), "--figure", "peer-set"
+            capsys, "replay", str(saved_trace), "--figure", "peer-set"
         )
         assert code == 0
         assert "size" in out
 
     def test_analyze_interarrival(self, saved_trace, capsys):
         code, out = run_cli(
-            capsys, "analyze", str(saved_trace), "--figure", "interarrival",
+            capsys, "replay", str(saved_trace), "--figure", "interarrival",
             "--kind", "block",
         )
         assert code == 0
@@ -93,7 +97,7 @@ class TestRunAndAnalyze:
 
     def test_analyze_fairness(self, saved_trace, capsys):
         code, out = run_cli(
-            capsys, "analyze", str(saved_trace), "--figure", "fairness"
+            capsys, "replay", str(saved_trace), "--figure", "fairness"
         )
         assert code == 0
         assert "upload LS" in out
@@ -213,4 +217,88 @@ class TestTraceAndReplay:
         )
         assert code == 0
         assert "messages.sent" in out
-        assert "engine profile" in out
+
+
+def leaf_parsers(parser, prefix=()):
+    """Every subcommand parser, keyed by its command path."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[prefix + (name,)] = sub
+                found.update(leaf_parsers(sub, prefix + (name,)))
+    return found
+
+
+class TestSharedFlags:
+    RUN_OPTIONS = ("--duration", "--selector", "--playback-rate", "--tracker-sampler")
+    FIGURE_OPTIONS = ("--kind", "--leecher-only")
+
+    @pytest.mark.parametrize(
+        "flags,commands",
+        [
+            (RUN_OPTIONS, [("run",), ("figure",), ("metrics",),
+                           ("campaign", "run"), ("campaign", "diff")]),
+            (FIGURE_OPTIONS, [("figure",), ("replay",)]),
+        ],
+        ids=["run-options", "figure-options"],
+    )
+    def test_declared_once_so_identical_everywhere(self, flags, commands):
+        parsers = leaf_parsers(build_parser())
+        for flag in flags:
+            declared = set()
+            for command in commands:
+                action = parsers[command]._option_string_actions[flag]
+                declared.add(
+                    (action.dest, action.type, action.default, action.help,
+                     action.metavar)
+                )
+            assert len(declared) == 1, flag
+
+    def test_figure_choices_are_one_list(self):
+        parsers = leaf_parsers(build_parser())
+        positional = [a for a in parsers[("figure",)]._actions if a.dest == "name"]
+        assert positional[0].choices == (
+            parsers[("replay",)]._option_string_actions["--figure"].choices
+        )
+
+    def test_removed_commands_and_flags_stay_removed(self):
+        parsers = leaf_parsers(build_parser())
+        assert ("analyze",) not in parsers
+        assert "--save" not in parsers[("run",)]._option_string_actions
+
+
+class TestMistypedOptions:
+    """A bad option value is a one-line usage error from the subcommand's
+    own parser (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,prog,message",
+        [
+            (["run", "--selector", "bogus"], "repro run",
+             "unknown selector 'bogus' (have: "),
+            (["run", "--tracker-sampler", "bogus"], "repro run",
+             "unknown sampler 'bogus' (have: "),
+            (["run", "--torrent", "99"], "repro run",
+             "no Table-I torrent with id 99"),
+            (["campaign", "run", "--scenario", "bogus"], "repro campaign run",
+             "unknown scenario 'bogus' (have: "),
+            (["campaign", "diff", "--selector", "bogus"], "repro campaign diff",
+             "unknown selector 'bogus' (have: "),
+            (["campaign", "run", "--tracker-sampler", "bogus"],
+             "repro campaign run", "unknown sampler 'bogus' (have: "),
+            (["tracker", "serve", "--sampler", "bogus"], "repro tracker serve",
+             "unknown sampler 'bogus' (have: "),
+        ],
+    )
+    def test_exit_2_one_line_no_traceback(
+        self, argv, prog, message, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # a default --cache-dir must not be made
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("%s: error: %s" % (prog, message))
+        assert not list(tmp_path.iterdir())

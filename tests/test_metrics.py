@@ -1,27 +1,21 @@
-"""Unit tests for the metrics registry and the engine profiler.
+"""Unit tests for the metrics registry.
 
 Covers each primitive (counter, gauge, histogram, windowed rate), the
-registry's get-or-create and namespacing behaviour, the compatibility
-views the classic ``Instrumentation`` exposes on top of the registry,
-and the engine profiler's no-perturbation guarantee.
+registry's get-or-create and namespacing behaviour, and the read-only
+views the classic ``Instrumentation`` exposes on top of the registry.
 """
 
 import json
 
 import pytest
 
-from repro.instrumentation import EngineProfiler, Instrumentation, MetricsRegistry
+from repro.instrumentation import Instrumentation, MetricsRegistry
 from repro.instrumentation.metrics import (
     Counter,
     Gauge,
     Histogram,
     WindowedRate,
 )
-from repro.sim.config import KIB, SwarmConfig
-from repro.sim.engine import Simulator
-
-from tests.conftest import fast_config, tiny_swarm
-from tests.test_faults import TraceFingerprint
 
 
 def test_counter_increments_and_rejects_negative():
@@ -31,8 +25,6 @@ def test_counter_increments_and_rejects_negative():
     assert counter.value == 3.5
     with pytest.raises(ValueError):
         counter.inc(-1.0)
-    counter.reset_to(7.0)
-    assert counter.value == 7.0
 
 
 def test_gauge_tracks_high_water_mark():
@@ -99,59 +91,6 @@ def test_instrumentation_compatibility_views():
     instrumentation.on_fault(3.0, "crash")
     assert instrumentation.fault_counters == {"loss": 2, "crash": 1}
     assert instrumentation.metrics.value("fault.loss") == 2.0
-    instrumentation.messages_sent = 5
+    assert instrumentation.messages_sent == 0
+    instrumentation.metrics.inc("messages.sent", 5)
     assert instrumentation.messages_sent == 5
-    assert instrumentation.metrics.value("messages.sent") == 5.0
-    instrumentation.fault_counters = {}
-    assert instrumentation.fault_counters == {"loss": 0, "crash": 0}
-
-
-def test_profiler_observe_and_report():
-    profiler = EngineProfiler()
-    profiler.observe("Peer._choke_round", 0.002, 7)
-    profiler.observe("Peer._choke_round", 0.004, 5)
-    profiler.observe("Timer._fire", 0.0001, 5)
-    registry = profiler.registry
-    assert registry.value("events.Peer._choke_round") == 2.0
-    assert registry.gauge("queue.depth").max_value == 7
-    report = profiler.report(limit=1)
-    assert "Peer._choke_round" in report
-    assert "Timer._fire" not in report  # below the limit cut
-
-
-def test_profiler_runs_engine_and_does_not_perturb():
-    def run(profiled):
-        swarm = tiny_swarm(
-            num_pieces=10,
-            seed=23,
-            swarm_config=SwarmConfig(seed=23, snapshot_interval=5.0),
-        )
-        profiler = None
-        if profiled:
-            profiler = EngineProfiler()
-            swarm.simulator.set_profiler(profiler)
-        swarm.add_peer(config=fast_config(), is_seed=True)
-        fingerprint = TraceFingerprint()
-        swarm.add_peer(config=fast_config(upload=4 * KIB), observer=fingerprint)
-        swarm.add_peer(config=fast_config(upload=2 * KIB))
-        swarm.run(200.0)
-        return fingerprint.digest(), profiler
-
-    baseline, _ = run(profiled=False)
-    profiled_digest, profiler = run(profiled=True)
-    assert profiled_digest == baseline
-    observed = profiler.registry.with_prefix("events.")
-    assert observed and sum(observed.values()) > 0
-
-
-def test_simulator_set_profiler_roundtrip():
-    simulator = Simulator()
-    profiler = EngineProfiler()
-    simulator.set_profiler(profiler)
-    fired = []
-    simulator.schedule(1.0, lambda: fired.append(True))
-    simulator.run()
-    assert fired == [True]
-    assert sum(profiler.registry.with_prefix("events.").values()) == 1.0
-    simulator.set_profiler(None)
-    assert simulator.profiler is None

@@ -1,27 +1,14 @@
-"""Tests for result rendering and trace export."""
+"""Tests for result rendering and CSV export."""
 
 import pytest
 
-from repro.analysis import (
-    interarrival_summary,
-    peer_set_series,
-    replication_series,
-    summarize_entropy,
-)
-from repro.analysis.fairness import leecher_contribution, unchoke_interest_correlation
-from repro.instrumentation import Instrumentation
 from repro.reporting import (
     ascii_chart,
     ascii_table,
-    load_trace_summary,
-    save_trace_summary,
     series_to_csv,
     sparkline,
     table_to_csv,
 )
-from repro.sim.config import KIB
-
-from tests.conftest import fast_config, tiny_swarm
 
 
 class TestAsciiTable:
@@ -101,68 +88,3 @@ class TestCsv:
         text = table_to_csv(["a", "b"], [[1, "x"]], path)
         assert text == "a,b\n1,x\n"
         assert path.read_text() == text
-
-
-class TestTraceExport:
-    @pytest.fixture(scope="class")
-    def trace_pair(self, tmp_path_factory):
-        swarm = tiny_swarm(num_pieces=16, seed=31)
-        swarm.add_peer(config=fast_config(), is_seed=True)
-        for __ in range(4):
-            swarm.add_peer(config=fast_config(upload=2 * KIB))
-        trace = Instrumentation()
-        swarm.add_peer(config=fast_config(upload=4 * KIB), observer=trace)
-        trace.start_sampling()
-        swarm.run(600)
-        trace.finalize()
-        path = tmp_path_factory.mktemp("traces") / "trace.json"
-        save_trace_summary(trace, path)
-        return trace, load_trace_summary(path)
-
-    def test_event_streams_roundtrip(self, trace_pair):
-        original, loaded = trace_pair
-        assert loaded.piece_completions == original.piece_completions
-        assert loaded.block_arrivals == original.block_arrivals
-        assert loaded.choke_rounds == original.choke_rounds
-        assert loaded.seed_state_at == original.seed_state_at
-        assert loaded.endgame_at == original.endgame_at
-        assert loaded.messages_sent == original.messages_sent
-
-    def test_records_roundtrip(self, trace_pair):
-        original, loaded = trace_pair
-        assert set(loaded.records) == set(original.records)
-        for address, record in original.records.items():
-            twin = loaded.records[address]
-            assert twin.presence.intervals == record.presence.intervals
-            assert twin.uploaded_leecher_state == record.uploaded_leecher_state
-            assert twin.unchoke_times == record.unchoke_times
-
-    def test_analysis_agrees_on_loaded_trace(self, trace_pair):
-        original, loaded = trace_pair
-        assert loaded.leecher_interval == original.leecher_interval
-        assert loaded.seed_interval == original.seed_interval
-
-        original_entropy = summarize_entropy(original)
-        loaded_entropy = summarize_entropy(loaded)
-        assert loaded_entropy.local_in_remote == original_entropy.local_in_remote
-
-        original_series = replication_series(original)
-        loaded_series = replication_series(loaded)
-        assert loaded_series.min_copies == original_series.min_copies
-
-        assert peer_set_series(loaded) == peer_set_series(original)
-
-        original_pieces = interarrival_summary(original, kind="piece", n=5)
-        loaded_pieces = interarrival_summary(loaded, kind="piece", n=5)
-        assert loaded_pieces.all_items == original_pieces.all_items
-
-        assert leecher_contribution(loaded) == leecher_contribution(original)
-        original_corr = unchoke_interest_correlation(original, state="leecher")
-        loaded_corr = unchoke_interest_correlation(loaded, state="leecher")
-        assert loaded_corr.unchoke_counts == original_corr.unchoke_counts
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 999}')
-        with pytest.raises(ValueError):
-            load_trace_summary(path)

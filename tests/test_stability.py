@@ -297,8 +297,11 @@ class TestDeterminism:
         from repro.campaign.spec import expand_spec
 
         shard_on = expand_spec(flash_crowd_spec())[0]
-        assert shard_on.stability_interval is not None
-        shard_off = dataclasses.replace(shard_on, stability_interval=None)
+        assert shard_on.options.stability_interval is not None
+        shard_off = dataclasses.replace(
+            shard_on,
+            options=dataclasses.replace(shard_on.options, stability_interval=None),
+        )
 
         cache = ShardCache(tmp_path)
         record_on, __ = execute_shard(shard_on, cache=cache, resume=False)

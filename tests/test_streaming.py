@@ -228,13 +228,14 @@ class TestStreamingGating:
         pre-streaming trace fingerprint: the whole family is gated."""
         from repro.campaign.runner import execute_shard
         from repro.campaign.spec import ShardSpec, derive_shard_seed
+        from repro.workloads import RunOptions
 
         shard = ShardSpec(
             torrent_id=2,
             scenario="smoke",
             replicate=0,
             seed=derive_shard_seed(3, 2, "smoke", 0),
-            duration=240.0,
+            options=RunOptions(duration=240.0),
         )
         record, __ = execute_shard(shard)
         # Pinned baseline.  Regenerated when tracker announces moved to

@@ -21,9 +21,11 @@ import pytest
 
 from repro.analysis import (
     interarrival_summary,
+    peer_set_series,
     replication_series,
     summarize_entropy,
 )
+from repro.analysis.fairness import leecher_contribution, unchoke_interest_correlation
 from repro.instrumentation import TraceRecorder, replay_instrumentation
 from repro.sim.config import SwarmConfig
 from repro.sim.faults import FAULT_PRESETS
@@ -111,6 +113,12 @@ def assert_same_figures(live, replayed):
     assert asdict(summarize_entropy(replayed)) == asdict(summarize_entropy(live))
     assert asdict(replication_series(replayed)) == asdict(
         replication_series(live)
+    )
+    assert peer_set_series(replayed) == peer_set_series(live)
+    assert leecher_contribution(replayed) == leecher_contribution(live)
+    assert (
+        unchoke_interest_correlation(replayed, state="leecher").unchoke_counts
+        == unchoke_interest_correlation(live, state="leecher").unchoke_counts
     )
     for kind in ("piece", "block"):
         try:

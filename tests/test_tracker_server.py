@@ -214,6 +214,31 @@ class TestHostileAnnounces:
         assert status == 200
         assert len(decode_announce_response(body).peers) == 11
 
+    def test_unbounded_numwant_is_capped_not_fatal(self):
+        # A 400-digit numwant parsed, reached the seed-biased sampler's
+        # round(num_want * seed_fraction) and escaped as OverflowError:
+        # no response, connection dropped.  It is answered like any
+        # request for more peers than exist, and so is the next one.
+        service = self.rarity_service("seed-biased")
+        server = TrackerServer(service)
+        target = build_announce_target(
+            AnnounceRequest(infohash=INFOHASH, address="10.7.0.66:6881",
+                            event="started", num_want=15),
+            6881,
+        ).replace("numwant=15", "numwant=" + "9" * 400)
+        body, status = server.handle_http_request(
+            "GET %s HTTP/1.0" % target, "127.0.0.1"
+        )
+        assert status == 200
+        assert len(decode_announce_response(body).peers) == 12
+
+        body, status = server.handle_http_request(
+            "GET %s HTTP/1.0" % build_announce_target(self.HONEST, 6881),
+            "127.0.0.1",
+        )
+        assert status == 200
+        assert len(decode_announce_response(body).peers) == 12
+
     def test_over_a_real_socket(self):
         # The three bad announces and a request line past the 64 KiB
         # stream limit, each on its own connection and each answered
