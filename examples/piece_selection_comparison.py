@@ -19,103 +19,33 @@ piece selection could achieve.
 Run:  python examples/piece_selection_comparison.py
 """
 
-from random import Random
-
-from repro.analysis import replication_series, summarize_entropy
-from repro.coding import CodingSwarm
-from repro.core.rarest_first import (
-    GlobalRarestSelector,
-    RandomSelector,
-    RarestFirstSelector,
-    SequentialSelector,
+from repro.analysis.ablations import (
+    A1_CROWD as CROWD,
+    A1_PIECES as NUM_PIECES,
+    A1_PIECE_SIZE as PIECE_SIZE,
+    A1_SEED_UPLOAD as SEED_UPLOAD,
 )
-from repro.instrumentation import Instrumentation
-from repro.protocol.bitfield import Bitfield
-from repro.protocol.metainfo import make_metainfo
-from repro.sim.churn import flash_crowd
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
-from repro.sim.swarm import Swarm
+from repro.analysis.claims import select_claims
+from repro.sim.config import KIB
 
-NUM_PIECES = 128
-PIECE_SIZE = 32 * KIB
-CROWD = 30
-SEED_UPLOAD = 24 * KIB
+#: The swarm is ablation A1's (DESIGN §4), built in one place: the
+#: registry's builder runs every strategy in both regimes plus the coding
+#: comparator, at the seed the committed result file pins.
+(A1,) = select_claims("A1")
 
-STRATEGIES = (
-    ("rarest-first", RarestFirstSelector),
-    ("random", RandomSelector),
-    ("sequential", SequentialSelector),
-    ("global-rarest", GlobalRarestSelector),
+HEADER = "%-16s %10s %10s %12s %12s" % (
+    "strategy", "a/b med", "c/d med", "avail. gap", "mean dl (s)"
 )
 
 
-def run_swarm(selector_factory, steady: bool, rng_seed=19, duration=1500.0):
-    metainfo = make_metainfo(
-        "shootout", num_pieces=NUM_PIECES, piece_size=PIECE_SIZE,
-        block_size=8 * KIB,
-    )
-    swarm = Swarm(metainfo, SwarmConfig(seed=rng_seed, snapshot_interval=10.0))
-
-    def make_selector():
-        if selector_factory is GlobalRarestSelector:
-            return GlobalRarestSelector(lambda: swarm.global_counts)
-        return selector_factory()
-
-    swarm.add_peer(config=PeerConfig(upload_capacity=SEED_UPLOAD), is_seed=True)
-    crowd_rng = Random(rng_seed ^ 0xC0FFEE)
-
-    def crowd_kwargs():
-        kwargs = {"selector": make_selector()}
-        if steady:
-            have = crowd_rng.sample(
-                range(NUM_PIECES),
-                crowd_rng.randint(NUM_PIECES // 20, NUM_PIECES // 4),
-            )
-            kwargs["initial_bitfield"] = Bitfield(NUM_PIECES, have=have)
-        return kwargs
-
-    flash_crowd(
-        swarm,
-        CROWD,
-        config_factory=lambda rng: PeerConfig(
-            upload_capacity=rng.choice([8, 16, 24]) * KIB, seeding_time=60.0
-        ),
-        spread=20.0,
-        kwargs_factory=crowd_kwargs,
-    )
-    trace = Instrumentation()
-    local = swarm.add_peer(
-        config=PeerConfig(upload_capacity=20 * KIB),
-        selector=make_selector(),
-        observer=trace,
-    )
-    trace.start_sampling()
-    result = swarm.run(duration)
-    trace.finalize()
-
-    entropy = summarize_entropy(trace)
-    series = replication_series(trace, leecher_state_only=True)
-    gaps = [
-        high - low for low, high in zip(series.min_copies, series.max_copies)
-    ]
-    return {
-        "entropy_ab": entropy.median_local,
-        "entropy_cd": entropy.median_remote,
-        "diversity_gap": sum(gaps) / len(gaps) if gaps else float("nan"),
-        "mean_download": result.mean_download_time(),
-    }
-
-
-def run_coding(rng_seed=19, duration=1500.0):
-    swarm = CodingSwarm(
-        total_size=NUM_PIECES * PIECE_SIZE, config=SwarmConfig(seed=rng_seed)
-    )
-    swarm.add_peer("seed", PeerConfig(upload_capacity=SEED_UPLOAD), is_seed=True)
-    for index in range(CROWD + 1):
-        upload = [8, 16, 24][index % 3] * KIB
-        swarm.add_peer("peer%d" % index, PeerConfig(upload_capacity=upload))
-    result = swarm.run(duration)
-    return {"mean_download": result.mean_download_time()}
+def print_regime(strategies: dict) -> None:
+    print(HEADER)
+    print("-" * len(HEADER))
+    for name, stats in strategies.items():
+        print(
+            "%-16s %10.2f %10.2f %12.1f %12.0f"
+            % (name, stats["ab"], stats["cd"], stats["gap"], stats["mean_dl"])
+        )
 
 
 def main() -> None:
@@ -124,50 +54,20 @@ def main() -> None:
         "swarm: 1 seed @ %d kiB/s + %d leechers, %d pieces x %d kiB\n"
         % (SEED_UPLOAD // KIB, CROWD, NUM_PIECES, PIECE_SIZE // KIB)
     )
+    results = A1.build(A1.pinned_seed)
 
     print("--- steady state (torrent met mid-life) ---")
-    header = "%-16s %10s %10s %12s %12s" % (
-        "strategy", "a/b med", "c/d med", "avail. gap", "mean dl (s)"
-    )
-    print(header)
-    print("-" * len(header))
-    for name, factory in STRATEGIES:
-        stats = run_swarm(factory, steady=True)
-        print(
-            "%-16s %10.2f %10.2f %12.1f %12.0f"
-            % (
-                name,
-                stats["entropy_ab"],
-                stats["entropy_cd"],
-                stats["diversity_gap"],
-                stats["mean_download"] or float("nan"),
-            )
-        )
+    print_regime(results["steady"])
     print(
         "=> every strategy reaches high entropy in steady state, but\n"
         "   rarest first keeps the max-min replication gap far tighter.\n"
     )
 
     print("--- transient state (flash crowd, empty leechers) ---")
-    print(header)
-    print("-" * len(header))
-    for name, factory in STRATEGIES:
-        stats = run_swarm(factory, steady=False)
-        print(
-            "%-16s %10.2f %10.2f %12.1f %12.0f"
-            % (
-                name,
-                stats["entropy_ab"],
-                stats["entropy_cd"],
-                stats["diversity_gap"],
-                stats["mean_download"] or float("nan"),
-            )
-        )
-    coding = run_coding()
+    print_regime(results["transient"])
     print(
         "%-16s %10s %10s %12s %12.0f   (idealised upper bound)"
-        % ("network-coding", "1.00*", "1.00*", "-",
-           coding["mean_download"] or float("nan"))
+        % ("network-coding", "1.00*", "1.00*", "-", results["coding_mean_dl"])
     )
     print(
         "\n* coding interest is ideal by construction (repro.coding docs)."

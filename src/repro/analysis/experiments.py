@@ -3,17 +3,19 @@
 The paper notes (§III-E.2) that live experiments cannot be repeated "to
 gain statistical information"; a simulator can.  This module runs the
 same scenario under several seeds and summarises any scalar metric with
-mean, standard deviation and a normal-approximation confidence interval,
-so reproduction claims can carry error bars.
+mean, standard deviation, a normal-approximation confidence interval and
+median / quartiles, so reproduction claims can carry error bars.  The
+reproduction scorecard (:mod:`repro.analysis.reproduce`) is one
+:func:`run_replications` call over the whole table of claims.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, TypeVar
+from typing import Callable, Dict, List, Sequence
 
-Result = TypeVar("Result")
+from repro.analysis.stats import percentile
 
 # Two-sided z-values for the usual confidence levels.
 _Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -29,6 +31,9 @@ class MetricSummary:
     std: float
     ci_low: float
     ci_high: float
+    median: float
+    q1: float
+    q3: float
 
     @property
     def n(self) -> int:
@@ -48,7 +53,7 @@ class MetricSummary:
 def summarize_metric(
     name: str, values: Sequence[float], confidence: float = 0.95
 ) -> MetricSummary:
-    """Mean / std / CI of one metric across replications."""
+    """Mean / std / CI / quartiles of one metric across replications."""
     values = [float(v) for v in values if not math.isnan(v)]
     if not values:
         raise ValueError("no valid values for metric %r" % name)
@@ -71,6 +76,9 @@ def summarize_metric(
         std=std,
         ci_low=mean - margin,
         ci_high=mean + margin,
+        median=percentile(values, 0.5),
+        q1=percentile(values, 0.25),
+        q3=percentile(values, 0.75),
     )
 
 
@@ -82,7 +90,9 @@ def run_replications(
     """Run ``experiment(seed)`` for every seed and summarise each metric.
 
     *experiment* returns a flat dict of scalar metrics; every replication
-    must return the same keys.  NaN values are dropped per metric.
+    must return the same keys.  NaN values are dropped per metric; a
+    metric that is NaN in every replication is summarised with ``n == 0``
+    and NaN statistics (it was never evaluable, which is a result).
 
     >>> stats = run_replications(lambda seed: {"x": float(seed)}, [1, 2, 3])
     >>> round(stats["x"].mean, 2)
@@ -101,7 +111,10 @@ def run_replications(
             )
         for key, value in metrics.items():
             observations[key].append(float(value))
+    nan = float("nan")
     return {
         key: summarize_metric(key, values, confidence)
+        if not all(math.isnan(v) for v in values)
+        else MetricSummary(key, [], nan, nan, nan, nan, nan, nan, nan)
         for key, values in observations.items()
     }

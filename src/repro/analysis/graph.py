@@ -9,10 +9,10 @@ on the efficiency of the rarest first algorithm."
 
 This module materialises the swarm's connection graph and computes the
 statistics that argument rests on: diameter, average shortest path,
-degree distribution, connectivity.  ``benchmarks/
-bench_ablation_peer_set.py`` uses it to reproduce the §V point by
-rerunning a torrent with mainline's 80-peer sets against the 15-peer
-sets of [5].
+degree distribution, connectivity.  Ablation A6
+(``repro.analysis.ablations.peer_set_swarms``) uses it to reproduce the
+§V point by rerunning a torrent with mainline's 80-peer sets against
+the 15-peer sets of [5].
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The aggregation step is deliberately dumb and deterministic: it reads
 only the shard *records* (never the traces), orders everything by shard
-id, and renders the same fixed-width tables the figure benchmarks write
+id, and renders the same fixed-width tables ``repro reproduce`` writes
 into ``benchmarks/results/`` — so a campaign run slots its output next
 to the per-figure artefacts, and two byte-identical campaigns render
 byte-identical tables.

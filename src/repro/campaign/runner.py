@@ -2,7 +2,7 @@
 
 :func:`execute_shard` runs one fully resolved :class:`ShardSpec` —
 live, or served from the content-addressed cache — and is the single
-code path behind every consumer: the benchmark helpers run it inline,
+code path behind every consumer: ``repro reproduce`` runs it inline,
 the :class:`CampaignRunner` ships it to worker processes, and a cache
 hit replays the stored trace into the exact live ``Instrumentation``.
 

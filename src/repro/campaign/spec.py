@@ -14,10 +14,11 @@ stable identity (:attr:`ShardSpec.shard_id`).
 of worker count, scheduling order, or which shards were served from
 cache.  Replicate 0 of the default ``paper`` scenario reproduces the
 historical per-torrent stream ``campaign_seed + 37 * torrent_id`` that
-the figure benchmarks have always used (see ``benchmarks/_shared.py``),
-keeping the recorded EXPERIMENTS.md shapes and any cached results
-valid; every other coordinate draws an independent stream from a stable
-SHA-256 mix of the full tuple.
+the figure runs have always used (the claims registry,
+``repro.analysis.claims``, reads these shards), keeping the committed
+``benchmarks/results`` files and any cached results valid; every other
+coordinate draws an independent stream from a stable SHA-256 mix of the
+full tuple.
 """
 
 from __future__ import annotations

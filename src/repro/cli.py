@@ -16,7 +16,11 @@
     python -m repro campaign run --workers 4 --cache-dir campaign-cache
     python -m repro campaign run --torrents 2,3,13,19 --scenario smoke --workers 2
     python -m repro campaign status --cache-dir campaign-cache
+    python -m repro reproduce --replicates 10 --workers 2
 
+``reproduce`` evaluates the table of claims (Table I, Figs. 1-11, the
+six ablations: ``repro.analysis.claims``) over replicate seeds, rewrites
+``benchmarks/results/<claim>.txt`` and writes ``scorecard.txt``.
 ``campaign`` runs a whole experiment matrix (torrents x scenarios x
 replicates) across worker processes with content-addressed caching —
 ``repro campaign run`` executes the missing shards and writes a
@@ -166,15 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
             "flash-crowd-suppress",
         )
         _run_option_arguments(parser)
-        parser.add_argument("--replicates", type=int, default=1)
+        _campaign_arguments(parser, "--replicates")
         parser.add_argument(
             "--campaign-seed", type=int, default=3,
             help="root seed every shard's RNG stream derives from",
         )
-        parser.add_argument(
-            "--cache-dir", default="campaign-cache",
-            help="content-addressed shard cache + manifest directory",
-        )
+        _campaign_arguments(parser, "--cache-dir")
         parser.add_argument(
             "--filter", default=None, metavar="GLOB",
             help="only shards whose id matches (e.g. 't07-*', 'faults')",
@@ -185,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a campaign's missing shards across worker processes",
     )
     add_campaign_spec_args(campaign_run)
-    campaign_run.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
-    )
+    _campaign_arguments(campaign_run, "--workers")
     campaign_run.add_argument(
         "--backend", default="local", metavar="SPEC",
         help="dispatch backend: 'local' (in-process pool, default) or "
@@ -218,11 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=1,
         help="retries per shard after a worker crash or error",
     )
-    campaign_run.add_argument(
-        "--results-dir", default=None, metavar="DIR",
-        help="also write the aggregated campaign table into DIR "
-        "(e.g. benchmarks/results)",
-    )
+    _campaign_arguments(campaign_run, "--results-dir")
     campaign_status = campaign_commands.add_parser(
         "status", help="render a campaign's manifest.json"
     )
@@ -252,6 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_worker.add_argument(
         "--verbose", action="store_true",
         help="log each shard's outcome to stderr",
+    )
+
+    reproduce_parser = commands.add_parser(
+        "reproduce",
+        help="evaluate the table of claims (Table I, Figs. 1-11, ablations "
+        "A1-A6) over replicate seeds: per-claim result files + scorecard.txt",
+    )
+    reproduce_parser.set_defaults(usage_error=reproduce_parser.error)
+    _campaign_arguments(reproduce_parser, *CAMPAIGN_ARGUMENTS)
+    reproduce_parser.add_argument(
+        "--claims", default=None, metavar="IDS",
+        help="comma-separated claim ids to evaluate, e.g. F7,F8 (default: "
+        "the whole table)",
     )
 
     net_parser = commands.add_parser(
@@ -411,6 +419,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+CAMPAIGN_ARGUMENTS = {
+    "--replicates": dict(
+        type=int, default=1,
+        help="replicate seeds per shard (and, for 'reproduce', per ablation)",
+    ),
+    "--workers": dict(type=int, default=1, help="worker processes"),
+    "--cache-dir": dict(
+        default="campaign-cache",
+        help="content-addressed shard cache + manifest directory",
+    ),
+    "--results-dir": dict(
+        default=None, metavar="DIR",
+        help="write result tables into DIR: 'campaign run' adds its "
+        "aggregated table there, 'reproduce' writes the per-claim files and "
+        "scorecard.txt (its default: benchmarks/results, where it also "
+        "refreshes the scorecard block of ./EXPERIMENTS.md)",
+    ),
+}
+
+
+def _campaign_arguments(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """The flags ``campaign run|diff`` and ``reproduce`` share, declared
+    once; each parser names the ones it takes, where its help lists them."""
+    for flag in flags:
+        parser.add_argument(flag, **CAMPAIGN_ARGUMENTS[flag])
+
+
 def _run_option_arguments(parser: argparse.ArgumentParser) -> None:
     """The run coordinates a single run and a whole campaign both take
     (``run|figure|metrics`` and ``campaign run|diff``), declared once."""
@@ -498,6 +533,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "model": _cmd_model,
         "net": _cmd_net,
         "campaign": _cmd_campaign,
+        "reproduce": _cmd_reproduce,
         "stability": _cmd_stability,
         "tracker": _cmd_tracker,
     }[args.command]
@@ -922,6 +958,43 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print("manifest: %s" % (Path(args.cache_dir) / MANIFEST_NAME))
     print("manifest_fingerprint: %s" % result.fingerprint)
     return 1 if result.failed_shards() else 0
+
+
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.analysis.claims import select_claims
+    from repro.analysis.reproduce import ShardsFailed, publish_scorecard, reproduce
+
+    try:
+        claims = select_claims(args.claims)
+    except KeyError as exc:
+        args.usage_error(exc.args[0])
+    if args.replicates < 1:
+        args.usage_error("--replicates must be at least 1")
+    try:
+        scorecard = reproduce(
+            claims,
+            replicates=args.replicates,
+            cache_dir=args.cache_dir,
+            results_dir=Path(args.results_dir or "benchmarks/results"),
+            workers=args.workers,
+            progress=lambda message: print(message, file=sys.stderr),
+        )
+    except ShardsFailed as exc:
+        for entry in exc.args[0]:
+            print(
+                "%s %s: %s"
+                % (entry["status"], entry["shard_id"],
+                   "; ".join(entry.get("errors", ()))),
+                file=sys.stderr,
+            )
+        return 1
+    print(scorecard, end="")
+    # The committed table: all claims, into the default directory.
+    document = Path("EXPERIMENTS.md")
+    if args.results_dir is None and args.claims is None and document.exists():
+        publish_scorecard(document, scorecard)
+    # A failing claim is data: the table was produced, so the exit is 0.
+    return 0
 
 
 def _cmd_net(args: argparse.Namespace) -> int:

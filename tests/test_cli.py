@@ -233,6 +233,7 @@ def leaf_parsers(parser, prefix=()):
 class TestSharedFlags:
     RUN_OPTIONS = ("--duration", "--selector", "--playback-rate", "--tracker-sampler")
     FIGURE_OPTIONS = ("--kind", "--leecher-only")
+    CAMPAIGN_OPTIONS = ("--replicates", "--workers", "--cache-dir", "--results-dir")
 
     @pytest.mark.parametrize(
         "flags,commands",
@@ -240,8 +241,10 @@ class TestSharedFlags:
             (RUN_OPTIONS, [("run",), ("figure",), ("metrics",),
                            ("campaign", "run"), ("campaign", "diff")]),
             (FIGURE_OPTIONS, [("figure",), ("replay",)]),
+            (CAMPAIGN_OPTIONS, [("campaign", "run"), ("reproduce",)]),
+            (("--replicates", "--cache-dir"), [("campaign", "run"), ("campaign", "diff")]),
         ],
-        ids=["run-options", "figure-options"],
+        ids=["run-options", "figure-options", "campaign-options", "campaign-spec"],
     )
     def test_declared_once_so_identical_everywhere(self, flags, commands):
         parsers = leaf_parsers(build_parser())
@@ -266,6 +269,10 @@ class TestSharedFlags:
         parsers = leaf_parsers(build_parser())
         assert ("analyze",) not in parsers
         assert "--save" not in parsers[("run",)]._option_string_actions
+
+    def test_reproduce_adds_one_flag_to_the_shared_ones(self):
+        actions = leaf_parsers(build_parser())[("reproduce",)]._option_string_actions
+        assert set(actions) == {"-h", "--help", "--claims", *self.CAMPAIGN_OPTIONS}
 
 
 class TestMistypedOptions:

@@ -53,6 +53,10 @@ class TestSummarizeMetric:
         text = str(summarize_metric("dl", [1.0, 2.0]))
         assert "dl" in text and "n=2" in text
 
+    def test_median_and_quartiles(self):
+        summary = summarize_metric("x", [4.0, 1.0, float("nan"), 2.0, 3.0, 5.0])
+        assert (summary.q1, summary.median, summary.q3) == (2.0, 3.0, 4.0)
+
 
 class TestRunReplications:
     def test_aggregates_metrics(self):
@@ -72,6 +76,13 @@ class TestRunReplications:
 
         with pytest.raises(ValueError):
             run_replications(experiment, [1, 2])
+
+    def test_never_evaluable_metric_is_summarised_not_rejected(self):
+        stats = run_replications(
+            lambda seed: {"x": float(seed), "y": float("nan")}, [1, 2]
+        )
+        assert stats["x"].n == 2
+        assert stats["y"].n == 0 and stats["y"].values == []
 
     def test_real_swarm_replications(self):
         """Download times vary across seeds but stay in a sane band."""

@@ -1,9 +1,11 @@
 """Qualitative reproduction checks of the paper's headline results, at
-test-suite scale (the full-scale versions live in benchmarks/).
+test-suite scale (the full-scale versions are the rows of
+``repro.analysis.claims``, evaluated by ``repro reproduce``).
 
 Each test encodes one "shape" from DESIGN.md §5.
 """
 
+from repro.analysis.ablations import seed_choke_service
 from repro.analysis.fairness import unchoke_interest_correlation
 from repro.analysis.interarrival import interarrival_summary
 from repro.analysis.replication import (
@@ -241,37 +243,15 @@ class TestSeedStateFairness:
     """§IV-B.3: the new seed choke serves everyone near-uniformly; the
     old one lets fast peers monopolise the seed."""
 
-    def _seed_service_rounds(self, seed_choker_factory, seed_value):
-        """Unchoked rounds per remote peer: the *service time* a seed
-        grants each leecher, which the paper's seed criterion equalises.
-
-        The content is large enough that nobody completes during the
-        window, so every leecher stays interested throughout and the two
-        algorithms are compared on identical demand.
-        """
-        swarm = tiny_swarm(num_pieces=512, seed=seed_value)
-        trace = Instrumentation()
-        # The instrumented peer IS the seed here.
-        local = swarm.add_peer(
-            config=fast_config(upload=8 * KIB),
-            is_seed=True,
-            seed_choker=seed_choker_factory(),
-            observer=trace,
+    @staticmethod
+    def _seed_service_rounds(seed_choker_factory, seed_value):
+        """Unchoked rounds per remote peer under ablation A2's swarm
+        (built once, in ``repro.analysis.ablations``), without its free
+        rider: nine leechers on identical demand."""
+        rounds, __ = seed_choke_service(
+            seed_choker_factory, seed_value, free_rider=False
         )
-        trace.start_sampling()
-        # Heterogeneous download capacities: under the old (rate-ranked)
-        # algorithm the three uncapped peers monopolise the seed.
-        for index in range(9):
-            download = None if index < 3 else 1 * KIB
-            swarm.add_peer(
-                config=fast_config(upload=256.0, download=download),
-            )
-        swarm.run(600)
-        trace.finalize()
-        return {
-            address: float(record.unchoked_rounds_seed)
-            for address, record in trace.records.items()
-        }
+        return rounds
 
     def test_new_seed_choke_serves_more_uniformly_than_old(self):
         new_rounds = self._seed_service_rounds(SeedChoker, 47)
