@@ -67,14 +67,6 @@ HAVE_NUMPY = _np is not None
 PeerKey = Hashable
 
 
-def _unpacked_bits(bitfield: Bitfield):
-    """A bitfield's pieces as a 0/1 uint8 vector (numpy only)."""
-    return _np.unpackbits(
-        _np.frombuffer(bitfield._bits, dtype=_np.uint8),
-        count=bitfield.num_pieces,
-    )
-
-
 class AvailabilityMatrix:
     """Swarm-shared availability counts: one int32 row per online peer.
 
@@ -115,12 +107,20 @@ class AvailabilityMatrix:
         self.data[slot].fill(0)
         self._free.append(slot)
 
-    def increment(self, slots: List[int], piece: int) -> None:
-        """``data[slot, piece] += 1`` for every slot at once.
+    @staticmethod
+    def slot_index(slots: List[int]):
+        """The index array :meth:`increment` adds on, checked once.
 
         The slots must be distinct: a fancy-indexed add applies a
         repeated index once, which would silently lose a count."""
         assert len(set(slots)) == len(slots), "duplicate matrix slots"
+        return _np.array(slots, dtype=_np.intp)
+
+    def increment(self, slots, piece: int) -> None:
+        """``data[slot, piece] += 1`` for every slot at once: *slots* is
+        a :meth:`slot_index` (raw slots are checked and converted here)."""
+        if not isinstance(slots, _np.ndarray):
+            slots = self.slot_index(slots)
         self.data[slots, piece] += 1
 
 
@@ -197,7 +197,7 @@ class _PartialPiece:
     straggler duplicates, which are dropped on receipt).
     """
 
-    blocks: List[BlockRef]
+    blocks: Sequence[BlockRef]
     received: Set[int] = field(default_factory=set)
     requested: Dict[int, Set[PeerKey]] = field(default_factory=dict)
     unrequested: List[int] = field(default_factory=list)
@@ -295,7 +295,7 @@ class PiecePicker:
             # whether a remote offers *anything* wanted is then a single
             # C-speed AND against ``remote_bitfield.as_int()``, which
             # short-circuits the vectorized selection's common miss case.
-            self._wanted_mask = _unpacked_bits(bitfield) == 0
+            self._wanted_mask = bitfield.as_vector() == 0
             self._wanted_top = len(bitfield.to_bytes()) * 8 - 1
             self._wanted_int = int.from_bytes(
                 _np.packbits(self._wanted_mask).tobytes(), "big"
@@ -388,7 +388,7 @@ class PiecePicker:
         if not remote_bitfield.count:
             return  # a newcomer's (or a fresh link's placeholder) empty view
         if self._backend == "matrix":
-            self._matrix.data[self._slot] += _unpacked_bits(remote_bitfield)
+            self._matrix.data[self._slot] += remote_bitfield.as_vector()
             return
         for piece in remote_bitfield.have_indices():
             self._availability_delta(piece, +1)
@@ -399,7 +399,7 @@ class PiecePicker:
             return
         if self._backend == "matrix":
             row = self._matrix.data[self._slot]
-            row -= _unpacked_bits(remote_bitfield)
+            row -= remote_bitfield.as_vector()
             if row.min() < 0:
                 raise RuntimeError("negative availability after peer left")
             return
@@ -559,7 +559,7 @@ class PiecePicker:
             # order, and their copy counts gathered from the matrix row:
             # every strategy picks from these two aligned arrays.
             candidates = (
-                self._wanted_mask & _unpacked_bits(remote_bitfield)
+                self._wanted_mask & remote_bitfield.as_vector()
             ).nonzero()[0]
             counts = self._matrix.data[self._slot][candidates]
             return selector.select_arrays(candidates, counts, self._rng)

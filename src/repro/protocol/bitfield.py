@@ -44,10 +44,13 @@ class Bitfield:
     index) can intersect piece sets at C speed instead of probing one
     bit at a time.  Invariant: bitmap, mirror and count always agree —
     only this class's own methods write them, and the simulator may hand
-    one instance out as several neighbours' view of its owner.
+    one instance out as several neighbours' view of its owner.  Two
+    derived forms are memoised for the hot readers: :meth:`as_int`
+    (dropped by ``set`` / ``clear``) and :meth:`as_vector` (updated in
+    place by them).
     """
 
-    __slots__ = ("_num_pieces", "_bits", "_count", "_have")
+    __slots__ = ("_num_pieces", "_bits", "_count", "_have", "_int", "_vector")
 
     def __init__(self, num_pieces: int, have: Iterable[int] = ()):
         if num_pieces < 0:
@@ -56,6 +59,7 @@ class Bitfield:
         self._bits = bytearray((num_pieces + 7) // 8)
         self._count = 0
         self._have: set = set()
+        self._int = self._vector = None  # built on first read
         for index in have:
             self.set(index)
 
@@ -131,6 +135,9 @@ class Bitfield:
         self._bits[index >> 3] |= mask
         self._count += 1
         self._have.add(index)
+        self._int = None
+        if self._vector is not None:
+            self._vector[index] = 1
         return True
 
     def clear(self, index: int) -> bool:
@@ -142,6 +149,9 @@ class Bitfield:
         self._bits[index >> 3] &= ~mask & 0xFF
         self._count -= 1
         self._have.discard(index)
+        self._int = None
+        if self._vector is not None:
+            self._vector[index] = 0
         return True
 
     # -- aggregates --------------------------------------------------------
@@ -193,8 +203,24 @@ class Bitfield:
         whole-bitfield boolean algebra at C speed.  ``a.as_int() &
         ~b.as_int()`` is nonzero exactly when ``a`` holds a piece ``b``
         misses — the complement's infinite high ones and the padding
-        positions never intersect a valid bitfield's finite bits."""
-        return int.from_bytes(self._bits, "big")
+        positions never intersect a valid bitfield's finite bits.
+        Memoised until the next ``set`` / ``clear``."""
+        value = self._int
+        if value is None:
+            value = self._int = int.from_bytes(self._bits, "big")
+        return value
+
+    def as_vector(self):
+        """The pieces as a 0/1 ``uint8`` vector (numpy only), built on
+        first use and kept current by ``set`` / ``clear``.  Live and
+        read-only: combine it at once (``mask & bits``), never hold it."""
+        vector = self._vector
+        if vector is None:
+            vector = self._vector = _np.unpackbits(
+                _np.frombuffer(self._bits, dtype=_np.uint8),
+                count=self._num_pieces,
+            )
+        return vector
 
     def interesting_in(self, other: "Bitfield") -> bool:
         """True when *other* holds at least one piece this bitfield misses.
@@ -204,7 +230,7 @@ class Bitfield:
         """
         if other._num_pieces != self._num_pieces:
             raise ValueError("bitfields cover different torrents")
-        return bool(int.from_bytes(other._bits, "big") & ~int.from_bytes(self._bits, "big"))
+        return bool(other.as_int() & ~self.as_int())
 
     def pieces_only_in(self, other: "Bitfield") -> Iterator[int]:
         """Indices held by *other* but missing here."""

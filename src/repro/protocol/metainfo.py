@@ -10,9 +10,10 @@ and parsing of .torrent metainfo dictionaries via
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.protocol.bencode import bdecode, bencode
 
@@ -52,6 +53,9 @@ class PieceGeometry:
         self.piece_size = piece_size
         self.block_size = block_size
         self.num_pieces = -(-total_size // piece_size)
+        # Interned block lists: one immutable tuple per piece, built on
+        # first use and shared by every picker on this geometry.
+        self._blocks: Dict[int, Tuple[BlockRef, ...]] = {}
 
     def piece_length(self, piece: int) -> int:
         """Length in bytes of *piece* (the last piece may be shorter)."""
@@ -65,26 +69,28 @@ class PieceGeometry:
         length = self.piece_length(piece)
         return -(-length // self.block_size)
 
-    def blocks(self, piece: int) -> List[BlockRef]:
-        """All blocks of *piece*, in offset order."""
-        length = self.piece_length(piece)
-        refs = []
-        offset = 0
-        while offset < length:
-            block_length = min(self.block_size, length - offset)
-            refs.append(BlockRef(piece, offset, block_length))
-            offset += block_length
+    def blocks(self, piece: int) -> Tuple[BlockRef, ...]:
+        """All blocks of *piece*, in offset order (interned: every call
+        returns the same immutable tuple of the same objects)."""
+        refs = self._blocks.get(piece)
+        if refs is None:
+            length = self.piece_length(piece)
+            refs = self._blocks[piece] = tuple(
+                BlockRef(piece, offset, min(self.block_size, length - offset))
+                for offset in range(0, length, self.block_size)
+            )
         return refs
 
     def block_ref(self, piece: int, block_index: int) -> BlockRef:
         """The ``block_index``-th block of *piece*."""
-        length = self.piece_length(piece)
-        offset = block_index * self.block_size
-        if not 0 <= offset < length:
+        refs = self.blocks(piece)
+        # Checked by hand: tuple indexing would wrap a negative index,
+        # and a hostile wire offset must raise.
+        if not 0 <= block_index < len(refs):
             raise IndexError(
                 "block %d out of range for piece %d" % (block_index, piece)
             )
-        return BlockRef(piece, offset, min(self.block_size, length - offset))
+        return refs[block_index]
 
     @property
     def total_blocks(self) -> int:
@@ -147,10 +153,7 @@ class Metainfo:
     ) -> "Metainfo":
         """Build a metainfo over deterministic synthetic content."""
         geometry = PieceGeometry(total_size, piece_size, block_size)
-        hashes = [
-            hashlib.sha1(cls._piece_payload(name, piece, geometry)).digest()
-            for piece in range(geometry.num_pieces)
-        ]
+        hashes = _synthetic_digests(name, total_size, piece_size)
         return cls(name, geometry, hashes, announce)
 
     @staticmethod
@@ -222,6 +225,20 @@ class Metainfo:
 
     def __repr__(self) -> str:
         return "Metainfo(%r, %s)" % (self.name, self.geometry)
+
+
+@functools.lru_cache(maxsize=32)
+def _synthetic_digests(
+    name: str, total_size: int, piece_size: int
+) -> Tuple[bytes, ...]:
+    """SHA-1 of every synthetic piece: a pure function of its arguments
+    (block size plays no part), so campaign shards and replicates of one
+    torrent hash its content once per process."""
+    geometry = PieceGeometry(total_size, piece_size, piece_size)
+    return tuple(
+        hashlib.sha1(Metainfo._piece_payload(name, piece, geometry)).digest()
+        for piece in range(geometry.num_pieces)
+    )
 
 
 def make_metainfo(

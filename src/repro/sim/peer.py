@@ -22,7 +22,7 @@ blocks and PIECE messages to the downloading side.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.choke import Choker
 from repro.core.peer_core import PeerCore, PeerState
@@ -111,7 +111,7 @@ class Peer(PeerCore):
         # Fused HAVE fan-out targets (see _collect_have_targets), built
         # on demand; reset to None by whatever changes the answer: a link
         # established or closed, either end crashing.
-        self._have_targets: Optional[Tuple[List[int], List[PiecePicker]]] = None
+        self._have_targets: Optional[Tuple[Sequence[int], List[PiecePicker]]] = None
         self.initiated_count = 0
         # Super-seeding (§IV-A.4): advertise nothing, reveal pieces one
         # at a time per peer, preferring the least-revealed piece.
@@ -539,7 +539,7 @@ class Peer(PeerCore):
         if targets is None:
             targets = self._have_targets = self._collect_have_targets()
         slots, pickers = targets
-        if slots:
+        if len(slots):
             self.swarm.availability_matrix.increment(slots, piece)
         for picker in pickers:
             picker.remote_has(piece)
@@ -559,7 +559,29 @@ class Peer(PeerCore):
         sender_addr = self.address
         shared_recorder = getattr(observer, "recorder", None)
         pair_emit = getattr(shared_recorder, "emit_have_pair", None)
-        for connection in list(self.connections.values()):
+        if observer is not None or sender_is_seed:
+            links = list(self.connections.values())
+        else:
+            # Visit only the links that can react; on every other link
+            # the body below is a no-op turn.  The sender-side mirrors
+            # stand for the twin's flags (every flag writer sends its
+            # message at once, and delivery here is synchronous), and no
+            # reaction on one link writes what this reads of another, so
+            # filtering up front keeps the same turns in the same order.
+            links = [
+                connection
+                for connection in self.connections.values()
+                if not connection.peer_interested  # remote may gain interest
+                or not connection.am_choking  # remote may fill its pipeline
+                or (
+                    connection.am_interested  # our own recheck, as below
+                    and connection.remote_bitfield._count <= own_count
+                    and connection.remote_bitfield._bits[byte_index] & bit_mask
+                )
+                or connection.remote.observer is not None
+                or connection.remote.super_seeding
+            ]
+        for connection in links:
             if not connection.closed:
                 twin = connection.twin
                 if twin is not None and not twin.closed:
@@ -615,15 +637,18 @@ class Peer(PeerCore):
                         connection.am_interested = False
                         self._send(connection, NotInterested())
 
-    def _collect_have_targets(self) -> Tuple[List[int], List[PiecePicker]]:
+    def _collect_have_targets(self) -> Tuple[Sequence[int], List[PiecePicker]]:
         """Neighbours that count our pieces (far end still open), split
-        by how: matrix slots for one batched add, list/index pickers."""
+        by how: matrix slots — as the checked index array of one batched
+        add, or an empty list — and list/index pickers."""
         pickers = [
             connection.remote.picker
             for connection in self.connections.values()
             if connection.twin is not None and not connection.twin.closed
         ]
         slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
+        if slots:
+            slots = self.swarm.availability_matrix.slot_index(slots)
         return slots, [p for p in pickers if p.matrix_slot is None]
 
     # -- request messages ----------------------------------------------------

@@ -1,0 +1,113 @@
+"""The every-link HAVE fan-out, kept as the differential oracle.
+
+This is ``repro.sim.peer.Peer.broadcast_have_fused`` and
+``Peer._collect_have_targets`` as they stood before the flood learned to
+visit only the links that can react: every link of the sender gets a
+turn whether or not anything on it can change, and the batched add is
+handed a plain list of slots that ``AvailabilityMatrix.increment``
+checks and converts on every call.  The loop body is the production
+body, line for line — production differs only in the list it walks —
+which is what ``tests/test_have_fanout_equivalence.py`` needs to hold the
+filter to "a superset of the links that can react".  The one edit is
+forced: the per-peer target cache now holds an index array, so the
+oracle collects its targets afresh on each flood instead of reading it.
+
+Lives in the test tree on purpose: nothing under ``src/`` may import it.
+"""
+
+from repro.core.peer_core import PeerState
+from repro.protocol.messages import Have, Interested, NotInterested
+
+
+def reference_collect_have_targets(self):
+    """Neighbours that count our pieces (far end still open), split
+    by how: matrix slots for one batched add, list/index pickers."""
+    pickers = [
+        connection.remote.picker
+        for connection in self.connections.values()
+        if connection.twin is not None and not connection.twin.closed
+    ]
+    slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
+    return slots, [p for p in pickers if p.matrix_slot is None]
+
+
+def reference_broadcast_have_fused(self, message: Have) -> None:
+    """One fused HAVE flood of the sim :class:`Peer` *self*."""
+    piece = message.piece
+    now = self.simulator.now
+    slots, pickers = reference_collect_have_targets(self)
+    if slots:
+        self.swarm.availability_matrix.increment(slots, piece)
+    for picker in pickers:
+        picker.remote_has(piece)
+    byte_index = piece >> 3
+    bit_mask = 0x80 >> (piece & 7)
+    # Sender-side interest recheck support, hoisted: all constant
+    # across the loop, own state only changes afterwards.
+    not_ours = ~self.bitfield.as_int()
+    own_count = self.bitfield.count
+    sender_is_seed = self.is_seed
+    observer = self.observer
+    seed_state = PeerState.SEED
+    # Pair-emit capability, hoisted: when sender and receiver are
+    # both observed into the same binary recorder, one call packs
+    # the sent+received record pair, bypassing two observer hook
+    # invocations per delivery (the bulk of --trace-all overhead).
+    sender_addr = self.address
+    shared_recorder = getattr(observer, "recorder", None)
+    pair_emit = getattr(shared_recorder, "emit_have_pair", None)
+    for connection in list(self.connections.values()):
+        if not connection.closed:
+            twin = connection.twin
+            if twin is not None and not twin.closed:
+                receiver = connection.remote
+                receiver_observer = receiver.observer
+            else:
+                twin = receiver = receiver_observer = None
+            if (
+                pair_emit is not None
+                and receiver_observer is not None
+                and getattr(receiver_observer, "recorder", None)
+                is shared_recorder
+            ):
+                pair_emit(now, sender_addr, receiver.address, piece)
+            else:
+                if observer:
+                    observer.on_message_sent(now, connection, message)
+                if receiver_observer is not None:
+                    receiver_observer.on_message_received(now, twin, message)
+            if twin is not None:
+                # -- the receiver's reactions (_handle_have) --
+                # ``last_message_at`` is deliberately not refreshed: its
+                # only reader is the fault sweep, and a fault plan
+                # disables the fused path entirely.
+                if (
+                    receiver.super_seeding
+                    and receiver._active_reveal.get(sender_addr) == piece
+                ):
+                    del receiver._active_reveal[sender_addr]
+                    receiver._reveal_next(twin)
+                if not twin.am_interested:
+                    if receiver.state is not seed_state and not (
+                        receiver.bitfield._bits[byte_index] & bit_mask
+                    ):
+                        twin.am_interested = True
+                        receiver._send(twin, Interested())
+                if not twin.peer_choking and twin.am_interested:
+                    receiver._fill_pipeline(twin)
+        # -- sender-side interest recheck (the reference loop's tail).
+        # Completing a piece can only shrink the interesting set, and
+        # only by that piece, so links whose remote lacks it are
+        # skipped; so are remotes holding MORE pieces than we do,
+        # which necessarily hold one we miss (both prefilters exact).
+        if connection.am_interested:
+            remote_bits = connection.remote_bitfield
+            if sender_is_seed:
+                connection.am_interested = False
+                self._send(connection, NotInterested())
+            elif remote_bits._count <= own_count and (
+                remote_bits._bits[byte_index] & bit_mask
+            ):
+                if not (remote_bits.as_int() & not_ours):
+                    connection.am_interested = False
+                    self._send(connection, NotInterested())

@@ -1,9 +1,14 @@
 """Unit and property tests for the piece-ownership bitfield."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.protocol import bitfield as bitfield_module
 from repro.protocol.bitfield import Bitfield
+
+HAVE_NUMPY = bitfield_module._np is not None
 
 
 class TestBasics:
@@ -218,22 +223,112 @@ class TestIndexIterators:
         assert list(field.missing_indices()) == []
         assert list(field.pieces_only_in(Bitfield(0))) == []
 
-    def test_bitmap_mirror_and_count_agree_through_every_mutator(self):
-        """Only ``Bitfield`` writes its three representations, so they
-        never drift — shared remote views rely on it."""
-        made = [
-            Bitfield(20, have=[3, 17]),
-            Bitfield.full(20),
-            Bitfield.from_bytes(Bitfield(20, have=[0, 8, 19]).to_bytes(), 20),
+    def agree(self, field):
+        """Bitmap, mirror, count and the two memoised forms say the same."""
+        have = self.probed(field)
+        assert have == sorted(field.have_set)
+        assert list(field.have_indices()) == have
+        assert field.count == len(have)
+        assert field.as_int() == int.from_bytes(field.to_bytes(), "big")
+        if HAVE_NUMPY:
+            vector = field.as_vector()
+            assert vector.dtype == bitfield_module._np.uint8
+            assert vector.tolist() == [
+                int(index in field.have_set) for index in range(field.num_pieces)
+            ]
+
+    @staticmethod
+    def makers():
+        return [
+            lambda: Bitfield(20, have=[3, 17]),
+            lambda: Bitfield.full(20),
+            lambda: Bitfield.from_bytes(
+                Bitfield(20, have=[0, 3, 8, 19]).to_bytes(), 20
+            ),
+            lambda: Bitfield(20, have=[3, 17]).copy(),
         ]
-        made.append(made[0].copy())
-        for field in made:
-            field.set(5)
-            field.clear(3)
-            field.clear(3)
-            assert self.probed(field) == sorted(field.have_set)
-            assert list(field.have_indices()) == sorted(field.have_set)
-            assert field.count == len(field.have_set)
+
+    def test_bitmap_mirror_and_count_agree_through_every_mutator(self):
+        """Only ``Bitfield`` writes its representations, so they never
+        drift — shared remote views rely on it.  The memoised integer and
+        vector are two more of them: built before the writes (*warm*) they
+        must follow each one, built after they must start right."""
+        for make, warm in itertools.product(self.makers(), (False, True)):
+            field = make()
+            if warm:
+                self.agree(field)
+            for write in (
+                lambda: field.set(5),
+                lambda: field.clear(3),
+                lambda: field.clear(3),  # a clear after a read, unchanged bit
+                lambda: field.set(3),
+            ):
+                write()
+                if warm:
+                    self.agree(field)
+            self.agree(field)
+
+    def test_a_copy_shares_no_memo_with_its_source(self):
+        source = Bitfield(20, have=[3, 17])
+        self.agree(source)  # both memos built
+        clone = source.copy()
+        clone.set(4)
+        source.clear(17)
+        self.agree(clone)
+        self.agree(source)
+        assert sorted(clone.have_set) == [3, 4, 17]
+        assert sorted(source.have_set) == [3]
+
+    def test_a_neighbour_reading_a_shared_view_between_two_writes(self):
+        """Under DESIGN §12 a neighbour's view *is* the owner's bitfield:
+        what it reads through the memos is never a write behind."""
+        owner = Bitfield(20, have=[1])
+        view = owner  # connection.remote_bitfield is remote.bitfield
+        neighbour = Bitfield(20, have=[1, 2])
+        assert not neighbour.interesting_in(view)
+        owner.set(9)
+        assert neighbour.interesting_in(view)
+        assert view.as_int() == int.from_bytes(owner.to_bytes(), "big")
+        if HAVE_NUMPY:
+            assert view.as_vector()[9] == 1
+        owner.clear(9)  # a hash failure takes it back
+        assert not neighbour.interesting_in(view)
+        owner.set(2)
+        neighbour.clear(2)
+        assert neighbour.interesting_in(view)
+        self.agree(owner)
+        self.agree(neighbour)
+
+    @given(
+        st.integers(1, 70),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.sampled_from("scrv"), st.integers(0, 69)), max_size=30),
+    )
+    def test_property_memos_follow_any_interleaving(self, num_pieces, maker, ops):
+        """set / clear / read-int / read-vector in any order, on every
+        constructor: each read equals a fresh derivation from the bytes."""
+        held = [index for index in (0, 3, 8, 19, 64) if index < num_pieces]
+        field = [
+            lambda: Bitfield(num_pieces, have=held),
+            lambda: Bitfield.full(num_pieces),
+            lambda: Bitfield.from_bytes(
+                Bitfield(num_pieces, have=held).to_bytes(), num_pieces
+            ),
+            lambda: Bitfield(num_pieces, have=held).copy(),
+        ][maker]()
+        for op, index in ops:
+            index %= num_pieces
+            if op == "s":
+                field.set(index)
+            elif op == "c":
+                field.clear(index)
+            elif op == "r":
+                assert field.as_int() == int.from_bytes(field.to_bytes(), "big")
+            elif HAVE_NUMPY:
+                assert field.as_vector().tolist() == [
+                    int(i in field.have_set) for i in range(num_pieces)
+                ]
+        self.agree(field)
 
     def test_pieces_only_in_rejects_another_torrent(self):
         with pytest.raises(ValueError):

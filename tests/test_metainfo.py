@@ -5,12 +5,31 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from random import Random
+
+from repro.core.piece_picker import PiecePicker
+from repro.core.rarest_first import RarestFirstSelector
+from repro.protocol import metainfo as metainfo_module
+from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import (
     BlockRef,
     Metainfo,
     PieceGeometry,
     make_metainfo,
 )
+
+
+def fresh_blocks(geometry, piece):
+    """The block list as ``blocks`` built it on every call before it was
+    interned: the oracle for the interned tuples."""
+    length = geometry.piece_length(piece)
+    refs = []
+    offset = 0
+    while offset < length:
+        block_length = min(geometry.block_size, length - offset)
+        refs.append(BlockRef(piece, offset, block_length))
+        offset += block_length
+    return refs
 
 
 class TestPieceGeometry:
@@ -48,6 +67,60 @@ class TestPieceGeometry:
         geometry = PieceGeometry(1024, piece_size=256, block_size=64)
         with pytest.raises(IndexError):
             geometry.block_ref(0, 4)
+
+    def test_block_ref_never_wraps(self):
+        """Interned blocks live in tuples, and tuple indexing would hand
+        back the last block for ``-1``: ``NetPeer._check_frame`` relies on
+        the raise to stop a hostile offset."""
+        geometry = PieceGeometry(1000, piece_size=256, block_size=64)
+        for piece in range(geometry.num_pieces):
+            count = geometry.blocks_in_piece(piece)
+            for block_index in (-1, -count, count, count + 7):
+                with pytest.raises(IndexError):
+                    geometry.block_ref(piece, block_index)
+            for block_index in range(count):
+                assert geometry.block_ref(piece, block_index) is (
+                    geometry.blocks(piece)[block_index]
+                )
+        for piece in (-1, geometry.num_pieces):
+            with pytest.raises(IndexError):
+                geometry.block_ref(piece, 0)
+            with pytest.raises(IndexError):
+                geometry.blocks(piece)
+
+    def test_interned_blocks_equal_a_fresh_construction(self):
+        geometry = PieceGeometry(1000, piece_size=256, block_size=60)
+        assert geometry.piece_length(3) < 256  # a short last piece
+        for piece in range(geometry.num_pieces):
+            blocks = geometry.blocks(piece)
+            assert list(blocks) == fresh_blocks(geometry, piece)
+            assert len(blocks) == geometry.blocks_in_piece(piece)
+            assert geometry.blocks(piece) is blocks  # one tuple per piece
+            with pytest.raises(TypeError):
+                blocks[0] = blocks[-1]  # immutable: pickers share it
+
+    def test_two_pickers_on_one_geometry_hold_the_same_blocks(self):
+        geometry = PieceGeometry(1000, piece_size=256, block_size=64)
+        offer = Bitfield.full(geometry.num_pieces)
+        held = []
+        for seed in (1, 2):
+            picker = PiecePicker(
+                geometry,
+                Bitfield(geometry.num_pieces),
+                RarestFirstSelector(),
+                Random(seed),
+                use_rarity_index=False,
+            )
+            picker.peer_joined(offer)
+            blocks = {}
+            while True:
+                block = picker.next_request(offer, "remote")
+                if block is None or picker.in_endgame:
+                    break
+                blocks[block.piece, block.offset] = block
+            held.append(blocks)
+        assert held[0].keys() == held[1].keys() and len(held[0]) == 16
+        assert all(held[0][key] is held[1][key] for key in held[0])
 
     def test_piece_out_of_range(self):
         geometry = PieceGeometry(1024, piece_size=256, block_size=64)
@@ -96,6 +169,40 @@ class TestMetainfo:
         b = Metainfo.synthetic("t", 512, piece_size=256, block_size=64)
         assert a.piece_payload(1) == b.piece_payload(1)
         assert a.info_hash == b.info_hash
+
+    def test_synthetic_digests_are_hashed_once_per_torrent(self, monkeypatch):
+        """``build_experiment`` calls ``synthetic`` per shard; the digests
+        are a pure function of (name, total size, piece size)."""
+        hashed = []
+        real_sha1 = hashlib.sha1
+
+        class CountingHashlib:
+            @staticmethod
+            def sha1(data=b""):
+                hashed.append(len(data))
+                return real_sha1(data)
+
+        metainfo_module._synthetic_digests.cache_clear()
+        plain = Metainfo.synthetic("memo", 1000, piece_size=256, block_size=64)
+        monkeypatch.setattr(metainfo_module, "hashlib", CountingHashlib)
+        metainfo_module._synthetic_digests.cache_clear()
+        first = Metainfo.synthetic("memo", 1000, piece_size=256, block_size=64)
+        cold = len(hashed)
+        # Per piece: one seed, one digest; then the info hash.
+        assert cold == 2 * first.geometry.num_pieces + 1
+        second = Metainfo.synthetic("memo", 1000, piece_size=256, block_size=32)
+        assert len(hashed) == cold + 1  # the info hash alone
+        assert first.piece_hashes == second.piece_hashes == plain.piece_hashes
+        assert first.info_hash == second.info_hash == plain.info_hash
+        assert first.piece_hashes is not second.piece_hashes  # each owns its list
+        assert second.geometry.block_size == 32
+        # Verification still hashes what it is handed.
+        assert second.verify_piece(0, second.piece_payload(0))
+        assert len(hashed) > cold + 1
+        # Another name, size or piece size is another torrent.
+        other = Metainfo.synthetic("memo", 1000, piece_size=128, block_size=64)
+        assert other.piece_hashes != first.piece_hashes
+        assert metainfo_module._synthetic_digests.cache_info().maxsize is not None
 
     def test_different_names_different_content(self):
         a = Metainfo.synthetic("a", 512, piece_size=256, block_size=64)

@@ -98,7 +98,7 @@ class TestAvailability:
         def forbidden(bitfield):
             raise AssertionError("unpacked an empty view")
 
-        monkeypatch.setattr(piece_picker, "_unpacked_bits", forbidden)
+        monkeypatch.setattr(Bitfield, "as_vector", forbidden)
         picker.peer_left(Bitfield(8))
         picker.peer_joined(Bitfield(8))
         assert picker.availability == (0, 0, 1, 0, 0, 0, 0, 0)
@@ -130,12 +130,29 @@ class TestAvailabilityMatrixIncrement:
 
     def test_duplicate_slots_are_asserted_against(self):
         """A fancy-indexed add applies a repeated index once: silently
-        losing a count is the one thing this must never do."""
+        losing a count is the one thing this must never do.  The check
+        lives where the index is built — once per target cache, not once
+        per flood — and a raw list handed to ``increment`` is still a
+        list that gets built, so it is still checked."""
         matrix = piece_picker.AvailabilityMatrix(4)
-        slot = matrix.acquire()
+        slot, other = matrix.acquire(), matrix.acquire()
+        with pytest.raises(AssertionError):
+            matrix.slot_index([slot, other, slot])
         with pytest.raises(AssertionError):
             matrix.increment([slot, slot], 0)
         assert int(matrix.data.sum()) == 0
+
+    def test_a_built_index_adds_what_the_raw_list_adds(self):
+        matrix = piece_picker.AvailabilityMatrix(6, capacity=4)
+        slots = [matrix.acquire() for __ in range(4)]
+        index = matrix.slot_index([slots[3], slots[0]])
+        assert index.dtype == piece_picker._np.intp
+        assert index.tolist() == [slots[3], slots[0]]
+        matrix.increment(index, 2)
+        matrix.increment(index, 2)
+        matrix.increment([slots[3], slots[0]], 2)
+        assert matrix.data[:, 2].tolist() == [3, 0, 0, 3]
+        assert int(matrix.data.sum()) == 6  # no other cell moved
 
 
 class TestRandomFirstPolicy:

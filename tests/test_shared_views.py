@@ -232,13 +232,31 @@ def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
         )
     crashed = []
     ticks = []
+    mirrored = []
 
     def probe(now):
         ticks.append(now)
         for peer in set(everyone) | set(swarm.peers.values()):
-            # The cached fan-out targets, when held, are never stale.
+            # The cached fan-out targets, when held, are never stale: the
+            # same slots in the same order (an index array, so compared
+            # element-wise) and the very same slot-less pickers.
             held_targets = peer._have_targets
-            assert held_targets in (None, peer._collect_have_targets()), (now, peer)
+            if held_targets is not None:
+                slots, pickers = peer._collect_have_targets()
+                assert list(held_targets[0]) == list(slots), (now, peer)
+                assert len(held_targets[1]) == len(pickers), (now, peer)
+                assert all(
+                    held is fresh for held, fresh in zip(held_targets[1], pickers)
+                ), (now, peer)
+            # The fused fan-out filters on the sender-side mirrors of the
+            # twin's flags: on a link open at both ends they are equal.
+            for connection in peer.connections.values():
+                twin = connection.twin
+                if connection.closed or twin is None or twin.closed:
+                    continue
+                assert connection.peer_interested == twin.am_interested, (now, peer)
+                assert connection.am_choking == twin.peer_choking, (now, peer)
+                mirrored.append(connection)
             # A crash deliberately strands the victim's own counts (see
             # PiecePicker.detach_matrix); everyone else must add up.
             if peer.online and peer not in crashed:
@@ -284,7 +302,7 @@ def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
         stale = neighbour.connections.get(victim.address)
         if stale is not None:  # the frozen view did not follow the victim
             assert stale.remote_bitfield.count == held
-    assert len(ticks) > 100
+    assert len(ticks) > 100 and mirrored
     # Closing every link subtracts every view: nothing may go negative.
     for peer in list(swarm.peers.values()):
         peer.leave()
