@@ -145,7 +145,8 @@ def recv_frame(sock: socket.socket) -> Optional[dict]:
         raise FrameError("connection closed before frame body")
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
+        # RecursionError: a body nested deeper than the decoder recurses.
         raise FrameError("undecodable frame: %s" % error)
     if not isinstance(message, dict) or "type" not in message:
         raise FrameError("frame is not a typed object")

@@ -190,7 +190,6 @@ class PeerCore:
             random_first_threshold=config.random_first_threshold,
             strict_priority=config.strict_priority,
             endgame_enabled=config.endgame_enabled,
-            use_rarity_index=config.use_rarity_index,
             matrix=matrix,
         )
         self.leecher_choker = leecher_choker or LeecherChoker(

@@ -18,23 +18,29 @@ The picker owns four responsibilities (paper §II-C.1):
    requested, outstanding blocks are requested from *every* peer that
    offers them, with CANCELs on receipt.
 
-Scaling note: availability is kept both as a flat count array and as a
-:class:`RarityIndex` — pieces bucketed by copy count — so the rarest
-pieces set and rarest-first selection cost O(rarest bucket) instead of
-O(num_pieces) per call.  A second index restricted to *wanted* pieces
-(missing and not yet started) feeds selection directly.  The indexed
-path is behaviour-preserving: given the same seed it consumes the RNG
-identically and produces the same piece-selection trace as the naive
-scan (``use_rarity_index=False``), which tests assert.
+Two availability backends, and the picker does not choose between
+them: it takes the one its caller's situation allows.
 
-The default ``matrix`` backend keeps neither list nor buckets: counts
-live in a row of the swarm-shared :class:`AvailabilityMatrix` and the
-wanted pieces in a boolean mask.  A new-piece pick computes the
-candidate array once (wanted AND offered, ascending) and gathers the
-aligned copy counts from the row; every strategy — random first
-included — picks from those two arrays through
-``PieceSelector.select_arrays``, under the same trace-equivalence
-contract.
+* ``index`` (no matrix given: a numpy-free install, the live
+  :class:`~repro.net.peer.NetPeer`) keeps the counts both as a flat
+  array and as a :class:`RarityIndex` — pieces bucketed by copy count —
+  so the rarest pieces set and rarest-first selection cost
+  O(rarest bucket) instead of O(num_pieces) per call.  A second index
+  restricted to *wanted* pieces (missing and not yet started) feeds
+  selection directly.
+* ``matrix`` (the swarm hands over its shared
+  :class:`AvailabilityMatrix`, which it holds whenever numpy is
+  importable) keeps neither list nor buckets: counts live in one row of
+  the matrix and the wanted pieces in a boolean mask.  A new-piece pick
+  computes the candidate array once (wanted AND offered, ascending) and
+  gathers the aligned copy counts from the row; every strategy — random
+  first included — picks from those two arrays through
+  ``PieceSelector.select_arrays``.
+
+Both are behaviour-preserving: given the same seed they consume the RNG
+identically and produce the same piece-selection trace as a naive
+O(num_pieces) scan, which lives in the test tree as the oracle the
+differential tests hold them to.
 """
 
 from __future__ import annotations
@@ -243,7 +249,6 @@ class PiecePicker:
         random_first_threshold: int = 4,
         strict_priority: bool = True,
         endgame_enabled: bool = True,
-        use_rarity_index: bool = True,
         matrix: Optional[AvailabilityMatrix] = None,
         matrix_slot: Optional[int] = None,
     ):
@@ -257,23 +262,6 @@ class PiecePicker:
         self._endgame_enabled = endgame_enabled
         self._active: Dict[int, _PartialPiece] = {}
         self._endgame = False
-        # Availability backend: "matrix" (swarm-shared numpy rows, the
-        # mega-swarm fast path), "index" (per-picker rarity buckets) or
-        # "naive" (flat list + full scans).  All three consume the RNG
-        # identically and yield the same selections.
-        if matrix is not None:
-            if matrix_slot is None:
-                matrix_slot = matrix.acquire()
-            self._backend = "matrix"
-        elif use_rarity_index:
-            self._backend = "index"
-        else:
-            self._backend = "naive"
-        self._matrix = matrix
-        self._slot = matrix_slot
-        self._availability = (
-            [0] * geometry.num_pieces if matrix is None else None
-        )
         # Active partials that still hold unrequested blocks; with the
         # active-piece and missing-piece counts this makes the end-game
         # trigger test O(1) instead of O(missing pieces).
@@ -281,13 +269,20 @@ class PiecePicker:
         # The bitfield's piece set is mutated in place for the picker's
         # whole lifetime, so one membership view can be cached up front.
         self._local_have = bitfield.have_set
-        if self._backend == "index":
+        # Availability backend: "matrix" when handed a swarm-shared matrix
+        # (one numpy row per peer, the mega-swarm fast path), "index"
+        # (per-picker rarity buckets) otherwise.  Both consume the RNG
+        # identically and yield the same selections.
+        self._matrix = matrix
+        if matrix is None:
+            self._backend = "index"
+            self._slot = None
+            self._availability = [0] * geometry.num_pieces
             self._all_index = RarityIndex(range(geometry.num_pieces))
             self._wanted_index = RarityIndex(bitfield.missing_indices())
         else:
-            self._all_index = None
-            self._wanted_index = None
-        if self._backend == "matrix":
+            self._backend = "matrix"
+            self._slot = matrix.acquire() if matrix_slot is None else matrix_slot
             # Wanted = missing and not yet started; availability plays no
             # part in maintaining it, so it is a plain boolean mask.  The
             # same mask is mirrored as one big integer in the
@@ -300,8 +295,6 @@ class PiecePicker:
             self._wanted_int = int.from_bytes(
                 _np.packbits(self._wanted_mask).tobytes(), "big"
             )
-        else:
-            self._wanted_mask = None
         # Mode-suppression selectors judge offers against the rarest
         # *wanted* copy count; bind the backend-independent oracle the
         # same way peers bind playback positions into their selectors.
@@ -325,10 +318,6 @@ class PiecePicker:
         return self._selector
 
     @property
-    def uses_rarity_index(self) -> bool:
-        return self._backend != "naive"
-
-    @property
     def availability_backend(self) -> str:
         return self._backend
 
@@ -342,7 +331,7 @@ class PiecePicker:
         later availability access fails loudly rather than corrupting the
         slot's next owner.  Only call when the counts are zero (a clean
         leave decrements per closed connection); a *crashed* peer keeps its
-        row so a rejoin sees the same stale counts the list backend would.
+        row so a rejoin sees the same stale counts the index backend would.
         """
         if self._matrix is not None and self._slot is not None:
             self._matrix.release(self._slot)
@@ -378,10 +367,9 @@ class PiecePicker:
         if new_count < 0:
             raise RuntimeError("negative availability for piece %d" % piece)
         self._availability[piece] = new_count
-        if self._backend == "index":
-            self._all_index.move(piece, old_count, new_count)
-            if piece not in self._local_have and piece not in self._active:
-                self._wanted_index.move(piece, old_count, new_count)
+        self._all_index.move(piece, old_count, new_count)
+        if piece not in self._local_have and piece not in self._active:
+            self._wanted_index.move(piece, old_count, new_count)
 
     def peer_joined(self, remote_bitfield: Bitfield) -> None:
         """Account a new peer's full bitfield."""
@@ -415,27 +403,18 @@ class PiecePicker:
         started), or ``None`` when nothing is wanted.
 
         This is the scarcity oracle mode-suppression selectors compare
-        offers against; all three availability backends compute the
+        offers against; both availability backends compute the
         identical value, so binding it never perturbs trace
         equivalence.
         """
-        if self._backend == "index":
-            if self._wanted_index.is_empty():
-                return None
-            return self._wanted_index.min_count()
         if self._backend == "matrix":
             counts = self._matrix.data[self._slot][self._wanted_mask]
             if not counts.size:
                 return None
             return int(counts.min())
-        best: Optional[int] = None
-        for piece in self._bitfield.missing_indices():
-            if piece in self._active:
-                continue
-            count = self._availability[piece]
-            if best is None or count < best:
-                best = count
-        return best
+        if self._wanted_index.is_empty():
+            return None
+        return self._wanted_index.min_count()
 
     def rarest_pieces_set(self) -> Tuple[int, List[int]]:
         """(m, pieces-with-m-copies): the paper's rarest pieces set.
@@ -447,15 +426,7 @@ class PiecePicker:
             counts = self._matrix.data[self._slot]
             rarest_count = int(counts.min())
             return rarest_count, _np.nonzero(counts == rarest_count)[0].tolist()
-        if self._backend == "index":
-            return self._all_index.rarest()
-        rarest_count = min(self._availability)
-        pieces = [
-            piece
-            for piece, count in enumerate(self._availability)
-            if count == rarest_count
-        ]
-        return rarest_count, pieces
+        return self._all_index.rarest()
 
     # ------------------------------------------------------------------
     # request scheduling
@@ -537,11 +508,11 @@ class PiecePicker:
         partial = _PartialPiece(blocks=self._geometry.blocks(piece))
         self._active[piece] = partial
         self._open_partials += 1
-        if self._backend == "index":
-            self._wanted_index.remove(piece, self._availability[piece])
-        elif self._backend == "matrix":
+        if self._backend == "matrix":
             self._wanted_mask[piece] = False
             self._wanted_int &= ~(1 << (self._wanted_top - piece))
+        else:
+            self._wanted_index.remove(piece, self._availability[piece])
         block_index = self._pop_block(partial, peer_key)
         return partial.blocks[block_index]
 
@@ -563,11 +534,7 @@ class PiecePicker:
             ).nonzero()[0]
             counts = self._matrix.data[self._slot][candidates]
             return selector.select_arrays(candidates, counts, self._rng)
-        if (
-            self._backend == "index"
-            and not random_first
-            and selector.uses_rarity_index
-        ):
+        if not random_first and selector.uses_rarity_index:
             return selector.select_indexed(
                 self._wanted_index, remote_bitfield, self._rng
             )
@@ -592,19 +559,13 @@ class PiecePicker:
 
     def _all_blocks_requested(self) -> bool:
         """True when every missing block is either received or in flight."""
-        if self._backend != "naive":
-            # Active pieces are exactly the started missing pieces; when
-            # every missing piece is active and none of them has an
-            # unrequested block left, everything is received or in flight.
-            return (
-                self._open_partials == 0
-                and len(self._active) == self._bitfield.missing
-            )
-        for piece in self._bitfield.missing_indices():
-            partial = self._active.get(piece)
-            if partial is None or partial.unrequested:
-                return False
-        return True
+        # Active pieces are exactly the started missing pieces; when every
+        # missing piece is active and none of them has an unrequested
+        # block left, everything is received or in flight.
+        return (
+            self._open_partials == 0
+            and len(self._active) == self._bitfield.missing
+        )
 
     def _endgame_block(
         self, remote_bitfield: Bitfield, peer_key: PeerKey
@@ -656,11 +617,11 @@ class PiecePicker:
             self._open_partials -= 1
         was_wanted = partial is None and not self._bitfield.has(piece)
         self._bitfield.clear(piece)
-        if self._backend == "index" and not was_wanted:
-            self._wanted_index.add(piece, self._availability[piece])
-        elif self._backend == "matrix":
+        if self._backend == "matrix":
             self._wanted_mask[piece] = True
             self._wanted_int |= 1 << (self._wanted_top - piece)
+        elif not was_wanted:
+            self._wanted_index.add(piece, self._availability[piece])
         # The whole piece is unrequested again, so "every missing block is
         # received or in flight" no longer holds; next_request re-enters
         # end game once that is true again.
@@ -688,11 +649,11 @@ class PiecePicker:
             partial = self._active.pop(piece)
             if partial.unrequested:
                 self._open_partials -= 1
-            if self._backend == "index":
-                self._wanted_index.add(piece, self._availability[piece])
-            elif self._backend == "matrix":
+            if self._backend == "matrix":
                 self._wanted_mask[piece] = True
                 self._wanted_int |= 1 << (self._wanted_top - piece)
+            else:
+                self._wanted_index.add(piece, self._availability[piece])
         if released:
             # Some blocks are unrequested again: end game is over until
             # next_request finds everything in flight once more.

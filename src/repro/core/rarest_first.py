@@ -54,16 +54,17 @@ def _choose_with_count(
 class PieceSelector(ABC):
     """Chooses the next piece to start among the startable candidates.
 
-    One policy, three entry points, one per availability backend of
-    :class:`~repro.core.piece_picker.PiecePicker`; all three must return
-    the same piece (or ``None``) and consume the RNG identically:
+    One policy, three entry points; all three must return the same piece
+    (or ``None``) and consume the RNG identically:
 
-    * :meth:`select` — the reference, over a candidate list (``naive``
-      backend, and the oracle the differential suites compare against);
+    * :meth:`select` — the reference, over a candidate list (the naive
+      scan the differential suites compare against, and the ``index``
+      backend's path for random first and strategies without an indexed
+      one);
     * :meth:`select_indexed` — over the wanted-piece rarity buckets
       (``index`` backend);
     * :meth:`select_arrays` — over the candidate array and its aligned
-      copy counts (``matrix`` backend, the default).
+      copy counts (``matrix`` backend, whenever numpy is importable).
     """
 
     name = "abstract"

@@ -77,12 +77,16 @@ def _encode(value: Bencodable, out: list) -> None:
 def bdecode(data: bytes) -> Any:
     """Decode a complete bencoded buffer.
 
-    Raises :class:`BencodeError` on malformed input or trailing garbage.
+    Raises :class:`BencodeError` on malformed input, trailing garbage or
+    nesting deeper than the recursion limit.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise BencodeError("bdecode expects bytes")
     data = bytes(data)
-    value, offset = _decode(data, 0)
+    try:
+        value, offset = _decode(data, 0)
+    except RecursionError:
+        raise BencodeError("nesting deeper than the decoder recurses") from None
     if offset != len(data):
         raise BencodeError("trailing data after bencoded value")
     return value

@@ -27,8 +27,8 @@ Two implementations share this module:
   in an order-insensitive reduction or elementwise).
 
 :func:`resolve_allocator` picks the vectorized path when numpy is
-importable and the reference otherwise; the reference stays selectable
-by name as the oracle of the differential tests.
+importable and the reference otherwise: the reference is the numpy-free
+fallback and, for that reason, the oracle of the differential tests.
 """
 
 from __future__ import annotations
@@ -266,19 +266,10 @@ def max_min_allocation_numpy(
 
 Allocator = Callable[[List[Flow], Mapping, Mapping], None]
 
-def resolve_allocator(name: str = "auto") -> Allocator:
-    """Map an allocator name to its implementation.
-
-    ``"auto"`` (the default) selects the vectorized max–min path when
-    numpy is importable and the reference otherwise — safe because the
-    two are bit-identical.  ``"reference"`` names the pure-python twin
-    explicitly.
-    """
-    if name == "auto":
-        return max_min_allocation_numpy if HAVE_NUMPY else max_min_allocation
-    if name == "reference":
-        return max_min_allocation
-    raise ValueError("unknown allocator %r (expected auto/reference)" % (name,))
+def resolve_allocator() -> Allocator:
+    """The vectorized max–min path when numpy is importable, the
+    reference otherwise — safe because the two are bit-identical."""
+    return max_min_allocation_numpy if HAVE_NUMPY else max_min_allocation
 
 
 def allocation_summary(flows: List[Flow]) -> Dict[NodeId, float]:

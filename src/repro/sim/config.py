@@ -68,13 +68,6 @@ class PeerConfig:
     strict_priority: bool = True
     """Finish partially-downloaded pieces before starting new ones."""
 
-    use_rarity_index: bool = True
-    """Drive piece selection through the picker's incremental rarity
-    index (O(rarest bucket) per pick) instead of the naive O(num_pieces)
-    availability scan.  Both paths are trace-equivalent given the same
-    seed; the naive path exists as the reference baseline for
-    equivalence tests."""
-
     seeding_time: Optional[float] = None
     """How long the peer stays as a seed after completing; None = forever."""
 
@@ -245,48 +238,6 @@ class FaultConfig:
         )
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Which implementation of three engine internals a swarm runs.
-
-    Every field is ``"auto"`` (the fast path, chosen from what the code
-    observes: numpy present, zero message latency, no fault plan) or the
-    name of its pinned reference twin.  The twins are trace-identical;
-    they are selectable only so the differential tests can compare the
-    two, through :data:`REFERENCE_ENGINE`.
-    """
-
-    allocator: str = "auto"
-    """``"reference"`` forces the pure-python max–min allocator."""
-
-    availability_backend: str = "auto"
-    """``"index"`` keeps copy counts in each picker instead of the
-    swarm-wide availability matrix."""
-
-    have_fanout: str = "auto"
-    """``"unbatched"`` sends one HAVE per link over parsed per-link
-    views instead of the fused fan-out over shared views."""
-
-    def __post_init__(self) -> None:
-        for name, twin in _ENGINE_TWINS.items():
-            value = getattr(self, name)
-            if value not in ("auto", twin):
-                raise ValueError(
-                    "EngineConfig.%s must be auto or %s, not %r"
-                    % (name, twin, value)
-                )
-
-
-_ENGINE_TWINS = {
-    "allocator": "reference",
-    "availability_backend": "index",
-    "have_fanout": "unbatched",
-}
-
-REFERENCE_ENGINE = EngineConfig(**_ENGINE_TWINS)
-"""Every fast path off: the one value the differential suites import."""
-
-
 @dataclass
 class SwarmConfig:
     """Swarm-level simulation parameters."""
@@ -340,6 +291,3 @@ class SwarmConfig:
     """Fault-injection plan; None (default) or a config whose
     ``enabled`` is False leaves the simulation byte-identical to the
     fault-free code path."""
-
-    engine: EngineConfig = EngineConfig()
-    """Engine path selection; the default is what every caller runs."""

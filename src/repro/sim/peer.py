@@ -80,14 +80,10 @@ class Peer(PeerCore):
             selector=selector,
             leecher_choker=leecher_choker,
             seed_choker=seed_choker,
-            # Swarm-shared availability matrix (mega-swarm fast path): the
-            # picker owns one row of it.  Peers that opt out of the rarity
-            # index keep the naive reference path for differential testing.
-            matrix=(
-                getattr(swarm, "availability_matrix", None)
-                if config.use_rarity_index
-                else None
-            ),
+            # The swarm-shared availability matrix when the swarm holds one
+            # (numpy importable): the picker owns one row of it.  Otherwise
+            # the picker keeps its own rarity index, as a live peer does.
+            matrix=getattr(swarm, "availability_matrix", None),
             observer=observer,
         )
         # Streaming playback model: only built when configured, so bulk
@@ -192,7 +188,7 @@ class Peer(PeerCore):
             # Every count was decremented as its connection closed above,
             # so the row is zero: releasing it is lossless.  A crash skips
             # this (and the per-connection decrements), keeping the stale
-            # counts a rejoining peer would also see on the list backend.
+            # counts a rejoining peer would also see on the index backend.
             self.picker.detach_matrix()
 
     def crash(self) -> None:
@@ -640,7 +636,7 @@ class Peer(PeerCore):
     def _collect_have_targets(self) -> Tuple[Sequence[int], List[PiecePicker]]:
         """Neighbours that count our pieces (far end still open), split
         by how: matrix slots — as the checked index array of one batched
-        add, or an empty list — and list/index pickers."""
+        add, or an empty list — and index pickers."""
         pickers = [
             connection.remote.picker
             for connection in self.connections.values()

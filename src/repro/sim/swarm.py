@@ -87,9 +87,8 @@ class Swarm:
     def __init__(self, metainfo: Metainfo, config: Optional[SwarmConfig] = None):
         self.metainfo = metainfo
         self.config = config or SwarmConfig()
-        engine = self.config.engine
         self.simulator = Simulator()
-        self._allocate = resolve_allocator(engine.allocator)
+        self._allocate = resolve_allocator()
         self.rng = Random(self.config.seed)
         # The tracker sampler is None-transparent: no spec builds the
         # same UniformSampler the tracker would default to, so runs
@@ -178,22 +177,18 @@ class Swarm:
         # Shared availability matrix: one int32 row per online peer, so a
         # completed piece's HAVE flood becomes a single vectorized
         # increment over the receivers' rows instead of per-peer python
-        # bookkeeping.  It needs numpy; the per-peer picker path it
-        # replaces is RNG- and trace-identical.
+        # bookkeeping.  It needs numpy; without it every picker keeps its
+        # own rarity index, which is RNG- and trace-identical.
         self.availability_matrix: Optional[AvailabilityMatrix] = (
-            AvailabilityMatrix(metainfo.geometry.num_pieces)
-            if engine.availability_backend == "auto" and HAVE_NUMPY
-            else None
+            AvailabilityMatrix(metainfo.geometry.num_pieces) if HAVE_NUMPY else None
         )
         # Batched HAVE fan-out (Peer._announce_piece), and the shared
         # remote views it rests on (Peer._remote_view), are only observably
         # identical to per-link sends and parsed views when delivery is
-        # synchronous and lossless: any latency or fault plan forces the
-        # reference.
+        # synchronous and lossless: any latency or fault plan takes the
+        # per-link path.
         self._batched_have = (
-            engine.have_fanout == "auto"
-            and self.config.message_latency == 0
-            and self.faults is None
+            self.config.message_latency == 0 and self.faults is None
         )
 
     # ------------------------------------------------------------------

@@ -115,7 +115,9 @@ async def announce_udp(
     try:
         transport.sendto(build_udp_connect(transaction_id))
         reply = await asyncio.wait_for(protocol.replies.get(), timeout)
-        action, tid, connection_id = struct.unpack(">iiq", reply)
+        if len(reply) < 16:
+            raise TrackerUnavailable("short UDP connect reply (%d bytes)" % len(reply))
+        action, tid, connection_id = struct.unpack(">iiq", reply[:16])
         if action != UDP_CONNECT or tid != transaction_id:
             raise TrackerUnavailable("bad UDP connect reply")
         listen_port = int(request.address.rpartition(":")[2] or 0)
@@ -125,11 +127,15 @@ async def announce_udp(
             )
         )
         reply = await asyncio.wait_for(protocol.replies.get(), timeout)
+        if len(reply) < 8:
+            raise TrackerUnavailable("short UDP announce reply (%d bytes)" % len(reply))
         action, tid = struct.unpack(">ii", reply[:8])
         if action == UDP_ERROR:
             raise TrackerUnavailable(reply[8:].decode("utf-8", "replace"))
         if action != UDP_ANNOUNCE or tid != transaction_id + 1:
             raise TrackerUnavailable("bad UDP announce reply")
+        if len(reply) < 20 or (len(reply) - 20) % 6:
+            raise TrackerUnavailable("bad UDP announce reply length %d" % len(reply))
         __, __, interval, leechers, seeds = struct.unpack(">iiiii", reply[:20])
         return AnnounceResponse(
             interval=interval,

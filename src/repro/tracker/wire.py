@@ -73,8 +73,9 @@ def encode_announce_response(response: AnnounceResponse) -> bytes:
 def decode_announce_response(data: bytes) -> AnnounceResponse:
     """Parse a compact-form announce response.
 
-    Raises :class:`ValueError` on malformed input, including tracker
-    *failure responses* (dictionaries with a ``failure reason`` key).
+    Raises :class:`ValueError` — and nothing else — on malformed input,
+    including tracker *failure responses* (dictionaries with a
+    ``failure reason`` key) and values of the wrong type.
     """
     try:
         top = bdecode(data)
@@ -83,18 +84,29 @@ def decode_announce_response(data: bytes) -> AnnounceResponse:
     if not isinstance(top, dict):
         raise ValueError("tracker response is not a dictionary")
     if b"failure reason" in top:
-        raise ValueError(
-            "tracker failure: %s"
-            % top[b"failure reason"].decode("utf-8", "replace")
-        )
+        reason = top[b"failure reason"]
+        if not isinstance(reason, bytes):
+            raise ValueError("tracker failure reason is not a byte string")
+        raise ValueError("tracker failure: %s" % reason.decode("utf-8", "replace"))
     for key in (b"interval", b"peers"):
         if key not in top:
             raise ValueError("missing tracker response key %r" % key)
+    interval = top[b"interval"]
+    peers = top[b"peers"]
+    complete = top.get(b"complete", 0)
+    incomplete = top.get(b"incomplete", 0)
+    if not (
+        isinstance(interval, int)
+        and isinstance(complete, int)
+        and isinstance(incomplete, int)
+        and isinstance(peers, bytes)
+    ):
+        raise ValueError("tracker response value of the wrong type")
     return AnnounceResponse(
-        interval=top[b"interval"],
-        complete=top.get(b"complete", 0),
-        incomplete=top.get(b"incomplete", 0),
-        peers=unpack_peers(top[b"peers"]),
+        interval=interval,
+        complete=complete,
+        incomplete=incomplete,
+        peers=unpack_peers(peers),
     )
 
 

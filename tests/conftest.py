@@ -1,12 +1,18 @@
 """Shared fixtures and builders for integration tests."""
 
+from contextlib import contextmanager
 from typing import Optional
 
 import pytest
 
+import repro.core.peer_core
+import repro.sim.bandwidth
+import repro.sim.swarm
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
+
+from tests.reference_piece_picker import NaivePiecePicker
 
 
 def tiny_swarm(
@@ -35,3 +41,63 @@ def fast_config(upload: float = 8 * KIB, download: Optional[float] = None, **kwa
 @pytest.fixture
 def swarm():
     return tiny_swarm()
+
+
+def _numpy_free(patch):
+    # What a swarm observes of numpy: the python allocator and per-peer
+    # rarity indexes instead of the vectorised one and the matrix.
+    patch.setattr(repro.sim.swarm, "HAVE_NUMPY", False)
+    patch.setattr(repro.sim.bandwidth, "HAVE_NUMPY", False)
+
+
+def _per_link(patch):
+    # Parsed per-link views and one HAVE per link, from construction on,
+    # as a latency or fault plan would select them.
+    construct = Swarm.__init__
+
+    def per_link_swarm(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        self._batched_have = False
+
+    patch.setattr(Swarm, "__init__", per_link_swarm)
+
+
+def _naive_picker(patch):
+    patch.setattr(repro.core.peer_core, "PiecePicker", NaivePiecePicker)
+
+
+TWINS = {
+    "numpy-free": _numpy_free,
+    "per-link": _per_link,
+    "naive-picker": _naive_picker,
+}
+
+#: Every engine fast path off: what a numpy-free run under message
+#: latency takes.  The picker oracle is not an engine path.
+ENGINE_TWINS = ("numpy-free", "per-link")
+
+
+@contextmanager
+def _select(*names):
+    with pytest.MonkeyPatch.context() as patch:
+        for name in names:
+            TWINS[name](patch)
+        yield
+
+
+@pytest.fixture(scope="session")
+def twins():
+    """``with twins(*names):`` builds swarms and peers on reference twins.
+
+    The engine chooses its paths from what it observes at construction
+    (numpy importable; zero latency and no fault plan), so this reaches
+    each twin the same way: by changing what a swarm built inside the
+    block observes.  ``"naive-picker"`` makes every peer built inside the
+    block pick through the naive oracle of
+    ``tests/reference_piece_picker.py``.  A swarm keeps the engine twins
+    it was built with; peers arriving later are built when they arrive,
+    so a run with arrivals stays inside the block.  The context manager
+    holds no state, so the fixture is session-wide and safe under
+    Hypothesis.
+    """
+    return _select

@@ -9,9 +9,11 @@ ways:
 * **property tests** drive the two allocators over random networks and
   require bit-identical rates (not approximately equal: the reference
   was restructured so both charge residuals with the same arithmetic);
-* **differential swarm runs** execute the same seeded scenario once per
-  engine configuration and require identical trace fingerprints and
-  final swarm state — including under churn, faults, and rejoins;
+* **differential swarm runs** execute the same seeded scenario on the
+  fast paths and on their reference twins (reached through the
+  ``twins`` fixture, as a numpy-free or per-link run reaches them) and
+  require identical trace fingerprints and final swarm state —
+  including under churn, faults, and rejoins;
 * **format tests** require the binary trace to reproduce the JSONL
   trace byte for byte, and to fail loudly when truncated or corrupted.
 """
@@ -39,21 +41,15 @@ from repro.sim.bandwidth import (
     max_min_allocation_numpy,
     resolve_allocator,
 )
-from repro.sim.config import (
-    KIB,
-    REFERENCE_ENGINE,
-    EngineConfig,
-    FaultConfig,
-    PeerConfig,
-    SwarmConfig,
-)
+from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 from random import Random
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from tests.conftest import ENGINE_TWINS
+from tests.reference_piece_picker import NaivePiecePicker
 
-FAST_ENGINE = EngineConfig()
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +111,13 @@ class TestAllocatorEquivalence:
             if used != float("inf"):
                 assert used <= cap + tolerance
 
-    def test_resolve_allocator_names(self):
-        assert resolve_allocator("reference") is max_min_allocation
-        assert resolve_allocator("auto") is max_min_allocation_numpy
-        with pytest.raises(ValueError):
-            resolve_allocator("no-such-allocator")
+    def test_resolve_allocator_names(self, twins):
+        """No name picks the allocator any more; whether numpy imports does."""
+        assert resolve_allocator() is max_min_allocation_numpy
+        with twins("numpy-free"):
+            assert resolve_allocator() is max_min_allocation
+        with pytest.raises(TypeError):
+            resolve_allocator("reference")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,6 @@ class TestAllocatorEquivalence:
 # ---------------------------------------------------------------------------
 
 def run_swarm(
-    engine,
     seed=17,
     leechers=12,
     pieces=128,
@@ -140,7 +137,7 @@ def run_swarm(
     metainfo = make_metainfo(
         "equiv", num_pieces=pieces, piece_size=4 * KIB, block_size=4 * KIB
     )
-    config = SwarmConfig(seed=seed, engine=engine, faults=faults)
+    config = SwarmConfig(seed=seed, faults=faults)
     swarm = Swarm(metainfo, config)
     if recorder is not None:
         swarm.observer_factory = lambda: TracingObserver(recorder)
@@ -173,48 +170,52 @@ def run_swarm(
 @needs_numpy
 class TestEngineDifferential:
     @pytest.mark.parametrize(
-        "field, selects_twin",
+        "twin, selects_twin",
         [
-            ("allocator", lambda swarm: swarm._allocate is max_min_allocation),
+            ("numpy-free", lambda swarm: swarm._allocate is max_min_allocation),
             (
-                "availability_backend",
+                "numpy-free",
                 lambda swarm: all(
                     peer.picker.availability_backend == "index"
                     for peer in swarm.peers.values()
                 ),
             ),
-            ("have_fanout", lambda swarm: swarm._batched_have is False),
+            ("per-link", lambda swarm: swarm._batched_have is False),
+            (
+                "naive-picker",
+                lambda swarm: all(
+                    type(peer.picker) is NaivePiecePicker
+                    for peer in swarm.peers.values()
+                ),
+            ),
         ],
+        ids=["allocator", "availability_backend", "have_fanout", "picker"],
     )
-    def test_each_reference_value_selects_its_twin(self, field, selects_twin):
-        """Guard against a vacuous differential: every field of
-        REFERENCE_ENGINE must switch its path, and only its own."""
-        value = getattr(REFERENCE_ENGINE, field)
-        __, __, twin = run_swarm(EngineConfig(**{field: value}), horizon=40.0)
-        __, __, fast = run_swarm(FAST_ENGINE, horizon=40.0)
-        assert twin.peers and fast.peers
-        assert selects_twin(twin)
+    def test_each_reference_value_selects_its_twin(self, twin, selects_twin, twins):
+        """Guard against a vacuous differential: the fixture really
+        selects each twin, and the default swarm holds none of them."""
+        with twins(twin):
+            __, __, twin_swarm = run_swarm(horizon=40.0)
+        __, __, fast = run_swarm(horizon=40.0)
+        assert twin_swarm.peers and fast.peers
+        assert selects_twin(twin_swarm)
         assert not selects_twin(fast)
 
-    def test_fast_path_trace_equals_reference(self):
-        fast = TraceRecorder()
-        reference = TraceRecorder()
-        fast_fp, fast_state, __ = run_swarm(FAST_ENGINE, recorder=fast)
-        ref_fp, ref_state, __ = run_swarm(REFERENCE_ENGINE, recorder=reference)
+    def test_fast_path_trace_equals_reference(self, twins):
+        fast_fp, fast_state, __ = run_swarm(recorder=TraceRecorder())
+        with twins(*ENGINE_TWINS):
+            ref_fp, ref_state, __ = run_swarm(recorder=TraceRecorder())
         assert fast_fp == ref_fp
         assert fast_state == ref_state
 
-    def test_fast_path_equals_reference_under_churn(self):
-        fast_fp, fast_state, __ = run_swarm(
-            FAST_ENGINE, churn=True, recorder=TraceRecorder()
-        )
-        ref_fp, ref_state, __ = run_swarm(
-            REFERENCE_ENGINE, churn=True, recorder=TraceRecorder()
-        )
+    def test_fast_path_equals_reference_under_churn(self, twins):
+        fast_fp, fast_state, __ = run_swarm(churn=True, recorder=TraceRecorder())
+        with twins(*ENGINE_TWINS):
+            ref_fp, ref_state, __ = run_swarm(churn=True, recorder=TraceRecorder())
         assert fast_fp == ref_fp
         assert fast_state == ref_state
 
-    def test_allocator_choice_invisible_under_faults(self):
+    def test_allocator_choice_invisible_under_faults(self, twins):
         # Faults disable the fused fan-out automatically; the allocator
         # and availability backend still run and must stay invisible.
         faults = FaultConfig(
@@ -222,12 +223,11 @@ class TestEngineDifferential:
             crash_probability=0.05,
             crash_interval=20.0,
         )
-        fast_fp, fast_state, __ = run_swarm(
-            FAST_ENGINE, faults=faults, recorder=TraceRecorder()
-        )
-        ref_fp, ref_state, __ = run_swarm(
-            REFERENCE_ENGINE, faults=faults, recorder=TraceRecorder()
-        )
+        fast_fp, fast_state, __ = run_swarm(faults=faults, recorder=TraceRecorder())
+        with twins(*ENGINE_TWINS):
+            ref_fp, ref_state, __ = run_swarm(
+                faults=faults, recorder=TraceRecorder()
+            )
         assert fast_fp == ref_fp
         assert fast_state == ref_state
 
@@ -298,10 +298,10 @@ class TestFlowCacheUnderChurn:
 def traced_pair(tmp_path=None):
     """The same tiny run recorded by the JSONL and binary recorders."""
     jsonl = TraceRecorder()
-    run_swarm(FAST_ENGINE, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=jsonl)
+    run_swarm(seed=5, leechers=4, pieces=32, horizon=80.0, recorder=jsonl)
     jsonl.close()
     binary = BinaryTraceRecorder()
-    run_swarm(FAST_ENGINE, seed=5, leechers=4, pieces=32, horizon=80.0, recorder=binary)
+    run_swarm(seed=5, leechers=4, pieces=32, horizon=80.0, recorder=binary)
     binary.close()
     return jsonl, binary
 

@@ -133,6 +133,12 @@ class TestDecode:
         with pytest.raises(BencodeError):
             bdecode(b"x")
 
+    @pytest.mark.parametrize("marker", [b"l", b"d"])
+    def test_nesting_past_the_recursion_limit(self, marker):
+        """Regression: a deep nest escaped as RecursionError."""
+        with pytest.raises(BencodeError, match="nesting"):
+            bdecode(marker * 100_000)
+
 
 # Hypothesis: arbitrary nested bencodable values survive a round trip.
 bencodable = st.recursive(
@@ -167,6 +173,20 @@ def test_encoding_is_canonical(value):
 @given(st.binary(max_size=32))
 def test_decoder_never_crashes_unexpectedly(data):
     """Arbitrary bytes either decode or raise BencodeError — nothing else."""
+    try:
+        bdecode(data)
+    except BencodeError:
+        pass
+
+
+@given(
+    st.lists(st.sampled_from([b"l", b"d", b"li0e", b"d1:a"]), max_size=4),
+    st.integers(0, 20_000),
+    st.binary(max_size=32),
+)
+def test_decoder_raises_only_bencode_error_at_any_depth(openers, depth, tail):
+    """Arbitrary bytes behind an arbitrarily deep opening nest."""
+    data = b"".join(openers) * depth + tail
     try:
         bdecode(data)
     except BencodeError:

@@ -177,6 +177,11 @@ class PoolHarness:
 # Frame codec
 # ---------------------------------------------------------------------------
 
+#: A body nested deeper than ``json.loads`` recurses: RecursionError, not
+#: ValueError, unless the codec maps it.
+HOSTILE_NESTING = b"[" * 200_000
+
+
 class TestFrameCodec:
     def pair(self):
         return socket.socketpair()
@@ -211,7 +216,12 @@ class TestFrameCodec:
         a.close(), b.close()
 
     def test_untyped_and_undecodable_frames_raise(self):
-        for body in (b"[1,2,3]", b"\xff\xfe garbage", b"{\"no\": \"type\"}"):
+        for body in (
+            b"[1,2,3]",
+            b"\xff\xfe garbage",
+            b"{\"no\": \"type\"}",
+            HOSTILE_NESTING,
+        ):
             a, b = self.pair()
             a.sendall(struct.pack(">I", len(body)) + body)
             with pytest.raises(FrameError):
@@ -336,6 +346,25 @@ class TestWorkerPoolSemantics:
         entry = harness.result.manifest["shards"][0]
         assert entry["status"] == "failed"
         assert "WorkerCrashed" in entry["errors"][0]
+
+    def test_hostile_reply_fails_the_shard_instead_of_stranding_it(
+        self, tmp_path
+    ):
+        """Regression: a reply nested deeper than the JSON decoder
+        recurses escaped the connection thread as RecursionError, which
+        died holding the lease: run() never returned."""
+        spec = smoke_spec((2,))
+        with PoolHarness(spec, tmp_path, retries=0) as harness:
+            client = harness.connect()
+            assert recv_frame(client)["type"] == "work"
+            client.sendall(struct.pack(">I", len(HOSTILE_NESTING)) + HOSTILE_NESTING)
+            harness._thread.join(timeout=10.0)
+            assert not harness._thread.is_alive(), "run() still blocked"
+            client.close()
+        entry = harness.result.manifest["shards"][0]
+        assert entry["status"] == "failed"
+        assert "WorkerCrashed" in entry["errors"][0]
+        assert "undecodable frame" in entry["errors"][0]
 
     def test_remote_error_consumes_retries(self, tmp_path):
         spec = smoke_spec((2,))

@@ -1,16 +1,8 @@
 """Tests for the configuration dataclasses and their §III-C defaults."""
 
-import dataclasses
-
 import pytest
 
-from repro.sim.config import (
-    KIB,
-    REFERENCE_ENGINE,
-    EngineConfig,
-    PeerConfig,
-    SwarmConfig,
-)
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
 
 
 class TestPeerConfigDefaults:
@@ -98,36 +90,14 @@ class TestSwarmConfigDefaults:
             SwarmConfig(**{"extra": {"availability_backend": "index"}})
 
 
-class TestEngineConfig:
-    FIELDS = ("allocator", "availability_backend", "have_fanout")
+class TestNoEngineKnobs:
+    """The engine picks its paths from what it observes; no caller can."""
 
-    def test_three_fields_all_auto_by_default(self):
-        assert tuple(f.name for f in dataclasses.fields(EngineConfig)) == self.FIELDS
-        assert SwarmConfig().engine == EngineConfig()
-        assert all(getattr(EngineConfig(), name) == "auto" for name in self.FIELDS)
-
-    def test_reference_engine_differs_in_every_field(self):
-        assert all(
-            getattr(REFERENCE_ENGINE, name) != "auto" for name in self.FIELDS
-        )
-
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_unknown_value_is_rejected_at_construction(self, field):
-        """A mistyped differential must not silently run the default
-        path and compare the fast engine with itself."""
-        for value in ("", "Auto", "numpy", "matrix", "list", "heap"):
-            with pytest.raises(ValueError):
-                EngineConfig(**{field: value})
-        # Another field's reference value is not valid here either.
-        for other in self.FIELDS:
-            if other != field:
-                with pytest.raises(ValueError):
-                    EngineConfig(**{field: getattr(REFERENCE_ENGINE, other)})
-
-    def test_unknown_field_is_rejected(self):
+    def test_swarm_config_takes_no_engine(self):
         with pytest.raises(TypeError):
-            EngineConfig(alocator="reference")
+            SwarmConfig(engine=None)
 
-    def test_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            REFERENCE_ENGINE.allocator = "auto"
+    @pytest.mark.parametrize("use_rarity_index", [True, False])
+    def test_peer_config_takes_no_rarity_index_switch(self, use_rarity_index):
+        with pytest.raises(TypeError):
+            PeerConfig(use_rarity_index=use_rarity_index)

@@ -28,7 +28,7 @@ from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import Choke, Have, Interested, NotInterested, Unchoke
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import HAVE_NUMPY
-from repro.sim.config import KIB, EngineConfig, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.connection import Connection
 from repro.sim.observer import PeerObserver
 from repro.sim.swarm import Swarm
@@ -37,8 +37,10 @@ from tests.reference_have_fanout import reference_broadcast_have_fused
 
 PIECES = 12
 
-#: Both backends take the fused path: matrix rows under one batched add,
-#: and the slot-less index pickers a numpy-free install falls back to.
+#: Both backends take the fused path: matrix rows under one batched add
+#: ("auto", what a swarm with numpy builds), and the slot-less index
+#: pickers a numpy-free install falls back to ("index", reached through
+#: the ``twins`` fixture as a numpy-free swarm reaches it).
 BACKENDS = ["auto", "index"] if HAVE_NUMPY else ["index"]
 
 
@@ -58,12 +60,11 @@ class RecordingObserver(PeerObserver):
 class World:
     """One sender, its remotes, and a transcript of everything sent."""
 
-    def __init__(self, script, backend, reference):
+    def __init__(self, script, reference):
         metainfo = make_metainfo(
             "fanout", num_pieces=PIECES, piece_size=2 * KIB, block_size=KIB
         )
-        engine = EngineConfig(availability_backend=backend)
-        self.swarm = Swarm(metainfo, SwarmConfig(seed=1906, engine=engine))
+        self.swarm = Swarm(metainfo, SwarmConfig(seed=1906))
         assert self.swarm._batched_have
         self.reference = reference
         self.transcript = []
@@ -257,9 +258,10 @@ def scripts(draw):
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=150, deadline=None)
 @given(script=scripts())
-def test_filtered_fanout_is_the_every_link_fanout(backend, script):
-    production = World(script, backend, reference=False)
-    reference = World(script, backend, reference=True)
+def test_filtered_fanout_is_the_every_link_fanout(backend, script, twins):
+    with twins(*(["numpy-free"] if backend == "index" else [])):
+        production = World(script, reference=False)
+        reference = World(script, reference=True)
     assert production.state() == reference.state()
     for op in script["ops"]:
         production.apply(op)
@@ -304,7 +306,7 @@ def test_each_clause_keeps_a_link_that_reacts(clause):
     script, reacted = CLAUSES[clause]
     states = []
     for reference in (False, True):
-        world = World(script, BACKENDS[0], reference)
+        world = World(script, reference)
         for op in script["ops"]:
             world.apply(op)
         assert [peer.address for peer in [world.sender] + world.remotes] == [
@@ -328,7 +330,7 @@ def test_a_super_seeder_keeps_its_turn_whatever_its_flags_say():
     script = {"sender": ([], False), "remotes": [([], "super-seed")], "ops": []}
     states = []
     for reference in (False, True):
-        world = World(script, BACKENDS[0], reference)
+        world = World(script, reference)
         sender, (remote,) = world.sender, world.remotes
         world.apply(("interest", 0, 1))
         world.apply(("interest", 0, 0))
@@ -380,7 +382,7 @@ def test_idle_links_get_no_turn(reference, expected):
         "remotes": [([5], "plain")] * 80,
         "ops": [],
     }
-    world = World(script, BACKENDS[0], reference)
+    world = World(script, reference)
     sender = world.sender
     assert len(sender.connections) == 80
     for connection in sender.connections.values():

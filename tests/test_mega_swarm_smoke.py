@@ -35,10 +35,7 @@ def run_mega_swarm():
     rng = Random(42)
 
     def peer_config() -> PeerConfig:
-        return PeerConfig(
-            upload_capacity=rng.choice([32, 64, 96, 128]) * KIB,
-            use_rarity_index=True,
-        )
+        return PeerConfig(upload_capacity=rng.choice([32, 64, 96, 128]) * KIB)
 
     swarm.add_peer(config=peer_config(), is_seed=True)
     for _ in range(LEECHERS):

@@ -109,7 +109,6 @@ class TestPieceGeometry:
                 Bitfield(geometry.num_pieces),
                 RarestFirstSelector(),
                 Random(seed),
-                use_rarity_index=False,
             )
             picker.peer_joined(offer)
             blocks = {}

@@ -33,6 +33,8 @@ from repro.core.rarest_first import (
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry
 
+from tests.reference_piece_picker import NaivePiecePicker
+
 pytestmark = pytest.mark.stability
 
 
@@ -168,43 +170,41 @@ def test_registered_in_selector_registry():
 class TestWantedScarcity:
     """The picker-side oracle mode suppression is judged against."""
 
-    def make_picker(self, num_pieces=6, have=(), use_rarity_index=True):
+    def make_picker(self, num_pieces=6, have=(), indexed=True):
         block = 16
         geometry = PieceGeometry(
             num_pieces * 4 * block, piece_size=4 * block, block_size=block
         )
         bitfield = Bitfield(num_pieces, have=list(have))
-        return PiecePicker(
+        picker_class = PiecePicker if indexed else NaivePiecePicker
+        return picker_class(
             geometry,
             bitfield,
             ModeSuppressionSelector(suppression=0.9),
             Random(3),
-            use_rarity_index=use_rarity_index,
         )
 
-    @pytest.mark.parametrize("use_rarity_index", [True, False])
-    def test_tracks_rarest_missing_piece(self, use_rarity_index):
-        picker = self.make_picker(use_rarity_index=use_rarity_index)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_tracks_rarest_missing_piece(self, indexed):
+        picker = self.make_picker(indexed=indexed)
         picker.peer_joined(Bitfield(6, have=[0, 1]))
         picker.peer_joined(Bitfield(6, have=[0]))
         assert picker.wanted_scarcity() == 0  # pieces 2..5 have no copies
 
-    @pytest.mark.parametrize("use_rarity_index", [True, False])
-    def test_ignores_pieces_we_already_have(self, use_rarity_index):
-        picker = self.make_picker(have=[2, 3, 4, 5], use_rarity_index=use_rarity_index)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_ignores_pieces_we_already_have(self, indexed):
+        picker = self.make_picker(have=[2, 3, 4, 5], indexed=indexed)
         picker.peer_joined(Bitfield(6, have=[0, 1]))
         picker.peer_joined(Bitfield(6, have=[0]))
         assert picker.wanted_scarcity() == 1  # piece 1 is the rarest wanted
 
-    @pytest.mark.parametrize("use_rarity_index", [True, False])
-    def test_none_when_nothing_is_wanted(self, use_rarity_index):
-        picker = self.make_picker(
-            have=range(6), use_rarity_index=use_rarity_index
-        )
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_none_when_nothing_is_wanted(self, indexed):
+        picker = self.make_picker(have=range(6), indexed=indexed)
         assert picker.wanted_scarcity() is None
 
-    @pytest.mark.parametrize("use_rarity_index", [True, False])
-    def test_oracle_is_bound_into_the_selector(self, use_rarity_index):
-        picker = self.make_picker(use_rarity_index=use_rarity_index)
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_oracle_is_bound_into_the_selector(self, indexed):
+        picker = self.make_picker(indexed=indexed)
         selector = picker._selector
         assert selector._scarcity() == picker.wanted_scarcity()

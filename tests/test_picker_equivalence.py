@@ -1,12 +1,13 @@
-"""Old-vs-new equivalence: the indexed picker must be a pure speedup.
+"""Old-vs-new equivalence: the indexed pickers must be a pure speedup.
 
-The rarity-bucket index (``use_rarity_index=True``, the default) claims
-to be behaviour-preserving: given the same seed, a swarm of indexed
+The rarity-bucket index and the availability matrix claim to be
+behaviour-preserving: given the same seed, a swarm of production
 pickers must execute the *identical* schedule as a swarm of naive
-pickers — same RNG consumption, same piece selections, same completion
-order, same rarest-pieces-set trajectory.  These tests run the same
-seeded scenario twice, once per mode, and compare the traces event for
-event.
+pickers (``tests/reference_piece_picker.py``) — same RNG consumption,
+same piece selections, same completion order, same rarest-pieces-set
+trajectory.  These tests run the same seeded scenario twice, once on
+the production pickers and once on the oracle, reached through the
+``twins`` fixture, and compare the traces event for event.
 """
 
 from random import Random
@@ -16,14 +17,11 @@ import pytest
 from repro.core.rarest_first import make_selector
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import HAVE_NUMPY
-from repro.sim.config import (
-    KIB,
-    REFERENCE_ENGINE,
-    EngineConfig,
-    PeerConfig,
-    SwarmConfig,
-)
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
+
+from tests.conftest import ENGINE_TWINS
+from tests.reference_piece_picker import NaivePiecePicker
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -39,28 +37,19 @@ ALL_SELECTOR_SPECS = [
 ]
 
 
-def build_swarm(
-    seed,
-    num_pieces,
-    num_leechers,
-    use_rarity_index,
-    churn=False,
-    selector_spec=None,
-    engine=EngineConfig(),
-):
+def build_swarm(seed, num_pieces, num_leechers, churn=False, selector_spec=None):
     metainfo = make_metainfo(
         "equivalence-%d" % seed,
         num_pieces=num_pieces,
         piece_size=4 * KIB,
         block_size=1 * KIB,
     )
-    swarm = Swarm(metainfo, SwarmConfig(seed=seed, engine=engine))
+    swarm = Swarm(metainfo, SwarmConfig(seed=seed))
     rng = Random(seed)
 
     def config():
         return PeerConfig(
             upload_capacity=rng.choice([2, 4, 8]) * KIB,
-            use_rarity_index=use_rarity_index,
             seeding_time=(rng.choice([20.0, None]) if churn else None),
         )
 
@@ -78,25 +67,11 @@ def build_swarm(
     return swarm
 
 
-def run_traced(
-    seed,
-    num_pieces,
-    num_leechers,
-    use_rarity_index,
-    churn=False,
-    selector_spec=None,
-    engine=EngineConfig(),
-):
+def run_traced(seed, num_pieces, num_leechers, churn=False, selector_spec=None):
     """Run one swarm, recording every piece replication and per-tick
     rarest-pieces-set snapshots of every online peer."""
     swarm = build_swarm(
-        seed,
-        num_pieces,
-        num_leechers,
-        use_rarity_index,
-        churn,
-        selector_spec=selector_spec,
-        engine=engine,
+        seed, num_pieces, num_leechers, churn, selector_spec=selector_spec
     )
     replications = []
     original = swarm.on_piece_replicated
@@ -132,9 +107,10 @@ def run_traced(
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
-def test_indexed_and_naive_traces_identical(seed):
-    naive = run_traced(seed, num_pieces=16, num_leechers=5, use_rarity_index=False)
-    indexed = run_traced(seed, num_pieces=16, num_leechers=5, use_rarity_index=True)
+def test_indexed_and_naive_traces_identical(seed, twins):
+    with twins("naive-picker"):
+        naive = run_traced(seed, num_pieces=16, num_leechers=5)
+    indexed = run_traced(seed, num_pieces=16, num_leechers=5)
     # Piece completions happen at the same instants, by the same peers,
     # in the same order...
     assert indexed["replications"] == naive["replications"]
@@ -146,27 +122,23 @@ def test_indexed_and_naive_traces_identical(seed):
     assert indexed["final_bitfields"] == naive["final_bitfields"]
 
 
-def test_traces_identical_under_churn():
+def test_traces_identical_under_churn(twins):
     """Seed departures exercise peer_left / on_peer_gone index paths."""
-    naive = run_traced(3, num_pieces=12, num_leechers=4, use_rarity_index=False, churn=True)
-    indexed = run_traced(3, num_pieces=12, num_leechers=4, use_rarity_index=True, churn=True)
+    with twins("naive-picker"):
+        naive = run_traced(3, num_pieces=12, num_leechers=4, churn=True)
+    indexed = run_traced(3, num_pieces=12, num_leechers=4, churn=True)
     assert indexed["replications"] == naive["replications"]
     assert indexed["rarest_snapshots"] == naive["rarest_snapshots"]
     assert indexed["final_bitfields"] == naive["final_bitfields"]
 
 
 @pytest.mark.parametrize("spec", ALL_SELECTOR_SPECS)
-def test_indexed_equals_naive_for_every_selector(spec):
-    """Every built-in strategy's ``select_indexed`` must consume the
+def test_indexed_equals_naive_for_every_selector(spec, twins):
+    """Every built-in strategy's production entry point must consume the
     same RNG and pick the same pieces as its naive ``select``."""
-    naive = run_traced(
-        5, num_pieces=16, num_leechers=5, use_rarity_index=False,
-        selector_spec=spec,
-    )
-    indexed = run_traced(
-        5, num_pieces=16, num_leechers=5, use_rarity_index=True,
-        selector_spec=spec,
-    )
+    with twins("naive-picker"):
+        naive = run_traced(5, num_pieces=16, num_leechers=5, selector_spec=spec)
+    indexed = run_traced(5, num_pieces=16, num_leechers=5, selector_spec=spec)
     assert indexed["replications"] == naive["replications"]
     assert indexed["rarest_snapshots"] == naive["rarest_snapshots"]
     assert indexed["completions"] == naive["completions"]
@@ -176,19 +148,14 @@ def test_indexed_equals_naive_for_every_selector(spec):
 
 @needs_numpy
 @pytest.mark.parametrize("spec", ALL_SELECTOR_SPECS)
-def test_fast_engine_equals_reference_for_every_selector(spec):
+def test_fast_engine_equals_reference_for_every_selector(spec, twins):
     """The mega-swarm fast paths (availability matrix + fused HAVE
     fan-out + numpy allocator) must stay trace-invisible for *every*
     strategy: on the matrix backend each one picks through its own
     ``select_arrays`` over the picker's candidate/count arrays."""
-    reference = run_traced(
-        9, num_pieces=16, num_leechers=5, use_rarity_index=True,
-        selector_spec=spec, engine=REFERENCE_ENGINE,
-    )
-    fast = run_traced(
-        9, num_pieces=16, num_leechers=5, use_rarity_index=True,
-        selector_spec=spec,
-    )
+    with twins(*ENGINE_TWINS):
+        reference = run_traced(9, num_pieces=16, num_leechers=5, selector_spec=spec)
+    fast = run_traced(9, num_pieces=16, num_leechers=5, selector_spec=spec)
     assert fast["replications"] == reference["replications"]
     assert fast["rarest_snapshots"] == reference["rarest_snapshots"]
     assert fast["completions"] == reference["completions"]
@@ -197,19 +164,16 @@ def test_fast_engine_equals_reference_for_every_selector(spec):
 
 
 @needs_numpy
-def test_sequential_selector_on_fast_engine_matches_naive_reference():
+def test_sequential_selector_on_fast_engine_matches_naive_reference(twins):
     """Regression: a non-rarest strategy on the full fast engine (numpy
     allocator, matrix backend) was once hijacked by a rarest-first-only
     matrix kernel.  The matrix dispatch must run the configured strategy
     faithfully and match the reference engine on naive pickers."""
-    fast = run_traced(
-        11, num_pieces=12, num_leechers=4, use_rarity_index=True,
-        selector_spec="sequential",
-    )
-    reference = run_traced(
-        11, num_pieces=12, num_leechers=4, use_rarity_index=False,
-        selector_spec="sequential", engine=REFERENCE_ENGINE,
-    )
+    fast = run_traced(11, num_pieces=12, num_leechers=4, selector_spec="sequential")
+    with twins(*ENGINE_TWINS, "naive-picker"):
+        reference = run_traced(
+            11, num_pieces=12, num_leechers=4, selector_spec="sequential"
+        )
     assert fast["replications"] == reference["replications"]
     assert fast["completions"] == reference["completions"]
     assert fast["final_bitfields"] == reference["final_bitfields"]
@@ -218,16 +182,19 @@ def test_sequential_selector_on_fast_engine_matches_naive_reference():
     assert any(fast["final_bitfields"].values())
 
 
-def test_modes_are_actually_different_code_paths():
-    """Guard against the equivalence test passing vacuously: the two
-    modes must report different `uses_rarity_index` flags."""
-    naive_swarm = build_swarm(1, 8, 1, use_rarity_index=False)
-    indexed_swarm = build_swarm(1, 8, 1, use_rarity_index=True)
+def test_modes_are_actually_different_code_paths(twins):
+    """Guard against the equivalence test passing vacuously: the oracle
+    swarm must pick through the naive picker, the default one must not."""
+    with twins("naive-picker"):
+        naive_swarm = build_swarm(1, 8, 1)
+    indexed_swarm = build_swarm(1, 8, 1)
+    assert naive_swarm.peers and indexed_swarm.peers
     assert all(
-        not peer.picker.uses_rarity_index
+        type(peer.picker) is NaivePiecePicker
+        and peer.picker.availability_backend == "naive"
         for peer in naive_swarm.peers.values()
     )
-    assert all(
-        peer.picker.uses_rarity_index
+    assert not any(
+        isinstance(peer.picker, NaivePiecePicker)
         for peer in indexed_swarm.peers.values()
     )

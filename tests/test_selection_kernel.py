@@ -1,10 +1,11 @@
 """The matrix backend's array selection kernel against its two references.
 
 ``PiecePicker._select_new_piece`` has one entry point per availability
-backend: ``PieceSelector.select`` over a candidate list (``naive``),
-``select_indexed`` over the wanted rarity buckets (``index``) and
-``select_arrays`` over the candidate array and its gathered copy counts
-(``matrix``, the default).  The contract is that the three are the same
+backend: ``select_indexed`` over the wanted rarity buckets (``index``)
+and ``select_arrays`` over the candidate array and its gathered copy
+counts (``matrix``, whenever numpy is importable).  The naive oracle of
+``tests/reference_piece_picker.py`` runs ``PieceSelector.select`` over a
+candidate list (``naive``).  The contract is that the three are the same
 function: same piece (or ``None``), same RNG consumption.
 
 The swarm-level differentials in ``test_picker_equivalence.py`` pin that
@@ -32,6 +33,8 @@ from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry, make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
+
+from tests.reference_piece_picker import NaivePiecePicker
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -65,7 +68,8 @@ def build_picker(backend, strategy, case):
     geometry = PieceGeometry(
         num_pieces * 2 * BLOCK, piece_size=2 * BLOCK, block_size=BLOCK
     )
-    picker = PiecePicker(
+    picker_class = NaivePiecePicker if backend == "naive" else PiecePicker
+    picker = picker_class(
         geometry,
         Bitfield(num_pieces, have=case["own"]),
         build_selector(strategy, case["position"], case["global_counts"]),
@@ -74,7 +78,6 @@ def build_picker(backend, strategy, case):
         random_first_threshold=(
             num_pieces + 1 if strategy == "random-first" else 0
         ),
-        use_rarity_index=backend != "naive",
         matrix=AvailabilityMatrix(num_pieces) if backend == "matrix" else None,
     )
     assert picker.availability_backend == backend

@@ -8,8 +8,8 @@ count in one batched add.  Three things pin that down:
 * **identity** — which views are shared, and that none is without the
   precondition;
 * **differential runs** — shared views against the per-link reference
-  (``have_fanout=unbatched``) for every registered selector, with
-  observers on no peer, on one peer and on every peer;
+  (the ``twins`` fixture's ``"per-link"``) for every registered
+  selector, with observers on no peer, on one peer and on every peer;
 * **churn** — availability row ≡ Σ views over a peer's links on every
   tick through join, leave, rejoin and a crash with no fault plan.
 """
@@ -22,14 +22,10 @@ from repro.core.rarest_first import SELECTOR_REGISTRY
 from repro.instrumentation import Instrumentation, TraceRecorder, TracingObserver
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.bandwidth import HAVE_NUMPY
-from repro.sim.config import KIB, EngineConfig, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-#: The per-link reference: parsed views, one ``_send`` per HAVE.  Nothing
-#: else is de-optimised, so a difference can only come from the views.
-UNBATCHED = EngineConfig(have_fanout="unbatched")
 
 
 def make_swarm(seed=11, pieces=24, **config):
@@ -109,16 +105,17 @@ class TestIdentity:
         assert kinds == {True, False}
 
     @pytest.mark.parametrize(
-        "config",
+        "config, twin",
         [
-            dict(message_latency=0.05),
-            dict(faults=FaultConfig(message_loss_rate=0.01)),
-            dict(engine=UNBATCHED),
+            (dict(message_latency=0.05), ()),
+            (dict(faults=FaultConfig(message_loss_rate=0.01)), ()),
+            ({}, ("per-link",)),
         ],
         ids=["latency", "fault-plan", "unbatched"],
     )
-    def test_no_view_is_shared_without_the_precondition(self, config):
-        swarm = make_swarm(**config)
+    def test_no_view_is_shared_without_the_precondition(self, config, twin, twins):
+        with twins(*twin):
+            swarm = make_swarm(**config)
         populate(swarm)
         seen = []
 
@@ -137,9 +134,9 @@ class TestIdentity:
 # ---------------------------------------------------------------------------
 
 
-def run_observed(engine, selector, observed):
+def run_observed(selector, observed):
     """One seeded run; everything an outside reader can tell apart."""
-    swarm = make_swarm(seed=9, pieces=16, engine=engine)
+    swarm = make_swarm(seed=9, pieces=16)
     recorder = TraceRecorder()
     if observed == "every":
         swarm.observer_factory = lambda: TracingObserver(recorder)
@@ -196,9 +193,13 @@ def run_observed(engine, selector, observed):
 
 @pytest.mark.parametrize("observed", ["none", "local", "every"])
 @pytest.mark.parametrize("selector", sorted(SELECTOR_REGISTRY))
-def test_shared_views_equal_the_per_link_reference(selector, observed):
-    shared = run_observed(EngineConfig(), selector, observed)
-    reference = run_observed(UNBATCHED, selector, observed)
+def test_shared_views_equal_the_per_link_reference(selector, observed, twins):
+    shared = run_observed(selector, observed)
+    # The per-link reference: parsed views, one ``_send`` per HAVE.
+    # Nothing else is de-optimised, so a difference can only come from
+    # the views.
+    with twins("per-link"):
+        reference = run_observed(selector, observed)
     assert shared["replications"], "nothing was downloaded"
     assert shared == reference
 

@@ -40,9 +40,11 @@ from repro.core.rarest_first import ModeSuppressionSelector
 from repro.models.fluid import FluidModel
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.churn import open_system_arrivals, poisson_arrivals
-from repro.sim.config import KIB, REFERENCE_ENGINE, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 from repro.workloads.open_system import StabilityDetector
+
+from tests.conftest import ENGINE_TWINS
 
 pytestmark = pytest.mark.stability
 
@@ -55,13 +57,13 @@ ARRIVAL_RATE = 0.6  # above c0: rarest first unstable, suppression stable
 DURATION = 300.0
 
 
-def run_open_system(policy, seed=5, **swarm_options):
+def run_open_system(policy, seed=5):
     """One open-system flash-crowd run on the tiny torrent; returns the
     detector's verdict."""
     metainfo = make_metainfo(
         "stability", num_pieces=NUM_PIECES, piece_size=PIECE_SIZE, block_size=1 * KIB
     )
-    swarm = Swarm(metainfo, SwarmConfig(seed=seed, **swarm_options))
+    swarm = Swarm(metainfo, SwarmConfig(seed=seed))
     swarm.add_peer(config=PeerConfig(upload_capacity=SEED_UPLOAD), is_seed=True)
 
     def selector():
@@ -139,11 +141,12 @@ class TestOpenSystemBoundary:
 
     @pytest.mark.parametrize("policy", ["rarest-first", "mode-suppression"])
     def test_verdict_is_the_same_on_the_reference_engine(
-        self, open_system_verdicts, policy
+        self, open_system_verdicts, policy, twins
     ):
         """The fast paths must be invisible to the detector: same
         samples, same backlog, same classification."""
-        reference = run_open_system(policy, engine=REFERENCE_ENGINE)
+        with twins(*ENGINE_TWINS):
+            reference = run_open_system(policy)
         assert reference == open_system_verdicts[policy]
 
     def test_fluid_boundary_sits_at_the_seed_piece_rate(self):

@@ -15,6 +15,7 @@ from repro.protocol.messages import (
     Request,
     Unchoke,
 )
+from repro.protocol.bencode import bencode
 from repro.protocol.stream import MessageStream, encode_session
 from repro.tracker.wire import (
     AnnounceResponse,
@@ -24,6 +25,8 @@ from repro.tracker.wire import (
     pack_peers,
     unpack_peers,
 )
+
+from tests.test_bencode import bencodable
 
 HANDSHAKE = Handshake(info_hash=b"h" * 20, peer_id=b"p" * 20)
 
@@ -157,3 +160,47 @@ class TestAnnounceResponse:
             decode_announce_response(b"le")
         with pytest.raises(ValueError):
             decode_announce_response(b"de")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"l" * 100_000,  # was RecursionError, from bdecode
+            b"d14:failure reasoni5ee",  # was AttributeError
+            b"d8:intervali5e5:peersi3ee",  # was TypeError
+        ],
+        ids=["deep-nest", "int-failure-reason", "int-peers"],
+    )
+    def test_hostile_bodies_raise_value_error(self, body):
+        with pytest.raises(ValueError):
+            decode_announce_response(body)
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_raise_only_value_error(self, data):
+        try:
+            decode_announce_response(data)
+        except ValueError:
+            pass
+
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                key: bencodable
+                for key in (
+                    b"failure reason",
+                    b"interval",
+                    b"peers",
+                    b"complete",
+                    b"incomplete",
+                )
+            },
+        )
+    )
+    def test_wrong_typed_values_raise_only_value_error(self, top):
+        try:
+            response = decode_announce_response(bencode(top))
+        except ValueError:
+            return
+        assert b"failure reason" not in top
+        assert response.interval == top[b"interval"]
+        assert response.peers == unpack_peers(top[b"peers"])

@@ -6,8 +6,8 @@ Covers the streaming piece-selection family end to end:
   prefix, disjoint rebuffer windows, startup before finish);
 * playback metrics replay **byte-identically** from the JSONL trace and
   from the binary (RBT1) container;
-* the engine configuration (heap vs calendar-queue scheduler) is
-  invisible to a streaming run — identical trace fingerprints;
+* the engine's fast paths are invisible to a streaming run — identical
+  trace fingerprints on their reference twins;
 * enabling playback without a playback-aware selector does not perturb
   the simulation (observer-only), and the pre-streaming baseline trace
   fingerprint of the default campaign shard is pinned.
@@ -24,8 +24,10 @@ from repro.instrumentation import (
     iter_trace,
     replay_instrumentation,
 )
-from repro.sim.config import KIB, REFERENCE_ENGINE, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
+
+from tests.conftest import ENGINE_TWINS
 
 pytestmark = pytest.mark.streaming
 
@@ -46,22 +48,17 @@ STREAM_RATE = 24.0 * KIB
 def run_streaming(
     recorder=None,
     selector_spec="seq-window:window=8",
-    engine=None,
     seed=7,
     duration=400.0,
     playback_rate=STREAM_RATE,
 ):
     """One seeded torrent-2 streaming run; returns the harness."""
     scenario = scaled_copy(scenario_by_id(2), duration=duration)
-    swarm_config = None
-    if engine is not None:
-        swarm_config = SwarmConfig(seed=seed, duration=duration, engine=engine)
     harness = build_experiment(
         scenario,
         seed=seed,
         local_selector=make_selector(selector_spec),
         population_selector_factory=lambda: make_selector(selector_spec),
-        swarm_config=swarm_config,
         trace_recorder=recorder,
         playback_rate=playback_rate,
     )
@@ -177,13 +174,14 @@ class TestStreamingReplayDeterminism:
                 harness.instrumentation, field
             ), field
 
-    def test_fast_and_reference_engines_agree(self, jsonl_run):
+    def test_fast_and_reference_engines_agree(self, jsonl_run, twins):
         """Playback bindings make selection depend on simulated time;
         the fast paths must still yield the same trace and the same
         playback outcomes as the all-reference engine."""
         harness, fast_recorder = jsonl_run
         recorder = TraceRecorder()
-        reference = run_streaming(recorder, engine=REFERENCE_ENGINE)
+        with twins(*ENGINE_TWINS):
+            reference = run_streaming(recorder)
         recorder.close()
         assert recorder.fingerprint == fast_recorder.fingerprint
         assert playback_summary(reference.instrumentation) == playback_summary(

@@ -22,6 +22,8 @@ from repro.tracker.client import (
 )
 from repro.tracker.sampling import make_sampler
 from repro.tracker.server import (
+    UDP_ANNOUNCE,
+    UDP_CONNECT,
     UDP_ERROR,
     TrackerServer,
     build_udp_announce,
@@ -272,6 +274,22 @@ class TestHostileAnnounces:
         assert len(honest.peers) == 11
 
 
+class _ScriptedUdpTracker(asyncio.DatagramProtocol):
+    """Answers a UDP connect and announce with well-formed heads cut (or
+    padded) to the given sizes."""
+
+    def __init__(self, connect_size, announce_size):
+        self.sizes = {UDP_CONNECT: connect_size, UDP_ANNOUNCE: announce_size}
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def datagram_received(self, data, addr):
+        action, transaction_id = struct.unpack_from(">ii", data, 8)
+        reply = struct.pack(">ii", action, transaction_id) + bytes(32)
+        self.transport.sendto(reply[: self.sizes[action]], addr)
+
+
 class TestUdpRoundTrip:
     def test_connect_then_announce(self):
         async def scenario():
@@ -317,6 +335,34 @@ class TestUdpRoundTrip:
         __, __, id_a = struct.unpack(">iiq", first)
         __, __, id_b = struct.unpack(">iiq", second)
         assert id_a != id_b
+
+    @pytest.mark.parametrize(
+        "connect_size, announce_size",
+        [(8, None), (15, None), (16, 4), (16, 19), (16, 23)],
+        ids=["connect-8", "connect-15", "announce-4", "announce-19", "announce-23"],
+    )
+    def test_short_replies_are_tracker_unavailable(self, connect_size, announce_size):
+        """Regression: a connect reply under 16 bytes or an announce reply
+        under 20 (or with a ragged peer blob) escaped as struct.error."""
+
+        async def scenario():
+            transport, __ = await asyncio.get_running_loop().create_datagram_endpoint(
+                lambda: _ScriptedUdpTracker(connect_size, announce_size),
+                local_addr=("127.0.0.1", 0),
+            )
+            port = transport.get_extra_info("sockname")[1]
+            try:
+                with pytest.raises(TrackerUnavailable):
+                    await announce_udp(
+                        "127.0.0.1",
+                        port,
+                        AnnounceRequest(infohash=INFOHASH, address="10.0.0.1:6881"),
+                        TIMEOUT,
+                    )
+            finally:
+                transport.close()
+
+        run(scenario())
 
 
 class TestSimVsLiveDifferential:
@@ -464,6 +510,38 @@ class TestLiveFederationFailover:
                 )
 
         run(scenario())
+
+    def test_hostile_tier_is_skipped_not_fatal(self):
+        """Regression: tier 0 answering with a body nested past the
+        recursion limit ended the walk instead of failing over."""
+
+        async def hostile(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"HTTP/1.0 200 OK\r\n\r\n" + b"l" * 100_000)
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            async with TrackerServer(make_service()) as live:
+                bad = await asyncio.start_server(hostile, "127.0.0.1", 0)
+                announcer = FederatedAnnouncer(
+                    endpoints=[
+                        TrackerEndpoint("127.0.0.1", bad.sockets[0].getsockname()[1]),
+                        TrackerEndpoint("127.0.0.1", live.http_port),
+                    ],
+                    timeout=TIMEOUT,
+                )
+                try:
+                    response = await announcer.announce(announce_sequence(1)[0])
+                finally:
+                    bad.close()
+                    await bad.wait_closed()
+                return announcer, response, live.http_port
+
+        announcer, response, live_port = run(scenario())
+        assert announcer.failover_count == 1
+        assert announcer.served_by == {"http://127.0.0.1:%d" % live_port: 1}
+        assert response.interval == 30 * 60
 
     def test_udp_tier_serves_when_http_down(self):
         async def scenario():
