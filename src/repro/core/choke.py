@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import attrgetter
 from random import Random
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence
 
@@ -104,6 +105,9 @@ class LeecherChoker(Choker):
 
     name = "leecher"
 
+    #: The rate regular unchokes rank by (fastest first).
+    _rate = attrgetter("download_rate")
+
     def __init__(self, regular_slots: int = 3, optimistic_rounds: int = 3):
         if regular_slots < 1:
             raise ValueError("need at least one regular slot")
@@ -125,11 +129,10 @@ class LeecherChoker(Choker):
         rng: Random,
     ) -> ChokeDecision:
         interested = [c for c in candidates if c.interested]
-        # Regular unchoke: the fastest peers *to* the local peer.  Ties are
+        # Regular unchoke: the fastest peers by ``_rate``.  Ties are
         # broken by key order for determinism.
-        ranked = sorted(
-            interested, key=lambda c: (-c.download_rate, _sort_key(c.key))
-        )
+        rate = self._rate
+        ranked = sorted(interested, key=lambda c: (-rate(c), _sort_key(c.key)))
         regular = [c.key for c in ranked[: self._regular_slots]]
 
         rotate = self._round_index % self._optimistic_rounds == 0
@@ -225,9 +228,9 @@ class SeedChoker(Choker):
         return decision
 
 
-class OldSeedChoker(Choker):
-    """Pre-4.0.0 seed-state choke: like the leecher algorithm but ordered
-    by upload rate from the local peer.
+class OldSeedChoker(LeecherChoker):
+    """Pre-4.0.0 seed-state choke: the leecher algorithm, ordered by
+    upload rate from the local peer.
 
     "With this algorithm, peers with a high download rate are favored
     independently of their contribution to the torrent." (§II-C.2)
@@ -235,40 +238,7 @@ class OldSeedChoker(Choker):
 
     name = "seed-old"
 
-    def __init__(self, regular_slots: int = 3, optimistic_rounds: int = 3):
-        self._regular_slots = regular_slots
-        self._optimistic_rounds = optimistic_rounds
-        self._round_index = 0
-        self._optimistic: Optional[PeerKey] = None
-
-    def reset(self) -> None:
-        self._round_index = 0
-        self._optimistic = None
-
-    def round(
-        self,
-        candidates: Sequence[ChokeCandidate],
-        now: float,
-        rng: Random,
-    ) -> ChokeDecision:
-        interested = [c for c in candidates if c.interested]
-        ranked = sorted(
-            interested, key=lambda c: (-c.upload_rate, _sort_key(c.key))
-        )
-        regular = [c.key for c in ranked[: self._regular_slots]]
-        rotate = self._round_index % self._optimistic_rounds == 0
-        self._round_index += 1
-        present = {c.key for c in interested}
-        if self._optimistic not in present or self._optimistic in regular:
-            self._optimistic = None
-            rotate = True
-        if rotate or self._optimistic is None:
-            pool = [c.key for c in interested if c.key not in regular]
-            self._optimistic = rng.choice(pool) if pool else None
-        unchoked = list(regular)
-        if self._optimistic is not None:
-            unchoked.append(self._optimistic)
-        return ChokeDecision(unchoked=unchoked, optimistic=self._optimistic)
+    _rate = attrgetter("upload_rate")
 
 
 class TitForTatChoker(Choker):

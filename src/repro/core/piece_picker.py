@@ -18,57 +18,32 @@ The picker owns four responsibilities (paper §II-C.1):
    requested, outstanding blocks are requested from *every* peer that
    offers them, with CANCELs on receipt.
 
-Two availability backends, and the picker does not choose between
-them: it takes the one its caller's situation allows.
+Availability lives in one row of an :class:`AvailabilityMatrix`: the
+swarm's shared matrix for a simulated peer, a private one-row matrix
+for any other picker (the live :class:`~repro.net.peer.NetPeer`, a
+test).  The wanted pieces (missing and not yet started) are a boolean
+mask.  A new-piece pick computes the candidate array once (wanted AND
+offered, ascending) and gathers the aligned copy counts from the row;
+every strategy — random first included — picks from those two arrays
+through ``PieceSelector.select``.
 
-* ``index`` (no matrix given: a numpy-free install, the live
-  :class:`~repro.net.peer.NetPeer`) keeps the counts both as a flat
-  array and as a :class:`RarityIndex` — pieces bucketed by copy count —
-  so the rarest pieces set and rarest-first selection cost
-  O(rarest bucket) instead of O(num_pieces) per call.  A second index
-  restricted to *wanted* pieces (missing and not yet started) feeds
-  selection directly.
-* ``matrix`` (the swarm hands over its shared
-  :class:`AvailabilityMatrix`, which it holds whenever numpy is
-  importable) keeps neither list nor buckets: counts live in one row of
-  the matrix and the wanted pieces in a boolean mask.  A new-piece pick
-  computes the candidate array once (wanted AND offered, ascending) and
-  gathers the aligned copy counts from the row; every strategy — random
-  first included — picks from those two arrays through
-  ``PieceSelector.select_arrays``.
-
-Both are behaviour-preserving: given the same seed they consume the RNG
-identically and produce the same piece-selection trace as a naive
-O(num_pieces) scan, which lives in the test tree as the oracle the
-differential tests hold them to.
+Given the same seed this consumes the RNG identically and produces the
+same piece-selection trace as a naive O(num_pieces) scan over candidate
+lists, which lives in the test tree as the oracle the differential
+tests hold it to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import (
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.core.rarest_first import PieceSelector, RandomSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef, PieceGeometry
-
-try:  # numpy is optional; the matrix backend is gated on it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 PeerKey = Hashable
 
@@ -76,7 +51,7 @@ PeerKey = Hashable
 class AvailabilityMatrix:
     """Swarm-shared availability counts: one int32 row per online peer.
 
-    Each matrix-backed :class:`PiecePicker` owns one row (its *slot*) and
+    Each :class:`PiecePicker` owns one row (its *slot*) and
     reads/writes it through this object — never through a cached view,
     because the backing array is reallocated when the matrix grows.  The
     payoff is at the swarm layer: a completed piece's HAVE flood updates
@@ -87,8 +62,6 @@ class AvailabilityMatrix:
     """
 
     def __init__(self, num_pieces: int, capacity: int = 64):
-        if _np is None:
-            raise RuntimeError("AvailabilityMatrix requires numpy")
         if capacity < 1:
             capacity = 1
         self.num_pieces = num_pieces
@@ -128,69 +101,6 @@ class AvailabilityMatrix:
         if not isinstance(slots, _np.ndarray):
             slots = self.slot_index(slots)
         self.data[slots, piece] += 1
-
-
-class RarityIndex:
-    """Piece indices bucketed by copy count (availability).
-
-    The bucket map only holds non-empty buckets, so the minimum occupied
-    count is ``min`` over at most ``distinct counts`` keys — in a swarm
-    that is bounded by the peer-set size, not by the piece count.  Every
-    mutation is O(1); :meth:`rarest` is O(rarest bucket) for the sort
-    that keeps its output identical to the naive ascending scan.
-    """
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self, members: Iterable[int] = (), count: int = 0):
-        self._buckets: Dict[int, Set[int]] = {}
-        initial = set(members)
-        if initial:
-            self._buckets[count] = initial
-
-    def add(self, piece: int, count: int) -> None:
-        self._buckets.setdefault(count, set()).add(piece)
-
-    def remove(self, piece: int, count: int) -> None:
-        bucket = self._buckets[count]
-        bucket.remove(piece)
-        if not bucket:
-            del self._buckets[count]
-
-    def move(self, piece: int, old_count: int, new_count: int) -> None:
-        # Open-coded remove+add: this runs once (twice with the wanted
-        # index) for every HAVE in the swarm, so call overhead matters.
-        buckets = self._buckets
-        bucket = buckets[old_count]
-        bucket.remove(piece)
-        if not bucket:
-            del buckets[old_count]
-        target = buckets.get(new_count)
-        if target is None:
-            buckets[new_count] = {piece}
-        else:
-            target.add(piece)
-
-    def is_empty(self) -> bool:
-        return not self._buckets
-
-    def min_count(self) -> int:
-        """Smallest occupied copy count (ValueError when empty)."""
-        return min(self._buckets)
-
-    def rarest(self) -> Tuple[int, List[int]]:
-        """(m, sorted pieces with m copies): the rarest occupied bucket."""
-        rarest_count = min(self._buckets)
-        return rarest_count, sorted(self._buckets[rarest_count])
-
-    def ascending(self) -> Iterator[Tuple[int, Set[int]]]:
-        """Iterate (count, bucket) pairs from rarest to most replicated."""
-        for count in sorted(self._buckets):
-            yield count, self._buckets[count]
-
-    def snapshot(self) -> Dict[int, Set[int]]:
-        """Copy of the bucket map (for tests and debugging)."""
-        return {count: set(bucket) for count, bucket in self._buckets.items()}
 
 
 @dataclass
@@ -250,7 +160,6 @@ class PiecePicker:
         strict_priority: bool = True,
         endgame_enabled: bool = True,
         matrix: Optional[AvailabilityMatrix] = None,
-        matrix_slot: Optional[int] = None,
     ):
         self._geometry = geometry
         self._bitfield = bitfield
@@ -266,38 +175,27 @@ class PiecePicker:
         # active-piece and missing-piece counts this makes the end-game
         # trigger test O(1) instead of O(missing pieces).
         self._open_partials = 0
-        # The bitfield's piece set is mutated in place for the picker's
-        # whole lifetime, so one membership view can be cached up front.
-        self._local_have = bitfield.have_set
-        # Availability backend: "matrix" when handed a swarm-shared matrix
-        # (one numpy row per peer, the mega-swarm fast path), "index"
-        # (per-picker rarity buckets) otherwise.  Both consume the RNG
-        # identically and yield the same selections.
-        self._matrix = matrix
+        # One row of the swarm's shared matrix, or of a private one-row
+        # matrix when there is no swarm (a live peer, a test).
         if matrix is None:
-            self._backend = "index"
-            self._slot = None
-            self._availability = [0] * geometry.num_pieces
-            self._all_index = RarityIndex(range(geometry.num_pieces))
-            self._wanted_index = RarityIndex(bitfield.missing_indices())
-        else:
-            self._backend = "matrix"
-            self._slot = matrix.acquire() if matrix_slot is None else matrix_slot
-            # Wanted = missing and not yet started; availability plays no
-            # part in maintaining it, so it is a plain boolean mask.  The
-            # same mask is mirrored as one big integer in the
-            # ``Bitfield.as_int`` bit order (piece 0 at the MSB): testing
-            # whether a remote offers *anything* wanted is then a single
-            # C-speed AND against ``remote_bitfield.as_int()``, which
-            # short-circuits the vectorized selection's common miss case.
-            self._wanted_mask = bitfield.as_vector() == 0
-            self._wanted_top = len(bitfield.to_bytes()) * 8 - 1
-            self._wanted_int = int.from_bytes(
-                _np.packbits(self._wanted_mask).tobytes(), "big"
-            )
+            matrix = AvailabilityMatrix(geometry.num_pieces, capacity=1)
+        self._matrix = matrix
+        self._slot = matrix.acquire()
+        # Wanted = missing and not yet started; availability plays no
+        # part in maintaining it, so it is a plain boolean mask.  The
+        # same mask is mirrored as one big integer in the
+        # ``Bitfield.as_int`` bit order (piece 0 at the MSB): testing
+        # whether a remote offers *anything* wanted is then a single
+        # C-speed AND against ``remote_bitfield.as_int()``, which
+        # short-circuits the vectorized selection's common miss case.
+        self._wanted_mask = bitfield.as_vector() == 0
+        self._wanted_top = len(bitfield.to_bytes()) * 8 - 1
+        self._wanted_int = int.from_bytes(
+            _np.packbits(self._wanted_mask).tobytes(), "big"
+        )
         # Mode-suppression selectors judge offers against the rarest
-        # *wanted* copy count; bind the backend-independent oracle the
-        # same way peers bind playback positions into their selectors.
+        # *wanted* copy count; bind the oracle the same way peers bind
+        # playback positions into their selectors.
         bind_scarcity = getattr(selector, "bind_scarcity", None)
         if bind_scarcity is not None:
             bind_scarcity(self.wanted_scarcity)
@@ -309,21 +207,15 @@ class PiecePicker:
     @property
     def availability(self) -> Sequence[int]:
         """Copies of each piece in the local peer set (read-only view)."""
-        if self._backend == "matrix":
-            return tuple(self._matrix.data[self._slot].tolist())
-        return tuple(self._availability)
+        return tuple(self._matrix.data[self._slot].tolist())
 
     @property
     def selector(self) -> PieceSelector:
         return self._selector
 
     @property
-    def availability_backend(self) -> str:
-        return self._backend
-
-    @property
     def matrix_slot(self) -> Optional[int]:
-        """This picker's row in the swarm availability matrix, or None."""
+        """This picker's row in its availability matrix, or None."""
         return self._slot
 
     def detach_matrix(self) -> None:
@@ -331,7 +223,7 @@ class PiecePicker:
         later availability access fails loudly rather than corrupting the
         slot's next owner.  Only call when the counts are zero (a clean
         leave decrements per closed connection); a *crashed* peer keeps its
-        row so a rejoin sees the same stale counts the index backend would.
+        row, so a rejoin sees its stale counts.
         """
         if self._matrix is not None and self._slot is not None:
             self._matrix.release(self._slot)
@@ -341,10 +233,6 @@ class PiecePicker:
     def attach_matrix(self, matrix: "AvailabilityMatrix") -> None:
         """Re-acquire a (zeroed) matrix row after :meth:`detach_matrix`,
         for a peer rejoining the swarm.  No-op while still attached."""
-        if self._backend != "matrix":
-            raise RuntimeError(
-                "attach_matrix on a %r-backend picker" % (self._backend,)
-            )
         if self._matrix is not None:
             return
         self._matrix = matrix
@@ -354,67 +242,36 @@ class PiecePicker:
     def in_endgame(self) -> bool:
         return self._endgame
 
-    def _availability_delta(self, piece: int, delta: int) -> None:
-        if self._backend == "matrix":
-            row = self._matrix.data[self._slot]
-            new_count = int(row[piece]) + delta
-            if new_count < 0:
-                raise RuntimeError("negative availability for piece %d" % piece)
-            row[piece] = new_count
-            return
-        old_count = self._availability[piece]
-        new_count = old_count + delta
-        if new_count < 0:
-            raise RuntimeError("negative availability for piece %d" % piece)
-        self._availability[piece] = new_count
-        self._all_index.move(piece, old_count, new_count)
-        if piece not in self._local_have and piece not in self._active:
-            self._wanted_index.move(piece, old_count, new_count)
-
     def peer_joined(self, remote_bitfield: Bitfield) -> None:
         """Account a new peer's full bitfield."""
         if not remote_bitfield.count:
             return  # a newcomer's (or a fresh link's placeholder) empty view
-        if self._backend == "matrix":
-            self._matrix.data[self._slot] += remote_bitfield.as_vector()
-            return
-        for piece in remote_bitfield.have_indices():
-            self._availability_delta(piece, +1)
+        self._matrix.data[self._slot] += remote_bitfield.as_vector()
 
     def peer_left(self, remote_bitfield: Bitfield) -> None:
         """Remove a departed peer's contribution to the counts."""
         if not remote_bitfield.count:
             return
-        if self._backend == "matrix":
-            row = self._matrix.data[self._slot]
-            row -= remote_bitfield.as_vector()
-            if row.min() < 0:
-                raise RuntimeError("negative availability after peer left")
-            return
-        for piece in remote_bitfield.have_indices():
-            self._availability_delta(piece, -1)
+        row = self._matrix.data[self._slot]
+        row -= remote_bitfield.as_vector()
+        if row.min() < 0:
+            raise RuntimeError("negative availability after peer left")
 
     def remote_has(self, piece: int) -> None:
         """Account one HAVE message."""
-        self._availability_delta(piece, +1)
+        self._matrix.data[self._slot, piece] += 1
 
     def wanted_scarcity(self) -> Optional[int]:
         """Copies of the rarest *wanted* piece (missing and not yet
         started), or ``None`` when nothing is wanted.
 
         This is the scarcity oracle mode-suppression selectors compare
-        offers against; both availability backends compute the
-        identical value, so binding it never perturbs trace
-        equivalence.
+        offers against.
         """
-        if self._backend == "matrix":
-            counts = self._matrix.data[self._slot][self._wanted_mask]
-            if not counts.size:
-                return None
-            return int(counts.min())
-        if self._wanted_index.is_empty():
+        counts = self._matrix.data[self._slot][self._wanted_mask]
+        if not counts.size:
             return None
-        return self._wanted_index.min_count()
+        return int(counts.min())
 
     def rarest_pieces_set(self) -> Tuple[int, List[int]]:
         """(m, pieces-with-m-copies): the paper's rarest pieces set.
@@ -422,11 +279,9 @@ class PiecePicker:
         Computed over every piece of the torrent, as in §II-A ("the pieces
         that have the least number of copies in the peer set").
         """
-        if self._backend == "matrix":
-            counts = self._matrix.data[self._slot]
-            rarest_count = int(counts.min())
-            return rarest_count, _np.nonzero(counts == rarest_count)[0].tolist()
-        return self._all_index.rarest()
+        counts = self._matrix.data[self._slot]
+        rarest_count = int(counts.min())
+        return rarest_count, _np.nonzero(counts == rarest_count)[0].tolist()
 
     # ------------------------------------------------------------------
     # request scheduling
@@ -447,18 +302,13 @@ class PiecePicker:
             block = self._strict_priority_block(remote_bitfield, peer_key)
             if block is not None:
                 return block
-        if self._backend == "matrix" and self._strict_priority:
-            # Flattened miss path: when nothing wanted intersects the
-            # remote's pieces no new piece can start and no selector draws
-            # any randomness (the naive scan would build an empty candidate
-            # list; _select_new_piece runs the same exact test two calls
-            # deeper), which is the overwhelmingly common outcome on a
-            # busy link.  Valid for every strategy and for random first.
-            if self._wanted_int & remote_bitfield.as_int():
-                block = self._start_new_piece(remote_bitfield, peer_key)
-                if block is not None:
-                    return block
-        else:
+        # Flattened miss path: when nothing wanted intersects the remote's
+        # pieces no new piece can start and no selector draws any
+        # randomness (_select_new_piece runs the same exact test two calls
+        # deeper), which is the overwhelmingly common outcome on a busy
+        # link.  Valid for every strategy and for random first; without
+        # strict priority a failed start still falls back to active pieces.
+        if not self._strict_priority or self._wanted_int & remote_bitfield.as_int():
             block = self._start_new_piece(remote_bitfield, peer_key)
             if block is not None:
                 return block
@@ -508,11 +358,8 @@ class PiecePicker:
         partial = _PartialPiece(blocks=self._geometry.blocks(piece))
         self._active[piece] = partial
         self._open_partials += 1
-        if self._backend == "matrix":
-            self._wanted_mask[piece] = False
-            self._wanted_int &= ~(1 << (self._wanted_top - piece))
-        else:
-            self._wanted_index.remove(piece, self._availability[piece])
+        self._wanted_mask[piece] = False
+        self._wanted_int &= ~(1 << (self._wanted_top - piece))
         block_index = self._pop_block(partial, peer_key)
         return partial.blocks[block_index]
 
@@ -520,32 +367,17 @@ class PiecePicker:
         """Pick the next piece to start, or None when nothing is startable."""
         random_first = self._bitfield.count < self._random_first_threshold
         selector = self._random_selector if random_first else self._selector
-        if self._backend == "matrix":
-            # Nothing wanted that the remote offers means no selection
-            # and — crucially — no RNG draw, so the big-int miss test is
-            # trace-exact for every strategy.
-            if not self._wanted_int & remote_bitfield.as_int():
-                return None
-            # The candidates of the reference scan, in its ascending
-            # order, and their copy counts gathered from the matrix row:
-            # every strategy picks from these two aligned arrays.
-            candidates = (
-                self._wanted_mask & remote_bitfield.as_vector()
-            ).nonzero()[0]
-            counts = self._matrix.data[self._slot][candidates]
-            return selector.select_arrays(candidates, counts, self._rng)
-        if not random_first and selector.uses_rarity_index:
-            return selector.select_indexed(
-                self._wanted_index, remote_bitfield, self._rng
-            )
-        candidates = [
-            piece
-            for piece in self._bitfield.pieces_only_in(remote_bitfield)
-            if piece not in self._active
-        ]
-        if not candidates:
+        # Nothing wanted that the remote offers means no selection and —
+        # crucially — no RNG draw, so the big-int miss test is trace-exact
+        # for every strategy.
+        if not self._wanted_int & remote_bitfield.as_int():
             return None
-        return selector.select(candidates, self._availability, self._rng)
+        # The candidates of the reference scan, in its ascending order,
+        # and their copy counts gathered from the matrix row: every
+        # strategy picks from these two aligned arrays.
+        candidates = (self._wanted_mask & remote_bitfield.as_vector()).nonzero()[0]
+        counts = self._matrix.data[self._slot][candidates]
+        return selector.select(candidates, counts, self._rng)
 
     def _any_active_block(
         self, remote_bitfield: Bitfield, peer_key: PeerKey
@@ -615,13 +447,9 @@ class PiecePicker:
         partial = self._active.pop(piece, None)
         if partial is not None and partial.unrequested:
             self._open_partials -= 1
-        was_wanted = partial is None and not self._bitfield.has(piece)
         self._bitfield.clear(piece)
-        if self._backend == "matrix":
-            self._wanted_mask[piece] = True
-            self._wanted_int |= 1 << (self._wanted_top - piece)
-        elif not was_wanted:
-            self._wanted_index.add(piece, self._availability[piece])
+        self._wanted_mask[piece] = True
+        self._wanted_int |= 1 << (self._wanted_top - piece)
         # The whole piece is unrequested again, so "every missing block is
         # received or in flight" no longer holds; next_request re-enters
         # end game once that is true again.
@@ -649,11 +477,8 @@ class PiecePicker:
             partial = self._active.pop(piece)
             if partial.unrequested:
                 self._open_partials -= 1
-            if self._backend == "matrix":
-                self._wanted_mask[piece] = True
-                self._wanted_int |= 1 << (self._wanted_top - piece)
-            else:
-                self._wanted_index.add(piece, self._availability[piece])
+            self._wanted_mask[piece] = True
+            self._wanted_int |= 1 << (self._wanted_top - piece)
         if released:
             # Some blocks are unrequested again: end game is over until
             # next_request finds everything in flight once more.

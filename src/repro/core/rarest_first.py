@@ -1,8 +1,10 @@
 """Piece-selection strategies.
 
 The strategy decides which *new* piece to start downloading, given the
-candidate pieces a remote peer offers and the local availability counts
-(copies of each piece in the local peer set).  Everything else — strict
+candidate pieces a remote peer offers and their local availability
+counts (copies of each piece in the local peer set), as two aligned
+numpy arrays: each strategy is one ``select`` over them.  Everything
+else — strict
 priority at the block level, the random-first policy, end game mode — is
 strategy-independent machinery implemented by
 :class:`repro.core.piece_picker.PiecePicker`.
@@ -34,102 +36,53 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from random import Random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from numpy import ndarray
-
-    from repro.core.piece_picker import RarityIndex
-    from repro.protocol.bitfield import Bitfield
+from numpy import ndarray
 
 
 def _choose_with_count(
-    candidates: "ndarray", counts: "ndarray", count: int, rng: Random
+    candidates: ndarray, counts: ndarray, count: int, rng: Random
 ) -> int:
     """One ``rng.choice`` over the candidates holding exactly ``count``
-    copies, in ascending piece order (the tie list ``select`` builds)."""
+    copies, in ascending piece order."""
     return rng.choice(candidates[counts == count].tolist())
 
 
 class PieceSelector(ABC):
     """Chooses the next piece to start among the startable candidates.
 
-    One policy, three entry points; all three must return the same piece
-    (or ``None``) and consume the RNG identically:
-
-    * :meth:`select` — the reference, over a candidate list (the naive
-      scan the differential suites compare against, and the ``index``
-      backend's path for random first and strategies without an indexed
-      one);
-    * :meth:`select_indexed` — over the wanted-piece rarity buckets
-      (``index`` backend);
-    * :meth:`select_arrays` — over the candidate array and its aligned
-      copy counts (``matrix`` backend, whenever numpy is importable).
+    One policy, one entry point, :meth:`select`, over the candidate
+    array and its aligned copy counts.  The list-based form of every
+    strategy — what a naive O(num_pieces) scan would run — lives in the
+    test tree (``tests/reference_selectors.py``); the differential tests
+    require the same piece (or ``None``) and the same RNG consumption.
     """
 
     name = "abstract"
 
-    uses_rarity_index = False
-    """True when :meth:`select_indexed` implements an incremental fast
-    path over the picker's :class:`~repro.core.piece_picker.RarityIndex`.
-    Strategies that leave this False get the candidate-list scan on the
-    ``index`` backend."""
-
     @abstractmethod
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> Optional[int]:
         """Return one element of *candidates*, or ``None`` to decline.
 
-        ``availability[piece]`` is the number of copies of ``piece``
-        currently present in the local peer set.  *candidates* is never
-        empty and contains only pieces the remote peer offers and the
-        local peer misses and has not started.  Returning ``None``
-        declines the whole offer — a deliberately non-work-conserving
-        choice only :class:`ModeSuppressionSelector` makes; every other
-        strategy always picks.
+        ``candidates`` holds the startable pieces — offered by the remote
+        peer, missing locally and not started — in ascending order, and
+        is never empty; ``counts[i]`` is the number of copies of
+        ``candidates[i]`` in the local peer set.  The piece returned is a
+        Python ``int``.  Returning ``None`` declines the whole offer — a
+        deliberately non-work-conserving choice only
+        :class:`ModeSuppressionSelector` makes; every other strategy
+        always picks.
         """
 
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """Indexed fast path over the picker's wanted-piece rarity index.
-
-        ``wanted`` buckets exactly the pieces the local peer misses and
-        has not started, keyed by copy count; the selector only has to
-        intersect buckets with what the remote offers.  Returns ``None``
-        when the remote offers no startable piece.  Implementations must
-        be trace-equivalent to :meth:`select` over the same candidates
-        (same result, same RNG consumption).
-        """
-        raise NotImplementedError(
-            "%s does not implement the indexed path" % type(self).__name__
-        )
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
-        rng: Random,
-    ) -> Optional[int]:
-        """Array path of the matrix backend.
-
-        ``candidates`` holds the startable pieces in ascending order
-        (never empty) and ``counts[i]`` the copies of ``candidates[i]``
-        in the local peer set.  Must be trace-equivalent to
-        :meth:`select` over the same candidates.  This default runs
-        :meth:`select` itself, with the counts exposed as a piece ->
-        copies mapping; strategies override it to stay in array
-        operations.
-        """
-        pieces = candidates.tolist()
-        return self.select(pieces, dict(zip(pieces, counts.tolist())), rng)
+    # Never called: the benchmark suite's shims resolve it by name; ROADMAP item 1 deletes it.
+    def select_indexed(self, *args, **kwargs):
+        raise NotImplementedError("select_indexed is gone; call select")
 
     def __repr__(self) -> str:
         return "%s()" % type(self).__name__
@@ -146,44 +99,10 @@ class RarestFirstSelector(PieceSelector):
 
     name = "rarest-first"
 
-    uses_rarity_index = True
-
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
-        rng: Random,
-    ) -> int:
-        rarest_count = min(availability[piece] for piece in candidates)
-        rarest_set = [
-            piece for piece in candidates if availability[piece] == rarest_count
-        ]
-        return rng.choice(rarest_set)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """Walk buckets from rarest up; the first non-empty intersection
-        with the remote's piece set *is* the rarest eligible set.
-
-        Sorting keeps the set in ascending piece order — the same order
-        the naive candidate scan produces — so ``rng.choice`` draws the
-        identical piece with the identical RNG consumption.
-        """
-        remote_have = remote_bitfield.have_set
-        for __, bucket in wanted.ascending():
-            eligible = bucket & remote_have
-            if eligible:
-                return rng.choice(sorted(eligible))
-        return None
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
         return _choose_with_count(candidates, counts, counts.min(), rng)
@@ -226,8 +145,6 @@ class ModeSuppressionSelector(PieceSelector):
 
     name = "mode-suppression"
 
-    uses_rarity_index = True
-
     def __init__(self, suppression: float = 0.9):
         if not 0.0 <= suppression <= 1.0:
             raise ValueError("suppression must be in [0, 1]")
@@ -241,62 +158,24 @@ class ModeSuppressionSelector(PieceSelector):
     def __repr__(self) -> str:
         return "ModeSuppressionSelector(suppression=%g)" % self.suppression
 
-    def _suppresses(self, offered_min: int, rng: Random) -> bool:
-        """Decide whether to decline an offer whose rarest candidate has
-        ``offered_min`` copies.  Draws exactly one ``rng.random()`` iff
-        the offer sits strictly above the rarest wanted tier and
-        ``suppression`` is positive; both selection paths route through
-        this one decision so their RNG consumption stays identical.
-        """
-        if self.suppression <= 0.0:
-            return False
-        rarest_wanted = self._scarcity()
-        if rarest_wanted is None or offered_min <= rarest_wanted:
-            return False
-        return rng.random() < self.suppression
-
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> Optional[int]:
-        offered_min = min(int(availability[piece]) for piece in candidates)
-        if self._suppresses(offered_min, rng):
-            return None
-        ties = [
-            piece for piece in candidates if availability[piece] == offered_min
-        ]
-        return rng.choice(ties)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """First non-empty bucket∩remote is the offer's rarest tier; its
-        count feeds the same suppression decision as :meth:`select`,
-        then the sorted tie set reproduces the naive scan's ascending
-        candidate order for the ``rng.choice`` draw."""
-        remote_have = remote_bitfield.have_set
-        for count, bucket in wanted.ascending():
-            eligible = bucket & remote_have
-            if eligible:
-                if self._suppresses(count, rng):
-                    return None
-                return rng.choice(sorted(eligible))
-        return None
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
-        rng: Random,
-    ) -> Optional[int]:
+        """Decline with probability ``suppression`` — one ``rng.random()``
+        — exactly when the offer's rarest candidate sits strictly above
+        the rarest wanted tier; otherwise pick as rarest first does."""
         offered_min = int(counts.min())
-        if self._suppresses(offered_min, rng):
-            return None
+        if self.suppression > 0.0:
+            rarest_wanted = self._scarcity()
+            if (
+                rarest_wanted is not None
+                and offered_min > rarest_wanted
+                and rng.random() < self.suppression
+            ):
+                return None
         return _choose_with_count(candidates, counts, offered_min, rng)
 
 
@@ -305,41 +184,10 @@ class RandomSelector(PieceSelector):
 
     name = "random"
 
-    uses_rarity_index = True
-
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
-        rng: Random,
-    ) -> int:
-        return rng.choice(candidates)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """One draw over the union of all buckets the remote offers.
-
-        Sorting reproduces the ascending candidate list the naive scan
-        builds, so the single ``rng.choice`` lands on the same piece
-        with the same RNG consumption.
-        """
-        remote_have = remote_bitfield.have_set
-        candidates: List[int] = []
-        for __, bucket in wanted.ascending():
-            candidates.extend(bucket & remote_have)
-        if not candidates:
-            return None
-        candidates.sort()
-        return rng.choice(candidates)
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
         return rng.choice(candidates.tolist())
@@ -350,38 +198,10 @@ class SequentialSelector(PieceSelector):
 
     name = "sequential"
 
-    uses_rarity_index = True
-
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
-        rng: Random,
-    ) -> int:
-        return min(candidates)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """Minimum over every bucket∩remote; draws no randomness, like
-        :meth:`select`."""
-        remote_have = remote_bitfield.have_set
-        best: Optional[int] = None
-        for __, bucket in wanted.ascending():
-            eligible = bucket & remote_have
-            if eligible:
-                lowest = min(eligible)
-                if best is None or lowest < best:
-                    best = lowest
-        return best
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
         return int(candidates[0])  # ascending: the first is the lowest
@@ -394,6 +214,7 @@ class GlobalRarestSelector(PieceSelector):
     of copies of each piece over the *whole torrent* — the "global
     knowledge" assumption of the analytical studies the paper discusses
     ([21], [25]).  The swarm provides this oracle; real clients cannot.
+    The local copy counts are ignored.
     """
 
     name = "global-rarest"
@@ -403,14 +224,17 @@ class GlobalRarestSelector(PieceSelector):
 
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
-        counts = self._global_counts()
-        rarest_count = min(counts[piece] for piece in candidates)
-        rarest_set = [piece for piece in candidates if counts[piece] == rarest_count]
-        return rng.choice(rarest_set)
+        global_counts = self._global_counts()
+        pieces = candidates.tolist()
+        copies = [global_counts[piece] for piece in pieces]
+        rarest_count = min(copies)
+        return rng.choice(
+            [piece for piece, count in zip(pieces, copies) if count == rarest_count]
+        )
 
 
 def _zero_position() -> int:
@@ -447,8 +271,6 @@ class SequentialWindowSelector(PlaybackAwareSelector):
 
     name = "seq-window"
 
-    uses_rarity_index = True
-
     def __init__(self, window: int = 16):
         super().__init__()
         if window < 1:
@@ -460,50 +282,8 @@ class SequentialWindowSelector(PlaybackAwareSelector):
 
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
-        rng: Random,
-    ) -> int:
-        start = self._position()
-        end = start + self.window
-        pool = [piece for piece in candidates if start <= piece < end] or candidates
-        rarest_count = min(int(availability[piece]) for piece in pool)
-        ties = [piece for piece in pool if availability[piece] == rarest_count]
-        return rng.choice(ties)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """First ascending bucket with an in-window piece wins; otherwise
-        the rarest bucket overall.  Equivalent to :meth:`select`: the
-        window pool's minimum availability is exactly the first bucket
-        (in ascending count order) intersecting the window, and the
-        sorted tie set matches the naive scan's ascending candidates.
-        """
-        remote_have = remote_bitfield.have_set
-        start = self._position()
-        end = start + self.window
-        fallback: Optional[List[int]] = None
-        for __, bucket in wanted.ascending():
-            eligible = bucket & remote_have
-            if not eligible:
-                continue
-            windowed = sorted(p for p in eligible if start <= p < end)
-            if windowed:
-                return rng.choice(windowed)
-            if fallback is None:
-                fallback = sorted(eligible)
-        if fallback is None:
-            return None
-        return rng.choice(fallback)
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
         """The window is one contiguous slice of the ascending candidate
@@ -523,15 +303,13 @@ class ProportionalFairSelector(PlaybackAwareSelector):
     rarity: ``urgency ** distance / (1 + copies)``, where ``distance``
     is how far the piece lies ahead of the playback position (pieces at
     or behind the position are maximally urgent).  One uniform variate
-    picks from the cumulative distribution, so both code paths consume
-    exactly one ``rng.random()`` per selection.  This is the
-    proportional-fair scheduling family of BitTorrent VoD (arXiv
-    1402.2187; BUTorrent's PFS/EPFS choker).
+    picks from the cumulative distribution, so a selection consumes
+    exactly one ``rng.random()``.  This is the proportional-fair
+    scheduling family of BitTorrent VoD (arXiv 1402.2187; BUTorrent's
+    PFS/EPFS choker).
     """
 
     name = "pfs"
-
-    uses_rarity_index = True
 
     def __init__(self, urgency: float = 0.95, rarity_bias: float = 1.0):
         super().__init__()
@@ -569,55 +347,13 @@ class ProportionalFairSelector(PlaybackAwareSelector):
 
     def select(
         self,
-        candidates: List[int],
-        availability: Sequence[int],
-        rng: Random,
-    ) -> int:
-        position = self._position()
-        weights = [
-            self._weight(piece, int(availability[piece]), position)
-            for piece in candidates
-        ]
-        return self._pick(candidates, weights, rng)
-
-    def select_indexed(
-        self,
-        wanted: "RarityIndex",
-        remote_bitfield: "Bitfield",
-        rng: Random,
-    ) -> Optional[int]:
-        """Same cumulative draw over the same ascending candidate list.
-
-        The bucket walk recovers each candidate's copy count without
-        touching the flat availability array; sorting by piece restores
-        the naive scan's order so the weight accumulation produces
-        bit-identical floats and the single variate lands identically.
-        """
-        remote_have = remote_bitfield.have_set
-        pairs: List[tuple] = []
-        for count, bucket in wanted.ascending():
-            eligible = bucket & remote_have
-            if eligible:
-                pairs.extend((piece, count) for piece in eligible)
-        if not pairs:
-            return None
-        pairs.sort()
-        position = self._position()
-        candidates = [piece for piece, __ in pairs]
-        weights = [
-            self._weight(piece, count, position) for piece, count in pairs
-        ]
-        return self._pick(candidates, weights, rng)
-
-    def select_arrays(
-        self,
-        candidates: "ndarray",
-        counts: "ndarray",
+        candidates: ndarray,
+        counts: ndarray,
         rng: Random,
     ) -> int:
         """Weights stay Python floats, accumulated in candidate order:
-        an array ``power``/``sum`` may round differently from
-        :meth:`select`, and the single variate must land identically."""
+        an array ``power``/``sum`` may round differently from a scalar
+        loop, and the single variate must land identically."""
         position = self._position()
         pieces = candidates.tolist()
         weights = [

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, Iterator
 
-try:  # optional: only used to parse incoming bitfields faster
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 #: For each byte value, the offsets (0 = most significant bit) of its set
 #: bits in ascending order: the iterators below look a whole byte up here
@@ -40,9 +37,9 @@ class Bitfield:
     """Mutable fixed-size bitmap over ``num_pieces`` pieces.
 
     Alongside the wire-format bitmap, the held indices are mirrored in a
-    plain ``set`` so swarm-scale consumers (the rarity-bucket piece
-    index) can intersect piece sets at C speed instead of probing one
-    bit at a time.  Invariant: bitmap, mirror and count always agree —
+    plain ``set`` so set-algebra readers (the conformance checkers) can
+    intersect piece sets at C speed instead of probing one bit at a
+    time.  Invariant: bitmap, mirror and count always agree —
     only this class's own methods write them, and the simulator may hand
     one instance out as several neighbours' view of its owner.  Two
     derived forms are memoised for the hot readers: :meth:`as_int`
@@ -92,16 +89,11 @@ class Bitfield:
         spare = expected * 8 - num_pieces
         if spare and data and data[-1] & ((1 << spare) - 1):
             raise ValueError("spare bits in final bitfield byte are not zero")
-        if _np is not None:
-            field._have = set(
-                _np.flatnonzero(
-                    _np.unpackbits(
-                        _np.frombuffer(data, dtype=_np.uint8), count=num_pieces
-                    )
-                ).tolist()
-            )
-        else:
-            field._have = set(_set_bit_indices(field._bits))
+        field._have = set(
+            _np.flatnonzero(
+                _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8), count=num_pieces)
+            ).tolist()
+        )
         field._count = len(field._have)
         return field
 
@@ -178,10 +170,7 @@ class Bitfield:
 
     @property
     def have_set(self) -> AbstractSet[int]:
-        """The held piece indices as a set (live view — do not mutate).
-
-        This is what makes rarity-bucket intersections O(min(|bucket|,
-        |have|)) at C speed; treat it as read-only."""
+        """The held piece indices as a set (live view — do not mutate)."""
         return self._have
 
     def have_indices(self) -> Iterator[int]:
@@ -211,7 +200,7 @@ class Bitfield:
         return value
 
     def as_vector(self):
-        """The pieces as a 0/1 ``uint8`` vector (numpy only), built on
+        """The pieces as a 0/1 ``uint8`` vector, built on
         first use and kept current by ``set`` / ``clear``.  Live and
         read-only: combine it at once (``mask & bits``), never hold it."""
         vector = self._vector

@@ -22,11 +22,12 @@ blocks and PIECE messages to the downloading side.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+from numpy import ndarray
 
 from repro.core.choke import Choker
 from repro.core.peer_core import PeerCore, PeerState
-from repro.core.piece_picker import PiecePicker
 from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
@@ -80,10 +81,8 @@ class Peer(PeerCore):
             selector=selector,
             leecher_choker=leecher_choker,
             seed_choker=seed_choker,
-            # The swarm-shared availability matrix when the swarm holds one
-            # (numpy importable): the picker owns one row of it.  Otherwise
-            # the picker keeps its own rarity index, as a live peer does.
-            matrix=getattr(swarm, "availability_matrix", None),
+            # The picker owns one row of the swarm-shared availability matrix.
+            matrix=swarm.availability_matrix,
             observer=observer,
         )
         # Streaming playback model: only built when configured, so bulk
@@ -107,7 +106,7 @@ class Peer(PeerCore):
         # Fused HAVE fan-out targets (see _collect_have_targets), built
         # on demand; reset to None by whatever changes the answer: a link
         # established or closed, either end crashing.
-        self._have_targets: Optional[Tuple[Sequence[int], List[PiecePicker]]] = None
+        self._have_targets: Optional[ndarray] = None
         self.initiated_count = 0
         # Super-seeding (§IV-A.4): advertise nothing, reveal pieces one
         # at a time per peer, preferring the least-revealed piece.
@@ -133,12 +132,8 @@ class Peer(PeerCore):
         if self.online:
             raise RuntimeError("%s already joined" % self.address)
         self.swarm.on_peer_joined(self)
-        if (
-            self.picker.availability_backend == "matrix"
-            and self.picker.matrix_slot is None
-        ):
-            # Rejoining after a clean leave: re-acquire a zeroed row.
-            self.picker.attach_matrix(self.swarm.availability_matrix)
+        # Rejoining after a clean leave re-acquires a zeroed row.
+        self.picker.attach_matrix(self.swarm.availability_matrix)
         self.online = True
         self.joined_at = self.simulator.now
         self._materialize = self.swarm.config.verify_piece_hashes
@@ -184,12 +179,11 @@ class Peer(PeerCore):
             self._close_connection(connection, notify_remote=True)
         self._announce(event="stopped", num_want=0)
         self.swarm.on_peer_left(self)
-        if self.picker.availability_backend == "matrix":
-            # Every count was decremented as its connection closed above,
-            # so the row is zero: releasing it is lossless.  A crash skips
-            # this (and the per-connection decrements), keeping the stale
-            # counts a rejoining peer would also see on the index backend.
-            self.picker.detach_matrix()
+        # Every count was decremented as its connection closed above, so
+        # the row is zero: releasing it is lossless.  A crash skips this
+        # (and the per-connection decrements), so a rejoining peer keeps
+        # its stale counts.
+        self.picker.detach_matrix()
 
     def crash(self) -> None:
         """Abrupt failure: no ``stopped`` announce, no FIN to remotes.
@@ -531,14 +525,11 @@ class Peer(PeerCore):
         """
         piece = message.piece
         now = self.simulator.now
-        targets = self._have_targets
-        if targets is None:
-            targets = self._have_targets = self._collect_have_targets()
-        slots, pickers = targets
+        slots = self._have_targets
+        if slots is None:
+            slots = self._have_targets = self._collect_have_targets()
         if len(slots):
             self.swarm.availability_matrix.increment(slots, piece)
-        for picker in pickers:
-            picker.remote_has(piece)
         byte_index = piece >> 3
         bit_mask = 0x80 >> (piece & 7)
         # Sender-side interest recheck support, hoisted: all constant
@@ -633,19 +624,16 @@ class Peer(PeerCore):
                         connection.am_interested = False
                         self._send(connection, NotInterested())
 
-    def _collect_have_targets(self) -> Tuple[Sequence[int], List[PiecePicker]]:
-        """Neighbours that count our pieces (far end still open), split
-        by how: matrix slots — as the checked index array of one batched
-        add, or an empty list — and index pickers."""
-        pickers = [
-            connection.remote.picker
-            for connection in self.connections.values()
-            if connection.twin is not None and not connection.twin.closed
-        ]
-        slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
-        if slots:
-            slots = self.swarm.availability_matrix.slot_index(slots)
-        return slots, [p for p in pickers if p.matrix_slot is None]
+    def _collect_have_targets(self) -> ndarray:
+        """The matrix slots of the neighbours that count our pieces (far
+        end still open), as the checked index array of one batched add."""
+        return self.swarm.availability_matrix.slot_index(
+            [
+                connection.remote.picker.matrix_slot
+                for connection in self.connections.values()
+                if connection.twin is not None and not connection.twin.closed
+            ]
+        )
 
     # -- request messages ----------------------------------------------------
 

@@ -14,7 +14,7 @@ from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.choke import Choker
-from repro.core.piece_picker import AvailabilityMatrix, HAVE_NUMPY
+from repro.core.piece_picker import AvailabilityMatrix
 from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import Metainfo
@@ -177,11 +177,8 @@ class Swarm:
         # Shared availability matrix: one int32 row per online peer, so a
         # completed piece's HAVE flood becomes a single vectorized
         # increment over the receivers' rows instead of per-peer python
-        # bookkeeping.  It needs numpy; without it every picker keeps its
-        # own rarity index, which is RNG- and trace-identical.
-        self.availability_matrix: Optional[AvailabilityMatrix] = (
-            AvailabilityMatrix(metainfo.geometry.num_pieces) if HAVE_NUMPY else None
-        )
+        # bookkeeping.
+        self.availability_matrix = AvailabilityMatrix(metainfo.geometry.num_pieces)
         # Batched HAVE fan-out (Peer._announce_piece), and the shared
         # remote views it rests on (Peer._remote_view), are only observably
         # identical to per-link sends and parsed views when delivery is

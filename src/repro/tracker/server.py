@@ -22,6 +22,10 @@ differential the ``tracker``-marked conformance tests pin.
 Failures are first-class: an injected outage or a load-shedding
 rejection becomes a bencoded ``failure reason`` (HTTP) or an ``error``
 action (UDP), never a dropped connection, so clients can fail over.
+So does a bad announce, checked before anything is registered: an
+address a compact peer list cannot carry would otherwise break every
+later answer that samples it.  A UDP connection id is only honoured
+from the address it was issued to.
 """
 
 from __future__ import annotations
@@ -53,6 +57,11 @@ UDP_PROTOCOL_ID = 0x41727101980
 UDP_CONNECT = 0
 UDP_ANNOUNCE = 1
 UDP_ERROR = 3
+
+#: Connection ids the UDP frontend remembers: the most recently issued
+#: ones.  One client connects once per announce, so without a bound the
+#: table would grow by one entry per announce for the server's lifetime.
+MAX_CONNECTION_IDS = 1 << 16
 
 #: UDP event codes (BEP 15) -> announce event strings.
 _UDP_EVENTS = {0: "", 1: "completed", 2: "started", 3: "stopped"}
@@ -87,14 +96,30 @@ def split_address(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def _check_peer_address(host: str, port: int) -> None:
+    """Raise :class:`ValueError` unless ``host:port`` is what a compact
+    peer list (BEP 23) can carry: a dotted-quad IPv4 host and a port in
+    1..65535.  Both frontends check before registering, because one
+    unencodable entry would fail every later answer that samples it."""
+    if not 0 < port < 65536:
+        raise ValueError("port %d outside 1..65535" % port)
+    try:
+        socket.inet_pton(socket.AF_INET, host)
+    except (OSError, ValueError):
+        raise ValueError("ip %r is not an IPv4 address" % host) from None
+
+
 def _request_from_params(
     params: Dict[str, bytes], peer_host: str
 ) -> AnnounceRequest:
     if "info_hash" not in params or not params["info_hash"]:
         raise ValueError("missing info_hash")
     infohash = params["info_hash"]
-    port = int(params.get("port", b"0"))
+    if "port" not in params:
+        raise ValueError("missing port")
+    port = int(params["port"])
     ip = params.get("ip", peer_host.encode()).decode()
+    _check_peer_address(ip, port)
     event = params.get("event", b"").decode()
     if event not in ("", "started", "stopped", "completed"):
         raise ValueError("unknown event %r" % event)
@@ -305,7 +330,11 @@ class TrackerServer:
                 return None
             connection_id = self._next_connection_id
             self._next_connection_id += 1
-            self._connection_ids[connection_id] = addr
+            ids = self._connection_ids
+            ids[connection_id] = addr
+            # Ids are issued in sequence, so the oldest one remembered is
+            # exactly this far behind: forgetting it is one O(1) pop.
+            ids.pop(connection_id - MAX_CONNECTION_IDS, None)
             return struct.pack(">iiq", UDP_CONNECT, transaction_id, connection_id)
         if len(data) < 98:
             return None
@@ -326,8 +355,15 @@ class TrackerServer:
         ) = struct.unpack(">qii20s20sqqqiIIiH", data[:98])
         if action != UDP_ANNOUNCE:
             return self._udp_error(transaction_id, "unsupported action")
-        if connection_id not in self._connection_ids:
+        issued_to = self._connection_ids.get(connection_id)
+        if issued_to is None:
             return self._udp_error(transaction_id, "unknown connection id")
+        if issued_to != addr:
+            # BEP 15: an id proves its holder can receive at the address
+            # it was issued to; from anywhere else it proves nothing.
+            return self._udp_error(
+                transaction_id, "connection id issued to another address"
+            )
         host = (
             "%d.%d.%d.%d" % (ip >> 24 & 255, ip >> 16 & 255, ip >> 8 & 255, ip & 255)
             if ip
@@ -336,6 +372,10 @@ class TrackerServer:
         event = _UDP_EVENTS.get(event_code)
         if event is None:
             return self._udp_error(transaction_id, "unknown event")
+        try:
+            _check_peer_address(host, port)
+        except ValueError as exc:
+            return self._udp_error(transaction_id, "bad announce: %s" % exc)
         request = AnnounceRequest(
             infohash=infohash,
             address="%s:%d" % (host, port),

@@ -1,12 +1,15 @@
-"""The announce service: shared core of every tracker frontend.
+"""The announce service: the core of the wire tracker frontends.
 
-:class:`TrackerService` is the engine behind both the in-process
-:class:`repro.tracker.tracker.Tracker` the simulator calls synchronously
-and the live asyncio announce server (:mod:`repro.tracker.server`).  It
+:class:`TrackerService` is the engine behind the live asyncio announce
+server (:mod:`repro.tracker.server`) and its in-process callers.  It
 owns the sharded swarm store, the peer-sampling strategy, the announce
-budget (load shedding) and the per-request RNG derivation, so every
-frontend answers a given announce sequence identically — the property
-the sim-vs-live differential tests pin byte for byte.
+budget (load shedding) and the per-request RNG derivation, so the HTTP
+and UDP frontends and a direct call answer a given announce sequence
+identically — the property the sim-vs-live differential tests pin byte
+for byte.  The simulator's :class:`repro.tracker.tracker.Tracker` does
+not run through it: it drives one
+:class:`~repro.tracker.state.SwarmState` and a sampler itself, the two
+pieces it shares with this service.
 
 **Determinism.**  A caller that *has* a seeded RNG (a simulated peer)
 passes it and the sample is drawn from that stream.  A remote caller

@@ -7,12 +7,15 @@ announce, and collects the per-torrent statistics (number of seeds and
 leechers over time) the paper probes to establish transient vs. steady
 state.  It is not involved in the actual distribution of the file.
 
-This in-process class is the synchronous frontend the simulator and the
-live :mod:`repro.net` peers call directly; the standalone asyncio
-announce server (:mod:`repro.tracker.server`) serves the same state
-machine over the wire.  Both sit on :class:`repro.tracker.state.SwarmState`
-and the sampler registry, so announce semantics cannot drift between
-the two.
+This in-process class is the synchronous tracker the simulator and the
+live :mod:`repro.net` peers call directly.  It drives one
+:class:`repro.tracker.state.SwarmState` and its sampler itself; it does
+not go through :class:`repro.tracker.service.TrackerService`, the
+multi-swarm engine behind the asyncio announce server
+(:mod:`repro.tracker.server`).  The two share the registry and the
+sampler registry, so what an announce does to a swarm and whom it
+samples cannot drift between them; the service alone adds the sharded
+store, load shedding and per-request RNG derivation.
 
 **RNG discipline.**  ``announce`` samples through the RNG the *caller*
 passes (each peer its own seeded stream).  Historically every sample

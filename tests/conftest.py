@@ -6,12 +6,12 @@ from typing import Optional
 import pytest
 
 import repro.core.peer_core
-import repro.sim.bandwidth
 import repro.sim.swarm
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
+from tests.reference_allocator import reference_max_min_allocation
 from tests.reference_piece_picker import NaivePiecePicker
 
 
@@ -43,11 +43,12 @@ def swarm():
     return tiny_swarm()
 
 
-def _numpy_free(patch):
-    # What a swarm observes of numpy: the python allocator and per-peer
-    # rarity indexes instead of the vectorised one and the matrix.
-    patch.setattr(repro.sim.swarm, "HAVE_NUMPY", False)
-    patch.setattr(repro.sim.bandwidth, "HAVE_NUMPY", False)
+def _reference_allocator(patch):
+    # Where Swarm.__init__ looks its allocator up: the python oracle
+    # instead of the vectorised filling.
+    patch.setattr(
+        repro.sim.swarm, "resolve_allocator", lambda: reference_max_min_allocation
+    )
 
 
 def _per_link(patch):
@@ -67,14 +68,15 @@ def _naive_picker(patch):
 
 
 TWINS = {
-    "numpy-free": _numpy_free,
+    "reference-allocator": _reference_allocator,
     "per-link": _per_link,
     "naive-picker": _naive_picker,
 }
 
-#: Every engine fast path off: what a numpy-free run under message
-#: latency takes.  The picker oracle is not an engine path.
-ENGINE_TWINS = ("numpy-free", "per-link")
+#: Every engine fast path on its reference: the python allocator and the
+#: per-link delivery a run under message latency takes.  The picker
+#: oracle is not an engine path.
+ENGINE_TWINS = ("reference-allocator", "per-link")
 
 
 @contextmanager
@@ -89,14 +91,16 @@ def _select(*names):
 def twins():
     """``with twins(*names):`` builds swarms and peers on reference twins.
 
-    The engine chooses its paths from what it observes at construction
-    (numpy importable; zero latency and no fault plan), so this reaches
-    each twin the same way: by changing what a swarm built inside the
-    block observes.  ``"naive-picker"`` makes every peer built inside the
-    block pick through the naive oracle of
-    ``tests/reference_piece_picker.py``.  A swarm keeps the engine twins
-    it was built with; peers arriving later are built when they arrive,
-    so a run with arrivals stays inside the block.  The context manager
+    The engine chooses its delivery path from what it observes at
+    construction (zero latency and no fault plan), so this reaches each
+    twin the same way: by changing what a swarm built inside the block
+    observes.  ``"reference-allocator"`` hands every swarm built inside
+    the block the python allocator of ``tests/reference_allocator.py``,
+    and ``"naive-picker"`` makes every peer built inside the block pick
+    through the naive oracle of ``tests/reference_piece_picker.py``.  A
+    swarm keeps the engine twins it was built with; peers arriving later
+    are built when they arrive, so a run with arrivals stays inside the
+    block.  The context manager
     holds no state, so the fixture is session-wide and safe under
     Hypothesis.
     """

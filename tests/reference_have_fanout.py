@@ -8,9 +8,10 @@ handed a plain list of slots that ``AvailabilityMatrix.increment``
 checks and converts on every call.  The loop body is the production
 body, line for line — production differs only in the list it walks —
 which is what ``tests/test_have_fanout_equivalence.py`` needs to hold the
-filter to "a superset of the links that can react".  The one edit is
+filter to "a superset of the links that can react".  Two edits are
 forced: the per-peer target cache now holds an index array, so the
-oracle collects its targets afresh on each flood instead of reading it.
+oracle collects its targets afresh on each flood instead of reading it;
+and every picker now owns a matrix row, so the targets are slots alone.
 
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
@@ -20,26 +21,22 @@ from repro.protocol.messages import Have, Interested, NotInterested
 
 
 def reference_collect_have_targets(self):
-    """Neighbours that count our pieces (far end still open), split
-    by how: matrix slots for one batched add, list/index pickers."""
-    pickers = [
-        connection.remote.picker
+    """The matrix slots of the neighbours that count our pieces (far end
+    still open), as a plain list for one batched add."""
+    return [
+        connection.remote.picker.matrix_slot
         for connection in self.connections.values()
         if connection.twin is not None and not connection.twin.closed
     ]
-    slots = [p.matrix_slot for p in pickers if p.matrix_slot is not None]
-    return slots, [p for p in pickers if p.matrix_slot is None]
 
 
 def reference_broadcast_have_fused(self, message: Have) -> None:
     """One fused HAVE flood of the sim :class:`Peer` *self*."""
     piece = message.piece
     now = self.simulator.now
-    slots, pickers = reference_collect_have_targets(self)
+    slots = reference_collect_have_targets(self)
     if slots:
         self.swarm.availability_matrix.increment(slots, piece)
-    for picker in pickers:
-        picker.remote_has(piece)
     byte_index = piece >> 3
     bit_mask = 0x80 >> (piece & 7)
     # Sender-side interest recheck support, hoisted: all constant

@@ -1,20 +1,19 @@
 """The naive piece picker, kept as the differential oracle.
 
-This is ``repro.core.piece_picker.PiecePicker``'s ``naive`` availability
-backend as it stood while ``PeerConfig.use_rarity_index=False`` could
-still select it: every new-piece pick builds the candidate list by
-scanning the bitfield and hands it to ``PieceSelector.select``, the
-rarest pieces set and the wanted scarcity are full scans of the flat
-count list, and the end-game trigger walks every missing piece.  No
-production input reaches that path any more — a swarm picks through the
-availability matrix when numpy is importable and through the rarity
-index otherwise — so it lives here, where the equivalence suites hold
-both backends to it.
+Every new-piece pick builds the candidate list by scanning the bitfield
+and hands it to the list-based selector of
+``tests/reference_selectors.py``; the rarest pieces set and the wanted
+scarcity are full scans of a flat count list; the end-game trigger walks
+every missing piece; and ``next_request`` takes no shortcut past a
+remote that offers nothing wanted.  No production input reaches any of
+that — a picker computes its candidates as one array and picks through
+its selector's array kernel — so it lives here, where the equivalence
+suites hold the production picker to it.
 
-The subclass keeps the index backend's bookkeeping underneath (it is
-never read by the four methods below) and never takes a matrix row, as
-the naive peers never did.  Install it into a swarm with the ``twins``
-fixture's ``"naive-picker"``, or construct it directly.
+The counts are the one thing it shares with production: they are the
+flat list of the picker's matrix row, because a swarm's fused HAVE
+flood raises rows, not pickers.  Install it into a swarm with the
+``twins`` fixture's ``"naive-picker"``, or construct it directly.
 
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
@@ -23,36 +22,41 @@ from typing import List, Optional, Tuple
 
 from repro.core.piece_picker import PiecePicker
 from repro.protocol.bitfield import Bitfield
+from repro.protocol.metainfo import BlockRef
+
+from tests.reference_selectors import reference_select
 
 
 class NaivePiecePicker(PiecePicker):
     """A :class:`PiecePicker` that scans instead of indexing."""
 
-    def __init__(self, *args, matrix=None, matrix_slot=None, **kwargs):
-        super().__init__(*args, **kwargs)
-
-    @property
-    def availability_backend(self) -> str:
-        return "naive"
+    def _counts(self) -> List[int]:
+        return self._matrix.data[self._slot].tolist()
 
     def wanted_scarcity(self) -> Optional[int]:
+        counts = self._counts()
         best: Optional[int] = None
         for piece in self._bitfield.missing_indices():
             if piece in self._active:
                 continue
-            count = self._availability[piece]
-            if best is None or count < best:
-                best = count
+            if best is None or counts[piece] < best:
+                best = counts[piece]
         return best
 
     def rarest_pieces_set(self) -> Tuple[int, List[int]]:
-        rarest_count = min(self._availability)
-        pieces = [
-            piece
-            for piece, count in enumerate(self._availability)
-            if count == rarest_count
-        ]
+        counts = self._counts()
+        rarest_count = min(counts)
+        pieces = [piece for piece, count in enumerate(counts) if count == rarest_count]
         return rarest_count, pieces
+
+    def next_request(self, remote_bitfield: Bitfield, peer_key) -> Optional[BlockRef]:
+        block = self._strict_priority_block(remote_bitfield, peer_key)
+        if block is None:
+            block = self._start_new_piece(remote_bitfield, peer_key)
+        if block is None and self._endgame_enabled and self._all_blocks_requested():
+            self._endgame = True
+            block = self._endgame_block(remote_bitfield, peer_key)
+        return block
 
     def _select_new_piece(self, remote_bitfield: Bitfield) -> Optional[int]:
         random_first = self._bitfield.count < self._random_first_threshold
@@ -64,7 +68,7 @@ class NaivePiecePicker(PiecePicker):
         ]
         if not candidates:
             return None
-        return selector.select(candidates, self._availability, self._rng)
+        return reference_select(selector, candidates, self._counts(), self._rng)
 
     def _all_blocks_requested(self) -> bool:
         for piece in self._bitfield.missing_indices():

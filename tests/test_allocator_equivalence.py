@@ -1,17 +1,18 @@
 """Differential trace-equivalence harness for the mega-swarm engine.
 
-The fast engine paths — numpy max-min allocator, shared availability
-matrix with the fused HAVE fan-out, and the binary trace container —
-are each *claimed* to be observably identical to the reference
-implementations they replace.  This suite pins those claims down three
+The fast engine paths — vectorised max-min allocator, shared views
+with the fused HAVE fan-out, and the binary trace container — are each
+*claimed* to be observably identical to the reference implementations
+they replace.  This suite pins those claims down three
 ways:
 
-* **property tests** drive the two allocators over random networks and
-  require bit-identical rates (not approximately equal: the reference
-  was restructured so both charge residuals with the same arithmetic);
+* **property tests** drive the production allocator and the python
+  oracle of ``tests/reference_allocator.py`` over random networks and
+  require bit-identical rates (not approximately equal: the oracle was
+  restructured so both charge residuals with the same arithmetic);
 * **differential swarm runs** execute the same seeded scenario on the
   fast paths and on their reference twins (reached through the
-  ``twins`` fixture, as a numpy-free or per-link run reaches them) and
+  ``twins`` fixture, as a latency or fault run reaches per-link delivery) and
   require identical trace fingerprints and final swarm state —
   including under churn, faults, and rejoins;
 * **format tests** require the binary trace to reproduce the JSONL
@@ -34,22 +35,16 @@ from repro.instrumentation import (
 )
 from repro.instrumentation.replay import TraceFormatError
 from repro.protocol.metainfo import make_metainfo
-from repro.sim.bandwidth import (
-    HAVE_NUMPY,
-    Flow,
-    max_min_allocation,
-    max_min_allocation_numpy,
-    resolve_allocator,
-)
+import repro.sim.swarm
+from repro.sim.bandwidth import Flow, max_min_allocation, resolve_allocator
 from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 from random import Random
 
 from tests.conftest import ENGINE_TWINS
+from tests.reference_allocator import reference_max_min_allocation
 from tests.reference_piece_picker import NaivePiecePicker
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +76,6 @@ def networks(draw):
     return flows, uploads, downloads
 
 
-@needs_numpy
 class TestAllocatorEquivalence:
     @given(networks())
     @settings(max_examples=200, deadline=None)
@@ -89,8 +83,8 @@ class TestAllocatorEquivalence:
         pairs, uploads, downloads = network
         reference = [Flow(u, d) for u, d in pairs]
         vectorized = [Flow(u, d) for u, d in pairs]
-        max_min_allocation(reference, uploads, downloads)
-        max_min_allocation_numpy(vectorized, uploads, downloads)
+        reference_max_min_allocation(reference, uploads, downloads)
+        max_min_allocation(vectorized, uploads, downloads)
         # Bit-identical, not approximately equal: both paths perform the
         # same residual arithmetic in the same order.
         assert [f.rate for f in reference] == [f.rate for f in vectorized]
@@ -100,7 +94,7 @@ class TestAllocatorEquivalence:
     def test_numpy_allocation_is_feasible(self, network):
         pairs, uploads, downloads = network
         flows = [Flow(u, d) for u, d in pairs]
-        max_min_allocation_numpy(flows, uploads, downloads)
+        max_min_allocation(flows, uploads, downloads)
         tolerance = 1e-6
         for node, cap in uploads.items():
             used = sum(f.rate for f in flows if f.uploader == node)
@@ -112,10 +106,12 @@ class TestAllocatorEquivalence:
                 assert used <= cap + tolerance
 
     def test_resolve_allocator_names(self, twins):
-        """No name picks the allocator any more; whether numpy imports does."""
-        assert resolve_allocator() is max_min_allocation_numpy
-        with twins("numpy-free"):
-            assert resolve_allocator() is max_min_allocation
+        """No name picks the allocator: there is one, and the fixture
+        swaps the binding the swarm looks up for the oracle."""
+        assert resolve_allocator() is max_min_allocation
+        with twins("reference-allocator"):
+            assert repro.sim.swarm.resolve_allocator() is reference_max_min_allocation
+        assert repro.sim.swarm.resolve_allocator() is max_min_allocation
         with pytest.raises(TypeError):
             resolve_allocator("reference")
 
@@ -167,18 +163,13 @@ def run_swarm(
     return fingerprint, state, swarm
 
 
-@needs_numpy
 class TestEngineDifferential:
     @pytest.mark.parametrize(
         "twin, selects_twin",
         [
-            ("numpy-free", lambda swarm: swarm._allocate is max_min_allocation),
             (
-                "numpy-free",
-                lambda swarm: all(
-                    peer.picker.availability_backend == "index"
-                    for peer in swarm.peers.values()
-                ),
+                "reference-allocator",
+                lambda swarm: swarm._allocate is reference_max_min_allocation,
             ),
             ("per-link", lambda swarm: swarm._batched_have is False),
             (
@@ -189,7 +180,7 @@ class TestEngineDifferential:
                 ),
             ),
         ],
-        ids=["allocator", "availability_backend", "have_fanout", "picker"],
+        ids=["allocator", "have_fanout", "picker"],
     )
     def test_each_reference_value_selects_its_twin(self, twin, selects_twin, twins):
         """Guard against a vacuous differential: the fixture really
@@ -217,7 +208,7 @@ class TestEngineDifferential:
 
     def test_allocator_choice_invisible_under_faults(self, twins):
         # Faults disable the fused fan-out automatically; the allocator
-        # and availability backend still run and must stay invisible.
+        # still runs and must stay invisible.
         faults = FaultConfig(
             message_loss_rate=0.02,
             crash_probability=0.05,
@@ -242,11 +233,9 @@ class TestEngineDifferential:
         leecher = swarm.add_peer(config=PeerConfig(upload_capacity=64 * KIB))
         swarm.run(20.0)
         leecher.leave()
-        if leecher.picker.availability_backend == "matrix":
-            assert leecher.picker.matrix_slot is None
+        assert leecher.picker.matrix_slot is None
         leecher.join()
-        if leecher.picker.availability_backend == "matrix":
-            assert leecher.picker.matrix_slot is not None
+        assert leecher.picker.matrix_slot is not None
         swarm.run(200.0)
         assert leecher.bitfield.is_complete()
         assert seed_peer.is_seed

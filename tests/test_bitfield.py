@@ -2,13 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.protocol import bitfield as bitfield_module
 from repro.protocol.bitfield import Bitfield
-
-HAVE_NUMPY = bitfield_module._np is not None
 
 
 class TestBasics:
@@ -230,12 +228,11 @@ class TestIndexIterators:
         assert list(field.have_indices()) == have
         assert field.count == len(have)
         assert field.as_int() == int.from_bytes(field.to_bytes(), "big")
-        if HAVE_NUMPY:
-            vector = field.as_vector()
-            assert vector.dtype == bitfield_module._np.uint8
-            assert vector.tolist() == [
-                int(index in field.have_set) for index in range(field.num_pieces)
-            ]
+        vector = field.as_vector()
+        assert vector.dtype == np.uint8
+        assert vector.tolist() == [
+            int(index in field.have_set) for index in range(field.num_pieces)
+        ]
 
     @staticmethod
     def makers():
@@ -289,8 +286,7 @@ class TestIndexIterators:
         owner.set(9)
         assert neighbour.interesting_in(view)
         assert view.as_int() == int.from_bytes(owner.to_bytes(), "big")
-        if HAVE_NUMPY:
-            assert view.as_vector()[9] == 1
+        assert view.as_vector()[9] == 1
         owner.clear(9)  # a hash failure takes it back
         assert not neighbour.interesting_in(view)
         owner.set(2)
@@ -324,7 +320,7 @@ class TestIndexIterators:
                 field.clear(index)
             elif op == "r":
                 assert field.as_int() == int.from_bytes(field.to_bytes(), "big")
-            elif HAVE_NUMPY:
+            else:
                 assert field.as_vector().tolist() == [
                     int(i in field.have_set) for i in range(num_pieces)
                 ]

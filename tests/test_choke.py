@@ -219,6 +219,14 @@ class TestOldSeedChoker:
                 fast_rounds += 1
         assert fast_rounds == 30  # monopoly — the unfairness of §IV-B.3
 
+    def test_validation(self):
+        """Regression: the old seed choker took any arguments, and
+        ``optimistic_rounds=0`` died of ZeroDivisionError in round one."""
+        with pytest.raises(ValueError):
+            OldSeedChoker(regular_slots=0)
+        with pytest.raises(ValueError):
+            OldSeedChoker(optimistic_rounds=0)
+
 
 class TestTitForTat:
     def test_blocks_peers_over_deficit(self):

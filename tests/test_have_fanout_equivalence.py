@@ -27,7 +27,6 @@ from repro.core.peer_core import LinkState
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import Choke, Have, Interested, NotInterested, Unchoke
 from repro.protocol.metainfo import make_metainfo
-from repro.sim.bandwidth import HAVE_NUMPY
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.connection import Connection
 from repro.sim.observer import PeerObserver
@@ -36,12 +35,6 @@ from repro.sim.swarm import Swarm
 from tests.reference_have_fanout import reference_broadcast_have_fused
 
 PIECES = 12
-
-#: Both backends take the fused path: matrix rows under one batched add
-#: ("auto", what a swarm with numpy builds), and the slot-less index
-#: pickers a numpy-free install falls back to ("index", reached through
-#: the ``twins`` fixture as a numpy-free swarm reaches it).
-BACKENDS = ["auto", "index"] if HAVE_NUMPY else ["index"]
 
 
 class RecordingObserver(PeerObserver):
@@ -204,9 +197,7 @@ class World:
                 for key, c in peer.connections.items()
             ],
             "rows": [
-                None if peer.picker.matrix_slot is None
-                and peer.picker.availability_backend == "matrix"
-                else peer.picker.availability
+                None if peer.picker.matrix_slot is None else peer.picker.availability
                 for peer in peers
             ],
             "held": [peer.bitfield.to_bytes() for peer in peers],
@@ -255,13 +246,11 @@ def scripts(draw):
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=150, deadline=None)
 @given(script=scripts())
-def test_filtered_fanout_is_the_every_link_fanout(backend, script, twins):
-    with twins(*(["numpy-free"] if backend == "index" else [])):
-        production = World(script, reference=False)
-        reference = World(script, reference=True)
+def test_filtered_fanout_is_the_every_link_fanout(script):
+    production = World(script, reference=False)
+    reference = World(script, reference=True)
     assert production.state() == reference.state()
     for op in script["ops"]:
         production.apply(op)

@@ -69,8 +69,7 @@ def test_bytes_conserved(params):
 # Pinned: this example caught ``have_indices`` returning a stale
 # ``have_set`` mirror when the fused HAVE fan-out wrote view bitmaps
 # directly.  Only ``Bitfield`` writes its representations now, so the
-# mirror is asserted equal on every view of this (batched, matrix-backend
-# wherever numpy is installed) run.
+# mirror is asserted equal on every view of this (batched) run.
 @example((1, 8, 6))
 def test_availability_matches_bitfields(params):
     seed, num_pieces, num_leechers = params

@@ -12,9 +12,10 @@ The selector's two contracts:
   non-work-conserving move that keeps open-system swarms out of the
   one-club regime.
 
-The backend equivalence (naive select vs select_indexed vs matrix
-dispatch) is pinned swarm-level in ``test_picker_equivalence.py``; here
-we pin the selector's own semantics, plus the picker's
+The kernel's equivalence with its list-based reference is pinned in
+``test_selection_kernel.py`` and swarm-level in
+``test_picker_equivalence.py``; here we pin the selector's own
+semantics on the production kernel, plus the picker's
 ``wanted_scarcity`` oracle the suppression decision is judged against.
 """
 
@@ -34,6 +35,7 @@ from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry
 
 from tests.reference_piece_picker import NaivePiecePicker
+from tests.reference_selectors import kernel_select, reference_select
 
 pytestmark = pytest.mark.stability
 
@@ -70,8 +72,8 @@ def test_never_suppresses_an_offer_containing_the_rarest_wanted(case, suppressio
     selector = bound_selector(suppression, offered_min)
     reference = RarestFirstSelector()
     rng_a, rng_b = Random(seed), Random(seed)
-    assert selector.select(candidates, availability, rng_a) == reference.select(
-        candidates, availability, rng_b
+    assert kernel_select(selector, candidates, availability, rng_a) == kernel_select(
+        reference, candidates, availability, rng_b
     )
     # Identical RNG consumption: the streams stay in lockstep.
     assert rng_a.random() == rng_b.random()
@@ -86,8 +88,8 @@ def test_suppression_zero_reduces_to_rarest_first(case):
     selector = bound_selector(0.0, 0)
     reference = RarestFirstSelector()
     rng_a, rng_b = Random(seed), Random(seed)
-    assert selector.select(candidates, availability, rng_a) == reference.select(
-        candidates, availability, rng_b
+    assert kernel_select(selector, candidates, availability, rng_a) == kernel_select(
+        reference, candidates, availability, rng_b
     )
     assert rng_a.random() == rng_b.random()
 
@@ -99,8 +101,8 @@ def test_unbound_oracle_reduces_to_rarest_first(case):
     selector = ModeSuppressionSelector(suppression=1.0)  # never bound
     reference = RarestFirstSelector()
     rng_a, rng_b = Random(seed), Random(seed)
-    assert selector.select(candidates, availability, rng_a) == reference.select(
-        candidates, availability, rng_b
+    assert kernel_select(selector, candidates, availability, rng_a) == kernel_select(
+        reference, candidates, availability, rng_b
     )
     assert rng_a.random() == rng_b.random()
 
@@ -112,7 +114,7 @@ def test_full_suppression_always_declines_over_replicated_offers(case):
     offered_min = min(availability[piece] for piece in candidates)
     # The oracle reports a strictly rarer wanted piece elsewhere.
     selector = bound_selector(1.0, offered_min - 1)
-    assert selector.select(candidates, availability, Random(seed)) is None
+    assert kernel_select(selector, candidates, availability, Random(seed)) is None
 
 
 def test_rarest_piece_as_only_candidate_is_never_suppressed():
@@ -120,35 +122,29 @@ def test_rarest_piece_as_only_candidate_is_never_suppressed():
     candidate at the rarest wanted tier always gets picked."""
     selector = bound_selector(1.0, 1)
     for seed in range(50):
-        assert selector.select([3], [9, 9, 9, 1], Random(seed)) == 3
+        assert kernel_select(selector, [3], [9, 9, 9, 1], Random(seed)) == 3
 
 
 def test_suppression_probability_is_respected():
     selector = bound_selector(0.5, 1)
     rng = Random(7)
-    outcomes = [selector.select([0], [4], rng) for __ in range(2000)]
+    outcomes = [kernel_select(selector, [0], [4], rng) for __ in range(2000)]
     declines = sum(1 for outcome in outcomes if outcome is None)
     assert 850 < declines < 1150  # ~Binomial(2000, 0.5)
 
 
-def test_select_indexed_matches_select_on_a_crafted_index():
-    """One direct cross-check of the two entry points (the swarm-level
-    differential tests cover the full dispatch)."""
-    from repro.core.piece_picker import RarityIndex
-
-    num_pieces = 6
-    wanted = RarityIndex()
+def test_kernel_matches_reference_on_a_crafted_offer():
+    """One direct cross-check of the array kernel against its list-based
+    reference (the selection-kernel and swarm-level differential tests
+    cover the full dispatch)."""
     availability = [3, 1, 3, 2, 1, 3]
-    for piece, count in enumerate(availability):
-        wanted.add(piece, count)
-    remote = Bitfield(num_pieces, have=[0, 2, 3, 5])  # rarest tier absent
+    offered = [0, 2, 3, 5]  # rarest tier absent
     for suppression, rarest in ((1.0, 1), (0.0, 1), (1.0, 2)):
-        naive = bound_selector(suppression, rarest)
-        indexed = bound_selector(suppression, rarest)
+        selector = bound_selector(suppression, rarest)
         rng_a, rng_b = Random(11), Random(11)
-        picked_naive = naive.select([0, 2, 3, 5], availability, rng_a)
-        picked_indexed = indexed.select_indexed(wanted, remote, rng_b)
-        assert picked_naive == picked_indexed
+        picked_reference = reference_select(selector, offered, availability, rng_a)
+        picked_kernel = kernel_select(selector, offered, availability, rng_b)
+        assert picked_reference == picked_kernel
         assert rng_a.random() == rng_b.random()
 
 

@@ -1,6 +1,6 @@
-"""Old-vs-new equivalence: the indexed pickers must be a pure speedup.
+"""Old-vs-new equivalence: the production picker must be a pure speedup.
 
-The rarity-bucket index and the availability matrix claim to be
+The availability matrix and the array selection kernels claim to be
 behaviour-preserving: given the same seed, a swarm of production
 pickers must execute the *identical* schedule as a swarm of naive
 pickers (``tests/reference_piece_picker.py``) — same RNG consumption,
@@ -16,14 +16,11 @@ import pytest
 
 from repro.core.rarest_first import make_selector
 from repro.protocol.metainfo import make_metainfo
-from repro.sim.bandwidth import HAVE_NUMPY
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 from tests.conftest import ENGINE_TWINS
 from tests.reference_piece_picker import NaivePiecePicker
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: Every built-in strategy (with non-default parameters for the
 #: parameterised ones), as make_selector specs.
@@ -123,7 +120,7 @@ def test_indexed_and_naive_traces_identical(seed, twins):
 
 
 def test_traces_identical_under_churn(twins):
-    """Seed departures exercise peer_left / on_peer_gone index paths."""
+    """Seed departures exercise the peer_left / on_peer_gone paths."""
     with twins("naive-picker"):
         naive = run_traced(3, num_pieces=12, num_leechers=4, churn=True)
     indexed = run_traced(3, num_pieces=12, num_leechers=4, churn=True)
@@ -134,8 +131,8 @@ def test_traces_identical_under_churn(twins):
 
 @pytest.mark.parametrize("spec", ALL_SELECTOR_SPECS)
 def test_indexed_equals_naive_for_every_selector(spec, twins):
-    """Every built-in strategy's production entry point must consume the
-    same RNG and pick the same pieces as its naive ``select``."""
+    """Every built-in strategy's array kernel must consume the same RNG
+    and pick the same pieces as its list-based reference."""
     with twins("naive-picker"):
         naive = run_traced(5, num_pieces=16, num_leechers=5, selector_spec=spec)
     indexed = run_traced(5, num_pieces=16, num_leechers=5, selector_spec=spec)
@@ -146,13 +143,10 @@ def test_indexed_equals_naive_for_every_selector(spec, twins):
     assert indexed["final_bitfields"] == naive["final_bitfields"]
 
 
-@needs_numpy
 @pytest.mark.parametrize("spec", ALL_SELECTOR_SPECS)
 def test_fast_engine_equals_reference_for_every_selector(spec, twins):
-    """The mega-swarm fast paths (availability matrix + fused HAVE
-    fan-out + numpy allocator) must stay trace-invisible for *every*
-    strategy: on the matrix backend each one picks through its own
-    ``select_arrays`` over the picker's candidate/count arrays."""
+    """The mega-swarm fast paths (fused HAVE fan-out + vectorised
+    allocator) must stay trace-invisible for *every* strategy."""
     with twins(*ENGINE_TWINS):
         reference = run_traced(9, num_pieces=16, num_leechers=5, selector_spec=spec)
     fast = run_traced(9, num_pieces=16, num_leechers=5, selector_spec=spec)
@@ -163,11 +157,10 @@ def test_fast_engine_equals_reference_for_every_selector(spec, twins):
     assert fast["final_bitfields"] == reference["final_bitfields"]
 
 
-@needs_numpy
 def test_sequential_selector_on_fast_engine_matches_naive_reference(twins):
-    """Regression: a non-rarest strategy on the full fast engine (numpy
-    allocator, matrix backend) was once hijacked by a rarest-first-only
-    matrix kernel.  The matrix dispatch must run the configured strategy
+    """Regression: a non-rarest strategy on the full fast engine
+    (vectorised allocator, availability matrix) was once hijacked by a
+    rarest-first-only matrix kernel.  The matrix dispatch must run the configured strategy
     faithfully and match the reference engine on naive pickers."""
     fast = run_traced(11, num_pieces=12, num_leechers=4, selector_spec="sequential")
     with twins(*ENGINE_TWINS, "naive-picker"):
@@ -190,9 +183,7 @@ def test_modes_are_actually_different_code_paths(twins):
     indexed_swarm = build_swarm(1, 8, 1)
     assert naive_swarm.peers and indexed_swarm.peers
     assert all(
-        type(peer.picker) is NaivePiecePicker
-        and peer.picker.availability_backend == "naive"
-        for peer in naive_swarm.peers.values()
+        type(peer.picker) is NaivePiecePicker for peer in naive_swarm.peers.values()
     )
     assert not any(
         isinstance(peer.picker, NaivePiecePicker)

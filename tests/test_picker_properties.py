@@ -1,4 +1,4 @@
-"""Randomised invariant checks for the incremental rarity index.
+"""Randomised invariant checks for the picker's incremental state.
 
 A seeded ``random.Random`` drives a PiecePicker through arbitrary
 interleavings of the operations a real session produces — peers joining
@@ -8,10 +8,9 @@ against a from-scratch recount:
 
 * availability counts are non-negative and equal the sum of the
   tracked remote bitfields;
-* the all-pieces rarity index partitions the torrent's pieces and
-  buckets each piece under its exact availability count;
-* the wanted-pieces index holds exactly the missing, not-yet-started
-  pieces, also under their exact counts;
+* the wanted mask, and its big-integer mirror, hold exactly the
+  missing, not-yet-started pieces, and the wanted scarcity is the
+  smallest count among them;
 * every partial piece's blocks are partitioned between received,
   requested and unrequested, with unrequested sorted in descending
   index order (the O(1)-pop representation);
@@ -59,32 +58,19 @@ def check_invariants(picker, bitfield, remotes):
     assert all(count >= 0 for count in availability)
     assert availability == expected
 
-    # All-pieces index: buckets partition the torrent, each piece filed
-    # under its exact count.
-    snapshot = picker._all_index.snapshot()
-    assert all(bucket for bucket in snapshot.values())  # no empty buckets
-    seen = set()
-    for count, bucket in snapshot.items():
-        assert not bucket & seen  # disjoint
-        seen |= bucket
-        for piece in bucket:
-            assert availability[piece] == count
-    assert seen == set(range(NUM_PIECES))
-
-    # Wanted index: exactly the missing, not-started pieces.
+    # Wanted mask and its big-integer mirror: exactly the missing,
+    # not-started pieces; the scarcity oracle reads the rarest of them.
     active = set(picker.active_pieces)
     wanted = {
         piece
         for piece in range(NUM_PIECES)
         if not bitfield.has(piece) and piece not in active
     }
-    wanted_snapshot = picker._wanted_index.snapshot()
-    filed = set()
-    for count, bucket in wanted_snapshot.items():
-        filed |= bucket
-        for piece in bucket:
-            assert availability[piece] == count
-    assert filed == wanted
+    assert set(picker._wanted_mask.nonzero()[0].tolist()) == wanted
+    assert picker._wanted_int == Bitfield(NUM_PIECES, have=wanted).as_int()
+    assert picker.wanted_scarcity() == (
+        min(availability[piece] for piece in wanted) if wanted else None
+    )
 
     # Rarest pieces set agrees with a naive scan of the counts.
     m, pieces = picker.rarest_pieces_set()

@@ -80,7 +80,6 @@ class TestAvailability:
         with pytest.raises(RuntimeError):
             picker.peer_left(Bitfield(8, have=[0]))
 
-    @pytest.mark.skipif(not piece_picker.HAVE_NUMPY, reason="numpy not installed")
     def test_an_empty_view_costs_the_matrix_backend_nothing(self, monkeypatch):
         """Every link opens on an empty placeholder view that the first
         BITFIELD replaces, and newcomers announce empty bitfields:
@@ -104,7 +103,6 @@ class TestAvailability:
         assert picker.availability == (0, 0, 1, 0, 0, 0, 0, 0)
 
 
-@pytest.mark.skipif(not piece_picker.HAVE_NUMPY, reason="numpy not installed")
 class TestAvailabilityMatrixIncrement:
     """The batched add behind the HAVE fan-out: one piece, many rows."""
 

@@ -1,15 +1,16 @@
-"""The matrix backend's array selection kernel against its two references.
+"""The picker's array selection kernel against its two references.
 
-``PiecePicker._select_new_piece`` has one entry point per availability
-backend: ``select_indexed`` over the wanted rarity buckets (``index``)
-and ``select_arrays`` over the candidate array and its gathered copy
-counts (``matrix``, whenever numpy is importable).  The naive oracle of
-``tests/reference_piece_picker.py`` runs ``PieceSelector.select`` over a
-candidate list (``naive``).  The contract is that the three are the same
-function: same piece (or ``None``), same RNG consumption.
+``PiecePicker._select_new_piece`` computes the candidate array and its
+gathered copy counts and calls the strategy's ``select``.  Two oracles
+pick from the same state without either: the naive picker of
+``tests/reference_piece_picker.py``, which scans the bitfield into a
+candidate list, and the list-based selector of
+``tests/reference_selectors.py`` over the candidate list and the flat
+counts.  The contract is that the three are the same function: same
+piece (or ``None``), same RNG consumption.
 
 The swarm-level differentials in ``test_picker_equivalence.py`` pin that
-on whole runs; here three pickers are put into the *same* arbitrary
+on whole runs; here the pickers are put into the *same* arbitrary
 state — own bitfield, remote offer, started pieces, copy counts — and
 asked for one pick each, so the property reaches the corners a seeded
 swarm rarely visits: a piece count that is not a multiple of 8, piece 0
@@ -22,7 +23,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.piece_picker import HAVE_NUMPY, AvailabilityMatrix, PiecePicker
+from repro.core.piece_picker import PiecePicker
 from repro.core.rarest_first import (
     SELECTOR_REGISTRY,
     GlobalRarestSelector,
@@ -35,11 +36,10 @@ from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 from tests.reference_piece_picker import NaivePiecePicker
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+from tests.reference_selectors import reference_select
 
 BLOCK = 16
-BACKENDS = ("matrix", "index", "naive")
+BACKENDS = ("matrix", "naive")
 
 #: Every registered strategy (mode suppression also at certainty, so a
 #: decline is a one-draw event), the programmatic global-rarest oracle,
@@ -78,9 +78,7 @@ def build_picker(backend, strategy, case):
         random_first_threshold=(
             num_pieces + 1 if strategy == "random-first" else 0
         ),
-        matrix=AvailabilityMatrix(num_pieces) if backend == "matrix" else None,
     )
-    assert picker.availability_backend == backend
     for piece, copies in enumerate(case["availability"]):
         for __ in range(copies):
             picker.remote_has(piece)
@@ -97,16 +95,27 @@ def build_picker(backend, strategy, case):
 
 
 def check_lockstep(strategy, case):
-    """One pick per backend from the same state; returns the outcome."""
+    """One pick per picker, and one by the reference selector, from the
+    same state; returns the outcome."""
     remote = Bitfield(len(case["availability"]), have=case["remote"])
     outcomes = {}
     for backend in BACKENDS:
         picker = build_picker(backend, strategy, case)
         piece = picker._select_new_piece(remote)
         outcomes[backend] = (piece, picker._rng.getstate())
-    assert outcomes["matrix"] == outcomes["index"] == outcomes["naive"]
+    candidates = sorted(set(case["remote"]) - set(case["own"]) - set(case["active"]))
+    # The reference selector picks with a fresh picker's bound selector,
+    # counts and RNG (starting the active pieces may have drawn).
+    picker = build_picker("naive", strategy, case)
+    piece = None
+    if candidates:
+        selector = (
+            picker._random_selector if strategy == "random-first" else picker._selector
+        )
+        piece = reference_select(selector, candidates, picker.availability, picker._rng)
+    outcomes["reference"] = (piece, picker._rng.getstate())
+    assert outcomes["matrix"] == outcomes["naive"] == outcomes["reference"]
     piece = outcomes["matrix"][0]
-    candidates = set(case["remote"]) - set(case["own"]) - set(case["active"])
     if piece is None:
         assert not candidates or strategy.startswith("mode-suppression")
     else:
@@ -188,8 +197,8 @@ class TestCorners:
 
 def test_mode_suppression_declines_in_lockstep():
     """The offer (2 copies each) sits above the rarest wanted tier (piece
-    5, 1 copy, not offered): certain suppression declines, on every
-    backend, after exactly one variate."""
+    5, 1 copy, not offered): certain suppression declines, in the kernel
+    and both references, after exactly one variate."""
     case = crafted(
         9, remote=[0, 8], availability=[2, 1, 1, 1, 1, 1, 1, 1, 2], own=[1, 2, 3, 4, 6, 7]
     )
@@ -205,11 +214,11 @@ def test_mode_suppression_declines_in_lockstep():
 
 @pytest.mark.parametrize("spec", sorted(SELECTOR_REGISTRY))
 def test_matrix_swarm_never_scans_candidates_in_python(spec, monkeypatch):
-    """On the matrix backend no pick — random first included — may fall
-    back to the per-piece ``Bitfield.pieces_only_in`` scan."""
+    """No pick — random first included — may fall back to the per-piece
+    ``Bitfield.pieces_only_in`` scan."""
 
     def forbidden(self, other):
-        raise AssertionError("pieces_only_in called on the matrix backend")
+        raise AssertionError("pieces_only_in called by a production picker")
 
     monkeypatch.setattr(Bitfield, "pieces_only_in", forbidden)
     metainfo = make_metainfo(
@@ -229,9 +238,5 @@ def test_matrix_swarm_never_scans_candidates_in_python(spec, monkeypatch):
             selector=make_selector(spec),
         )
     result = swarm.run(400)
-    leechers = [peer for peer in swarm.peers.values() if peer.picker is not None]
-    assert all(
-        peer.picker.availability_backend == "matrix" for peer in leechers
-    )
     assert result.bytes_moved > 0
     assert len(result.completions) == 5

@@ -1,4 +1,8 @@
-"""Tests for the piece-selection strategies."""
+"""Tests for the piece-selection strategies, on the production kernels.
+
+Each case states its candidates as a list and the copy counts as a flat
+list indexed by piece; ``kernel_select`` hands them to ``select`` as the
+picker does, as two aligned arrays."""
 
 from collections import Counter
 from random import Random
@@ -19,18 +23,20 @@ from repro.core.rarest_first import (
     parse_selector_spec,
 )
 
+from tests.reference_selectors import kernel_select
+
 
 class TestRarestFirst:
     def test_picks_unique_rarest(self):
         selector = RarestFirstSelector()
         availability = [5, 1, 3, 4]
-        assert selector.select([0, 1, 2, 3], availability, Random(1)) == 1
+        assert kernel_select(selector, [0, 1, 2, 3], availability, Random(1)) == 1
 
     def test_random_within_rarest_set(self):
         selector = RarestFirstSelector()
         availability = [2, 1, 1, 9]
         picks = {
-            selector.select([0, 1, 2, 3], availability, Random(seed))
+            kernel_select(selector, [0, 1, 2, 3], availability, Random(seed))
             for seed in range(50)
         }
         assert picks == {1, 2}
@@ -39,14 +45,15 @@ class TestRarestFirst:
         # Piece 0 is globally rarest but not offered by this remote.
         selector = RarestFirstSelector()
         availability = [0, 2, 3]
-        assert selector.select([1, 2], availability, Random(1)) == 1
+        assert kernel_select(selector, [1, 2], availability, Random(1)) == 1
 
     def test_uniformity_over_rarest_set(self):
         selector = RarestFirstSelector()
         availability = [1, 1, 1, 1]
         rng = Random(42)
         counts = Counter(
-            selector.select([0, 1, 2, 3], availability, rng) for __ in range(4000)
+            kernel_select(selector, [0, 1, 2, 3], availability, rng)
+            for __ in range(4000)
         )
         for piece in range(4):
             assert 800 < counts[piece] < 1200  # roughly uniform
@@ -56,14 +63,16 @@ class TestRandomSelector:
     def test_ignores_availability(self):
         selector = RandomSelector()
         availability = [0, 100]
-        picks = {selector.select([0, 1], availability, Random(s)) for s in range(40)}
+        picks = {
+            kernel_select(selector, [0, 1], availability, Random(s)) for s in range(40)
+        }
         assert picks == {0, 1}
 
 
 class TestSequentialSelector:
     def test_lowest_index(self):
         selector = SequentialSelector()
-        assert selector.select([7, 2, 9], [1] * 10, Random(1)) == 2
+        assert kernel_select(selector, [7, 2, 9], [1] * 10, Random(1)) == 2
 
 
 class TestGlobalRarest:
@@ -73,7 +82,7 @@ class TestGlobalRarest:
             return [10, 1]
 
         selector = GlobalRarestSelector(oracle)
-        assert selector.select([0, 1], [1, 5], Random(1)) == 1
+        assert kernel_select(selector, [0, 1], [1, 5], Random(1)) == 1
 
     def test_oracle_called_fresh_each_time(self):
         counts = {"calls": 0}
@@ -83,8 +92,8 @@ class TestGlobalRarest:
             return [1, 2]
 
         selector = GlobalRarestSelector(oracle)
-        selector.select([0, 1], [0, 0], Random(1))
-        selector.select([0, 1], [0, 0], Random(1))
+        kernel_select(selector, [0, 1], [0, 0], Random(1))
+        kernel_select(selector, [0, 1], [0, 0], Random(1))
         assert counts["calls"] == 2
 
 
@@ -93,25 +102,25 @@ class TestSequentialWindow:
         # Window [0, 4): pieces 8 and 9 are rarer but out of window.
         selector = SequentialWindowSelector(window=4)
         availability = [5, 5, 5, 5, 5, 5, 5, 5, 1, 1]
-        assert selector.select([2, 8, 9], availability, Random(1)) == 2
+        assert kernel_select(selector, [2, 8, 9], availability, Random(1)) == 2
 
     def test_rarest_within_window(self):
         selector = SequentialWindowSelector(window=4)
         availability = [9, 2, 7, 7]
-        assert selector.select([0, 1, 2], availability, Random(1)) == 1
+        assert kernel_select(selector, [0, 1, 2], availability, Random(1)) == 1
 
     def test_falls_back_to_rarest_outside_window(self):
         # Nothing in the window: behave like rarest first on the rest.
         selector = SequentialWindowSelector(window=2)
         availability = [0, 0, 5, 1, 5]
-        assert selector.select([2, 3, 4], availability, Random(1)) == 3
+        assert kernel_select(selector, [2, 3, 4], availability, Random(1)) == 3
 
     def test_window_follows_bound_position(self):
         selector = SequentialWindowSelector(window=2)
         selector.bind_position(lambda: 6)
         availability = [1, 1, 1, 1, 1, 1, 9, 9, 1, 1]
         picks = {
-            selector.select([0, 6, 7, 8], availability, Random(s))
+            kernel_select(selector, [0, 6, 7, 8], availability, Random(s))
             for s in range(30)
         }
         assert picks == {6, 7}
@@ -126,7 +135,7 @@ class TestProportionalFair:
         selector = ProportionalFairSelector(urgency=0.5, rarity_bias=0.0)
         availability = [3] * 40
         counts = Counter(
-            selector.select(list(range(40)), availability, Random(seed))
+            kernel_select(selector, list(range(40)), availability, Random(seed))
             for seed in range(2000)
         )
         assert counts[0] > counts[5] > counts.get(20, 0)
@@ -136,7 +145,7 @@ class TestProportionalFair:
         selector = ProportionalFairSelector(urgency=1.0, rarity_bias=2.0)
         availability = [9, 0, 9]
         counts = Counter(
-            selector.select([0, 1, 2], availability, Random(seed))
+            kernel_select(selector, [0, 1, 2], availability, Random(seed))
             for seed in range(300)
         )
         assert counts[1] > counts[0] + counts[2]
@@ -146,7 +155,7 @@ class TestProportionalFair:
         selector.bind_position(lambda: 30)
         availability = [1] * 40
         counts = Counter(
-            selector.select([0, 30, 39], availability, Random(seed))
+            kernel_select(selector, [0, 30, 39], availability, Random(seed))
             for seed in range(500)
         )
         # Pieces behind the position keep distance 0 (still urgent for
@@ -160,6 +169,11 @@ class TestProportionalFair:
             ProportionalFairSelector(urgency=1.5)
         with pytest.raises(ValueError):
             ProportionalFairSelector(rarity_bias=-1.0)
+
+
+def test_select_indexed_is_a_stub_nothing_calls():
+    with pytest.raises(NotImplementedError):
+        RarestFirstSelector().select_indexed()
 
 
 class TestSelectorRegistry:
@@ -216,7 +230,7 @@ def test_property_every_selector_returns_a_candidate(availability, seed):
         SequentialWindowSelector(window=4),
         ProportionalFairSelector(),
     ):
-        assert selector.select(candidates, availability, rng) in candidates
+        assert kernel_select(selector, candidates, availability, rng) in candidates
 
 
 @given(
@@ -225,5 +239,7 @@ def test_property_every_selector_returns_a_candidate(availability, seed):
 )
 def test_property_rarest_first_picks_minimum(availability, seed):
     candidates = list(range(len(availability)))
-    pick = RarestFirstSelector().select(candidates, availability, Random(seed))
+    pick = kernel_select(
+        RarestFirstSelector(), candidates, availability, Random(seed)
+    )
     assert availability[pick] == min(availability)

@@ -10,8 +10,10 @@ must produce *byte-identical* bencoded responses.
 import asyncio
 import hashlib
 import struct
+from urllib.parse import quote_from_bytes
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tracker.client import (
     FederatedAnnouncer,
@@ -36,7 +38,7 @@ from repro.tracker.service import (
     TrackerService,
 )
 from repro.tracker.tracker import TrackerUnavailable
-from repro.tracker.wire import decode_announce_response
+from repro.tracker.wire import decode_announce_response, unpack_peers
 from repro.protocol.bencode import bdecode
 
 pytestmark = pytest.mark.tracker
@@ -274,6 +276,210 @@ class TestHostileAnnounces:
         assert len(honest.peers) == 11
 
 
+class TestUnencodableAddresses:
+    """Regression: the HTTP frontend registered whatever ``ip``/``port``
+    it was given (a missing port as ``:0``) and the UDP frontend any
+    port.  Every later answer sampling that entry then raised in the
+    compact encoder, outside the handler's ``try``: the next well-formed
+    announce to the swarm got an exception, and on a live server its
+    client read 0 bytes."""
+
+    HOSTILE = AnnounceRequest(
+        infohash=INFOHASH, address="10.7.0.66:6881", event="started", num_want=15
+    )
+
+    @classmethod
+    def hostile_line(cls, edit):
+        target = build_announce_target(cls.HOSTILE, 6881)
+        old, new = edit
+        assert old in target
+        return "GET %s HTTP/1.0" % target.replace(old, new)
+
+    @staticmethod
+    def honest_answer(server):
+        body, status = server.handle_http_request(
+            "GET %s HTTP/1.0"
+            % build_announce_target(TestHostileAnnounces.HONEST, 6881),
+            "127.0.0.1",
+        )
+        assert status == 200
+        return decode_announce_response(body)
+
+    @staticmethod
+    def populated_server():
+        service = make_service()
+        for request in announce_sequence(12):
+            service.announce(request)
+        return TrackerServer(service)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [("port=6881&", ""), ("port=6881", "port=-5"), ("ip=10.7.0.66", "ip=not-an-ip")],
+        ids=["port-omitted", "port-negative", "ip-not-ipv4"],
+    )
+    def test_http_announce_is_a_400_and_the_swarm_keeps_answering(self, edit):
+        server = self.populated_server()
+        body, status = server.handle_http_request(self.hostile_line(edit), "127.0.0.1")
+        assert status == 400
+        assert b"bad announce" in bdecode(body)[b"failure reason"]
+        response = self.honest_answer(server)
+        assert len(response.peers) == 11
+        assert server_port_types(response)
+
+    def test_udp_port_zero_is_an_error_and_http_keeps_answering(self):
+        server = self.populated_server()
+        address = ("127.0.0.1", 9)
+        __, __, connection_id = struct.unpack(
+            ">iiq", server.handle_datagram(build_udp_connect(1), address)
+        )
+        packet = build_udp_announce(connection_id, 2, self.HOSTILE, port=0)
+        reply = server.handle_datagram(packet, address)
+        action, tid = struct.unpack(">ii", reply[:8])
+        assert action == UDP_ERROR and tid == 2
+        assert b"bad announce" in reply[8:]
+        response = self.honest_answer(server)
+        assert len(response.peers) == 11
+        assert server_port_types(response)
+
+    def test_over_a_real_socket(self):
+        line = self.hostile_line(("port=6881&", "")).encode()
+
+        async def scenario():
+            service = make_service()
+            for request in announce_sequence(12):
+                service.announce(request)
+            async with TrackerServer(service) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.http_port
+                )
+                writer.write(line + b"\r\n\r\n")
+                await writer.drain()
+                hostile = await asyncio.wait_for(reader.read(), TIMEOUT)
+                writer.close()
+                honest = await announce_http(
+                    "127.0.0.1",
+                    server.http_port,
+                    TestHostileAnnounces.HONEST,
+                    TIMEOUT,
+                )
+            return hostile, honest
+
+        hostile, honest = run(scenario())
+        assert hostile.startswith(b"HTTP/1.0 400 Bad Request")
+        assert len(honest.peers) == 11
+        assert server_port_types(honest)
+
+
+#: Where hostile datagrams come from: the honest client's own address
+#: among them, so a hostile connect can hand it an id.
+UDP_SOURCES = [("127.0.0.1", 9), ("127.0.0.1", 10), ("10.9.9.9", 4444)]
+
+QUERY_KEYS = ["info_hash", "port", "ip", "event", "numwant", "left", "have"]
+QUERY_VALUES = st.one_of(
+    st.sampled_from(
+        [b"", b"0", b"-5", b"65536", b"6881", b"1", b"started", b"stopped",
+         b"not-an-ip", b"10.7.0.9", b"::1", b"1.2.3", b"9" * 40, INFOHASH]
+    ),
+    st.binary(max_size=24),
+)
+
+
+@st.composite
+def http_requests(draw):
+    """(request line, peer host): raw text, or a GET whose query mixes
+    the announce keys with arbitrary ones and arbitrary values."""
+    peer_host = draw(st.sampled_from(["127.0.0.1", "10.7.0.77", "::1", "host"]))
+    if draw(st.booleans()):
+        return draw(st.text(max_size=80)), peer_host
+    params = draw(
+        st.dictionaries(
+            st.one_of(st.sampled_from(QUERY_KEYS), st.text(max_size=6)),
+            QUERY_VALUES,
+            max_size=8,
+        )
+    )
+    if draw(st.booleans()):
+        params["info_hash"] = INFOHASH
+    query = "&".join(
+        "%s=%s" % (quote_from_bytes(key.encode()), quote_from_bytes(value))
+        for key, value in params.items()
+    )
+    method = draw(st.sampled_from(["GET", "GET", "POST", ""]))
+    path = draw(st.sampled_from(["/announce", "/announce", "/scrape", "/x"]))
+    return "%s %s?%s HTTP/1.0" % (method, path, query), peer_host
+
+
+@st.composite
+def datagrams(draw, issued):
+    """(bytes, source): arbitrary bytes, a connect, or an announce with
+    well-formed layout and hostile fields."""
+    source = draw(st.sampled_from(UDP_SOURCES))
+    kind = draw(st.sampled_from(["bytes", "connect", "announce", "announce"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=120)), source
+    if kind == "connect":
+        return build_udp_connect(draw(st.integers(-(2**31), 2**31 - 1))), source
+    int32 = st.integers(-(2**31), 2**31 - 1)
+    packet = struct.pack(
+        ">qii20s20sqqqiIIiH",
+        draw(st.one_of(st.sampled_from(issued or [0]), st.integers(-(2**63), 2**63 - 1))),
+        draw(st.one_of(st.just(UDP_ANNOUNCE), int32)),
+        draw(int32),
+        draw(st.one_of(st.just(INFOHASH), st.binary(min_size=20, max_size=20))),
+        bytes(20),
+        0,
+        draw(st.integers(-(2**63), 2**63 - 1)),
+        0,
+        draw(st.one_of(st.integers(0, 3), int32)),
+        draw(st.one_of(st.just(0), st.integers(0, 2**32 - 1))),
+        0,
+        draw(int32),
+        draw(st.one_of(st.sampled_from([0, 1, 6881, 65535]), st.integers(0, 65535))),
+    )
+    return packet + draw(st.binary(max_size=4)), source
+
+
+class TestHandlersAreTotal:
+    """Hypothesis over the two server-side request handlers: no request
+    line, query or datagram makes either raise, and after any hostile
+    sequence a well-formed announce to the same swarm, over either
+    frontend, is answered with peers whose ports are all in 1..65535."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_no_hostile_sequence_breaks_the_next_answer(self, data):
+        service = make_service()
+        for request in announce_sequence(6):
+            service.announce(request)
+        server = TrackerServer(service)
+        issued = []
+        for __ in range(data.draw(st.integers(1, 12), label="steps")):
+            if data.draw(st.booleans(), label="http"):
+                line, peer_host = data.draw(http_requests())
+                body, status = server.handle_http_request(line, peer_host)
+                assert status in (200, 400) and bdecode(body)
+            else:
+                packet, source = data.draw(datagrams(issued))
+                reply = server.handle_datagram(packet, source)
+                if reply is not None and len(packet) == 16:
+                    issued.append(struct.unpack(">iiq", reply)[2])
+
+        response = TestUnencodableAddresses.honest_answer(server)
+        assert len(response.peers) >= 5 and server_port_types(response)
+
+        honest = TestHostileAnnounces.HONEST
+        source = UDP_SOURCES[0]
+        __, __, connection_id = struct.unpack(
+            ">iiq", server.handle_datagram(build_udp_connect(7), source)
+        )
+        reply = server.handle_datagram(
+            build_udp_announce(connection_id, 8, honest, port=6881), source
+        )
+        assert struct.unpack(">ii", reply[:8]) == (UDP_ANNOUNCE, 8)
+        peers = unpack_peers(reply[20:])
+        assert len(peers) >= 5 and all(0 < port < 65536 for __, port in peers)
+
+
 class _ScriptedUdpTracker(asyncio.DatagramProtocol):
     """Answers a UDP connect and announce with well-formed heads cut (or
     padded) to the given sizes."""
@@ -335,6 +541,53 @@ class TestUdpRoundTrip:
         __, __, id_a = struct.unpack(">iiq", first)
         __, __, id_b = struct.unpack(">iiq", second)
         assert id_a != id_b
+
+    def test_connection_id_is_honoured_only_from_its_address(self):
+        """Regression: an id issued to one address was accepted from any
+        other, which is what a BEP 15 connection id exists to prevent."""
+        server = TrackerServer(make_service())
+        issued_to, elsewhere = ("127.0.0.1", 9), ("10.9.9.9", 4444)
+        __, __, connection_id = struct.unpack(
+            ">iiq", server.handle_datagram(build_udp_connect(1), issued_to)
+        )
+        packet = build_udp_announce(
+            connection_id,
+            2,
+            AnnounceRequest(infohash=INFOHASH, address="10.0.0.1:6881"),
+            port=6881,
+        )
+        action, __ = struct.unpack(">ii", server.handle_datagram(packet, elsewhere)[:8])
+        assert action == UDP_ERROR
+        assert server.service.announce_count == 0
+        action, __ = struct.unpack(">ii", server.handle_datagram(packet, issued_to)[:8])
+        assert action == UDP_ANNOUNCE
+
+    def test_connection_id_table_keeps_the_newest_65536(self):
+        """Regression: every connect added an entry and none was ever
+        dropped, and a client connects once per announce."""
+        server = TrackerServer(make_service())
+        address = ("127.0.0.1", 9)
+        connect = build_udp_connect(1)
+        ids = [
+            struct.unpack(">iiq", server.handle_datagram(connect, address))[2]
+            for __ in range(65_536 + 1)
+        ]
+        assert len(server._connection_ids) == 65_536
+
+        def announce(connection_id):
+            packet = build_udp_announce(
+                connection_id,
+                3,
+                AnnounceRequest(infohash=INFOHASH, address="10.0.0.1:6881"),
+                port=6881,
+            )
+            return server.handle_datagram(packet, address)
+
+        evicted = announce(ids[0])
+        assert struct.unpack(">i", evicted[:4])[0] == UDP_ERROR
+        assert b"unknown connection id" in evicted
+        for kept in (ids[1], ids[-1]):
+            assert struct.unpack(">i", announce(kept)[:4])[0] == UDP_ANNOUNCE
 
     @pytest.mark.parametrize(
         "connect_size, announce_size",
