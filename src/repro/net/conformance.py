@@ -261,12 +261,14 @@ def check_rarest_first(
             msg = event.get("msg")
             remote = event["remote"]
             if msg == "Bitfield":
-                incoming = Bitfield.from_bytes(
-                    bytes.fromhex(event["bits"]), state.num_pieces
-                ).have_set
+                incoming = set(
+                    Bitfield.from_bytes(
+                        bytes.fromhex(event["bits"]), state.num_pieces
+                    ).have_indices()
+                )
                 for piece in state.offered.get(remote, ()):
                     state.avail[piece] -= 1
-                state.offered[remote] = set(incoming)
+                state.offered[remote] = incoming
                 for piece in incoming:
                     state.avail[piece] += 1
             elif msg == "Have":

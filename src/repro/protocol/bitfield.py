@@ -10,7 +10,7 @@ library relies on: counting, iteration over set/missing pieces, and the
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as _np
 
@@ -36,18 +36,15 @@ def _set_bit_indices(bits) -> Iterator[int]:
 class Bitfield:
     """Mutable fixed-size bitmap over ``num_pieces`` pieces.
 
-    Alongside the wire-format bitmap, the held indices are mirrored in a
-    plain ``set`` so set-algebra readers (the conformance checkers) can
-    intersect piece sets at C speed instead of probing one bit at a
-    time.  Invariant: bitmap, mirror and count always agree —
-    only this class's own methods write them, and the simulator may hand
-    one instance out as several neighbours' view of its owner.  Two
-    derived forms are memoised for the hot readers: :meth:`as_int`
-    (dropped by ``set`` / ``clear``) and :meth:`as_vector` (updated in
-    place by them).
+    Invariant: the wire-format bitmap and the count always agree — only
+    this class's own methods write them, and the simulator may hand one
+    instance out as several neighbours' view of its owner.  Two derived
+    forms are memoised for the hot readers: :meth:`as_int` (dropped by
+    ``set`` / ``clear``) and :meth:`as_vector` (updated in place by
+    them).
     """
 
-    __slots__ = ("_num_pieces", "_bits", "_count", "_have", "_int", "_vector")
+    __slots__ = ("_num_pieces", "_bits", "_count", "_int", "_vector")
 
     def __init__(self, num_pieces: int, have: Iterable[int] = ()):
         if num_pieces < 0:
@@ -55,7 +52,6 @@ class Bitfield:
         self._num_pieces = num_pieces
         self._bits = bytearray((num_pieces + 7) // 8)
         self._count = 0
-        self._have: set = set()
         self._int = self._vector = None  # built on first read
         for index in have:
             self.set(index)
@@ -72,7 +68,6 @@ class Bitfield:
         if spare and field._bits:
             field._bits[-1] &= 0xFF << spare & 0xFF
         field._count = num_pieces
-        field._have = set(range(num_pieces))
         return field
 
     @classmethod
@@ -89,12 +84,8 @@ class Bitfield:
         spare = expected * 8 - num_pieces
         if spare and data and data[-1] & ((1 << spare) - 1):
             raise ValueError("spare bits in final bitfield byte are not zero")
-        field._have = set(
-            _np.flatnonzero(
-                _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8), count=num_pieces)
-            ).tolist()
-        )
-        field._count = len(field._have)
+        # The spare bits are zero, so every set bit is a held piece.
+        field._count = bin(int.from_bytes(data, "big")).count("1")
         return field
 
     def to_bytes(self) -> bytes:
@@ -105,7 +96,6 @@ class Bitfield:
         clone = Bitfield(self._num_pieces)
         clone._bits = bytearray(self._bits)
         clone._count = self._count
-        clone._have = set(self._have)
         return clone
 
     # -- single-piece operations ------------------------------------------
@@ -126,7 +116,6 @@ class Bitfield:
             return False
         self._bits[index >> 3] |= mask
         self._count += 1
-        self._have.add(index)
         self._int = None
         if self._vector is not None:
             self._vector[index] = 1
@@ -140,7 +129,6 @@ class Bitfield:
             return False
         self._bits[index >> 3] &= ~mask & 0xFF
         self._count -= 1
-        self._have.discard(index)
         self._int = None
         if self._vector is not None:
             self._vector[index] = 0
@@ -167,11 +155,6 @@ class Bitfield:
 
     def is_empty(self) -> bool:
         return self._count == 0
-
-    @property
-    def have_set(self) -> AbstractSet[int]:
-        """The held piece indices as a set (live view — do not mutate)."""
-        return self._have
 
     def have_indices(self) -> Iterator[int]:
         """Iterate over indices of held pieces, in increasing order

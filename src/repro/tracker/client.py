@@ -99,6 +99,18 @@ class _UdpClientProtocol(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr) -> None:
         self.replies.put_nowait(data)
 
+    def error_received(self, exc: Exception) -> None:
+        # A closed port answers with ICMP "port unreachable", which the
+        # connected socket reports as ECONNREFUSED: a dead tracker is
+        # known at once, not after the timeout.
+        self.replies.put_nowait(exc)
+
+    async def reply(self, timeout: float) -> bytes:
+        reply = await asyncio.wait_for(self.replies.get(), timeout)
+        if isinstance(reply, Exception):
+            raise TrackerUnavailable("UDP tracker unreachable: %s" % reply)
+        return reply
+
 
 async def announce_udp(
     host: str,
@@ -107,14 +119,18 @@ async def announce_udp(
     timeout: float = DEFAULT_TIMEOUT,
     transaction_id: int = 0x5EED,
 ) -> AnnounceResponse:
-    """One UDP announce (connect handshake + announce packet)."""
+    """One UDP announce (connect handshake + announce packet).
+
+    A port nobody listens on raises :class:`TrackerUnavailable` as soon
+    as the kernel reports it refused, not after ``timeout``.
+    """
     loop = asyncio.get_event_loop()
     transport, protocol = await loop.create_datagram_endpoint(
         _UdpClientProtocol, remote_addr=(host, port)
     )
     try:
         transport.sendto(build_udp_connect(transaction_id))
-        reply = await asyncio.wait_for(protocol.replies.get(), timeout)
+        reply = await protocol.reply(timeout)
         if len(reply) < 16:
             raise TrackerUnavailable("short UDP connect reply (%d bytes)" % len(reply))
         action, tid, connection_id = struct.unpack(">iiq", reply[:16])
@@ -126,7 +142,7 @@ async def announce_udp(
                 connection_id, transaction_id + 1, request, listen_port
             )
         )
-        reply = await asyncio.wait_for(protocol.replies.get(), timeout)
+        reply = await protocol.reply(timeout)
         if len(reply) < 8:
             raise TrackerUnavailable("short UDP announce reply (%d bytes)" % len(reply))
         action, tid = struct.unpack(">ii", reply[:8])

@@ -6,8 +6,14 @@ over two wire shapes on localhost:
 * **HTTP-style GET** (BEP 3): ``GET /announce?info_hash=...&port=...``
   over TCP, answered with a bencoded compact response
   (:mod:`repro.tracker.wire`) — the format every BitTorrent client
-  speaks.  A minimal HTTP/1.0 parser is implemented here; the server
-  closes the connection after each response.
+  speaks.  A minimal HTTP/1.0 frontend is implemented here as one
+  :class:`asyncio.Protocol` per connection: it buffers until the blank
+  line ending the headers (or EOF), answers the first line with one
+  write and closes.  A line longer than 64 KiB is a 400, after which the
+  connection is half-closed and its input discarded until EOF (a
+  lingering close, so the client reads the answer and not a reset).
+  Every connection is closed :data:`IDLE_TIMEOUT` seconds after it
+  opened, whatever it has sent by then.
 
 * **UDP datagram framing** (BEP 15 shape): a 16-byte ``connect``
   handshake issuing a connection id, then fixed-layout ``announce``
@@ -17,15 +23,18 @@ over two wire shapes on localhost:
 Both frontends funnel into ``service.announce`` with no RNG of their
 own, so a given announce sequence produces byte-identical peer lists
 through either wire or through direct in-process calls — the
-differential the ``tracker``-marked conformance tests pin.
+differential the ``tracker``-marked conformance tests pin.  Both build
+the compact blob from a bounded memo of each address's 6 bytes, so an
+address is packed once, not once per answer that samples it.
 
 Failures are first-class: an injected outage or a load-shedding
 rejection becomes a bencoded ``failure reason`` (HTTP) or an ``error``
 action (UDP), never a dropped connection, so clients can fail over.
 So does a bad announce, checked before anything is registered: an
 address a compact peer list cannot carry would otherwise break every
-later answer that samples it.  A UDP connection id is only honoured
-from the address it was issued to.
+later answer that samples it.  One that is registered in process
+anyway is left out of every answer.  A UDP connection id is only
+honoured from the address it was issued to.
 """
 
 from __future__ import annotations
@@ -33,9 +42,11 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import unquote_to_bytes
 
+from repro.protocol.bencode import bencode
 from repro.tracker.service import (
     AnnounceRequest,
     TrackerOverloaded,
@@ -43,7 +54,7 @@ from repro.tracker.service import (
 )
 from repro.tracker.state import check_have
 from repro.tracker.tracker import TrackerUnavailable
-from repro.tracker.wire import AnnounceResponse, encode_announce_response, encode_failure
+from repro.tracker.wire import encode_failure
 
 DEFAULT_NUM_WANT = 50
 
@@ -62,6 +73,19 @@ UDP_ERROR = 3
 #: ones.  One client connects once per announce, so without a bound the
 #: table would grow by one entry per announce for the server's lifetime.
 MAX_CONNECTION_IDS = 1 << 16
+
+#: Addresses whose compact 6 bytes are remembered.  A swarm answers
+#: from the same few hundred registered addresses over and over, so a
+#: bound far above a swarm's size keeps them all while capping memory.
+COMPACT_MEMO_SIZE = 1 << 16
+
+#: The longest HTTP line accepted (asyncio's default stream limit).
+MAX_LINE = 1 << 16
+
+#: Seconds an HTTP connection may stay open, however much it has sent:
+#: a client that stalls mid-request, or keeps writing after a 400, is
+#: closed when it runs out.
+IDLE_TIMEOUT = 30.0
 
 #: UDP event codes (BEP 15) -> announce event strings.
 _UDP_EVENTS = {0: "", 1: "completed", 2: "started", 3: "stopped"}
@@ -94,6 +118,24 @@ def split_address(address: str) -> Tuple[str, int]:
     if not sep:
         return address, 0
     return host, int(port)
+
+
+@lru_cache(maxsize=COMPACT_MEMO_SIZE)
+def _compact_address(address: str) -> bytes:
+    """``"ip:port"`` -> its 6 compact bytes (BEP 23), or ``b""`` for an
+    address a compact list cannot carry, which leaves it out."""
+    try:
+        host, port = split_address(address)
+        if 0 < port < 65536:
+            return socket.inet_aton(host) + struct.pack(">H", port)
+    except (OSError, ValueError):
+        pass
+    return b""
+
+
+def compact_peers(addresses: Iterable[str]) -> bytes:
+    """The compact peer blob both frontends answer with."""
+    return b"".join(map(_compact_address, addresses))
 
 
 def _check_peer_address(host: str, port: int) -> None:
@@ -144,14 +186,94 @@ def encode_result(result) -> bytes:
     Shared with the in-process side of the wire differential tests: both
     paths meet at these bytes.
     """
-    return encode_announce_response(
-        AnnounceResponse(
-            interval=int(result.interval),
-            complete=result.seeds,
-            incomplete=result.leechers,
-            peers=[split_address(address) for address in result.peers],
-        )
+    return bencode(
+        {
+            b"interval": int(result.interval),
+            b"complete": result.seeds,
+            b"incomplete": result.leechers,
+            b"peers": compact_peers(result.peers),
+        }
     )
+
+
+class _HttpTrackerProtocol(asyncio.Protocol):
+    """One HTTP connection: buffer to the end of the headers, answer the
+    first line once, close.
+
+    The first line is the request line, whatever it holds; header lines
+    are read up to the first blank one and ignored; EOF before that
+    answers what was read; any line of more than :data:`MAX_LINE` bytes
+    before its newline is a 400.
+    """
+
+    def __init__(self, server: "TrackerServer"):
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._request_line: Optional[bytes] = None
+        self._answered = False
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._timer = asyncio.get_running_loop().call_later(
+            IDLE_TIMEOUT, transport.close
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self._answered:
+            return  # lingering after a 400: discard until EOF
+        buffer = self._buffer
+        buffer += data
+        while True:
+            end = buffer.find(b"\n")
+            if end < 0:
+                if len(buffer) > MAX_LINE:
+                    self._answer_line_too_long()
+                return
+            if end > MAX_LINE:
+                self._answer_line_too_long()
+                return
+            if self._request_line is None:
+                self._request_line = bytes(buffer[:end])
+            elif end == 0 or (end == 1 and buffer[0] == 13):  # b"\n", b"\r\n"
+                self._answer(self._request_line)
+                return
+            del buffer[: end + 1]
+
+    def eof_received(self) -> bool:
+        if not self._answered:
+            line = self._request_line
+            self._answer(bytes(self._buffer) if line is None else line)
+        return False  # the transport closes once the answer is flushed
+
+    def connection_lost(self, exc) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+
+    def _answer(self, request_line: bytes) -> None:
+        peername = self.transport.get_extra_info("peername") or ("127.0.0.1", 0)
+        body, status = self.server.handle_http_request(
+            request_line.decode("latin-1").strip(), peername[0]
+        )
+        self._write(body, status)
+        self.transport.close()
+
+    def _answer_line_too_long(self) -> None:
+        self._write(encode_failure("request line too long"), 400)
+        # Closing with unread input would send a reset that can destroy
+        # the answer in flight; half-close and drain instead.
+        self.transport.write_eof()
+        self._buffer.clear()
+
+    def _write(self, body: bytes, status: int) -> None:
+        self._answered = True
+        self.transport.write(
+            b"HTTP/1.0 %d %s\r\n"
+            b"Content-Type: text/plain\r\n"
+            b"Content-Length: %d\r\n\r\n%s"
+            % (status, b"OK" if status == 200 else b"Bad Request", len(body), body)
+        )
 
 
 class _UdpTrackerProtocol(asyncio.DatagramProtocol):
@@ -202,9 +324,9 @@ class TrackerServer:
         return self._udp_transport.get_extra_info("sockname")[1]
 
     async def start(self) -> None:
-        loop = asyncio.get_event_loop()
-        self._server = await asyncio.start_server(
-            self._on_http_connection, self.host, self._http_port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _HttpTrackerProtocol(self), self.host, self._http_port
         )
         self._udp_transport, __ = await loop.create_datagram_endpoint(
             lambda: _UdpTrackerProtocol(self),
@@ -228,38 +350,6 @@ class TrackerServer:
         await self.stop()
 
     # -- HTTP frontend -----------------------------------------------------
-
-    async def _on_http_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                request_line = await reader.readline()
-                # Drain headers up to the blank line; announces carry none we need.
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-            except ValueError:
-                # readline's answer to a line over the stream limit (64 KiB).
-                body, status = encode_failure("request line too long"), 400
-            else:
-                peername = writer.get_extra_info("peername") or ("127.0.0.1", 0)
-                body, status = self.handle_http_request(
-                    request_line.decode("latin-1").strip(), peername[0]
-                )
-            writer.write(
-                b"HTTP/1.0 %d %s\r\n"
-                b"Content-Type: text/plain\r\n"
-                b"Content-Length: %d\r\n\r\n"
-                % (status, b"OK" if status == 200 else b"Bad Request", len(body))
-            )
-            writer.write(body)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
 
     def handle_http_request(
         self, request_line: str, peer_host: str
@@ -295,8 +385,6 @@ class TrackerServer:
         return encode_result(result), 200
 
     def _handle_scrape(self, query: str) -> bytes:
-        from repro.protocol.bencode import bencode
-
         params = parse_query(query)
         infohash = params.get("info_hash")
         if infohash is None:
@@ -387,21 +475,14 @@ class TrackerServer:
             result = self.service.announce(request)
         except TrackerUnavailable as exc:
             return self._udp_error(transaction_id, str(exc))
-        blob = bytearray(
-            struct.pack(
-                ">iiiii",
-                UDP_ANNOUNCE,
-                transaction_id,
-                int(result.interval),
-                result.leechers,
-                result.seeds,
-            )
-        )
-        from repro.tracker.wire import pack_peers
-
-        peers = [split_address(address) for address in result.peers]
-        blob += pack_peers([(h, p) for h, p in peers if 0 < p < 65536])
-        return bytes(blob)
+        return struct.pack(
+            ">iiiii",
+            UDP_ANNOUNCE,
+            transaction_id,
+            int(result.interval),
+            result.leechers,
+            result.seeds,
+        ) + compact_peers(result.peers)
 
     @staticmethod
     def _udp_error(transaction_id: int, message: str) -> bytes:

@@ -156,7 +156,7 @@ def run_swarm(
         result.first_full_copy_at,
         sorted(result.completions.items()),
         {
-            address: sorted(peer.bitfield.have_set)
+            address: list(peer.bitfield.have_indices())
             for address, peer in swarm.peers.items()
         },
     )

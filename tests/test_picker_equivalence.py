@@ -91,7 +91,7 @@ def run_traced(seed, num_pieces, num_leechers, churn=False, selector_spec=None):
     swarm.on_tick(snapshot)
     result = swarm.run(250)
     final_bitfields = {
-        address: sorted(peer.bitfield.have_set)
+        address: list(peer.bitfield.have_indices())
         for address, peer in swarm.peers.items()
     }
     return {

@@ -144,7 +144,7 @@ def test_random_operations_preserve_invariants(seed):
             if block is not None and rng.random() < 0.8:
                 picker.on_block_received(block, key)
         elif op < 0.90:
-            have = sorted(bitfield.have_set)
+            have = list(bitfield.have_indices())
             if have:
                 picker.reset_piece(rng.choice(have))
         else:

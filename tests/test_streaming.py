@@ -214,7 +214,7 @@ class TestStreamingGating:
                 result.bytes_moved,
                 sorted(result.completions.items()),
                 {
-                    address: sorted(peer.bitfield.have_set)
+                    address: list(peer.bitfield.have_indices())
                     for address, peer in harness.swarm.peers.items()
                 },
             )

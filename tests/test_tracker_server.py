@@ -9,12 +9,15 @@ must produce *byte-identical* bencoded responses.
 
 import asyncio
 import hashlib
+import socket
 import struct
+import time
 from urllib.parse import quote_from_bytes
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.tracker import server as server_module
 from repro.tracker.client import (
     FederatedAnnouncer,
     TrackerEndpoint,
@@ -24,13 +27,19 @@ from repro.tracker.client import (
 )
 from repro.tracker.sampling import make_sampler
 from repro.tracker.server import (
+    COMPACT_MEMO_SIZE,
+    MAX_LINE,
     UDP_ANNOUNCE,
     UDP_CONNECT,
     UDP_ERROR,
     TrackerServer,
+    _compact_address,
+    _HttpTrackerProtocol,
     build_udp_announce,
     build_udp_connect,
+    compact_peers,
     encode_result,
+    split_address,
 )
 from repro.tracker.service import (
     AnnounceBudget,
@@ -38,7 +47,7 @@ from repro.tracker.service import (
     TrackerService,
 )
 from repro.tracker.tracker import TrackerUnavailable
-from repro.tracker.wire import decode_announce_response, unpack_peers
+from repro.tracker.wire import decode_announce_response, pack_peers, unpack_peers
 from repro.protocol.bencode import bdecode
 
 pytestmark = pytest.mark.tracker
@@ -819,3 +828,267 @@ class TestLiveFederationFailover:
         announcer, response = run(scenario())
         assert announcer.failover_count == 12
         assert len(response.peers) == 11
+
+
+def _dead_udp_port():
+    """A UDP port nothing listens on: bound, then closed."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestDeadUdpTracker:
+    """Regression: the UDP client dropped the kernel's ECONNREFUSED, so a
+    dead UDP tracker cost the full timeout (and a federation tier 5 s
+    per announce) where a dead HTTP one failed in a millisecond."""
+
+    def test_dead_endpoint_fails_at_once(self):
+        async def scenario():
+            started = time.monotonic()
+            with pytest.raises(TrackerUnavailable):
+                await announce_udp(
+                    "127.0.0.1", _dead_udp_port(), announce_sequence(1)[0], timeout=5.0
+                )
+            return time.monotonic() - started
+
+        assert run(scenario()) < 1.0
+
+    def test_dead_udp_tier_fails_over_at_once(self):
+        async def scenario():
+            async with TrackerServer(make_service()) as live:
+                announcer = FederatedAnnouncer(
+                    endpoints=[
+                        TrackerEndpoint("127.0.0.1", _dead_udp_port(), "udp"),
+                        TrackerEndpoint("127.0.0.1", live.http_port),
+                    ],
+                    timeout=5.0,
+                )
+                started = time.monotonic()
+                response = await announcer.announce(announce_sequence(1)[0])
+                return time.monotonic() - started, announcer, response
+
+        elapsed, announcer, response = run(scenario())
+        assert elapsed < 1.0
+        assert announcer.failover_count == 1
+        assert response.interval == 30 * 60
+
+
+@pytest.fixture
+def short_idle(monkeypatch):
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.2)
+
+
+class TestHttpConnectionLifetime:
+    """Every HTTP connection is closed when its timer runs out, and the
+    400 for an over-long line is followed by a lingering close."""
+
+    @staticmethod
+    def exchange(payload, junk=b"", half_close=False):
+        """Send ``payload`` then ``junk`` on one connection and read
+        whatever comes back until the server closes."""
+
+        async def scenario():
+            async with TrackerServer(make_service()) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.http_port
+                )
+                writer.write(payload + junk)
+                await asyncio.wait_for(writer.drain(), TIMEOUT)
+                if half_close:
+                    writer.write_eof()
+                try:
+                    return await asyncio.wait_for(reader.read(), TIMEOUT)
+                finally:
+                    writer.close()
+
+        return run(scenario())
+
+    def test_silent_connection_is_closed(self, short_idle):
+        assert self.exchange(b"") == b""
+
+    def test_half_a_request_is_closed(self, short_idle):
+        assert self.exchange(b"GET /announce?info_hash=") == b""
+
+    def test_over_long_line_then_junk_reads_the_full_400(self, short_idle):
+        line = b"GET /announce?junk=" + b"a" * (65 * 1024) + b" HTTP/1.0\r\n"
+        raw = self.exchange(line, junk=b"x" * (1 << 20), half_close=True)
+        head, __, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 400 Bad Request")
+        assert b"Content-Length: %d" % len(body) in head
+        assert bdecode(body) == {b"failure reason": b"request line too long"}
+
+
+class _RecordingTransport:
+    """What :class:`_HttpTrackerProtocol` needs of a TCP transport."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = self.half_closed = False
+
+    def get_extra_info(self, name, default=None):
+        return ("127.0.0.1", 50000) if name == "peername" else default
+
+    def write(self, data):
+        assert not (self.closed or self.half_closed)
+        self.written += data
+
+    def write_eof(self):
+        self.half_closed = True
+
+    def close(self):
+        self.closed = True
+
+
+def serve_chunks(server, chunks, eof=True):
+    """Feed ``chunks`` to one connection's protocol, then EOF; returns
+    every byte the protocol wrote."""
+
+    async def scenario():
+        transport = _RecordingTransport()
+        protocol = _HttpTrackerProtocol(server)
+        protocol.connection_made(transport)
+        for chunk in chunks:
+            if transport.closed:
+                break
+            protocol.data_received(chunk)
+        if eof and not transport.closed and not protocol.eof_received():
+            transport.close()
+        protocol.connection_lost(None)
+        return bytes(transport.written)
+
+    return asyncio.run(scenario())
+
+
+populated_server = TestUnencodableAddresses.populated_server
+
+
+@st.composite
+def valid_requests(draw):
+    """The raw bytes of one well-formed announce with a few headers."""
+    request = draw(st.sampled_from(announce_sequence(12)))
+    newline = draw(st.sampled_from([b"\r\n", b"\n"]))
+    headers = draw(
+        st.lists(st.sampled_from([b"Host: 127.0.0.1", b"User-Agent: x", b"X:"]),
+                 max_size=3)
+    )
+    lines = [b"GET %s HTTP/1.0" % build_announce_target(request, 6881).encode()]
+    return newline.join(lines + headers + [b"", b""])
+
+
+def split_at(raw, cuts):
+    bounds = [0] + sorted(set(cuts)) + [len(raw)]
+    return [raw[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def responses_in(written):
+    """Split protocol output into (head, body) answers by Content-Length."""
+    answers = []
+    while written:
+        head, sep, rest = written.partition(b"\r\n\r\n")
+        assert sep and head.startswith(b"HTTP/1.0 ")
+        length = int(head.rpartition(b"Content-Length: ")[2])
+        answers.append((head, rest[:length]))
+        written = rest[length:]
+    return answers
+
+
+class TestHttpFraming:
+    """Hypothesis over the protocol's framing: it answers what a one-shot
+    request gets however the bytes arrive, and nothing escapes it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=valid_requests(), cuts=st.lists(st.integers(0, 400), max_size=12),
+           bytewise=st.booleans())
+    def test_any_split_gets_the_one_shot_answer(self, raw, cuts, bytewise):
+        one_shot = serve_chunks(populated_server(), [raw])
+        if bytewise:
+            chunks = [raw[i:i + 1] for i in range(len(raw))]
+        else:
+            chunks = split_at(raw, [cut for cut in cuts if cut < len(raw)])
+        assert serve_chunks(populated_server(), chunks) == one_shot
+        ((head, body),) = responses_in(one_shot)
+        assert head.startswith(b"HTTP/1.0 200 OK") and bdecode(body)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chunks=st.lists(
+            st.one_of(
+                st.binary(max_size=40),
+                st.sampled_from(
+                    [b"\n", b"\r\n", b"\r", b"GET /announce?info_hash=a&port=1 HTTP/1.0",
+                     b"GET /scrape HTTP/1.0", b"a" * (MAX_LINE + 1), b"a" * MAX_LINE]
+                ),
+            ),
+            max_size=8,
+        ),
+        eof=st.booleans(),
+    )
+    def test_arbitrary_streams_never_raise(self, chunks, eof):
+        answers = responses_in(serve_chunks(populated_server(), chunks, eof))
+        assert len(answers) <= 1
+        if eof:
+            assert len(answers) == 1
+        for head, body in answers:
+            assert bdecode(body)
+
+    def test_a_line_of_exactly_max_line_bytes_is_read(self):
+        # StreamReader's rule: the limit bounds the bytes before "\n".
+        line = b"GET /x?" + b"a" * (MAX_LINE - len(b"GET /x? HTTP/1.0")) + b" HTTP/1.0"
+        assert len(line) == MAX_LINE
+        ((head, body),) = responses_in(serve_chunks(populated_server(), [line + b"\n\n"]))
+        assert b"unknown path" in body
+        ((head, body),) = responses_in(
+            serve_chunks(populated_server(), [b"a" + line + b"\n\n"])
+        )
+        assert b"too long" in body
+
+
+ENCODABLE = st.builds(
+    "{}:{}".format, st.ip_addresses(v=4).map(str), st.integers(1, 65535)
+)
+
+
+class TestCompactEncoder:
+    """The memoised compact blob is :func:`pack_peers` of the split
+    addresses, cold or warm, and after the memo has evicted them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(addresses=st.lists(ENCODABLE, max_size=60))
+    def test_memoised_blob_is_pack_peers(self, addresses):
+        expected = pack_peers([split_address(a) for a in addresses])
+        assert compact_peers(addresses) == expected
+        assert compact_peers(addresses) == expected  # every entry warm
+
+    def test_blob_survives_an_eviction(self):
+        early = ["10.200.%d.%d:6881" % (i >> 8, i & 255) for i in range(64)]
+        expected = pack_peers([split_address(a) for a in early])
+        assert compact_peers(early) == expected
+        filler = (
+            "10.%d.%d.%d:7000" % (i >> 16 & 255, i >> 8 & 255, i & 255)
+            for i in range(COMPACT_MEMO_SIZE)
+        )
+        compact_peers(filler)
+        assert _compact_address.cache_info().currsize == COMPACT_MEMO_SIZE
+        assert compact_peers(early) == expected
+
+    def test_unencodable_addresses_are_left_out(self):
+        mixed = ["1.2.3.4:80", "bare", "5.6.7.8:0", "host:x", "not-an-ip:1", "9.9.9.9:1"]
+        assert compact_peers(mixed) == pack_peers([("1.2.3.4", 80), ("9.9.9.9", 1)])
+
+    def test_both_frontends_skip_an_in_process_registration(self):
+        """Only an in-process registration can hold an address the
+        frontends would refuse; both answer without it."""
+        server = populated_server()
+        server.service.announce(
+            AnnounceRequest(infohash=INFOHASH, address="sim-peer", event="started")
+        )
+        assert len(TestUnencodableAddresses.honest_answer(server).peers) == 11
+        source = UDP_SOURCES[0]
+        __, __, connection_id = struct.unpack(
+            ">iiq", server.handle_datagram(build_udp_connect(1), source)
+        )
+        reply = server.handle_datagram(
+            build_udp_announce(connection_id, 2, TestHostileAnnounces.HONEST, 6881),
+            source,
+        )
+        assert len(unpack_peers(reply[20:])) == 11
