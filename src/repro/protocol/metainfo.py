@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from repro.protocol.bencode import bdecode, bencode
@@ -21,17 +21,25 @@ DEFAULT_PIECE_SIZE = 256 * 1024
 DEFAULT_BLOCK_SIZE = 16 * 1024  # 2**14, the mainline default block size
 
 
-@dataclass(frozen=True)
-class BlockRef:
-    """A block within a piece: (piece index, byte offset, length)."""
+class BlockRef(namedtuple("BlockRef", ("piece", "offset", "length"))):
+    """A block within a piece: (piece index, byte offset, length).
 
-    piece: int
-    offset: int
-    length: int
+    A tuple, so hashing and equality run in C on the request path
+    (upload-queue scans, ``outstanding``, ``request_times``).  Its hash
+    is ``hash((piece, offset, length))``, the hash the frozen dataclass
+    this replaced computed, so every set and dict of blocks iterates in
+    the same order under any ``PYTHONHASHSEED``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.piece < 0 or self.offset < 0 or self.length <= 0:
-            raise ValueError("invalid block reference %r" % (self,))
+    __slots__ = ()
+
+    def __new__(cls, piece: int, offset: int, length: int) -> "BlockRef":
+        if piece < 0 or offset < 0 or length <= 0:
+            raise ValueError(
+                "invalid block reference BlockRef(piece=%r, offset=%r, length=%r)"
+                % (piece, offset, length)
+            )
+        return tuple.__new__(cls, (piece, offset, length))
 
 
 class PieceGeometry:

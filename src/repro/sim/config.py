@@ -14,6 +14,7 @@ Defaults follow the paper's section III-C (mainline 4.0.2 defaults):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,8 +95,17 @@ class PeerConfig:
     — the startup threshold behind the startup-delay metric."""
 
     def __post_init__(self) -> None:
+        # NaN passes both sign tests and would poison every rate and
+        # byte total of a run; an infinite cap is spelt None (download)
+        # and has no meaning for an upload.
+        if not math.isfinite(self.upload_capacity):
+            raise ValueError("upload_capacity must be a finite number")
         if self.upload_capacity < 0:
             raise ValueError("upload_capacity must be non-negative")
+        if self.download_capacity is not None and not math.isfinite(
+            self.download_capacity
+        ):
+            raise ValueError("download_capacity must be a finite number or None")
         if self.download_capacity is not None and self.download_capacity <= 0:
             raise ValueError("download_capacity must be positive or None")
         if not 0 < self.min_peer_set <= self.max_peer_set:

@@ -14,7 +14,7 @@ BITFIELD/HAVE messages, or, under the shared-view contract of DESIGN
 What this class adds is the fluid-transfer machinery of the uploading
 direction: the byte progress into the head block of the upload queue
 that the per-tick bandwidth allocation advances, how much of a tick's
-budget the queue can absorb, the link's entry in the swarm's flow set,
+budget the queue can absorb, the link's nodes in the swarm's flow set,
 and keeping that set current as the queue changes.
 """
 
@@ -26,14 +26,13 @@ from repro.core.peer_core import LinkState
 from repro.protocol.metainfo import BlockRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.bandwidth import Flow
     from repro.sim.peer import Peer
 
 
 class Connection(LinkState):
     """One endpoint's view of a link to ``remote``."""
 
-    __slots__ = ("twin", "upload_progress", "flow", "flow_key")
+    __slots__ = ("twin", "upload_progress", "flow_key", "flow_nodes")
 
     def __init__(
         self,
@@ -46,11 +45,12 @@ class Connection(LinkState):
         super().__init__(local, remote, now, initiated_by_local, rate_window)
         self.twin: Optional["Connection"] = None
         self.upload_progress = 0.0  # bytes already sent of the head block
-        # The swarm's allocator entry for the uploading direction and its
-        # place in the allocation order, made by the swarm when the link
-        # first has something to serve and kept for the link's life.
-        self.flow: Optional[Flow] = None
+        # The uploading direction's place in the swarm's allocation order
+        # and its (upload node, download node) pair in the allocator's
+        # capacity array, set by the swarm when the link first has
+        # something to serve and kept for the link's life.
         self.flow_key: Optional[Tuple[str, str]] = None
+        self.flow_nodes: Optional[Tuple[int, int]] = None
 
     # -- transfer helpers --------------------------------------------------
 

@@ -13,12 +13,14 @@ from operator import attrgetter
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.choke import Choker
 from repro.core.piece_picker import AvailabilityMatrix
 from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import Metainfo
-from repro.sim.bandwidth import Flow, resolve_allocator
+from repro.sim.bandwidth import INF, resolve_allocator
 from repro.sim.config import PeerConfig, SwarmConfig
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
@@ -128,8 +130,17 @@ class Swarm:
         self._members_generation = 0
         self._flows_generation = -1
         self._active_connections: List[Connection] = []
+        # Bytes each active connection may move per tick: its allocated
+        # rate times the tick, multiplied once per allocation.
+        self._budgets: List[float] = []
         self._upload_caps: Dict[str, float] = {}
-        self._download_caps: Dict[str, float] = {}
+        # Allocator nodes: an address's upload node is ``2s`` and its
+        # download node ``2s + 1`` for the slot ``s`` it is given the
+        # first time it joins or a flow names it; ``_capacities`` holds
+        # every node's cap, ``inf`` for none (never joined, departed, or
+        # an uncapped download).
+        self._upload_nodes: Dict[str, int] = {}
+        self._capacities = _np.full(64, INF)
         # Global piece-replication oracle over ONLINE peers, with an
         # incremental count of pieces replicated fewer than twice so the
         # first-full-copy test is O(1) per completion, not O(pieces).
@@ -283,12 +294,14 @@ class Swarm:
         if self.peers.get(address, peer) is not peer:
             raise ValueError("address %s already in use" % address)
         self.peers[address] = peer
-        # The capacity maps feed the cached bandwidth allocation: a
+        # The capacities feed the cached bandwidth allocation: a
         # half-open flow towards this address may have been rated while
         # the address had no download cap.
         self._upload_caps[address] = peer.config.upload_capacity
-        if peer.config.download_capacity is not None:
-            self._download_caps[address] = peer.config.download_capacity
+        node = self._upload_node(address)
+        download = peer.config.download_capacity
+        self._capacities[node] = peer.config.upload_capacity
+        self._capacities[node + 1] = INF if download is None else download
         self._members_generation += 1
         for piece in peer.bitfield.have_indices():
             count = self.global_counts[piece] + 1
@@ -308,16 +321,16 @@ class Swarm:
         self.result.bytes_uploaded[peer.address] = peer.total_uploaded
         self.result.bytes_downloaded[peer.address] = peer.total_downloaded
         self.peers.pop(peer.address, None)
-        # The capacity maps feed the cached bandwidth allocation, so
-        # removing an entry must invalidate the cache: a surviving
-        # uploader can still hold an active flow towards a *crashed*
-        # peer (the half-open link serves into the void until reaped),
-        # and its cached rate was computed with the dead peer's download
-        # cap.  Without the generation bump that stale rate would persist
-        # until some unrelated membership change.
-        removed_upload = self._upload_caps.pop(peer.address, None)
-        removed_download = self._download_caps.pop(peer.address, None)
-        if removed_upload is not None or removed_download is not None:
+        # The capacities feed the cached bandwidth allocation, so
+        # uncapping a departed peer must invalidate the cache: a
+        # surviving uploader can still hold an active flow towards a
+        # *crashed* peer (the half-open link serves into the void until
+        # reaped), and its cached rate was computed with the dead peer's
+        # download cap.  Without the generation bump that stale rate
+        # would persist until some unrelated membership change.
+        if self._upload_caps.pop(peer.address, None) is not None:
+            node = self._upload_nodes[peer.address]
+            self._capacities[node : node + 2] = INF
             self._members_generation += 1
 
     def on_peer_crashed(self, peer: Peer) -> None:
@@ -342,16 +355,33 @@ class Swarm:
     # fluid transfer loop
     # ------------------------------------------------------------------
 
+    def _upload_node(self, address: str) -> int:
+        """*address*'s upload node (its download node is the next one),
+        given on first use."""
+        node = self._upload_nodes.get(address)
+        if node is None:
+            node = self._upload_nodes[address] = 2 * len(self._upload_nodes)
+            capacities = self._capacities
+            if node >= len(capacities):
+                self._capacities = _np.concatenate(
+                    (capacities, _np.full(len(capacities), INF))
+                )
+        return node
+
     def note_upload_activity(self, connection: Connection) -> None:
         """A connection may now have something to serve."""
         if (
             connection.has_active_upload()
             and connection not in self._upload_candidates
         ):
-            if connection.flow is None:
-                key = (connection.local.address, connection.remote.address)
-                connection.flow_key = key
-                connection.flow = Flow(*key)
+            if connection.flow_key is None:
+                local = connection.local.address
+                remote = connection.remote.address
+                connection.flow_key = (local, remote)
+                connection.flow_nodes = (
+                    self._upload_node(local),
+                    self._upload_node(remote) + 1,
+                )
             self._upload_candidates.add(connection)
             self._members_generation += 1
 
@@ -365,10 +395,15 @@ class Swarm:
         self._on_tick_callbacks.append(callback)
 
     def _tick(self) -> None:
+        now = self.simulator.now
+        dt = self.config.tick_interval
+        # ``not connection.has_active_upload()``, spelt out.
         for connection in [
             connection
             for connection in self._upload_candidates
-            if not connection.has_active_upload()
+            if connection.am_choking
+            or not connection.upload_queue
+            or connection.closed
         ]:
             self.forget_upload(connection)
         if self._upload_candidates:
@@ -376,30 +411,49 @@ class Swarm:
                 # The active flow set changed since the last allocation:
                 # rebuild and re-run the (expensive) fair allocation.
                 # Unchanged sets — the common steady-state case — skip
-                # straight to advancing transfers at the cached rates,
+                # straight to advancing transfers at the cached budgets,
                 # which are a pure function of the flow set and the
                 # static per-peer capacities.
                 active = sorted(self._upload_candidates, key=_ALLOCATION_ORDER)
-                self._allocate(
-                    [connection.flow for connection in active],
-                    self._upload_caps,
-                    self._download_caps,
+                nodes = _np.array(
+                    [connection.flow_nodes for connection in active], dtype=_np.intp
                 )
+                rates = self._allocate(nodes[:, 0], nodes[:, 1], self._capacities)
                 self._active_connections = active
+                self._budgets = (rates * dt).tolist()
                 self._flows_generation = self._members_generation
-            dt = self.config.tick_interval
             result = self.result
-            for connection in self._active_connections:
-                result.bytes_moved += connection.local.advance_uploads(
-                    connection, connection.flow.rate * dt
-                )
+            for connection, budget in zip(self._active_connections, self._budgets):
+                # A turn that finishes no block is Peer.advance_uploads
+                # in this frame: the budget is positive, the head block
+                # does not complete (the negation of advance_upload's
+                # test) and so is covered, and no message is sent.  Same
+                # float operations on the same fields, in the same order.
+                queue = connection.upload_queue
+                if (
+                    budget > 0.0
+                    and queue
+                    and not connection.closed
+                    and budget < queue[0].length - connection.upload_progress - 1e-9
+                ):
+                    local = connection.local
+                    connection.uploaded.add(now, budget)
+                    local.total_uploaded += budget
+                    twin = connection.twin
+                    if twin is not None and not twin.closed:
+                        twin.downloaded.add(now, budget)
+                        connection.remote.total_downloaded += budget
+                    connection.upload_progress += budget
+                    result.bytes_moved += budget
+                else:
+                    result.bytes_moved += connection.local.advance_uploads(
+                        connection, budget
+                    )
         else:
             self._active_connections = []
+            self._budgets = []
             self._flows_generation = self._members_generation
-        self.result.capacity_seconds += self.config.tick_interval * sum(
-            self._upload_caps.values()
-        )
-        now = self.simulator.now
+        self.result.capacity_seconds += dt * sum(self._upload_caps.values())
         for callback in self._on_tick_callbacks:
             callback(now)
 

@@ -11,7 +11,7 @@ from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
-from tests.reference_allocator import reference_max_min_allocation
+from tests.reference_allocator import reference_max_min_rates
 from tests.reference_piece_picker import NaivePiecePicker
 
 
@@ -47,7 +47,7 @@ def _reference_allocator(patch):
     # Where Swarm.__init__ looks its allocator up: the python oracle
     # instead of the vectorised filling.
     patch.setattr(
-        repro.sim.swarm, "resolve_allocator", lambda: reference_max_min_allocation
+        repro.sim.swarm, "resolve_allocator", lambda: reference_max_min_rates
     )
 
 

@@ -7,15 +7,33 @@ node)``, charging each node ``increment * degree`` — the arithmetic the
 vectorised allocator performs elementwise.  It is slow and obviously
 right, which is what ``tests/test_allocator_equivalence.py`` needs to
 hold the production allocator to (bit-identical rates on any topology),
-and the ``twins`` fixture's ``"reference-allocator"`` hands it to every
-swarm built inside the block.
+and the ``twins`` fixture's ``"reference-allocator"`` hands it, behind
+the swarm's node-index signature (:func:`reference_max_min_rates`), to
+every swarm built inside the block.
 
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
 
 from typing import Dict, List, Mapping
 
-from repro.sim.bandwidth import Flow, NodeId
+import numpy as np
+
+from repro.sim.bandwidth import INF, Flow, NodeId
+
+
+def reference_max_min_rates(up_nodes, down_nodes, capacities, epsilon=1e-9):
+    """:func:`reference_max_min_allocation` behind the signature of
+    ``repro.sim.bandwidth.max_min_rates``: flows named by node indices,
+    one capacity array, ``inf`` for no cap.  Node *n* becomes node id
+    *n* of the capacity map its direction reads, so the upload and the
+    download index sets must be disjoint, as the swarm's ``2s`` /
+    ``2s + 1`` nodes are."""
+    flows = [Flow(int(up), int(down)) for up, down in zip(up_nodes, down_nodes)]
+    caps = {
+        node: float(cap) for node, cap in enumerate(capacities) if cap != INF
+    }
+    reference_max_min_allocation(flows, caps, caps, epsilon)
+    return np.array([flow.rate for flow in flows], dtype=np.float64)
 
 
 def reference_max_min_allocation(

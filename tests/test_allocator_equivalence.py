@@ -36,14 +36,22 @@ from repro.instrumentation import (
 from repro.instrumentation.replay import TraceFormatError
 from repro.protocol.metainfo import make_metainfo
 import repro.sim.swarm
-from repro.sim.bandwidth import Flow, max_min_allocation, resolve_allocator
+from repro.sim.bandwidth import (
+    Flow,
+    max_min_allocation,
+    max_min_rates,
+    resolve_allocator,
+)
 from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 from random import Random
 
 from tests.conftest import ENGINE_TWINS
-from tests.reference_allocator import reference_max_min_allocation
+from tests.reference_allocator import (
+    reference_max_min_allocation,
+    reference_max_min_rates,
+)
 from tests.reference_piece_picker import NaivePiecePicker
 
 
@@ -108,10 +116,10 @@ class TestAllocatorEquivalence:
     def test_resolve_allocator_names(self, twins):
         """No name picks the allocator: there is one, and the fixture
         swaps the binding the swarm looks up for the oracle."""
-        assert resolve_allocator() is max_min_allocation
+        assert resolve_allocator() is max_min_rates
         with twins("reference-allocator"):
-            assert repro.sim.swarm.resolve_allocator() is reference_max_min_allocation
-        assert repro.sim.swarm.resolve_allocator() is max_min_allocation
+            assert repro.sim.swarm.resolve_allocator() is reference_max_min_rates
+        assert repro.sim.swarm.resolve_allocator() is max_min_rates
         with pytest.raises(TypeError):
             resolve_allocator("reference")
 
@@ -169,7 +177,7 @@ class TestEngineDifferential:
         [
             (
                 "reference-allocator",
-                lambda swarm: swarm._allocate is reference_max_min_allocation,
+                lambda swarm: swarm._allocate is reference_max_min_rates,
             ),
             ("per-link", lambda swarm: swarm._batched_have is False),
             (

@@ -181,6 +181,25 @@ class PoolHarness:
 #: ValueError, unless the codec maps it.
 HOSTILE_NESTING = b"[" * 200_000
 
+#: Any JSON value that survives a round trip with ``==`` (no NaN).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=16,
+)
+
+#: What ``recv_frame`` accepts: an object with a ``"type"`` key.
+TYPED_OBJECTS = st.builds(
+    lambda kind, rest: {**rest, "type": kind},
+    JSON_VALUES,
+    st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+)
+
 
 class TestFrameCodec:
     def pair(self):
@@ -226,6 +245,57 @@ class TestFrameCodec:
             a.sendall(struct.pack(">I", len(body)) + body)
             with pytest.raises(FrameError):
                 recv_frame(b)
+            a.close(), b.close()
+
+    @given(st.lists(TYPED_OBJECTS, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_typed_objects_round_trip(self, messages):
+        a, b = self.pair()
+        try:
+            for message in messages:
+                send_frame(a, message)
+            a.close()
+            assert [recv_frame(b) for __ in messages] == messages
+            assert recv_frame(b) is None
+        finally:
+            a.close(), b.close()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=64),
+                TYPED_OBJECTS.map(
+                    lambda message: json.dumps(message).encode("utf-8")
+                ).map(lambda body: struct.pack(">I", len(body)) + body),
+            ),
+            max_size=4,
+        ).map(b"".join)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_are_frames_or_frame_errors(self, stream):
+        """Whatever the bytes, the reader returns typed frames, then
+        either raises ``FrameError`` or returns None at a frame boundary
+        (every byte consumed)."""
+        a, b = self.pair()
+        try:
+            a.sendall(stream)
+            a.close()
+            consumed = 0
+            while True:
+                try:
+                    message = recv_frame(b)
+                except FrameError:
+                    break
+                if message is None:
+                    assert consumed == len(stream)
+                    break
+                assert isinstance(message, dict) and "type" in message
+                body = stream[consumed + 4:]
+                (length,) = struct.unpack(">I", stream[consumed:consumed + 4])
+                # repr, not ==: a frame of hostile bytes may hold a NaN.
+                assert repr(json.loads(body[:length].decode("utf-8"))) == repr(message)
+                consumed += 4 + length
+        finally:
             a.close(), b.close()
 
 

@@ -1,5 +1,7 @@
 """Tests for the configuration dataclasses and their §III-C defaults."""
 
+import math
+
 import pytest
 
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
@@ -55,6 +57,20 @@ class TestPeerConfigValidation:
     def test_bad_download_rejected(self):
         with pytest.raises(ValueError):
             PeerConfig(download_capacity=0.0)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, cap):
+        """Regression: NaN passed both sign tests, and a swarm whose seed
+        had ``upload_capacity=nan`` ran to the end with ``bytes_moved``,
+        ``capacity_seconds`` and the utilisation all NaN and no
+        completion, raising nothing."""
+        with pytest.raises(ValueError, match="upload_capacity"):
+            PeerConfig(upload_capacity=cap)
+        with pytest.raises(ValueError, match="download_capacity"):
+            PeerConfig(download_capacity=cap)
+
+    def test_none_is_the_uncapped_download(self):
+        assert PeerConfig(download_capacity=None).download_capacity is None
 
     def test_peer_set_ordering_enforced(self):
         with pytest.raises(ValueError):

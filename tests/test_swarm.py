@@ -3,7 +3,7 @@ results bookkeeping, and the fluid tick plumbing."""
 
 import pytest
 
-import repro.sim.swarm as swarm_module
+import repro.sim.bandwidth as bandwidth_module
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef
 from repro.sim.config import KIB, SwarmConfig
@@ -183,10 +183,30 @@ class TestFlowFastPath:
 
         assert run_once(False) == run_once(True)
 
+    def test_departed_peer_is_uncapped(self):
+        """A departure puts the peer's nodes back to ``inf``: the
+        half-open link a crash leaves behind serves into the void at the
+        uploader's rate, no longer held to the dead peer's download cap."""
+        swarm = tiny_swarm(num_pieces=8, piece_size=16 * KIB, block_size=16 * KIB)
+        seed = swarm.add_peer(config=fast_config(upload=8 * KIB), is_seed=True)
+        leecher = swarm.add_peer(config=fast_config(upload=8 * KIB, download=1 * KIB))
+        swarm.run(15)  # past the first choke round, mid-block
+        link = seed.connections[leecher.address]
+
+        def budget():
+            return swarm._budgets[swarm._active_connections.index(link)]
+
+        assert budget() == 1 * KIB
+        leecher.crash()
+        swarm.run(1)
+        assert link.half_open
+        assert budget() == 8 * KIB
+
     def test_forced_reallocation_reuses_each_links_flow(self, monkeypatch):
         """Complexity guard: re-running the allocator over an unchanged
-        set of 50 links sorts and rates the flows those links already
-        carry; it constructs none (counted, not timed)."""
+        set of 50 links sorts the links and gathers the node pairs they
+        already carry; it constructs no ``Flow`` and probes no capacity
+        map per flow (counted, not timed)."""
         swarm = tiny_swarm(
             num_pieces=4, piece_size=64 * KIB, block_size=64 * KIB, seed=3
         )
@@ -202,36 +222,51 @@ class TestFlowFastPath:
             connection.am_choking = False
             connection.enqueue_upload(BlockRef(0, 0, 64 * KIB))
         swarm._tick()  # the first allocation over these links
+        pairs = {connection: connection.flow_nodes for connection in links}
 
-        built, allocated = [], []
+        built, probes, allocated = [], [], []
 
-        class CountingFlow(swarm_module.Flow):
+        class CountingFlow(bandwidth_module.Flow):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
+        class CountingCaps(dict):
+            def get(self, *args):
+                probes.append(args)
+                return super().get(*args)
+
+            def __getitem__(self, key):
+                probes.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                probes.append(key)
+                return super().__contains__(key)
+
         allocate = swarm._allocate
 
-        def recording(flows, *caps):
-            allocated.append(list(flows))
-            allocate(flows, *caps)
+        def recording(up_nodes, down_nodes, capacities):
+            allocated.append(list(zip(up_nodes.tolist(), down_nodes.tolist())))
+            return allocate(up_nodes, down_nodes, capacities)
 
-        monkeypatch.setattr(swarm_module, "Flow", CountingFlow)
+        monkeypatch.setattr(bandwidth_module, "Flow", CountingFlow)
+        swarm._upload_caps = CountingCaps(swarm._upload_caps)
         swarm._allocate = recording
         for __ in range(3):
             swarm._members_generation += 1
             swarm._tick()
         assert len(allocated) == 3  # the allocator did run again each time
+        ordered = sorted(links, key=lambda c: (c.local.address, c.remote.address))
+        nodes = swarm._upload_nodes
         for flows in allocated:
-            assert [(flow.uploader, flow.downloader) for flow in flows] == sorted(
-                (c.local.address, c.remote.address) for c in links
-            )
+            assert flows == [
+                (nodes[c.local.address], nodes[c.remote.address] + 1)
+                for c in ordered
+            ]
         assert built == []
-        assert all(
-            again is first
-            for flows in allocated[1:]
-            for again, first in zip(flows, allocated[0])
-        )
+        assert probes == []
+        assert all(connection.flow_nodes is pairs[connection] for connection in links)
 
 
 class TestRejoinIsRegistered:
