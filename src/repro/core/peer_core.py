@@ -1,8 +1,9 @@
 """The peer's protocol brain, written once for every transport.
 
 :class:`PeerCore` holds what a BitTorrent client decides on each
-peer-wire message (paper §II): piece knowledge from BITFIELD/HAVE,
-interest, the request pipeline through
+peer-wire message (paper §II): who may join the peer set and what
+leaving it undoes, the tracker announce, piece knowledge from
+BITFIELD/HAVE, interest, the request pipeline through
 :class:`~repro.core.piece_picker.PiecePicker`, upload queues, block
 assembly with end-game CANCELs, the 10-second choke round through the
 pluggable :class:`~repro.core.choke.Choker` pair, and the seed
@@ -200,7 +201,10 @@ class PeerCore:
             PeerState.SEED if self.bitfield.is_complete() else PeerState.LEECHER
         )
         self.observer = observer
+        # The driver points this at its tracker before the first announce.
+        self.tracker: Any = None
         self.connections: Dict[str, Any] = {}
+        self.initiated_count = 0  # links in ``connections`` this peer dialed
         self.online = False
         self.joined_at: Optional[float] = None
         self.became_seed_at: Optional[float] = (
@@ -247,6 +251,76 @@ class PeerCore:
             self.state.value,
             self.bitfield.count,
             self.bitfield.num_pieces,
+        )
+
+    # ------------------------------------------------------------------
+    # the peer set and the tracker (§II-B)
+    # ------------------------------------------------------------------
+
+    def may_accept(self, address: str, remote_is_seed: bool = False) -> bool:
+        """Whether a link with the peer at *address* may join the peer set.
+
+        Refused: any link while offline, one to itself, one already in
+        the set, one past ``max_peer_set``, and a link between two seeds,
+        which could carry nothing.  Before the handshake the remote's
+        pieces are unknown, hence the default.
+        """
+        return (
+            self.online
+            and address != self.address
+            and address not in self.connections
+            and len(self.connections) < self.config.max_peer_set
+            and not (remote_is_seed and self.is_seed)
+        )
+
+    def may_initiate(self, address: str, remote_is_seed: bool = False) -> bool:
+        """:meth:`may_accept`, and fewer than ``max_initiated`` of the
+        links in the set were dialed by this peer."""
+        return self.initiated_count < self.config.max_initiated and self.may_accept(
+            address, remote_is_seed
+        )
+
+    def _add_link(self, connection: LinkState) -> None:
+        """File an established link in the peer set."""
+        self.connections[connection.remote_key] = connection
+        if connection.initiated_by_local:
+            self.initiated_count += 1
+
+    def _drop_link(self, connection: LinkState) -> None:
+        """The protocol half of closing *connection*: it leaves the peer
+        set, its pieces leave the availability counts, its blocks in
+        flight go back to the picker and its queues empty.  A driver's
+        ``_close_connection`` calls this on an open link, then releases
+        the transport."""
+        connection.closed = True
+        self.connections.pop(connection.remote_key, None)
+        if connection.initiated_by_local:
+            self.initiated_count -= 1
+        self.picker.peer_left(connection.remote_bitfield)
+        self.picker.on_peer_gone(connection.remote_key)
+        connection.clear_upload_queue()
+        connection.outstanding.clear()
+        connection.request_times.clear()
+        if self.observer:
+            self.observer.on_connection_close(self.simulator.now, connection)
+
+    def _tracker_announce(self, event: str, num_want: int) -> List[str]:
+        """One announce to ``self.tracker``; the addresses it returns.
+
+        Raises :class:`~repro.tracker.tracker.TrackerUnavailable` while
+        the tracker is down.  The sample is drawn from this peer's own
+        seeded stream, not the tracker's: with a shared stream every
+        announce would perturb every later peer's sample, so churn (or
+        the wall-clock announce order of live peers) would ripple into
+        RNG-sensitive runs.
+        """
+        return self.tracker.announce(
+            self.address,
+            event=event,
+            num_want=num_want,
+            is_seed=self.is_seed,
+            rng=self.rng,
+            have_count=self.bitfield.count,
         )
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.protocol.messages import (
 from repro.protocol.metainfo import Metainfo
 from repro.sim.config import PeerConfig
 from repro.sim.observer import PeerObserver
-from repro.tracker.tracker import Tracker
+from repro.tracker.tracker import Tracker, TrackerUnavailable
 
 #: Handshake reserved-byte extension: bytes 6:8 carry the sender's
 #: listening port (big-endian), so an *inbound* connection can be mapped
@@ -175,24 +175,13 @@ class NetPeer(PeerCore):
         assert self.address is not None, "start() must run before join()"
         self.online = True
         self.joined_at = self.simulator.now
-        # Sample through this peer's own seeded RNG: live peers announce
-        # in wall-clock order, and a shared tracker stream would let that
-        # ordering perturb every subsequent peer's sample.
-        addresses = self.tracker.announce(
-            self.address,
-            event="started",
-            num_want=num_want if num_want is not None else self.config.max_peer_set,
-            is_seed=self.is_seed,
-            rng=self.rng,
+        addresses = self._tracker_announce(
+            "started",
+            num_want if num_want is not None else self.config.max_peer_set,
         )
-        dialed = 0
         for remote_address in addresses:
-            if dialed >= self.config.max_initiated:
-                break
-            if remote_address == self.address or remote_address in self.connections:
-                continue
-            if await self._dial(remote_address):
-                dialed += 1
+            if self.may_initiate(remote_address):
+                await self._dial(remote_address)
         self._choke_task = asyncio.ensure_future(self._choke_loop())
 
     async def stop(self) -> None:
@@ -222,14 +211,8 @@ class NetPeer(PeerCore):
             self._close_connection(connection)
         if self.joined_at is not None:
             try:
-                self.tracker.announce(
-                    self.address,
-                    event="stopped",
-                    num_want=0,
-                    is_seed=self.is_seed,
-                    rng=self.rng,
-                )
-            except Exception:
+                self._tracker_announce("stopped", 0)
+            except TrackerUnavailable:
                 pass
         if self.observer is not None and hasattr(self.observer, "finalize"):
             self.observer.finalize(now=self.simulator.now)
@@ -334,15 +317,19 @@ class NetPeer(PeerCore):
         except (OSError, MessageError, asyncio.IncompleteReadError):
             writer.close()
             return False
-        if remote_address in self.connections or remote_address == self.address:
-            writer.close()  # duplicate link (simultaneous dial); keep the first
-            return False
-        if self.peer_set_size >= self.config.max_peer_set:
+        # The opening BITFIELD tells whether the remote is a seed.  A
+        # simultaneous dial is refused here as a duplicate: the first
+        # link stays.
+        remote_is_seed = Bitfield.from_bytes(
+            messages[0].bits, self.bitfield.num_pieces
+        ).is_complete()
+        admit = self.may_initiate if initiated_by_local else self.may_accept
+        if not admit(remote_address, remote_is_seed):
             writer.close()
             return False
 
         connection.remote = make_remote_handle(remote_address, shake.peer_id, connection)
-        self.connections[remote_address] = connection
+        self._add_link(connection)
         if self.observer is not None:
             now = self.simulator.now
             self.observer.on_connection_open(now, connection)
@@ -503,14 +490,8 @@ class NetPeer(PeerCore):
 
     def _announce_completed(self) -> None:
         try:
-            self.tracker.announce(
-                self.address,
-                event="completed",
-                num_want=0,
-                is_seed=True,
-                rng=self.rng,
-            )
-        except Exception:
+            self._tracker_announce("completed", 0)
+        except TrackerUnavailable:
             pass
 
     def _close_seed_link(self, connection: NetConnection) -> None:
@@ -537,16 +518,9 @@ class NetPeer(PeerCore):
         """Tear down our endpoint (FIN); the remote sees a clean EOF."""
         if connection.closed:
             return
-        connection.closed = True
-        self.connections.pop(connection.remote_key, None)
-        self.picker.peer_left(connection.remote_bitfield)
-        self.picker.on_peer_gone(connection.remote_key)
-        connection.clear_upload_queue()
-        connection.outstanding.clear()
+        self._drop_link(connection)
         if connection.uploader_task is not None:
             connection.uploader_task.cancel()
-        if self.observer is not None:
-            self.observer.on_connection_close(self.simulator.now, connection)
         try:
             connection.writer.close()
         except (OSError, RuntimeError):  # pragma: no cover - already dead

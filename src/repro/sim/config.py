@@ -164,15 +164,14 @@ class FaultConfig:
     :attr:`replica_outages` to down other replicas."""
 
     tracker_replicas: int = 1
-    """Number of outage-independent tracker frontends sharing one swarm
-    registry.  1 (default) keeps the plain single
-    :class:`~repro.tracker.tracker.Tracker`; >1 swaps in a
-    :class:`~repro.tracker.federation.TrackerFederation` whose announce
-    walks replicas in fixed tier order, failing over past downed ones."""
+    """Number of outage-independent tracker replicas sharing one swarm
+    registry: the outage tiers of the one
+    :class:`~repro.tracker.tracker.Tracker`, whose announces fail only
+    while every replica is down."""
 
     replica_outages: tuple = ()
     """``(replica, start, duration)`` outage windows for individual
-    federation replicas.  Requires ``replica < tracker_replicas``."""
+    tracker replicas.  Requires ``replica < tracker_replicas``."""
 
     announce_retry_base: float = 5.0
     """First announce-retry delay; doubles per failed attempt."""

@@ -97,13 +97,7 @@ class FaultPlan:
             and self._rng.random() < self.config.crash_probability
         )
 
-    # -- tracker outages & announce retry ------------------------------------
-
-    def tracker_down(self, now: float) -> bool:
-        for start, duration in self.config.tracker_outages:
-            if start <= now < start + duration:
-                return True
-        return False
+    # -- announce retry (the outage windows live on the Tracker) -------------
 
     def retry_delay(self, attempt: int, rng: Random) -> float:
         """Exponential backoff with jitter for announce retry *attempt*.

@@ -9,8 +9,8 @@ round every 10 seconds through pluggable
 :class:`repro.core.choke.Choker` strategies — is
 :class:`repro.core.peer_core.PeerCore`, shared with the live
 :class:`repro.net.peer.NetPeer`.  This module is the simulator's driver
-around that core: joining, leaving and crashing, the tracker announces
-and peer-set management, message delivery through the event queue with
+around that core: joining, leaving and crashing, announce retries and
+refilling the peer set, message delivery through the event queue with
 latency and fault injection, the fused HAVE fan-out over shared remote
 views (DESIGN §12), super-seeding, the fault sweep and playback.
 
@@ -85,6 +85,7 @@ class Peer(PeerCore):
             matrix=swarm.availability_matrix,
             observer=observer,
         )
+        self.tracker = swarm.tracker
         # Streaming playback model: only built when configured, so bulk
         # runs carry no extra state, events or trace records.
         if config.playback_rate is not None:
@@ -107,7 +108,6 @@ class Peer(PeerCore):
         # on demand; reset to None by whatever changes the answer: a link
         # established or closed, either end crashing.
         self._have_targets: Optional[ndarray] = None
-        self.initiated_count = 0
         # Super-seeding (§IV-A.4): advertise nothing, reveal pieces one
         # at a time per peer, preferring the least-revealed piece.
         self.super_seeding = config.super_seeding and self.bitfield.is_complete()
@@ -236,20 +236,7 @@ class Peer(PeerCore):
         the announce eventually succeeds."""
         now = self.simulator.now
         try:
-            # Sample through THIS peer's seeded RNG stream, not the
-            # tracker's: with a shared stream every announce perturbs
-            # every later peer's sample, so unrelated churn (or net-mode
-            # wall-clock announce ordering) ripples into RNG-sensitive
-            # runs.  Per-caller streams keep each peer's draws a pure
-            # function of its own announce sequence.
-            addresses = self.swarm.tracker.announce(
-                self.address,
-                event=event,
-                num_want=num_want,
-                is_seed=self.is_seed,
-                rng=self.rng,
-                have_count=self.bitfield.count,
-            )
+            addresses = self._tracker_announce(event, num_want)
         except TrackerUnavailable:
             plan = self.swarm.faults
             if plan is None:  # pragma: no cover - outages imply a plan
@@ -297,7 +284,7 @@ class Peer(PeerCore):
 
         With a positive ``connect_latency`` the handshake completes after
         that delay, re-validating every limit at completion time."""
-        if not self._may_initiate(remote_address):
+        if not self.may_initiate(remote_address):
             return False
         latency = self.swarm.config.connect_latency
         if latency > 0:
@@ -307,37 +294,15 @@ class Peer(PeerCore):
             return True
         return self._complete_initiate(remote_address)
 
-    def _may_initiate(self, remote_address: str) -> bool:
-        if not self.online:
-            return False
-        if remote_address == self.address or remote_address in self.connections:
-            return False
-        if self.peer_set_size >= self.config.max_peer_set:
-            return False
-        if self.initiated_count >= self.config.max_initiated:
-            return False
-        return True
-
     def _complete_initiate(self, remote_address: str) -> bool:
-        if not self._may_initiate(remote_address):
-            return False
         remote = self.swarm.peer_by_address(remote_address)
-        if remote is None or not remote.online:
-            return False
-        if not remote._accepts_connection_from(self):
+        if (
+            remote is None
+            or not self.may_initiate(remote_address, remote.is_seed)
+            or not remote.may_accept(self.address, self.is_seed)
+        ):
             return False
         self._establish(remote, initiated_by_local=True)
-        return True
-
-    def _accepts_connection_from(self, initiator: "Peer") -> bool:
-        if not self.online:
-            return False
-        if initiator.address in self.connections:
-            return False
-        if self.peer_set_size >= self.config.max_peer_set:
-            return False
-        if self.is_seed and initiator.is_seed:
-            return False  # seed-to-seed links are useless and refused
         return True
 
     def _establish(self, remote: "Peer", initiated_by_local: bool) -> None:
@@ -350,13 +315,9 @@ class Peer(PeerCore):
         )
         local_conn.twin = remote_conn
         remote_conn.twin = local_conn
-        self.connections[remote.address] = local_conn
-        remote.connections[self.address] = remote_conn
+        self._add_link(local_conn)
+        remote._add_link(remote_conn)
         self._have_targets = remote._have_targets = None
-        if initiated_by_local:
-            self.initiated_count += 1
-        else:
-            remote.initiated_count += 1
         if self.observer:
             self.observer.on_connection_open(now, local_conn)
         if remote.observer:
@@ -402,23 +363,13 @@ class Peer(PeerCore):
         """Tear down our endpoint; optionally tell the remote to do the same."""
         if connection.closed:
             return
-        connection.closed = True
-        self.connections.pop(connection.remote.address, None)
+        self._drop_link(connection)
         self._have_targets = None
-        if connection.initiated_by_local:
-            self.initiated_count -= 1
-        self.picker.peer_left(connection.remote_bitfield)
-        self.picker.on_peer_gone(connection.remote_key)
-        connection.clear_upload_queue()
-        connection.outstanding.clear()
-        connection.request_times.clear()
         if self.super_seeding:
             # Reveals to a departed peer are wasted ("seed wastage") but
             # their reveal counts stand: the piece was served or not.
             self._revealed_to.pop(connection.remote.address, None)
             self._active_reveal.pop(connection.remote.address, None)
-        if self.observer:
-            self.observer.on_connection_close(self.simulator.now, connection)
         if notify_remote and connection.twin is not None:
             connection.remote._on_remote_closed(connection.twin)
         if self.online:

@@ -27,7 +27,6 @@ from repro.sim.engine import Simulator, Timer
 from repro.sim.faults import FaultPlan
 from repro.sim.observer import PeerObserver
 from repro.sim.peer import Peer
-from repro.tracker.federation import TrackerFederation
 from repro.tracker.sampling import make_sampler
 from repro.tracker.tracker import Tracker
 
@@ -100,24 +99,11 @@ class Swarm:
             if self.config.tracker_sampler is not None
             else None
         )
-        replicas = (
-            self.config.faults.tracker_replicas
-            if self.config.faults is not None
-            else 1
+        self.tracker = Tracker(
+            Random(self.rng.getrandbits(64)),
+            lambda: self.simulator.now,
+            sampler=sampler,
         )
-        if replicas > 1:
-            self.tracker = TrackerFederation(
-                Random(self.rng.getrandbits(64)),
-                lambda: self.simulator.now,
-                replicas=replicas,
-                sampler=sampler,
-            )
-        else:
-            self.tracker = Tracker(
-                Random(self.rng.getrandbits(64)),
-                lambda: self.simulator.now,
-                sampler=sampler,
-            )
         self.peers: Dict[str, Peer] = {}
         self.result = SwarmResult(duration=0.0)
         self._next_host = 1
@@ -166,21 +152,14 @@ class Swarm:
             self.faults = FaultPlan(
                 self.config.faults, Random(self.rng.getrandbits(64))
             )
-            self.tracker.set_outages(self.config.faults.tracker_outages)
-            if self.config.faults.replica_outages:
-                if not isinstance(self.tracker, TrackerFederation):
-                    raise ValueError(
-                        "replica_outages need tracker_replicas > 1"
-                    )
-                by_replica: Dict[int, list] = {}
-                for replica, start, duration in self.config.faults.replica_outages:
-                    by_replica.setdefault(replica, []).append((start, duration))
-                for replica, windows in by_replica.items():
-                    if replica == 0:
-                        windows = (
-                            list(self.config.faults.tracker_outages) + windows
-                        )
-                    self.tracker.set_replica_outages(replica, windows)
+            # One outage tier per tracker replica; replica 0 carries the
+            # single-tracker windows too.
+            tiers = [list(self.config.faults.tracker_outages)] + [
+                [] for _ in range(self.config.faults.tracker_replicas - 1)
+            ]
+            for replica, start, duration in self.config.faults.replica_outages:
+                tiers[replica].append((start, duration))
+            self.tracker.set_outages(*tiers)
             if self.config.faults.crash_probability > 0:
                 self.simulator.schedule(
                     self.config.faults.crash_interval, self._crash_sweep

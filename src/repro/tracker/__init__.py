@@ -1,4 +1,4 @@
-"""The tracker tier: in-process, sharded service, wire server, federation.
+"""The tracker tier: in-process, sharded service, wire server.
 
 Layering (bottom up):
 
@@ -8,13 +8,12 @@ Layering (bottom up):
   (``uniform`` / ``seed-biased`` / ``rarity-aware``) drawing from the
   caller's seeded RNG.
 * :mod:`repro.tracker.tracker` — the synchronous in-process frontend
-  the simulator and live peers call directly.
+  the simulator and live peers call directly, with the outage tiers of
+  the fault model.
 * :mod:`repro.tracker.service` — the sharded, budget-aware announce
   engine (load shedding) shared by every frontend.
 * :mod:`repro.tracker.server` / :mod:`repro.tracker.client` — the
   asyncio HTTP-style + UDP announce server and its async clients.
-* :mod:`repro.tracker.federation` — multi-tracker tiers with
-  deterministic failover, extending the FaultPlan outage model.
 """
 
 from repro.tracker.sampling import (

@@ -27,9 +27,9 @@ differential the ``tracker``-marked conformance tests pin.  Both build
 the compact blob from a bounded memo of each address's 6 bytes, so an
 address is packed once, not once per answer that samples it.
 
-Failures are first-class: an injected outage or a load-shedding
-rejection becomes a bencoded ``failure reason`` (HTTP) or an ``error``
-action (UDP), never a dropped connection, so clients can fail over.
+Failures are first-class: a load-shedding rejection becomes a bencoded
+``failure reason`` (HTTP) or an ``error`` action (UDP), never a
+dropped connection, so clients can fail over.
 So does a bad announce, checked before anything is registered: an
 address a compact peer list cannot carry would otherwise break every
 later answer that samples it.  One that is registered in process

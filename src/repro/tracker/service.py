@@ -151,9 +151,7 @@ class TrackerService:
         self.announce_count = 0
         self.shed_announces = 0
         self.rejected_announces = 0
-        self.failed_announce_count = 0
         self.expired_peers = 0
-        self._outages: tuple = ()
 
     @classmethod
     def from_spec(
@@ -163,18 +161,6 @@ class TrackerService:
         **kwargs,
     ) -> "TrackerService":
         return cls(clock, sampler=make_sampler(sampler_spec), **kwargs)
-
-    # -- outage windows (FaultPlan's tracker model) ------------------------
-
-    def set_outages(self, outages) -> None:
-        """Install ``(start, duration)`` windows during which every
-        announce raises :class:`TrackerUnavailable`."""
-        self._outages = tuple(outages)
-
-    def is_down(self, now: float) -> bool:
-        return any(
-            start <= now < start + duration for start, duration in self._outages
-        )
 
     # -- the announce path -------------------------------------------------
 
@@ -196,14 +182,10 @@ class TrackerService:
     ) -> AnnounceResult:
         """Apply one announce; returns peers + the interval to honour.
 
-        Raises :class:`TrackerUnavailable` during an injected outage and
-        :class:`TrackerOverloaded` when load shedding rejects the
+        Raises :class:`TrackerOverloaded` when load shedding rejects the
         announce.
         """
         now = self._clock()
-        if self._outages and self.is_down(now):
-            self.failed_announce_count += 1
-            raise TrackerUnavailable("tracker outage at t=%.1f" % now)
         event = request.event
         shed_factor = 1.0
         if self._rate is not None:
@@ -279,7 +261,6 @@ class TrackerService:
             "announces": self.announce_count,
             "shed": self.shed_announces,
             "rejected": self.rejected_announces,
-            "failed": self.failed_announce_count,
             "expired": self.expired_peers,
             "swarms": self.store.total_swarms,
             "peers": self.store.total_peers,

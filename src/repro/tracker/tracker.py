@@ -40,7 +40,7 @@ from repro.tracker.state import SwarmState
 
 
 class TrackerUnavailable(RuntimeError):
-    """Raised by :meth:`Tracker.announce` during an injected outage.
+    """Raised by :meth:`Tracker.announce` while the tracker is down.
 
     Real trackers time out or return HTTP errors; clients retry their
     announce with backoff rather than dropping out of the torrent."""
@@ -69,27 +69,26 @@ class Tracker:
         self._state = SwarmState()
         self._sampler = sampler or UniformSampler()
         self._history: List[TrackerStats] = []
-        self._outages: Tuple[Tuple[float, float], ...] = ()
+        self._tiers: Tuple[Tuple[Tuple[float, float], ...], ...] = ((),)
         self.announce_count = 0
         self.failed_announce_count = 0
 
-    @property
-    def sampler(self) -> PeerSampler:
-        return self._sampler
+    def set_outages(self, *tiers: Sequence[Tuple[float, float]]) -> None:
+        """Install outage tiers, each a list of ``(start, duration)``
+        windows.
 
-    @property
-    def state(self) -> SwarmState:
-        """The backing registry (shared with federation frontends)."""
-        return self._state
-
-    def set_outages(self, outages: Sequence[Tuple[float, float]]) -> None:
-        """Install ``(start, duration)`` windows during which every
-        announce raises :class:`TrackerUnavailable`."""
-        self._outages = tuple(outages)
+        An announce raises :class:`TrackerUnavailable` only while every
+        tier is inside one of its windows.  One tier is one tracker's
+        outages; several are the replicas of a BEP 12 announce-list in
+        front of this one registry, any of which serves while it is up —
+        so which replica answers never changes the answer.
+        """
+        self._tiers = tuple(tuple(windows) for windows in tiers) or ((),)
 
     def is_down(self, now: float) -> bool:
-        return any(
-            start <= now < start + duration for start, duration in self._outages
+        return all(
+            any(start <= now < start + duration for start, duration in windows)
+            for windows in self._tiers
         )
 
     def announce(

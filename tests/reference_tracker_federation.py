@@ -1,28 +1,15 @@
-"""Multi-tracker federation with deterministic failover.
+"""The multi-tracker federation, kept as the oracle of outage tiers.
 
-Real torrents carry an *announce-list* (BEP 12): an ordered set of
-tracker URLs the client walks until one answers.  This module provides
-that tier for both deployment shapes:
-
-* :class:`TrackerFederation` — the in-process form the simulator uses.
-  N replica *frontends* share one swarm registry (a tracker cluster
-  behind independent failure domains); each frontend has its own outage
-  windows, wired from the extended
-  :class:`~repro.sim.config.FaultConfig` (``tracker_replicas`` +
-  ``replica_outages``).  An announce walks replicas in tier order and is
-  served by the first one up; only when *every* replica is down does it
-  raise :class:`TrackerUnavailable` and the announcing peer falls back
-  to its existing retry/backoff fault model.  Failover order is a fixed
-  function of the tier list — never of timing — which the determinism
-  tests pin.
-
-* the async :class:`repro.tracker.client.FederatedAnnouncer` walks real
-  announce servers the same way over the wire.
-
-The federation intentionally exposes the same surface as
-:class:`~repro.tracker.tracker.Tracker` (announce/scrape/history/
-counters), so ``Swarm.tracker`` can be either without any caller
-noticing.
+This is the former in-process federation the simulator ran when
+``FaultConfig.tracker_replicas > 1``: N replica *frontends* over one
+shared swarm registry, each with its own outage windows, an announce
+walking them in tier order and served by the first one up; only when
+*every* replica is down does it raise :class:`TrackerUnavailable`.
+Replicas that share a registry behave exactly like one tracker that is
+down only while every replica is down, which is what
+:meth:`repro.tracker.tracker.Tracker.set_outages` expresses as outage
+tiers.  ``tests/test_tracker_tier_equivalence.py`` holds the tiered
+tracker to this class.  Nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -134,24 +121,5 @@ class TrackerFederation:
         return self._backend.announce_count
 
     @property
-    def completed_count(self) -> int:
-        return self._backend.completed_count
-
-    @property
     def history(self) -> List[TrackerStats]:
         return self._backend.history
-
-    @property
-    def num_registered(self) -> int:
-        return self._backend.num_registered
-
-    def registered_addresses(self) -> List[str]:
-        return self._backend.registered_addresses()
-
-    @property
-    def sampler(self) -> Optional[PeerSampler]:
-        return self._backend.sampler
-
-    @property
-    def state(self):
-        return self._backend.state

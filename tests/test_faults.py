@@ -7,8 +7,8 @@ Three families of tests:
   (message-level fingerprint), and same-seed faulty runs reproduce
   exactly;
 * **unit behaviour** — the :class:`FaultPlan` decision functions
-  (loss/duplication exemptions, backoff growth and cap, outage windows)
-  and the :class:`Tracker` outage path;
+  (loss/duplication exemptions, backoff growth and cap) and the
+  :class:`Tracker` outage windows and path;
 * **resilience** (``chaos`` marker) — swarms under loss, outages,
   crashes and corruption still drain to all-seeds with the recovery
   machinery visibly engaged.
@@ -162,13 +162,15 @@ class TestFaultPlanUnits:
                 assert nominal * 0.75 <= delay <= nominal * 1.25
 
     def test_outage_windows(self):
-        plan = self.plan(tracker_outages=((10.0, 5.0), (100.0, 50.0)))
-        assert not plan.tracker_down(9.9)
-        assert plan.tracker_down(10.0)
-        assert plan.tracker_down(14.9)
-        assert not plan.tracker_down(15.0)
-        assert plan.tracker_down(120.0)
-        assert not plan.tracker_down(150.0)
+        # The swarm hands tracker_outages to its tracker as tier 0.
+        faults = FaultConfig(tracker_outages=((10.0, 5.0), (100.0, 50.0)))
+        tracker = tiny_swarm(swarm_config=SwarmConfig(seed=3, faults=faults)).tracker
+        assert not tracker.is_down(9.9)
+        assert tracker.is_down(10.0)
+        assert tracker.is_down(14.9)
+        assert not tracker.is_down(15.0)
+        assert tracker.is_down(120.0)
+        assert not tracker.is_down(150.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

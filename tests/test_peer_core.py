@@ -49,11 +49,13 @@ class ScriptedChoker:
 
 
 class ScriptedPeer(PeerCore):
-    def __init__(self, num_pieces=8, blocks_per_piece=2, have=(), seed=11):
+    def __init__(self, num_pieces=8, blocks_per_piece=2, have=(), seed=11, **config):
         metainfo = make_metainfo(
             "core", num_pieces, piece_size=blocks_per_piece * KIB, block_size=KIB
         )
-        config = PeerConfig(request_pipeline_depth=DEPTH, random_first_threshold=0)
+        config = PeerConfig(
+            request_pipeline_depth=DEPTH, random_first_threshold=0, **config
+        )
         super().__init__(
             "10.0.0.1", metainfo, config, SimpleNamespace(now=0.0), Random(seed),
             Bitfield(num_pieces, have=have),
@@ -69,10 +71,10 @@ class ScriptedPeer(PeerCore):
     def _close_seed_link(self, connection):
         self.seed_links_closed.append(connection.remote_key)
 
-    def link(self, address, have=None):
+    def link(self, address, have=None, initiated=True):
         """A fresh link whose remote then advertises *have* (default: all)."""
-        connection = LinkState(self, SimpleNamespace(address=address), 0.0, True)
-        self.connections[address] = connection
+        connection = LinkState(self, SimpleNamespace(address=address), 0.0, initiated)
+        self._add_link(connection)
         num_pieces = self.bitfield.num_pieces
         pieces = range(num_pieces) if have is None else have
         bits = Bitfield(num_pieces, have=pieces).to_bytes()
@@ -329,6 +331,74 @@ class TestPinnedTranscript:
         assert run_script(seed=3)[0] != run_script(seed=4)[0]
 
 
+class TestPeerSet:
+    """Who may join the peer set (§II-B), one refusal per case, and what
+    a link takes with it when it leaves."""
+
+    def test_a_new_leecher_is_welcome(self):
+        peer = ScriptedPeer()
+        assert peer.may_accept("10.0.0.2") and peer.may_initiate("10.0.0.2")
+
+    def test_refuses_itself(self):
+        peer = ScriptedPeer()
+        assert not peer.may_accept(peer.address)
+        assert not peer.may_initiate(peer.address)
+
+    def test_refuses_a_duplicate(self):
+        peer = ScriptedPeer()
+        peer.link("10.0.0.2")
+        assert not peer.may_accept("10.0.0.2")
+        assert not peer.may_initiate("10.0.0.2")
+
+    def test_refuses_past_a_full_set(self):
+        peer = ScriptedPeer(max_peer_set=2, min_peer_set=1)
+        peer.link("10.0.0.2", initiated=False)
+        assert peer.may_accept("10.0.0.4")
+        peer.link("10.0.0.3", initiated=False)
+        assert not peer.may_accept("10.0.0.4")
+        assert not peer.may_initiate("10.0.0.4")
+
+    def test_refuses_a_link_between_two_seeds(self):
+        seed = ScriptedPeer(have=range(8))
+        assert not seed.may_accept("10.0.0.2", remote_is_seed=True)
+        assert not seed.may_initiate("10.0.0.2", remote_is_seed=True)
+        assert seed.may_accept("10.0.0.2")
+        assert ScriptedPeer().may_initiate("10.0.0.2", remote_is_seed=True)
+
+    def test_refuses_past_the_initiate_cap_only_when_dialing(self):
+        peer = ScriptedPeer(max_initiated=1)
+        dialed = peer.link("10.0.0.2")
+        peer.link("10.0.0.3", initiated=False)
+        assert peer.initiated_count == 1
+        assert not peer.may_initiate("10.0.0.4")
+        assert peer.may_accept("10.0.0.4")
+        peer._drop_link(dialed)
+        assert peer.initiated_count == 0
+        assert peer.may_initiate("10.0.0.4")
+
+    def test_an_offline_peer_admits_nobody(self):
+        peer = ScriptedPeer()
+        peer.online = False
+        assert not peer.may_accept("10.0.0.2")
+
+    def test_a_dropped_link_gives_its_blocks_to_another(self):
+        peer = ScriptedPeer()
+        first = peer.link("10.0.0.2")
+        second = peer.link("10.0.0.3", initiated=False)
+        for address in ("10.0.0.4", "10.0.0.5"):
+            peer.link(address, have=range(6), initiated=False)
+        peer._receive(first, Unchoke())
+        lost = requested_blocks(peer.take_sent(), "10.0.0.2")
+        assert lost and first.request_times
+        peer._drop_link(first)
+        assert first.closed and "10.0.0.2" not in peer.connections
+        assert not first.outstanding and not first.request_times
+        assert peer.initiated_count == 0
+        assert peer.picker.availability[6] == 1  # only the other full remote
+        peer._receive(second, Unchoke())
+        assert set(requested_blocks(peer.sent, "10.0.0.3")) == set(lost)
+
+
 class TestWrittenOnce:
     """Neither driver may grow its own copy of a core method back."""
 
@@ -355,6 +425,11 @@ class TestWrittenOnce:
     def test_drivers_resolve_unhooked_methods_to_the_core(self):
         names = self.core_methods()
         assert {"_receive", "_choke_round", "_handle_piece", "is_seed"} <= set(names)
+        # The peer-set rules and the announce call, shadowed by neither.
+        assert {
+            "may_accept", "may_initiate", "_add_link", "_drop_link",
+            "_tracker_announce",
+        } <= set(names)
         for driver, allowed in (
             (Peer, self.HOOKS | self.SIM_PRELUDES | {"__init__"}),
             (NetPeer, self.HOOKS | {"__init__"}),
@@ -364,6 +439,12 @@ class TestWrittenOnce:
                     assert getattr(driver, name) is getattr(PeerCore, name), (
                         "%s.%s shadows the core" % (driver.__name__, name)
                     )
+
+    def test_drivers_keep_no_peer_set_rule_of_their_own(self):
+        for driver in (Peer, NetPeer):
+            source = inspect.getsource(inspect.getmodule(driver))
+            for phrase in ("initiated_count", "max_initiated", "tracker.announce("):
+                assert phrase not in source, (driver.__name__, phrase)
 
     def test_dispatch_reaches_the_driver_overrides(self):
         assert Peer._handlers[Request] is vars(Peer)["_handle_request"]

@@ -1,5 +1,6 @@
 """Tests for the tracker service tier: sharded store, samplers, load
-shedding, per-request RNG derivation, and the in-process federation.
+shedding, per-request RNG derivation, and tracker replicas as outage
+tiers (with the federation oracle they replaced).
 
 The live-server conformance tests (``tracker`` marker) live in
 ``test_tracker_server.py``; everything here is synchronous and runs in
@@ -13,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from random import Random
 
+from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.sim.config import KIB, FaultConfig, SwarmConfig
-from repro.tracker.federation import TrackerFederation
 from repro.tracker.sampling import (
     RarityAwareSampler,
     SeedBiasedSampler,
@@ -33,6 +34,7 @@ from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import pack_peers, unpack_peers
 
 from tests.conftest import fast_config, tiny_swarm
+from tests.reference_tracker_federation import TrackerFederation
 
 HASH_A = hashlib.sha1(b"torrent-a").digest()
 HASH_B = hashlib.sha1(b"torrent-b").digest()
@@ -507,33 +509,13 @@ class TestServiceAnnounce:
                                   event="", num_want=15)
         assert service_a.announce(request).peers == service_b.announce(request).peers
 
-    def test_outage_window_rejects(self):
-        service, clock = make_service()
-        service.set_outages([(10.0, 5.0)])
-        clock.now = 12.0
-        with pytest.raises(TrackerUnavailable):
-            service.announce(
-                AnnounceRequest(infohash=HASH_A, address="a:1", num_want=0)
-            )
-        assert service.failed_announce_count == 1
-        clock.now = 15.0
-        service.announce(
-            AnnounceRequest(infohash=HASH_A, address="a:1", num_want=0)
-        )
-
     def test_rebalance_during_outage_preserves_registry(self):
-        # The maintenance story: take the announce path down, re-home
-        # the shards, bring it back — nothing registered is lost and
-        # placement follows the new shard count.
+        # The maintenance story: re-home the shards between announces,
+        # then serve again — nothing registered is lost and placement
+        # follows the new shard count.
         service, clock = make_service(num_shards=2)
         populate(service, count=20, seeds=5)
         populate(service, infohash=HASH_B, count=10, seeds=2)
-        service.set_outages([(100.0, 50.0)])
-        clock.now = 120.0
-        with pytest.raises(TrackerUnavailable):
-            service.announce(
-                AnnounceRequest(infohash=HASH_A, address="x:1", num_want=0)
-            )
         service.store.rebalance(7)
         assert service.store.num_shards == 7
         assert service.store.total_peers == 30
@@ -775,50 +757,51 @@ class TestFederation:
 class TestFederationUnderFaultPlan:
     """End-to-end: FaultConfig.replica_outages through a simulated swarm."""
 
+    # The swarm-wide trace of run_swarm(), announces included, as the
+    # federation frontend produced it before replicas became outage
+    # tiers of the one tracker.
+    FINGERPRINT = "9df48694edbb3f507c3387e9d63233462088b7260ab4edc5bc346349d25a56f1"
+
     @staticmethod
     def run_swarm(seed=21):
         faults = FaultConfig(
             tracker_replicas=2,
             # Replica 0 is down for the whole mid-run window; announces
             # (join announces of churn arrivals and periodic refreshes)
-            # must fail over to replica 1 rather than backing off.
+            # must be served by replica 1 rather than backing off.
             replica_outages=((0, 0.0, 10_000.0),),
         )
         swarm = tiny_swarm(
             num_pieces=12,
             seed=seed,
             swarm_config=SwarmConfig(seed=seed, faults=faults,
-                                     announce_interval=60.0),
+                                     announce_interval=60.0,
+                                     trace_announces=True),
         )
+        recorder = TraceRecorder()
+        swarm.observer_factory = lambda: TracingObserver(recorder)
         swarm.add_peer(config=fast_config(), is_seed=True)
         for __ in range(3):
             swarm.add_peer(config=fast_config(upload=4 * KIB))
         result = swarm.run(400.0)
-        return swarm, result
+        for peer in swarm.peers.values():
+            peer.observer.finalize(now=swarm.simulator.now)
+        return swarm, result, recorder.close()
 
     def test_failover_keeps_swarm_alive(self):
-        swarm, result = self.run_swarm()
+        swarm, result, fingerprint = self.run_swarm()
         assert len(result.completions) == 3
-        assert swarm.tracker.served_by[0] == 0
-        assert swarm.tracker.served_by[1] > 0
-        assert swarm.tracker.failover_count == swarm.tracker.served_by[1]
         assert swarm.tracker.failed_announce_count == 0
+        assert fingerprint == self.FINGERPRINT
 
     def test_same_seed_fails_over_identically(self):
-        swarm_a, result_a = self.run_swarm()
-        swarm_b, result_b = self.run_swarm()
-        assert swarm_a.tracker.served_by == swarm_b.tracker.served_by
-        assert swarm_a.tracker.failover_count == swarm_b.tracker.failover_count
+        __, result_a, fingerprint_a = self.run_swarm()
+        __, result_b, fingerprint_b = self.run_swarm()
+        assert fingerprint_a == fingerprint_b
         assert result_a.completions == result_b.completions
 
     def test_replica_outages_without_federation_rejected(self):
+        # A window for a replica the config does not have is refused
+        # where the config is built.
         with pytest.raises(ValueError):
             FaultConfig(tracker_replicas=1, replica_outages=((1, 0.0, 5.0),))
-        # Index validation happens at config construction; the swarm
-        # wiring rejects a single-replica config that somehow carries
-        # replica windows (bypassing __post_init__) as well.
-        faults = FaultConfig(tracker_replicas=2,
-                             replica_outages=((1, 0.0, 5.0),))
-        object.__setattr__(faults, "tracker_replicas", 1)
-        with pytest.raises(ValueError):
-            tiny_swarm(swarm_config=SwarmConfig(seed=1, faults=faults))
