@@ -30,9 +30,8 @@ from repro.analysis import (
     replication_series,
     summarize_entropy,
 )
-from repro.core.rarest_first import make_selector
 from repro.sim.config import KIB
-from repro.workloads import build_experiment, scaled_copy, scenario_by_id
+from repro.workloads import RunOptions, build_experiment, scaled_copy, scenario_by_id
 
 TORRENT_ID = 2
 DURATION = 900.0
@@ -51,9 +50,7 @@ def run_streaming(selector_spec: str) -> dict:
     harness = build_experiment(
         scenario,
         seed=SEED,
-        local_selector=make_selector(selector_spec),
-        population_selector_factory=lambda: make_selector(selector_spec),
-        playback_rate=PLAYBACK_RATE,
+        options=RunOptions(selector=selector_spec, playback_rate=PLAYBACK_RATE),
     )
     trace = harness.run(DURATION)
 

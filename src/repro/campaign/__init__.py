@@ -31,7 +31,6 @@ from repro.campaign.dispatch import (
     LocalBackend,
     WorkerPoolBackend,
     estimate_shard_cost,
-    parse_backend_spec,
     resolve_backend,
     schedule_shards,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "main_worker",
     "manifest_fingerprint",
     "mean_download_times",
-    "parse_backend_spec",
     "parse_torrent_ids",
     "render_campaign_table",
     "render_manifest_table",

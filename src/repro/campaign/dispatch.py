@@ -65,7 +65,7 @@ import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.campaign.cache import DurationBook
 from repro.campaign.runner import (
@@ -74,6 +74,7 @@ from repro.campaign.runner import (
     run_shard_payload,
 )
 from repro.campaign.spec import ShardSpec
+from repro.spec_grammar import build_spec
 from repro.workloads import resolve_scenario
 
 PROTOCOL_VERSION = 1
@@ -200,43 +201,20 @@ def schedule_shards(
 # Backend registry
 # ---------------------------------------------------------------------------
 
-def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, str]]:
-    """``"name"`` or ``"name:key=value,key=value"`` -> (name, options)."""
-    name, _, tail = spec.partition(":")
-    name = name.strip()
-    if name not in BACKENDS:
-        raise ValueError(
-            "unknown dispatch backend %r (have: %s)"
-            % (name, ", ".join(sorted(BACKENDS)))
-        )
-    options: Dict[str, str] = {}
-    if tail:
-        for part in tail.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError("backend option %r is not key=value" % part)
-            key, value = part.split("=", 1)
-            options[key.strip()] = value.strip()
-    return name, options
-
-
 def resolve_backend(
     spec: str,
     workers: int,
     executor: Callable[[dict], dict] = run_shard_payload,
     progress: Optional[Callable[[str], None]] = None,
 ):
-    """Build a backend instance from its spec string."""
-    name, options = parse_backend_spec(spec)
-    if name == "local":
-        return LocalBackend(workers=workers, executor=executor)
-    host = options.get("host", "127.0.0.1")
-    port = int(options.get("port", "0"))
-    spawn = int(options.get("spawn", str(workers)))
-    return WorkerPoolBackend(
-        workers=spawn, host=host, port=port, progress=progress
+    """Build a backend instance from its spec string (:data:`BACKENDS`)."""
+    return build_spec(
+        spec,
+        "dispatch backend",
+        BACKENDS,
+        workers=workers,
+        executor=executor,
+        progress=progress,
     )
 
 
@@ -593,4 +571,20 @@ class WorkerPoolBackend:
         )
 
 
-BACKENDS = ("local", "worker-pool")
+def _local_backend(workers, executor, progress):
+    return LocalBackend(workers=workers, executor=executor)
+
+
+def _worker_pool_backend(
+    workers, executor, progress, host="127.0.0.1", port="0", spawn=None
+):
+    port, spawn = int(port), workers if spawn is None else int(spawn)
+    if not (0 <= port <= 65535 and spawn >= 0):
+        raise ValueError("worker-pool needs port in 0-65535 and spawn >= 0")
+    return WorkerPoolBackend(workers=spawn, host=host, port=port, progress=progress)
+
+
+#: Backend constructors by spec name.  A spec's options are the keyword
+#: parameters after ``progress``: ``worker-pool`` takes ``host``,
+#: ``port`` and ``spawn`` (default: ``workers``), ``local`` none.
+BACKENDS = {"local": _local_backend, "worker-pool": _worker_pool_backend}

@@ -53,7 +53,7 @@ from repro.campaign.cache import DurationBook, ShardCache, shard_cache_key
 from repro.campaign.spec import CampaignSpec, ShardSpec, expand_spec
 from repro.instrumentation import Instrumentation, TraceRecorder
 from repro.instrumentation.replay import replay_instrumentation
-from repro.workloads import build_experiment, resolve_run
+from repro.workloads import build_experiment, resolve_scenario
 
 #: XOR salt for the *global* ``random`` re-seed, so the hygiene seed and
 #: the simulation seed are distinct streams even though both derive from
@@ -105,15 +105,15 @@ def execute_shard(
     # simulation draws only from Random(shard.seed)-derived streams.
     random.seed(shard.seed ^ _RESEED_SALT)
 
-    scenario, build_kwargs = resolve_run(
-        shard.torrent_id, shard.seed, shard.options
-    )
     trace_tmp = cache.trace_tmp_path(key) if cache is not None else None
     recorder = TraceRecorder(str(trace_tmp) if trace_tmp is not None else None)
     started = time.perf_counter()
     try:
         harness = build_experiment(
-            scenario, trace_recorder=recorder, **build_kwargs
+            resolve_scenario(shard.torrent_id, shard.options),
+            shard.seed,
+            shard.options,
+            trace_recorder=recorder,
         )
         instrumentation = harness.run()
     except BaseException:
@@ -169,13 +169,12 @@ def execute_shard(
 def run_shard_payload(payload: dict) -> dict:
     """Worker-process entry point: rebuild the shard and execute it.
 
-    ``payload["resume"]`` (default False) lets the shard be served from
-    the cache: the worker-pool backend sets it so a worker handed a
-    shard that a racing (or crash-recovered) worker already committed
-    returns the cached record instead of recomputing — the cache is the
-    coordination point, and duplicate completion is idempotent.  The
-    local pool leaves it off; the runner already filtered cached shards
-    before dispatch, so a local worker never sees a warm one.
+    ``payload["resume"]`` (default False) is the run's own ``resume``.
+    When set, a worker handed a shard that a racing (or crash-recovered)
+    worker already committed returns the cached record instead of
+    recomputing — the cache is the coordination point, and duplicate
+    completion is idempotent.  A ``--fresh`` run clears it on every
+    backend, so no worker serves a cached entry.
     """
     shard = ShardSpec.from_payload(payload)
     cache = (
@@ -288,28 +287,24 @@ class CampaignRunner:
         dispatch_backend=None,
     ) -> None:
         self.spec = spec
-        self.cache = ShardCache(cache_dir) if cache_dir is not None else None
         self.workers = max(1, workers)
         self.timeout = timeout
         self.retries = max(0, retries)
         self.executor = executor
         self.progress = progress or (lambda message: None)
         self.backend_spec = backend
-        self._backend = dispatch_backend
-        """A pre-built backend instance (tests inject in-process worker
-        pools this way); None builds one from ``backend_spec``."""
+        if dispatch_backend is None:
+            # Built first, so a bad spec fails before the cache exists.
+            from repro.campaign.dispatch import resolve_backend
 
-    def _resolve_dispatch(self):
-        if self._backend is not None:
-            return self._backend
-        from repro.campaign.dispatch import resolve_backend
-
-        return resolve_backend(
-            self.backend_spec,
-            workers=self.workers,
-            executor=self.executor,
-            progress=self.progress,
-        )
+            dispatch_backend = resolve_backend(
+                backend, workers=self.workers, executor=executor,
+                progress=self.progress,
+            )
+        self.dispatch = dispatch_backend
+        """The backend instance; tests inject in-process worker pools
+        through ``dispatch_backend``."""
+        self.cache = ShardCache(cache_dir) if cache_dir is not None else None
 
     # -- execution ---------------------------------------------------------
 
@@ -324,7 +319,6 @@ class CampaignRunner:
         durations = DurationBook(
             self.cache.root if self.cache is not None else None
         )
-        remote = self.backend_spec.partition(":")[0] != "local"
         for shard in shards:
             key = shard_cache_key(shard)
             if self.cache is not None and resume:
@@ -339,9 +333,7 @@ class CampaignRunner:
             payload["timeout"] = self.timeout
             if self.cache is not None:
                 payload["cache_root"] = str(self.cache.root)
-            if remote:
-                # Worker-pool duplicates coordinate through the cache.
-                payload["resume"] = True
+            payload["resume"] = resume
             by_id[shard.shard_id] = _PendingShard(
                 shard=shard, key=key, payload=payload
             )
@@ -359,8 +351,6 @@ class CampaignRunner:
 
         executed = len(pending)
         if pending:
-            dispatch = self._resolve_dispatch()
-
             def on_success(item: _PendingShard, record: dict) -> None:
                 item.attempts += 1
                 self._resolve(item, record, records)
@@ -370,7 +360,7 @@ class CampaignRunner:
             def on_error(item: _PendingShard, error: BaseException) -> bool:
                 return self._absorb_error(item, error, records)
 
-            dispatch.execute(pending, on_success, on_error)
+            self.dispatch.execute(pending, on_success, on_error)
             durations.save()
 
         manifest = self._build_manifest(shards, records, executed)

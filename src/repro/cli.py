@@ -65,7 +65,7 @@ from repro.instrumentation import (
 from repro.instrumentation.replay import TraceFormatError
 from repro.models import FluidModel
 from repro.reporting import ascii_table, sparkline
-from repro.workloads import TABLE1, RunOptions, build_experiment, resolve_run
+from repro.workloads import TABLE1, RunOptions, build_experiment, resolve_scenario
 
 FIGURES = (
     "entropy", "replication", "rarest-set", "peer-set", "interarrival",
@@ -578,7 +578,7 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
 def _build_harness(args: argparse.Namespace, trace_recorder=None):
     try:
         options = _run_options(args)
-        scenario, build_kwargs = resolve_run(args.torrent, args.seed, options)
+        scenario = resolve_scenario(args.torrent, options)
     except (KeyError, ValueError) as exc:
         args.usage_error(exc.args[0])
     print(
@@ -602,9 +602,10 @@ def _build_harness(args: argparse.Namespace, trace_recorder=None):
         )
     return build_experiment(
         scenario,
+        args.seed,
+        options,
         trace_recorder=trace_recorder,
         trace_all_peers=args.trace_all,
-        **build_kwargs,
     )
 
 
@@ -921,20 +922,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 1 if report.invalidated else 0
 
     spec = _campaign_spec_from_args(args)
+    try:
+        runner = CampaignRunner(
+            spec,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            timeout=args.timeout,
+            retries=args.retries,
+            backend=args.backend,
+            progress=lambda message: print(message, file=sys.stderr),
+        )
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     if args.incremental:
         from repro.campaign import diff_spec
 
         report = diff_spec(spec, args.cache_dir, shard_filter=args.filter)
         print(report.render(), end="", file=sys.stderr)
-    runner = CampaignRunner(
-        spec,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        backend=args.backend,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
     result = runner.run(resume=args.resume, shard_filter=args.filter)
     table = render_campaign_table(list(result.records.values()))
     streaming_table = render_streaming_table(list(result.records.values()))

@@ -40,6 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from numpy import ndarray
 
+from repro.spec_grammar import build_spec, number
+
 
 def _choose_with_count(
     candidates: ndarray, counts: ndarray, count: int, rng: Random
@@ -378,50 +380,16 @@ SELECTOR_REGISTRY: Dict[str, Callable[..., PieceSelector]] = {
 DEFAULT_SELECTOR_SPEC = RarestFirstSelector.name
 
 
-def parse_selector_spec(spec: str):
-    """Split ``"name"`` / ``"name:key=value,key=value"`` into parts.
-
-    Values parse as int, then float, then bare string.  Raises
-    ``ValueError`` for unknown names or malformed parameters — config
-    errors should fail at parse time, not mid-campaign.
-    """
-    name, __, params_text = spec.strip().partition(":")
-    name = name.strip()
-    if name not in SELECTOR_REGISTRY:
-        raise ValueError(
-            "unknown selector %r (have: %s)"
-            % (name, ", ".join(sorted(SELECTOR_REGISTRY)))
-        )
-    params = {}
-    if params_text:
-        for item in params_text.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key.strip():
-                raise ValueError("malformed selector parameter %r in %r" % (item, spec))
-            value = value.strip()
-            try:
-                parsed = int(value)
-            except ValueError:
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    parsed = value
-            params[key.strip()] = parsed
-    return name, params
-
-
 def make_selector(spec: Optional[str]) -> Optional[PieceSelector]:
     """Build a fresh selector instance from its serialized spec.
 
     ``None``/empty means "the default" and returns ``None`` so callers
     keep their historical rarest-first default untouched.  Each call
     returns a *new* instance: playback-aware selectors carry per-peer
-    position bindings and must never be shared.
+    position bindings and must never be shared.  Parameter values parse
+    as int, then float, then bare string; an unknown name or parameter
+    raises ``ValueError``.
     """
     if spec is None or not spec.strip():
         return None
-    name, params = parse_selector_spec(spec)
-    try:
-        return SELECTOR_REGISTRY[name](**params)
-    except TypeError as error:
-        raise ValueError("bad parameters for selector %r: %s" % (name, error))
+    return build_spec(spec, "selector", SELECTOR_REGISTRY, number)

@@ -23,6 +23,8 @@ KIB = 1024
 CHOKE_ROUND_SECONDS = 10.0
 OPTIMISTIC_ROUNDS = 3  # one optimistic rotation every 3 choke rounds = 30 s
 TRACKER_ANNOUNCE_SECONDS = 30.0 * 60.0
+TRACKER_NUM_WANT = 50  # peers returned per tracker announce (§II-B)
+REQUEST_TIMEOUT_SECONDS = 60.0  # age at which an in-flight request is lost
 RATE_ESTIMATOR_WINDOW_SECONDS = 20.0
 
 
@@ -191,10 +193,6 @@ class FaultConfig:
     """Seconds of silence after which a half-open connection (remote
     endpoint dead) is reaped, standing in for TCP keep-alive."""
 
-    request_timeout: float = 60.0
-    """Age after which in-flight block requests on a link are considered
-    lost and released back to the picker."""
-
     sweep_interval: float = 20.0
     """Period of each peer's fault sweep (reaping, request timeouts,
     keep-alive state refresh)."""
@@ -211,7 +209,7 @@ class FaultConfig:
             raise ValueError("extra_jitter must be non-negative")
         for name in ("crash_interval", "announce_retry_base",
                      "announce_retry_cap", "idle_timeout",
-                     "request_timeout", "sweep_interval"):
+                     "sweep_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError("%s must be positive" % name)
         if not 0.0 <= self.announce_retry_jitter < 1.0:
@@ -254,9 +252,6 @@ class SwarmConfig:
     tick_interval: float = 1.0
     """Fluid-model timestep in seconds: bandwidth is reallocated and block
     progress advanced once per tick."""
-
-    tracker_num_want: int = 50
-    """Peers returned per tracker announce (paper §II-B)."""
 
     announce_interval: float = TRACKER_ANNOUNCE_SECONDS
 

@@ -42,7 +42,7 @@ from repro.protocol.messages import (
     Unchoke,
 )
 from repro.protocol.metainfo import Metainfo
-from repro.sim.config import PeerConfig
+from repro.sim.config import REQUEST_TIMEOUT_SECONDS, TRACKER_NUM_WANT, PeerConfig
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
 from repro.sim.observer import PeerObserver
@@ -141,7 +141,7 @@ class Peer(PeerCore):
             self.playback.on_join(self.joined_at)
         self._announce(
             event="started",
-            num_want=self.swarm.config.tracker_num_want,
+            num_want=TRACKER_NUM_WANT,
             connect=True,
         )
         # Stagger choke rounds across the population with a random phase.
@@ -389,7 +389,7 @@ class Peer(PeerCore):
         self._last_refill = now
         self._announce(
             event="",
-            num_want=self.swarm.config.tracker_num_want,
+            num_want=TRACKER_NUM_WANT,
             connect=True,
         )
 
@@ -689,7 +689,7 @@ class Peer(PeerCore):
                 self._close_connection(connection, notify_remote=False)
                 continue
             if connection.request_times and any(
-                now - issued >= config.request_timeout
+                now - issued >= REQUEST_TIMEOUT_SECONDS
                 for issued in connection.request_times.values()
             ):
                 # Requests (or the PIECE replies) were lost: hand every

@@ -20,7 +20,6 @@ from repro.tracker.sampling import (
     SAMPLER_REGISTRY,
     PeerSampler,
     make_sampler,
-    parse_sampler_spec,
 )
 from repro.tracker.tracker import Tracker, TrackerStats, TrackerUnavailable
 
@@ -31,5 +30,4 @@ __all__ = [
     "PeerSampler",
     "SAMPLER_REGISTRY",
     "make_sampler",
-    "parse_sampler_spec",
 ]

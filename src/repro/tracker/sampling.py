@@ -42,6 +42,7 @@ import math
 from random import Random
 from typing import Callable, Dict, List
 
+from repro.spec_grammar import build_spec
 from repro.tracker.state import MAX_HAVE, SwarmState
 
 
@@ -263,33 +264,15 @@ SAMPLER_REGISTRY: Dict[str, Callable[..., PeerSampler]] = {
 }
 
 
-def parse_sampler_spec(spec: str):
-    """Split ``"name:key=value,..."`` into (name, kwargs); validates the
-    name against the registry and coerces values to float."""
-    name, _, args = spec.partition(":")
-    name = name.strip()
-    if name not in SAMPLER_REGISTRY:
-        raise ValueError(
-            "unknown sampler %r (have: %s)"
-            % (name, ", ".join(sorted(SAMPLER_REGISTRY)))
-        )
-    kwargs = {}
-    if args.strip():
-        for part in args.split(","):
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError("malformed sampler argument %r" % part)
-            kwargs[key.strip()] = float(value)
-    return name, kwargs
-
-
 def make_sampler(spec: str) -> PeerSampler:
     """Build a sampler from its spec string, e.g. ``"rarity-aware:bias=2"``.
+
+    Parameter values parse as float; an unknown name or parameter raises
+    ``ValueError``.
 
     >>> make_sampler("uniform").name
     'uniform'
     >>> make_sampler("seed-biased:seed_fraction=0.25").spec()
     'seed-biased:seed_fraction=0.25'
     """
-    name, kwargs = parse_sampler_spec(spec)
-    return SAMPLER_REGISTRY[name](**kwargs)
+    return build_spec(spec, "sampler", SAMPLER_REGISTRY, float)

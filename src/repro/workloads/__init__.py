@@ -19,7 +19,6 @@ from repro.workloads.torrents import (
     RunOptions,
     TorrentScenario,
     build_experiment,
-    resolve_run,
     resolve_scenario,
     scaled_copy,
     scenario_by_id,
@@ -41,7 +40,6 @@ __all__ = [
     "scaled_copy",
     "build_experiment",
     "client_share",
-    "resolve_run",
     "resolve_scenario",
     "sample_client_id",
     "scenario_by_id",

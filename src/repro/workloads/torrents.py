@@ -25,14 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.choke import Choker
-from repro.core.rarest_first import (
-    PieceSelector,
-    make_selector,
-    parse_selector_spec,
-)
+from repro.core.rarest_first import make_selector
 from repro.instrumentation.logger import Instrumentation
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.protocol.bitfield import Bitfield
@@ -42,7 +37,7 @@ from repro.sim.faults import FAULT_PRESETS
 from repro.sim.observer import FanoutObserver
 from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
-from repro.tracker.sampling import parse_sampler_spec
+from repro.tracker.sampling import make_sampler
 from repro.workloads.capacities import (
     CapacityDistribution,
     INTERNET_2005,
@@ -197,6 +192,140 @@ def scenario_by_id(torrent_id: int) -> TorrentScenario:
     raise KeyError("no Table-I torrent with id %d" % torrent_id)
 
 
+#: Field metadata: the coordinate is written into every payload, default
+#: or not (see :meth:`RunOptions.as_payload`).
+_ALWAYS = {"always_in_payload": True}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The serialisable coordinates of one Table-I run.
+
+    This is the one list: scenario variants, shard payloads, cache keys,
+    the campaign-level merge and the incremental differ walk
+    ``dataclasses.fields(RunOptions)`` in declaration order, and
+    :func:`resolve_scenario` and :func:`build_experiment` are the places
+    a coordinate is applied.  Every default means "as the paper ran it"
+    and leaves the trace byte-identical to a run that predates the
+    coordinate.  Adding one is a field here plus a line in
+    :func:`resolve_scenario` or :func:`build_experiment`;
+    ``tests/test_run_options.py`` fails on a field that neither applies.
+    """
+
+    duration: Optional[float] = field(default=None, metadata=_ALWAYS)
+    """Override the scenario's simulated run length (seconds)."""
+
+    block_size: Optional[int] = field(default=None, metadata=_ALWAYS)
+    """Override the torrent's block size (bytes)."""
+
+    faults: Optional[str] = field(default=None, metadata=_ALWAYS)
+    """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
+
+    selector: Optional[str] = None
+    """Piece-selection strategy spec for every peer in the swarm
+    (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
+    ``"seq-window:window=16"``); None is rarest first."""
+
+    playback_rate: Optional[float] = None
+    """Streaming playback rate in bytes/second applied to the local peer
+    and every population leecher; None disables the playback model."""
+
+    playback_startup_pieces: Optional[int] = None
+    """Startup-buffer threshold (contiguous pieces) for streaming runs."""
+
+    arrival_rate: Optional[float] = None
+    """Poisson leecher arrival rate (peers/s) override for the scenario."""
+
+    seed_upload: Optional[float] = None
+    """Initial-seed upload capacity (bytes/s) override."""
+
+    num_pieces: Optional[int] = None
+    """Piece-count override (shrinks the content for fast sweeps)."""
+
+    piece_size: Optional[int] = None
+    """Piece-size override (bytes)."""
+
+    depart_on_completion: bool = False
+    """Open-system mode: every population leecher leaves the instant it
+    completes (see :mod:`repro.workloads.open_system`)."""
+
+    flash_crowd_size: Optional[int] = None
+    """Extra torrent-birth burst of that many leechers."""
+
+    stability_interval: Optional[float] = None
+    """Attach a swarm-stability detector sampling every that-many
+    seconds; None attaches nothing."""
+
+    tracker_sampler: Optional[str] = None
+    """Tracker peer-sampling strategy spec
+    (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
+    ``"rarity-aware:bias=1.0"``); None is the uniform draw."""
+
+    def __post_init__(self) -> None:
+        # Config errors fail where the run is described, before any
+        # worker is spawned or any event simulated.
+        make_selector(self.selector)
+        if self.tracker_sampler is not None:
+            make_sampler(self.tracker_sampler)
+        if self.faults is not None and self.faults not in FAULT_PRESETS:
+            raise ValueError(
+                "unknown fault preset %r (have: %s)"
+                % (self.faults, ", ".join(sorted(FAULT_PRESETS)))
+            )
+
+    def non_default(self) -> Dict:
+        """The coordinates that differ from the paper's run, in order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
+
+    def over(self, base: "RunOptions") -> "RunOptions":
+        """*base* with this object's non-default coordinates laid over
+        it: the explicit value wins, the base is the default."""
+        return replace(base, **self.non_default())
+
+    def as_payload(self) -> Dict:
+        """JSON-safe dict: ``duration``/``block_size``/``faults`` always,
+        every other coordinate only when set — so a run that uses none of
+        the later coordinates serialises (and cache-keys) exactly as it
+        did before they existed."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.metadata.get("always_in_payload")
+            or getattr(self, f.name) != f.default
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict) -> "RunOptions":
+        """Rebuild from :meth:`as_payload` output (other keys ignored)."""
+        return cls(
+            **{f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        )
+
+
+def resolve_scenario(torrent_id: int, options: RunOptions) -> TorrentScenario:
+    """The Table-I scenario with the run's overrides applied."""
+    overrides = {
+        "duration": options.duration,
+        "arrival_rate": options.arrival_rate,
+        "initial_seed_upload": options.seed_upload,
+        "num_pieces": options.num_pieces,
+        "piece_size": options.piece_size,
+    }
+    return scaled_copy(
+        scenario_by_id(torrent_id),
+        **{name: value for name, value in overrides.items() if value is not None},
+    )
+
+
+def scaled_copy(scenario: TorrentScenario, **overrides) -> TorrentScenario:
+    """A copy of *scenario* with fields replaced (for ablations)."""
+    return replace(scenario, **overrides)
+
+
 @dataclass
 class ExperimentHarness:
     """One built experiment: the swarm, its instrumented local peer, and
@@ -233,37 +362,25 @@ def _partial_bitfield(num_pieces: int, fraction: float, rng: Random) -> Bitfield
 def build_experiment(
     scenario: TorrentScenario,
     seed: int = 1,
+    options: RunOptions = RunOptions(),
     capacities: Optional[CapacityDistribution] = None,
-    local_config: Optional[PeerConfig] = None,
-    local_selector: Optional[PieceSelector] = None,
-    local_leecher_choker: Optional[Choker] = None,
-    local_seed_choker: Optional[Choker] = None,
-    population_selector_factory=None,
-    population_seed_choker_factory=None,
-    population_leecher_choker_factory=None,
     swarm_config: Optional[SwarmConfig] = None,
-    block_size: Optional[int] = None,
     client_mix=None,
     trace_recorder: Optional[TraceRecorder] = None,
     trace_all_peers: bool = False,
-    playback_rate: Optional[float] = None,
-    playback_startup_pieces: Optional[int] = None,
-    depart_on_completion: bool = False,
-    flash_crowd_size: int = 0,
-    flash_crowd_spread: float = 60.0,
-    stability_interval: Optional[float] = None,
-    tracker_sampler: Optional[str] = None,
 ) -> ExperimentHarness:
     """Materialise one Table-I scenario into a runnable experiment.
 
-    The local (instrumented) peer uses the paper's defaults unless
-    overridden; the ``population_*_factory`` hooks swap the strategy of
-    every *remote* peer (used by the ablation benchmarks).  Pass
-    ``client_mix`` (e.g. :data:`repro.workloads.clients.CLIENT_MIX_2005`)
-    to give the population heterogeneous client IDs, exercising the
-    paper's §III-D identification machinery; the mix draws from a
-    dedicated RNG so enabling it does not perturb the scenario's other
-    random choices.
+    The one place a described run is built: *scenario* carries the
+    coordinates :func:`resolve_scenario` applied, and every other
+    :class:`RunOptions` coordinate is applied here, to the local
+    (instrumented) peer and the whole population alike.  The local peer
+    otherwise uses the paper's defaults.  A given *swarm_config* is
+    copied, never written to.  Pass ``client_mix`` (e.g.
+    :data:`repro.workloads.clients.CLIENT_MIX_2005`) to give the
+    population heterogeneous client IDs, exercising the paper's §III-D
+    identification machinery; the mix draws from a dedicated RNG so
+    enabling it does not perturb the scenario's other random choices.
 
     ``trace_recorder`` attaches a structured-trace emitter next to the
     classic instrumentation on the local peer (fanned out, so both see
@@ -271,31 +388,6 @@ def build_experiment(
     remote peer — including churn arrivals — into the same recorder.
     Tracing draws no randomness, so a traced run's simulation outcome is
     identical to an untraced one with the same seed.
-
-    ``playback_rate`` turns the run into a streaming workload: the local
-    peer and every population leecher (initial, churn and
-    almost-complete joiners; never the seeds) consume the content
-    in-order at that many bytes/second, reporting startup delay and
-    rebuffer events (see :mod:`repro.sim.playback`).  Pair it with a
-    playback-aware ``local_selector``/``population_selector_factory``
-    (``seq-window``, ``pfs``) to study streaming-friendly selection;
-    left at None the run is byte-identical to a non-streaming one.
-
-    ``depart_on_completion`` turns the run into an *open system*: every
-    population leecher (initial, flash-crowd and Poisson arrivals)
-    leaves the instant it completes, the regime where plain rarest first
-    has a hard stability boundary (see
-    :mod:`repro.workloads.open_system`).  ``flash_crowd_size`` adds a
-    torrent-birth burst of that many extra leechers inside the first
-    ``flash_crowd_spread`` seconds.  ``stability_interval`` attaches a
-    :class:`~repro.workloads.open_system.StabilityDetector` sampling the
-    swarm every that-many seconds; left at None (the default) no
-    detector exists and traces are byte-identical to earlier runs.
-
-    ``tracker_sampler`` selects the tracker's peer-sampling strategy
-    (``"uniform"``, ``"seed-biased:seed_fraction=0.5"``,
-    ``"rarity-aware:bias=1.0"``); None keeps the default uniform
-    sampler with zero behaviour change.
     """
     capacities = capacities or INTERNET_2005
     client_rng = Random(seed ^ 0xC11E)
@@ -303,11 +395,13 @@ def build_experiment(
         "table1-torrent-%d" % scenario.torrent_id,
         scenario.content_size,
         piece_size=scenario.piece_size,
-        block_size=block_size or scenario.block_size,
+        block_size=options.block_size or scenario.block_size,
     )
     config = swarm_config or SwarmConfig(seed=seed, duration=scenario.duration)
-    if tracker_sampler is not None:
-        config.tracker_sampler = tracker_sampler
+    if options.faults is not None:
+        config = replace(config, faults=FAULT_PRESETS[options.faults])
+    if options.tracker_sampler is not None:
+        config = replace(config, tracker_sampler=options.tracker_sampler)
     swarm = Swarm(metainfo, config)
     if trace_recorder is not None and trace_all_peers:
         # Installed before any peer is added, so the initial population,
@@ -316,14 +410,16 @@ def build_experiment(
     rng = Random(seed ^ 0x5EED)
 
     def remote_kwargs() -> Dict:
-        kwargs: Dict = {}
-        if population_selector_factory is not None:
-            kwargs["selector"] = population_selector_factory()
-        if population_seed_choker_factory is not None:
-            kwargs["seed_choker"] = population_seed_choker_factory()
-        if population_leecher_choker_factory is not None:
-            kwargs["leecher_choker"] = population_leecher_choker_factory()
-        return kwargs
+        # Selectors carry per-peer state: one instance per peer.
+        if options.selector is None:
+            return {}
+        return {"selector": make_selector(options.selector)}
+
+    playback: Dict = {}
+    if options.playback_rate is not None:
+        playback["playback_rate"] = options.playback_rate
+        if options.playback_startup_pieces is not None:
+            playback["playback_startup_pieces"] = options.playback_startup_pieces
 
     def leecher_config(upload: float, download: Optional[float]) -> PeerConfig:
         client_id = "M4-0-2"
@@ -331,20 +427,15 @@ def build_experiment(
             from repro.workloads.clients import sample_client_id
 
             client_id = sample_client_id(client_rng, client_mix)
-        kwargs: Dict = {}
-        if playback_rate is not None:
-            kwargs["playback_rate"] = playback_rate
-            if playback_startup_pieces is not None:
-                kwargs["playback_startup_pieces"] = playback_startup_pieces
         seeding_time = rng.expovariate(1.0 / 400.0)
-        if depart_on_completion:
+        if options.depart_on_completion:
             seeding_time = 0.0
         return PeerConfig(
             upload_capacity=upload,
             download_capacity=download,
             seeding_time=seeding_time,
             client_id=client_id,
-            **kwargs,
+            **playback,
         )
 
     # Initial seeds.  The first one is "the initial seed" of transient
@@ -407,15 +498,14 @@ def build_experiment(
             seed_choker=FreeRiderChoker(),
         )
 
-    if flash_crowd_size > 0:
+    if options.flash_crowd_size:
         from repro.sim.churn import flash_crowd
 
         flash_crowd(
             swarm,
-            flash_crowd_size,
+            options.flash_crowd_size,
             config_factory=lambda r: leecher_config(*capacities.sample(r)),
             rng=Random(seed ^ 0xF1A5),
-            spread=flash_crowd_spread,
             kwargs_factory=remote_kwargs,
         )
 
@@ -425,7 +515,11 @@ def build_experiment(
         # leecher_config already pins seeding_time to 0 in open systems;
         # open_system_arrivals re-asserts it so ad-hoc config factories
         # can't reintroduce lingering seeds.
-        arrivals = open_system_arrivals if depart_on_completion else poisson_arrivals
+        arrivals = (
+            open_system_arrivals
+            if options.depart_on_completion
+            else poisson_arrivals
+        )
         arrivals(
             swarm,
             scenario.arrival_rate,
@@ -446,23 +540,12 @@ def build_experiment(
         if tracer is None
         else FanoutObserver(instrumentation, tracer)
     )
-    local_config = local_config or PeerConfig()
-    if playback_rate is not None:
-        local_config = replace(
-            local_config,
-            playback_rate=playback_rate,
-            playback_startup_pieces=(
-                playback_startup_pieces
-                if playback_startup_pieces is not None
-                else local_config.playback_startup_pieces
-            ),
-        )
     stability = None
-    if stability_interval is not None:
+    if options.stability_interval is not None:
         from repro.workloads.open_system import StabilityDetector
 
         stability = StabilityDetector(
-            interval=stability_interval, observer=local_observer
+            interval=options.stability_interval, observer=local_observer
         )
         stability.attach(swarm)
 
@@ -470,10 +553,8 @@ def build_experiment(
 
     def add_local() -> None:
         local_holder["peer"] = swarm.add_peer(
-            config=local_config,
-            selector=local_selector,
-            leecher_choker=local_leecher_choker,
-            seed_choker=local_seed_choker,
+            config=PeerConfig(**playback),
+            selector=make_selector(options.selector),
             observer=local_observer,
         )
         instrumentation.start_sampling()
@@ -489,174 +570,3 @@ def build_experiment(
         tracer=tracer,
         stability=stability,
     )
-
-
-def scaled_copy(scenario: TorrentScenario, **overrides) -> TorrentScenario:
-    """A copy of *scenario* with fields replaced (for ablations)."""
-    return replace(scenario, **overrides)
-
-
-#: Field metadata: the coordinate is written into every payload, default
-#: or not (see :meth:`RunOptions.as_payload`).
-_ALWAYS = {"always_in_payload": True}
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """The serialisable coordinates of one Table-I run.
-
-    This is the one list: scenario variants, shard payloads, cache keys,
-    the campaign-level merge and the incremental differ walk
-    ``dataclasses.fields(RunOptions)`` in declaration order, and
-    :func:`resolve_run` is the one place a coordinate is applied.  Every
-    default means "as the paper ran it" and leaves the trace
-    byte-identical to a run that predates the coordinate.  Adding one is
-    a field here plus a line in :func:`resolve_scenario` or
-    :func:`resolve_run`; ``tests/test_run_options.py`` fails on a field
-    that neither changes.
-    """
-
-    duration: Optional[float] = field(default=None, metadata=_ALWAYS)
-    """Override the scenario's simulated run length (seconds)."""
-
-    block_size: Optional[int] = field(default=None, metadata=_ALWAYS)
-    """Override the torrent's block size (bytes)."""
-
-    faults: Optional[str] = field(default=None, metadata=_ALWAYS)
-    """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
-
-    selector: Optional[str] = None
-    """Piece-selection strategy spec for every peer in the swarm
-    (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
-    ``"seq-window:window=16"``); None is rarest first."""
-
-    playback_rate: Optional[float] = None
-    """Streaming playback rate in bytes/second applied to the local peer
-    and every population leecher; None disables the playback model."""
-
-    playback_startup_pieces: Optional[int] = None
-    """Startup-buffer threshold (contiguous pieces) for streaming runs."""
-
-    arrival_rate: Optional[float] = None
-    """Poisson leecher arrival rate (peers/s) override for the scenario."""
-
-    seed_upload: Optional[float] = None
-    """Initial-seed upload capacity (bytes/s) override."""
-
-    num_pieces: Optional[int] = None
-    """Piece-count override (shrinks the content for fast sweeps)."""
-
-    piece_size: Optional[int] = None
-    """Piece-size override (bytes)."""
-
-    depart_on_completion: bool = False
-    """Open-system mode: every population leecher leaves the instant it
-    completes (see :mod:`repro.workloads.open_system`)."""
-
-    flash_crowd_size: Optional[int] = None
-    """Extra torrent-birth burst of that many leechers."""
-
-    stability_interval: Optional[float] = None
-    """Attach a swarm-stability detector sampling every that-many
-    seconds; None attaches nothing."""
-
-    tracker_sampler: Optional[str] = None
-    """Tracker peer-sampling strategy spec
-    (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
-    ``"rarity-aware:bias=1.0"``); None is the uniform draw."""
-
-    def __post_init__(self) -> None:
-        # Config errors fail where the run is described, before any
-        # worker is spawned or any event simulated.
-        if self.selector is not None:
-            parse_selector_spec(self.selector)
-        if self.tracker_sampler is not None:
-            parse_sampler_spec(self.tracker_sampler)
-        if self.faults is not None and self.faults not in FAULT_PRESETS:
-            raise ValueError(
-                "unknown fault preset %r (have: %s)"
-                % (self.faults, ", ".join(sorted(FAULT_PRESETS)))
-            )
-
-    def non_default(self) -> Dict:
-        """The coordinates that differ from the paper's run, in order."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) != f.default
-        }
-
-    def over(self, base: "RunOptions") -> "RunOptions":
-        """*base* with this object's non-default coordinates laid over
-        it: the explicit value wins, the base is the default."""
-        return replace(base, **self.non_default())
-
-    def as_payload(self) -> Dict:
-        """JSON-safe dict: ``duration``/``block_size``/``faults`` always,
-        every other coordinate only when set — so a run that uses none of
-        the later coordinates serialises (and cache-keys) exactly as it
-        did before they existed."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.metadata.get("always_in_payload")
-            or getattr(self, f.name) != f.default
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "RunOptions":
-        """Rebuild from :meth:`as_payload` output (other keys ignored)."""
-        return cls(
-            **{f.name: payload[f.name] for f in fields(cls) if f.name in payload}
-        )
-
-
-def resolve_scenario(torrent_id: int, options: RunOptions) -> TorrentScenario:
-    """The Table-I scenario with the run's overrides applied."""
-    overrides = {
-        "duration": options.duration,
-        "arrival_rate": options.arrival_rate,
-        "initial_seed_upload": options.seed_upload,
-        "num_pieces": options.num_pieces,
-        "piece_size": options.piece_size,
-    }
-    return scaled_copy(
-        scenario_by_id(torrent_id),
-        **{name: value for name, value in overrides.items() if value is not None},
-    )
-
-
-def resolve_run(
-    torrent_id: int, seed: int, options: RunOptions
-) -> Tuple[TorrentScenario, Dict]:
-    """``(scenario, keyword arguments)`` for :func:`build_experiment`.
-
-    The one translation from a described run to a built one, shared by
-    the campaign's ``execute_shard`` and the CLI's ``run|figure|metrics``
-    (which add only their own trace recorder).  It returns the arguments
-    instead of calling ``build_experiment`` so that each caller's call
-    stays a real one the benchmark suite's tracer can see.
-    """
-    scenario = resolve_scenario(torrent_id, options)
-    kwargs: Dict = {
-        "seed": seed,
-        "block_size": options.block_size,
-        "playback_rate": options.playback_rate,
-        "playback_startup_pieces": options.playback_startup_pieces,
-        "depart_on_completion": options.depart_on_completion,
-        "flash_crowd_size": options.flash_crowd_size or 0,
-        "stability_interval": options.stability_interval,
-        "tracker_sampler": options.tracker_sampler,
-    }
-    if options.faults is not None:
-        kwargs["swarm_config"] = SwarmConfig(
-            seed=seed,
-            duration=scenario.duration,
-            faults=FAULT_PRESETS[options.faults],
-        )
-    if options.selector is not None:
-        # Selectors carry per-peer state: one instance per peer.
-        spec = options.selector
-        kwargs["local_selector"] = make_selector(spec)
-        kwargs["population_selector_factory"] = lambda: make_selector(spec)
-    return scenario, kwargs

@@ -39,13 +39,13 @@ from repro.campaign import (
     diff_spec,
     estimate_shard_cost,
     expand_spec,
-    parse_backend_spec,
     resolve_backend,
     run_worker,
     schedule_shards,
     shard_cache_key,
 )
 from repro.campaign.dispatch import (
+    BACKENDS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameError,
@@ -53,6 +53,7 @@ from repro.campaign.dispatch import (
     send_frame,
 )
 from repro.cli import main as cli_main
+from repro.spec_grammar import parse_spec
 
 pytestmark = pytest.mark.dispatch
 
@@ -123,7 +124,8 @@ class PoolHarness:
     (fake crashing workers, protocol probes, in-process real workers)
     against its live socket."""
 
-    def __init__(self, spec, cache_dir, retries=1):
+    def __init__(self, spec, cache_dir, retries=1, resume=True):
+        self.resume = resume
         self.backend = WorkerPoolBackend(workers=0)
         self.runner = CampaignRunner(
             spec,
@@ -136,7 +138,7 @@ class PoolHarness:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self):
-        self.result = self.runner.run()
+        self.result = self.runner.run(resume=self.resume)
 
     def __enter__(self):
         self._thread.start()
@@ -366,17 +368,28 @@ class TestScheduling:
 
 class TestBackendSpec:
     def test_parse(self):
-        assert parse_backend_spec("local") == ("local", {})
-        assert parse_backend_spec("worker-pool") == ("worker-pool", {})
-        assert parse_backend_spec("worker-pool:spawn=3, port=7000") == (
+        def parse(spec):
+            return parse_spec(spec, "dispatch backend", BACKENDS)
+
+        assert parse("local") == ("local", {})
+        assert parse("worker-pool") == ("worker-pool", {})
+        assert parse("worker-pool:spawn=3, port=7000") == (
             "worker-pool", {"spawn": "3", "port": "7000"}
         )
 
     def test_parse_rejects_unknown_and_malformed(self):
-        with pytest.raises(ValueError):
-            parse_backend_spec("slurm")
-        with pytest.raises(ValueError):
-            parse_backend_spec("worker-pool:spawn")
+        for spec, message in (
+            ("slurm", "unknown dispatch backend 'slurm' \\(have: "),
+            ("worker-pool:spwan=3", "bad parameters for dispatch backend"),
+            ("worker-pool:workers=3", "bad parameters for dispatch backend"),
+            ("local:spawn=2", "bad parameters for dispatch backend"),
+            ("worker-pool:spawn", "malformed dispatch backend parameter"),
+            ("worker-pool:port=http", "invalid literal"),
+            ("worker-pool:port=70000", "port in 0-65535"),
+            ("worker-pool:spawn=-1", "spawn >= 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                resolve_backend(spec, workers=1)
 
     def test_resolve(self):
         local = resolve_backend("local", workers=4)
@@ -555,6 +568,16 @@ class TestWorkerPoolSemantics:
             spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
         ).run()
         assert result.fingerprint == clean.fingerprint
+
+    def test_fresh_run_through_worker_pool_ignores_the_cache(self, tmp_path):
+        # Regression: the worker-pool payload forced resume=True, so a
+        # --fresh run was answered from the cache it meant to ignore.
+        spec = smoke_spec((2,))
+        CampaignRunner(spec, cache_dir=str(tmp_path), executor=fake_commit).run()
+        with PoolHarness(spec, tmp_path, resume=False) as harness:
+            harness.start_worker()
+        assert harness.result.counts["cache_hits"] == 0
+        assert harness.result.records["t02-smoke-r0"]["cache_hit"] is False
 
     def test_failed_shard_retries_on_next_run(self, tmp_path):
         # A shard that failed (no cache entry) re-executes on the next

@@ -296,6 +296,17 @@ class TestMistypedOptions:
              "repro campaign run", "unknown sampler 'bogus' (have: "),
             (["tracker", "serve", "--sampler", "bogus"], "repro tracker serve",
              "unknown sampler 'bogus' (have: "),
+            # A misspelt parameter fails before any shard runs or any
+            # socket is bound, like a misspelt name.
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--selector", "rarest-first:windw=3"], "repro campaign run",
+             "bad parameters for selector 'rarest-first:windw=3'"),
+            (["tracker", "serve", "--sampler", "uniform:bias=2"],
+             "repro tracker serve",
+             "bad parameters for sampler 'uniform:bias=2'"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--backend", "worker-pool:spwan=3"], "repro campaign run",
+             "bad parameters for dispatch backend 'worker-pool:spwan=3'"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

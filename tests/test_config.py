@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, TRACKER_NUM_WANT, PeerConfig, SwarmConfig
 
 
 class TestPeerConfigDefaults:
@@ -89,9 +89,8 @@ class TestPeerConfigValidation:
 
 class TestSwarmConfigDefaults:
     def test_tracker_defaults(self):
-        config = SwarmConfig()
-        assert config.tracker_num_want == 50
-        assert config.announce_interval == 30.0 * 60.0
+        assert TRACKER_NUM_WANT == 50
+        assert SwarmConfig().announce_interval == 30.0 * 60.0
 
     def test_fluid_defaults(self):
         config = SwarmConfig()

@@ -3,9 +3,9 @@
 Pins the three things that keep it so: shard payloads and cache keys are
 byte-identical to the hand-enumerated form they replaced (golden digest
 computed at the parent commit), ``repro run`` and a campaign shard build
-the same experiment from the same description (they share
-``resolve_run``), and a coordinate that is declared but never applied
-fails here.
+the same experiment from the same description (both hand it to
+``build_experiment``), and a coordinate that ``resolve_scenario`` and
+``build_experiment`` both ignore fails here.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from repro.campaign import (
     expand_spec,
     shard_cache_key,
 )
-from repro.workloads import RunOptions, resolve_run
+from repro.workloads import RunOptions, build_experiment, resolve_scenario
 
 OVERRIDES = dict(
     duration=300.0,
@@ -83,7 +83,7 @@ def test_bad_specs_fail_where_the_run_is_described():
 
 
 #: One non-default value per coordinate.  A new field must be added here,
-#: and must then change what resolve_run returns.
+#: and must then change what build_experiment builds.
 SAMPLES = dict(
     duration=123.0,
     block_size=4096,
@@ -94,7 +94,7 @@ SAMPLES = dict(
     arrival_rate=0.25,
     seed_upload=9000.0,
     num_pieces=32,
-    piece_size=32 * 1024,
+    piece_size=64 * 1024,
     depart_on_completion=True,
     flash_crowd_size=7,
     stability_interval=15.0,
@@ -102,16 +102,33 @@ SAMPLES = dict(
 )
 
 
+def built(options):
+    """What ``build_experiment`` made of *options*, as comparable text."""
+    harness = build_experiment(resolve_scenario(2, options), 3, options)
+    swarm = harness.swarm
+    return repr((
+        harness.scenario,
+        swarm.config,
+        swarm.metainfo.geometry.block_size,
+        harness.stability is not None,
+        [(peer.config, peer.selector) for peer in swarm.peers.values()],
+    ))
+
+
 def test_every_coordinate_is_applied_and_keyed():
     names = [f.name for f in dataclasses.fields(RunOptions)]
     assert sorted(SAMPLES) == sorted(names)
+    # Leave one out of the full set: some coordinates only act with
+    # another (a startup threshold needs a playback rate).
+    every = RunOptions(**SAMPLES)
+    every_built = built(every)
     base = ShardSpec(7, "paper", 0, 3)
-    base_run = resolve_run(7, 3, base.options)
     for name in names:
-        options = RunOptions(**{name: SAMPLES[name]})
-        assert resolve_run(7, 3, options) != base_run, (
-            "%s is declared but resolve_run ignores it" % name
+        without = dataclasses.replace(every, **{name: getattr(RunOptions(), name)})
+        assert built(without) != every_built, (
+            "%s is declared but build_experiment ignores it" % name
         )
+        options = RunOptions(**{name: SAMPLES[name]})
         shard = dataclasses.replace(base, options=options)
         assert shard_cache_key(shard) != shard_cache_key(base), name
         assert shard.as_payload()[name] == SAMPLES[name]

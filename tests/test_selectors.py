@@ -20,8 +20,9 @@ from repro.core.rarest_first import (
     SequentialSelector,
     SequentialWindowSelector,
     make_selector,
-    parse_selector_spec,
 )
+from repro.spec_grammar import number, parse_spec
+from repro.workloads import RunOptions
 
 from tests.reference_selectors import kernel_select
 
@@ -185,22 +186,35 @@ class TestSelectorRegistry:
         assert DEFAULT_SELECTOR_SPEC in SELECTOR_REGISTRY
 
     def test_parse_plain_name(self):
-        assert parse_selector_spec("rarest-first") == ("rarest-first", {})
+        assert parse_spec("rarest-first", "selector", SELECTOR_REGISTRY, number) == (
+            "rarest-first", {},
+        )
 
     def test_parse_parameters(self):
-        name, params = parse_selector_spec("pfs:urgency=0.9,rarity_bias=2")
+        name, params = parse_spec(
+            "pfs:urgency=0.9,rarity_bias=2,mode=fast", "selector",
+            SELECTOR_REGISTRY, number,
+        )
         assert name == "pfs"
-        assert params == {"urgency": 0.9, "rarity_bias": 2}
+        assert params == {"urgency": 0.9, "rarity_bias": 2, "mode": "fast"}
+        assert type(params["rarity_bias"]) is int
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            parse_selector_spec("no-such-strategy")
+        for build in (make_selector, lambda spec: RunOptions(selector=spec)):
+            with pytest.raises(ValueError, match="unknown selector 'no-such-strategy'"):
+                build("no-such-strategy")
 
     def test_bad_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            make_selector("seq-window:no_such_param=3")
-        with pytest.raises(ValueError):
-            make_selector("seq-window:window=0")
+        for spec, message in (
+            ("seq-window:no_such_param=3", "bad parameters for selector"),
+            ("rarest-first:windw=3", "bad parameters for selector"),
+            ("seq-window:window", "malformed selector parameter"),
+            ("seq-window:=16", "malformed selector parameter"),
+            ("seq-window:window=0", "window"),
+        ):
+            for build in (make_selector, lambda spec: RunOptions(selector=spec)):
+                with pytest.raises(ValueError, match=message):
+                    build(spec)
 
     def test_make_selector_none_is_none(self):
         assert make_selector(None) is None

@@ -16,7 +16,6 @@ Covers the streaming piece-selection family end to end:
 import pytest
 
 from repro.analysis.streaming import in_order_lag, playback_summary
-from repro.core.rarest_first import make_selector
 from repro.instrumentation import (
     BinaryTraceRecorder,
     TraceRecorder,
@@ -25,7 +24,7 @@ from repro.instrumentation import (
     replay_instrumentation,
 )
 from repro.sim.config import KIB, PeerConfig
-from repro.workloads import build_experiment, scaled_copy, scenario_by_id
+from repro.workloads import RunOptions, build_experiment, scaled_copy, scenario_by_id
 
 from tests.conftest import ENGINE_TWINS
 
@@ -57,10 +56,8 @@ def run_streaming(
     harness = build_experiment(
         scenario,
         seed=seed,
-        local_selector=make_selector(selector_spec),
-        population_selector_factory=lambda: make_selector(selector_spec),
+        options=RunOptions(selector=selector_spec, playback_rate=playback_rate),
         trace_recorder=recorder,
-        playback_rate=playback_rate,
     )
     harness.run(duration)
     return harness

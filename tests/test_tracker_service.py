@@ -17,11 +17,11 @@ from random import Random
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.sim.config import KIB, FaultConfig, SwarmConfig
 from repro.tracker.sampling import (
+    SAMPLER_REGISTRY,
     RarityAwareSampler,
     SeedBiasedSampler,
     UniformSampler,
     make_sampler,
-    parse_sampler_spec,
 )
 from repro.tracker.service import (
     AnnounceBudget,
@@ -32,6 +32,7 @@ from repro.tracker.service import (
 from repro.tracker.state import MAX_HAVE, ShardedSwarmStore, SwarmState, shard_of
 from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import pack_peers, unpack_peers
+from repro.workloads import RunOptions
 
 from tests.conftest import fast_config, tiny_swarm
 from tests.reference_tracker_federation import TrackerFederation
@@ -383,16 +384,25 @@ class TestSamplers:
         for spec in ("uniform", "seed-biased:seed_fraction=0.25",
                      "rarity-aware:bias=-2"):
             assert make_sampler(spec).spec() == spec
+        for build in SAMPLER_REGISTRY.values():
+            spec = build().spec()
+            assert make_sampler(spec).spec() == spec
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            parse_sampler_spec("nonsense")
-        with pytest.raises(ValueError):
-            parse_sampler_spec("uniform:oops")
+        for spec, message in (
+            ("nonsense", "unknown sampler 'nonsense' \\(have: "),
+            ("uniform:bias=2", "bad parameters for sampler 'uniform:bias=2'"),
+            ("rarity-aware:bais=2", "bad parameters for sampler"),
+            ("uniform:oops", "malformed sampler parameter"),
+            ("rarity-aware:bias=high", "malformed sampler parameter"),
+            ("seed-biased:seed_fraction=1.5", "seed_fraction"),
+            ("rarity-aware:bias=1e6", "bias"),
+        ):
+            for build in (make_sampler, lambda spec: RunOptions(tracker_sampler=spec)):
+                with pytest.raises(ValueError, match=message):
+                    build(spec)
         with pytest.raises(ValueError):
             SeedBiasedSampler(seed_fraction=1.5)
-        with pytest.raises(ValueError):
-            make_sampler("rarity-aware:bias=1e6")
 
 
 class TestCompactEncoding:

@@ -10,6 +10,7 @@ from repro.workloads import (
     TABLE1,
     CapacityClass,
     CapacityDistribution,
+    RunOptions,
     build_experiment,
     scaled_copy,
     scenario_by_id,
@@ -157,18 +158,13 @@ class TestBuildExperiment:
             duration=30.0, arrival_rate=0.0, local_join_time=5.0,
         )
         harness = build_experiment(
-            scenario, seed=5, population_selector_factory=SequentialSelector
+            scenario, seed=5, options=RunOptions(selector="sequential")
         )
-        remotes = [
-            peer
-            for peer in harness.swarm.peers.values()
-            if peer is not harness.local_peer
-        ]
-        assert remotes
-        assert all(
-            isinstance(peer.selector, SequentialSelector) for peer in remotes
-        )
-        assert not isinstance(harness.local_peer.selector, SequentialSelector)
+        peers = list(harness.swarm.peers.values())
+        assert len(peers) > 1 and harness.local_peer in peers
+        assert all(isinstance(peer.selector, SequentialSelector) for peer in peers)
+        # One instance per peer: selectors carry per-peer state.
+        assert len({id(peer.selector) for peer in peers}) == len(peers)
 
     def test_free_riders_added(self):
         scenario = scaled_copy(
