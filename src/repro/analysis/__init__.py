@@ -11,8 +11,6 @@ Each module maps to one group of figures:
 * :mod:`repro.analysis.fairness` — figures 9, 10, 11 (contribution sets,
   unchoke/interest correlation, seed service uniformity);
 * :mod:`repro.analysis.stats` — shared percentile/CDF helpers;
-* :mod:`repro.analysis.streaming` — playback metrics (startup delay,
-  rebuffering, in-order lag) for streaming workloads;
 * :mod:`repro.analysis.stability` — open-system stable/unstable
   classification and sim-vs-fluid phase diagrams.
 """
@@ -35,27 +33,23 @@ from repro.analysis.stability import (
     phase_diagram,
 )
 from repro.analysis.stats import cdf, pearson, percentile
-from repro.analysis.streaming import PlaybackSummary, in_order_lag, playback_summary
 
 __all__ = [
     "EntropySummary",
     "InterarrivalSummary",
     "POLICY_EFFECTIVENESS",
-    "PlaybackSummary",
     "UnchokeCorrelation",
     "cdf",
     "classify_fluid",
     "classify_record",
     "entropy_ratios",
     "fluid_model_for_policy",
-    "in_order_lag",
     "interarrival_summary",
     "leecher_contribution",
     "pearson",
     "peer_set_series",
     "percentile",
     "phase_diagram",
-    "playback_summary",
     "rarest_set_series",
     "replication_series",
     "seed_contribution",

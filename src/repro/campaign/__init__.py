@@ -18,7 +18,6 @@ from repro.campaign.aggregate import (
     mean_download_times,
     render_campaign_table,
     render_manifest_table,
-    render_streaming_table,
 )
 from repro.campaign.cache import (
     CACHE_SCHEMA_VERSION,
@@ -93,7 +92,6 @@ __all__ = [
     "parse_torrent_ids",
     "render_campaign_table",
     "render_manifest_table",
-    "render_streaming_table",
     "resolve_backend",
     "run_shard_payload",
     "run_worker",

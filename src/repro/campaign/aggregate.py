@@ -53,50 +53,6 @@ def render_campaign_table(records: List[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_streaming_table(records: List[dict]) -> str:
-    """Viewer-facing playback metrics, one row per streaming shard.
-
-    Empty string when no record carries a playback summary (the
-    campaign had no streaming scenario), so callers can append it
-    unconditionally.
-    """
-    rows = [
-        (record, record["summary"]["playback"])
-        for record in sorted(records, key=lambda r: r["shard_id"])
-        if (record.get("summary") or {}).get("playback")
-    ]
-    if not rows:
-        return ""
-    lines = [
-        "Streaming playback — one row per streaming shard",
-        "%-22s %-24s %8s %9s %9s %10s %8s"
-        % (
-            "shard", "selector", "startup", "rebuffers", "stall (s)",
-            "finish", "inorder",
-        ),
-    ]
-    for record, playback in rows:
-        if playback.get("finished_at") is not None:
-            finish = _fmt(playback["finished_at"], "%.0f")
-        elif playback.get("stalled_at_end"):
-            finish = "stalled"
-        else:
-            finish = "playing"
-        lines.append(
-            "%-22s %-24s %8s %9s %9s %10s %8s"
-            % (
-                record["shard_id"],
-                record.get("selector") or "rarest-first",
-                _fmt(playback.get("startup_delay"), "%.0f"),
-                _fmt(playback.get("rebuffer_count"), "%d"),
-                _fmt(playback.get("rebuffer_seconds"), "%.1f"),
-                finish,
-                _fmt(playback.get("in_order_pieces"), "%d"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def mean_download_times(records: List[dict]) -> Dict[int, Optional[float]]:
     """Per-torrent mean of ``mean_download_time`` across ok replicates.
 

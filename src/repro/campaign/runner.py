@@ -146,18 +146,6 @@ def execute_shard(
             "trace_fingerprint": fingerprint,
         },
     }
-    if instrumentation.playback_events:
-        from repro.analysis.streaming import playback_summary
-
-        playback = playback_summary(instrumentation)
-        record["summary"]["playback"] = {
-            "startup_delay": playback.startup_delay,
-            "rebuffer_count": playback.rebuffer_count,
-            "rebuffer_seconds": playback.rebuffer_seconds,
-            "stalled_at_end": playback.stalled_at_end,
-            "finished_at": playback.finished_at,
-            "in_order_pieces": playback.in_order_pieces,
-        }
     if harness.stability is not None and harness.stability.verdict is not None:
         record["summary"]["stability"] = harness.stability.verdict.as_dict()
     record.update(shard.as_payload())

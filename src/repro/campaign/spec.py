@@ -50,30 +50,12 @@ def _variant(name: str, **coordinates) -> ScenarioVariant:
 #: The scenario registry.  ``paper`` is the evaluation as published;
 #: ``smoke`` is the same swarm on a short window (CI and tests);
 #: the ``faults-*`` variants rerun the campaign under the PR-2 chaos
-#: presets, the sweep related work asks for.  The ``streaming-*``
-#: variants run the same swarm as an on-demand streaming workload (all
-#: leechers play at 16 kB/s, under the 20 kB/s upload cap) and differ
-#: only in the piece-selection strategy, so comparing them isolates the
-#: selector's effect on startup delay and rebuffering.
-STREAMING_PLAYBACK_RATE = 16.0 * 1024
+#: presets, the sweep related work asks for.
 SCENARIOS = {
     "paper": _variant("paper"),
     "smoke": _variant("smoke", duration=240.0),
     "faults-light": _variant("faults-light", faults="light"),
     "faults-heavy": _variant("faults-heavy", faults="heavy"),
-    "streaming-rarest": _variant(
-        "streaming-rarest", playback_rate=STREAMING_PLAYBACK_RATE
-    ),
-    "streaming-seqwin": _variant(
-        "streaming-seqwin",
-        selector="seq-window:window=16",
-        playback_rate=STREAMING_PLAYBACK_RATE,
-    ),
-    "streaming-pfs": _variant(
-        "streaming-pfs",
-        selector="pfs:urgency=0.95,rarity_bias=1.0",
-        playback_rate=STREAMING_PLAYBACK_RATE,
-    ),
     # Open-system flash crowds (departure on completion, a torrent-birth
     # burst, a stability detector sampling the swarm).  The two variants
     # differ only in the piece-selection policy, so a phase diagram over
@@ -170,7 +152,6 @@ class CampaignSpec:
     duration: Optional[float] = None
     block_size: Optional[int] = None
     selector: Optional[str] = None
-    playback_rate: Optional[float] = None
     arrival_rate: Optional[float] = None
     seed_upload: Optional[float] = None
     tracker_sampler: Optional[str] = None
@@ -205,9 +186,24 @@ def expand_spec(
 
     An unknown scenario raises ``KeyError`` and a bad selector, sampler
     or fault-preset spec ``ValueError`` here (``RunOptions`` validates
-    itself), before any worker is spawned.
+    itself), before any worker is spawned.  So does a spec that
+    describes no shard or one shard twice: ``replicates < 1``, no
+    torrent id or scenario, or a repeated one.
     """
     overrides = spec.overrides()
+    if spec.replicates < 1:
+        raise ValueError("replicates must be >= 1, not %d" % spec.replicates)
+    for kind, values in (
+        ("torrent id", spec.torrent_ids),
+        ("scenario", spec.scenarios),
+    ):
+        if not values:
+            raise ValueError("a campaign needs at least one %s" % kind)
+        repeated = [v for v in dict.fromkeys(values) if values.count(v) > 1]
+        if repeated:
+            raise ValueError(
+                "%s repeated: %s" % (kind, ", ".join(map(str, repeated)))
+            )
     merged = {}
     for scenario in spec.scenarios:
         variant = SCENARIOS.get(scenario)

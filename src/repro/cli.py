@@ -165,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--scenario", default="paper",
             help="comma-separated scenario variants: paper, smoke, "
-            "faults-light, faults-heavy, streaming-rarest, "
-            "streaming-seqwin, streaming-pfs, flash-crowd, "
-            "flash-crowd-suppress",
+            "faults-light, faults-heavy, flash-crowd, flash-crowd-suppress",
         )
         _run_option_arguments(parser)
         _campaign_arguments(parser, "--replicates")
@@ -460,15 +458,8 @@ def _run_option_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--selector", default=None, metavar="SPEC",
         help="piece-selection strategy for every peer: rarest-first "
-        "(default), random, sequential, 'seq-window:window=16', "
-        "'pfs:urgency=0.95,rarity_bias=1.0', "
+        "(default), random, sequential, "
         "'mode-suppression:suppression=0.9'",
-    )
-    parser.add_argument(
-        "--playback-rate", type=float, default=None, metavar="BYTES_PER_S",
-        help="streaming workload: play the content in-order at this rate "
-        "on the local peer and every leecher, reporting startup delay "
-        "and rebuffer metrics",
     )
     parser.add_argument(
         "--tracker-sampler", default=None, metavar="SPEC",
@@ -495,10 +486,6 @@ def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-all", action="store_true",
         help="trace every peer in the swarm, not just the local one",
-    )
-    parser.add_argument(
-        "--playback-startup-pieces", type=int, default=None, metavar="N",
-        help="contiguous pieces buffered before playback starts (default 2)",
     )
 
 
@@ -638,21 +625,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace.messages_sent,
         )
     )
-    if trace.playback_events:
-        from repro.analysis.streaming import playback_summary
-
-        playback = playback_summary(trace)
-        print(
-            "playback: startup delay %s s, %d rebuffers (%.1f s stalled%s), "
-            "finished at t=%s"
-            % (
-                playback.startup_delay,
-                playback.rebuffer_count,
-                playback.rebuffer_seconds,
-                ", stalled at end" if playback.stalled_at_end else "",
-                playback.finished_at,
-            )
-        )
     return 0
 
 
@@ -663,11 +635,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if args.list_peers:
-        for address in traced_peers(args.trace):
-            print(address)
-        return 0
-    trace = replay_instrumentation(args.trace, peer=args.peer)
+    """Exit 0: done; 2: the trace is unreadable or lacks the peer."""
+    try:
+        if args.list_peers:
+            for address in traced_peers(args.trace):
+                print(address)
+            return 0
+        trace = replay_instrumentation(args.trace, peer=args.peer)
+    except (TraceFormatError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print(
         "replayed %d events for peer %s"
         % (trace.replayed_from_events, trace.peer.address),
@@ -687,7 +664,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if args.trace_command == "stats":
             return _trace_stats(args)
         return _trace_diff(args)
-    except TraceFormatError as exc:
+    except (TraceFormatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
@@ -852,7 +829,6 @@ def _campaign_spec_from_args(args: argparse.Namespace):
             campaign_seed=args.campaign_seed,
             duration=args.duration,
             selector=args.selector,
-            playback_rate=args.playback_rate,
             tracker_sampler=args.tracker_sampler,
         )
         # Unknown scenario, bad selector / sampler spec: fail as a usage
@@ -869,7 +845,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         MANIFEST_NAME,
         render_campaign_table,
         render_manifest_table,
-        render_streaming_table,
     )
 
     if args.campaign_command == "status":
@@ -941,9 +916,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(report.render(), end="", file=sys.stderr)
     result = runner.run(resume=args.resume, shard_filter=args.filter)
     table = render_campaign_table(list(result.records.values()))
-    streaming_table = render_streaming_table(list(result.records.values()))
-    if streaming_table:
-        table += "\n" + streaming_table
     summary_path = Path(args.cache_dir) / ("campaign_%s.txt" % spec.name)
     summary_path.write_text(table)
     if args.results_dir:
@@ -1110,8 +1082,10 @@ def _parse_float_list(text: str) -> List[float]:
 def _cmd_stability(args: argparse.Namespace) -> int:
     from repro.analysis.stability import phase_diagram
 
+    # Each policy is one scenario of every cell's campaign, which may
+    # name a scenario only once.
     policies = tuple(
-        part.strip() for part in args.policies.split(",") if part.strip()
+        dict.fromkeys(part.strip() for part in args.policies.split(",") if part.strip())
     )
     diagram = phase_diagram(
         arrival_rates=_parse_float_list(args.arrival_rates),

@@ -36,12 +36,10 @@ from repro.core.piece_picker import PiecePicker
 from repro.core.rarest_first import (
     GlobalRarestSelector,
     PieceSelector,
-    ProportionalFairSelector,
     RandomSelector,
     RarestFirstSelector,
     SELECTOR_REGISTRY,
     SequentialSelector,
-    SequentialWindowSelector,
     make_selector,
 )
 from repro.core.rate_estimator import RateEstimator
@@ -56,14 +54,12 @@ __all__ = [
     "PeerCore",
     "PiecePicker",
     "PieceSelector",
-    "ProportionalFairSelector",
     "RandomSelector",
     "RarestFirstSelector",
     "RateEstimator",
     "SELECTOR_REGISTRY",
     "SeedChoker",
     "SequentialSelector",
-    "SequentialWindowSelector",
     "TitForTatChoker",
     "leecher_fairness_violations",
     "make_selector",

@@ -194,8 +194,7 @@ class PiecePicker:
             _np.packbits(self._wanted_mask).tobytes(), "big"
         )
         # Mode-suppression selectors judge offers against the rarest
-        # *wanted* copy count; bind the oracle the same way peers bind
-        # playback positions into their selectors.
+        # *wanted* copy count: bind this picker's oracle into them.
         bind_scarcity = getattr(selector, "bind_scarcity", None)
         if bind_scarcity is not None:
             bind_scarcity(self.wanted_scarcity)

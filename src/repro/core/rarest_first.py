@@ -15,28 +15,24 @@ Strategies provided:
   pick uniformly at random inside the rarest-pieces set;
 * :class:`RandomSelector` — uniform over all candidates (the strawman the
   paper cites rarest first as beating [5], [9]);
-* :class:`SequentialSelector` — lowest index first (streaming-style; a
-  worst case for diversity);
+* :class:`SequentialSelector` — lowest index first (in-order; a worst
+  case for diversity);
 * :class:`GlobalRarestSelector` — an oracle given *true* global
   replication counts, the "global knowledge" upper bound discussed in §I;
 * :class:`ModeSuppressionSelector` — rarest first with probabilistic
   mode suppression (RFwPMS, arXiv 2211.00213): refuses over-replicated
-  offers so open-system flash crowds stay stable;
-* :class:`SequentialWindowSelector` — rarest first restricted to a
-  sliding window ahead of a playback position (streaming/VoD);
-* :class:`ProportionalFairSelector` — PFS/EPFS-style probabilistic
-  weighting between playback urgency and rarity (arXiv 1402.2187).
+  offers so open-system flash crowds stay stable.
 
 Selectors are serializable by name via :func:`make_selector` (e.g.
-``"seq-window:window=16"``), which is how scenario configs, campaign
-shards and the CLI reach them.
+``"mode-suppression:suppression=0.5"``), which is how scenario configs,
+campaign shards and the CLI reach them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from numpy import ndarray
 
@@ -138,11 +134,10 @@ class ModeSuppressionSelector(PieceSelector):
     an offer where it is the only candidate — is always served.
 
     The rarest *wanted* copy count comes from a scarcity oracle bound
-    by the owning picker (:meth:`bind_scarcity` — the same binding
-    pattern playback-aware selectors use for their position source).
-    Unbound, the oracle reports nothing and the strategy degrades to
-    plain rarest first.  Like the playback-aware strategies, instances
-    carry per-peer state and must never be shared between peers.
+    by the owning picker (:meth:`bind_scarcity`).  Unbound, the oracle
+    reports nothing and the strategy degrades to plain rarest first.
+    Instances carry per-peer state and must never be shared between
+    peers.
     """
 
     name = "mode-suppression"
@@ -196,7 +191,7 @@ class RandomSelector(PieceSelector):
 
 
 class SequentialSelector(PieceSelector):
-    """Lowest-index-first selection (in-order / streaming)."""
+    """Lowest-index-first (in-order) selection."""
 
     name = "sequential"
 
@@ -239,132 +234,6 @@ class GlobalRarestSelector(PieceSelector):
         )
 
 
-def _zero_position() -> int:
-    return 0
-
-
-class PlaybackAwareSelector(PieceSelector):
-    """Base for strategies that read a playback position.
-
-    The position source is a zero-argument callable returning the index
-    of the piece the player needs next.  A peer with playback enabled
-    binds its own playback state at construction
-    (:meth:`bind_position`); unbound, the position is pinned at 0 — the
-    selector then behaves as a pure from-the-start streaming policy.
-    """
-
-    def __init__(self) -> None:
-        self._position: Callable[[], int] = _zero_position
-
-    def bind_position(self, position: Callable[[], int]) -> None:
-        self._position = position
-
-
-class SequentialWindowSelector(PlaybackAwareSelector):
-    """Rarest first inside a sliding window ahead of the playback position.
-
-    Candidates inside ``[position, position + window)`` are preferred —
-    among them the rarest is picked (random tie-break), keeping some
-    diversity pressure where it matters for the swarm.  When the remote
-    offers nothing inside the window, selection degrades to plain
-    rarest first over the remaining candidates, so the strategy never
-    idles a link the way strict in-order selection does.
-    """
-
-    name = "seq-window"
-
-    def __init__(self, window: int = 16):
-        super().__init__()
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-
-    def __repr__(self) -> str:
-        return "SequentialWindowSelector(window=%d)" % self.window
-
-    def select(
-        self,
-        candidates: ndarray,
-        counts: ndarray,
-        rng: Random,
-    ) -> int:
-        """The window is one contiguous slice of the ascending candidate
-        array; an empty slice falls back to every candidate."""
-        start = self._position()
-        low, high = candidates.searchsorted((start, start + self.window))
-        if low < high:
-            candidates = candidates[low:high]
-            counts = counts[low:high]
-        return _choose_with_count(candidates, counts, counts.min(), rng)
-
-
-class ProportionalFairSelector(PlaybackAwareSelector):
-    """PFS/EPFS-style proportional-fair streaming selection.
-
-    Each candidate's probability weight trades playback urgency against
-    rarity: ``urgency ** distance / (1 + copies)``, where ``distance``
-    is how far the piece lies ahead of the playback position (pieces at
-    or behind the position are maximally urgent).  One uniform variate
-    picks from the cumulative distribution, so a selection consumes
-    exactly one ``rng.random()``.  This is the proportional-fair
-    scheduling family of BitTorrent VoD (arXiv 1402.2187; BUTorrent's
-    PFS/EPFS choker).
-    """
-
-    name = "pfs"
-
-    def __init__(self, urgency: float = 0.95, rarity_bias: float = 1.0):
-        super().__init__()
-        if not 0.0 < urgency <= 1.0:
-            raise ValueError("urgency must be in (0, 1]")
-        if rarity_bias < 0.0:
-            raise ValueError("rarity_bias must be >= 0")
-        self.urgency = urgency
-        self.rarity_bias = rarity_bias
-
-    def __repr__(self) -> str:
-        return "ProportionalFairSelector(urgency=%g, rarity_bias=%g)" % (
-            self.urgency,
-            self.rarity_bias,
-        )
-
-    def _weight(self, piece: int, copies: int, position: int) -> float:
-        distance = piece - position
-        if distance < 0:
-            distance = 0
-        return (self.urgency ** distance) * ((1.0 / (1 + copies)) ** self.rarity_bias)
-
-    def _pick(
-        self, candidates: List[int], weights: List[float], rng: Random
-    ) -> int:
-        total = 0.0
-        for weight in weights:
-            total += weight
-        remaining = rng.random() * total
-        for piece, weight in zip(candidates, weights):
-            remaining -= weight
-            if remaining <= 0.0:
-                return piece
-        return candidates[-1]
-
-    def select(
-        self,
-        candidates: ndarray,
-        counts: ndarray,
-        rng: Random,
-    ) -> int:
-        """Weights stay Python floats, accumulated in candidate order:
-        an array ``power``/``sum`` may round differently from a scalar
-        loop, and the single variate must land identically."""
-        position = self._position()
-        pieces = candidates.tolist()
-        weights = [
-            self._weight(piece, count, position)
-            for piece, count in zip(pieces, counts.tolist())
-        ]
-        return self._pick(pieces, weights, rng)
-
-
 #: Serializable selector registry: every strategy constructible from a
 #: ``name`` plus keyword parameters.  ``GlobalRarestSelector`` is absent
 #: on purpose — it needs a live swarm oracle and stays programmatic.
@@ -373,8 +242,6 @@ SELECTOR_REGISTRY: Dict[str, Callable[..., PieceSelector]] = {
     ModeSuppressionSelector.name: ModeSuppressionSelector,
     RandomSelector.name: RandomSelector,
     SequentialSelector.name: SequentialSelector,
-    SequentialWindowSelector.name: SequentialWindowSelector,
-    ProportionalFairSelector.name: ProportionalFairSelector,
 }
 
 DEFAULT_SELECTOR_SPEC = RarestFirstSelector.name
@@ -385,10 +252,10 @@ def make_selector(spec: Optional[str]) -> Optional[PieceSelector]:
 
     ``None``/empty means "the default" and returns ``None`` so callers
     keep their historical rarest-first default untouched.  Each call
-    returns a *new* instance: playback-aware selectors carry per-peer
-    position bindings and must never be shared.  Parameter values parse
-    as int, then float, then bare string; an unknown name or parameter
-    raises ``ValueError``.
+    returns a *new* instance: a mode-suppression selector carries a
+    per-peer scarcity binding and must never be shared.  Parameter values
+    parse as int, then float, then bare string; an unknown name or
+    parameter raises ``ValueError``.
     """
     if spec is None or not spec.strip():
         return None

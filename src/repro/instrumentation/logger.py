@@ -178,20 +178,6 @@ class Instrumentation(PeerObserver):
         self.seed_state_at: Optional[float] = None
         self.endgame_at: Optional[float] = None
         self.hash_failures: List[Tuple[float, int]] = []
-        # Streaming playback series (empty unless the observed peer has
-        # PeerConfig.playback_rate set): every on_playback transition,
-        # plus the derived series analysis reads.
-        self.playback_events: List[Tuple[float, str, dict]] = []
-        self.playback_started_at: Optional[float] = None
-        self.playback_startup_delay: Optional[float] = None
-        self.playback_finished_at: Optional[float] = None
-        self.rebuffer_intervals: List[List[Optional[float]]] = []
-        """Closed ``[start, end]`` stall windows; the last entry's end is
-        None while a stall is still open when the run stops."""
-
-        self.in_order_history: List[Tuple[float, int, int]] = []
-        """(time, contiguous pieces, contiguous bytes) at every in-order
-        delivery advance — the in-order delivery-rate series."""
         self.stability_events: List[Tuple[float, str, dict]] = []
         """Swarm-level stability samples (empty unless a
         :class:`~repro.workloads.open_system.StabilityDetector` is
@@ -460,34 +446,6 @@ class Instrumentation(PeerObserver):
     def on_announce(self, now: float, kind: str, data: dict) -> None:
         self.announce_events.append((now, kind, dict(data)))
         self.metrics.inc("announce." + kind)
-
-    def on_playback(self, now: float, kind: str, data: dict) -> None:
-        self.playback_events.append((now, kind, dict(data)))
-        if kind == "progress":
-            self.in_order_history.append((now, data["pieces"], data["bytes"]))
-        elif kind == "start":
-            self.playback_started_at = now
-            self.playback_startup_delay = data["delay"]
-        elif kind == "stall":
-            self.rebuffer_intervals.append([now, None])
-            self.metrics.inc("playback.rebuffers")
-        elif kind == "resume":
-            if self.rebuffer_intervals and self.rebuffer_intervals[-1][1] is None:
-                self.rebuffer_intervals[-1][1] = now
-        elif kind == "finish":
-            self.playback_finished_at = now
-
-    @property
-    def rebuffer_count(self) -> int:
-        return len(self.rebuffer_intervals)
-
-    @property
-    def rebuffer_seconds(self) -> float:
-        """Total closed stall time (an open final stall contributes 0 —
-        callers wanting it clipped pass an end time to analysis)."""
-        return sum(
-            end - start for start, end in self.rebuffer_intervals if end is not None
-        )
 
     # ------------------------------------------------------------------
     # finalisation

@@ -488,8 +488,6 @@ def _replay_event(
         instrumentation.on_fault(now, event["kind"])
     elif kind == "snapshot":
         instrumentation.on_snapshot(now, Snapshot(**event["data"]))
-    elif kind == "playback":
-        instrumentation.on_playback(now, event["kind"], event["data"])
     elif kind == "stability":
         instrumentation.on_stability(now, event["kind"], event["data"])
     elif kind == "announce":
@@ -511,12 +509,14 @@ def replay_instrumentation(
     ``peer`` selects which traced peer to reconstruct when the trace
     covers several (swarm-wide tracing); it defaults to the first peer
     with an ``attach`` event (the first event an observer emits, so
-    nothing of that peer precedes it).  The trace is folded as it
-    streams: nothing is returned unless :func:`stream_trace` ran to its
-    end, verification included.
+    nothing of that peer precedes it).  A named peer the trace holds no
+    event of raises :class:`TraceFormatError`.  The trace is folded as
+    it streams: nothing is returned unless :func:`stream_trace` ran to
+    its end, verification included.
     """
+    named = peer is not None
     events = stream_trace(source, verify=verify, peer=peer)
-    if peer is None:
+    if not named:
         for event in events:
             if event.get("type") == "attach" and event.get("peer") is not None:
                 break
@@ -545,4 +545,8 @@ def replay_instrumentation(
                     exc,
                 )
             ) from exc
+    if named and not instrumentation.replayed_from_events:
+        raise TraceFormatError(
+            "trace holds no events of peer %s (see --list-peers)" % peer
+        )
     return instrumentation

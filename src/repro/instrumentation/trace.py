@@ -45,12 +45,6 @@ seconds), ``type`` and ``peer`` (the observed peer's address):
                when the link is still in the peer's connection table)
 ``hash_fail``  ``piece``
 ``fault``      ``kind`` (injected-fault counter key)
-``playback``   ``kind`` (``progress``/``start``/``stall``/``resume``/
-               ``finish``), ``data`` (in-order prefix + position, see
-               :meth:`~repro.sim.observer.PeerObserver.on_playback`) —
-               gated: never emitted unless the peer has
-               ``PeerConfig.playback_rate`` set, so non-streaming traces
-               are byte-identical to schema v1 files that predate it
 ``stability``  ``kind`` (``sample``/``finalize``), ``data`` (swarm-size
                and chunk-distribution sample, see
                :meth:`~repro.sim.observer.PeerObserver.on_stability`) —
@@ -61,6 +55,9 @@ seconds), ``type`` and ``peer`` (the observed peer's address):
                :class:`~repro.instrumentation.logger.Snapshot`
 ``finalize``   ``joined_at``, ``became_seed_at``, ``open`` (as above)
 =============  ==============================================================
+
+Readers skip event types they do not know, so a trace that holds a
+type this catalogue has since dropped still verifies and replays.
 """
 
 from __future__ import annotations
@@ -462,17 +459,6 @@ class TracingObserver(PeerObserver):
     def on_fault(self, now: float, kind: str) -> None:
         self.recorder.emit(
             {"t": now, "type": "fault", "peer": self._addr, "kind": kind}
-        )
-
-    def on_playback(self, now: float, kind: str, data: dict) -> None:
-        self.recorder.emit(
-            {
-                "t": now,
-                "type": "playback",
-                "peer": self._addr,
-                "kind": kind,
-                "data": dict(data),
-            }
         )
 
     def on_stability(self, now: float, kind: str, data: dict) -> None:

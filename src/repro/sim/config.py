@@ -84,18 +84,6 @@ class PeerConfig:
     client_id: str = "M4-0-2"
     """Client identity encoded in the peer ID."""
 
-    playback_rate: Optional[float] = None
-    """Media consumption rate in bytes/second for streaming workloads.
-    None (default) disables the playback model entirely: no extra state,
-    no extra events, byte-identical traces.  When set, the peer runs a
-    playback clock against its in-order delivered bytes and reports
-    startup delay, rebuffer events and in-order progress through the
-    observer's ``on_playback`` hook."""
-
-    playback_startup_pieces: int = 2
-    """Contiguous pieces (from index 0) buffered before playback starts
-    — the startup threshold behind the startup-delay metric."""
-
     def __post_init__(self) -> None:
         # NaN passes both sign tests and would poison every rate and
         # byte total of a run; an infinite cap is spelt None (download)
@@ -116,10 +104,6 @@ class PeerConfig:
             raise ValueError("max_initiated and unchoke_slots must be positive")
         if self.request_pipeline_depth <= 0:
             raise ValueError("request_pipeline_depth must be positive")
-        if self.playback_rate is not None and self.playback_rate <= 0:
-            raise ValueError("playback_rate must be positive or None")
-        if self.playback_startup_pieces < 1:
-            raise ValueError("playback_startup_pieces must be >= 1")
 
 
 @dataclass(frozen=True)

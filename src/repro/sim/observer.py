@@ -86,19 +86,6 @@ class PeerObserver:
         the same instant — never a re-computed, possibly divergent one.
         """
 
-    def on_playback(self, now: float, kind: str, data: dict) -> None:
-        """The peer's playback state machine transitioned (streaming runs
-        only — never fires unless ``PeerConfig.playback_rate`` is set).
-
-        ``kind`` is one of ``"progress"`` (the in-order delivered prefix
-        advanced), ``"start"`` (startup buffer filled; ``data["delay"]``
-        is the startup delay), ``"stall"`` (the player starved — a
-        rebuffer event), ``"resume"`` (``data["duration"]`` is the
-        rebuffer length) or ``"finish"``.  ``data`` always carries
-        ``pieces``/``bytes`` (the in-order prefix) and ``position`` (the
-        playback offset in bytes).
-        """
-
     def on_stability(self, now: float, kind: str, data: dict) -> None:
         """The swarm-level stability detector produced an event
         (open-system runs only — never fires unless a
@@ -211,10 +198,6 @@ class FanoutObserver(PeerObserver):
     def on_snapshot(self, now: float, snapshot: "Snapshot") -> None:
         for observer in self.observers:
             observer.on_snapshot(now, snapshot)
-
-    def on_playback(self, now: float, kind: str, data: dict) -> None:
-        for observer in self.observers:
-            observer.on_playback(now, kind, data)
 
     def on_stability(self, now: float, kind: str, data: dict) -> None:
         for observer in self.observers:

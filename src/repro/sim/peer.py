@@ -12,7 +12,7 @@ round every 10 seconds through pluggable
 around that core: joining, leaving and crashing, announce retries and
 refilling the peer set, message delivery through the event queue with
 latency and fault injection, the fused HAVE fan-out over shared remote
-views (DESIGN §12), super-seeding, the fault sweep and playback.
+views (DESIGN §12), super-seeding and the fault sweep.
 
 Transfers are fluid: the swarm's per-tick bandwidth allocation calls
 :meth:`Peer.advance_uploads`, which turns allocated bytes into completed
@@ -86,21 +86,6 @@ class Peer(PeerCore):
             observer=observer,
         )
         self.tracker = swarm.tracker
-        # Streaming playback model: only built when configured, so bulk
-        # runs carry no extra state, events or trace records.
-        if config.playback_rate is not None:
-            from repro.sim.playback import PlaybackState
-
-            self.playback: Optional[PlaybackState] = PlaybackState(
-                self, config.playback_rate, config.playback_startup_pieces
-            )
-        else:
-            self.playback = None
-        if self.playback is not None and hasattr(self.selector, "bind_position"):
-            # Playback-aware selectors read this peer's live playback
-            # position; selectors must therefore never be shared between
-            # peers (use a factory per peer).
-            self.selector.bind_position(self.playback.position_piece)
         if observer is not None:
             observer.on_attached(self)
 
@@ -137,8 +122,6 @@ class Peer(PeerCore):
         self.online = True
         self.joined_at = self.simulator.now
         self._materialize = self.swarm.config.verify_piece_hashes
-        if self.playback is not None and not self.bitfield.is_complete():
-            self.playback.on_join(self.joined_at)
         self._announce(
             event="started",
             num_want=TRACKER_NUM_WANT,
@@ -617,8 +600,6 @@ class Peer(PeerCore):
         return PeerCore._verify_and_store(self, piece)
 
     def _announce_piece(self, piece: int) -> None:
-        if self.playback is not None:
-            self.playback.on_piece_completed(self.simulator.now, piece)
         # The HAVE flood is the dominant cost of a large swarm; when
         # delivery is synchronous and lossless the fused loop batches the
         # availability updates, otherwise the core's observably-identical

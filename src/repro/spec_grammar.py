@@ -1,6 +1,6 @@
 """The ``name[:key=value,...]`` grammar shared by every spec string.
 
-Piece selectors (``"seq-window:window=16"``), tracker samplers
+Piece selectors (``"mode-suppression:suppression=0.9"``), tracker samplers
 (``"rarity-aware:bias=1.0"``) and campaign dispatch backends
 (``"worker-pool:spawn=3"``) are each named by a registry key plus
 keyword parameters.  :func:`parse_spec` splits a spec and checks its

@@ -224,14 +224,7 @@ class RunOptions:
     selector: Optional[str] = None
     """Piece-selection strategy spec for every peer in the swarm
     (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
-    ``"seq-window:window=16"``); None is rarest first."""
-
-    playback_rate: Optional[float] = None
-    """Streaming playback rate in bytes/second applied to the local peer
-    and every population leecher; None disables the playback model."""
-
-    playback_startup_pieces: Optional[int] = None
-    """Startup-buffer threshold (contiguous pieces) for streaming runs."""
+    ``"mode-suppression:suppression=0.9"``); None is rarest first."""
 
     arrival_rate: Optional[float] = None
     """Poisson leecher arrival rate (peers/s) override for the scenario."""
@@ -415,12 +408,6 @@ def build_experiment(
             return {}
         return {"selector": make_selector(options.selector)}
 
-    playback: Dict = {}
-    if options.playback_rate is not None:
-        playback["playback_rate"] = options.playback_rate
-        if options.playback_startup_pieces is not None:
-            playback["playback_startup_pieces"] = options.playback_startup_pieces
-
     def leecher_config(upload: float, download: Optional[float]) -> PeerConfig:
         client_id = "M4-0-2"
         if client_mix is not None:
@@ -435,7 +422,6 @@ def build_experiment(
             download_capacity=download,
             seeding_time=seeding_time,
             client_id=client_id,
-            **playback,
         )
 
     # Initial seeds.  The first one is "the initial seed" of transient
@@ -553,7 +539,7 @@ def build_experiment(
 
     def add_local() -> None:
         local_holder["peer"] = swarm.add_peer(
-            config=PeerConfig(**playback),
+            config=PeerConfig(),
             selector=make_selector(options.selector),
             observer=local_observer,
         )

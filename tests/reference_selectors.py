@@ -1,6 +1,6 @@
 """The list-based piece selectors, kept as the differential oracle.
 
-These are the ``select`` bodies of ``repro.core.rarest_first``'s seven
+These are the ``select`` bodies of ``repro.core.rarest_first``'s five
 strategies as they stood when each strategy had a list form beside its
 array form: a candidate list in ascending order, an ``availability``
 sequence indexed by piece, and plain Python ``min`` / comprehensions /
@@ -10,8 +10,8 @@ sequence indexed by piece, and plain Python ``min`` / comprehensions /
 kernels to (same piece or ``None``, same ``rng.getstate()``).
 
 :func:`reference_select` dispatches on the selector's class and reads
-the selector's parameters and bound oracles (position, scarcity, global
-counts) off the instance.
+the selector's parameters and bound oracles (scarcity, global counts)
+off the instance.
 
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
@@ -25,11 +25,9 @@ from repro.core.rarest_first import (
     GlobalRarestSelector,
     ModeSuppressionSelector,
     PieceSelector,
-    ProportionalFairSelector,
     RandomSelector,
     RarestFirstSelector,
     SequentialSelector,
-    SequentialWindowSelector,
 )
 
 
@@ -67,32 +65,12 @@ def _global_rarest(selector, candidates, availability, rng):
     return rng.choice(rarest_set)
 
 
-def _sequential_window(selector, candidates, availability, rng):
-    start = selector._position()
-    end = start + selector.window
-    pool = [piece for piece in candidates if start <= piece < end] or candidates
-    rarest_count = min(int(availability[piece]) for piece in pool)
-    ties = [piece for piece in pool if availability[piece] == rarest_count]
-    return rng.choice(ties)
-
-
-def _proportional_fair(selector, candidates, availability, rng):
-    position = selector._position()
-    weights = [
-        selector._weight(piece, int(availability[piece]), position)
-        for piece in candidates
-    ]
-    return selector._pick(candidates, weights, rng)
-
-
 REFERENCE_SELECT = {
     RarestFirstSelector: _rarest_first,
     ModeSuppressionSelector: _mode_suppression,
     RandomSelector: _random,
     SequentialSelector: _sequential,
     GlobalRarestSelector: _global_rarest,
-    SequentialWindowSelector: _sequential_window,
-    ProportionalFairSelector: _proportional_fair,
 }
 
 

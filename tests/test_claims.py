@@ -79,10 +79,12 @@ def smoke_cache(tmp_path_factory):
 )
 def test_measure_returns_every_declared_number_on_a_smoke_shard(claim, smoke_cache):
     torrents = claim.torrents if len(claim.torrents) <= 1 else SMOKE_SWEEP
-    spec = CampaignSpec(
-        torrent_ids=torrents, scenarios=("smoke",), block_size=claim.block_size
-    )
-    runs = [load_run(shard, smoke_cache) for shard in expand_spec(spec)]
+    runs = []
+    if torrents:  # a claim that reads no shard (T1) measures no run
+        spec = CampaignSpec(
+            torrent_ids=torrents, scenarios=("smoke",), block_size=claim.block_size
+        )
+        runs = [load_run(shard, smoke_cache) for shard in expand_spec(spec)]
     numbers = claim.measure(runs)
     assert all(isinstance(value, float) for value in numbers.values())  # NaN allowed
     for check in claim.checks:

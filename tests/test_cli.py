@@ -113,6 +113,18 @@ class TestFigureCommand:
         assert "a/b" in out
 
 
+class TestStabilityCommand:
+    def test_a_repeated_policy_is_one_row(self, capsys, tmp_path):
+        code, out = run_cli(
+            capsys,
+            "stability", "--policies", "rarest-first,rarest-first",
+            "--arrival-rates", "0.12", "--seed-uploads", "16384",
+            "--duration", "60", "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert sum(" rarest-first " in line for line in out.splitlines()) == 1
+
+
 class TestModelCommand:
     def test_steady_state_printed(self, capsys):
         code, out = run_cli(
@@ -209,6 +221,52 @@ class TestTraceAndReplay:
         assert live_code == 0 and replay_code == 0
         assert replay_out == live_out
 
+    @pytest.mark.parametrize(
+        "line,edit,message",
+        [
+            (5, lambda text: text[:20], "is not valid JSON"),
+            (5, lambda text: "[1, 2]", "is not a JSON object"),
+            (-1, lambda text: text.replace('"events":', '"events":1'), "footer says"),
+            (1, lambda text: text.replace(',"seed":false', ""), "has no field 'seed'"),
+        ],
+        ids=["truncated-line", "non-object-line", "edited-footer", "missing-field"],
+    )
+    def test_replay_of_a_corrupt_trace_is_one_error_line(
+        self, trace_file, tmp_path, capsys, line, edit, message
+    ):
+        lines = trace_file.read_text().splitlines()
+        lines[line] = edit(lines[line])
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("\n".join(lines) + "\n")
+        code = main(["replay", str(corrupt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
+    def test_replay_of_an_untraced_peer_is_one_error_line(self, trace_file, capsys):
+        code = main(["replay", str(trace_file), "--peer", "9.9.9.9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: trace holds no events of peer 9.9.9.9 (see --list-peers)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [(["replay"], []), (["replay"], ["--list-peers"]), (["trace", "stats"], [])],
+        ids=["replay", "list-peers", "trace-stats"],
+    )
+    def test_a_missing_trace_file_is_one_error_line(
+        self, tmp_path, capsys, command, flags
+    ):
+        code = main(command + [str(tmp_path / "absent.jsonl")] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "absent.jsonl" in err
+
     def test_metrics_command(self, capsys):
         code, out = run_cli(
             capsys,
@@ -231,7 +289,7 @@ def leaf_parsers(parser, prefix=()):
 
 
 class TestSharedFlags:
-    RUN_OPTIONS = ("--duration", "--selector", "--playback-rate", "--tracker-sampler")
+    RUN_OPTIONS = ("--duration", "--selector", "--tracker-sampler")
     FIGURE_OPTIONS = ("--kind", "--leecher-only")
     CAMPAIGN_OPTIONS = ("--replicates", "--workers", "--cache-dir", "--results-dir")
 
@@ -307,6 +365,18 @@ class TestMistypedOptions:
             (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
               "--backend", "worker-pool:spwan=3"], "repro campaign run",
              "bad parameters for dispatch backend 'worker-pool:spwan=3'"),
+            # A campaign that describes no shard, or one shard twice, is
+            # refused before any shard runs.
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke,smoke"],
+             "repro campaign run", "scenario repeated: smoke"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--replicates", "0"], "repro campaign run",
+             "replicates must be >= 1, not 0"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--replicates", "-1"], "repro campaign run",
+             "replicates must be >= 1, not -1"),
+            (["campaign", "run", "--torrents", "", "--scenario", "smoke"],
+             "repro campaign run", "a campaign needs at least one torrent id"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

@@ -29,8 +29,6 @@ ALL_SELECTOR_SPECS = [
     "mode-suppression:suppression=0.7",
     "random",
     "sequential",
-    "seq-window:window=6",
-    "pfs:urgency=0.9,rarity_bias=1.0",
 ]
 
 
@@ -51,8 +49,8 @@ def build_swarm(seed, num_pieces, num_leechers, churn=False, selector_spec=None)
         )
 
     def kwargs():
-        # A fresh selector per peer: the playback-aware strategies carry
-        # per-peer position bindings and must never be shared.
+        # A fresh selector per peer: mode suppression carries a per-peer
+        # scarcity binding and must never be shared.
         if selector_spec is None:
             return {}
         return {"selector": make_selector(selector_spec)}

@@ -19,6 +19,7 @@ from repro.campaign import (
     SCENARIOS,
     CampaignSpec,
     ShardSpec,
+    derive_shard_seed,
     execute_shard,
     expand_spec,
     shard_cache_key,
@@ -29,24 +30,25 @@ OVERRIDES = dict(
     duration=300.0,
     block_size=8192,
     selector="random",
-    playback_rate=1000.0,
     arrival_rate=0.1,
     seed_upload=5000.0,
     tracker_sampler="seed-biased:seed_fraction=0.5",
 )
 
 #: sha256 over shard_cache_key(s) + json.dumps(s.as_payload()) for every
-#: shard in expansion order, computed at the commit before RunOptions.
+#: shard in expansion order.  Computed by the code that still had the three
+#: streaming scenarios, over the shards of every other scenario: deleting
+#: them left each surviving payload and cache key byte-identical.
 GOLDEN = [
     (
         CampaignSpec(scenarios=tuple(SCENARIOS), replicates=2),
-        468,
-        "59a40092c7d36defdfabbce8d6a77dfcd6d437c206852e55fdf4f7190bb941e8",
+        312,
+        "09d01a4e4b2c32d0e3931bd8c7ed03e5c74ede2cd5f5ab2a2bbfc8da0d2c6f66",
     ),
     (
         CampaignSpec(torrent_ids=(2, 7), scenarios=tuple(SCENARIOS), **OVERRIDES),
-        18,
-        "9fa5af080e1874299b4c57cfed47b9395a96060b6701c7542f747c4e66080015",
+        12,
+        "67dfbf8cc6d9d31062a0a050a55bd12bb21ce85acff3f56d060cd45656fec7bc",
     ),
 ]
 
@@ -80,6 +82,18 @@ def test_bad_specs_fail_where_the_run_is_described():
             RunOptions(**bad)
     with pytest.raises(ValueError, match="unknown selector"):
         expand_spec(CampaignSpec(torrent_ids=(), selector="bogus"))
+    # A spec that describes no shard, or one shard twice.
+    for bad, message in (
+        (dict(scenarios=("smoke", "smoke")), "scenario repeated: smoke"),
+        (dict(torrent_ids=(2, 2)), "torrent id repeated: 2"),
+        (dict(replicates=0), "replicates must be >= 1"),
+        (dict(replicates=-1), "replicates must be >= 1"),
+        (dict(torrent_ids=()), "at least one torrent id"),
+        (dict(scenarios=()), "at least one scenario"),
+    ):
+        spec = dataclasses.replace(CampaignSpec(torrent_ids=(2,)), **bad)
+        with pytest.raises(ValueError, match=message):
+            expand_spec(spec)
 
 
 #: One non-default value per coordinate.  A new field must be added here,
@@ -89,8 +103,6 @@ SAMPLES = dict(
     block_size=4096,
     faults="light",
     selector="random",
-    playback_rate=2048.0,
-    playback_startup_pieces=5,
     arrival_rate=0.25,
     seed_upload=9000.0,
     num_pieces=32,
@@ -119,7 +131,7 @@ def test_every_coordinate_is_applied_and_keyed():
     names = [f.name for f in dataclasses.fields(RunOptions)]
     assert sorted(SAMPLES) == sorted(names)
     # Leave one out of the full set: some coordinates only act with
-    # another (a startup threshold needs a playback rate).
+    # another.
     every = RunOptions(**SAMPLES)
     every_built = built(every)
     base = ShardSpec(7, "paper", 0, 3)
@@ -141,7 +153,7 @@ def shard_of(scenario, torrent_id=2):
 
 
 @pytest.mark.parametrize(
-    "scenario", ["smoke", "faults-light", "streaming-seqwin", "flash-crowd"]
+    "scenario", ["smoke", "faults-light", "flash-crowd", "flash-crowd-suppress"]
 )
 def test_repro_run_builds_the_same_experiment_as_the_shard(scenario, tmp_path):
     """Pins (it held before too, by coincidence of two hand-written
@@ -165,3 +177,18 @@ def test_repro_run_builds_the_same_experiment_as_the_shard(scenario, tmp_path):
     assert cli._cmd_run(args) == 0
     footer = json.loads(path.read_text().splitlines()[-1])
     assert footer["fingerprint"] == record["trace_fingerprint"]
+
+
+def test_baseline_campaign_fingerprint_is_pinned():
+    """The only pin of the t02-smoke-r0 trace: a default shard keeps its
+    fingerprint whatever coordinates are added to or removed from
+    RunOptions."""
+    shard = shard_of("smoke")
+    assert shard.seed == derive_shard_seed(3, 2, "smoke", 0)
+    record, __ = execute_shard(shard)
+    # Regenerated when tracker announces moved to caller-RNG sampling
+    # (each peer's draws became a function of its own announce sequence
+    # instead of a shared tracker stream).
+    assert record["trace_fingerprint"] == (
+        "11873d630ec8ec07258e1cfe1424d5ebf5a3c1ebb465b967a02bb70f4e7662f3"
+    )

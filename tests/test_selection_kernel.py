@@ -51,16 +51,12 @@ STRATEGIES = sorted(SELECTOR_REGISTRY) + [
 ]
 
 
-def build_selector(strategy, position, global_counts):
+def build_selector(strategy, global_counts):
     if strategy == "global-rarest":
         return GlobalRarestSelector(lambda: global_counts)
     if strategy == "random-first":
         return make_selector("rarest-first")  # never reached
-    selector = make_selector(strategy)
-    bind_position = getattr(selector, "bind_position", None)
-    if bind_position is not None:
-        bind_position(lambda: position)
-    return selector
+    return make_selector(strategy)
 
 
 def build_picker(backend, strategy, case):
@@ -72,7 +68,7 @@ def build_picker(backend, strategy, case):
     picker = picker_class(
         geometry,
         Bitfield(num_pieces, have=case["own"]),
-        build_selector(strategy, case["position"], case["global_counts"]),
+        build_selector(strategy, case["global_counts"]),
         Random(case["seed"]),
         # Random first either always applies or never does.
         random_first_threshold=(
@@ -142,7 +138,6 @@ def picker_states(draw):
         "global_counts": draw(
             st.lists(st.integers(0, 9), min_size=num_pieces, max_size=num_pieces)
         ),
-        "position": draw(st.integers(0, num_pieces)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -161,7 +156,6 @@ def crafted(num_pieces, own=(), remote=(), active=(), availability=None):
         "active": list(active),
         "availability": list(availability or [1] * num_pieces),
         "global_counts": list(range(num_pieces, 0, -1)),
-        "position": 0,
         "seed": 5,
     }
 

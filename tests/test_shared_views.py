@@ -37,7 +37,7 @@ def populate(swarm, leechers=5, super_seeding=False, selector=None):
     rng = Random(swarm.config.seed)
 
     def kwargs():
-        # A fresh selector per peer: playback-aware ones hold per-peer state.
+        # A fresh selector per peer: mode suppression holds per-peer state.
         return {} if selector is None else {"selector": SELECTOR_REGISTRY[selector]()}
 
     swarm.add_peer(

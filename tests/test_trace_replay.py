@@ -26,7 +26,12 @@ from repro.analysis import (
     summarize_entropy,
 )
 from repro.analysis.fairness import leecher_contribution, unchoke_interest_correlation
-from repro.instrumentation import TraceRecorder, replay_instrumentation
+from repro.instrumentation import (
+    TraceRecorder,
+    iter_trace,
+    replay_instrumentation,
+    trace_stats,
+)
 from repro.sim.config import SwarmConfig
 from repro.sim.faults import FAULT_PRESETS
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
@@ -162,3 +167,46 @@ def test_replay_from_recorder_object():
     recorder.close()
     replayed = replay_instrumentation(recorder)
     assert_equivalent(live, replayed)
+
+
+def test_event_types_the_reader_does_not_know_are_skipped(tmp_path):
+    """A trace from a version that emitted ``playback`` events (the
+    streaming runs did, after every in-order delivery) still verifies,
+    replays to the same figures as without them, and is counted."""
+    spec = SCENARIOS["transient"]
+    recorder = TraceRecorder()
+    build_experiment(
+        scaled_copy(scenario_by_id(spec["torrent_id"]), duration=200.0),
+        seed=spec["seed"],
+        trace_recorder=recorder,
+    ).run()
+    recorder.close()
+    path = str(tmp_path / "with_playback.jsonl")
+    legacy = TraceRecorder(path)
+    inserted = 0
+    for event in iter_trace(recorder):
+        legacy.emit(event)
+        if event["type"] == "piece":
+            inserted += 1
+            legacy.emit(
+                {
+                    "t": event["t"],
+                    "type": "playback",
+                    "peer": event["peer"],
+                    "kind": "progress",
+                    "data": {"pieces": inserted, "bytes": 1024 * inserted,
+                             "position": 0.0},
+                }
+            )
+    legacy.close()
+    assert inserted > 0
+
+    assert len(iter_trace(path)) == len(iter_trace(recorder)) + inserted
+    expected = replay_instrumentation(recorder)
+    replayed = replay_instrumentation(path)
+    assert replayed.replayed_from_events == expected.replayed_from_events + inserted
+    assert_equivalent(expected, replayed)
+    assert_same_figures(expected, replayed)
+    kinds = trace_stats(path).kinds
+    assert kinds.pop("playback") == inserted
+    assert kinds == trace_stats(recorder).kinds

@@ -302,7 +302,8 @@ def test_peer_named_only_as_remote_or_in_unchoked_lists_has_no_events():
     assert any(other in event.get("unchoked", ()) for event in events for other in others)
     for other in others:
         assert list(stream_trace(recorder, peer=other)) == []
-        assert replay_instrumentation(recorder, peer=other).replayed_from_events == 0
+        with pytest.raises(TraceFormatError, match="no events of peer"):
+            replay_instrumentation(recorder, peer=other)
     assert list(stream_trace(recorder, peer=local)) == events
 
 
