@@ -7,7 +7,7 @@ ablation swarm), how its numbers are measured, the named checks over
 those numbers (DESIGN §5 is prose; these are the criteria) and the
 renderer of its ``benchmarks/results/<name>.txt``.  ``repro reproduce``
 (:mod:`repro.analysis.reproduce`) evaluates the table over replicate
-seeds.
+seeds; ``repro run|replay --claims`` render the figure rows over one run.
 
 Numbers are floats.  NaN means *not evaluable* in that replicate — a
 check over a NaN number does not hold — and ``inf`` is a time that never
@@ -116,6 +116,10 @@ class Claim:
     """Ablations only: seed -> every variant's plain numbers."""
 
     pinned_seed: Optional[int] = None
+
+    def report(self, evidence, numbers: Numbers) -> str:
+        """The text of ``<results_name>.txt``."""
+        return "\n".join(self.render(evidence, numbers)) + "\n"
 
     def seed(self, replicate: int) -> int:
         """Replicate 0 is the ablation's historical pinned seed; later
@@ -246,6 +250,10 @@ def _entropy_render(runs, numbers) -> List[str]:
     return lines
 
 
+def _torrent(runs) -> int:
+    return runs[0].scenario.torrent_id
+
+
 # -- F2 / F3 (torrent 8, transient) -----------------------------------------
 
 
@@ -269,7 +277,8 @@ def _transient_replication_measure(runs) -> Numbers:
 def _transient_replication_render(runs, numbers) -> List[str]:
     __, trace, summary = runs[0]
     return [
-        "Figure 2 — copies of pieces in the peer set vs time (torrent 8, leecher state)",
+        "Figure 2 — copies of pieces in the peer set vs time (torrent %d, leecher state)"
+        % _torrent(runs),
         *_replication_rows(replication_series(trace, leecher_state_only=True)),
         "fraction of samples with rare pieces (min <= 1 copy): %.2f"
         % numbers["rare_fraction"],
@@ -299,7 +308,8 @@ def _transient_rarest_measure(runs) -> Numbers:
 def _transient_rarest_render(runs, numbers) -> List[str]:
     __, trace, summary = runs[0]
     return [
-        "Figure 3 — number of rarest pieces vs time (torrent 8, leecher state)",
+        "Figure 3 — number of rarest pieces vs time (torrent %d, leecher state)"
+        % _torrent(runs),
         "%8s %8s" % ("t (s)", "rarest"),
         *_sampled("%8.0f %8d", *rarest_set_series(trace, leecher_state_only=True)),
         "linear fit over the transient window:",
@@ -330,7 +340,8 @@ def _steady_replication_measure(runs) -> Numbers:
 def _steady_replication_render(runs, numbers) -> List[str]:
     __, trace, summary = runs[0]
     return [
-        "Figure 4 — copies of pieces in the peer set vs time (torrent 7)",
+        "Figure 4 — copies of pieces in the peer set vs time (torrent %d)"
+        % _torrent(runs),
         *_replication_rows(replication_series(trace)),
         "local peer became a seed at t=%s" % summary["local_completed_at"],
     ]
@@ -356,7 +367,7 @@ def _peer_set_measure(runs) -> Numbers:
 
 def _peer_set_render(runs, numbers) -> List[str]:
     return [
-        "Figure 5 — size of the peer set vs time (torrent 7)",
+        "Figure 5 — size of the peer set vs time (torrent %d)" % _torrent(runs),
         "%8s %6s" % ("t (s)", "size"),
         *_sampled("%8.0f %6d", *peer_set_series(runs[0].trace)),
     ]
@@ -387,7 +398,7 @@ def _steady_rarest_measure(runs) -> Numbers:
 
 def _steady_rarest_render(runs, numbers) -> List[str]:
     return [
-        "Figure 6 — number of rarest pieces vs time (torrent 7)",
+        "Figure 6 — number of rarest pieces vs time (torrent %d)" % _torrent(runs),
         "%8s %8s" % ("t (s)", "rarest"),
         *_sampled("%8.0f %8d", *rarest_set_series(runs[0].trace)),
         "direction changes (sawtooth count): %d" % numbers["direction_changes"],
@@ -436,7 +447,7 @@ def _unchoke_measure(runs) -> Numbers:
 
 
 def _unchoke_render(runs, numbers) -> List[str]:
-    lines = ["Figure 10 — unchokes vs interested time (torrent 7)"]
+    lines = ["Figure 10 — unchokes vs interested time (torrent %d)" % _torrent(runs)]
     for state, label in (("leecher", "leecher state: "), ("seed", "seed state:    ")):
         lines.append(
             "%sn=%d  top-5 service share = %.2f  Pearson(interest, service) = %.2f"
@@ -468,13 +479,25 @@ def _interarrival(runs, kind: str):
         return None
 
 
-def _interarrival_lines(title: str, summary, digits: int) -> List[str]:
+def _interarrival_render(
+    runs, figure: int, kind: str, digits: int, details: Callable
+) -> List[str]:
+    """Title and population medians, then *details(summary)*; a run with
+    fewer than three *kind* arrivals has nothing to compare."""
+    title = "Figure %d — CDF of %s interarrival time (torrent %d)" % (
+        figure, kind, _torrent(runs)
+    )
+    summary = _interarrival(runs, kind)
+    if summary is None:
+        return [title, "not evaluable: fewer than three %s arrivals" % kind]
     medians = "population medians: all=%.{0}fs  first-%d=%.{0}fs  last-%d=%.{0}fs"
     return [
         title,
         medians.format(digits)
         % (summary.median_all, summary.n, summary.median_first, summary.n,
            summary.median_last),
+        *details(summary),
+        *_cdf_rows(summary),
     ]
 
 
@@ -499,15 +522,10 @@ def _piece_interarrival_measure(runs) -> Numbers:
 
 
 def _piece_interarrival_render(runs, numbers) -> List[str]:
-    summary = _interarrival(runs, "piece")
-    return [
-        *_interarrival_lines(
-            "Figure 7 — CDF of piece interarrival time (torrent 10)", summary, 2
-        ),
+    return _interarrival_render(runs, 7, "piece", 2, lambda summary: [
         "first slowdown x%.2f, last slowdown x%.2f"
         % (numbers["first_slowdown"], numbers["last_slowdown"]),
-        *_cdf_rows(summary),
-    ]
+    ])
 
 
 def _block_interarrival_measure(runs) -> Numbers:
@@ -525,17 +543,12 @@ def _block_interarrival_measure(runs) -> Numbers:
 
 
 def _block_interarrival_render(runs, numbers) -> List[str]:
-    summary = _interarrival(runs, "block")
-    return [
-        *_interarrival_lines(
-            "Figure 8 — CDF of block interarrival time (torrent 10)", summary, 3
-        ),
+    return _interarrival_render(runs, 8, "block", 3, lambda summary: [
         "95th-percentile tail vs all: first x%.2f, last x%.2f"
         % (numbers["first_tail"], numbers["last_tail"]),
         "largest gap: all=%.2fs first=%.2fs last=%.2fs"
         % (numbers["max_gap"], numbers["max_first_gap"], numbers["max_last_gap"]),
-        *_cdf_rows(summary),
-    ]
+    ])
 
 
 # -- F9 / F11 (all torrents) ------------------------------------------------
@@ -1016,3 +1029,17 @@ def select_claims(ids: Optional[str]) -> Tuple[Claim, ...]:
                 "unknown claim %r (have: %s)" % (claim_id, ", ".join(known))
             )
     return tuple(claim for claim in CLAIMS if claim.id in wanted)
+
+
+def one_run_claims(ids: str) -> Tuple[Claim, ...]:
+    """The rows ``repro run|replay --claims IDS`` renders from a single
+    Table-I run; a row drawn from none (T1, the ablations) is a
+    ``KeyError``, like an unknown id."""
+    claims = select_claims(ids)
+    for claim in claims:
+        if not claim.torrents:
+            raise KeyError(
+                "claim %s is not drawn from one run (have: %s)"
+                % (claim.id, ", ".join(c.id for c in CLAIMS if c.torrents))
+            )
+    return claims

@@ -112,8 +112,9 @@ def reproduce(
                 evidence = [runs[tid, claim.block_size] for tid in claim.torrents]
             numbers = claim.measure(evidence)
             if replicate == 0:
-                text = "\n".join(claim.render(evidence, numbers)) + "\n"
-                (results_dir / (claim.results_name + ".txt")).write_text(text)
+                (results_dir / (claim.results_name + ".txt")).write_text(
+                    claim.report(evidence, numbers)
+                )
             for name, value in numbers.items():
                 row["%s.%s" % (claim.id, name)] = value
             for check in claim.checks:

@@ -46,6 +46,7 @@ from repro.campaign.runner import (
     execute_shard,
     manifest_fingerprint,
     run_shard_payload,
+    run_summary,
 )
 from repro.campaign.spec import (
     DEFAULT_CAMPAIGN_SEED,
@@ -94,6 +95,7 @@ __all__ = [
     "render_manifest_table",
     "resolve_backend",
     "run_shard_payload",
+    "run_summary",
     "run_worker",
     "schedule_shards",
     "shard_cache_key",

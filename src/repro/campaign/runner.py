@@ -127,7 +127,6 @@ def execute_shard(
         raise
     fingerprint = recorder.close()
     wall = time.perf_counter() - started
-    seeds, leechers = harness.swarm.seeds_and_leechers()
     record = {
         "key": key,
         "shard_id": shard.shard_id,
@@ -136,22 +135,33 @@ def execute_shard(
         "wall_seconds": round(wall, 4),
         "trace_fingerprint": fingerprint,
         "trace_events": recorder.events_emitted,
-        "summary": {
-            "first_full_copy_at": harness.swarm.result.first_full_copy_at,
-            "final_seeds": seeds,
-            "final_leechers": leechers,
-            "local_completed_at": instrumentation.seed_state_at,
-            "mean_download_time": harness.swarm.result.mean_download_time(),
-            "local_address": harness.local_peer.address,
-            "trace_fingerprint": fingerprint,
-        },
+        "summary": run_summary(harness, instrumentation, fingerprint),
     }
-    if harness.stability is not None and harness.stability.verdict is not None:
-        record["summary"]["stability"] = harness.stability.verdict.as_dict()
     record.update(shard.as_payload())
     if cache is not None:
         cache.store(key, record, trace_tmp=trace_tmp)
     return record, (instrumentation if want_instrumentation else None)
+
+
+def run_summary(
+    harness, instrumentation: Instrumentation, fingerprint: Optional[str]
+) -> dict:
+    """The swarm-level facts a claim reads beside the local peer's trace
+    (``Run.summary``): a shard's record stores them, and ``repro run
+    --claims`` renders from the same dict."""
+    seeds, leechers = harness.swarm.seeds_and_leechers()
+    summary = {
+        "first_full_copy_at": harness.swarm.result.first_full_copy_at,
+        "final_seeds": seeds,
+        "final_leechers": leechers,
+        "local_completed_at": instrumentation.seed_state_at,
+        "mean_download_time": harness.swarm.result.mean_download_time(),
+        "local_address": harness.local_peer.address,
+        "trace_fingerprint": fingerprint,
+    }
+    if harness.stability is not None and harness.stability.verdict is not None:
+        summary["stability"] = harness.stability.verdict.as_dict()
+    return summary
 
 
 def run_shard_payload(payload: dict) -> dict:

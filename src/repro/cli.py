@@ -4,14 +4,10 @@
 
     python -m repro list-torrents
     python -m repro run --torrent 7 --trace out.jsonl --trace-all
-    python -m repro figure entropy --torrent 7
-    python -m repro figure replication --torrent 8 --leecher-only
-    python -m repro figure interarrival --torrent 10 --kind piece
-    python -m repro figure fairness --torrent 7
-    python -m repro replay out.jsonl --figure entropy
+    python -m repro run --torrent 7 --claims F4,F5,F6,F10
+    python -m repro replay out.jsonl --torrent 7 --claims F1,F9
     python -m repro trace diff a.jsonl b.jsonl --context 5
     python -m repro trace stats out.jsonl
-    python -m repro metrics --torrent 19 --duration 400
     python -m repro model --arrival-rate 0.05 --upload 4096 --content 131072
     python -m repro campaign run --workers 4 --cache-dir campaign-cache
     python -m repro campaign run --torrents 2,3,13,19 --scenario smoke --workers 2
@@ -25,37 +21,26 @@ six ablations: ``repro.analysis.claims``) over replicate seeds, rewrites
 replicates) across worker processes with content-addressed caching —
 ``repro campaign run`` executes the missing shards and writes a
 ``manifest.json``; ``repro campaign status`` renders that manifest.
-``run`` executes one Table-I experiment with the instrumented client;
-``figure`` runs it and prints the requested figure's data; ``replay``
+``run`` executes one Table-I experiment with the instrumented client
+and prints the local peer's outcome and metrics counters; ``replay``
 reconstructs the instrumentation from a structured JSONL trace (``run
---trace``) and prints any figure from it without re-simulating;
-``trace diff`` locates the first event at which two traces part (exit 1)
-and ``trace stats`` summarises one; ``metrics`` runs an experiment and
-dumps the instrumentation's metrics registry; ``model`` evaluates the
-Qiu–Srikant fluid model.
+--trace``) without re-simulating.  Both print figures the one way
+``reproduce`` writes them: ``--claims F4,F5`` renders each named claim
+over this one run.  ``trace diff`` locates the first event at which two
+traces part (exit 1) and ``trace stats`` summarises one; ``model``
+evaluates the Qiu–Srikant fluid model.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis import (
-    interarrival_summary,
-    peer_set_series,
-    rarest_set_series,
-    replication_series,
-    summarize_entropy,
-    unchoke_interest_correlation,
-)
-from repro.analysis.fairness import leecher_contribution, seed_contribution
 from repro.instrumentation import (
-    Instrumentation,
     TraceRecorder,
     diff_traces,
     replay_instrumentation,
@@ -65,11 +50,12 @@ from repro.instrumentation import (
 from repro.instrumentation.replay import TraceFormatError
 from repro.models import FluidModel
 from repro.reporting import ascii_table, sparkline
-from repro.workloads import TABLE1, RunOptions, build_experiment, resolve_scenario
-
-FIGURES = (
-    "entropy", "replication", "rarest-set", "peer-set", "interarrival",
-    "fairness",
+from repro.workloads import (
+    TABLE1,
+    RunOptions,
+    build_experiment,
+    resolve_scenario,
+    scenario_by_id,
 )
 
 
@@ -88,20 +74,30 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one Table-I experiment with the instrumented client"
     )
     _experiment_arguments(run_parser)
-
-    figure_parser = commands.add_parser(
-        "figure", help="run an experiment and print one figure's data"
+    run_parser.add_argument(
+        "--claims", default=None, metavar="IDS",
+        help="after the run, print these figure claims over it, e.g. "
+        "F4,F5 (any of F1-F11), as 'reproduce' writes them",
     )
-    _figure_arguments(figure_parser, "name")
-    _experiment_arguments(figure_parser)
 
     replay_parser = commands.add_parser(
         "replay",
         help="rebuild the instrumentation from a structured JSONL trace "
-        "('run --trace') and print one figure — no simulation",
+        "('run --trace') and print figure claims over it — no simulation",
     )
+    replay_parser.set_defaults(usage_error=replay_parser.error)
     replay_parser.add_argument("trace", help="JSONL trace from 'run --trace'")
-    _figure_arguments(replay_parser, "--figure", default="entropy")
+    replay_parser.add_argument(
+        "--claims", default="F1", metavar="IDS",
+        help="figure claims to print, e.g. F4,F5 (any of F1-F11; default "
+        "F1). A one-peer trace does not know when the swarm pushed its "
+        "first full copy: F2 prints None for it and F3 fits its whole series",
+    )
+    replay_parser.add_argument(
+        "--torrent", type=int, default=7,
+        help="Table-I id (1-26) the trace was run on, as for 'run' "
+        "(default 7): the scenario F1, F3, F9 and F11 read",
+    )
     replay_parser.add_argument(
         "--peer", metavar="ADDR", default=None,
         help="which traced peer to reconstruct (default: the first; "
@@ -123,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the first event at which two traces (JSONL or RBT1) "
         "diverge and the per-kind count delta; exit 1 on any divergence",
     )
+    trace_diff.set_defaults(usage_error=trace_diff.error)
     trace_diff.add_argument("a", help="left trace")
     trace_diff.add_argument("b", help="right trace")
     trace_diff.add_argument(
@@ -135,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace (JSONL or RBT1)",
     )
     trace_stats_parser.add_argument("trace", help="trace to summarise")
-
-    metrics_parser = commands.add_parser(
-        "metrics",
-        help="run an experiment and dump the instrumentation's metrics "
-        "registry (per-layer timing: python3 benchmarks/suite/run.py "
-        "--workload <w> --trace 1)",
-    )
-    _experiment_arguments(metrics_parser)
 
     campaign_parser = commands.add_parser(
         "campaign",
@@ -269,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="download a synthetic torrent through a live localhost swarm "
         "and report per-peer outcomes",
     )
+    net_run.set_defaults(usage_error=net_run.error)
     net_run.add_argument("--seeds", type=int, default=1, help="initial seeds")
     net_run.add_argument("--leechers", type=int, default=5)
     net_run.add_argument("--pieces", type=int, default=24)
@@ -303,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_parser = commands.add_parser(
         "model", help="evaluate the Qiu-Srikant fluid model"
     )
+    model_parser.set_defaults(usage_error=model_parser.error)
     model_parser.add_argument("--arrival-rate", type=float, required=True)
     model_parser.add_argument(
         "--upload", type=float, required=True, help="peer upload, bytes/s"
@@ -381,12 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-system stability phase diagram, sim cross-validated "
         "against the fluid model",
     )
+    stability_parser.set_defaults(usage_error=stability_parser.error)
     stability_parser.add_argument(
-        "--arrival-rates", default="0.12,0.35", metavar="LIST",
+        "--arrival-rates", type=_float_list, default="0.12,0.35", metavar="LIST",
         help="comma-separated Poisson arrival rates (peers/s)",
     )
     stability_parser.add_argument(
-        "--seed-uploads", default="16384,49152", metavar="LIST",
+        "--seed-uploads", type=_float_list, default="16384,49152", metavar="LIST",
         help="comma-separated initial-seed upload capacities (bytes/s)",
     )
     stability_parser.add_argument(
@@ -446,7 +438,7 @@ def _campaign_arguments(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 def _run_option_arguments(parser: argparse.ArgumentParser) -> None:
     """The run coordinates a single run and a whole campaign both take
-    (``run|figure|metrics`` and ``campaign run|diff``), declared once."""
+    (``run`` and ``campaign run|diff``), declared once."""
     # A bad value surfaces when the options are resolved, after parsing;
     # the handler reports it through the subcommand's own parser.
     parser.set_defaults(usage_error=parser.error)
@@ -489,34 +481,13 @@ def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _figure_arguments(
-    parser: argparse.ArgumentParser, figure_flag: str, **figure_kwargs
-) -> None:
-    """Which figure to print and how (``figure`` names it positionally,
-    ``replay`` with ``--figure``)."""
-    parser.add_argument(
-        figure_flag, choices=FIGURES, help="which figure to regenerate",
-        **figure_kwargs,
-    )
-    parser.add_argument(
-        "--kind", choices=["piece", "block"], default="piece",
-        help="interarrival item kind (figure 7 vs 8)",
-    )
-    parser.add_argument(
-        "--leecher-only", action="store_true",
-        help="restrict series to the local peer's leecher state",
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "list-torrents": _cmd_list_torrents,
         "run": _cmd_run,
-        "figure": _cmd_figure,
         "replay": _cmd_replay,
         "trace": _cmd_trace,
-        "metrics": _cmd_metrics,
         "model": _cmd_model,
         "net": _cmd_net,
         "campaign": _cmd_campaign,
@@ -562,22 +533,37 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
     return RunOptions(**named)
 
 
-def _build_harness(args: argparse.Namespace, trace_recorder=None):
+def _claims_over(args: argparse.Namespace):
+    """The ``--claims`` rows and the Table-I scenario of the run they
+    render, checked before anything is simulated or read."""
+    from repro.analysis.claims import one_run_claims
+
+    try:
+        return one_run_claims(args.claims or ""), scenario_by_id(args.torrent)
+    except KeyError as exc:
+        args.usage_error(exc.args[0])
+
+
+def _print_claims(claims, run) -> None:
+    for claim in claims:
+        print(claim.report([run], claim.measure([run])), end="")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.claims import Run
+    from repro.campaign import run_summary
+
+    claims, table_scenario = _claims_over(args)
     try:
         options = _run_options(args)
         scenario = resolve_scenario(args.torrent, options)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         args.usage_error(exc.args[0])
     print(
         "running torrent %d (%s, %d+%d peers, %d pieces) for %.0f s ..."
-        % (
-            scenario.torrent_id,
-            "transient" if scenario.transient else "steady",
-            scenario.seeds,
-            scenario.leechers,
-            scenario.num_pieces,
-            scenario.duration,
-        ),
+        % (scenario.torrent_id, "transient" if scenario.transient else "steady",
+           scenario.seeds, scenario.leechers, scenario.num_pieces,
+           scenario.duration),
         file=sys.stderr,
     )
     described = options.non_default()
@@ -587,55 +573,39 @@ def _build_harness(args: argparse.Namespace, trace_recorder=None):
             % ", ".join("%s=%s" % item for item in described.items()),
             file=sys.stderr,
         )
-    return build_experiment(
-        scenario,
-        args.seed,
-        options,
-        trace_recorder=trace_recorder,
-        trace_all_peers=args.trace_all,
+    # A claim reads the trace fingerprint a shard's record carries.
+    recorder = TraceRecorder(args.trace) if args.trace or claims else None
+    harness = build_experiment(
+        scenario, args.seed, options,
+        trace_recorder=recorder, trace_all_peers=args.trace_all,
     )
-
-
-def _run_experiment(args: argparse.Namespace) -> Instrumentation:
-    recorder = None
-    if args.trace:
-        recorder = TraceRecorder(args.trace)
-    harness = _build_harness(args, trace_recorder=recorder)
     trace = harness.run()
     if harness.swarm.faults is not None:
         stats = dict(harness.swarm.faults.stats)
         print("injected faults: %s" % (stats or "none hit"), file=sys.stderr)
-    if recorder is not None:
-        fingerprint = recorder.close()
+    fingerprint = recorder.close() if recorder is not None else None
+    if args.trace:
         print(
             "structured trace: %s (%d events, fingerprint %s)"
             % (args.trace, recorder.events_emitted, fingerprint[:16]),
             file=sys.stderr,
         )
-    return trace
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    trace = _run_experiment(args)
     print(
         "local peer: %d pieces, seed at t=%s, %d messages sent"
-        % (
-            trace.peer.bitfield.count,
-            trace.seed_state_at,
-            trace.messages_sent,
-        )
+        % (trace.peer.bitfield.count, trace.seed_state_at, trace.messages_sent)
     )
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    trace = _run_experiment(args)
-    _print_figure(trace, args.name, args)
+    print(trace.metrics.render())
+    summary = run_summary(harness, trace, fingerprint)
+    _print_claims(claims, Run(table_scenario, trace, summary))
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    """Exit 0: done; 2: the trace is unreadable or lacks the peer."""
+    """Exit 0: done; 2: a bad claim or torrent id, or the trace is
+    unreadable or lacks the peer."""
+    from repro.analysis.claims import Run
+
+    claims, scenario = _claims_over(args)
     try:
         if args.list_peers:
             for address in traced_peers(args.trace):
@@ -650,7 +620,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         % (trace.replayed_from_events, trace.peer.address),
         file=sys.stderr,
     )
-    _print_figure(trace, args.figure, args)
+    # One peer's events know when it became a seed, not when the swarm
+    # pushed its first full copy.
+    summary = {"local_completed_at": trace.seed_state_at, "first_full_copy_at": None}
+    _print_claims(claims, Run(scenario, trace, summary))
     return 0
 
 
@@ -682,7 +655,7 @@ def _trace_stats(args: argparse.Namespace) -> int:
 
 def _trace_diff(args: argparse.Namespace) -> int:
     if args.context < 0:
-        raise SystemExit("--context must be >= 0")
+        args.usage_error("--context must be >= 0, not %d" % args.context)
     diff = diff_traces(args.a, args.b, context=args.context)
     if diff.identical:
         print("traces are identical: %d events" % diff.events[0])
@@ -706,113 +679,6 @@ def _trace_diff(args: argparse.Namespace) -> int:
         for kind, count in diff.kind_delta.items():
             print("    %-12s %+d" % (kind, count))
     return 1
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    trace = _build_harness(args).run()
-    print("== instrumentation metrics ==")
-    print(trace.metrics.render())
-    return 0
-
-
-def _print_figure(trace: Instrumentation, name: str, args) -> None:
-    leecher_only = args.leecher_only
-    if name == "entropy":
-        summary = summarize_entropy(trace)
-        print(
-            ascii_table(
-                ["ratio", "p20", "median", "p80", "n"],
-                [
-                    [
-                        "a/b (local in remote)",
-                        "%.2f" % summary.p20_local,
-                        "%.2f" % summary.median_local,
-                        "%.2f" % summary.p80_local,
-                        len(summary.local_in_remote),
-                    ],
-                    [
-                        "c/d (remote in local)",
-                        "%.2f" % summary.p20_remote,
-                        "%.2f" % summary.median_remote,
-                        "%.2f" % summary.p80_remote,
-                        len(summary.remote_in_local),
-                    ],
-                ],
-            )
-        )
-    elif name == "replication":
-        series = replication_series(trace, leecher_state_only=leecher_only)
-        print("min copies:  %s" % sparkline(series.min_copies))
-        print("mean copies: %s" % sparkline(series.mean_copies))
-        print("max copies:  %s" % sparkline(series.max_copies))
-        rows = [
-            ["%.0f" % t, low, "%.2f" % mean, high]
-            for t, low, mean, high in list(
-                zip(
-                    series.times,
-                    series.min_copies,
-                    series.mean_copies,
-                    series.max_copies,
-                )
-            )[:: max(1, len(series.times) // 25)]
-        ]
-        print(ascii_table(["t", "min", "mean", "max"], rows))
-    elif name == "rarest-set":
-        times, sizes = rarest_set_series(trace, leecher_state_only=leecher_only)
-        print("rarest-set size: %s" % sparkline(sizes))
-        rows = [
-            ["%.0f" % t, s]
-            for t, s in list(zip(times, sizes))[:: max(1, len(times) // 25)]
-        ]
-        print(ascii_table(["t", "rarest"], rows))
-    elif name == "peer-set":
-        times, sizes = peer_set_series(trace)
-        print("peer-set size: %s" % sparkline(sizes))
-        rows = [
-            ["%.0f" % t, s]
-            for t, s in list(zip(times, sizes))[:: max(1, len(times) // 25)]
-        ]
-        print(ascii_table(["t", "size"], rows))
-    elif name == "interarrival":
-        summary = interarrival_summary(trace, kind=args.kind)
-        print(
-            ascii_table(
-                ["population", "median (s)", "slowdown vs all"],
-                [
-                    ["all", "%.3f" % summary.median_all, "x1.00"],
-                    [
-                        "first %d" % summary.n,
-                        "%.3f" % summary.median_first,
-                        "x%.2f" % summary.first_slowdown(),
-                    ],
-                    [
-                        "last %d" % summary.n,
-                        "%.3f" % summary.median_last,
-                        "x%.2f" % summary.last_slowdown(),
-                    ],
-                ],
-            )
-        )
-    elif name == "fairness":
-        up_shares, down_shares = leecher_contribution(trace)
-        seed_shares = seed_contribution(trace)
-        rows = [
-            ["set %d" % (index + 1),
-             "%.2f" % up, "%.2f" % down, "%.2f" % seed]
-            for index, (up, down, seed) in enumerate(
-                zip(up_shares, down_shares, seed_shares)
-            )
-        ]
-        print(ascii_table(["peers", "upload LS", "download LS", "upload SS"], rows))
-        for state in ("leecher", "seed"):
-            correlation = unchoke_interest_correlation(trace, state=state)
-            if len(correlation) >= 3 and not math.isnan(correlation.correlation):
-                print(
-                    "%s-state unchoke/interest correlation: %.2f (%d peers)"
-                    % (state, correlation.correlation, len(correlation))
-                )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown figure %r" % name)
 
 
 def _campaign_spec_from_args(args: argparse.Namespace):
@@ -853,6 +719,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             manifest = json.loads(manifest_path.read_text())
         except OSError:
             print("no manifest at %s (run a campaign first)" % manifest_path,
+                  file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print("unreadable manifest at %s: %s" % (manifest_path, exc),
                   file=sys.stderr)
             return 1
         if args.json:
@@ -979,21 +849,26 @@ def _cmd_net(args: argparse.Namespace) -> int:
     from repro.protocol.metainfo import make_metainfo
     from repro.sim.config import KIB, PeerConfig
 
-    metainfo = make_metainfo(
-        "net-live",
-        num_pieces=args.pieces,
-        piece_size=args.piece_size,
-        block_size=args.block_size,
-    )
+    if min(args.seeds, args.leechers) < 0:
+        args.usage_error("--seeds and --leechers must be >= 0")
+    try:
+        metainfo = make_metainfo(
+            "net-live",
+            num_pieces=args.pieces,
+            piece_size=args.piece_size,
+            block_size=args.block_size,
+        )
+        config = PeerConfig(
+            upload_capacity=args.upload * KIB,
+            choke_interval=args.choke_interval,
+            rate_window=max(1.0, 2 * args.choke_interval),
+            min_peer_set=1,
+        )
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     recorder = None
     if args.trace is not None or args.check:
         recorder = TraceRecorder(args.trace)
-    config = PeerConfig(
-        upload_capacity=args.upload * KIB,
-        choke_interval=args.choke_interval,
-        rate_window=max(1.0, 2 * args.choke_interval),
-        min_peer_set=1,
-    )
     swarm = LiveSwarm(
         metainfo, seed=args.seed, config=config, recorder=recorder
     )
@@ -1044,15 +919,20 @@ def _cmd_model(args: argparse.Namespace) -> int:
         seed_departure_rate = (
             1.0 / args.seed_stay if args.seed_stay > 0 else 0.0
         )
-    model = FluidModel(
-        arrival_rate=args.arrival_rate,
-        upload_rate=args.upload / args.content,
-        abort_rate=args.abort_rate,
-        seed_departure_rate=seed_departure_rate,
-        effectiveness=args.effectiveness,
-        seed_capacity=args.seed_capacity,
-    )
-    states = model.integrate(duration=args.duration, dt=1.0)
+    if args.content <= 0:
+        args.usage_error("--content must be > 0")
+    try:
+        model = FluidModel(
+            arrival_rate=args.arrival_rate,
+            upload_rate=args.upload / args.content,
+            abort_rate=args.abort_rate,
+            seed_departure_rate=seed_departure_rate,
+            effectiveness=args.effectiveness,
+            seed_capacity=args.seed_capacity,
+        )
+        states = model.integrate(duration=args.duration, dt=1.0)
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     leechers = [s.leechers for s in states]
     seeds = [s.seeds for s in states]
     print("leechers: %s" % sparkline(leechers[:: max(1, len(leechers) // 60)]))
@@ -1075,8 +955,13 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> List[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _float_list(text: str) -> List[float]:
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "not a comma-separated list of numbers: %r" % text
+        ) from None
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
@@ -1087,9 +972,13 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     policies = tuple(
         dict.fromkeys(part.strip() for part in args.policies.split(",") if part.strip())
     )
+    try:
+        RunOptions(duration=args.duration)
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     diagram = phase_diagram(
-        arrival_rates=_parse_float_list(args.arrival_rates),
-        seed_uploads=_parse_float_list(args.seed_uploads),
+        arrival_rates=args.arrival_rates,
+        seed_uploads=args.seed_uploads,
         policies=policies,
         torrent_id=args.torrent,
         cache_dir=args.cache_dir,

@@ -189,8 +189,8 @@ class Instrumentation(PeerObserver):
         successful announce, plus ``announce.<kind>`` counters in
         :attr:`metrics`."""
         self.metrics = MetricsRegistry()
-        """Counter/gauge/histogram registry fed by the hooks; the
-        compatibility views :attr:`messages_sent`,
+        """Counter registry fed by the hooks (``repro run`` prints it);
+        the compatibility views :attr:`messages_sent`,
         :attr:`messages_received` and :attr:`fault_counters` read
         through it, so every counter has exactly one implementation."""
         self._sent_counter = self.metrics.counter("messages.sent")

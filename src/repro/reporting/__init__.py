@@ -1,13 +1,5 @@
-"""Result rendering: ASCII tables, ASCII charts and CSV export for the
-regenerated figures."""
+"""Result rendering: ASCII tables and sparklines for the terminal."""
 
-from repro.reporting.render import ascii_chart, ascii_table, sparkline
-from repro.reporting.export import series_to_csv, table_to_csv
+from repro.reporting.render import ascii_table, sparkline
 
-__all__ = [
-    "ascii_chart",
-    "ascii_table",
-    "series_to_csv",
-    "sparkline",
-    "table_to_csv",
-]
+__all__ = ["ascii_table", "sparkline"]

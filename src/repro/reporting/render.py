@@ -1,14 +1,14 @@
 """Terminal-friendly rendering of tables and time series.
 
-The paper's figures are line plots and scatter plots; in a headless
-reproduction the same series are rendered as fixed-width tables, ASCII
-charts and sparklines, so every regenerated figure can be eyeballed in a
-terminal or a text diff.
+The CLI's own reports (the Table-I listing, trace statistics, a live
+swarm's outcome, the fluid model's trajectory) print as fixed-width
+tables and sparklines; the paper's figures print through the claims
+registry (:mod:`repro.analysis.claims`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -70,43 +70,3 @@ def sparkline(values: Sequence[float]) -> str:
         SPARK_LEVELS[int(round((value - low) * scale))] for value in values
     )
 
-
-def ascii_chart(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    height: int = 12,
-    width: int = 60,
-    label: Optional[str] = None,
-) -> str:
-    """A rough scatter/line chart on a character grid.
-
-    Points are bucketed into ``width`` columns and ``height`` rows; the
-    y-axis shows min/max, the x-axis first/last.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if height < 2 or width < 2:
-        raise ValueError("height and width must be at least 2")
-    if not xs:
-        return "(empty series)"
-    x_low, x_high = min(xs), max(xs)
-    y_low, y_high = min(ys), max(ys)
-    x_span = (x_high - x_low) or 1.0
-    y_span = (y_high - y_low) or 1.0
-    grid: List[List[str]] = [[" "] * width for __ in range(height)]
-    for x, y in zip(xs, ys):
-        column = int((x - x_low) / x_span * (width - 1))
-        row = int((y - y_low) / y_span * (height - 1))
-        grid[height - 1 - row][column] = "*"
-    left_labels = ["%10.4g" % y_high] + ["          "] * (height - 2) + [
-        "%10.4g" % y_low
-    ]
-    lines = []
-    if label:
-        lines.append(label)
-    for prefix, row in zip(left_labels, grid):
-        lines.append("%s |%s" % (prefix, "".join(row)))
-    lines.append(
-        "%s  %s%s" % (" " * 10, ("%-.6g" % x_low).ljust(width - 8), "%.6g" % x_high)
-    )
-    return "\n".join(lines)

@@ -257,6 +257,14 @@ class RunOptions:
     def __post_init__(self) -> None:
         # Config errors fail where the run is described, before any
         # worker is spawned or any event simulated.
+        if self.duration is not None and not (
+            math.isfinite(self.duration) and self.duration > 0
+        ):
+            raise ValueError("duration must be finite and > 0, not %r" % self.duration)
+        for name in ("block_size", "num_pieces", "piece_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError("%s must be >= 1, not %r" % (name, value))
         make_selector(self.selector)
         if self.tracker_sampler is not None:
             make_sampler(self.tracker_sampler)

@@ -92,6 +92,20 @@ def test_measure_returns_every_declared_number_on_a_smoke_shard(claim, smoke_cac
         assert check.holds(numbers) in (True, False)
 
 
+@pytest.mark.parametrize("claim_id,kind", [("F7", "piece"), ("F8", "block")])
+def test_interarrival_render_of_a_run_with_too_few_arrivals(claim_id, kind, tmp_path):
+    # Two simulated seconds: no piece, no block has arrived yet.
+    spec = CampaignSpec(torrent_ids=(2,), scenarios=("smoke",), duration=2.0)
+    (run,) = [load_run(shard, ShardCache(tmp_path)) for shard in expand_spec(spec)]
+    (claim,) = select_claims(claim_id)
+    numbers = claim.measure([run])
+    assert all(math.isnan(value) for value in numbers.values())
+    assert claim.render([run], numbers) == [
+        "Figure %s — CDF of %s interarrival time (torrent 2)" % (claim_id[1:], kind),
+        "not evaluable: fewer than three %s arrivals" % kind,
+    ]
+
+
 class TestRunner:
     """Pinning tests: the four fast ablations through ``reproduce``."""
 

@@ -5,7 +5,22 @@ import json
 
 import pytest
 
+from repro.analysis.claims import one_run_claims
+from repro.analysis.reproduce import load_run
+from repro.campaign import CampaignSpec, ShardCache, expand_spec
 from repro.cli import build_parser, main
+
+
+#: The figure names of the retired ``figure`` subcommand, and the claims
+#: of the table that render each one now.
+FIGURE_CLAIMS = {
+    "entropy": "F1",
+    "replication": "F4",
+    "rarest-set": "F6",
+    "peer-set": "F5",
+    "interarrival": "F7",
+    "fairness": "F9,F10,F11",
+}
 
 
 def run_cli(capsys, *argv):
@@ -24,8 +39,10 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_figure_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "nonsense"])
+        # A figure is chosen by its claim id, checked before anything runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "absent.jsonl", "--claims", "F12"])
+        assert exit_info.value.code == 2
 
 
 class TestListTorrents:
@@ -38,8 +55,8 @@ class TestListTorrents:
 
 
 class TestRunAndAnalyze:
-    """Offline analysis of a saved run: ``run --trace`` then ``replay``
-    (the one on-disk record of a run), every figure."""
+    """Offline analysis of a saved run: ``run --trace`` then ``replay
+    --claims`` (the one on-disk record of a run), every figure claim."""
 
     @pytest.fixture(scope="class")
     def saved_trace(self, tmp_path_factory):
@@ -56,61 +73,125 @@ class TestRunAndAnalyze:
         assert code == 0
         return path
 
+    @staticmethod
+    def replay(capsys, saved_trace, *claims):
+        code, out = run_cli(
+            capsys, "replay", str(saved_trace), "--torrent", "19", *claims
+        )
+        assert code == 0
+        return out
+
     def test_run_saves_valid_json(self, saved_trace):
         events = [json.loads(line) for line in saved_trace.read_text().splitlines()]
         assert events[0] == {"type": "trace_start", "v": 1}
         assert len(events) > 2
 
     def test_analyze_entropy(self, saved_trace, capsys):
-        code, out = run_cli(capsys, "replay", str(saved_trace))
-        assert code == 0
-        assert "a/b" in out and "c/d" in out
+        out = self.replay(capsys, saved_trace)  # F1 by default
+        lines = out.splitlines()
+        assert lines[0].startswith("Figure 1 — entropy characterisation")
+        assert "a/b50" in lines[1] and "c/d50" in lines[1]
+        assert lines[2].startswith("19 ") and len(lines) == 3
 
     def test_analyze_replication(self, saved_trace, capsys):
-        code, out = run_cli(
-            capsys, "replay", str(saved_trace), "--figure", "replication"
+        out = self.replay(capsys, saved_trace, "--claims", "F2,F4")
+        assert out.startswith(
+            "Figure 2 — copies of pieces in the peer set vs time "
+            "(torrent 19, leecher state)\n"
         )
-        assert code == 0
-        assert "mean" in out
+        # A one-peer trace cannot know the swarm's first full copy.
+        assert "first full copy pushed at: None\n" in out
+        assert "Figure 4 — copies of pieces in the peer set vs time (torrent 19)" in out
+        assert out.splitlines()[-1].startswith("local peer became a seed at t=")
 
     def test_analyze_rarest_set(self, saved_trace, capsys):
-        code, out = run_cli(
-            capsys, "replay", str(saved_trace), "--figure", "rarest-set"
-        )
-        assert code == 0
-        assert "rarest" in out
+        out = self.replay(capsys, saved_trace, "--claims", "F3,F6")
+        assert out.startswith("Figure 3 — number of rarest pieces vs time (torrent 19")
+        assert "linear fit over the transient window:" in out
+        assert "Figure 6 — number of rarest pieces vs time (torrent 19)" in out
+        assert "direction changes (sawtooth count): " in out
 
     def test_analyze_peer_set(self, saved_trace, capsys):
-        code, out = run_cli(
-            capsys, "replay", str(saved_trace), "--figure", "peer-set"
-        )
-        assert code == 0
-        assert "size" in out
+        out = self.replay(capsys, saved_trace, "--claims", "F5")
+        lines = out.splitlines()
+        assert lines[:2] == [
+            "Figure 5 — size of the peer set vs time (torrent 19)",
+            "   t (s)   size",
+        ]
+        assert len(lines) > 3
 
     def test_analyze_interarrival(self, saved_trace, capsys):
-        code, out = run_cli(
-            capsys, "replay", str(saved_trace), "--figure", "interarrival",
-            "--kind", "block",
-        )
-        assert code == 0
-        assert "slowdown" in out
+        out = self.replay(capsys, saved_trace, "--claims", "F7,F8")
+        assert out.startswith("Figure 7 — CDF of piece interarrival time (torrent 19)")
+        assert "first slowdown x" in out
+        assert "Figure 8 — CDF of block interarrival time (torrent 19)" in out
+        assert "95th-percentile tail vs all" in out
 
     def test_analyze_fairness(self, saved_trace, capsys):
+        out = self.replay(capsys, saved_trace, "--claims", "F11,F9,F10")
+        titles = [line for line in out.splitlines() if line.startswith("Figure")]
+        assert [title.split(" —")[0] for title in titles] == [
+            "Figure 9", "Figure 10", "Figure 11",  # table order
+        ]
+        assert "unchokes vs interested time (torrent 19)" in titles[1]
+
+
+class TestRunClaims:
+    """``run --claims`` renders the run exactly as ``reproduce`` renders
+    the shard the run's flags describe."""
+
+    def test_run_claims_print_the_shard_render(self, capsys, tmp_path):
+        spec = CampaignSpec(torrent_ids=(2,), scenarios=("smoke",))
+        (shard,) = expand_spec(spec)
+        run = load_run(shard, ShardCache(tmp_path))
+        ids = "F1,F2,F3,F4,F5,F6,F7,F8,F9,F10,F11"
+        expected = "".join(
+            claim.report([run], claim.measure([run]))
+            for claim in one_run_claims(ids)
+        )
         code, out = run_cli(
-            capsys, "replay", str(saved_trace), "--figure", "fairness"
+            capsys, "run", "--torrent", "2", "--seed", str(shard.seed),
+            "--duration", "240", "--claims", ids,
         )
         assert code == 0
-        assert "upload LS" in out
+        assert out.endswith(expected)
+        assert "shard trace fingerprint: %s" % run.summary["trace_fingerprint"] in out
 
 
 class TestFigureCommand:
+    """The retired ``figure NAME`` subcommand is ``run --claims F<n>``."""
+
     def test_figure_runs_experiment(self, capsys):
         code, out = run_cli(
-            capsys, "figure", "entropy", "--torrent", "19",
-            "--seed", "5", "--duration", "300",
+            capsys, "run", "--torrent", "19", "--seed", "5", "--duration", "300",
+            "--claims", FIGURE_CLAIMS["entropy"],
         )
         assert code == 0
-        assert "a/b" in out
+        figure = out[out.index("Figure 1 — "):].splitlines()
+        assert "a/b50" in figure[1] and figure[2].startswith("19 ")
+
+
+class TestFigureVariants:
+    @pytest.fixture(scope="class")
+    def base_args(self):
+        return ["--torrent", "19", "--seed", "5", "--duration", "300"]
+
+    @pytest.mark.parametrize(
+        "figure,expect",
+        [
+            ("replication", "mean"),
+            ("rarest-set", "rarest"),
+            ("peer-set", "size"),
+            ("interarrival", "slowdown"),
+            ("fairness", "upload shares"),
+        ],
+    )
+    def test_each_live_figure_renders(self, capsys, base_args, figure, expect):
+        code, out = run_cli(
+            capsys, "run", *base_args, "--claims", FIGURE_CLAIMS[figure]
+        )
+        assert code == 0
+        assert expect in out[out.index("Figure "):]
 
 
 class TestStabilityCommand:
@@ -154,27 +235,6 @@ class TestModelCommand:
         assert "no finite steady state" in out
 
 
-class TestFigureVariants:
-    @pytest.fixture(scope="class")
-    def base_args(self):
-        return ["--torrent", "19", "--seed", "5", "--duration", "300"]
-
-    @pytest.mark.parametrize(
-        "figure,expect",
-        [
-            ("replication", "mean"),
-            ("rarest-set", "rarest"),
-            ("peer-set", "size"),
-            ("interarrival", "slowdown"),
-            ("fairness", "upload LS"),
-        ],
-    )
-    def test_each_live_figure_renders(self, capsys, base_args, figure, expect):
-        code, out = run_cli(capsys, "figure", figure, *base_args)
-        assert code == 0
-        assert expect in out
-
-
 class TestTraceAndReplay:
     @pytest.fixture(scope="class")
     def trace_file(self, tmp_path_factory):
@@ -205,21 +265,27 @@ class TestTraceAndReplay:
 
     @pytest.mark.parametrize("figure", ["entropy", "replication", "peer-set"])
     def test_replay_figures_render(self, trace_file, capsys, figure):
-        code, out = run_cli(capsys, "replay", str(trace_file), "--figure", figure)
+        claims = FIGURE_CLAIMS[figure]
+        code, out = run_cli(
+            capsys, "replay", str(trace_file), "--torrent", "2", "--claims", claims
+        )
         assert code == 0
-        assert out.strip()
+        assert out.startswith("Figure %s — " % claims[1:])
 
     def test_replay_figure_matches_live_run(self, trace_file, capsys):
+        # F2 and F3 read the swarm's first full copy, which one peer's
+        # events cannot tell; every other figure renders identically.
+        claims = "F1,F4,F5,F6,F7,F8,F9,F10,F11"
         live_code, live_out = run_cli(
-            capsys,
-            "figure", "entropy",
-            "--torrent", "2", "--seed", "11", "--duration", "300",
+            capsys, "run", "--torrent", "2", "--seed", "11", "--duration", "300",
+            "--claims", claims,
         )
         replay_code, replay_out = run_cli(
-            capsys, "replay", str(trace_file), "--figure", "entropy"
+            capsys, "replay", str(trace_file), "--torrent", "2", "--claims", claims
         )
         assert live_code == 0 and replay_code == 0
-        assert replay_out == live_out
+        assert replay_out.count("Figure ") == 9
+        assert live_out.endswith(replay_out)
 
     @pytest.mark.parametrize(
         "line,edit,message",
@@ -268,13 +334,15 @@ class TestTraceAndReplay:
         assert err.startswith("error: ") and "absent.jsonl" in err
 
     def test_metrics_command(self, capsys):
+        # `run` prints the metrics registry after its local-peer line.
         code, out = run_cli(
-            capsys,
-            "metrics",
-            "--torrent", "2", "--seed", "11", "--duration", "150",
+            capsys, "run", "--torrent", "2", "--seed", "11", "--duration", "150",
         )
         assert code == 0
-        assert "messages.sent" in out
+        lines = out.splitlines()
+        assert lines[0].startswith("local peer: ")
+        assert lines[1] == "counters:"
+        assert any(line.split()[0] == "messages.sent" for line in lines[2:])
 
 
 def leaf_parsers(parser, prefix=()):
@@ -290,19 +358,16 @@ def leaf_parsers(parser, prefix=()):
 
 class TestSharedFlags:
     RUN_OPTIONS = ("--duration", "--selector", "--tracker-sampler")
-    FIGURE_OPTIONS = ("--kind", "--leecher-only")
     CAMPAIGN_OPTIONS = ("--replicates", "--workers", "--cache-dir", "--results-dir")
 
     @pytest.mark.parametrize(
         "flags,commands",
         [
-            (RUN_OPTIONS, [("run",), ("figure",), ("metrics",),
-                           ("campaign", "run"), ("campaign", "diff")]),
-            (FIGURE_OPTIONS, [("figure",), ("replay",)]),
+            (RUN_OPTIONS, [("run",), ("campaign", "run"), ("campaign", "diff")]),
             (CAMPAIGN_OPTIONS, [("campaign", "run"), ("reproduce",)]),
             (("--replicates", "--cache-dir"), [("campaign", "run"), ("campaign", "diff")]),
         ],
-        ids=["run-options", "figure-options", "campaign-options", "campaign-spec"],
+        ids=["run-options", "campaign-options", "campaign-spec"],
     )
     def test_declared_once_so_identical_everywhere(self, flags, commands):
         parsers = leaf_parsers(build_parser())
@@ -316,17 +381,12 @@ class TestSharedFlags:
                 )
             assert len(declared) == 1, flag
 
-    def test_figure_choices_are_one_list(self):
-        parsers = leaf_parsers(build_parser())
-        positional = [a for a in parsers[("figure",)]._actions if a.dest == "name"]
-        assert positional[0].choices == (
-            parsers[("replay",)]._option_string_actions["--figure"].choices
-        )
-
     def test_removed_commands_and_flags_stay_removed(self):
         parsers = leaf_parsers(build_parser())
-        assert ("analyze",) not in parsers
+        for command in ("analyze", "figure", "metrics"):
+            assert (command,) not in parsers
         assert "--save" not in parsers[("run",)]._option_string_actions
+        assert "--figure" not in parsers[("replay",)]._option_string_actions
 
     def test_reproduce_adds_one_flag_to_the_shared_ones(self):
         actions = leaf_parsers(build_parser())[("reproduce",)]._option_string_actions
@@ -377,6 +437,43 @@ class TestMistypedOptions:
              "replicates must be >= 1, not -1"),
             (["campaign", "run", "--torrents", "", "--scenario", "smoke"],
              "repro campaign run", "a campaign needs at least one torrent id"),
+            # A figure is printed from one run only if a claim draws it
+            # from one; the check precedes any simulation or trace read.
+            (["run", "--claims", "T1"], "repro run",
+             "claim T1 is not drawn from one run (have: F1, "),
+            (["run", "--claims", "F4,A1"], "repro run",
+             "claim A1 is not drawn from one run"),
+            (["replay", "absent.jsonl", "--claims", "T1"], "repro replay",
+             "claim T1 is not drawn from one run"),
+            (["replay", "absent.jsonl", "--claims", "A1"], "repro replay",
+             "claim A1 is not drawn from one run"),
+            (["replay", "absent.jsonl", "--torrent", "99"], "repro replay",
+             "no Table-I torrent with id 99"),
+            # Bad values anywhere else: a usage line, not a traceback or
+            # a run that cannot mean anything.
+            (["trace", "diff", "a.jsonl", "b.jsonl", "--context", "-1"],
+             "repro trace diff", "--context must be >= 0, not -1"),
+            (["stability", "--arrival-rates", "abc"], "repro stability",
+             "argument --arrival-rates: not a comma-separated list of numbers"),
+            (["model", "--arrival-rate", "0.05", "--upload", "4096",
+              "--content", "0"], "repro model", "--content must be > 0"),
+            (["model", "--arrival-rate", "-1", "--upload", "4096",
+              "--content", "131072"], "repro model", "arrival_rate must be >= 0"),
+            (["net", "run", "--pieces", "0"], "repro net run",
+             "num_pieces must be positive"),
+            (["net", "run", "--leechers", "-1"], "repro net run",
+             "--seeds and --leechers must be >= 0"),
+            # A run length that cannot run fails where the run is described.
+            (["run", "--torrent", "2", "--duration", "-5"], "repro run",
+             "duration must be finite and > 0, not -5.0"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--duration", "-1"], "repro campaign run",
+             "duration must be finite and > 0, not -1.0"),
+            (["campaign", "diff", "--torrents", "2", "--scenario", "smoke",
+              "--duration", "nan"], "repro campaign diff",
+             "duration must be finite and > 0, not nan"),
+            (["stability", "--duration", "-1"], "repro stability",
+             "duration must be finite and > 0, not -1.0"),
         ],
     )
     def test_exit_2_one_line_no_traceback(
@@ -390,3 +487,12 @@ class TestMistypedOptions:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("%s: error: %s" % (prog, message))
         assert not list(tmp_path.iterdir())
+
+
+def test_a_corrupt_manifest_is_one_error_line(capsys, tmp_path):
+    (tmp_path / "manifest.json").write_text("{not json")
+    code = main(["campaign", "status", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("unreadable manifest at %s" % (tmp_path / "manifest.json"))

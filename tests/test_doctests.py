@@ -14,7 +14,6 @@ MODULE_NAMES = [
     "repro.protocol.bencode",
     "repro.protocol.peer_id",
     "repro.protocol.stream",
-    "repro.reporting.export",
     "repro.reporting.render",
 ]
 

@@ -1,8 +1,8 @@
 """Unit tests for the metrics registry.
 
-Covers each primitive (counter, gauge, histogram, windowed rate), the
-registry's get-or-create and namespacing behaviour, and the read-only
-views the classic ``Instrumentation`` exposes on top of the registry.
+Covers the counter, the registry's get-or-create and namespacing
+behaviour, and the read-only views the classic ``Instrumentation``
+exposes on top of the registry.
 """
 
 import json
@@ -10,12 +10,7 @@ import json
 import pytest
 
 from repro.instrumentation import Instrumentation, MetricsRegistry
-from repro.instrumentation.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    WindowedRate,
-)
+from repro.instrumentation.metrics import Counter
 
 
 def test_counter_increments_and_rejects_negative():
@@ -25,46 +20,6 @@ def test_counter_increments_and_rejects_negative():
     assert counter.value == 3.5
     with pytest.raises(ValueError):
         counter.inc(-1.0)
-
-
-def test_gauge_tracks_high_water_mark():
-    gauge = Gauge("queue")
-    gauge.set(3.0)
-    gauge.set(9.0)
-    gauge.set(4.0)
-    assert gauge.value == 4.0
-    assert gauge.max_value == 9.0
-
-
-def test_histogram_bucketing_and_stats():
-    histogram = Histogram("lat", buckets=(1.0, 10.0, 100.0))
-    for value in (0.5, 5.0, 50.0, 500.0):
-        histogram.observe(value)
-    assert histogram.counts == [1, 1, 1, 1]  # one per bucket + overflow
-    assert histogram.total == 4
-    assert histogram.mean() == pytest.approx((0.5 + 5.0 + 50.0 + 500.0) / 4)
-    assert histogram.min == 0.5 and histogram.max == 500.0
-    assert histogram.quantile(0.25) == 1.0
-    assert histogram.quantile(1.0) is None  # overflow bucket
-    with pytest.raises(ValueError):
-        histogram.quantile(1.5)
-    with pytest.raises(ValueError):
-        Histogram("bad", buckets=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        Histogram("bad", buckets=())
-
-
-def test_windowed_rate_evicts_old_samples():
-    rate = WindowedRate("blocks", window=10.0)
-    rate.record(0.0)
-    rate.record(5.0)
-    rate.record(9.0, occurrences=2)
-    assert rate.count == 4
-    # The window is half-open (now - window, now]: the t=0 sample has
-    # just aged out at t=10.
-    assert rate.rate(10.0) == pytest.approx(3 / 10.0)
-    assert rate.rate(25.0) == pytest.approx(0.0)
-    assert rate.count == 4  # lifetime count is not windowed
 
 
 def test_registry_get_or_create_and_namespacing():

@@ -1,14 +1,8 @@
-"""Tests for result rendering and CSV export."""
+"""Tests for result rendering."""
 
 import pytest
 
-from repro.reporting import (
-    ascii_chart,
-    ascii_table,
-    series_to_csv,
-    sparkline,
-    table_to_csv,
-)
+from repro.reporting import ascii_table, sparkline
 
 
 class TestAsciiTable:
@@ -46,45 +40,3 @@ class TestSparkline:
 
     def test_empty(self):
         assert sparkline([]) == ""
-
-
-class TestAsciiChart:
-    def test_renders_extremes(self):
-        text = ascii_chart([0, 1, 2], [10, 20, 30], height=4, width=10)
-        assert "30" in text and "10" in text
-        assert text.count("*") == 3
-
-    def test_label(self):
-        text = ascii_chart([0, 1], [0, 1], label="demo")
-        assert text.splitlines()[0] == "demo"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_chart([0], [0, 1])
-        with pytest.raises(ValueError):
-            ascii_chart([0], [0], height=1)
-
-    def test_empty(self):
-        assert "empty" in ascii_chart([], [])
-
-
-class TestCsv:
-    def test_series(self, tmp_path):
-        path = tmp_path / "series.csv"
-        text = series_to_csv({"t": [0, 1], "v": [2.5, 3.5]}, path)
-        assert text == "t,v\n0,2.5\n1,3.5\n"
-        assert path.read_text() == text
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            series_to_csv({"a": [1], "b": [1, 2]})
-
-    def test_series_empty(self):
-        with pytest.raises(ValueError):
-            series_to_csv({})
-
-    def test_table(self, tmp_path):
-        path = tmp_path / "table.csv"
-        text = table_to_csv(["a", "b"], [[1, "x"]], path)
-        assert text == "a,b\n1,x\n"
-        assert path.read_text() == text

@@ -80,6 +80,18 @@ def test_bad_specs_fail_where_the_run_is_described():
     ):
         with pytest.raises(ValueError, match="unknown .* 'bogus' \\(have: "):
             RunOptions(**bad)
+    # A run length or a geometry that cannot run.
+    for bad, message in (
+        (dict(duration=0.0), "duration must be finite and > 0, not 0.0"),
+        (dict(duration=-5.0), "duration must be finite and > 0, not -5.0"),
+        (dict(duration=float("inf")), "duration must be finite and > 0, not inf"),
+        (dict(duration=float("nan")), "duration must be finite and > 0, not nan"),
+        (dict(block_size=0), "block_size must be >= 1, not 0"),
+        (dict(num_pieces=0), "num_pieces must be >= 1, not 0"),
+        (dict(piece_size=-1), "piece_size must be >= 1, not -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RunOptions(**bad)
     with pytest.raises(ValueError, match="unknown selector"):
         expand_spec(CampaignSpec(torrent_ids=(), selector="bogus"))
     # A spec that describes no shard, or one shard twice.
