@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     model_parser.add_argument(
         "--content", type=float, required=True, help="content size, bytes"
     )
-    model_parser.add_argument("--seed-stay", type=float, default=60.0)
+    model_parser.add_argument(
+        "--seed-stay", type=float, default=60.0,
+        help="mean seeding time, s (0 = seeds never leave)",
+    )
     model_parser.add_argument("--abort-rate", type=float, default=0.0)
     model_parser.add_argument("--effectiveness", type=float, default=1.0)
     model_parser.add_argument("--duration", type=float, default=2000.0)
@@ -336,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     tracker_serve.add_argument(
         "--udp-port", type=int, default=None,
         help="UDP announce port (default: same as --port; 0 = ephemeral)",
-    )
-    tracker_serve.add_argument(
-        "--shards", type=int, default=8, help="swarm-store shard count"
     )
     tracker_serve.add_argument(
         "--sampler", default="uniform", metavar="SPEC",
@@ -913,6 +913,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    if args.seed_stay < 0:
+        args.usage_error("--seed-stay must be >= 0 (0 = seeds never leave)")
     if args.open:
         seed_departure_rate = float("inf")
     else:
@@ -1032,7 +1034,6 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
         budget = AnnounceBudget(announces_per_second=args.announce_budget)
     service_kwargs = {
         "seed": args.seed,
-        "num_shards": args.shards,
         "budget": budget,
         "expiry_intervals": args.expiry_intervals,
     }
@@ -1070,13 +1071,12 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
             reap_task = asyncio.ensure_future(reap_loop())
         print(
             "tracker serving on http://%s:%d/announce and udp://%s:%d "
-            "(%d shards, %s sampler%s)"
+            "(%s sampler%s)"
             % (
                 args.host,
                 server.http_port,
                 args.host,
                 server.udp_port,
-                args.shards,
                 service.sampler.spec(),
                 ", budget %.0f ann/s" % args.announce_budget
                 if budget is not None

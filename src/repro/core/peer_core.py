@@ -54,6 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only, no runtime import
     from repro.sim.config import PeerConfig
     from repro.sim.observer import PeerObserver
 
+# Mainline 4.0.2's client constants (§III-C), the same for every peer.
+UNCHOKE_SLOTS = 4  # active peer set, optimistic unchoke included
+OPTIMISTIC_ROUNDS = 3  # one optimistic rotation every 3 choke rounds = 30 s
+RANDOM_FIRST_THRESHOLD = 4  # pieces fetched at random before rarest first
+REQUEST_PIPELINE_DEPTH = 8  # outstanding block requests per link (§II-C.1)
+
 
 class PeerState(enum.Enum):
     """Leecher (still downloading) or seed (holds every piece)."""
@@ -188,15 +194,15 @@ class PeerCore:
             self.bitfield,
             self.selector,
             rng,
-            random_first_threshold=config.random_first_threshold,
+            random_first_threshold=RANDOM_FIRST_THRESHOLD,
             strict_priority=config.strict_priority,
             endgame_enabled=config.endgame_enabled,
             matrix=matrix,
         )
         self.leecher_choker = leecher_choker or LeecherChoker(
-            optimistic_rounds=config.optimistic_rounds
+            regular_slots=UNCHOKE_SLOTS - 1, optimistic_rounds=OPTIMISTIC_ROUNDS
         )
-        self.seed_choker = seed_choker or SeedChoker(slots=config.unchoke_slots)
+        self.seed_choker = seed_choker or SeedChoker(slots=UNCHOKE_SLOTS)
         self.state = (
             PeerState.SEED if self.bitfield.is_complete() else PeerState.LEECHER
         )
@@ -518,7 +524,7 @@ class PeerCore:
 
     def _fill_pipeline(self, connection: LinkState) -> None:
         """Keep a small buffer of pending requests on this link (§II-C.1)."""
-        depth = self.config.request_pipeline_depth
+        depth = REQUEST_PIPELINE_DEPTH
         next_request = self.picker.next_request
         remote_bitfield = connection.remote_bitfield
         remote_key = connection.remote_key

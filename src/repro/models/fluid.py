@@ -80,6 +80,8 @@ class FluidModel:
             raise ValueError("download_rate must be positive")
         if seed_capacity < 0:
             raise ValueError("seed_capacity must be >= 0")
+        if abort_rate < 0 or seed_departure_rate < 0:
+            raise ValueError("abort_rate and seed_departure_rate must be >= 0")
         self.lam = arrival_rate
         self.mu = upload_rate
         self.c = download_rate
@@ -118,11 +120,27 @@ class FluidModel:
         initial_seeds: float = 1.0,
         observer: Optional[Callable[[FluidState], None]] = None,
     ) -> List[FluidState]:
-        """RK4 trajectory from the given initial populations."""
+        """RK4 trajectory from the given initial populations.
+
+        A step never creates peers: completions beyond the leechers there
+        were are taken back out of ``y``, so ``x + y`` stays within the
+        initial populations plus ``lam * t``.  A departure rate the step
+        cannot resolve (``rate * dt > 1``) is refused rather than
+        integrated into overflow; ``seed_departure_rate = inf`` is the
+        instant-departure limit.
+        """
         if duration <= 0 or dt <= 0:
             raise ValueError("duration and dt must be positive")
+        for name, rate in (("abort_rate", self.theta),
+                           ("seed_departure_rate", self.gamma)):
+            if math.isfinite(rate) and rate * dt > 1:
+                raise ValueError(
+                    "%s * dt = %g is too stiff for the step (must be <= 1)"
+                    % (name, rate * dt)
+                )
+        open_system = math.isinf(self.gamma)
         x, y = float(initial_leechers), float(initial_seeds)
-        if math.isinf(self.gamma):
+        if open_system:
             y = 0.0
         states = [FluidState(0.0, x, y)]
         steps = int(round(duration / dt))
@@ -134,7 +152,13 @@ class FluidModel:
             k4x, k4y = self.derivatives(x + dt * k3x, y + dt * k3y)
             x += dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
             y += dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            x = max(x, 0.0)
+            if x < 0:
+                # The step completed more leechers than there were (with
+                # unconstrained download the flow jumps at x = 0): the
+                # excess never became seeds.
+                if not open_system:
+                    y += x
+                x = 0.0
             y = max(y, 0.0)
             time += dt
             state = FluidState(time, x, y)

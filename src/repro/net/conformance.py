@@ -14,7 +14,8 @@ particular interleaving a run took:
 
 ``unchoke cardinality``
     Every choke round unchokes a duplicate-free set of at most
-    ``unchoke_slots`` peers (3 regular + 1 optimistic by default).
+    ``unchoke_slots`` peers (3 regular + 1 optimistic by default,
+    :data:`~repro.sim.config.UNCHOKE_SLOTS`).
 
 ``byte conservation``
     Summed over the swarm, uploaded bytes equal downloaded bytes
@@ -36,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.instrumentation.replay import iter_trace
 from repro.instrumentation.trace import TraceRecorder
 from repro.protocol.bitfield import Bitfield
+from repro.sim.config import RANDOM_FIRST_THRESHOLD, UNCHOKE_SLOTS
 
 TRACE_META_TYPES = ("trace_start", "trace_end")
 
@@ -126,7 +128,9 @@ def check_message_grammar(source) -> ConformanceReport:
     return report
 
 
-def check_unchoke_cardinality(source, unchoke_slots: int = 4) -> ConformanceReport:
+def check_unchoke_cardinality(
+    source, unchoke_slots: int = UNCHOKE_SLOTS
+) -> ConformanceReport:
     """Each round unchokes a duplicate-free set of <= ``unchoke_slots``."""
     events = load_events(source)
     report = ConformanceReport(checks={"unchoke": 0})
@@ -213,7 +217,7 @@ class _PickerReplay:
 
 def check_rarest_first(
     source,
-    random_first_threshold: int = 4,
+    random_first_threshold: int = RANDOM_FIRST_THRESHOLD,
     num_pieces: Optional[int] = None,
 ) -> ConformanceReport:
     """First request per piece targets a rarest candidate that remote offers.
@@ -300,8 +304,8 @@ def check_rarest_first(
 
 def check_trace(
     source,
-    unchoke_slots: int = 4,
-    random_first_threshold: int = 4,
+    unchoke_slots: int = UNCHOKE_SLOTS,
+    random_first_threshold: int = RANDOM_FIRST_THRESHOLD,
     check_conservation: bool = True,
     num_pieces: Optional[int] = None,
 ) -> ConformanceReport:

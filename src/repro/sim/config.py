@@ -18,14 +18,28 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+# The fixed client constants are defined beside PeerCore, which reads
+# them (core cannot import this package); listed here with the rest.
+from repro.core.peer_core import (  # noqa: F401
+    OPTIMISTIC_ROUNDS,
+    RANDOM_FIRST_THRESHOLD,
+    REQUEST_PIPELINE_DEPTH,
+    UNCHOKE_SLOTS,
+)
+
 KIB = 1024
 
 CHOKE_ROUND_SECONDS = 10.0
-OPTIMISTIC_ROUNDS = 3  # one optimistic rotation every 3 choke rounds = 30 s
 TRACKER_ANNOUNCE_SECONDS = 30.0 * 60.0
 TRACKER_NUM_WANT = 50  # peers returned per tracker announce (§II-B)
 REQUEST_TIMEOUT_SECONDS = 60.0  # age at which an in-flight request is lost
 RATE_ESTIMATOR_WINDOW_SECONDS = 20.0
+# Fault handling (only read while a fault plan is installed):
+ANNOUNCE_RETRY_BASE_SECONDS = 5.0  # first retry delay; doubles per failure
+ANNOUNCE_RETRY_CAP_SECONDS = 120.0
+ANNOUNCE_RETRY_JITTER = 0.25  # +/- fraction applied to each retry delay
+IDLE_TIMEOUT_SECONDS = 120.0  # silence after which a half-open link is reaped
+FAULT_SWEEP_SECONDS = 20.0  # period of each peer's fault sweep
 
 
 @dataclass
@@ -49,19 +63,7 @@ class PeerConfig:
     """Maximum number of connections this peer may itself initiate; the
     rest must be inbound, which keeps torrents well interconnected."""
 
-    unchoke_slots: int = 4
-    """Active-peer-set size, optimistic unchoke included."""
-
-    random_first_threshold: int = 4
-    """Pieces to download with the random-first policy before switching to
-    rarest first."""
-
-    request_pipeline_depth: int = 8
-    """Maximum outstanding block requests per connection (mainline keeps a
-    small buffer of pending requests; §II-C.1)."""
-
     choke_interval: float = CHOKE_ROUND_SECONDS
-    optimistic_rounds: int = OPTIMISTIC_ROUNDS
     rate_window: float = RATE_ESTIMATOR_WINDOW_SECONDS
 
     endgame_enabled: bool = True
@@ -100,10 +102,8 @@ class PeerConfig:
             raise ValueError("download_capacity must be positive or None")
         if not 0 < self.min_peer_set <= self.max_peer_set:
             raise ValueError("need 0 < min_peer_set <= max_peer_set")
-        if self.max_initiated <= 0 or self.unchoke_slots <= 0:
-            raise ValueError("max_initiated and unchoke_slots must be positive")
-        if self.request_pipeline_depth <= 0:
-            raise ValueError("request_pipeline_depth must be positive")
+        if self.max_initiated <= 0:
+            raise ValueError("max_initiated must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,42 +144,13 @@ class FaultConfig:
     tracker_outages: tuple = ()
     """``(start, duration)`` windows (simulated seconds) during which
     every tracker announce fails with
-    :class:`~repro.tracker.tracker.TrackerUnavailable`.  With
-    :attr:`tracker_replicas` > 1 these windows apply to replica 0 only
-    (the established single-tracker contract); use
-    :attr:`replica_outages` to down other replicas."""
-
-    tracker_replicas: int = 1
-    """Number of outage-independent tracker replicas sharing one swarm
-    registry: the outage tiers of the one
-    :class:`~repro.tracker.tracker.Tracker`, whose announces fail only
-    while every replica is down."""
-
-    replica_outages: tuple = ()
-    """``(replica, start, duration)`` outage windows for individual
-    tracker replicas.  Requires ``replica < tracker_replicas``."""
-
-    announce_retry_base: float = 5.0
-    """First announce-retry delay; doubles per failed attempt."""
-
-    announce_retry_cap: float = 120.0
-    """Upper bound on the exponential announce-retry delay."""
-
-    announce_retry_jitter: float = 0.25
-    """Fractional jitter applied to each retry delay (+/-)."""
+    :class:`~repro.tracker.tracker.TrackerUnavailable`; peers retry with
+    the backoff of :data:`ANNOUNCE_RETRY_BASE_SECONDS`."""
 
     hash_failure_rate: float = 0.0
     """Probability that a completed piece is corrupted in flight: the
     peer observes a hash failure and re-downloads the piece through the
     existing ``on_hash_failure``/``reset_piece`` path."""
-
-    idle_timeout: float = 120.0
-    """Seconds of silence after which a half-open connection (remote
-    endpoint dead) is reaped, standing in for TCP keep-alive."""
-
-    sweep_interval: float = 20.0
-    """Period of each peer's fault sweep (reaping, request timeouts,
-    keep-alive state refresh)."""
 
     def __post_init__(self) -> None:
         for name in ("message_loss_rate", "message_duplicate_rate",
@@ -191,26 +162,9 @@ class FaultConfig:
             raise ValueError("message_loss_rate must be < 1 (total loss deadlocks)")
         if self.extra_jitter < 0:
             raise ValueError("extra_jitter must be non-negative")
-        for name in ("crash_interval", "announce_retry_base",
-                     "announce_retry_cap", "idle_timeout",
-                     "sweep_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-        if not 0.0 <= self.announce_retry_jitter < 1.0:
-            raise ValueError("announce_retry_jitter must be in [0, 1)")
-        for window in self.tracker_outages:
-            start, duration = window
-            if start < 0 or duration <= 0:
-                raise ValueError("outage windows need start >= 0, duration > 0")
-        if self.tracker_replicas < 1:
-            raise ValueError("tracker_replicas must be >= 1")
-        for window in self.replica_outages:
-            replica, start, duration = window
-            if not 0 <= replica < self.tracker_replicas:
-                raise ValueError(
-                    "replica_outages index %d outside 0..%d"
-                    % (replica, self.tracker_replicas - 1)
-                )
+        if self.crash_interval <= 0:
+            raise ValueError("crash_interval must be positive")
+        for start, duration in self.tracker_outages:
             if start < 0 or duration <= 0:
                 raise ValueError("outage windows need start >= 0, duration > 0")
 
@@ -224,8 +178,6 @@ class FaultConfig:
             or self.crash_probability > 0
             or self.hash_failure_rate > 0
             or self.tracker_outages
-            or self.tracker_replicas > 1
-            or self.replica_outages
         )
 
 
@@ -236,8 +188,6 @@ class SwarmConfig:
     tick_interval: float = 1.0
     """Fluid-model timestep in seconds: bandwidth is reallocated and block
     progress advanced once per tick."""
-
-    announce_interval: float = TRACKER_ANNOUNCE_SECONDS
 
     tracker_sampler: Optional[str] = None
     """Peer-sampling strategy spec for the tracker
@@ -261,16 +211,6 @@ class SwarmConfig:
     snapshot_interval: float = 10.0
     """Sampling period of instrumentation snapshots (peer-set size,
     piece-replication curves)."""
-
-    connect_latency: float = 0.0
-    """Optional delay between deciding to connect and the handshake."""
-
-    message_latency: float = 0.0
-    """One-way control-message latency in seconds.  Zero (default) makes
-    HAVE/INTERESTED/CHOKE signalling instantaneous — the paper's setting
-    of well-connected Internet peers where signalling RTTs are tiny
-    compared to the 10 s choke rounds.  A constant positive latency
-    preserves per-link FIFO ordering."""
 
     duration: float = 4000.0
     """Default run length in simulated seconds."""

@@ -36,7 +36,12 @@ from repro.protocol.messages import (
     Message,
     Piece,
 )
-from repro.sim.config import FaultConfig
+from repro.sim.config import (
+    ANNOUNCE_RETRY_BASE_SECONDS,
+    ANNOUNCE_RETRY_CAP_SECONDS,
+    ANNOUNCE_RETRY_JITTER,
+    FaultConfig,
+)
 
 
 class FaultPlan:
@@ -106,14 +111,11 @@ class FaultPlan:
         across the population do not perturb each other's schedules
         through the shared plan stream.
         """
-        config = self.config
-        delay = min(config.announce_retry_cap,
-                    config.announce_retry_base * (2.0 ** attempt))
-        if config.announce_retry_jitter > 0:
-            delay *= 1.0 + rng.uniform(
-                -config.announce_retry_jitter, config.announce_retry_jitter
-            )
-        return delay
+        delay = min(ANNOUNCE_RETRY_CAP_SECONDS,
+                    ANNOUNCE_RETRY_BASE_SECONDS * (2.0 ** attempt))
+        return delay * (
+            1.0 + rng.uniform(-ANNOUNCE_RETRY_JITTER, ANNOUNCE_RETRY_JITTER)
+        )
 
     # -- piece corruption -----------------------------------------------------
 

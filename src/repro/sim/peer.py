@@ -10,8 +10,8 @@ round every 10 seconds through pluggable
 :class:`repro.core.peer_core.PeerCore`, shared with the live
 :class:`repro.net.peer.NetPeer`.  This module is the simulator's driver
 around that core: joining, leaving and crashing, announce retries and
-refilling the peer set, message delivery through the event queue with
-latency and fault injection, the fused HAVE fan-out over shared remote
+refilling the peer set, message delivery (through the event queue when
+a fault plan delays a message), the fused HAVE fan-out over shared remote
 views (DESIGN §12), super-seeding and the fault sweep.
 
 Transfers are fluid: the swarm's per-tick bandwidth allocation calls
@@ -42,7 +42,14 @@ from repro.protocol.messages import (
     Unchoke,
 )
 from repro.protocol.metainfo import Metainfo
-from repro.sim.config import REQUEST_TIMEOUT_SECONDS, TRACKER_NUM_WANT, PeerConfig
+from repro.sim.config import (
+    FAULT_SWEEP_SECONDS,
+    IDLE_TIMEOUT_SECONDS,
+    REQUEST_TIMEOUT_SECONDS,
+    TRACKER_ANNOUNCE_SECONDS,
+    TRACKER_NUM_WANT,
+    PeerConfig,
+)
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
 from repro.sim.observer import PeerObserver
@@ -137,19 +144,18 @@ class Peer(PeerCore):
         )
         self._announce_timer = Timer(
             self.simulator,
-            self.swarm.config.announce_interval,
+            TRACKER_ANNOUNCE_SECONDS,
             self._periodic_announce,
         )
-        plan = self.swarm.faults
-        if plan is not None:
+        if self.swarm.faults is not None:
             # Stagger fault sweeps too, so the population does not reap
             # and refresh in lockstep.
-            sweep = plan.config.sweep_interval
             self._fault_timer = Timer(
                 self.simulator,
-                sweep,
+                FAULT_SWEEP_SECONDS,
                 self._fault_sweep,
-                start_at=self.simulator.now + self.rng.uniform(0.0, sweep),
+                start_at=self.simulator.now
+                + self.rng.uniform(0.0, FAULT_SWEEP_SECONDS),
             )
 
     def leave(self) -> None:
@@ -263,21 +269,7 @@ class Peer(PeerCore):
     # ------------------------------------------------------------------
 
     def _try_initiate(self, remote_address: str) -> bool:
-        """Attempt an outgoing connection; honours §II-B's limits.
-
-        With a positive ``connect_latency`` the handshake completes after
-        that delay, re-validating every limit at completion time."""
-        if not self.may_initiate(remote_address):
-            return False
-        latency = self.swarm.config.connect_latency
-        if latency > 0:
-            self.simulator.schedule(
-                latency, lambda: self._complete_initiate(remote_address)
-            )
-            return True
-        return self._complete_initiate(remote_address)
-
-    def _complete_initiate(self, remote_address: str) -> bool:
+        """Attempt an outgoing connection; honours §II-B's limits."""
         remote = self.swarm.peer_by_address(remote_address)
         if (
             remote is None
@@ -391,30 +383,19 @@ class Peer(PeerCore):
             # Half-open link (the remote crashed): bytes fall into the
             # void until the fault sweep reaps the connection.
             return
-        latency = self.swarm.config.message_latency
         plan = self.swarm.faults
-        if plan is not None and plan.affects_messages:
-            for extra in plan.deliveries(message):
-                delay = latency + extra
-                if delay > 0:
-                    self.simulator.schedule(
-                        delay,
-                        lambda: None
-                        if twin.closed
-                        else remote._receive(twin, message),
-                    )
-                else:
-                    remote._receive(twin, message)
-            return
-        if latency > 0:
-            # Constant latency keeps per-link FIFO order (heap ties break
-            # by insertion); delivery is skipped if the link closed.
-            self.simulator.schedule(
-                latency,
-                lambda: None if twin.closed else remote._receive(twin, message),
-            )
-        else:
+        if plan is None or not plan.affects_messages:
             remote._receive(twin, message)
+            return
+        for delay in plan.deliveries(message):
+            if delay > 0:
+                # Delivery is skipped if the link closed in flight.
+                self.simulator.schedule(
+                    delay,
+                    lambda: None if twin.closed else remote._receive(twin, message),
+                )
+            else:
+                remote._receive(twin, message)
 
     # -- piece-knowledge messages -----------------------------------------
 
@@ -454,7 +435,7 @@ class Peer(PeerCore):
         receiver alone and nothing before its turn reaches it — and the
         loop keeps, in the reference link order, observer emission and
         what can react.  Only valid under the shared-view precondition
-        (DESIGN §12): ``_send``'s latency/fault branches are elided, not
+        (DESIGN §12): ``_send``'s fault branch is elided, not
         reimplemented.
         """
         piece = message.piece
@@ -654,13 +635,12 @@ class Peer(PeerCore):
         if plan is None:  # pragma: no cover - timer only exists with a plan
             return
         now = self.simulator.now
-        config = plan.config
         for connection in list(self.connections.values()):
             if connection.closed:
                 continue
             if (
                 connection.half_open
-                and now - connection.last_message_at >= config.idle_timeout
+                and now - connection.last_message_at >= IDLE_TIMEOUT_SECONDS
             ):
                 # The remote endpoint is dead (peer crashed) and the link
                 # has been silent past the keep-alive timeout: reap it.

@@ -152,14 +152,7 @@ class Swarm:
             self.faults = FaultPlan(
                 self.config.faults, Random(self.rng.getrandbits(64))
             )
-            # One outage tier per tracker replica; replica 0 carries the
-            # single-tracker windows too.
-            tiers = [list(self.config.faults.tracker_outages)] + [
-                [] for _ in range(self.config.faults.tracker_replicas - 1)
-            ]
-            for replica, start, duration in self.config.faults.replica_outages:
-                tiers[replica].append((start, duration))
-            self.tracker.set_outages(*tiers)
+            self.tracker.set_outages(self.config.faults.tracker_outages)
             if self.config.faults.crash_probability > 0:
                 self.simulator.schedule(
                     self.config.faults.crash_interval, self._crash_sweep
@@ -172,11 +165,8 @@ class Swarm:
         # Batched HAVE fan-out (Peer._announce_piece), and the shared
         # remote views it rests on (Peer._remote_view), are only observably
         # identical to per-link sends and parsed views when delivery is
-        # synchronous and lossless: any latency or fault plan takes the
-        # per-link path.
-        self._batched_have = (
-            self.config.message_latency == 0 and self.faults is None
-        )
+        # synchronous and lossless: a fault plan takes the per-link path.
+        self._batched_have = self.faults is None
 
     # ------------------------------------------------------------------
     # population management

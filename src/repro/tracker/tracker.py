@@ -69,26 +69,18 @@ class Tracker:
         self._state = SwarmState()
         self._sampler = sampler or UniformSampler()
         self._history: List[TrackerStats] = []
-        self._tiers: Tuple[Tuple[Tuple[float, float], ...], ...] = ((),)
+        self._outages: Tuple[Tuple[float, float], ...] = ()
         self.announce_count = 0
         self.failed_announce_count = 0
 
-    def set_outages(self, *tiers: Sequence[Tuple[float, float]]) -> None:
-        """Install outage tiers, each a list of ``(start, duration)``
-        windows.
-
-        An announce raises :class:`TrackerUnavailable` only while every
-        tier is inside one of its windows.  One tier is one tracker's
-        outages; several are the replicas of a BEP 12 announce-list in
-        front of this one registry, any of which serves while it is up —
-        so which replica answers never changes the answer.
-        """
-        self._tiers = tuple(tuple(windows) for windows in tiers) or ((),)
+    def set_outages(self, windows: Sequence[Tuple[float, float]]) -> None:
+        """Install the ``(start, duration)`` windows during which every
+        announce raises :class:`TrackerUnavailable`."""
+        self._outages = tuple(windows)
 
     def is_down(self, now: float) -> bool:
-        return all(
-            any(start <= now < start + duration for start, duration in windows)
-            for windows in self._tiers
+        return any(
+            start <= now < start + duration for start, duration in self._outages
         )
 
     def announce(

@@ -474,6 +474,14 @@ class TestMistypedOptions:
              "duration must be finite and > 0, not nan"),
             (["stability", "--duration", "-1"], "repro stability",
              "duration must be finite and > 0, not -1.0"),
+            # A negative stay once meant "seeds never leave"; a stay
+            # shorter than the 1 s step overflowed to nan.
+            (["model", "--arrival-rate", "0.05", "--upload", "4096",
+              "--content", "131072", "--seed-stay", "-5"], "repro model",
+             "--seed-stay must be >= 0"),
+            (["model", "--arrival-rate", "0.05", "--upload", "4096",
+              "--content", "131072", "--seed-stay", "0.001"], "repro model",
+             "seed_departure_rate * dt = 1000 is too stiff"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

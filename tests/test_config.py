@@ -1,10 +1,26 @@
 """Tests for the configuration dataclasses and their §III-C defaults."""
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.sim.config import KIB, TRACKER_NUM_WANT, PeerConfig, SwarmConfig
+from repro.sim.config import (
+    KIB,
+    OPTIMISTIC_ROUNDS,
+    RANDOM_FIRST_THRESHOLD,
+    REQUEST_PIPELINE_DEPTH,
+    TRACKER_ANNOUNCE_SECONDS,
+    TRACKER_NUM_WANT,
+    UNCHOKE_SLOTS,
+    FaultConfig,
+    PeerConfig,
+    SwarmConfig,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPeerConfigDefaults:
@@ -23,15 +39,17 @@ class TestPeerConfigDefaults:
         assert config.max_initiated == 40
 
     def test_active_peer_set(self):
-        assert PeerConfig().unchoke_slots == 4
+        assert UNCHOKE_SLOTS == 4
 
     def test_random_first_threshold(self):
-        assert PeerConfig().random_first_threshold == 4
+        assert RANDOM_FIRST_THRESHOLD == 4
+
+    def test_request_pipeline_depth(self):
+        assert REQUEST_PIPELINE_DEPTH == 8
 
     def test_choke_cadence(self):
-        config = PeerConfig()
-        assert config.choke_interval == 10.0
-        assert config.optimistic_rounds == 3  # 30 s optimistic rotation
+        assert PeerConfig().choke_interval == 10.0
+        assert OPTIMISTIC_ROUNDS == 3  # 30 s optimistic rotation
 
     def test_rate_window(self):
         assert PeerConfig().rate_window == 20.0
@@ -81,21 +99,15 @@ class TestPeerConfigValidation:
     def test_positive_counts_enforced(self):
         with pytest.raises(ValueError):
             PeerConfig(max_initiated=0)
-        with pytest.raises(ValueError):
-            PeerConfig(unchoke_slots=0)
-        with pytest.raises(ValueError):
-            PeerConfig(request_pipeline_depth=0)
 
 
 class TestSwarmConfigDefaults:
     def test_tracker_defaults(self):
         assert TRACKER_NUM_WANT == 50
-        assert SwarmConfig().announce_interval == 30.0 * 60.0
+        assert TRACKER_ANNOUNCE_SECONDS == 30.0 * 60.0
 
     def test_fluid_defaults(self):
-        config = SwarmConfig()
-        assert config.tick_interval == 1.0
-        assert config.message_latency == 0.0
+        assert SwarmConfig().tick_interval == 1.0
 
     def test_hash_verification_off_by_default(self):
         assert not SwarmConfig().verify_piece_hashes
@@ -116,3 +128,62 @@ class TestNoEngineKnobs:
     def test_peer_config_takes_no_rarity_index_switch(self, use_rarity_index):
         with pytest.raises(TypeError):
             PeerConfig(use_rarity_index=use_rarity_index)
+
+
+CONFIGS = {cls.__name__: cls for cls in (PeerConfig, SwarmConfig, FaultConfig)}
+
+# Fields no keyword in src/ or benchmarks/ sets, each kept on purpose.
+KEPT_UNSET = {
+    ("SwarmConfig", "tick_interval"): "the fluid step is to become a run "
+    "coordinate (RunOptions) that the clock-validity sweep sets",
+    ("SwarmConfig", "trace_announces"): "the announce-event gate that "
+    "structured logging is to set",
+    ("SwarmConfig", "verify_piece_hashes"): "the SHA-1 path the hash-check "
+    "tests compare the synthetic-payload path against",
+}
+
+
+def keyword_setters():
+    """Per config class, the field names some call in ``src/`` or
+    ``benchmarks/`` passes as a keyword: to the class itself, or to
+    ``replace`` (which any of the three may be)."""
+    found = {name: set() for name in CONFIGS}
+    for root in ("src", "benchmarks"):
+        for path in sorted((ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords = {keyword.arg for keyword in node.keywords}
+                for name in CONFIGS:
+                    if callee in (name, "replace"):
+                        found[name] |= keywords
+    return found
+
+
+class TestNoUnsetKnobs:
+    """A config field nothing sets is a constant with a setter: it goes
+    back to being a constant (the §III-C client runs one configuration)."""
+
+    def test_every_field_is_set_somewhere_or_kept_on_purpose(self):
+        setters = keyword_setters()
+        unset = [
+            "%s.%s" % (cls_name, field.name)
+            for cls_name, cls in CONFIGS.items()
+            for field in dataclasses.fields(cls)
+            if field.name not in setters[cls_name]
+            and (cls_name, field.name) not in KEPT_UNSET
+        ]
+        assert not unset, "fields nothing sets: %s" % ", ".join(unset)
+
+    def test_kept_fields_exist_and_are_still_unset(self):
+        setters = keyword_setters()
+        for (cls_name, name), reason in KEPT_UNSET.items():
+            fields = dataclasses.fields(CONFIGS[cls_name])
+            assert name in {field.name for field in fields}
+            assert name not in setters[cls_name], "now set; drop it: " + reason
+
+    def test_settable_value_counts(self):
+        assert len(dataclasses.fields(PeerConfig)) == 12
+        assert len(dataclasses.fields(SwarmConfig)) == 8
+        assert len(dataclasses.fields(FaultConfig)) == 7

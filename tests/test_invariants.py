@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.protocol.metainfo import make_metainfo
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, UNCHOKE_SLOTS, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 
@@ -110,7 +110,7 @@ def test_unchoke_slots_never_exceeded(params):
                 for connection in peer.connections.values()
                 if not connection.am_choking and connection.peer_interested
             )
-            if active > peer.config.unchoke_slots:
+            if active > UNCHOKE_SLOTS:
                 violations.append((now, peer.address, active))
 
     swarm.on_tick(probe)

@@ -49,6 +49,41 @@ class TestFluidModelBasics:
         states = model.integrate(duration=500.0, dt=0.5)
         assert all(s.leechers >= 0 and s.seeds >= 0 for s in states)
 
+    @pytest.mark.parametrize("rate", [1 / 600, 0.0])
+    def test_a_step_creates_no_peers(self, rate):
+        """Regression: with unconstrained download every step that drove
+        x below 0 kept the overshoot in y, so ``repro model --arrival-rate
+        0.05 --upload 4096 --content 131072`` ended with ~1e12 seeds
+        (seed stay 600 s, equilibrium 30) or ~5e13 (seeds never leave)
+        after about 100 arrivals."""
+        model = FluidModel(
+            arrival_rate=0.05, upload_rate=4096 / 131072, seed_departure_rate=rate
+        )
+        states = model.integrate(duration=2000.0, dt=1.0)
+        for state in states:
+            assert state.total <= 1.0 + 0.05 * state.time + 1e-9
+        if rate:
+            assert states[-1].seeds == pytest.approx(
+                model.steady_state().seeds, rel=0.05
+            )
+
+    def test_stiff_or_negative_rates_refused(self):
+        with pytest.raises(ValueError, match="too stiff"):
+            FluidModel(
+                arrival_rate=0.05, upload_rate=0.03, seed_departure_rate=1000.0
+            ).integrate(duration=10.0, dt=1.0)
+        with pytest.raises(ValueError, match="too stiff"):
+            FluidModel(arrival_rate=0.05, upload_rate=0.03, abort_rate=2.0).integrate(
+                duration=10.0, dt=1.0
+            )
+        with pytest.raises(ValueError):
+            FluidModel(arrival_rate=0.05, upload_rate=0.03, seed_departure_rate=-1.0)
+        # The instant-departure limit is the open system, not a stiff rate.
+        open_system = FluidModel(
+            arrival_rate=0.05, upload_rate=0.03, seed_departure_rate=float("inf")
+        )
+        assert open_system.integrate(duration=10.0, dt=1.0)[-1].seeds == 0.0
+
     def test_integration_validation(self):
         model = FluidModel(arrival_rate=0.5, upload_rate=0.01)
         with pytest.raises(ValueError):

@@ -2,7 +2,13 @@
 protocol niceties not covered by the core integration tests."""
 
 from repro.protocol.messages import Cancel, Request
-from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.config import (
+    KIB,
+    REQUEST_PIPELINE_DEPTH,
+    TRACKER_ANNOUNCE_SECONDS,
+    PeerConfig,
+    SwarmConfig,
+)
 
 from tests.conftest import fast_config, tiny_swarm
 
@@ -29,13 +35,12 @@ class TestTrackerInteraction:
         assert watcher.peer_set_size >= 2
 
     def test_periodic_announce_keeps_tracker_current(self):
-        config = SwarmConfig(seed=5, announce_interval=50.0)
-        swarm = tiny_swarm(num_pieces=4, swarm_config=config)
+        swarm = tiny_swarm(num_pieces=4, swarm_config=SwarmConfig(seed=5))
         swarm.add_peer(config=fast_config(), is_seed=True)
         before = swarm.tracker.announce_count
-        swarm.run(200)
-        # started + ~4 periodic announces.
-        assert swarm.tracker.announce_count >= before + 3
+        swarm.run(2 * TRACKER_ANNOUNCE_SECONDS + 1.0)
+        # Two periodic announces after the started one.
+        assert swarm.tracker.announce_count >= before + 2
 
     def test_completed_event_sent_once(self):
         swarm = tiny_swarm(num_pieces=4)
@@ -49,10 +54,7 @@ class TestPipelining:
     def test_outstanding_requests_bounded(self):
         swarm = tiny_swarm(num_pieces=64)
         swarm.add_peer(config=fast_config(upload=1 * KIB), is_seed=True)
-        depth = 5
-        leecher = swarm.add_peer(
-            config=PeerConfig(upload_capacity=1 * KIB, request_pipeline_depth=depth)
-        )
+        leecher = swarm.add_peer(config=PeerConfig(upload_capacity=1 * KIB))
         max_outstanding = 0
 
         def probe(now):
@@ -62,7 +64,7 @@ class TestPipelining:
 
         swarm.on_tick(probe)
         swarm.run(60)
-        assert 0 < max_outstanding <= depth
+        assert 0 < max_outstanding <= REQUEST_PIPELINE_DEPTH
 
     def test_requests_resent_after_choke(self):
         """Blocks lost to a choke are re-requested (from anyone)."""

@@ -12,8 +12,12 @@ import inspect
 from random import Random
 from types import SimpleNamespace
 
+import pytest
+
+from repro.core import peer_core
 from repro.core.choke import ChokeDecision
 from repro.core.peer_core import LinkState, PeerCore, PeerState
+from repro.core.piece_picker import PiecePicker
 from repro.net.peer import NetPeer
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
@@ -32,6 +36,13 @@ from repro.sim.config import KIB, PeerConfig
 from repro.sim.peer import Peer
 
 DEPTH = 4
+
+
+@pytest.fixture(autouse=True)
+def short_pipeline(monkeypatch):
+    """Scripts answer requests one by one, so a 4-deep pipeline keeps the
+    transcripts short; the core reads its depth at every fill."""
+    monkeypatch.setattr(peer_core, "REQUEST_PIPELINE_DEPTH", DEPTH)
 
 
 class ScriptedChoker:
@@ -53,13 +64,15 @@ class ScriptedPeer(PeerCore):
         metainfo = make_metainfo(
             "core", num_pieces, piece_size=blocks_per_piece * KIB, block_size=KIB
         )
-        config = PeerConfig(
-            request_pipeline_depth=DEPTH, random_first_threshold=0, **config
-        )
         super().__init__(
-            "10.0.0.1", metainfo, config, SimpleNamespace(now=0.0), Random(seed),
-            Bitfield(num_pieces, have=have),
+            "10.0.0.1", metainfo, PeerConfig(**config), SimpleNamespace(now=0.0),
+            Random(seed), Bitfield(num_pieces, have=have),
             leecher_choker=ScriptedChoker(), seed_choker=ScriptedChoker(),
+        )
+        # No random-first warm-up: every script picks rarest first.
+        self.picker = PiecePicker(
+            metainfo.geometry, self.bitfield, self.selector, self.rng,
+            random_first_threshold=0,
         )
         self.online = True
         self.sent = []  # (remote address, message), in send order

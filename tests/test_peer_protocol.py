@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.choke import SeedChoker
 from repro.protocol.bitfield import Bitfield
-from repro.sim.config import KIB, PeerConfig
+from repro.sim.config import KIB, UNCHOKE_SLOTS, PeerConfig
 from repro.sim.peer import PeerState
 
 from tests.conftest import fast_config, tiny_swarm
@@ -201,7 +201,7 @@ class TestChokeBehaviour:
             max_active = max(max_active, active)
         swarm.on_tick(sample)
         swarm.run(120)
-        assert max_active <= seed.config.unchoke_slots
+        assert max_active <= UNCHOKE_SLOTS
 
     def test_choking_clears_upload_queue(self):
         swarm = tiny_swarm(num_pieces=16)

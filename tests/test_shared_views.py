@@ -104,11 +104,10 @@ class TestIdentity:
     @pytest.mark.parametrize(
         "config, twin",
         [
-            (dict(message_latency=0.05), ()),
             (dict(faults=FaultConfig(message_loss_rate=0.01)), ()),
             ({}, ("per-link",)),
         ],
-        ids=["latency", "fault-plan", "unbatched"],
+        ids=["fault-plan", "unbatched"],
     )
     def test_no_view_is_shared_without_the_precondition(self, config, twin, twins):
         with twins(*twin):

@@ -30,7 +30,7 @@ from repro.instrumentation import (
     traced_peers,
 )
 from repro.instrumentation.replay import TraceFormatError
-from repro.sim.config import KIB, SwarmConfig
+from repro.sim.config import KIB, TRACKER_ANNOUNCE_SECONDS, SwarmConfig
 from repro.sim.faults import FAULT_PRESETS
 from repro.sim.observer import FanoutObserver
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
@@ -216,7 +216,6 @@ def announce_traced_swarm(seed=13, trace_announces=False):
         swarm_config=SwarmConfig(
             seed=seed,
             snapshot_interval=5.0,
-            announce_interval=60.0,
             trace_announces=trace_announces,
         ),
     )
@@ -229,7 +228,8 @@ def announce_traced_swarm(seed=13, trace_announces=False):
     )
     for __ in range(3):
         swarm.add_peer(config=fast_config(upload=2 * KIB))
-    swarm.run(400.0)
+    # Long enough for every peer's first periodic announce.
+    swarm.run(TRACKER_ANNOUNCE_SECONDS + 60.0)
     recorder.close()
     return swarm, recorder, instrumentation
 
@@ -247,7 +247,7 @@ def test_announce_events_recorded_when_enabled():
     events = [e for e in recorder.events() if e["type"] == "announce"]
     assert events
     kinds = {e["kind"] for e in events}
-    assert "started" in kinds
+    assert {"started", "interval"} <= kinds
     for event in events:
         data = event["data"]
         assert data["peer"] == event["peer"]

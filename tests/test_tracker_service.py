@@ -1,6 +1,5 @@
 """Tests for the tracker service tier: sharded store, samplers, load
-shedding, per-request RNG derivation, and tracker replicas as outage
-tiers (with the federation oracle they replaced).
+shedding and per-request RNG derivation.
 
 The live-server conformance tests (``tracker`` marker) live in
 ``test_tracker_server.py``; everything here is synchronous and runs in
@@ -14,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from random import Random
 
-from repro.instrumentation.trace import TraceRecorder, TracingObserver
-from repro.sim.config import KIB, FaultConfig, SwarmConfig
 from repro.tracker.sampling import (
     SAMPLER_REGISTRY,
     RarityAwareSampler,
@@ -30,12 +27,8 @@ from repro.tracker.service import (
     TrackerService,
 )
 from repro.tracker.state import MAX_HAVE, ShardedSwarmStore, SwarmState, shard_of
-from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import pack_peers, unpack_peers
 from repro.workloads import RunOptions
-
-from tests.conftest import fast_config, tiny_swarm
-from tests.reference_tracker_federation import TrackerFederation
 
 HASH_A = hashlib.sha1(b"torrent-a").digest()
 HASH_B = hashlib.sha1(b"torrent-b").digest()
@@ -713,105 +706,3 @@ class TestDeadPeerExpiry:
     def test_expiry_validation(self):
         with pytest.raises(ValueError):
             make_service(expiry_intervals=0.0)
-
-
-class TestFederation:
-    def make_federation(self, replicas=3):
-        clock = _Clock()
-        federation = TrackerFederation(Random(2), lambda: clock.now,
-                                       replicas=replicas)
-        return federation, clock
-
-    def test_replica_zero_serves_by_default(self):
-        federation, __ = self.make_federation()
-        federation.announce("a:1", event="started", num_want=0, is_seed=False)
-        assert federation.served_by == [1, 0, 0]
-        assert federation.failover_count == 0
-
-    def test_failover_order_is_tier_order(self):
-        federation, clock = self.make_federation()
-        federation.set_replica_outages(0, [(0.0, 100.0)])
-        federation.set_replica_outages(1, [(0.0, 50.0)])
-        clock.now = 10.0  # 0 and 1 down -> replica 2 serves
-        federation.announce("a:1", event="started", num_want=0, is_seed=False)
-        clock.now = 60.0  # only 0 down -> replica 1 serves
-        federation.announce("a:1", event="", num_want=0, is_seed=False)
-        clock.now = 200.0  # all up -> replica 0 serves
-        federation.announce("a:1", event="", num_want=0, is_seed=False)
-        assert federation.served_by == [1, 1, 1]
-        assert federation.failover_count == 2
-
-    def test_all_replicas_down_raises(self):
-        federation, clock = self.make_federation(replicas=2)
-        federation.set_replica_outages(0, [(0.0, 10.0)])
-        federation.set_replica_outages(1, [(0.0, 10.0)])
-        clock.now = 5.0
-        assert federation.is_down(5.0)
-        with pytest.raises(TrackerUnavailable):
-            federation.announce("a:1", event="", num_want=0, is_seed=False)
-        assert federation.failed_announce_count == 1
-
-    def test_registry_shared_across_replicas(self):
-        federation, clock = self.make_federation(replicas=2)
-        federation.announce("a:1", event="started", num_want=0, is_seed=True)
-        federation.set_replica_outages(0, [(0.0, 100.0)])
-        clock.now = 50.0
-        peers = federation.announce(
-            "b:1", event="started", num_want=10, is_seed=False, rng=Random(4)
-        )
-        # Replica 1 serves from the same registry replica 0 filled.
-        assert peers == ["a:1"]
-        assert federation.scrape() == (1, 1)
-
-
-class TestFederationUnderFaultPlan:
-    """End-to-end: FaultConfig.replica_outages through a simulated swarm."""
-
-    # The swarm-wide trace of run_swarm(), announces included, as the
-    # federation frontend produced it before replicas became outage
-    # tiers of the one tracker.
-    FINGERPRINT = "9df48694edbb3f507c3387e9d63233462088b7260ab4edc5bc346349d25a56f1"
-
-    @staticmethod
-    def run_swarm(seed=21):
-        faults = FaultConfig(
-            tracker_replicas=2,
-            # Replica 0 is down for the whole mid-run window; announces
-            # (join announces of churn arrivals and periodic refreshes)
-            # must be served by replica 1 rather than backing off.
-            replica_outages=((0, 0.0, 10_000.0),),
-        )
-        swarm = tiny_swarm(
-            num_pieces=12,
-            seed=seed,
-            swarm_config=SwarmConfig(seed=seed, faults=faults,
-                                     announce_interval=60.0,
-                                     trace_announces=True),
-        )
-        recorder = TraceRecorder()
-        swarm.observer_factory = lambda: TracingObserver(recorder)
-        swarm.add_peer(config=fast_config(), is_seed=True)
-        for __ in range(3):
-            swarm.add_peer(config=fast_config(upload=4 * KIB))
-        result = swarm.run(400.0)
-        for peer in swarm.peers.values():
-            peer.observer.finalize(now=swarm.simulator.now)
-        return swarm, result, recorder.close()
-
-    def test_failover_keeps_swarm_alive(self):
-        swarm, result, fingerprint = self.run_swarm()
-        assert len(result.completions) == 3
-        assert swarm.tracker.failed_announce_count == 0
-        assert fingerprint == self.FINGERPRINT
-
-    def test_same_seed_fails_over_identically(self):
-        __, result_a, fingerprint_a = self.run_swarm()
-        __, result_b, fingerprint_b = self.run_swarm()
-        assert fingerprint_a == fingerprint_b
-        assert result_a.completions == result_b.completions
-
-    def test_replica_outages_without_federation_rejected(self):
-        # A window for a replica the config does not have is refused
-        # where the config is built.
-        with pytest.raises(ValueError):
-            FaultConfig(tracker_replicas=1, replica_outages=((1, 0.0, 5.0),))

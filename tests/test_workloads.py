@@ -125,7 +125,6 @@ class TestBuildExperiment:
         assert config.upload_capacity == 20 * KIB
         assert config.download_capacity is None
         assert config.max_peer_set == 80
-        assert config.unchoke_slots == 4
 
     def test_run_produces_trace(self, small_run):
         trace = small_run.run()
