@@ -377,11 +377,15 @@ class PeerCore:
     # messaging
     # ------------------------------------------------------------------
 
-    def _receive(self, connection: LinkState, message: Message) -> None:
+    def _receive(
+        self, connection: LinkState, message: Message, observe: bool = True
+    ) -> None:
+        """Handle one delivered message; ``observe=False`` when the
+        sender has already traced the received line (a pair)."""
         if connection.closed:
             return
         connection.last_message_at = self.simulator.now
-        if self.observer:
+        if observe and self.observer:
             self.observer.on_message_received(self.simulator.now, connection, message)
         handler = self._handlers.get(type(message))
         if handler is not None:

@@ -53,7 +53,13 @@ import struct
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.instrumentation.replay import TraceFormatError
-from repro.instrumentation.trace import TRACE_SCHEMA_VERSION, TraceRecorder
+from repro.instrumentation.trace import (
+    TRACE_SCHEMA_VERSION,
+    TraceRecorder,
+    block_line,
+    message_tail,
+    quote_address,
+)
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
     Cancel,
@@ -135,23 +141,13 @@ def _msg_line(
     t: float, direction: int, peer: str, remote: str, code: int, suffix: str
 ) -> str:
     """Render one message event exactly as the JSONL observer does."""
-    return '{"t":%s,"type":"%s","peer":"%s","remote":"%s","msg":"%s"%s}' % (
+    return '{"t":%s,"type":"%s","peer":%s,"remote":%s,"msg":"%s"%s}' % (
         repr(t),
         _DIR_NAMES[direction],
-        peer,
-        remote,
+        quote_address(peer),
+        quote_address(remote),
         _MSG_NAMES[code],
         suffix,
-    )
-
-
-def _block_line(
-    t: float, peer: str, remote: str, piece: int, offset: int, length: int
-) -> str:
-    return (
-        '{"t":%s,"type":"block","peer":"%s","remote":"%s",'
-        '"piece":%d,"offset":%d,"length":%d}'
-        % (repr(t), peer, remote, piece, offset, length)
     )
 
 
@@ -243,18 +239,14 @@ class BinaryTraceRecorder:
         if code is None:
             # Unknown message class: fall back to the rendered line the
             # JSONL observer would have produced (conversion stays exact).
-            from repro.instrumentation.trace import _PAYLOAD_SUFFIXES
-
-            suffix = _PAYLOAD_SUFFIXES.get(type(message))
             self.emit_raw(
-                '{"t":%s,"type":"%s","peer":"%s","remote":"%s","msg":"%s"%s}'
+                '{"t":%s,"type":"%s","peer":%s,"remote":%s%s'
                 % (
                     repr(now),
                     _DIR_NAMES[direction],
-                    peer,
-                    remote,
-                    type(message).__name__,
-                    "" if suffix is None else suffix(message),
+                    quote_address(peer),
+                    quote_address(remote),
+                    message_tail(message),
                 )
             )
             return
@@ -287,18 +279,29 @@ class BinaryTraceRecorder:
         self._sink(record)
         self._events += 1
 
+    def emit_message_pair(
+        self, now: float, sender: str, receiver: str, message: Message
+    ) -> None:
+        """One synchronous delivery's sent+received records, as
+        :meth:`emit_message` writes them for the sent then the received
+        side (the pairing of DESIGN §12)."""
+        if type(message) is Have:
+            self.emit_have_pair(now, sender, receiver, message.piece)
+        else:
+            self.emit_message(now, 0, sender, receiver, message)
+            self.emit_message(now, 1, receiver, sender, message)
+
     def emit_have_pair(
         self, now: float, sender: str, receiver: str, piece: int
     ) -> None:
         """Hottest path: one call for a HAVE's sent+received record pair.
 
-        The fused fan-out loop delivers synchronously, so every HAVE a
-        traced sender emits to a traced receiver sharing this recorder
-        produces two adjacent records with mirrored addresses.  Packing
-        both in one call halves the per-event Python call overhead of
-        the single largest record population in a mega-swarm trace.
-        Byte-identical to ``emit_message`` called for the sent then the
-        received side.
+        Under synchronous delivery every HAVE a traced sender emits to a
+        traced receiver sharing this recorder produces two adjacent
+        records with mirrored addresses.  Packing both in one call
+        halves the per-event Python call overhead of the single largest
+        record population in a mega-swarm trace.  Byte-identical to
+        ``emit_message`` called for the sent then the received side.
         """
         addr_ids = self._addr_ids
         sender_id = addr_ids.get(sender)
@@ -372,7 +375,7 @@ def _jsonl_lines(source: JsonlSource) -> List[str]:
     if isinstance(source, TraceRecorder):
         lines = source.lines()
     elif isinstance(source, str):
-        with open(source) as handle:
+        with open(source, encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle]
     else:
         lines = [line.rstrip("\n") for line in source]
@@ -504,7 +507,7 @@ def _try_pack_event(event, kind, line, intern, table_size):
                 event["offset"],
                 event["length"],
             )
-            if _block_line(t, peer, remote, piece, offset, length) != line:
+            if block_line(t, peer, remote, piece, offset, length) != line:
                 return None
             return b"\x04" + _S_BLOCK.pack(
                 t, intern(peer), intern(remote), piece, offset, length
@@ -631,7 +634,7 @@ def binary_to_jsonl(
                 remote = addresses[remote_id]
             except KeyError:
                 raise TraceFormatError("block references unknown address id")
-            lines.append(_block_line(t, peer, remote, piece, offset, length))
+            lines.append(block_line(t, peer, remote, piece, offset, length))
         elif tag == _TAG_END:
             next_pos = need(_S_END.size + 32)
             count, footer_state = _S_END.unpack_from(data, pos)
@@ -673,8 +676,6 @@ def binary_to_jsonl(
     elif footer_state != _FOOTER_NONE:
         raise TraceFormatError("unknown footer state %d" % footer_state)
     if path is not None:
-        with open(path, "w") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+        with open(path, "wb") as handle:
+            handle.write("".join(line + "\n" for line in lines).encode("utf-8"))
     return lines

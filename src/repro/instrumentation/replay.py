@@ -65,6 +65,7 @@ _FOOTER_MARK = '"trace_end"'
 def _trace_lines(source: TraceSource) -> Iterator[Iterable[str]]:
     """The raw lines of *source*; a file stays open only inside the block."""
     if isinstance(source, TraceRecorder):
+        source.flush()  # an open recorder: what it emitted so far
         source = source.path if source.path is not None else source.lines()
     if not isinstance(source, str):
         yield source

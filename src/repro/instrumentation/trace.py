@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from typing import IO, Dict, List, Optional
 
 from repro.protocol.messages import (
@@ -78,12 +79,114 @@ from repro.sim.observer import PeerObserver
 
 TRACE_SCHEMA_VERSION = 1
 
+# Every event names one or two addresses, drawn from a small set, so each
+# is rendered once: the JSON string ``json.dumps`` writes for it, escapes
+# and ``\uXXXX`` forms included.
+_QUOTED: Dict[str, str] = {}
+
+
+def quote_address(address: str) -> str:
+    """*address* as the JSON string literal ``json.dumps`` renders.
+
+    The one place a hot-path line renders an address, for the JSONL
+    writer and for RBT1's decoder alike: an address holding a ``"``, a
+    backslash or a non-ASCII character must still make the line
+    ``json.dumps`` would have made.
+    """
+    quoted = _QUOTED.get(address)
+    if quoted is None:
+        quoted = _QUOTED[address] = json.dumps(address)
+    return quoted
+
+
+# Have floods dominate message traffic (every completed piece is
+# announced to every neighbour), and the payload depends only on the
+# piece index, so the rendered tail is memoised per index.
+_HAVE_TAILS: Dict[int, str] = {}
+
+
+def _have_tail(message: Have) -> str:
+    piece = message.piece
+    tail = _HAVE_TAILS.get(piece)
+    if tail is None:
+        tail = _HAVE_TAILS[piece] = ',"msg":"Have","piece":%d}' % piece
+    return tail
+
+
+def _bitfield_tail(message: BitfieldMessage) -> str:
+    return ',"msg":"Bitfield","bits":"%s"}' % message.bits.hex()
+
+
+def _request_tail(message: Request) -> str:
+    return ',"msg":"%s","piece":%d,"offset":%d,"length":%d}' % (
+        type(message).__name__,
+        message.piece,
+        message.offset,
+        message.length,
+    )
+
+
+def _piece_tail(message: Piece) -> str:
+    return ',"msg":"Piece","piece":%d,"offset":%d,"length":%d}' % (
+        message.piece,
+        message.offset,
+        len(message.data),
+    )
+
+
+# The replay-relevant payload fields per message class.  Types not
+# listed here (Choke, Interested, KeepAlive, ...) carry no payload
+# beyond their name.
+_PAYLOAD_TAILS = {
+    Have: _have_tail,
+    BitfieldMessage: _bitfield_tail,
+    Request: _request_tail,
+    Cancel: _request_tail,
+    Piece: _piece_tail,
+}
+
+
+def message_tail(message: Message) -> str:
+    """The end of a message event's line, from ``,"msg":`` to the
+    closing brace: the class name and its payload fields."""
+    render = _PAYLOAD_TAILS.get(type(message))
+    if render is None:
+        return ',"msg":"%s"}' % type(message).__name__
+    return render(message)
+
+
+def block_line(
+    t: float, peer: str, remote: str, piece: int, offset: int, length: int
+) -> str:
+    """One ``block`` event's line, as ``json.dumps`` renders it."""
+    return (
+        '{"t":%r,"type":"block","peer":%s,"remote":%s,'
+        '"piece":%d,"offset":%d,"length":%d}'
+        % (t, quote_address(peer), quote_address(remote), piece, offset, length)
+    )
+
+
+# The generic encoder, built once: ``json.dumps`` with any non-default
+# argument builds a new encoder on every call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _write_abandoned(pending: List[str], file: IO[bytes]) -> None:
+    """A file recorder dropped without :meth:`TraceRecorder.close`:
+    every emitted line reaches the file and no footer does, so the trace
+    reads as its writer crashed."""
+    if pending:
+        pending.append("")
+        file.write("\n".join(pending).encode("utf-8"))
+        pending.clear()
+    file.close()
+
 
 class TraceRecorder:
     """Append-only JSONL sink with a running content fingerprint.
 
     With a ``path`` the recorder streams to that file; without one it
-    accumulates lines in memory (tests, small runs).  Multiple
+    accumulates the trace in memory (tests, small runs).  Multiple
     :class:`TracingObserver` instances — one per traced peer — may share
     one recorder; events interleave in emission order, which is
     deterministic for a seeded run.
@@ -91,48 +194,59 @@ class TraceRecorder:
     The fingerprint is the SHA-256 of every emitted line (header
     included, newline-terminated, UTF-8) and is written into the
     ``trace_end`` footer by :meth:`close`, so a truncated or edited file
-    is detectable offline.
+    is detectable offline.  The bytes hashed are the bytes written.
     """
 
-    # Lines whose fingerprint hash is still pending are batched and fed
-    # to SHA-256 in one update: two tiny hasher calls per event cost more
-    # in call overhead than the hashing itself.  The digest is identical
-    # to hashing each newline-terminated line on its own.
-    _HASH_BATCH = 1024
+    # Emitted lines collect in one batch of this many entries (a pair's
+    # two lines are one entry); the batch is encoded once and the same
+    # bytes go to SHA-256 and to the file.  Per-line hasher and file
+    # calls cost more in call overhead than the hashing and writing
+    # themselves.  Neither the digest nor the file depends on where a
+    # batch ends.
+    _BATCH = 1024
 
     def __init__(self, path: Optional[str] = None):
         self.path = str(path) if path is not None else None
-        self._file: Optional[IO[str]] = (
-            open(self.path, "w") if self.path is not None else None
+        self._file: Optional[IO[bytes]] = (
+            open(self.path, "wb") if self.path is not None else None
         )
-        self._lines: List[str] = []
+        self._text: List[str] = []  # in memory: the batches written
         self._hasher = hashlib.sha256()
         self._pending: List[str] = []
+        self._abandon = (
+            weakref.finalize(self, _write_abandoned, self._pending, self._file)
+            if self._file is not None
+            else None
+        )
         self._events = 0
         self.fingerprint: Optional[str] = None
-        # repr(now) cache shared by the hot-path observers: one engine
+        # repr(now) cache shared by the hot-path renderers: one engine
         # event fans out to many trace events at the same timestamp.
         self._last_t: Optional[float] = None
         self._last_ts = ""
+        # Per address, the heads of its msg_sent and msg_recv lines up to
+        # the remote's value, and the address rendered alone.
+        self._heads: Dict[str, tuple] = {}
         self._write({"type": "trace_start", "v": TRACE_SCHEMA_VERSION})
 
-    def _flush_hash(self) -> None:
-        if self._pending:
-            self._hasher.update(
-                ("\n".join(self._pending) + "\n").encode("utf-8")
-            )
-            del self._pending[:]
+    def _write_batch(self) -> None:
+        pending = self._pending
+        if pending:
+            pending.append("")
+            text = "\n".join(pending)
+            pending.clear()
+            data = text.encode("utf-8")
+            self._hasher.update(data)
+            if self._file is not None:
+                self._file.write(data)
+            else:
+                self._text.append(text)
 
     def _write(self, event: dict) -> None:
-        line = json.dumps(event, separators=(",", ":"))
-        self._pending.append(line)
-        if len(self._pending) >= self._HASH_BATCH:
-            self._flush_hash()
-        if self._file is not None:
-            self._file.write(line)
-            self._file.write("\n")
-        else:
-            self._lines.append(line)
+        pending = self._pending
+        pending.append(_encode(event))
+        if len(pending) >= self._BATCH:
+            self._write_batch()
 
     def emit(self, event: dict) -> None:
         """Append one event object (caller keeps key order deterministic)."""
@@ -153,19 +267,69 @@ class TraceRecorder:
             raise RuntimeError("trace recorder is closed")
         pending = self._pending
         pending.append(line)
-        if len(pending) >= self._HASH_BATCH:
-            self._flush_hash()
-        file = self._file
-        if file is not None:
-            file.write(line)
-            file.write("\n")
-        else:
-            self._lines.append(line)
         self._events += 1
+        if len(pending) >= self._BATCH:
+            self._write_batch()
+
+    def _address_heads(self, address: str) -> tuple:
+        quoted = quote_address(address)
+        heads = self._heads[address] = (
+            ',"type":"msg_sent","peer":%s,"remote":' % quoted,
+            ',"type":"msg_recv","peer":%s,"remote":' % quoted,
+            quoted,
+        )
+        return heads
+
+    def emit_message_pair(
+        self, now: float, sender: str, receiver: str, message: Message
+    ) -> None:
+        """One synchronous delivery: the ``msg_sent`` line of *sender*
+        and the ``msg_recv`` line of *receiver*, as the two
+        :class:`TracingObserver` hooks would emit them back to back."""
+        self._emit_pair(now, sender, receiver, message_tail(message))
+
+    def emit_have_pair(
+        self, now: float, sender: str, receiver: str, piece: int
+    ) -> None:
+        """:meth:`emit_message_pair` for a HAVE of *piece*, the pair the
+        fused flood delivers."""
+        tail = _HAVE_TAILS.get(piece)
+        if tail is None:
+            tail = _have_tail(Have(piece=piece))
+        self._emit_pair(now, sender, receiver, tail)
+
+    def _emit_pair(self, now: float, sender: str, receiver: str, tail: str) -> None:
+        if self.fingerprint is not None:
+            raise RuntimeError("trace recorder is closed")
+        if now == self._last_t:
+            ts = self._last_ts
+        else:
+            ts = self._last_ts = repr(now)
+            self._last_t = now
+        heads = self._heads
+        sent = heads.get(sender) or self._address_heads(sender)
+        received = heads.get(receiver) or self._address_heads(receiver)
+        # Both lines in one batch entry: the batch is joined with the
+        # same newline that separates them.
+        pending = self._pending
+        pending.append(
+            f'{{"t":{ts}{sent[0]}{received[2]}{tail}\n'
+            f'{{"t":{ts}{received[1]}{sent[2]}{tail}'
+        )
+        self._events += 2
+        if len(pending) >= self._BATCH:
+            self._write_batch()
 
     @property
     def events_emitted(self) -> int:
         return self._events
+
+    def flush(self) -> None:
+        """Write out every line emitted so far (the footer waits for
+        :meth:`close`)."""
+        self._write_batch()
+        if self._file is not None:
+            self._file.flush()
 
     def close(self) -> str:
         """Write the ``trace_end`` footer; returns the fingerprint.
@@ -174,31 +338,34 @@ class TraceRecorder:
         """
         if self.fingerprint is not None:
             return self.fingerprint
-        self._flush_hash()
+        self._write_batch()
         self.fingerprint = self._hasher.hexdigest()
         footer = {
             "type": "trace_end",
             "events": self._events,
             "fingerprint": self.fingerprint,
         }
-        line = json.dumps(footer, separators=(",", ":"))
+        line = _encode(footer) + "\n"
         if self._file is not None:
-            self._file.write(line)
-            self._file.write("\n")
+            self._abandon.detach()
+            self._file.write(line.encode("utf-8"))
             self._file.close()
             self._file = None
         else:
-            self._lines.append(line)
+            self._text.append(line)
         return self.fingerprint
 
     # -- reading back ------------------------------------------------------
 
     def lines(self) -> List[str]:
-        """The raw JSONL lines (in-memory recorders only)."""
+        """The raw JSONL lines written so far, open or closed."""
+        self.flush()
         if self.path is not None:
-            with open(self.path) as handle:
-                return [line.rstrip("\n") for line in handle]
-        return list(self._lines)
+            with open(self.path, "rb") as handle:
+                text = handle.read().decode("utf-8")
+        else:
+            text = "".join(self._text)
+        return text.split("\n")[:-1]
 
     def events(self) -> List[dict]:
         """Parsed events, header/footer excluded."""
@@ -213,52 +380,6 @@ class TraceRecorder:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# Have floods dominate message traffic (every completed piece is
-# announced to every neighbour), and the payload depends only on the
-# piece index, so the serialised suffix is memoised per index.
-_HAVE_CACHE: Dict[int, str] = {}
-
-
-def _have_suffix(message: Have) -> str:
-    piece = message.piece
-    suffix = _HAVE_CACHE.get(piece)
-    if suffix is None:
-        suffix = _HAVE_CACHE[piece] = ',"piece":%d' % piece
-    return suffix
-
-
-def _bitfield_suffix(message: BitfieldMessage) -> str:
-    return ',"bits":"%s"' % message.bits.hex()
-
-
-def _request_suffix(message: Request) -> str:
-    return ',"piece":%d,"offset":%d,"length":%d' % (
-        message.piece,
-        message.offset,
-        message.length,
-    )
-
-
-def _piece_suffix(message: Piece) -> str:
-    return ',"piece":%d,"offset":%d,"length":%d' % (
-        message.piece,
-        message.offset,
-        len(message.data),
-    )
-
-
-# The replay-relevant payload fields per message class, pre-serialised as
-# a JSON key/value suffix.  Types not listed here (Choke, Interested,
-# KeepAlive, ...) carry no payload beyond their name.
-_PAYLOAD_SUFFIXES = {
-    Have: _have_suffix,
-    BitfieldMessage: _bitfield_suffix,
-    Request: _request_suffix,
-    Cancel: _request_suffix,
-    Piece: _piece_suffix,
-}
 
 
 class TracingObserver(PeerObserver):
@@ -290,6 +411,19 @@ class TracingObserver(PeerObserver):
         self._open: Dict[str, object] = {}  # remote address -> Connection
         self._finalized = False
 
+    @property
+    def pair_recorder(self):
+        """The recorder a synchronous delivery between two peers traced
+        into it may be rendered into as one sent+received pair, skipping
+        both message hooks (DESIGN §12); ``None`` when the hooks must
+        run.  Only the stock observer offers it: a subclass that
+        overrides a hook sees every call."""
+        if type(self) is TracingObserver and hasattr(
+            self.recorder, "emit_message_pair"
+        ):
+            return self.recorder
+        return None
+
     # -- lifecycle ---------------------------------------------------------
 
     def on_attached(self, peer) -> None:
@@ -297,8 +431,9 @@ class TracingObserver(PeerObserver):
         self._addr = peer.address
         # Constant middles of the two hot-path message lines, precomputed
         # so each event is a short f-string concatenation.
-        self._sent_mid = ',"type":"msg_sent","peer":"%s","remote":"' % peer.address
-        self._recv_mid = ',"type":"msg_recv","peer":"%s","remote":"' % peer.address
+        quoted = quote_address(peer.address)
+        self._sent_mid = ',"type":"msg_sent","peer":%s,"remote":' % quoted
+        self._recv_mid = ',"type":"msg_recv","peer":%s,"remote":' % quoted
         self.recorder.emit(
             {
                 "t": peer.simulator.now,
@@ -354,12 +489,9 @@ class TracingObserver(PeerObserver):
             ts = repr(now)
             recorder._last_t = now
             recorder._last_ts = ts
-        message_type = type(message)
-        suffix = _PAYLOAD_SUFFIXES.get(message_type)
         recorder.emit_raw(
-            f'{{"t":{ts}{self._sent_mid}{connection.remote.address}'
-            f'","msg":"{message_type.__name__}"'
-            f'{"" if suffix is None else suffix(message)}}}'
+            f'{{"t":{ts}{self._sent_mid}{quote_address(connection.remote.address)}'
+            f'{message_tail(message)}'
         )
 
     def on_message_received(self, now: float, connection, message: Message) -> None:
@@ -374,12 +506,9 @@ class TracingObserver(PeerObserver):
             ts = repr(now)
             recorder._last_t = now
             recorder._last_ts = ts
-        message_type = type(message)
-        suffix = _PAYLOAD_SUFFIXES.get(message_type)
         recorder.emit_raw(
-            f'{{"t":{ts}{self._recv_mid}{connection.remote.address}'
-            f'","msg":"{message_type.__name__}"'
-            f'{"" if suffix is None else suffix(message)}}}'
+            f'{{"t":{ts}{self._recv_mid}{quote_address(connection.remote.address)}'
+            f'{message_tail(message)}'
         )
 
     # -- choke algorithm ---------------------------------------------------
@@ -421,16 +550,10 @@ class TracingObserver(PeerObserver):
                 now, self._addr, connection.remote.address, piece, offset, length
             )
             return
-        self.recorder.emit(
-            {
-                "t": now,
-                "type": "block",
-                "peer": self._addr,
-                "remote": connection.remote.address,
-                "piece": piece,
-                "offset": offset,
-                "length": length,
-            }
+        self.recorder.emit_raw(
+            block_line(
+                now, self._addr, connection.remote.address, piece, offset, length
+            )
         )
 
     def on_piece_completed(self, now: float, piece: int) -> None:

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Connection(LinkState):
     """One endpoint's view of a link to ``remote``."""
 
-    __slots__ = ("twin", "upload_progress", "flow_key", "flow_nodes")
+    __slots__ = ("twin", "upload_progress", "flow_key", "flow_nodes", "trace_pair")
 
     def __init__(
         self,
@@ -51,6 +51,10 @@ class Connection(LinkState):
         # something to serve and kept for the link's life.
         self.flow_key: Optional[Tuple[str, str]] = None
         self.flow_nodes: Optional[Tuple[int, int]] = None
+        # The recorder both ends trace into when a delivery on this link
+        # may be rendered as one sent+received pair (set by the peer when
+        # the link is established; see ``Peer._trace_pair``).
+        self.trace_pair = None
 
     # -- transfer helpers --------------------------------------------------
 

@@ -290,6 +290,7 @@ class Peer(PeerCore):
         )
         local_conn.twin = remote_conn
         remote_conn.twin = local_conn
+        local_conn.trace_pair = remote_conn.trace_pair = self._trace_pair(remote)
         self._add_link(local_conn)
         remote._add_link(remote_conn)
         self._have_targets = remote._have_targets = None
@@ -304,6 +305,24 @@ class Peer(PeerCore):
             self._reveal_next(local_conn)
         if remote.super_seeding:
             remote._reveal_next(remote_conn)
+
+    def _trace_pair(self, remote: "Peer"):
+        """The recorder a delivery between us and *remote* is traced
+        into as one sent+received pair, or ``None`` (DESIGN §12).
+
+        Exact only when the two lines would be adjacent anyway: both
+        ends are stock tracing observers on one recorder, and with no
+        fault plan ``remote._receive`` runs inside ``_send``, before
+        anything else can emit.
+        """
+        recorder = getattr(self.observer, "pair_recorder", None)
+        if (
+            recorder is None
+            or self.swarm.faults is not None
+            or getattr(remote.observer, "pair_recorder", None) is not recorder
+        ):
+            return None
+        return recorder
 
     def _advertised_bits(self) -> bytes:
         """The bitfield shown to new peers: empty under super-seeding."""
@@ -375,10 +394,17 @@ class Peer(PeerCore):
     def _send(self, connection: Connection, message: Message) -> None:
         if connection.closed:
             return
+        twin = connection.twin
+        recorder = connection.trace_pair
+        if recorder is not None and not twin.closed:
+            recorder.emit_message_pair(
+                self.simulator.now, self.address, connection.remote.address, message
+            )
+            connection.remote._receive(twin, message, False)
+            return
         if self.observer:
             self.observer.on_message_sent(self.simulator.now, connection, message)
         remote = connection.remote
-        twin = connection.twin
         if twin is None or twin.closed:
             # Half-open link (the remote crashed): bytes fall into the
             # void until the fault sweep reaps the connection.
@@ -454,13 +480,7 @@ class Peer(PeerCore):
         sender_is_seed = self.is_seed
         observer = self.observer
         seed_state = PeerState.SEED
-        # Pair-emit capability, hoisted: when sender and receiver are
-        # both observed into the same binary recorder, one call packs
-        # the sent+received record pair, bypassing two observer hook
-        # invocations per delivery (the bulk of --trace-all overhead).
         sender_addr = self.address
-        shared_recorder = getattr(observer, "recorder", None)
-        pair_emit = getattr(shared_recorder, "emit_have_pair", None)
         if observer is not None or sender_is_seed:
             links = list(self.connections.values())
         else:
@@ -488,21 +508,23 @@ class Peer(PeerCore):
                 twin = connection.twin
                 if twin is not None and not twin.closed:
                     receiver = connection.remote
-                    receiver_observer = receiver.observer
+                    recorder = connection.trace_pair
+                    if recorder is not None:
+                        # Both hooks' lines in one call, as in ``_send``.
+                        recorder.emit_have_pair(
+                            now, sender_addr, receiver.address, piece
+                        )
+                    else:
+                        if observer:
+                            observer.on_message_sent(now, connection, message)
+                        if receiver.observer is not None:
+                            receiver.observer.on_message_received(
+                                now, twin, message
+                            )
                 else:
-                    twin = receiver = receiver_observer = None
-                if (
-                    pair_emit is not None
-                    and receiver_observer is not None
-                    and getattr(receiver_observer, "recorder", None)
-                    is shared_recorder
-                ):
-                    pair_emit(now, sender_addr, receiver.address, piece)
-                else:
+                    twin = receiver = None
                     if observer:
                         observer.on_message_sent(now, connection, message)
-                    if receiver_observer is not None:
-                        receiver_observer.on_message_received(now, twin, message)
                 if twin is not None:
                     # -- the receiver's reactions (_handle_have) --
                     # ``last_message_at`` is deliberately not refreshed: its

@@ -7,6 +7,7 @@ import pytest
 
 import repro.core.peer_core
 import repro.sim.swarm
+from repro.instrumentation.trace import TracingObserver
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
@@ -63,6 +64,12 @@ def _per_link(patch):
     patch.setattr(Swarm, "__init__", per_link_swarm)
 
 
+def _unpaired(patch):
+    # No observer offers a pair recorder, so every delivery between two
+    # traced peers goes through both message hooks, as under a fault plan.
+    patch.setattr(TracingObserver, "pair_recorder", None)
+
+
 def _naive_picker(patch):
     patch.setattr(repro.core.peer_core, "PiecePicker", NaivePiecePicker)
 
@@ -70,13 +77,14 @@ def _naive_picker(patch):
 TWINS = {
     "reference-allocator": _reference_allocator,
     "per-link": _per_link,
+    "unpaired": _unpaired,
     "naive-picker": _naive_picker,
 }
 
-#: Every engine fast path on its reference: the python allocator and the
-#: per-link delivery a run under message latency takes.  The picker
-#: oracle is not an engine path.
-ENGINE_TWINS = ("reference-allocator", "per-link")
+#: Every engine fast path on its reference: the python allocator, the
+#: per-link delivery a fault plan selects, and each traced delivery
+#: through both observer hooks.  The picker oracle is not an engine path.
+ENGINE_TWINS = ("reference-allocator", "per-link", "unpaired")
 
 
 @contextmanager
@@ -96,12 +104,13 @@ def twins():
     twin the same way: by changing what a swarm built inside the block
     observes.  ``"reference-allocator"`` hands every swarm built inside
     the block the python allocator of ``tests/reference_allocator.py``,
-    and ``"naive-picker"`` makes every peer built inside the block pick
-    through the naive oracle of ``tests/reference_piece_picker.py``.  A
-    swarm keeps the engine twins it was built with; peers arriving later
-    are built when they arrive, so a run with arrivals stays inside the
-    block.  The context manager
-    holds no state, so the fixture is session-wide and safe under
-    Hypothesis.
+    ``"unpaired"`` traces every delivery through both observer hooks
+    instead of one pair (DESIGN §12), and ``"naive-picker"`` makes every
+    peer built inside the block pick through the naive oracle of
+    ``tests/reference_piece_picker.py``.  A swarm keeps the engine twins
+    it was built with; peers arriving later are built when they arrive,
+    and a link decides on pairing when it opens, so a run with arrivals
+    stays inside the block.  The context manager holds no state, so the
+    fixture is session-wide and safe under Hypothesis.
     """
     return _select

@@ -46,33 +46,29 @@ def reference_broadcast_have_fused(self, message: Have) -> None:
     sender_is_seed = self.is_seed
     observer = self.observer
     seed_state = PeerState.SEED
-    # Pair-emit capability, hoisted: when sender and receiver are
-    # both observed into the same binary recorder, one call packs
-    # the sent+received record pair, bypassing two observer hook
-    # invocations per delivery (the bulk of --trace-all overhead).
     sender_addr = self.address
-    shared_recorder = getattr(observer, "recorder", None)
-    pair_emit = getattr(shared_recorder, "emit_have_pair", None)
     for connection in list(self.connections.values()):
         if not connection.closed:
             twin = connection.twin
             if twin is not None and not twin.closed:
                 receiver = connection.remote
-                receiver_observer = receiver.observer
+                recorder = connection.trace_pair
+                if recorder is not None:
+                    # Both hooks' lines in one call, as in ``_send``.
+                    recorder.emit_have_pair(
+                        now, sender_addr, receiver.address, piece
+                    )
+                else:
+                    if observer:
+                        observer.on_message_sent(now, connection, message)
+                    if receiver.observer is not None:
+                        receiver.observer.on_message_received(
+                            now, twin, message
+                        )
             else:
-                twin = receiver = receiver_observer = None
-            if (
-                pair_emit is not None
-                and receiver_observer is not None
-                and getattr(receiver_observer, "recorder", None)
-                is shared_recorder
-            ):
-                pair_emit(now, sender_addr, receiver.address, piece)
-            else:
+                twin = receiver = None
                 if observer:
                     observer.on_message_sent(now, connection, message)
-                if receiver_observer is not None:
-                    receiver_observer.on_message_received(now, twin, message)
             if twin is not None:
                 # -- the receiver's reactions (_handle_have) --
                 # ``last_message_at`` is deliberately not refreshed: its

@@ -12,7 +12,8 @@ ways:
   restructured so both charge residuals with the same arithmetic);
 * **differential swarm runs** execute the same seeded scenario on the
   fast paths and on their reference twins (reached through the
-  ``twins`` fixture, as a latency or fault run reaches per-link delivery) and
+  ``twins`` fixture, as a fault run reaches per-link delivery and
+  traced deliveries through both observer hooks) and
   require identical trace fingerprints and final swarm state —
   including under churn, faults, and rejoins;
 * **format tests** require the binary trace to reproduce the JSONL
@@ -181,6 +182,13 @@ class TestEngineDifferential:
             ),
             ("per-link", lambda swarm: swarm._batched_have is False),
             (
+                "unpaired",
+                lambda swarm: all(
+                    peer.observer.pair_recorder is None
+                    for peer in swarm.peers.values()
+                ),
+            ),
+            (
                 "naive-picker",
                 lambda swarm: all(
                     type(peer.picker) is NaivePiecePicker
@@ -188,16 +196,16 @@ class TestEngineDifferential:
                 ),
             ),
         ],
-        ids=["allocator", "have_fanout", "picker"],
+        ids=["allocator", "have_fanout", "unpaired", "picker"],
     )
     def test_each_reference_value_selects_its_twin(self, twin, selects_twin, twins):
         """Guard against a vacuous differential: the fixture really
         selects each twin, and the default swarm holds none of them."""
         with twins(twin):
-            __, __, twin_swarm = run_swarm(horizon=40.0)
-        __, __, fast = run_swarm(horizon=40.0)
+            __, __, twin_swarm = run_swarm(horizon=40.0, recorder=TraceRecorder())
+            assert selects_twin(twin_swarm)
+        __, __, fast = run_swarm(horizon=40.0, recorder=TraceRecorder())
         assert twin_swarm.peers and fast.peers
-        assert selects_twin(twin_swarm)
         assert not selects_twin(fast)
 
     def test_fast_path_trace_equals_reference(self, twins):

@@ -17,15 +17,24 @@ Four families of tests:
   consumable and replayable.
 """
 
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.instrumentation import (
+    BinaryTraceRecorder,
     Instrumentation,
     TraceRecorder,
     TracingObserver,
+    binary_to_jsonl,
     iter_trace,
+    jsonl_to_binary,
     replay_instrumentation,
     traced_peers,
 )
@@ -37,6 +46,9 @@ from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
 from tests.conftest import fast_config, tiny_swarm
 from tests.test_faults import TraceFingerprint
+
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def small_scenario(torrent_id=2, duration=250.0):
@@ -99,6 +111,119 @@ def test_file_and_memory_sinks_are_byte_identical(tmp_path):
     in_memory, _ = run_traced(seed=5, path=None, duration=150.0)
     assert on_disk.lines() == in_memory.lines()
     assert on_disk.fingerprint == in_memory.fingerprint
+
+
+@pytest.mark.parametrize("address", ['seed"1', "s\u00e9ed\\1"])
+def test_addresses_render_as_json_encodes_them(address):
+    # The hot-path renderers insert each address as json.dumps renders
+    # it, so a quote, a backslash or a non-ASCII character still makes a
+    # line the reader accepts and the generic encoder would have made.
+    def run(recorder):
+        swarm = tiny_swarm(num_pieces=6)
+        swarm.add_peer(
+            config=fast_config(), address=address, is_seed=True,
+            observer=TracingObserver(recorder),
+        )
+        for index in range(3):
+            # one traced peer (pairs) and two on their own hooks
+            observer = TracingObserver(recorder) if index == 0 else None
+            swarm.add_peer(config=fast_config(), observer=observer)
+        swarm.run(60.0)
+        recorder.close()
+        return recorder
+
+    recorder = run(TraceRecorder())
+    events = iter_trace(recorder)
+    assert {"msg_sent", "msg_recv", "block"} <= {event["type"] for event in events}
+    assert address in {event["peer"] for event in events}
+    assert address in {event.get("remote") for event in events}
+    for line in recorder.lines():
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+    # RBT1 renders the same lines, live and converted.
+    assert binary_to_jsonl(run(BinaryTraceRecorder())) == recorder.lines()
+    assert binary_to_jsonl(jsonl_to_binary(recorder)) == recorder.lines()
+
+
+def test_file_bytes_before_the_footer_hash_to_the_fingerprint(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    recorder, _ = run_traced(seed=5, path=str(path), duration=150.0, trace_all=True)
+    data = path.read_bytes()
+    body, footer = data[:-1].rsplit(b"\n", 1)
+    assert json.loads(footer)["fingerprint"] == recorder.fingerprint
+    assert hashlib.sha256(body + b"\n").hexdigest() == recorder.fingerprint
+
+
+def emit_batches(recorder, count):
+    """*count* events through emit, emit_raw and the pair path, crossing
+    batch boundaries; returns the lines they make."""
+    lines = []
+    for index in range(count):
+        event = {"t": float(index), "type": "piece", "peer": "10.0.0.1", "piece": index}
+        if index % 3 == 0:
+            recorder.emit(event)
+            lines.append(json.dumps(event, separators=(",", ":")))
+        elif index % 3 == 1:
+            line = json.dumps(event, separators=(",", ":"))
+            recorder.emit_raw(line)
+            lines.append(line)
+        else:
+            recorder.emit_have_pair(float(index), "10.0.0.1", "10.0.0.2", index)
+            lines.append(
+                '{"t":%r,"type":"msg_sent","peer":"10.0.0.1","remote":"10.0.0.2",'
+                '"msg":"Have","piece":%d}' % (float(index), index)
+            )
+            lines.append(
+                '{"t":%r,"type":"msg_recv","peer":"10.0.0.2","remote":"10.0.0.1",'
+                '"msg":"Have","piece":%d}' % (float(index), index)
+            )
+    return lines
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_open_recorder_reads_back_every_line(tmp_path, on_disk):
+    recorder = TraceRecorder(str(tmp_path / "open.jsonl") if on_disk else None)
+    header = recorder.lines()
+    assert [json.loads(line)["type"] for line in header] == ["trace_start"]
+    expected = header + emit_batches(recorder, 2500)
+    assert iter_trace(recorder) == [json.loads(line) for line in expected[1:]]
+    assert recorder.lines() == expected
+    assert recorder.events() == [json.loads(line) for line in expected[1:]]
+    more = emit_batches(recorder, 10)
+    assert recorder.lines() == expected + more
+    recorder.close()
+    assert recorder.lines()[:-1] == expected + more
+
+
+def test_dropped_recorder_leaves_every_line_and_no_footer(tmp_path):
+    path = str(tmp_path / "dropped.jsonl")
+    recorder = TraceRecorder(path)
+    lines = recorder.lines() + emit_batches(recorder, 1500)
+    del recorder
+    gc.collect()
+    assert open(path).read().splitlines() == lines
+    assert len(iter_trace(path)) == len(lines) - 1
+
+
+def test_writer_killed_by_an_exception_reads_as_crashed(tmp_path):
+    # The ``repro run --trace`` path when the run raises: the recorder is
+    # never closed, and the interpreter exits on the exception.
+    path = str(tmp_path / "crashed.jsonl")
+    script = (
+        "from repro.instrumentation import TraceRecorder\n"
+        "recorder = TraceRecorder(%r)\n"
+        "for index in range(1500):\n"
+        "    recorder.emit_have_pair(1.0, '10.0.0.1', '10.0.0.2', index)\n"
+        "raise RuntimeError('the run failed')\n" % path
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert "the run failed" in result.stderr
+    lines = open(path).read().splitlines()
+    assert len(lines) == 1 + 3000
+    assert "trace_end" not in lines[-1]
+    assert len(iter_trace(path)) == 3000
 
 
 def test_raw_lines_match_generic_json_encoding():
