@@ -56,6 +56,8 @@ def main(seed: int = 0) -> int:
     result = swarm.run_sync(timeout=60.0)
 
     print("complete: %s in %.2f s wall clock" % (result.all_complete, result.duration))
+    if result.stuck is not None:
+        print(result.stuck)
     for address in result.addresses:
         done = result.completed_at.get(address)
         print(

@@ -11,8 +11,8 @@ Each module maps to one group of figures:
 * :mod:`repro.analysis.fairness` — figures 9, 10, 11 (contribution sets,
   unchoke/interest correlation, seed service uniformity);
 * :mod:`repro.analysis.stats` — shared percentile/CDF helpers;
-* :mod:`repro.analysis.stability` — open-system stable/unstable
-  classification and sim-vs-fluid phase diagrams.
+* :mod:`repro.analysis.stability` — claim S1, the open-system
+  stability boundary, simulation vs fluid model.
 """
 
 from repro.analysis.entropy import EntropySummary, entropy_ratios, summarize_entropy
@@ -28,9 +28,8 @@ from repro.analysis.replication import rarest_set_series, replication_series
 from repro.analysis.stability import (
     POLICY_EFFECTIVENESS,
     classify_fluid,
-    classify_record,
     fluid_model_for_policy,
-    phase_diagram,
+    stability_swarms,
 )
 from repro.analysis.stats import cdf, pearson, percentile
 
@@ -41,7 +40,6 @@ __all__ = [
     "UnchokeCorrelation",
     "cdf",
     "classify_fluid",
-    "classify_record",
     "entropy_ratios",
     "fluid_model_for_policy",
     "interarrival_summary",
@@ -49,10 +47,10 @@ __all__ = [
     "pearson",
     "peer_set_series",
     "percentile",
-    "phase_diagram",
     "rarest_set_series",
     "replication_series",
     "seed_contribution",
+    "stability_swarms",
     "summarize_entropy",
     "unchoke_interest_correlation",
 ]

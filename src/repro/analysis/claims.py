@@ -1,9 +1,10 @@
 """The table of claims: every shape result this repository reproduces.
 
 One ordered tuple of :class:`Claim` records, ids exactly DESIGN §4's
-``T1, F1..F11, A1..A6``.  A claim declares once the paper's statement,
-what it needs (Table-I campaign shards, or the builder of its bespoke
-ablation swarm), how its numbers are measured, the named checks over
+``T1, F1..F11, A1..A6, S1``.  A claim declares once its statement (the
+paper's, or for S1 the later work it comes from), what it needs
+(Table-I campaign shards, or the builder of its bespoke swarms), how its
+numbers are measured, the named checks over
 those numbers (DESIGN §5 is prose; these are the criteria) and the
 renderer of its ``benchmarks/results/<name>.txt``.  ``repro reproduce``
 (:mod:`repro.analysis.reproduce`) evaluates the table over replicate
@@ -23,7 +24,7 @@ from functools import partial
 from itertools import zip_longest
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.analysis import ablations
+from repro.analysis import ablations, stability
 from repro.analysis.ablations import NAN
 from repro.analysis.entropy import summarize_entropy
 from repro.analysis.fairness import (
@@ -48,6 +49,7 @@ from repro.campaign.spec import (
     expand_spec,
 )
 from repro.instrumentation import Instrumentation
+from repro.reporting import ascii_table
 from repro.workloads import TABLE1, TorrentScenario, scenario_by_id
 
 Numbers = Dict[str, float]
@@ -113,7 +115,7 @@ class Claim:
     torrents: Tuple[int, ...] = ()
     block_size: Optional[int] = None
     build: Optional[Callable[[int], dict]] = None
-    """Ablations only: seed -> every variant's plain numbers."""
+    """Ablations and S1 only: seed -> every variant's plain numbers."""
 
     pinned_seed: Optional[int] = None
 
@@ -122,7 +124,7 @@ class Claim:
         return "\n".join(self.render(evidence, numbers)) + "\n"
 
     def seed(self, replicate: int) -> int:
-        """Replicate 0 is the ablation's historical pinned seed; later
+        """Replicate 0 is the builder's historical pinned seed; later
         replicates follow :func:`derive_shard_seed`'s sha256 rule."""
         if replicate == 0:
             return self.pinned_seed
@@ -623,7 +625,7 @@ def _seed_fairness_render(runs, numbers) -> List[str]:
     return lines
 
 
-# -- A1..A6 (evidence: the builder's output) --------------------------------
+# -- A1..A6, S1 (evidence: the builder's output) ----------------------------
 
 
 def _flatten(results: dict, never: Tuple[str, ...] = (), prefix: str = "") -> Numbers:
@@ -672,6 +674,47 @@ def _piece_selection_render(results, numbers) -> List[str]:
     return lines + [
         "network coding (idealised) mean dl: %.0f s" % results["coding_mean_dl"]
     ]
+
+
+def _verdict(stable: bool) -> str:
+    return "stable" if stable else "unstable"
+
+
+def _stability_render(results, numbers) -> List[str]:
+    rows = [
+        [
+            "%.3f" % stats["arrival_rate"],
+            "%.0f" % stats["seed_upload"],
+            policy,
+            _verdict(stats["sim"]),
+            _verdict(stats["fluid"]),
+            "yes" if stats["agree"] else "NO",
+        ]
+        for cell in results.values()
+        for policy, stats in cell.items()
+    ]
+    return [
+        "Claim S1 — open-system stability: simulation vs fluid model",
+        *ascii_table(
+            ["arrival/s", "seed B/s", "policy", "sim", "fluid", "agree"], rows
+        ).splitlines(),
+        "sim-vs-fluid agreement: %d/%d cells"
+        % (sum(row[-1] == "yes" for row in rows), len(rows)),
+    ]
+
+
+#: One check per S1 cell: the simulation agrees with the fluid model.
+_S1_CHECKS = tuple(
+    Check(
+        "%s %s" % (stability.s1_cell(rate, upload), policy),
+        "%s.%s.agree" % (stability.s1_cell(rate, upload), policy),
+        "==",
+        1,
+    )
+    for rate in stability.S1_ARRIVAL_RATES
+    for upload in stability.S1_SEED_UPLOADS
+    for policy in stability.S1_POLICIES
+)
 
 
 # -- the table ---------------------------------------------------------------
@@ -1012,6 +1055,18 @@ CLAIMS: Tuple[Claim, ...] = (
         ),
         build=ablations.peer_set_swarms,
         pinned_seed=83,
+    ),
+    Claim(
+        "S1",
+        "RFwPMS (arXiv 2211.00213), not the source paper: in an open system "
+        "rarest first is unstable once arrivals outpace the seed's piece "
+        "rate, mode suppression is not; the sim agrees with the fluid model",
+        "s1_stability",
+        _flatten,
+        _stability_render,
+        _S1_CHECKS,
+        build=stability.stability_swarms,
+        pinned_seed=3,
     ),
 )
 

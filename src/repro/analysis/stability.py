@@ -1,19 +1,20 @@
-"""Open-system stability classification and sim-vs-fluid phase diagrams.
+"""Claim S1: the open-system stability boundary, simulation vs fluid model.
 
-Ties the three layers of the flash-crowd subsystem together:
+The claim is not the source paper's: it is the RFwPMS result
+(arXiv 2211.00213).  In an *open system* leechers arrive as a Poisson
+process and depart the instant they finish.  Plain rarest first is then
+unstable once arrivals outpace the origin seed's piece rate, and mode
+suppression fixes it.  Two sides classify each operating point:
 
-* the **simulation** side: open-system campaign shards (scenarios
-  ``flash-crowd`` / ``flash-crowd-suppress``) carry a
-  :class:`~repro.workloads.open_system.StabilityDetector` verdict in
-  their record summary;
-* the **model** side: the open-system extension of
+* the **simulation**: :func:`stability_swarms` builds one swarm per
+  ``arrival rate x seed upload x policy`` cell, as
+  :mod:`repro.analysis.ablations` builds its swarms, and a
+  :class:`~repro.workloads.open_system.StabilityDetector` reads its
+  leecher-population trajectory;
+* the **model**: the open-system extension of
   :class:`~repro.models.fluid.FluidModel` (``seed_capacity``,
-  ``seed_departure_rate = inf``) classifies the same operating point
-  analytically — stable iff a finite steady state exists;
-* the **phase diagram**: :func:`phase_diagram` sweeps an
-  ``arrival rate x seed capacity x policy`` grid through the campaign
-  runner (one cached shard per cell) and cross-validates the two
-  classifications cell by cell.
+  ``seed_departure_rate = inf``) is stable iff it has a finite steady
+  state (:func:`classify_fluid`).
 
 **Calibration.**  The fluid effectiveness ``eta`` is per policy.  Plain
 rarest first in the one-club regime contributes nothing to completions
@@ -23,39 +24,34 @@ completion flow is the seed injecting the missing piece at
 arrival rate stays below that.  Mode suppression keeps chunk diversity,
 so leecher-to-leecher exchange works at full effectiveness (``eta = 1``,
 the seed merely contributes ``seed_upload / content_size``) and the
-swarm self-scales at any arrival rate.  This reproduces the qualitative
-RFwPMS result: cells with ``arrival_rate > seed_upload / piece_size``
-are unstable under rarest first and stable under mode suppression.
+swarm self-scales at any arrival rate.  The model assumes one origin
+seed and no other: every leecher, burst included, departs on
+completion, and the cell has no instrumented local peer to linger.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from random import Random
+from typing import Dict, Optional
 
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import (
-    DEFAULT_CAMPAIGN_SEED,
-    SCENARIOS,
-    CampaignSpec,
-)
+from repro.core.rarest_first import make_selector
 from repro.models.fluid import FluidModel
-from repro.workloads import INTERNET_2005, resolve_scenario
+from repro.protocol.metainfo import make_metainfo
+from repro.sim.churn import flash_crowd, open_system_arrivals
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.swarm import Swarm
+from repro.workloads import INTERNET_2005
+from repro.workloads.open_system import StabilityDetector
 
 __all__ = [
     "POLICY_EFFECTIVENESS",
-    "POLICY_SCENARIOS",
+    "S1_POLICIES",
     "classify_fluid",
-    "classify_record",
     "fluid_model_for_policy",
-    "phase_diagram",
+    "s1_cell",
+    "stability_swarms",
 ]
-
-#: Campaign scenario implementing each policy's open-system run.
-POLICY_SCENARIOS: Dict[str, str] = {
-    "rarest-first": "flash-crowd",
-    "mode-suppression": "flash-crowd-suppress",
-}
 
 #: Fluid effectiveness ``eta`` per policy (see module docstring).
 POLICY_EFFECTIVENESS: Dict[str, float] = {
@@ -76,7 +72,7 @@ def fluid_model_for_policy(
 
     ``leecher_upload`` defaults to the mean of the
     :data:`~repro.workloads.capacities.INTERNET_2005` population mix the
-    campaign shards actually sample from.
+    simulated leechers are drawn from.
     """
     if policy not in POLICY_EFFECTIVENESS:
         raise KeyError(
@@ -106,112 +102,85 @@ def classify_fluid(model: FluidModel) -> str:
     return "stable" if model.steady_state() is not None else "unstable"
 
 
-def classify_record(record: dict) -> Optional[str]:
-    """The sim-side verdict stored in a campaign shard record, if any."""
-    stability = (record.get("summary") or {}).get("stability")
-    if stability is None or record.get("status") != "ok":
-        return None
-    return "stable" if stability.get("stable") else "unstable"
+# -- S1: the phase diagram, one swarm per cell ------------------------------
+
+S1_ARRIVAL_RATES = (0.12, 0.35)
+S1_SEED_UPLOADS = (16 * KIB, 48 * KIB)
+#: Policy -> the selector spec every leecher runs.
+S1_POLICIES: Dict[str, str] = {
+    "rarest-first": "rarest-first",
+    "mode-suppression": "mode-suppression:suppression=0.9",
+}
+S1_PIECES = 48
+S1_PIECE_SIZE = 64 * KIB
+S1_BURST = 12
+S1_DURATION = 1200.0
+S1_INTERVAL = 30.0
 
 
-def _cell_geometry(scenario_name: str, torrent_id: int) -> Tuple[int, int]:
-    """(piece_size, content_size) of a cell after variant overrides."""
-    scenario = resolve_scenario(torrent_id, SCENARIOS[scenario_name].options)
-    return scenario.piece_size, scenario.content_size
+def _open_system_run(
+    selector: str, arrival_rate: float, seed_upload: float, rng_seed: int
+) -> bool:
+    """Whether the detector calls one open-system swarm stable."""
+    metainfo = make_metainfo(
+        "claim-s1", num_pieces=S1_PIECES, piece_size=S1_PIECE_SIZE,
+        block_size=16 * KIB,
+    )
+    swarm = Swarm(metainfo, SwarmConfig(seed=rng_seed))
+    # The origin seed never leaves; every leecher departs on completion.
+    swarm.add_peer(config=PeerConfig(upload_capacity=seed_upload), is_seed=True)
+
+    def leecher_config(rng: Random) -> PeerConfig:
+        upload, download = INTERNET_2005.sample(rng)
+        return PeerConfig(
+            upload_capacity=upload, download_capacity=download, seeding_time=0.0
+        )
+
+    def leecher_kwargs() -> dict:
+        # Selectors carry per-peer state: one instance per peer.
+        return {"selector": make_selector(selector)}
+
+    flash_crowd(
+        swarm, S1_BURST, leecher_config, rng=Random(rng_seed ^ 0xF1A5),
+        kwargs_factory=leecher_kwargs,
+    )
+    open_system_arrivals(
+        swarm, arrival_rate, S1_DURATION, leecher_config,
+        rng=Random(rng_seed ^ 0xA221), kwargs_factory=leecher_kwargs,
+    )
+    detector = StabilityDetector(interval=S1_INTERVAL)
+    detector.attach(swarm)
+    swarm.run(S1_DURATION)
+    return detector.finalize().stable
 
 
-def phase_diagram(
-    arrival_rates: Sequence[float],
-    seed_uploads: Sequence[float],
-    policies: Sequence[str] = ("rarest-first", "mode-suppression"),
-    torrent_id: int = 2,
-    cache_dir: Optional[str] = None,
-    workers: int = 1,
-    campaign_seed: int = DEFAULT_CAMPAIGN_SEED,
-    duration: Optional[float] = None,
-    timeout: Optional[float] = None,
-    progress=None,
-) -> dict:
-    """Run (or resume from cache) the full stability phase diagram.
+def s1_cell(arrival_rate: float, seed_upload: float) -> str:
+    """A grid point's name, e.g. ``"0.35/s,16K"``."""
+    return "%g/s,%dK" % (arrival_rate, seed_upload // KIB)
 
-    One campaign per ``(arrival_rate, seed_upload)`` point covering
-    every policy's scenario, all sharing *cache_dir*, so a re-run is a
-    pure cache hit and adding grid points only executes the new cells.
-    Returns a JSON-ready matrix: one entry per cell with the sim
-    verdict, the fluid verdict, and whether they agree.
-    """
-    scenarios = tuple(POLICY_SCENARIOS[policy] for policy in policies)
-    cells: List[dict] = []
-    for arrival_rate in arrival_rates:
-        for seed_upload in seed_uploads:
-            spec = CampaignSpec(
-                name="stability-a%g-s%g" % (arrival_rate, seed_upload),
-                torrent_ids=(torrent_id,),
-                scenarios=scenarios,
-                campaign_seed=campaign_seed,
-                duration=duration,
-                arrival_rate=float(arrival_rate),
-                seed_upload=float(seed_upload),
-            )
-            runner = CampaignRunner(
-                spec,
-                cache_dir=cache_dir,
-                workers=workers,
-                timeout=timeout,
-                progress=progress,
-            )
-            result = runner.run()
-            for policy in policies:
-                scenario_name = POLICY_SCENARIOS[policy]
-                record = next(
-                    (
-                        rec
-                        for rec in result.records.values()
-                        if rec.get("scenario") == scenario_name
-                    ),
-                    None,
-                )
-                sim = classify_record(record) if record is not None else None
-                piece_size, content_size = _cell_geometry(
-                    scenario_name, torrent_id
-                )
-                model = fluid_model_for_policy(
-                    policy,
-                    arrival_rate,
-                    seed_upload,
-                    piece_size=piece_size,
-                    content_size=content_size,
-                )
-                fluid = classify_fluid(model)
-                cell = {
+
+def stability_swarms(rng_seed: int = 3) -> dict:
+    """Every cell of the grid: ``{s1_cell(...): {policy: stats}}``, each
+    cell's sim and fluid verdicts (True is stable) and whether they
+    agree."""
+    out: dict = {}
+    for arrival_rate in S1_ARRIVAL_RATES:
+        for seed_upload in S1_SEED_UPLOADS:
+            cell = out[s1_cell(arrival_rate, seed_upload)] = {}
+            for policy, selector in S1_POLICIES.items():
+                sim = _open_system_run(selector, arrival_rate, seed_upload, rng_seed)
+                fluid = classify_fluid(
+                    fluid_model_for_policy(
+                        policy, arrival_rate, seed_upload,
+                        piece_size=S1_PIECE_SIZE,
+                        content_size=S1_PIECES * S1_PIECE_SIZE,
+                    )
+                ) == "stable"
+                cell[policy] = {
                     "arrival_rate": arrival_rate,
                     "seed_upload": seed_upload,
-                    "policy": policy,
-                    "scenario": scenario_name,
                     "sim": sim,
                     "fluid": fluid,
-                    "agree": (sim is not None and sim == fluid),
-                    "seed_piece_rate": seed_upload / float(piece_size),
+                    "agree": sim == fluid,
                 }
-                if record is not None:
-                    cell["shard_id"] = record.get("shard_id")
-                    cell["stability"] = (record.get("summary") or {}).get(
-                        "stability"
-                    )
-                cells.append(cell)
-    classified = [cell for cell in cells if cell["sim"] is not None]
-    return {
-        "grid": {
-            "arrival_rates": list(arrival_rates),
-            "seed_uploads": list(seed_uploads),
-            "policies": list(policies),
-            "torrent_id": torrent_id,
-            "campaign_seed": campaign_seed,
-        },
-        "cells": cells,
-        "agreement": {
-            "agreeing": sum(1 for cell in classified if cell["agree"]),
-            "classified": len(classified),
-            "total": len(cells),
-        },
-    }
+    return out

@@ -150,7 +150,7 @@ def run_summary(
     (``Run.summary``): a shard's record stores them, and ``repro run
     --claims`` renders from the same dict."""
     seeds, leechers = harness.swarm.seeds_and_leechers()
-    summary = {
+    return {
         "first_full_copy_at": harness.swarm.result.first_full_copy_at,
         "final_seeds": seeds,
         "final_leechers": leechers,
@@ -159,9 +159,6 @@ def run_summary(
         "local_address": harness.local_peer.address,
         "trace_fingerprint": fingerprint,
     }
-    if harness.stability is not None and harness.stability.verdict is not None:
-        summary["stability"] = harness.stability.verdict.as_dict()
-    return summary
 
 
 def run_shard_payload(payload: dict) -> dict:

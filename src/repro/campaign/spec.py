@@ -56,33 +56,6 @@ SCENARIOS = {
     "smoke": _variant("smoke", duration=240.0),
     "faults-light": _variant("faults-light", faults="light"),
     "faults-heavy": _variant("faults-heavy", faults="heavy"),
-    # Open-system flash crowds (departure on completion, a torrent-birth
-    # burst, a stability detector sampling the swarm).  The two variants
-    # differ only in the piece-selection policy, so a phase diagram over
-    # (arrival_rate, seed_upload) x {flash-crowd, flash-crowd-suppress}
-    # isolates mode suppression's effect on the stability boundary (see
-    # repro.analysis.stability).
-    "flash-crowd": _variant(
-        "flash-crowd",
-        duration=1200.0,
-        num_pieces=48,
-        piece_size=64 * 1024,
-        block_size=16 * 1024,
-        depart_on_completion=True,
-        flash_crowd_size=12,
-        stability_interval=30.0,
-    ),
-    "flash-crowd-suppress": _variant(
-        "flash-crowd-suppress",
-        duration=1200.0,
-        num_pieces=48,
-        piece_size=64 * 1024,
-        block_size=16 * 1024,
-        selector="mode-suppression:suppression=0.9",
-        depart_on_completion=True,
-        flash_crowd_size=12,
-        stability_interval=30.0,
-    ),
 }
 
 
@@ -152,8 +125,6 @@ class CampaignSpec:
     duration: Optional[float] = None
     block_size: Optional[int] = None
     selector: Optional[str] = None
-    arrival_rate: Optional[float] = None
-    seed_upload: Optional[float] = None
     tracker_sampler: Optional[str] = None
 
     def describe(self) -> dict:

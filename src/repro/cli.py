@@ -15,7 +15,8 @@
     python -m repro reproduce --replicates 10 --workers 2
 
 ``reproduce`` evaluates the table of claims (Table I, Figs. 1-11, the
-six ablations: ``repro.analysis.claims``) over replicate seeds, rewrites
+six ablations and the open-system stability claim S1:
+``repro.analysis.claims``) over replicate seeds, rewrites
 ``benchmarks/results/<claim>.txt`` and writes ``scorecard.txt``.
 ``campaign`` runs a whole experiment matrix (torrents x scenarios x
 replicates) across worker processes with content-addressed caching —
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--scenario", default="paper",
             help="comma-separated scenario variants: paper, smoke, "
-            "faults-light, faults-heavy, flash-crowd, flash-crowd-suppress",
+            "faults-light, faults-heavy",
         )
         _run_option_arguments(parser)
         _campaign_arguments(parser, "--replicates")
@@ -239,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce_parser = commands.add_parser(
         "reproduce",
         help="evaluate the table of claims (Table I, Figs. 1-11, ablations "
-        "A1-A6) over replicate seeds: per-claim result files + scorecard.txt",
+        "A1-A6, stability S1) over replicate seeds: per-claim result files + "
+        "scorecard.txt",
     )
     reproduce_parser.set_defaults(usage_error=reproduce_parser.error)
     _campaign_arguments(reproduce_parser, *CAMPAIGN_ARGUMENTS)
@@ -367,45 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between stats lines on stderr (0 = never)",
     )
 
-    stability_parser = commands.add_parser(
-        "stability",
-        help="open-system stability phase diagram, sim cross-validated "
-        "against the fluid model",
-    )
-    stability_parser.set_defaults(usage_error=stability_parser.error)
-    stability_parser.add_argument(
-        "--arrival-rates", type=_float_list, default="0.12,0.35", metavar="LIST",
-        help="comma-separated Poisson arrival rates (peers/s)",
-    )
-    stability_parser.add_argument(
-        "--seed-uploads", type=_float_list, default="16384,49152", metavar="LIST",
-        help="comma-separated initial-seed upload capacities (bytes/s)",
-    )
-    stability_parser.add_argument(
-        "--policies", default="rarest-first,mode-suppression", metavar="LIST",
-        help="comma-separated policies (rarest-first, mode-suppression)",
-    )
-    stability_parser.add_argument(
-        "--torrent", type=int, default=2, help="Table-I id (1-26)"
-    )
-    stability_parser.add_argument(
-        "--cache-dir", default="stability-cache",
-        help="shared shard cache: re-runs are pure cache hits",
-    )
-    stability_parser.add_argument("--workers", type=int, default=1)
-    stability_parser.add_argument("--campaign-seed", type=int, default=3)
-    stability_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="override the simulated run length per cell",
-    )
-    stability_parser.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-shard wall-clock budget in seconds",
-    )
-    stability_parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the phase-diagram JSON to PATH",
-    )
     return parser
 
 
@@ -492,7 +456,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "net": _cmd_net,
         "campaign": _cmd_campaign,
         "reproduce": _cmd_reproduce,
-        "stability": _cmd_stability,
         "tracker": _cmd_tracker,
     }[args.command]
     return handler(args)
@@ -851,6 +814,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
     if min(args.seeds, args.leechers) < 0:
         args.usage_error("--seeds and --leechers must be >= 0")
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        args.usage_error("--timeout must be finite and > 0, not %r" % args.timeout)
     try:
         metainfo = make_metainfo(
             "net-live",
@@ -874,6 +839,8 @@ def _cmd_net(args: argparse.Namespace) -> int:
     )
     swarm.add_peers(args.seeds, args.leechers)
     result = swarm.run_sync(timeout=args.timeout)
+    if result.stuck is not None:
+        print(result.stuck, file=sys.stderr)
 
     rows = []
     for address in result.addresses:
@@ -955,70 +922,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
         % (args.duration, leechers[-1], seeds[-1])
     )
     return 0
-
-
-def _float_list(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "not a comma-separated list of numbers: %r" % text
-        ) from None
-
-
-def _cmd_stability(args: argparse.Namespace) -> int:
-    from repro.analysis.stability import phase_diagram
-
-    # Each policy is one scenario of every cell's campaign, which may
-    # name a scenario only once.
-    policies = tuple(
-        dict.fromkeys(part.strip() for part in args.policies.split(",") if part.strip())
-    )
-    try:
-        RunOptions(duration=args.duration)
-    except ValueError as exc:
-        args.usage_error(exc.args[0])
-    diagram = phase_diagram(
-        arrival_rates=args.arrival_rates,
-        seed_uploads=args.seed_uploads,
-        policies=policies,
-        torrent_id=args.torrent,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        campaign_seed=args.campaign_seed,
-        duration=args.duration,
-        timeout=args.timeout,
-        progress=lambda message: print("  " + message),
-    )
-    rows = []
-    for cell in diagram["cells"]:
-        rows.append(
-            [
-                "%.3f" % cell["arrival_rate"],
-                "%.0f" % cell["seed_upload"],
-                cell["policy"],
-                cell["sim"] or "-",
-                cell["fluid"],
-                "yes" if cell["agree"] else "NO",
-            ]
-        )
-    print(
-        ascii_table(
-            ["arrival/s", "seed B/s", "policy", "sim", "fluid", "agree"], rows
-        )
-    )
-    agreement = diagram["agreement"]
-    print(
-        "sim-vs-fluid agreement: %d/%d classified cells (%d total)"
-        % (agreement["agreeing"], agreement["classified"], agreement["total"])
-    )
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(diagram, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.output)
-    classified = agreement["classified"]
-    return 0 if classified and agreement["agreeing"] == classified else 1
 
 
 def _cmd_tracker(args: argparse.Namespace) -> int:
@@ -1109,6 +1012,10 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
             await server.stop()
 
     try:
+        # Everything imported so far lives as long as the server: keep
+        # it out of the collector's full passes.
+        import gc
+        gc.freeze()
         asyncio.run(serve())
     except KeyboardInterrupt:
         print("tracker stopped", file=sys.stderr)

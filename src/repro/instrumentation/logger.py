@@ -178,11 +178,6 @@ class Instrumentation(PeerObserver):
         self.seed_state_at: Optional[float] = None
         self.endgame_at: Optional[float] = None
         self.hash_failures: List[Tuple[float, int]] = []
-        self.stability_events: List[Tuple[float, str, dict]] = []
-        """Swarm-level stability samples (empty unless a
-        :class:`~repro.workloads.open_system.StabilityDetector` is
-        attached): every on_stability event, feeding the open-system
-        stable/unstable classifier in :mod:`repro.analysis.stability`."""
         self.announce_events: List[Tuple[float, str, dict]] = []
         """Tracker-announce events (empty unless
         ``SwarmConfig.trace_announces`` is set): one entry per
@@ -439,9 +434,6 @@ class Instrumentation(PeerObserver):
 
     def on_fault(self, now: float, kind: str) -> None:
         self.metrics.inc("fault." + kind)
-
-    def on_stability(self, now: float, kind: str, data: dict) -> None:
-        self.stability_events.append((now, kind, dict(data)))
 
     def on_announce(self, now: float, kind: str, data: dict) -> None:
         self.announce_events.append((now, kind, dict(data)))

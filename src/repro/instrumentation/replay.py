@@ -489,8 +489,6 @@ def _replay_event(
         instrumentation.on_fault(now, event["kind"])
     elif kind == "snapshot":
         instrumentation.on_snapshot(now, Snapshot(**event["data"]))
-    elif kind == "stability":
-        instrumentation.on_stability(now, event["kind"], event["data"])
     elif kind == "announce":
         instrumentation.on_announce(now, event["kind"], event["data"])
     elif kind == "finalize":

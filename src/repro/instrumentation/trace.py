@@ -45,19 +45,20 @@ seconds), ``type`` and ``peer`` (the observed peer's address):
                when the link is still in the peer's connection table)
 ``hash_fail``  ``piece``
 ``fault``      ``kind`` (injected-fault counter key)
-``stability``  ``kind`` (``sample``/``finalize``), ``data`` (swarm-size
-               and chunk-distribution sample, see
-               :meth:`~repro.sim.observer.PeerObserver.on_stability`) —
-               gated: never emitted unless a
-               :class:`~repro.workloads.open_system.StabilityDetector`
-               is attached, so closed-system traces are byte-identical
+``announce``   ``kind`` (``started``/``stopped``/``completed``/
+               ``interval``), ``data`` (``peer``, ``num_want``,
+               ``returned``, ``attempt``; see
+               :meth:`~repro.sim.observer.PeerObserver.on_announce`) —
+               gated: never emitted unless
+               ``SwarmConfig.trace_announces`` is set
 ``snapshot``   ``data``: every field of one
                :class:`~repro.instrumentation.logger.Snapshot`
 ``finalize``   ``joined_at``, ``became_seed_at``, ``open`` (as above)
 =============  ==============================================================
 
 Readers skip event types they do not know, so a trace that holds a
-type this catalogue has since dropped still verifies and replays.
+type this catalogue has since dropped (``playback``, ``stability``)
+still verifies, replays and counts in ``repro trace stats``.
 """
 
 from __future__ import annotations
@@ -582,17 +583,6 @@ class TracingObserver(PeerObserver):
     def on_fault(self, now: float, kind: str) -> None:
         self.recorder.emit(
             {"t": now, "type": "fault", "peer": self._addr, "kind": kind}
-        )
-
-    def on_stability(self, now: float, kind: str, data: dict) -> None:
-        self.recorder.emit(
-            {
-                "t": now,
-                "type": "stability",
-                "peer": self._addr,
-                "kind": kind,
-                "data": dict(data),
-            }
         )
 
     def on_announce(self, now: float, kind: str, data: dict) -> None:

@@ -32,7 +32,7 @@ particular interleaving a run took:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.instrumentation.replay import iter_trace
 from repro.instrumentation.trace import TraceRecorder
@@ -334,6 +334,3 @@ def completion_counts(source) -> Dict[str, int]:
             counts[event["peer"]] = counts.get(event["peer"], 0) + 1
     return counts
 
-
-def traced_addresses(source) -> Sequence[str]:
-    return [e["peer"] for e in load_events(source) if e.get("type") == "attach"]

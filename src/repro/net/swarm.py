@@ -37,6 +37,9 @@ class LiveSwarmResult:
     uploaded: Dict[str, float] = field(default_factory=dict)
     downloaded: Dict[str, float] = field(default_factory=dict)
     trace_fingerprint: Optional[str] = None
+    stuck: Optional[str] = None
+    """Why the run stopped short: the peers still incomplete when the
+    timeout expired, with their piece counts; None when it completed."""
 
     @property
     def all_complete(self) -> bool:
@@ -139,7 +142,7 @@ class LiveSwarm:
                 if not peer.completed.is_set()
             ]
             raise asyncio.TimeoutError(
-                "live swarm incomplete after %.1fs: %s" % (timeout, ", ".join(stuck))
+                "live swarm incomplete after %gs: %s" % (timeout, ", ".join(stuck))
             )
 
     async def shutdown(self) -> None:
@@ -162,12 +165,21 @@ class LiveSwarm:
     # ------------------------------------------------------------------
 
     async def run(self, timeout: float = 60.0) -> LiveSwarmResult:
+        """Start, wait up to *timeout* seconds, shut down.  A timeout is
+        an outcome, not an error: the incomplete result comes back with
+        :attr:`LiveSwarmResult.stuck` set and the trace closed."""
+        stuck = None
         try:
             await self.start()
-            await self.wait(timeout)
+            try:
+                await self.wait(timeout)
+            except asyncio.TimeoutError as exc:
+                stuck = str(exc)
         finally:
             await self.shutdown()
-        return self.result()
+        result = self.result()
+        result.stuck = stuck
+        return result
 
     def run_sync(self, timeout: float = 60.0) -> LiveSwarmResult:
         """Synchronous wrapper (CLI / examples)."""

@@ -100,6 +100,10 @@ class PeerConfig:
             raise ValueError("download_capacity must be a finite number or None")
         if self.download_capacity is not None and self.download_capacity <= 0:
             raise ValueError("download_capacity must be positive or None")
+        for name in ("choke_interval", "rate_window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, not %r" % (name, value))
         if not 0 < self.min_peer_set <= self.max_peer_set:
             raise ValueError("need 0 < min_peer_set <= max_peer_set")
         if self.max_initiated <= 0:

@@ -86,19 +86,6 @@ class PeerObserver:
         the same instant — never a re-computed, possibly divergent one.
         """
 
-    def on_stability(self, now: float, kind: str, data: dict) -> None:
-        """The swarm-level stability detector produced an event
-        (open-system runs only — never fires unless a
-        :class:`~repro.workloads.open_system.StabilityDetector` is
-        attached, so closed-system traces are byte-identical).
-
-        ``kind`` is ``"sample"`` (a periodic swarm-size /
-        chunk-distribution sample) or ``"finalize"`` (the end-of-run
-        summary with the stable/unstable classification).  ``data``
-        carries the detector's sample fields (``leechers``, ``seeds``,
-        ``rarest_copies``, ``mode_copies``, ``mode_pieces``, ...).
-        """
-
     def on_announce(self, now: float, kind: str, data: dict) -> None:
         """The peer completed a tracker announce (announce-tracing runs
         only — never fires unless ``SwarmConfig.trace_announces`` is
@@ -198,10 +185,6 @@ class FanoutObserver(PeerObserver):
     def on_snapshot(self, now: float, snapshot: "Snapshot") -> None:
         for observer in self.observers:
             observer.on_snapshot(now, snapshot)
-
-    def on_stability(self, now: float, kind: str, data: dict) -> None:
-        for observer in self.observers:
-            observer.on_stability(now, kind, data)
 
     def on_announce(self, now: float, kind: str, data: dict) -> None:
         for observer in self.observers:

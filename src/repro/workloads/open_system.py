@@ -14,14 +14,12 @@ rate, and the leecher population grows without bound.  Mode suppression
 stability by refusing over-replicated offers.
 
 :class:`StabilityDetector` is the measurement side: a swarm-level,
-read-only sampler that rides the existing fluid-tick callback, records
-swarm-size and chunk-distribution statistics, and feeds them through the
-peer-observer chain (``on_stability``) so they land in
-:class:`~repro.instrumentation.logger.Instrumentation` and both trace
-formats.  It draws no randomness and schedules no events of its own, so
-attaching it never perturbs a seeded run — and when it is *not*
-attached (the default) no ``stability`` event ever exists and traces
-are byte-identical to pre-open-system runs.
+read-only sampler that rides the existing fluid-tick callback and
+records swarm-size and chunk-distribution statistics.  It draws no
+randomness, schedules no events of its own and emits nothing, so
+attaching it never perturbs a seeded run or its trace.  Claim S1
+(:mod:`repro.analysis.stability`) and the benchmark suite's
+``flash_crowd`` workload attach one.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.observer import PeerObserver
     from repro.sim.swarm import Swarm
 
 __all__ = [
@@ -39,6 +36,11 @@ __all__ = [
     "StabilityVerdict",
     "classify_samples",
 ]
+
+#: The classifier's constants (see :func:`classify_samples`).
+WARMUP_FRACTION = 0.25
+GROWTH_FACTOR = 1.4
+MIN_BACKLOG = 10
 
 
 @dataclass(frozen=True)
@@ -61,22 +63,11 @@ class StabilitySample:
     approaches ``num_pieces - 1`` while ``rarest_copies`` stays pinned
     at the seed's lone copy."""
 
-    def as_dict(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "leechers": self.leechers,
-            "arrivals": self.arrivals,
-            "departures": self.departures,
-            "completions": self.completions,
-            "rarest_copies": self.rarest_copies,
-            "mode_copies": self.mode_copies,
-            "mode_pieces": self.mode_pieces,
-        }
-
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """The end-of-run classification emitted with the ``finalize`` event."""
+    """The end-of-run classification :meth:`StabilityDetector.finalize`
+    returns."""
 
     stable: bool
     samples: int
@@ -104,25 +95,19 @@ class StabilityVerdict:
 
 
 def classify_samples(
-    samples: Sequence[StabilitySample],
-    warmup_fraction: float = 0.25,
-    growth_factor: float = 1.4,
-    min_backlog: int = 10,
-    num_pieces: Optional[int] = None,
+    samples: Sequence[StabilitySample], num_pieces: Optional[int] = None
 ) -> StabilityVerdict:
     """Classify a sampled open-system run as stable or unstable.
 
     The signal is the leecher-population trajectory, exactly what the
     open-system fluid model predicts: a stable swarm settles around a
     finite steady state, an unstable one grows without bound.  After
-    dropping the first *warmup_fraction* of samples (flash-crowd
+    dropping the first :data:`WARMUP_FRACTION` of samples (flash-crowd
     transient), the remaining series is split in half; the run is
-    unstable when the late-half mean exceeds *growth_factor* times the
-    early-half mean **and** the late-half backlog is at least
-    *min_backlog* leechers (so a tiny swarm drifting from 1 to 2 peers
-    never counts as divergence).  The same function classifies both live
-    detector output and samples re-materialised from a trace, so sim and
-    replay always agree.
+    unstable when the late-half mean reaches :data:`GROWTH_FACTOR` times
+    the early-half mean **and** the late-half backlog is at least
+    :data:`MIN_BACKLOG` leechers (so a tiny swarm drifting from 1 to 2
+    peers never counts as divergence).
     """
     if not samples:
         return StabilityVerdict(
@@ -135,20 +120,20 @@ def classify_samples(
             completions=0,
             one_club=False,
         )
-    start = int(len(samples) * warmup_fraction)
+    start = int(len(samples) * WARMUP_FRACTION)
     body = list(samples[start:]) or list(samples)
     half = len(body) // 2
     early = body[:half] or body
     late = body[half:] or body
     early_mean = sum(s.leechers for s in early) / len(early)
     late_mean = sum(s.leechers for s in late) / len(late)
-    unstable = late_mean >= max(growth_factor * early_mean, float(min_backlog))
+    unstable = late_mean >= max(GROWTH_FACTOR * early_mean, float(MIN_BACKLOG))
     final = samples[-1]
     one_club = (
         num_pieces is not None
         and final.rarest_copies <= 1
         and final.mode_pieces >= max(2, int(0.8 * num_pieces))
-        and final.leechers >= min_backlog
+        and final.leechers >= MIN_BACKLOG
     )
     return StabilityVerdict(
         stable=not unstable,
@@ -168,37 +153,23 @@ class StabilityDetector:
     Attach with :meth:`attach`; every *interval* simulated seconds (on
     the swarm's existing fluid-tick grid) it reads the swarm's already
     maintained aggregates — ``global_counts``, ``result.join_times``,
-    ``result.departures``, ``result.completions`` — and emits an
-    ``on_stability(now, "sample", data)`` event through *observer*.
-    :meth:`finalize` emits the ``"finalize"`` verdict from
+    ``result.departures``, ``result.completions`` — into a
+    :class:`StabilitySample`.  :meth:`finalize` classifies them with
     :func:`classify_samples`.  Strictly read-only: no randomness, no
     scheduled events, no swarm mutation.
     """
 
-    def __init__(
-        self,
-        interval: float = 30.0,
-        observer: Optional["PeerObserver"] = None,
-        warmup_fraction: float = 0.25,
-        growth_factor: float = 1.4,
-        min_backlog: int = 10,
-    ):
+    def __init__(self, interval: float = 30.0):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.interval = interval
-        self.observer = observer
-        self.warmup_fraction = warmup_fraction
-        self.growth_factor = growth_factor
-        self.min_backlog = min_backlog
         self.samples: List[StabilitySample] = []
         self.verdict: Optional[StabilityVerdict] = None
         self._swarm: Optional["Swarm"] = None
         self._next_sample = 0.0
 
-    def attach(self, swarm: "Swarm", observer: Optional["PeerObserver"] = None) -> None:
+    def attach(self, swarm: "Swarm") -> None:
         """Start sampling *swarm* on its fluid-tick grid."""
-        if observer is not None:
-            self.observer = observer
         self._swarm = swarm
         self._next_sample = swarm.simulator.now + self.interval
         swarm.on_tick(self._on_tick)
@@ -234,27 +205,13 @@ class StabilityDetector:
             mode_pieces=mode_pieces,
         )
         self.samples.append(sample)
-        if self.observer is not None:
-            self.observer.on_stability(now, "sample", sample.as_dict())
         return sample
 
     def finalize(self, now: Optional[float] = None) -> StabilityVerdict:
-        """Take a last sample, classify the run, emit ``finalize``."""
+        """Take a last sample and classify the run."""
+        num_pieces = None
         if self._swarm is not None:
-            when = self._swarm.simulator.now if now is None else now
-            self.sample(when)
-        else:
-            when = 0.0 if now is None else now
-        num_pieces = (
-            len(self._swarm.availability_snapshot()) if self._swarm is not None else None
-        )
-        self.verdict = classify_samples(
-            self.samples,
-            warmup_fraction=self.warmup_fraction,
-            growth_factor=self.growth_factor,
-            min_backlog=self.min_backlog,
-            num_pieces=num_pieces,
-        )
-        if self.observer is not None:
-            self.observer.on_stability(when, "finalize", self.verdict.as_dict())
+            self.sample(self._swarm.simulator.now if now is None else now)
+            num_pieces = len(self._swarm.availability_snapshot())
+        self.verdict = classify_samples(self.samples, num_pieces)
         return self.verdict

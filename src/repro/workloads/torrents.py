@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from random import Random
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.rarest_first import make_selector
 from repro.instrumentation.logger import Instrumentation
@@ -42,9 +42,6 @@ from repro.workloads.capacities import (
     CapacityDistribution,
     INTERNET_2005,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.workloads.open_system import StabilityDetector
 
 MAX_SIMULATED_PEERS = 90
 DEFAULT_PIECE_SIZE = 256 * KIB
@@ -226,29 +223,6 @@ class RunOptions:
     (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
     ``"mode-suppression:suppression=0.9"``); None is rarest first."""
 
-    arrival_rate: Optional[float] = None
-    """Poisson leecher arrival rate (peers/s) override for the scenario."""
-
-    seed_upload: Optional[float] = None
-    """Initial-seed upload capacity (bytes/s) override."""
-
-    num_pieces: Optional[int] = None
-    """Piece-count override (shrinks the content for fast sweeps)."""
-
-    piece_size: Optional[int] = None
-    """Piece-size override (bytes)."""
-
-    depart_on_completion: bool = False
-    """Open-system mode: every population leecher leaves the instant it
-    completes (see :mod:`repro.workloads.open_system`)."""
-
-    flash_crowd_size: Optional[int] = None
-    """Extra torrent-birth burst of that many leechers."""
-
-    stability_interval: Optional[float] = None
-    """Attach a swarm-stability detector sampling every that-many
-    seconds; None attaches nothing."""
-
     tracker_sampler: Optional[str] = None
     """Tracker peer-sampling strategy spec
     (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
@@ -261,10 +235,8 @@ class RunOptions:
             math.isfinite(self.duration) and self.duration > 0
         ):
             raise ValueError("duration must be finite and > 0, not %r" % self.duration)
-        for name in ("block_size", "num_pieces", "piece_size"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError("%s must be >= 1, not %r" % (name, value))
+        if self.block_size is not None and self.block_size < 1:
+            raise ValueError("block_size must be >= 1, not %r" % self.block_size)
         make_selector(self.selector)
         if self.tracker_sampler is not None:
             make_sampler(self.tracker_sampler)
@@ -309,17 +281,10 @@ class RunOptions:
 
 def resolve_scenario(torrent_id: int, options: RunOptions) -> TorrentScenario:
     """The Table-I scenario with the run's overrides applied."""
-    overrides = {
-        "duration": options.duration,
-        "arrival_rate": options.arrival_rate,
-        "initial_seed_upload": options.seed_upload,
-        "num_pieces": options.num_pieces,
-        "piece_size": options.piece_size,
-    }
-    return scaled_copy(
-        scenario_by_id(torrent_id),
-        **{name: value for name, value in overrides.items() if value is not None},
-    )
+    scenario = scenario_by_id(torrent_id)
+    if options.duration is None:
+        return scenario
+    return scaled_copy(scenario, duration=options.duration)
 
 
 def scaled_copy(scenario: TorrentScenario, **overrides) -> TorrentScenario:
@@ -339,15 +304,8 @@ class ExperimentHarness:
     tracer: Optional[TracingObserver] = None
     """Structured-trace emitter for the local peer, when tracing is on."""
 
-    stability: Optional["StabilityDetector"] = None
-    """Swarm-stability sampler, attached only for open-system runs."""
-
     def run(self, duration: Optional[float] = None) -> Instrumentation:
         self.swarm.run(duration if duration is not None else self.scenario.duration)
-        if self.stability is not None:
-            # Emit the verdict before the trace finalize record so the
-            # stability summary sits inside the trace, not after it.
-            self.stability.finalize(self.swarm.simulator.now)
         self.instrumentation.finalize()
         if self.tracer is not None:
             self.tracer.finalize(self.swarm.simulator.now)
@@ -422,13 +380,10 @@ def build_experiment(
             from repro.workloads.clients import sample_client_id
 
             client_id = sample_client_id(client_rng, client_mix)
-        seeding_time = rng.expovariate(1.0 / 400.0)
-        if options.depart_on_completion:
-            seeding_time = 0.0
         return PeerConfig(
             upload_capacity=upload,
             download_capacity=download,
-            seeding_time=seeding_time,
+            seeding_time=rng.expovariate(1.0 / 400.0),
             client_id=client_id,
         )
 
@@ -492,29 +447,10 @@ def build_experiment(
             seed_choker=FreeRiderChoker(),
         )
 
-    if options.flash_crowd_size:
-        from repro.sim.churn import flash_crowd
-
-        flash_crowd(
-            swarm,
-            options.flash_crowd_size,
-            config_factory=lambda r: leecher_config(*capacities.sample(r)),
-            rng=Random(seed ^ 0xF1A5),
-            kwargs_factory=remote_kwargs,
-        )
-
     if scenario.arrival_rate > 0:
-        from repro.sim.churn import open_system_arrivals, poisson_arrivals
+        from repro.sim.churn import poisson_arrivals
 
-        # leecher_config already pins seeding_time to 0 in open systems;
-        # open_system_arrivals re-asserts it so ad-hoc config factories
-        # can't reintroduce lingering seeds.
-        arrivals = (
-            open_system_arrivals
-            if options.depart_on_completion
-            else poisson_arrivals
-        )
-        arrivals(
+        poisson_arrivals(
             swarm,
             scenario.arrival_rate,
             scenario.duration + scenario.local_join_time,
@@ -534,15 +470,6 @@ def build_experiment(
         if tracer is None
         else FanoutObserver(instrumentation, tracer)
     )
-    stability = None
-    if options.stability_interval is not None:
-        from repro.workloads.open_system import StabilityDetector
-
-        stability = StabilityDetector(
-            interval=options.stability_interval, observer=local_observer
-        )
-        stability.attach(swarm)
-
     local_holder: Dict[str, Peer] = {}
 
     def add_local() -> None:
@@ -562,5 +489,4 @@ def build_experiment(
         local_peer=local_holder["peer"],
         instrumentation=instrumentation,
         tracer=tracer,
-        stability=stability,
     )

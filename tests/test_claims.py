@@ -40,9 +40,9 @@ def check_rows(scorecard, claim_id):
 class TestRegistry:
     def test_ids_are_the_design_index(self):
         design = (ROOT / "DESIGN.md").read_text()
-        indexed = re.findall(r"^\| ([TFA]\d+) \|", design, flags=re.MULTILINE)
+        indexed = re.findall(r"^\| ([TFAS]\d+) \|", design, flags=re.MULTILINE)
         assert [claim.id for claim in CLAIMS] == indexed
-        assert len(set(indexed)) == len(indexed) == 18
+        assert len(set(indexed)) == len(indexed) == 19
 
     def test_every_row_is_complete(self):
         names = [claim.results_name for claim in CLAIMS]
@@ -67,6 +67,44 @@ class TestRegistry:
         # The whole table at N=1: the 26 paper shards plus that one.
         assert len(needed_shards(CLAIMS, 1)) == 27
         assert len(needed_shards(CLAIMS, 3)) == 81
+
+
+class TestS1Wiring:
+    """Claim S1 over stand-in builder output: one check per cell, and a
+    cell whose sim verdict differs from the fluid model's fails alone."""
+
+    def results(self, disagree=None):
+        (claim,) = select_claims("S1")
+        out = {}
+        for check in claim.checks:
+            cell, policy = check.name.split()
+            stable = not (cell.startswith("0.35") and policy == "rarest-first")
+            out.setdefault(cell, {})[policy] = {
+                "arrival_rate": float(cell.split("/")[0]),
+                "seed_upload": 1024 * float(cell.split(",")[1][:-1]),
+                "sim": stable if check.name != disagree else not stable,
+                "fluid": stable,
+                "agree": check.name != disagree,
+            }
+        return claim, out
+
+    def test_one_check_per_cell(self):
+        claim, results = self.results()
+        assert len(claim.checks) == 8
+        numbers = claim.measure(results)
+        assert all(check.holds(numbers) for check in claim.checks)
+        assert claim.report(results, numbers).splitlines()[-1] == (
+            "sim-vs-fluid agreement: 8/8 cells"
+        )
+
+    def test_a_disagreeing_cell_fails_only_its_check(self):
+        claim, results = self.results(disagree="0.35/s,48K rarest-first")
+        numbers = claim.measure(results)
+        failed = [c.name for c in claim.checks if not c.holds(numbers)]
+        assert failed == ["0.35/s,48K rarest-first"]
+        report = claim.report(results, numbers).splitlines()
+        assert report[-1] == "sim-vs-fluid agreement: 7/8 cells"
+        assert sum(line.endswith(" NO") for line in report) == 1
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +176,9 @@ class TestRunner:
         assert all(row.split()[-2:] == ["1/1", "1/1"] for row in rows)
 
     def test_replicate_seeds(self):
-        pinned = {"A1": 19, "A2": 47, "A3": 59, "A4": 67, "A5": 71, "A6": 83}
+        pinned = {
+            "A1": 19, "A2": 47, "A3": 59, "A4": 67, "A5": 71, "A6": 83, "S1": 3,
+        }
         for claim in CLAIMS:
             if claim.build:
                 assert claim.seed(0) == pinned[claim.id]
@@ -233,5 +273,5 @@ class TestCommittedScorecard:
         block = document.split(SCORECARD_BEGIN)[1].split(SCORECARD_END)[0]
         assert block == "\n```\n%s```\n" % scorecard
         header = scorecard.splitlines()[0]
-        assert "18 claims, 66 checks" in header
+        assert "19 claims, 74 checks" in header
         assert int(re.search(r"N=(\d+)", header).group(1)) >= 10

@@ -9,6 +9,7 @@ from repro.analysis.claims import one_run_claims
 from repro.analysis.reproduce import load_run
 from repro.campaign import CampaignSpec, ShardCache, expand_spec
 from repro.cli import build_parser, main
+from repro.instrumentation.replay import iter_trace
 
 
 #: The figure names of the retired ``figure`` subcommand, and the claims
@@ -194,16 +195,30 @@ class TestFigureVariants:
         assert expect in out[out.index("Figure "):]
 
 
-class TestStabilityCommand:
-    def test_a_repeated_policy_is_one_row(self, capsys, tmp_path):
-        code, out = run_cli(
-            capsys,
-            "stability", "--policies", "rarest-first,rarest-first",
-            "--arrival-rates", "0.12", "--seed-uploads", "16384",
-            "--duration", "60", "--cache-dir", str(tmp_path),
-        )
-        assert code == 0
-        assert sum(" rarest-first " in line for line in out.splitlines()) == 1
+@pytest.mark.net
+class TestNetRun:
+    def test_an_expired_timeout_is_an_outcome_not_a_traceback(
+        self, capsys, tmp_path
+    ):
+        """A swarm still downloading when ``--timeout`` expires prints its
+        table, names the stuck peers on stderr, exits 1, and leaves a
+        complete trace."""
+        path = tmp_path / "net.jsonl"
+        code = main([
+            "net", "run", "--leechers", "2", "--pieces", "8",
+            "--timeout", "0.05", "--trace", str(path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("live swarm incomplete after 0.05s: ")
+        assert "peer" in captured.out.splitlines()[0]
+        assert "1/3 peers complete" in captured.out
+        footer = json.loads(path.read_text().splitlines()[-1])
+        assert footer["type"] == "trace_end"
+        events = iter_trace(str(path))  # verifies the fingerprint
+        assert footer["events"] == len(events)
+        assert {event["type"] for event in events} >= {"attach", "finalize"}
 
 
 class TestModelCommand:
@@ -453,8 +468,10 @@ class TestMistypedOptions:
             # a run that cannot mean anything.
             (["trace", "diff", "a.jsonl", "b.jsonl", "--context", "-1"],
              "repro trace diff", "--context must be >= 0, not -1"),
-            (["stability", "--arrival-rates", "abc"], "repro stability",
-             "argument --arrival-rates: not a comma-separated list of numbers"),
+            # A choke interval or timeout that is not a positive number
+            # once stalled a live swarm until its timeout.
+            (["net", "run", "--choke-interval", "nan"], "repro net run",
+             "choke_interval must be finite and > 0, not nan"),
             (["model", "--arrival-rate", "0.05", "--upload", "4096",
               "--content", "0"], "repro model", "--content must be > 0"),
             (["model", "--arrival-rate", "-1", "--upload", "4096",
@@ -472,8 +489,8 @@ class TestMistypedOptions:
             (["campaign", "diff", "--torrents", "2", "--scenario", "smoke",
               "--duration", "nan"], "repro campaign diff",
              "duration must be finite and > 0, not nan"),
-            (["stability", "--duration", "-1"], "repro stability",
-             "duration must be finite and > 0, not -1.0"),
+            (["net", "run", "--timeout", "nan"], "repro net run",
+             "--timeout must be finite and > 0, not nan"),
             # A negative stay once meant "seeds never leave"; a stay
             # shorter than the 1 s step overflowed to nan.
             (["model", "--arrival-rate", "0.05", "--upload", "4096",
@@ -482,6 +499,14 @@ class TestMistypedOptions:
             (["model", "--arrival-rate", "0.05", "--upload", "4096",
               "--content", "131072", "--seed-stay", "0.001"], "repro model",
              "seed_departure_rate * dt = 1000 is too stiff"),
+            (["net", "run", "--choke-interval", "0"], "repro net run",
+             "choke_interval must be finite and > 0, not 0.0"),
+            (["net", "run", "--choke-interval", "inf"], "repro net run",
+             "choke_interval must be finite and > 0, not inf"),
+            (["net", "run", "--timeout", "0"], "repro net run",
+             "--timeout must be finite and > 0, not 0.0"),
+            (["net", "run", "--timeout=-1"], "repro net run",
+             "--timeout must be finite and > 0, not -1.0"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

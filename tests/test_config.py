@@ -87,6 +87,14 @@ class TestPeerConfigValidation:
         with pytest.raises(ValueError, match="download_capacity"):
             PeerConfig(download_capacity=cap)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["choke_interval", "rate_window"])
+    def test_non_positive_cadence_rejected(self, name, value):
+        """Regression: a live swarm given ``choke_interval=nan`` never
+        ran a choke round and stalled until its timeout."""
+        with pytest.raises(ValueError, match="%s must be finite and > 0" % name):
+            PeerConfig(**{name: value})
+
     def test_none_is_the_uncapped_download(self):
         assert PeerConfig(download_capacity=None).download_capacity is None
 

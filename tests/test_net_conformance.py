@@ -18,7 +18,7 @@ something.
 import pytest
 
 from repro.analysis import interarrival_summary
-from repro.instrumentation.replay import replay_instrumentation
+from repro.instrumentation.replay import replay_instrumentation, traced_peers
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.net.conformance import (
     check_byte_conservation,
@@ -27,7 +27,6 @@ from repro.net.conformance import (
     check_trace,
     check_unchoke_cardinality,
     completion_counts,
-    traced_addresses,
 )
 from repro.net.swarm import LiveSwarm
 from repro.protocol.metainfo import make_metainfo
@@ -129,7 +128,7 @@ class TestDifferential:
         assert sorted(sim_counts.values()) == sorted(live_counts.values())
         # Each run: exactly the leechers complete, each every piece.
         for counts, recorder in ((sim_counts, sim_run[1]), (live_counts, live_run[1])):
-            assert len(traced_addresses(recorder)) == SEEDS + LEECHERS
+            assert len(traced_peers(recorder)) == SEEDS + LEECHERS
             assert len(counts) == LEECHERS
             assert set(counts.values()) == {NUM_PIECES}
 

@@ -30,25 +30,24 @@ OVERRIDES = dict(
     duration=300.0,
     block_size=8192,
     selector="random",
-    arrival_rate=0.1,
-    seed_upload=5000.0,
     tracker_sampler="seed-biased:seed_fraction=0.5",
 )
 
 #: sha256 over shard_cache_key(s) + json.dumps(s.as_payload()) for every
-#: shard in expansion order.  Computed by the code that still had the three
-#: streaming scenarios, over the shards of every other scenario: deleting
-#: them left each surviving payload and cache key byte-identical.
+#: shard in expansion order.  Computed by the code that still had the two
+#: open-system scenarios and their coordinates, over the shards of every
+#: other scenario with the surviving overrides: deleting them left each
+#: surviving payload and cache key byte-identical.
 GOLDEN = [
     (
         CampaignSpec(scenarios=tuple(SCENARIOS), replicates=2),
-        312,
-        "09d01a4e4b2c32d0e3931bd8c7ed03e5c74ede2cd5f5ab2a2bbfc8da0d2c6f66",
+        208,
+        "b4f4f59a4698139e9374de191e5ba280d805894b21937d5f43ce4bce6f37690c",
     ),
     (
         CampaignSpec(torrent_ids=(2, 7), scenarios=tuple(SCENARIOS), **OVERRIDES),
-        12,
-        "67dfbf8cc6d9d31062a0a050a55bd12bb21ce85acff3f56d060cd45656fec7bc",
+        8,
+        "154ffc4a0cf95d63574ab5c1d73e7e503d416a349ec31039f492c1617695b52a",
     ),
 ]
 
@@ -87,8 +86,6 @@ def test_bad_specs_fail_where_the_run_is_described():
         (dict(duration=float("inf")), "duration must be finite and > 0, not inf"),
         (dict(duration=float("nan")), "duration must be finite and > 0, not nan"),
         (dict(block_size=0), "block_size must be >= 1, not 0"),
-        (dict(num_pieces=0), "num_pieces must be >= 1, not 0"),
-        (dict(piece_size=-1), "piece_size must be >= 1, not -1"),
     ):
         with pytest.raises(ValueError, match=message):
             RunOptions(**bad)
@@ -115,13 +112,6 @@ SAMPLES = dict(
     block_size=4096,
     faults="light",
     selector="random",
-    arrival_rate=0.25,
-    seed_upload=9000.0,
-    num_pieces=32,
-    piece_size=64 * 1024,
-    depart_on_completion=True,
-    flash_crowd_size=7,
-    stability_interval=15.0,
     tracker_sampler="rarity-aware:bias=1.0",
 )
 
@@ -134,7 +124,6 @@ def built(options):
         harness.scenario,
         swarm.config,
         swarm.metainfo.geometry.block_size,
-        harness.stability is not None,
         [(peer.config, peer.selector) for peer in swarm.peers.values()],
     ))
 
@@ -164,9 +153,7 @@ def shard_of(scenario, torrent_id=2):
     )[0]
 
 
-@pytest.mark.parametrize(
-    "scenario", ["smoke", "faults-light", "flash-crowd", "flash-crowd-suppress"]
-)
+@pytest.mark.parametrize("scenario", ["smoke", "faults-light"])
 def test_repro_run_builds_the_same_experiment_as_the_shard(scenario, tmp_path):
     """Pins (it held before too, by coincidence of two hand-written
     ladders): the same description gives the same trace either way."""
@@ -175,18 +162,9 @@ def test_repro_run_builds_the_same_experiment_as_the_shard(scenario, tmp_path):
 
     path = tmp_path / "run.jsonl"
     argv = ["run", "--torrent", "2", "--seed", str(shard.seed), "--trace", str(path)]
-    flagged = vars(cli.build_parser().parse_args(argv))
-    unflagged = {}
     for name, value in shard.options.non_default().items():
-        if name in flagged:
-            argv += ["--" + name.replace("_", "-"), str(value)]
-        else:
-            unflagged[name] = value
-    args = cli.build_parser().parse_args(argv)
-    # The open-system coordinates have no flag: complete the parsed
-    # namespace by hand, which is all a flag would do.
-    vars(args).update(unflagged)
-    assert cli._cmd_run(args) == 0
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert cli._cmd_run(cli.build_parser().parse_args(argv)) == 0
     footer = json.loads(path.read_text().splitlines()[-1])
     assert footer["fingerprint"] == record["trace_fingerprint"]
 

@@ -1,4 +1,4 @@
-"""Sim-vs-fluid cross-validation of the flash-crowd stability layer.
+"""Sim-vs-fluid cross-validation of the open-system stability layer.
 
 Three layers are pinned against each other:
 
@@ -13,29 +13,34 @@ Three layers are pinned against each other:
   seed rate) while mode suppression stays stable (completions track
   arrivals) — and :func:`fluid_model_for_policy` classifies both cells
   the same way the simulation does;
-* **the committed artifact** — every cell of
-  ``benchmarks/results/stability_phase_diagram.json`` is re-derived
-  from the pure fluid model and must still agree with the sim verdict
-  stored in the file.
+* **the committed artifact** — every row of claim S1's
+  ``benchmarks/results/s1_stability.txt`` re-derives its fluid column
+  from the pure fluid model, and the grid is the one the claim builds.
 
 The open-system runs use a deliberately tiny torrent (24 x 4 kiB
 pieces) so the unstable cell — the expensive one, its population grows
-all run — stays ~1.5 s; the full-size grid lives in the committed
-phase diagram, regenerated by ``python -m repro stability``.
+all run — stays ~1.5 s; the full-size grid is claim S1, regenerated by
+``python -m repro reproduce --claims S1``.
 """
 
-import dataclasses
-import json
+import os
 import pathlib
+import subprocess
+import sys
 from random import Random
 
 import pytest
 
 from repro.analysis.stability import (
-    POLICY_SCENARIOS,
+    S1_ARRIVAL_RATES,
+    S1_PIECE_SIZE,
+    S1_PIECES,
+    S1_POLICIES,
+    S1_SEED_UPLOADS,
     classify_fluid,
     fluid_model_for_policy,
 )
+from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.core.rarest_first import ModeSuppressionSelector
 from repro.models.fluid import FluidModel
 from repro.protocol.metainfo import make_metainfo
@@ -57,13 +62,15 @@ ARRIVAL_RATE = 0.6  # above c0: rarest first unstable, suppression stable
 DURATION = 300.0
 
 
-def run_open_system(policy, seed=5):
-    """One open-system flash-crowd run on the tiny torrent; returns the
-    detector's verdict."""
+def open_system_swarm(policy, seed=5, duration=DURATION, recorder=None):
+    """One open-system flash crowd on the tiny torrent, every peer traced
+    into *recorder* when one is given."""
     metainfo = make_metainfo(
         "stability", num_pieces=NUM_PIECES, piece_size=PIECE_SIZE, block_size=1 * KIB
     )
     swarm = Swarm(metainfo, SwarmConfig(seed=seed))
+    if recorder is not None:
+        swarm.observer_factory = lambda: TracingObserver(recorder)
     swarm.add_peer(config=PeerConfig(upload_capacity=SEED_UPLOAD), is_seed=True)
 
     def selector():
@@ -80,11 +87,18 @@ def run_open_system(policy, seed=5):
     open_system_arrivals(
         swarm,
         rate=ARRIVAL_RATE,
-        duration=DURATION,
+        duration=duration,
         config_factory=lambda rng: PeerConfig(upload_capacity=LEECHER_UPLOAD),
         rng=Random(seed ^ 0xA2),
         kwargs_factory=lambda: {"selector": selector()},
     )
+    return swarm
+
+
+def run_open_system(policy, seed=5):
+    """One open-system run on the tiny torrent; returns the detector's
+    verdict."""
+    swarm = open_system_swarm(policy, seed)
     detector = StabilityDetector(interval=15.0)
     detector.attach(swarm)
     swarm.run(DURATION)
@@ -199,7 +213,7 @@ def test_closed_system_mean_download_time_within_fluid_envelope():
 
 
 class TestCommittedPhaseDiagram:
-    """The committed artifact stays self-consistent with the model."""
+    """Claim S1's committed table stays self-consistent with the model."""
 
     @pytest.fixture(scope="class")
     def diagram(self):
@@ -207,35 +221,38 @@ class TestCommittedPhaseDiagram:
             pathlib.Path(__file__).resolve().parents[1]
             / "benchmarks"
             / "results"
-            / "stability_phase_diagram.json"
+            / "s1_stability.txt"
         )
-        with open(path) as handle:
-            return json.load(handle)
-
-    def test_every_cell_agrees(self, diagram):
-        assert diagram["cells"], "committed phase diagram is empty"
-        for cell in diagram["cells"]:
-            assert cell["sim"] is not None, cell
-            assert cell["agree"], cell
+        lines = path.read_text().splitlines()
+        header = lines.index(next(line for line in lines if line.startswith("---")))
+        names = ("arrival_rate", "seed_upload", "policy", "sim", "fluid", "agree")
+        cells = [
+            dict(zip(names, line.split()))
+            for line in lines[header + 1:]
+            if not line.startswith("sim-vs-fluid")
+        ]
+        for cell in cells:
+            cell["arrival_rate"] = float(cell["arrival_rate"])
+            cell["seed_upload"] = float(cell["seed_upload"])
+        return cells
 
     def test_fluid_column_rederives_from_the_model(self, diagram):
-        for cell in diagram["cells"]:
-            piece_size = 64 * KIB  # flash-crowd scenario geometry
-            content_size = 48 * piece_size
+        for cell in diagram:
             model = fluid_model_for_policy(
                 cell["policy"],
                 cell["arrival_rate"],
                 cell["seed_upload"],
-                piece_size=piece_size,
-                content_size=content_size,
+                piece_size=S1_PIECE_SIZE,
+                content_size=S1_PIECES * S1_PIECE_SIZE,
             )
             assert classify_fluid(model) == cell["fluid"], cell
+            assert cell["agree"] == ("yes" if cell["sim"] == cell["fluid"] else "NO")
 
     def test_contains_the_money_cell(self, diagram):
         """At least one grid point separates the policies: rarest first
         unstable, mode suppression stable — the RFwPMS result."""
         by_point = {}
-        for cell in diagram["cells"]:
+        for cell in diagram:
             point = (cell["arrival_rate"], cell["seed_upload"])
             by_point.setdefault(point, {})[cell["policy"]] = cell["sim"]
         assert any(
@@ -245,103 +262,51 @@ class TestCommittedPhaseDiagram:
         )
 
     def test_scenarios_match_the_policy_map(self, diagram):
-        for cell in diagram["cells"]:
-            assert cell["scenario"] == POLICY_SCENARIOS[cell["policy"]]
-
-
-def flash_crowd_spec(**overrides):
-    """A deliberately short flash-crowd campaign for determinism tests."""
-    from repro.campaign.spec import CampaignSpec
-
-    kwargs = {
-        "name": "stability-dev",
-        "torrent_ids": (2,),
-        "scenarios": ("flash-crowd", "flash-crowd-suppress"),
-        "duration": 150.0,
-        "arrival_rate": 0.2,
-        "seed_upload": 16 * KIB,
-    }
-    kwargs.update(overrides)
-    return CampaignSpec(**kwargs)
+        """The committed rows are the grid the claim builds: every
+        (arrival rate, seed upload) point once per policy, in order."""
+        assert [
+            (cell["arrival_rate"], cell["seed_upload"], cell["policy"])
+            for cell in diagram
+        ] == [
+            (rate, float(upload), policy)
+            for rate in S1_ARRIVAL_RATES
+            for upload in S1_SEED_UPLOADS
+            for policy in S1_POLICIES
+        ]
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_the_campaign_fingerprint(
-        self, tmp_path
-    ):
-        """Flash-crowd shards (open-system arrivals + detector attached)
-        must stay worker-count invariant like every other shard kind."""
-        from repro.campaign.runner import CampaignRunner
-
-        serial = CampaignRunner(
-            flash_crowd_spec(), cache_dir=tmp_path / "w1", workers=1
-        ).run()
-        pooled = CampaignRunner(
-            flash_crowd_spec(), cache_dir=tmp_path / "w2", workers=2
-        ).run()
-        assert serial.fingerprint == pooled.fingerprint
-        serial_fps = {
-            entry["shard_id"]: entry["trace_fingerprint"]
-            for entry in serial.manifest["shards"]
-        }
-        pooled_fps = {
-            entry["shard_id"]: entry["trace_fingerprint"]
-            for entry in pooled.manifest["shards"]
-        }
-        assert serial_fps == pooled_fps
-        assert all(serial_fps.values())
-
-    def test_detector_off_means_byte_identical_traces(self, tmp_path):
-        """The stability observer is strictly read-only: disabling it
-        must reproduce the exact trace bytes, and enabling it must only
-        *add* ``stability`` records — every other line is unchanged."""
-        from repro.campaign.cache import ShardCache, shard_cache_key
-        from repro.campaign.runner import execute_shard
-        from repro.campaign.spec import expand_spec
-
-        shard_on = expand_spec(flash_crowd_spec())[0]
-        assert shard_on.options.stability_interval is not None
-        shard_off = dataclasses.replace(
-            shard_on,
-            options=dataclasses.replace(shard_on.options, stability_interval=None),
+    def test_verdict_is_the_same_in_a_fresh_process(self, open_system_verdicts):
+        """Another interpreter, with another hash seed, reaches the same
+        open-system verdict: nothing in the run depends on the process."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root)] + env.get("PYTHONPATH", "").split(os.pathsep)
         )
+        out = subprocess.run(
+            [
+                sys.executable, "-c",
+                "from tests.test_stability import run_open_system; "
+                "print(repr(run_open_system('rarest-first')))",
+            ],
+            env=env, cwd=str(root), capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == repr(open_system_verdicts["rarest-first"])
 
-        cache = ShardCache(tmp_path)
-        record_on, __ = execute_shard(shard_on, cache=cache, resume=False)
-        record_off, __ = execute_shard(shard_off, cache=cache, resume=False)
-
-        lines_on = (
-            cache.trace_path(shard_cache_key(shard_on))
-            .read_text()
-            .splitlines()
-        )
-        lines_off = (
-            cache.trace_path(shard_cache_key(shard_off))
-            .read_text()
-            .splitlines()
-        )
-        # The trace_end footer embeds the event count and whole-file
-        # fingerprint, which legitimately change when stability records
-        # are added; every *event* line must match exactly.
-        footer_on, footer_off = json.loads(lines_on[-1]), json.loads(lines_off[-1])
-        assert footer_on["type"] == footer_off["type"] == "trace_end"
-        stability_lines = [
-            line for line in lines_on[:-1] if '"type":"stability"' in line
-        ]
-        assert stability_lines  # the detector did sample
-        assert [
-            line for line in lines_on[:-1] if line not in stability_lines
-        ] == lines_off[:-1]
-        assert not any('"stability"' in line for line in lines_off)
-        assert footer_on["events"] - len(stability_lines) == footer_off["events"]
-
-        # Same simulation either way: the detector changed nothing.
-        for key in (
-            "first_full_copy_at",
-            "final_seeds",
-            "final_leechers",
-            "mean_download_time",
-        ):
-            assert record_on["summary"][key] == record_off["summary"][key]
-        assert record_on["summary"]["stability"] is not None
-        assert "stability" not in record_off["summary"]
+    def test_detector_off_means_byte_identical_traces(self):
+        """The detector is strictly read-only and emits nothing: a
+        swarm-wide trace is byte-identical with and without it."""
+        fingerprints = []
+        for detect in (True, False):
+            recorder = TraceRecorder()
+            swarm = open_system_swarm("mode-suppression", duration=120.0,
+                                      recorder=recorder)
+            if detect:
+                detector = StabilityDetector(interval=15.0)
+                detector.attach(swarm)
+            swarm.run(120.0)
+            if detect:
+                assert detector.finalize().samples == 9  # it did sample
+            fingerprints.append(recorder.close())
+        assert fingerprints[0] == fingerprints[1]

@@ -171,8 +171,10 @@ def test_replay_from_recorder_object():
 
 def test_event_types_the_reader_does_not_know_are_skipped(tmp_path):
     """A trace from a version that emitted ``playback`` events (the
-    streaming runs did, after every in-order delivery) still verifies,
-    replays to the same figures as without them, and is counted."""
+    streaming runs did, after every in-order delivery) or ``stability``
+    events (open-system runs did, per detector sample and at the end)
+    still verifies, replays to the same figures as without them, and is
+    counted."""
     spec = SCENARIOS["transient"]
     recorder = TraceRecorder()
     build_experiment(
@@ -181,32 +183,58 @@ def test_event_types_the_reader_does_not_know_are_skipped(tmp_path):
         trace_recorder=recorder,
     ).run()
     recorder.close()
-    path = str(tmp_path / "with_playback.jsonl")
+    path = str(tmp_path / "with_dropped_types.jsonl")
     legacy = TraceRecorder(path)
-    inserted = 0
+    inserted = {"playback": 0, "stability": 0}
     for event in iter_trace(recorder):
+        if event["type"] == "finalize":
+            inserted["stability"] += 1
+            legacy.emit(
+                {
+                    "t": event["t"],
+                    "type": "stability",
+                    "peer": event["peer"],
+                    "kind": "finalize",
+                    "data": {"stable": True, "samples": inserted["stability"]},
+                }
+            )
         legacy.emit(event)
         if event["type"] == "piece":
-            inserted += 1
+            inserted["playback"] += 1
             legacy.emit(
                 {
                     "t": event["t"],
                     "type": "playback",
                     "peer": event["peer"],
                     "kind": "progress",
-                    "data": {"pieces": inserted, "bytes": 1024 * inserted,
+                    "data": {"pieces": inserted["playback"],
+                             "bytes": 1024 * inserted["playback"],
                              "position": 0.0},
                 }
             )
+        elif event["type"] == "snapshot":
+            inserted["stability"] += 1
+            legacy.emit(
+                {
+                    "t": event["t"],
+                    "type": "stability",
+                    "peer": event["peer"],
+                    "kind": "sample",
+                    "data": {"seeds": 1, "leechers": 3, "rarest_copies": 1,
+                             "mode_copies": 3, "mode_pieces": 40},
+                }
+            )
     legacy.close()
-    assert inserted > 0
+    assert min(inserted.values()) > 1
+    extra = sum(inserted.values())
 
-    assert len(iter_trace(path)) == len(iter_trace(recorder)) + inserted
+    assert len(iter_trace(path)) == len(iter_trace(recorder)) + extra
     expected = replay_instrumentation(recorder)
     replayed = replay_instrumentation(path)
-    assert replayed.replayed_from_events == expected.replayed_from_events + inserted
+    assert replayed.replayed_from_events == expected.replayed_from_events + extra
     assert_equivalent(expected, replayed)
     assert_same_figures(expected, replayed)
     kinds = trace_stats(path).kinds
-    assert kinds.pop("playback") == inserted
+    for kind, count in inserted.items():
+        assert kinds.pop(kind) == count
     assert kinds == trace_stats(recorder).kinds
