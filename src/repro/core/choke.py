@@ -24,6 +24,24 @@ a 10-second round clock (paper §II-C.2):
 
 Chokers are pure decision functions over :class:`ChokeCandidate`
 snapshots, which keeps them unit-testable without a simulator.
+
+Where :class:`LeecherChoker` differs from mainline's ``Choker``
+(``_round_robin`` and ``_rechoke``).  All three are open; DESIGN §2
+records them, and none is yet adopted or justified:
+
+* *No anti-snubbing.*  Mainline leaves a remote it considers snubbed
+  (no block received for a while) out of the preferred set.  Nothing
+  here knows about snubbing, so a stalled remote keeps competing on its
+  decaying rate.
+* *The optimistic peer is drawn, not rotated.*  Every third round
+  mainline rotates its connection list to the first choked-and-interested
+  peer, then unchokes peers in list order, uninterested ones included,
+  until one interested peer beyond the preferred set is unchoked.  Here
+  the optimistic peer is ``rng.choice`` among the interested peers
+  outside the regular set, and an uninterested peer is never unchoked.
+* *No connection order.*  Where a new connection enters mainline's list
+  decides when its optimistic turn comes.  Candidates here carry no
+  order the choker keeps between rounds.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ declared there.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from random import Random
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
 from repro.core.piece_picker import PiecePicker
@@ -91,7 +90,6 @@ class LinkState:
         "upload_queue",
         "uploaded",
         "downloaded",
-        "outstanding",
         "request_times",
         "last_message_at",
         "last_unchoked_local",
@@ -114,13 +112,15 @@ class LinkState:
         self.peer_interested = False
         self.initiated_by_local = initiated_by_local
         self.closed = False
-        # Upload direction (local serves remote).
-        self.upload_queue: Deque[BlockRef] = deque()
+        # Upload direction (local serves remote).  A list, not a deque:
+        # a remote keeps at most REQUEST_PIPELINE_DEPTH blocks queued,
+        # and most links never queue one.
+        self.upload_queue: List[BlockRef] = []
         self.uploaded = ByteCounter(rate_window)
         self.downloaded = ByteCounter(rate_window)
-        # Download direction (local requests from remote).
-        self.outstanding: set = set()  # BlockRefs requested, not yet received
-        self.request_times: Dict[BlockRef, float] = {}  # request issue times
+        # Download direction (local requests from remote): the blocks
+        # requested and not yet received, with their issue times.
+        self.request_times: Dict[BlockRef, float] = {}
         self.last_message_at = now  # last time anything arrived on this link
         # Choke bookkeeping for the seed algorithm and figure 10.
         self.last_unchoked_local: Optional[float] = None
@@ -305,7 +305,6 @@ class PeerCore:
         self.picker.peer_left(connection.remote_bitfield)
         self.picker.on_peer_gone(connection.remote_key)
         connection.clear_upload_queue()
-        connection.outstanding.clear()
         connection.request_times.clear()
         if self.observer:
             self.observer.on_connection_close(self.simulator.now, connection)
@@ -426,7 +425,6 @@ class PeerCore:
         # Everything in flight on this link is lost; give the blocks back
         # to the picker so another peer can serve them.
         self.picker.on_peer_gone(connection.remote_key)
-        connection.outstanding.clear()
         connection.request_times.clear()
 
     def _handle_unchoke(self, connection: LinkState, message: Message = None) -> None:
@@ -457,7 +455,6 @@ class PeerCore:
             block = geometry.block_ref(message.piece, block_index)
         except IndexError:
             return
-        connection.outstanding.discard(block)
         connection.request_times.pop(block, None)
         if self.bitfield.has(block.piece):
             return  # late duplicate (end game)
@@ -479,7 +476,6 @@ class PeerCore:
         for key in sorted(cancel_keys):
             other = self.connections.get(key)
             if other is not None:
-                other.outstanding.discard(block)
                 other.request_times.pop(block, None)
                 self._send(
                     other,
@@ -532,18 +528,18 @@ class PeerCore:
         next_request = self.picker.next_request
         remote_bitfield = connection.remote_bitfield
         remote_key = connection.remote_key
+        request_times = connection.request_times
         now = self.simulator.now  # one fill is one instant
         while (
             not connection.closed
             and connection.am_interested
             and not connection.peer_choking
-            and len(connection.outstanding) < depth
+            and len(request_times) < depth
         ):
             block = next_request(remote_bitfield, remote_key)
             if block is None:
                 break
-            connection.outstanding.add(block)
-            connection.request_times[block] = now
+            request_times[block] = now
             self._send(
                 connection,
                 Request(piece=block.piece, offset=block.offset, length=block.length),

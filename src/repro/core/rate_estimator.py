@@ -6,12 +6,18 @@ The choke algorithm ranks peers by "short term download estimations"
 stops sending drops out of the regular-unchoke set within two choke
 rounds.  The estimator below keeps (timestamp, bytes) samples and expires
 them lazily.
+
+Most links never carry a byte (four unchoke slots in a peer set of up
+to 80, §II-B and §II-C.2), so the sample window is allocated at the
+first sample: until then, and again after :meth:`RateEstimator.reset`,
+it is the empty tuple, which every read answers without touching.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, Tuple, Union
 
 
 class RateEstimator:
@@ -27,10 +33,11 @@ class RateEstimator:
     __slots__ = ("_window", "_samples", "_total")
 
     def __init__(self, window: float = 20.0):
-        if window <= 0:
-            raise ValueError("window must be positive")
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError("window must be finite and positive")
         self._window = window
-        self._samples: Deque[Tuple[float, float]] = deque()
+        # ``()`` until the first sample: an idle link holds no deque.
+        self._samples: Union[Deque[Tuple[float, float]], Tuple[()]] = ()
         self._total = 0.0
 
     @property
@@ -41,9 +48,12 @@ class RateEstimator:
         """Record *num_bytes* transferred at time *now*."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        if self._samples and now < self._samples[-1][0]:
+        samples = self._samples
+        if not samples:
+            samples = self._samples = deque()
+        elif now < samples[-1][0]:
             raise ValueError("samples must be added in non-decreasing time order")
-        self._samples.append((now, num_bytes))
+        samples.append((now, num_bytes))
         self._total += num_bytes
         self._expire(now)
 
@@ -68,7 +78,7 @@ class RateEstimator:
         return max(0.0, self._total)
 
     def reset(self) -> None:
-        self._samples.clear()
+        self._samples = ()
         self._total = 0.0
 
     def _expire(self, now: float) -> None:
@@ -101,7 +111,9 @@ class ByteCounter(RateEstimator):
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
         samples = self._samples
-        if samples and now < samples[-1][0]:
+        if not samples:
+            samples = self._samples = deque()
+        elif now < samples[-1][0]:
             raise ValueError("samples must be added in non-decreasing time order")
         self.total += num_bytes
         samples.append((now, num_bytes))

@@ -117,7 +117,7 @@ class NetConnection(LinkState):
 
     def pop_upload(self) -> Optional[BlockRef]:
         if self.upload_queue:
-            return self.upload_queue.popleft()
+            return self.upload_queue.pop(0)
         self.upload_ready.clear()
         return None
 

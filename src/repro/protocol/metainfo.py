@@ -25,8 +25,8 @@ class BlockRef(namedtuple("BlockRef", ("piece", "offset", "length"))):
     """A block within a piece: (piece index, byte offset, length).
 
     A tuple, so hashing and equality run in C on the request path
-    (upload-queue scans, ``outstanding``, ``request_times``).  Its hash
-    is ``hash((piece, offset, length))``, the hash the frozen dataclass
+    (upload-queue scans, ``request_times``).  Its hash is
+    ``hash((piece, offset, length))``, the hash the frozen dataclass
     this replaced computed, so every set and dict of blocks iterates in
     the same order under any ``PYTHONHASHSEED``.
     """

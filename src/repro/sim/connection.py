@@ -94,7 +94,7 @@ class Connection(LinkState):
             head = self.upload_queue[0]
             need = head.length - self.upload_progress
             if remaining >= need - 1e-9:
-                self.upload_queue.popleft()
+                self.upload_queue.pop(0)
                 self.upload_progress = 0.0
                 remaining -= need
                 completed.append(head)

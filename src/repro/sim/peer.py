@@ -683,7 +683,6 @@ class Peer(PeerCore):
                 if self.observer:
                     self.observer.on_fault(now, "stale_requests_reset")
                 self.picker.on_peer_gone(connection.remote_key)
-                connection.outstanding.clear()
                 connection.request_times.clear()
             if plan.affects_messages:
                 self._refresh_link_state(connection)

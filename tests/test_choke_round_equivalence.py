@@ -19,7 +19,6 @@ the whole-queue sum, with ``==`` throughout: every saving here is meant
 to be exact, not close.
 """
 
-from collections import deque
 from random import Random
 from types import SimpleNamespace
 
@@ -274,6 +273,7 @@ counter_operations = st.lists(
     st.one_of(
         st.tuples(st.just("add"), STEPS, st.floats(0.0, 1e9)),
         st.tuples(st.just("rate"), STEPS, st.just(0.0)),
+        st.tuples(st.just("reset"), STEPS, st.just(0.0)),
         st.tuples(st.just("negative"), STEPS, st.floats(-1e9, -1e-9)),
         st.tuples(st.just("backwards"), st.sampled_from([0.25, 20.0]), st.floats(0.0, 1e6)),
     ),
@@ -307,6 +307,10 @@ def test_byte_counter_is_bit_equal_to_rate_estimator(window, operations):
             counter.add(now, num_bytes)
             estimator.add(now, num_bytes)
             lifetime += num_bytes
+        elif kind == "reset":
+            # Back to the untouched window; the lifetime total stays.
+            counter.reset()
+            estimator.reset()
         else:
             assert counter.rate(now) == estimator.rate(now)
         assert counter._total == estimator._total
@@ -362,9 +366,9 @@ def queue_states(draw):
 def test_bounded_walk_is_min_of_budget_and_queue(uploading_link, state):
     __, connection = uploading_link
     lengths, progress, budget = state
-    connection.upload_queue = deque(
+    connection.upload_queue = [
         BlockRef(0, offset, length) for offset, length in enumerate(lengths)
-    )
+    ]
     connection.upload_progress = progress
     expected = min(budget, whole_queue_bytes(connection))
     assert connection.transferable_bytes(budget) == expected

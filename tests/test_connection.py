@@ -44,6 +44,35 @@ class TestTwinMirroring:
         assert conn_ba.am_choking == conn_ab.peer_choking
 
 
+class TestIdleEndpoint:
+    def test_containers_are_allocated_on_first_use(self):
+        """An endpoint that never carries a byte holds no rate-window deque
+        and an empty list for its upload queue; reads answer the same."""
+        __, a, b, conn_ab, conn_ba = linked_pair()
+        counters = [
+            counter
+            for connection in (conn_ab, conn_ba)
+            for counter in (connection.uploaded, connection.downloaded)
+        ]
+        for connection in (conn_ab, conn_ba):
+            assert type(connection.upload_queue) is list
+            assert connection.upload_queue == []
+        for counter in counters:
+            assert not isinstance(counter._samples, deque)
+            assert counter.rate(5.0) == 0.0
+            assert counter.total_in_window(5.0) == 0.0
+        counter = conn_ab.uploaded
+        counter.add(5.0, 1000.0)
+        assert isinstance(counter._samples, deque)
+        assert counter.rate(5.0) == 1000.0 / counter.window
+        assert counter.total_in_window(5.0) == 1000.0
+        counter.reset()
+        assert not isinstance(counter._samples, deque)
+        assert counter.rate(5.0) == 0.0
+        assert counter.total_in_window(5.0) == 0.0
+        assert counter.total == 1000.0  # the lifetime total survives
+
+
 class TestUploadQueue:
     def test_advance_completes_blocks_in_order(self):
         __, a, b, conn_ab, __b = linked_pair()
@@ -80,11 +109,11 @@ class TestUploadQueue:
         """Complexity guard: serving a budget costs the blocks it covers,
         not the queue behind them (counted, not timed)."""
 
-        class CountingQueue(deque):
+        class CountingQueue(list):
             visits = 0
 
             def __iter__(self):
-                for block in deque.__iter__(self):
+                for block in list.__iter__(self):
                     CountingQueue.visits += 1
                     yield block
 

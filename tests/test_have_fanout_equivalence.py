@@ -11,7 +11,7 @@ either side; a remote that crashes and leaves a half-open twin; an
 observer attached late; a link closed between two floods; a leecher or
 a seed doing the flooding — and after every flood they must agree on
 the message transcript, the observers' streams, every link's flags,
-``outstanding`` and upload queue, every availability row and every
+``request_times`` and upload queue, every availability row and every
 peer's ``rng.getstate()``.
 
 The counting guard holds the point of the filter: 80 idle links give the
@@ -189,7 +189,7 @@ class World:
                     c.peer_choking,
                     c.am_interested,
                     c.peer_interested,
-                    sorted(c.outstanding, key=repr),
+                    sorted(c.request_times, key=repr),
                     list(c.upload_queue),
                     c.remote_bitfield.to_bytes(),
                 )

@@ -9,6 +9,7 @@ that the engine *moves* at this scale, not that the swarm finishes.
 """
 
 import hashlib
+import tracemalloc
 from random import Random
 
 import pytest
@@ -22,6 +23,10 @@ PIECES = 2048
 SIM_SECONDS = 40.0
 #: sha256 over every peer's final piece set at seed 42.
 PINNED_DIGEST = "b27dc8ce6646926a94d55a76ed7db9d98a59152e99ec4480d4bb443c9b697e16"
+#: Ceiling on tracemalloc's peak over one run: ~38 MiB with link
+#: containers allocated at first use, ~133 MiB when every idle link
+#: endpoint carried its own empty rate windows and upload queue.
+PEAK_TRACED_MIB = 64
 
 
 def run_mega_swarm():
@@ -50,7 +55,12 @@ def run_mega_swarm():
 
 @pytest.mark.slow
 def test_thousand_peer_swarm_moves_data():
-    result, swarm, digest = run_mega_swarm()
+    tracemalloc.start()
+    try:
+        result, swarm, digest = run_mega_swarm()
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     # Two thirds of the arrival window has elapsed: most of the swarm
     # must be present and real payload must be flowing.
     assert len(swarm.peers) > LEECHERS // 2
@@ -62,3 +72,6 @@ def test_thousand_peer_swarm_moves_data():
         result.bytes_moved
     )
     assert digest == PINNED_DIGEST
+    # Memory per link: almost every link in a peer set is idle, so an
+    # idle endpoint must cost next to nothing.
+    assert peak < PEAK_TRACED_MIB * 2**20

@@ -60,7 +60,7 @@ class TestPipelining:
         def probe(now):
             nonlocal max_outstanding
             for connection in leecher.connections.values():
-                max_outstanding = max(max_outstanding, len(connection.outstanding))
+                max_outstanding = max(max_outstanding, len(connection.request_times))
 
         swarm.on_tick(probe)
         swarm.run(60)

@@ -141,7 +141,7 @@ class TestInterestAndPipeline:
         requests = requested_blocks(peer.sent, "10.0.0.2")
         assert len(peer.sent) == len(requests) == DEPTH
         assert {block.piece for block in requests} == {6, 7}
-        assert full.outstanding == set(requests)
+        assert set(full.request_times) == set(requests)
         assert set(full.request_times.values()) == {3.5}
         assert full.last_message_at == 3.5
 
@@ -157,7 +157,7 @@ class TestInterestAndPipeline:
         assert len(lost) == DEPTH
         peer._receive(first, Choke())
         assert peer.sent == []
-        assert not first.outstanding and not first.request_times
+        assert not first.request_times
         peer._receive(second, Unchoke())
         assert set(requested_blocks(peer.sent, "10.0.0.3")) == set(lost)
 
@@ -213,7 +213,7 @@ class TestEndGameAndCompletion:
         for connection in links.values():
             peer._receive(connection, Unchoke())
         assert peer.picker.in_endgame
-        assert all(len(c.outstanding) == 2 for c in links.values())
+        assert all(len(c.request_times) == 2 for c in links.values())
         peer.take_sent()
         block = BlockRef(0, 0, KIB)
         peer._receive(links["10.0.0.5"], block_payload(peer, block))
@@ -224,7 +224,7 @@ class TestEndGameAndCompletion:
         ]
         cancel = Cancel(piece=0, offset=0, length=KIB)
         assert cancels == [("10.0.0.3", cancel), ("10.0.0.9", cancel)]
-        assert all(block not in c.outstanding for c in links.values())
+        assert all(block not in c.request_times for c in links.values())
 
     def test_last_piece_announces_and_turns_seed(self):
         peer = ScriptedPeer(num_pieces=2, blocks_per_piece=1, have=[0])
@@ -313,7 +313,7 @@ def run_script(seed):
             continue
         connection = peer.connections[remote]
         block = BlockRef(message.piece, message.offset, message.length)
-        if block not in connection.outstanding:
+        if block not in connection.request_times:
             continue  # given up by a choke or cancelled in end game
         peer.simulator.now += 0.25
         peer._receive(connection, block_payload(peer, block))
@@ -405,7 +405,7 @@ class TestPeerSet:
         assert lost and first.request_times
         peer._drop_link(first)
         assert first.closed and "10.0.0.2" not in peer.connections
-        assert not first.outstanding and not first.request_times
+        assert not first.request_times
         assert peer.initiated_count == 0
         assert peer.picker.availability[6] == 1  # only the other full remote
         peer._receive(second, Unchoke())

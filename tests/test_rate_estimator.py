@@ -61,6 +61,12 @@ class TestRateEstimator:
         with pytest.raises(ValueError):
             RateEstimator(0.0)
 
+    @pytest.mark.parametrize("cls", [RateEstimator, ByteCounter])
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), 0.0])
+    def test_window_must_be_finite_and_positive(self, cls, window):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cls(window)
+
     def test_reset(self):
         estimator = RateEstimator(20.0)
         estimator.add(0.0, 100.0)
