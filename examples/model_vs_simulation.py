@@ -18,9 +18,10 @@ predicted by the models":
 Run:  python examples/model_vs_simulation.py
 """
 
-from repro.models import FluidModel, minimum_distribution_time
+from repro.models.fluid import FluidModel
+from repro.models.service_capacity import minimum_distribution_time
 from repro.protocol.metainfo import make_metainfo
-from repro.reporting import ascii_table, sparkline
+from repro.reporting.render import ascii_table, sparkline
 from repro.sim.churn import flash_crowd, poisson_arrivals
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm

@@ -25,42 +25,4 @@ Quickstart::
     print(summarize_entropy(trace).median_local)
 """
 
-from repro.core import (
-    LeecherChoker,
-    OldSeedChoker,
-    PiecePicker,
-    RandomSelector,
-    RarestFirstSelector,
-    SeedChoker,
-    SequentialSelector,
-    TitForTatChoker,
-)
-from repro.instrumentation import Instrumentation
-from repro.protocol import Bitfield, Metainfo
-from repro.sim import Peer, PeerConfig, Simulator, Swarm, SwarmConfig
-from repro.workloads import TABLE1, build_experiment, scenario_by_id
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "Bitfield",
-    "Instrumentation",
-    "LeecherChoker",
-    "Metainfo",
-    "OldSeedChoker",
-    "Peer",
-    "PeerConfig",
-    "PiecePicker",
-    "RandomSelector",
-    "RarestFirstSelector",
-    "SeedChoker",
-    "SequentialSelector",
-    "Simulator",
-    "Swarm",
-    "SwarmConfig",
-    "TABLE1",
-    "TitForTatChoker",
-    "build_experiment",
-    "scenario_by_id",
-    "__version__",
-]

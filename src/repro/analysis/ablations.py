@@ -17,7 +17,7 @@ from typing import Callable, Dict, Tuple
 from repro.analysis.entropy import summarize_entropy
 from repro.analysis.graph import graph_stats, swarm_graph
 from repro.analysis.replication import replication_series
-from repro.coding import CodingSwarm
+from repro.coding.network_coding import CodingSwarm
 from repro.core.choke import OldSeedChoker, SeedChoker, TitForTatChoker
 from repro.core.fairness import jain_index
 from repro.core.free_rider import FreeRiderChoker

@@ -49,7 +49,7 @@ from repro.campaign.spec import (
     expand_spec,
 )
 from repro.instrumentation import Instrumentation
-from repro.reporting import ascii_table
+from repro.reporting.render import ascii_table
 from repro.workloads import TABLE1, TorrentScenario, scenario_by_id
 
 Numbers = Dict[str, float]

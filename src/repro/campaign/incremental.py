@@ -86,7 +86,7 @@ class InvalidationReport:
         return out
 
     def render(self) -> str:
-        from repro.reporting import ascii_table
+        from repro.reporting.render import ascii_table
 
         rows = []
         order = {state: rank for rank, state in enumerate(DELTA_STATES)}

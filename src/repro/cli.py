@@ -42,24 +42,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
-from repro.instrumentation import (
-    TraceRecorder,
-    diff_traces,
-    replay_instrumentation,
-    trace_stats,
-    traced_peers,
-)
-from repro.instrumentation.replay import TraceFormatError
-from repro.models import FluidModel
-from repro.reporting import ascii_table, sparkline
-from repro.workloads import (
-    TABLE1,
-    RunOptions,
-    build_experiment,
-    resolve_scenario,
-    scenario_by_id,
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -462,6 +444,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _cmd_list_torrents(args: argparse.Namespace) -> int:
+    from repro.reporting.render import ascii_table
+    from repro.workloads import TABLE1
+
     rows = []
     for scenario in TABLE1:
         rows.append(
@@ -484,8 +469,10 @@ def _cmd_list_torrents(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_options(args: argparse.Namespace) -> RunOptions:
+def _run_options(args: argparse.Namespace):
     """The coordinates the parsed flags name (flag dest = field name)."""
+    from repro.workloads import RunOptions
+
     named = {
         f.name: getattr(args, f.name)
         for f in fields(RunOptions)
@@ -500,6 +487,7 @@ def _claims_over(args: argparse.Namespace):
     """The ``--claims`` rows and the Table-I scenario of the run they
     render, checked before anything is simulated or read."""
     from repro.analysis.claims import one_run_claims
+    from repro.workloads import scenario_by_id
 
     try:
         return one_run_claims(args.claims or ""), scenario_by_id(args.torrent)
@@ -515,6 +503,8 @@ def _print_claims(claims, run) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.claims import Run
     from repro.campaign import run_summary
+    from repro.instrumentation import TraceRecorder
+    from repro.workloads import build_experiment, resolve_scenario
 
     claims, table_scenario = _claims_over(args)
     try:
@@ -567,6 +557,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     """Exit 0: done; 2: a bad claim or torrent id, or the trace is
     unreadable or lacks the peer."""
     from repro.analysis.claims import Run
+    from repro.instrumentation import replay_instrumentation, traced_peers
+    from repro.instrumentation.replay import TraceFormatError
 
     claims, scenario = _claims_over(args)
     try:
@@ -596,6 +588,8 @@ def _event_line(event: dict) -> str:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Exit 0: done / identical; 1: the traces diverge; 2: unreadable."""
+    from repro.instrumentation.replay import TraceFormatError
+
     try:
         if args.trace_command == "stats":
             return _trace_stats(args)
@@ -606,6 +600,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _trace_stats(args: argparse.Namespace) -> int:
+    from repro.instrumentation import trace_stats
+    from repro.reporting.render import ascii_table
+
     stats = trace_stats(args.trace)
     print("%d events from %d peers" % (stats.events, len(stats.peers)))
     if stats.span is not None:
@@ -617,6 +614,8 @@ def _trace_stats(args: argparse.Namespace) -> int:
 
 
 def _trace_diff(args: argparse.Namespace) -> int:
+    from repro.instrumentation import diff_traces
+
     if args.context < 0:
         args.usage_error("--context must be >= 0, not %d" % args.context)
     diff = diff_traces(args.a, args.b, context=args.context)
@@ -807,9 +806,11 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
+    from repro.instrumentation import TraceRecorder
     from repro.net.conformance import check_trace
     from repro.net.swarm import LiveSwarm
     from repro.protocol.metainfo import make_metainfo
+    from repro.reporting.render import ascii_table
     from repro.sim.config import KIB, PeerConfig
 
     if min(args.seeds, args.leechers) < 0:
@@ -880,6 +881,9 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from repro.models.fluid import FluidModel
+    from repro.reporting.render import sparkline
+
     if args.seed_stay < 0:
         args.usage_error("--seed-stay must be >= 0 (0 = seeds never leave)")
     if args.open:
@@ -932,17 +936,17 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
     from repro.tracker.service import AnnounceBudget, TrackerService
     from repro.tracker.server import TrackerServer
 
-    budget = None
-    if args.announce_budget is not None:
-        budget = AnnounceBudget(announces_per_second=args.announce_budget)
     service_kwargs = {
         "seed": args.seed,
-        "budget": budget,
         "expiry_intervals": args.expiry_intervals,
     }
     if args.interval is not None:
         service_kwargs["interval"] = args.interval
     try:
+        if args.announce_budget is not None:
+            service_kwargs["budget"] = AnnounceBudget(
+                announces_per_second=args.announce_budget
+            )
         service = TrackerService.from_spec(
             time.monotonic, sampler_spec=args.sampler, **service_kwargs
         )
@@ -982,7 +986,7 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
                 server.udp_port,
                 service.sampler.spec(),
                 ", budget %.0f ann/s" % args.announce_budget
-                if budget is not None
+                if service.budget is not None
                 else "",
             ),
             file=sys.stderr,

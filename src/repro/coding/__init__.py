@@ -1,5 +1,1 @@
 """Idealised network-coding comparator (paper §IV-A.4)."""
-
-from repro.coding.network_coding import CodingSwarm, CodingSwarmResult
-
-__all__ = ["CodingSwarm", "CodingSwarmResult"]

@@ -17,51 +17,3 @@
 * :mod:`repro.core.fairness` — the paper's two fairness criteria (§IV-B.1);
 * :mod:`repro.core.free_rider` — free-riding client behaviour.
 """
-
-from repro.core.choke import (
-    ChokeDecision,
-    Choker,
-    LeecherChoker,
-    OldSeedChoker,
-    SeedChoker,
-    TitForTatChoker,
-)
-from repro.core.fairness import (
-    FairnessReport,
-    leecher_fairness_violations,
-    seed_service_uniformity,
-)
-from repro.core.peer_core import PeerCore
-from repro.core.piece_picker import PiecePicker
-from repro.core.rarest_first import (
-    GlobalRarestSelector,
-    PieceSelector,
-    RandomSelector,
-    RarestFirstSelector,
-    SELECTOR_REGISTRY,
-    SequentialSelector,
-    make_selector,
-)
-from repro.core.rate_estimator import RateEstimator
-
-__all__ = [
-    "ChokeDecision",
-    "Choker",
-    "FairnessReport",
-    "GlobalRarestSelector",
-    "LeecherChoker",
-    "OldSeedChoker",
-    "PeerCore",
-    "PiecePicker",
-    "PieceSelector",
-    "RandomSelector",
-    "RarestFirstSelector",
-    "RateEstimator",
-    "SELECTOR_REGISTRY",
-    "SeedChoker",
-    "SequentialSelector",
-    "TitForTatChoker",
-    "leecher_fairness_violations",
-    "make_selector",
-    "seed_service_uniformity",
-]

@@ -17,18 +17,3 @@ the models" even though real peers only have local knowledge.  The
 model-vs-simulation comparison is exercised by
 ``examples/model_vs_simulation.py`` and the model tests.
 """
-
-from repro.models.fluid import FluidModel, FluidState
-from repro.models.service_capacity import (
-    exponential_growth_time,
-    flash_crowd_capacity,
-    minimum_distribution_time,
-)
-
-__all__ = [
-    "FluidModel",
-    "FluidState",
-    "exponential_growth_time",
-    "flash_crowd_capacity",
-    "minimum_distribution_time",
-]

@@ -7,40 +7,12 @@ seed chokers, the sliding-window rate estimator — over real sockets,
 reusing :class:`~repro.protocol.stream.MessageStream` for framing,
 :class:`~repro.protocol.metainfo.Metainfo` for real SHA-1-verified
 content and the in-memory :class:`~repro.tracker.tracker.Tracker` for
-peer discovery.  A :class:`LiveSwarm` runs N in-process peers (one
-asyncio task group per peer) to completion and emits the same
-schema-versioned JSONL traces as the sim through
+peer discovery.  A :class:`~repro.net.swarm.LiveSwarm` runs N
+in-process peers (one asyncio task group per peer) to completion and
+emits the same schema-versioned JSONL traces as the sim through
 :class:`~repro.instrumentation.trace.TracingObserver`, so the analysis
 and replay pipelines work unchanged on live runs.
 
 :mod:`repro.net.conformance` checks the protocol invariants both
 engines must agree on (the differential sim-vs-net test layer).
 """
-
-from repro.net.connection import NetConnection, RemotePeerHandle, WallClock
-from repro.net.conformance import (
-    ConformanceReport,
-    check_byte_conservation,
-    check_message_grammar,
-    check_rarest_first,
-    check_trace,
-    check_unchoke_cardinality,
-)
-from repro.net.peer import NetPeer, TokenBucket
-from repro.net.swarm import LiveSwarm, LiveSwarmResult
-
-__all__ = [
-    "ConformanceReport",
-    "LiveSwarm",
-    "LiveSwarmResult",
-    "NetConnection",
-    "NetPeer",
-    "RemotePeerHandle",
-    "TokenBucket",
-    "WallClock",
-    "check_byte_conservation",
-    "check_message_grammar",
-    "check_rarest_first",
-    "check_trace",
-    "check_unchoke_cardinality",
-]

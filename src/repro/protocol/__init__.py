@@ -13,49 +13,3 @@ a BitTorrent client needs:
 * :mod:`repro.protocol.peer_id` — Azureus-style peer identifiers and the
   (IP, client-ID) peer-identification rule of the paper's section III-D.
 """
-
-from repro.protocol.bencode import BencodeError, bdecode, bencode
-from repro.protocol.bitfield import Bitfield
-from repro.protocol.messages import (
-    Bitfield as BitfieldMessage,
-    Cancel,
-    Choke,
-    Handshake,
-    Have,
-    Interested,
-    KeepAlive,
-    Message,
-    NotInterested,
-    Piece,
-    Request,
-    Unchoke,
-    decode_message,
-)
-from repro.protocol.metainfo import BlockRef, Metainfo, PieceGeometry
-from repro.protocol.peer_id import PeerId, make_peer_id, parse_client_id
-
-__all__ = [
-    "BencodeError",
-    "bdecode",
-    "bencode",
-    "Bitfield",
-    "BitfieldMessage",
-    "BlockRef",
-    "Cancel",
-    "Choke",
-    "Handshake",
-    "Have",
-    "Interested",
-    "KeepAlive",
-    "Message",
-    "Metainfo",
-    "NotInterested",
-    "PeerId",
-    "Piece",
-    "PieceGeometry",
-    "Request",
-    "Unchoke",
-    "decode_message",
-    "make_peer_id",
-    "parse_client_id",
-]

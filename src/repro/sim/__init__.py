@@ -14,28 +14,3 @@ in this reproduction.  It provides:
 * :mod:`repro.sim.faults` — seeded fault injection (lossy links, peer
   crashes, tracker outages, piece corruption).
 """
-
-from repro.sim.bandwidth import Flow, max_min_allocation
-from repro.sim.config import FaultConfig, PeerConfig, SwarmConfig
-from repro.sim.connection import Connection
-from repro.sim.engine import Simulator, Timer
-from repro.sim.faults import FAULT_PRESETS, FaultPlan
-from repro.sim.peer import Peer, PeerState
-from repro.sim.swarm import Swarm, SwarmResult
-
-__all__ = [
-    "Connection",
-    "FAULT_PRESETS",
-    "FaultConfig",
-    "FaultPlan",
-    "Flow",
-    "max_min_allocation",
-    "Peer",
-    "PeerConfig",
-    "PeerState",
-    "Simulator",
-    "Swarm",
-    "SwarmConfig",
-    "SwarmResult",
-    "Timer",
-]

@@ -15,19 +15,3 @@ Layering (bottom up):
 * :mod:`repro.tracker.server` / :mod:`repro.tracker.client` — the
   asyncio HTTP-style + UDP announce server and its async clients.
 """
-
-from repro.tracker.sampling import (
-    SAMPLER_REGISTRY,
-    PeerSampler,
-    make_sampler,
-)
-from repro.tracker.tracker import Tracker, TrackerStats, TrackerUnavailable
-
-__all__ = [
-    "Tracker",
-    "TrackerStats",
-    "TrackerUnavailable",
-    "PeerSampler",
-    "SAMPLER_REGISTRY",
-    "make_sampler",
-]

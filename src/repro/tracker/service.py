@@ -31,6 +31,7 @@ fault-model backoff).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional
@@ -88,12 +89,17 @@ class AnnounceBudget:
     """Overload factor past which announces are rejected outright."""
 
     def __post_init__(self) -> None:
-        if self.announces_per_second <= 0:
-            raise ValueError("announces_per_second must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.max_interval_factor < 1.0 or self.reject_factor <= 1.0:
-            raise ValueError("shedding factors must be >= 1")
+        # NaN fails every comparison, so each bound is written as the
+        # condition a usable value meets.
+        for name in ("announces_per_second", "window"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, not %r" % (name, value))
+        if not (
+            1.0 <= self.max_interval_factor < math.inf
+            and 1.0 < self.reject_factor < math.inf
+        ):
+            raise ValueError("shedding factors must be finite and >= 1")
 
 
 class _RateWindow:
@@ -136,8 +142,16 @@ class TrackerService:
         budget: Optional[AnnounceBudget] = None,
         expiry_intervals: Optional[float] = None,
     ):
-        if expiry_intervals is not None and expiry_intervals <= 0:
-            raise ValueError("expiry_intervals must be positive")
+        # A NaN interval cannot be encoded into a reply, and a NaN
+        # expiry would never fire: ``last_seen < nan`` is always false.
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError("interval must be finite and > 0, not %r" % interval)
+        if expiry_intervals is not None and not (
+            math.isfinite(expiry_intervals) and expiry_intervals > 0
+        ):
+            raise ValueError(
+                "expiry_intervals must be finite and > 0, not %r" % expiry_intervals
+            )
         self._clock = clock
         self._seed = seed
         self.store = ShardedSwarmStore(num_shards)

@@ -507,6 +507,19 @@ class TestMistypedOptions:
              "--timeout must be finite and > 0, not 0.0"),
             (["net", "run", "--timeout=-1"], "repro net run",
              "--timeout must be finite and > 0, not -1.0"),
+            # A tracker setting that would break or switch off the server
+            # fails before any socket is bound.
+            (["tracker", "serve", "--announce-budget", "0"],
+             "repro tracker serve",
+             "announces_per_second must be finite and > 0, not 0.0"),
+            (["tracker", "serve", "--announce-budget", "nan"],
+             "repro tracker serve",
+             "announces_per_second must be finite and > 0, not nan"),
+            (["tracker", "serve", "--interval", "nan"], "repro tracker serve",
+             "interval must be finite and > 0, not nan"),
+            (["tracker", "serve", "--expiry-intervals", "nan"],
+             "repro tracker serve",
+             "expiry_intervals must be finite and > 0, not nan"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

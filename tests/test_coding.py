@@ -1,6 +1,6 @@
 """Tests for the idealised network-coding comparator."""
 
-from repro.coding import CodingSwarm
+from repro.coding.network_coding import CodingSwarm
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 
 

@@ -20,8 +20,6 @@ MODULE_NAMES = [
 
 @pytest.mark.parametrize("module_name", MODULE_NAMES)
 def test_module_doctests(module_name):
-    # importlib returns the real module even when a package __init__
-    # re-exports a same-named function (e.g. repro.protocol.bencode).
     module = importlib.import_module(module_name)
     failures, tests = doctest.testmod(module, verbose=False)
     assert tests > 0, "expected at least one example in %s" % module_name

@@ -3,13 +3,13 @@ service capacity) and their agreement with the simulator."""
 
 import pytest
 
-from repro.models import (
-    FluidModel,
+from repro.models.fluid import FluidModel
+from repro.models.service_capacity import (
+    capacity_trajectory,
     exponential_growth_time,
     flash_crowd_capacity,
     minimum_distribution_time,
 )
-from repro.models.service_capacity import capacity_trajectory
 
 
 class TestFluidModelBasics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import ascii_table, sparkline
+from repro.reporting.render import ascii_table, sparkline
 
 
 class TestAsciiTable:

@@ -613,6 +613,17 @@ class TestLoadShedding:
         with pytest.raises(ValueError):
             AnnounceBudget(announces_per_second=1.0, max_interval_factor=0.5)
 
+    @pytest.mark.parametrize("field", [
+        "announces_per_second", "window", "max_interval_factor", "reject_factor",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_budget_rejects_a_non_finite_field(self, field, value):
+        # A NaN budget passed every sign test and disabled shedding: no
+        # overload comparison against NaN is ever true.
+        kwargs = {"announces_per_second": 1.0, field: value}
+        with pytest.raises(ValueError):
+            AnnounceBudget(**kwargs)
+
 
 class TestDeadPeerExpiry:
     """Tracker-side reaping of peers whose announces stopped arriving."""
@@ -706,3 +717,21 @@ class TestDeadPeerExpiry:
     def test_expiry_validation(self):
         with pytest.raises(ValueError):
             make_service(expiry_intervals=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_expiry_rejects_a_non_finite_value(self, value):
+        # ``last_seen < now - nan * interval`` is never true: a NaN
+        # expiry once switched reaping off without a word.
+        with pytest.raises(ValueError, match="expiry_intervals must be finite"):
+            make_service(expiry_intervals=value)
+
+
+class TestIntervalValidation:
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.0, -5.0]
+    )
+    def test_an_interval_that_cannot_be_honoured_is_refused(self, value):
+        # A NaN interval crashed every reply's encoding; a negative one
+        # was handed to clients as is.
+        with pytest.raises(ValueError, match="interval must be finite and > 0"):
+            make_service(interval=value)
