@@ -10,9 +10,10 @@ shards to a *dispatch backend*.  Two backends ship:
   pool rebuild, structured failure records) live here unchanged.
 
 * :class:`WorkerPoolBackend` — a coordinator speaking a length-prefixed
-  JSON work-queue protocol over TCP sockets.  N ``repro campaign
-  worker`` processes — spawned locally, or started by hand on other
-  hosts behind SSH port-forwards — connect, pull one shard at a time,
+  JSON work-queue protocol over TCP sockets.  N worker processes —
+  local ones forked from the coordinator (POSIX only), remote ones
+  started by hand as ``repro campaign worker`` behind SSH
+  port-forwards — connect, pull one shard at a time,
   execute it with the exact same guarded entry point the local pool
   uses, commit the result through the shared content-addressed cache,
   and report back.  The cache is the *sole* coordination point for
@@ -57,11 +58,11 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import struct
-import subprocess
-import sys
 import threading
+import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -322,14 +323,16 @@ class LocalBackend:
 # ---------------------------------------------------------------------------
 
 class WorkerPoolBackend:
-    """Coordinator for ``repro campaign worker`` processes over TCP.
+    """Coordinator for campaign worker processes over TCP.
 
-    ``workers`` is how many local worker processes to spawn; ``0``
-    means spawn none and wait for externally started workers (e.g. on
-    other hosts, connecting through SSH port-forwards).  The bound
-    address is published on :attr:`address` once :attr:`started` is
-    set, so external tooling (and the tests) can connect before any
-    spawned worker does.
+    ``workers`` is how many local workers to fork from this process,
+    which has the simulator imported already; each runs
+    :func:`~repro.campaign.worker.run_worker` with the injected
+    ``executor``.  ``0`` forks none and waits for ``repro campaign
+    worker`` processes started by hand (e.g. on other hosts, connecting
+    through SSH port-forwards).  The bound address is published on
+    :attr:`address` once :attr:`started` is set, so external tooling
+    (and the tests) can connect before any forked worker does.
     """
 
     name = "worker-pool"
@@ -340,13 +343,13 @@ class WorkerPoolBackend:
         host: str = "127.0.0.1",
         port: int = 0,
         progress: Optional[Callable[[str], None]] = None,
-        python: Optional[str] = None,
+        executor: Callable[[dict], dict] = run_shard_payload,
     ) -> None:
         self.workers = max(0, workers)
         self.host = host
         self.port = port
         self.progress = progress or (lambda message: None)
-        self.python = python or sys.executable
+        self.executor = executor
         self.started = threading.Event()
         self.address: Optional[Tuple[str, int]] = None
         self.duplicate_results = 0
@@ -429,35 +432,16 @@ class WorkerPoolBackend:
                             self.duplicate_results += 1
                             reply = recv_frame(conn)
                     except (OSError, FrameError) as error:
-                        with cond:
-                            finish(
-                                item,
-                                (
-                                    "error",
-                                    WorkerCrashed(
-                                        "worker %s died holding %s (%s)"
-                                        % (worker_name, item.shard.shard_id, error)
-                                    ),
-                                ),
-                            )
-                        return
-                    if reply is None:
-                        with cond:
-                            finish(
-                                item,
-                                (
-                                    "error",
-                                    WorkerCrashed(
-                                        "worker %s disconnected holding %s"
-                                        % (worker_name, item.shard.shard_id)
-                                    ),
-                                ),
-                            )
-                        return
+                        reply = None
+                        crash = "died holding %s (%s)" % (item.shard.shard_id, error)
+                    else:
+                        crash = "disconnected holding %s" % item.shard.shard_id
+                    kind = reply.get("type") if reply is not None else None
                     with cond:
-                        if reply.get("type") == "result":
+                        if kind == "result":
                             finish(item, ("record", reply["record"]))
-                        elif reply.get("type") == "error":
+                            continue
+                        if kind == "error":
                             if reply.get("kind") == "ShardTimeout":
                                 error = ShardTimeout(
                                     reply.get("message", "remote shard timeout")
@@ -465,24 +449,17 @@ class WorkerPoolBackend:
                             else:
                                 error = RemoteShardError(
                                     "%s: %s"
-                                    % (
-                                        reply.get("kind", "Error"),
-                                        reply.get("message", ""),
-                                    )
+                                    % (reply.get("kind", "Error"), reply.get("message", ""))
                                 )
                             finish(item, ("error", error))
-                        else:
-                            finish(
-                                item,
-                                (
-                                    "error",
-                                    WorkerCrashed(
-                                        "worker %s sent unexpected frame %r"
-                                        % (worker_name, reply.get("type"))
-                                    ),
-                                ),
-                            )
-                            return
+                            continue
+                        if reply is not None:
+                            crash = "sent unexpected frame %r" % kind
+                        finish(
+                            item,
+                            ("error", WorkerCrashed("worker %s %s" % (worker_name, crash))),
+                        )
+                    return
                 try:
                     send_frame(conn, {"type": "shutdown"})
                 except OSError:
@@ -506,30 +483,32 @@ class WorkerPoolBackend:
                 )
                 thread.start()
 
-        acceptor = threading.Thread(target=accept_loop, daemon=True)
-        acceptor.start()
-
-        spawned: List[subprocess.Popen] = []
         # Crash-retry bookkeeping bounds the respawn loop (a shard that
         # kills every worker eventually exhausts its retries and
         # resolves as failed); this cap is a last-ditch guard against a
-        # worker that cannot even start (e.g. import error).
+        # worker that dies before it takes a shard.
         respawn_budget = self.workers + len(pending) * 2
+        spawned: List[int] = []
         try:
+            # The first workers fork before the accept thread exists:
+            # their connections wait in the listen backlog until it runs.
             for _ in range(self.workers):
-                spawned.append(self._spawn_worker())
+                spawned.append(self._fork_worker(listener))
+            threading.Thread(target=accept_loop, daemon=True).start()
             with cond:
                 while unfinished:
                     cond.wait(0.25)
                     if not self.workers:
                         continue
-                    live = [proc for proc in spawned if proc.poll() is None]
+                    live = [
+                        pid for pid in spawned if not os.waitpid(pid, os.WNOHANG)[0]
+                    ]
                     if len(live) < self.workers:
                         for _ in range(self.workers - len(live)):
                             if self._respawns >= respawn_budget:
                                 break
                             self._respawns += 1
-                            live.append(self._spawn_worker())
+                            live.append(self._fork_worker(listener))
                         spawned = live
                 stopping = True
                 cond.notify_all()
@@ -538,37 +517,37 @@ class WorkerPoolBackend:
                 listener.close()
             except OSError:
                 pass
-            for proc in spawned:
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+            for pid in spawned:
+                _reap(pid, timeout=10.0)
 
-    def _spawn_worker(self) -> subprocess.Popen:
-        assert self.address is not None
-        env = dict(os.environ)
-        import repro
+    def _fork_worker(self, listener: socket.socket) -> int:
+        """Fork a local worker and return its pid.  The child serves
+        shards from this coordinator, then leaves through ``os._exit``:
+        none of the coordinator's exit handlers or buffered output runs
+        twice."""
+        from repro.campaign.worker import run_worker
 
-        src_dir = str(os.path.dirname(os.path.dirname(repro.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            part
-            for part in (src_dir, env.get("PYTHONPATH"))
-            if part
-        )
-        return subprocess.Popen(
-            [
-                self.python,
-                "-m",
-                "repro",
-                "campaign",
-                "worker",
-                "--connect",
-                "%s:%d" % (self.address[0], self.address[1]),
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-        )
+        pid = os.fork()
+        if pid:
+            return pid
+        code = 1
+        try:
+            listener.close()
+            run_worker("%s:%d" % self.address, executor=self.executor)
+            code = 0
+        finally:
+            os._exit(code)
+
+
+def _reap(pid: int, timeout: float) -> None:
+    """Wait up to *timeout* seconds for a forked worker, then kill it."""
+    deadline = time.monotonic() + timeout
+    while not os.waitpid(pid, os.WNOHANG)[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return
+        time.sleep(0.01)
 
 
 def _local_backend(workers, executor, progress):
@@ -581,7 +560,9 @@ def _worker_pool_backend(
     port, spawn = int(port), workers if spawn is None else int(spawn)
     if not (0 <= port <= 65535 and spawn >= 0):
         raise ValueError("worker-pool needs port in 0-65535 and spawn >= 0")
-    return WorkerPoolBackend(workers=spawn, host=host, port=port, progress=progress)
+    return WorkerPoolBackend(
+        workers=spawn, host=host, port=port, progress=progress, executor=executor
+    )
 
 
 #: Backend constructors by spec name.  A spec's options are the keyword

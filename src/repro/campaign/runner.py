@@ -11,9 +11,10 @@ orders the ones the cache cannot answer longest-first (recorded
 durations when known, a ``piece_count x peers`` estimate for cold
 shards) and executes them through a pluggable *dispatch backend*
 (:mod:`repro.campaign.dispatch`): ``local`` — inline or a
-``ProcessPoolExecutor`` — or ``worker-pool`` — N ``repro campaign
-worker`` processes pulling shards over a socket work queue, on this
-host or others.  Semantics are backend-independent:
+``ProcessPoolExecutor`` — or ``worker-pool`` — N worker processes
+pulling shards over a socket work queue: forks of the coordinator on
+this host, ``repro campaign worker`` on others.  Semantics are
+backend-independent:
 
 * **RNG hygiene** — every worker re-seeds both the global ``random``
   module and the simulation (via the shard's derived seed) before

@@ -1,13 +1,16 @@
 """The campaign worker: one process of a worker-pool backend.
 
-``repro campaign worker --connect HOST:PORT`` connects to a
+:func:`run_worker` connects to a
 :class:`~repro.campaign.dispatch.WorkerPoolBackend` coordinator, pulls
 shards one at a time over the length-prefixed JSON protocol, executes
 each through the exact same guarded entry point the local process pool
 uses (``_run_guarded`` -> ``run_shard_payload``: per-shard RNG hygiene,
 ``SIGALRM`` timeout), commits the result through the shared
 content-addressed cache, and reports the record (or a structured
-error) back.
+error) back.  A coordinator's local workers (``spawn=N``) are forks of
+it that call :func:`run_worker` with its executor; a worker on another
+host (or serving a ``spawn=0`` coordinator) is ``repro campaign worker
+--connect HOST:PORT``, a new interpreter running :func:`main_worker`.
 
 Workers are stateless and interchangeable: all coordination happens
 through the coordinator's queue and the cache.  Running one on another

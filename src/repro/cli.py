@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--backend", default="local", metavar="SPEC",
         help="dispatch backend: 'local' (in-process pool, default) or "
-        "'worker-pool[:host=H,port=P,spawn=N]' (socket coordinator; "
-        "spawn=0 waits for externally started 'campaign worker' "
-        "processes)",
+        "'worker-pool[:host=H,port=P,spawn=N]' (socket coordinator "
+        "forking N local workers; spawn=0 waits for externally started "
+        "'campaign worker' processes)",
     )
     campaign_run.add_argument(
         "--incremental", action="store_true",

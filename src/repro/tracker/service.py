@@ -146,6 +146,13 @@ class TrackerService:
         # expiry would never fire: ``last_seen < nan`` is always false.
         if not (math.isfinite(interval) and interval > 0):
             raise ValueError("interval must be finite and > 0, not %r" % interval)
+        # Replies carry whole seconds (BEP 3), the UDP one in a signed
+        # 32-bit field that load shedding may stretch the interval into.
+        stretch = budget.max_interval_factor if budget is not None else 1.0
+        if interval < 1 or interval * stretch >= 2**31:
+            raise ValueError(
+                "interval must be in [1, 2**31 / %g) s, not %r" % (stretch, interval)
+            )
         if expiry_intervals is not None and not (
             math.isfinite(expiry_intervals) and expiry_intervals > 0
         ):

@@ -12,22 +12,29 @@ whose cache key changed.
 
 Fast tests drive :class:`WorkerPoolBackend` with in-process thread
 workers and a cache-committing fake executor; the conformance matrix
-(the acceptance criterion) runs real simulations through real
-``repro campaign worker`` subprocesses.
+(the acceptance criterion) runs real simulations through real worker
+processes.  Local workers (``spawn=N``) are forks of the coordinator;
+one test serves a ``spawn=0`` coordinator from a ``repro campaign
+worker`` subprocess, the path a worker on another host takes.
 """
 
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -56,6 +63,8 @@ from repro.cli import main as cli_main
 from repro.spec_grammar import parse_spec
 
 pytestmark = pytest.mark.dispatch
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def smoke_spec(torrent_ids=(2, 3), **overrides):
@@ -654,6 +663,97 @@ class TestConformance:
             conformance_runs["pool-w1"].manifest["backend"]
             == "worker-pool:spawn=1"
         )
+
+    def test_a_worker_started_by_hand_matches_local(
+        self, conformance_runs, tmp_path
+    ):
+        # The path a worker on another host takes: a new interpreter
+        # running the CLI, connected to a coordinator that forks none.
+        with PoolHarness(smoke_spec((2, 3)), tmp_path) as harness:
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "repro", "campaign", "worker",
+                 "--connect", harness.endpoint],
+                env=dict(os.environ, PYTHONPATH=SRC),
+            )
+        assert worker.wait(timeout=30.0) == 0
+        assert harness.result.counts["ok"] == 2
+        assert (
+            harness.result.fingerprint
+            == conformance_runs["local-w1"].fingerprint
+        )
+
+
+# ---------------------------------------------------------------------------
+# Local workers are forks of the coordinator
+# ---------------------------------------------------------------------------
+
+def crash_once(marker):
+    """An executor whose first call kills its process (leaving *marker*
+    behind); every later call commits like :func:`fake_commit`."""
+
+    def executor(payload):
+        if not marker.exists():
+            marker.touch()
+            os._exit(3)
+        return fake_commit(payload)
+
+    return executor
+
+
+class TestForkedWorkers:
+    def test_a_worker_that_dies_is_replaced(self, tmp_path):
+        spec = smoke_spec((2,))
+        result = CampaignRunner(
+            spec, cache_dir=str(tmp_path / "pool"),
+            backend="worker-pool:spawn=1",
+            executor=crash_once(tmp_path / "crashed"),
+        ).run()
+        entry = result.manifest["shards"][0]
+        assert entry["status"] == "ok"
+        # One attempt charged to the dead worker, one to its replacement.
+        assert entry["attempts"] == 2
+        clean = CampaignRunner(
+            spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
+        ).run()
+        assert result.fingerprint == clean.fingerprint
+
+    def test_no_local_worker_starts_a_new_interpreter(
+        self, tmp_path, monkeypatch
+    ):
+        def no_popen(*args, **kwargs):
+            raise AssertionError("a local worker was started as %r" % (args,))
+
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        result = CampaignRunner(
+            smoke_spec((2, 3)), cache_dir=str(tmp_path),
+            backend="worker-pool:spawn=1", executor=fake_commit,
+        ).run()
+        assert result.counts["ok"] == 2
+
+    def test_workers_fork_before_the_coordinator_starts_a_thread(
+        self, tmp_path, monkeypatch
+    ):
+        # Python 3.12 warns when it sees a fork in a multi-threaded
+        # process; on Linux it counts OS threads, numpy's BLAS pool
+        # among them, so the Python thread count at each fork is
+        # checked directly as well.
+        baseline = threading.active_count()
+        threads_at_fork = []
+        real_fork = os.fork
+
+        def counting_fork():
+            threads_at_fork.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = CampaignRunner(
+                smoke_spec((2, 3)), cache_dir=str(tmp_path),
+                backend="worker-pool:spawn=1", executor=fake_commit,
+            ).run()
+        assert result.counts["ok"] == 2
+        assert threads_at_fork == [baseline]
 
 
 # ---------------------------------------------------------------------------

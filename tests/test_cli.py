@@ -520,6 +520,12 @@ class TestMistypedOptions:
             (["tracker", "serve", "--expiry-intervals", "nan"],
              "repro tracker serve",
              "expiry_intervals must be finite and > 0, not nan"),
+            # Replies carry whole seconds: 0.5 once went out as interval
+            # 0 (re-announce at once), 3e9 overflowed every UDP reply.
+            (["tracker", "serve", "--interval", "0.5"], "repro tracker serve",
+             "interval must be in [1, 2**31 / 1) s, not 0.5"),
+            (["tracker", "serve", "--interval", "3e9"], "repro tracker serve",
+             "interval must be in [1, 2**31 / 1) s, not 3000000000.0"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

@@ -489,6 +489,33 @@ class TestHandlersAreTotal:
         assert len(peers) >= 5 and all(0 < port < 65536 for __, port in peers)
 
 
+class TestIntervalOnTheWire:
+    @staticmethod
+    def udp_interval(service):
+        """The interval one UDP connect + announce is answered with."""
+        server = TrackerServer(service)
+        source = ("127.0.0.1", 9)
+        __, __, connection_id = struct.unpack(
+            ">iiq", server.handle_datagram(build_udp_connect(1), source)
+        )
+        request = AnnounceRequest(infohash=INFOHASH, address="10.0.0.1:6881")
+        reply = server.handle_datagram(
+            build_udp_announce(connection_id, 2, request, port=6881), source
+        )
+        action, tid, interval = struct.unpack(">iii", reply[:12])
+        assert (action, tid) == (UDP_ANNOUNCE, 2)
+        return interval
+
+    def test_an_interval_the_udp_reply_cannot_carry_is_refused(self):
+        # Once accepted, every UDP announce then raised struct.error in
+        # the datagram handler, and the client got no reply.
+        with pytest.raises(ValueError, match=r"2\*\*31 / 1\) s"):
+            self.udp_interval(make_service(interval=3e9))
+
+    def test_the_largest_interval_still_answers(self):
+        assert self.udp_interval(make_service(interval=2**31 - 1)) == 2**31 - 1
+
+
 class _ScriptedUdpTracker(asyncio.DatagramProtocol):
     """Answers a UDP connect and announce with well-formed heads cut (or
     padded) to the given sizes."""

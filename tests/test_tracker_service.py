@@ -735,3 +735,16 @@ class TestIntervalValidation:
         # was handed to clients as is.
         with pytest.raises(ValueError, match="interval must be finite and > 0"):
             make_service(interval=value)
+
+    def test_a_sub_second_interval_is_refused(self):
+        # Replies carry whole seconds: 0.5 went out as ``interval 0``,
+        # which tells every client to re-announce at once.
+        with pytest.raises(ValueError, match=r"interval must be in \[1, 2\*\*31 / 1\) s, not 0\.5"):
+            make_service(interval=0.5)
+        assert make_service(interval=1.0)[0].interval == 1.0
+
+    def test_shedding_may_not_stretch_past_the_udp_field(self):
+        budget = AnnounceBudget(announces_per_second=10.0, max_interval_factor=8.0)
+        assert make_service(interval=2**28 - 1, budget=budget)
+        with pytest.raises(ValueError, match=r"2\*\*31 / 8\) s, not 268435456"):
+            make_service(interval=2**28, budget=budget)
