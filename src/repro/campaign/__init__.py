@@ -15,7 +15,6 @@ campaign run --workers 4` is just faster, never different.
 """
 
 from repro.campaign.aggregate import (
-    mean_download_times,
     render_campaign_table,
     render_manifest_table,
 )
@@ -28,7 +27,6 @@ from repro.campaign.cache import (
 from repro.campaign.dispatch import (
     BACKENDS,
     LocalBackend,
-    WorkerPoolBackend,
     estimate_shard_cost,
     resolve_backend,
     schedule_shards,
@@ -60,7 +58,6 @@ from repro.campaign.spec import (
     expand_spec,
     parse_torrent_ids,
 )
-from repro.campaign.worker import main_worker, run_worker
 
 __all__ = [
     "BACKENDS",
@@ -81,22 +78,18 @@ __all__ = [
     "ShardDelta",
     "ShardSpec",
     "ShardTimeout",
-    "WorkerPoolBackend",
     "derive_shard_seed",
     "diff_spec",
     "estimate_shard_cost",
     "execute_shard",
     "expand_spec",
-    "main_worker",
     "manifest_fingerprint",
-    "mean_download_times",
     "parse_torrent_ids",
     "render_campaign_table",
     "render_manifest_table",
     "resolve_backend",
     "run_shard_payload",
     "run_summary",
-    "run_worker",
     "schedule_shards",
     "shard_cache_key",
 ]

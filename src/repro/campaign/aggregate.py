@@ -10,7 +10,7 @@ byte-identical tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 
 def _fmt(value, pattern: str = "%.1f", missing: str = "-") -> str:
@@ -51,32 +51,6 @@ def render_campaign_table(records: List[dict]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def mean_download_times(records: List[dict]) -> Dict[int, Optional[float]]:
-    """Per-torrent mean of ``mean_download_time`` across ok replicates.
-
-    Torrents whose shards all failed (or never finished a download) map
-    to None, so the caller can render the gap instead of hiding it.
-    """
-    sums: Dict[int, List[float]] = {}
-    seen: Dict[int, bool] = {}
-    for record in records:
-        torrent_id = record.get("torrent_id")
-        if torrent_id is None:
-            continue
-        seen.setdefault(torrent_id, True)
-        if record.get("status") != "ok":
-            continue
-        value = (record.get("summary") or {}).get("mean_download_time")
-        if value is not None:
-            sums.setdefault(torrent_id, []).append(value)
-    return {
-        torrent_id: (sum(values) / len(values) if values else None)
-        for torrent_id, values in (
-            (tid, sums.get(tid, [])) for tid in sorted(seen)
-        )
-    }
 
 
 def render_manifest_table(manifest: dict) -> str:

@@ -9,12 +9,10 @@ hit replays the stored trace into the exact live ``Instrumentation``.
 :class:`CampaignRunner` expands a :class:`CampaignSpec` into shards,
 orders the ones the cache cannot answer longest-first (recorded
 durations when known, a ``piece_count x peers`` estimate for cold
-shards) and executes them through a pluggable *dispatch backend*
-(:mod:`repro.campaign.dispatch`): ``local`` — inline or a
-``ProcessPoolExecutor`` — or ``worker-pool`` — N worker processes
-pulling shards over a socket work queue: forks of the coordinator on
-this host, ``repro campaign worker`` on others.  Semantics are
-backend-independent:
+shards) and executes them through
+:class:`~repro.campaign.dispatch.LocalBackend`: inline at
+``workers=1``, a ``ProcessPoolExecutor`` above that.  Semantics do not
+depend on the worker count:
 
 * **RNG hygiene** — every worker re-seeds both the global ``random``
   module and the simulation (via the shard's derived seed) before
@@ -25,9 +23,9 @@ backend-independent:
   campaign; timeouts are deterministic, so they are recorded, not
   retried.
 * **Bounded retry on crash** — a worker dying abruptly (a broken
-  process pool, a dropped worker-pool connection) charges one attempt
-  to the shard that surfaced the crash and leaves the rest unharmed,
-  until each shard either completes or exhausts ``retries``.
+  process pool) charges one attempt to the shard that surfaced the
+  crash and leaves the rest unharmed, until each shard either
+  completes or exhausts ``retries``.
 * **Structured failure records** — a failed/timed-out shard becomes a
   manifest entry (status, attempts, error strings) and the campaign
   carries on; it never aborts the other shards.
@@ -166,11 +164,10 @@ def run_shard_payload(payload: dict) -> dict:
     """Worker-process entry point: rebuild the shard and execute it.
 
     ``payload["resume"]`` (default False) is the run's own ``resume``.
-    When set, a worker handed a shard that a racing (or crash-recovered)
-    worker already committed returns the cached record instead of
-    recomputing — the cache is the coordination point, and duplicate
-    completion is idempotent.  A ``--fresh`` run clears it on every
-    backend, so no worker serves a cached entry.
+    When set, a retry of a shard whose crashed worker had already
+    committed it returns the cached record instead of recomputing, so
+    duplicate completion is idempotent.  A ``--fresh`` run clears it, so
+    no worker serves a cached entry.
     """
     shard = ShardSpec.from_payload(payload)
     cache = (
@@ -185,11 +182,11 @@ def run_shard_payload(payload: dict) -> dict:
 def _run_guarded(executor_fn: Callable[[dict], dict], payload: dict) -> dict:
     """What actually runs in the worker: re-seed, arm the timeout, go.
 
-    Also used verbatim for ``workers=1`` inline execution and by the
-    worker-pool workers, so every dispatch path shares every semantic
-    (including the timeout).  The interval timer only arms in a main
-    thread (signals are process-wide): in-process helper threads — the
-    dispatch tests run workers that way — execute unarmed.
+    Also used verbatim for ``workers=1`` inline execution, so every
+    dispatch path shares every semantic (including the timeout).  The
+    interval timer only arms in a main thread (signals are
+    process-wide): a campaign run from a helper thread executes
+    unarmed.
     """
     random.seed(payload["seed"] ^ _RESEED_SALT)
     timeout = payload.get("timeout")
@@ -268,7 +265,15 @@ def manifest_fingerprint(shard_entries: List[dict]) -> str:
 
 
 class CampaignRunner:
-    """Execute a campaign spec through a dispatch backend, cache-first."""
+    """Execute a campaign spec, cache-first, at ``workers`` processes.
+
+    ``backend`` is ``"local"``, or ``"worker-pool[:spawn=N]"``: the same
+    process pool at N workers (any other parameter is a ``ValueError``).
+    That second spelling exists only for the benchmark suite's
+    ``campaign`` workload, which still names it; it goes when that call
+    changes to ``workers=N`` (ROADMAP item 1).  The manifest records the
+    worker count that ran.
+    """
 
     def __init__(
         self,
@@ -280,26 +285,18 @@ class CampaignRunner:
         executor: Callable[[dict], dict] = run_shard_payload,
         progress: Optional[Callable[[str], None]] = None,
         backend: str = "local",
-        dispatch_backend=None,
     ) -> None:
+        from repro.campaign.dispatch import resolve_backend
+
         self.spec = spec
-        self.workers = max(1, workers)
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.executor = executor
         self.progress = progress or (lambda message: None)
-        self.backend_spec = backend
-        if dispatch_backend is None:
-            # Built first, so a bad spec fails before the cache exists.
-            from repro.campaign.dispatch import resolve_backend
-
-            dispatch_backend = resolve_backend(
-                backend, workers=self.workers, executor=executor,
-                progress=self.progress,
-            )
-        self.dispatch = dispatch_backend
-        """The backend instance; tests inject in-process worker pools
-        through ``dispatch_backend``."""
+        # Built first, so a bad spec fails before the cache exists.
+        self.dispatch = resolve_backend(
+            backend, workers=max(1, workers), executor=executor
+        )
+        self.workers = self.dispatch.workers
         self.cache = ShardCache(cache_dir) if cache_dir is not None else None
 
     # -- execution ---------------------------------------------------------
@@ -455,7 +452,6 @@ class CampaignRunner:
             "schema": MANIFEST_SCHEMA_VERSION,
             "campaign": self.spec.describe(),
             "workers": self.workers,
-            "backend": self.backend_spec,
             "counts": counts,
             "shards": entries,
             "manifest_fingerprint": manifest_fingerprint(entries),

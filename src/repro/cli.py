@@ -159,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_campaign_spec_args(campaign_run)
     _campaign_arguments(campaign_run, "--workers")
     campaign_run.add_argument(
-        "--backend", default="local", metavar="SPEC",
-        help="dispatch backend: 'local' (in-process pool, default) or "
-        "'worker-pool[:host=H,port=P,spawn=N]' (socket coordinator "
-        "forking N local workers; spawn=0 waits for externally started "
-        "'campaign worker' processes)",
-    )
-    campaign_run.add_argument(
         "--incremental", action="store_true",
         help="print the spec-vs-cache invalidation report before "
         "executing (the run then executes exactly the invalidated "
@@ -205,19 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_diff.add_argument(
         "--json", action="store_true",
         help="dump the invalidation report as JSON",
-    )
-    campaign_worker = campaign_commands.add_parser(
-        "worker",
-        help="serve shards for a 'campaign run --backend worker-pool' "
-        "coordinator",
-    )
-    campaign_worker.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator endpoint (from the coordinator's startup line)",
-    )
-    campaign_worker.add_argument(
-        "--verbose", action="store_true",
-        help="log each shard's outcome to stderr",
     )
 
     reproduce_parser = commands.add_parser(
@@ -693,11 +673,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(render_manifest_table(manifest), end="")
         return 0
 
-    if args.campaign_command == "worker":
-        from repro.campaign import main_worker
-
-        return main_worker(args.connect, verbose=args.verbose)
-
     if args.campaign_command == "diff":
         from repro.campaign import diff_spec
 
@@ -729,18 +704,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 1 if report.invalidated else 0
 
     spec = _campaign_spec_from_args(args)
-    try:
-        runner = CampaignRunner(
-            spec,
-            cache_dir=args.cache_dir,
-            workers=args.workers,
-            timeout=args.timeout,
-            retries=args.retries,
-            backend=args.backend,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except ValueError as exc:
-        args.usage_error(exc.args[0])
+    runner = CampaignRunner(
+        spec,
+        cache_dir=args.cache_dir,
+        workers=args.workers,
+        timeout=args.timeout,
+        retries=args.retries,
+        progress=lambda message: print(message, file=sys.stderr),
+    )
     if args.incremental:
         from repro.campaign import diff_spec
 

@@ -1,9 +1,8 @@
 """The ``name[:key=value,...]`` grammar shared by every spec string.
 
-Piece selectors (``"mode-suppression:suppression=0.9"``), tracker samplers
-(``"rarity-aware:bias=1.0"``) and campaign dispatch backends
-(``"worker-pool:spawn=3"``) are each named by a registry key plus
-keyword parameters.  :func:`parse_spec` splits a spec and checks its
+Piece selectors (``"mode-suppression:suppression=0.9"``) and tracker
+samplers (``"rarity-aware:bias=1.0"``) are each named by a registry key
+plus keyword parameters.  :func:`parse_spec` splits a spec and checks its
 name; :func:`build_spec` also calls the registered constructor, so a
 misspelt parameter fails as a ``ValueError`` naming the spec where the
 run is described, not in a worker.

@@ -1,40 +1,31 @@
-"""Dispatch-conformance suite for campaign execution backends.
+"""Dispatch-conformance suite for campaign execution.
 
-Pins the PR's non-negotiable invariant: a campaign's manifest
-fingerprint is byte-identical across ``local`` vs ``worker-pool``
-dispatch, any worker count, any scheduling order, and warm-vs-cold
-caches.  Also covers the wire protocol's failure modes (worker crash
-mid-shard, duplicate completion, resume after interrupt) and the
+Pins the campaign's non-negotiable invariant: a manifest fingerprint is
+byte-identical across worker counts (inline at ``workers=1``, a process
+pool above that), any scheduling order, and warm-vs-cold caches.  Also
+covers the process pool's failure modes (worker crash mid-shard,
+duplicate completion through the cache, resume after interrupt) and the
 incremental invalidation semantics of ``campaign diff`` /
 ``run --incremental`` — including a Hypothesis property: for a random
 spec edit, the set of shards a re-run executes is exactly the set
 whose cache key changed.
 
-Fast tests drive :class:`WorkerPoolBackend` with in-process thread
-workers and a cache-committing fake executor; the conformance matrix
-(the acceptance criterion) runs real simulations through real worker
-processes.  Local workers (``spawn=N``) are forks of the coordinator;
-one test serves a ``spawn=0`` coordinator from a ``repro campaign
-worker`` subprocess, the path a worker on another host takes.
+Fast tests drive :class:`CampaignRunner` with cache-committing fake
+executors in real worker processes; the conformance matrix (the
+acceptance criterion) runs real simulations.
 """
 
 import json
 import os
-import socket
-import struct
-import subprocess
-import sys
 import tempfile
-import threading
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro
 from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
@@ -42,29 +33,18 @@ from repro.campaign import (
     LocalBackend,
     ShardCache,
     ShardSpec,
-    WorkerPoolBackend,
     diff_spec,
     estimate_shard_cost,
     expand_spec,
     resolve_backend,
-    run_worker,
     schedule_shards,
     shard_cache_key,
 )
-from repro.campaign.dispatch import (
-    BACKENDS,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from repro.campaign.dispatch import BACKENDS
 from repro.cli import main as cli_main
 from repro.spec_grammar import parse_spec
 
 pytestmark = pytest.mark.dispatch
-
-SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def smoke_spec(torrent_ids=(2, 3), **overrides):
@@ -123,191 +103,37 @@ def fake_fail(payload):
     raise ValueError("shard %d is cursed" % payload["torrent_id"])
 
 
-# ---------------------------------------------------------------------------
-# In-process worker-pool harness
-# ---------------------------------------------------------------------------
-
-class PoolHarness:
-    """A runner wired to an injected ``WorkerPoolBackend(workers=0)``,
-    run in a background thread so tests can play coordinator clients
-    (fake crashing workers, protocol probes, in-process real workers)
-    against its live socket."""
-
-    def __init__(self, spec, cache_dir, retries=1, resume=True):
-        self.resume = resume
-        self.backend = WorkerPoolBackend(workers=0)
-        self.runner = CampaignRunner(
-            spec,
-            cache_dir=str(cache_dir),
-            retries=retries,
-            backend="worker-pool:spawn=0",
-            dispatch_backend=self.backend,
-        )
-        self.result = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        self.result = self.runner.run(resume=self.resume)
-
-    def __enter__(self):
-        self._thread.start()
-        assert self.backend.started.wait(10.0), "coordinator never bound"
-        return self
-
-    def __exit__(self, *exc):
-        self._thread.join(timeout=30.0)
-        assert not self._thread.is_alive(), "campaign never finished"
-
-    @property
-    def endpoint(self):
-        host, port = self.backend.address
-        return "%s:%d" % (host, port)
-
-    def connect(self):
-        host, port = self.backend.address
-        sock = socket.create_connection((host, port), timeout=10.0)
-        send_frame(
-            sock,
-            {"type": "hello", "worker": "test-client",
-             "protocol": PROTOCOL_VERSION},
-        )
-        return sock
-
-    def start_worker(self, executor=fake_commit):
-        thread = threading.Thread(
-            target=run_worker,
-            args=(self.endpoint,),
-            kwargs={"executor": executor},
-            daemon=True,
-        )
-        thread.start()
-        return thread
+def fake_fail_torrent_3(payload):
+    if payload["torrent_id"] == 3:
+        return fake_fail(payload)
+    return fake_commit(payload)
 
 
-# ---------------------------------------------------------------------------
-# Frame codec
-# ---------------------------------------------------------------------------
-
-#: A body nested deeper than ``json.loads`` recurses: RecursionError, not
-#: ValueError, unless the codec maps it.
-HOSTILE_NESTING = b"[" * 200_000
-
-#: Any JSON value that survives a round trip with ``==`` (no NaN).
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4),
-    max_leaves=16,
-)
-
-#: What ``recv_frame`` accepts: an object with a ``"type"`` key.
-TYPED_OBJECTS = st.builds(
-    lambda kind, rest: {**rest, "type": kind},
-    JSON_VALUES,
-    st.dictionaries(st.text(), JSON_VALUES, max_size=4),
-)
+def fake_hang(payload):
+    time.sleep(5.0)
+    return fake_commit(payload)
 
 
-class TestFrameCodec:
-    def pair(self):
-        return socket.socketpair()
+def crash(payload):
+    os._exit(3)  # hard kill: breaks the whole process pool
 
-    def test_roundtrip(self):
-        a, b = self.pair()
-        message = {"type": "work", "shard_id": "t02-smoke-r0",
-                   "payload": {"seed": 40, "nested": [1, 2, {"x": None}]}}
-        send_frame(a, message)
-        assert recv_frame(b) == message
-        a.close(), b.close()
 
-    def test_clean_eof_is_none(self):
-        a, b = self.pair()
-        a.close()
-        assert recv_frame(b) is None
-        b.close()
+def crash_once(marker, payload):
+    """Kill the worker on the first call (leaving *marker* behind);
+    every later call commits like :func:`fake_commit`."""
+    if not os.path.exists(marker):
+        Path(marker).touch()
+        crash(payload)
+    return fake_commit(payload)
 
-    def test_eof_mid_frame_raises(self):
-        a, b = self.pair()
-        a.sendall(struct.pack(">I", 100) + b"{\"type\"")
-        a.close()
-        with pytest.raises(FrameError):
-            recv_frame(b)
-        b.close()
 
-    def test_oversized_frame_raises(self):
-        a, b = self.pair()
-        a.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
-        with pytest.raises(FrameError):
-            recv_frame(b)
-        a.close(), b.close()
-
-    def test_untyped_and_undecodable_frames_raise(self):
-        for body in (
-            b"[1,2,3]",
-            b"\xff\xfe garbage",
-            b"{\"no\": \"type\"}",
-            HOSTILE_NESTING,
-        ):
-            a, b = self.pair()
-            a.sendall(struct.pack(">I", len(body)) + body)
-            with pytest.raises(FrameError):
-                recv_frame(b)
-            a.close(), b.close()
-
-    @given(st.lists(TYPED_OBJECTS, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_typed_objects_round_trip(self, messages):
-        a, b = self.pair()
-        try:
-            for message in messages:
-                send_frame(a, message)
-            a.close()
-            assert [recv_frame(b) for __ in messages] == messages
-            assert recv_frame(b) is None
-        finally:
-            a.close(), b.close()
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.binary(max_size=64),
-                TYPED_OBJECTS.map(
-                    lambda message: json.dumps(message).encode("utf-8")
-                ).map(lambda body: struct.pack(">I", len(body)) + body),
-            ),
-            max_size=4,
-        ).map(b"".join)
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_arbitrary_bytes_are_frames_or_frame_errors(self, stream):
-        """Whatever the bytes, the reader returns typed frames, then
-        either raises ``FrameError`` or returns None at a frame boundary
-        (every byte consumed)."""
-        a, b = self.pair()
-        try:
-            a.sendall(stream)
-            a.close()
-            consumed = 0
-            while True:
-                try:
-                    message = recv_frame(b)
-                except FrameError:
-                    break
-                if message is None:
-                    assert consumed == len(stream)
-                    break
-                assert isinstance(message, dict) and "type" in message
-                body = stream[consumed + 4:]
-                (length,) = struct.unpack(">I", stream[consumed:consumed + 4])
-                # repr, not ==: a frame of hostile bytes may hold a NaN.
-                assert repr(json.loads(body[:length].decode("utf-8"))) == repr(message)
-                consumed += 4 + length
-        finally:
-            a.close(), b.close()
+def commit_then_crash_once(marker, payload):
+    """Commit the shard, then die before reporting it — once."""
+    record = fake_commit(payload)
+    if not os.path.exists(marker):
+        Path(marker).touch()
+        crash(payload)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +217,12 @@ class TestBackendSpec:
             ("slurm", "unknown dispatch backend 'slurm' \\(have: "),
             ("worker-pool:spwan=3", "bad parameters for dispatch backend"),
             ("worker-pool:workers=3", "bad parameters for dispatch backend"),
+            ("worker-pool:host=10.0.0.1", "bad parameters for dispatch backend"),
             ("local:spawn=2", "bad parameters for dispatch backend"),
             ("worker-pool:spawn", "malformed dispatch backend parameter"),
-            ("worker-pool:port=http", "invalid literal"),
-            ("worker-pool:port=70000", "port in 0-65535"),
-            ("worker-pool:spawn=-1", "spawn >= 0"),
+            ("worker-pool:spawn=two", "invalid literal"),
+            ("worker-pool:spawn=0", "spawn >= 1, not 0"),
+            ("worker-pool:spawn=-1", "spawn >= 1, not -1"),
         ):
             with pytest.raises(ValueError, match=message):
                 resolve_backend(spec, workers=1)
@@ -403,26 +230,60 @@ class TestBackendSpec:
     def test_resolve(self):
         local = resolve_backend("local", workers=4)
         assert isinstance(local, LocalBackend) and local.workers == 4
-        pool = resolve_backend("worker-pool:spawn=2,port=7171", workers=8)
-        assert isinstance(pool, WorkerPoolBackend)
-        assert pool.workers == 2 and pool.port == 7171
+        pool = resolve_backend("worker-pool:spawn=2", workers=8)
+        assert isinstance(pool, LocalBackend) and pool.workers == 2
         assert resolve_backend("worker-pool", workers=3).workers == 3
+
+    def test_worker_pool_spelling_is_the_local_pool(self, tmp_path):
+        # The spelling the benchmark suite's campaign workload uses: the
+        # same process pool, at spawn workers, and no socket parameter.
+        pool = resolve_backend("worker-pool:spawn=3", workers=1)
+        assert isinstance(pool, LocalBackend) and pool.workers == 3
+        with pytest.raises(ValueError, match="bad parameters for dispatch backend"):
+            resolve_backend("worker-pool:port=7000", workers=1)
+        with pytest.raises(ValueError, match="bad parameters"):
+            CampaignRunner(
+                smoke_spec((2,)), cache_dir=str(tmp_path / "refused"),
+                backend="worker-pool:port=7000",
+            )
+        assert not (tmp_path / "refused").exists()
+        # The manifest records the worker count that ran, not the
+        # ``workers`` argument the spelling overrode.
+        result = CampaignRunner(
+            smoke_spec((2, 3)), cache_dir=str(tmp_path / "cache"), workers=1,
+            backend="worker-pool:spawn=3", executor=fake_commit,
+        ).run()
+        assert result.counts["ok"] == 2
+        assert result.manifest["workers"] == 3
+        manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
+        assert manifest["workers"] == 3 and "backend" not in manifest
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool failure semantics (in-process, fast)
+# Process-pool failure semantics (LocalBackend at workers=2, fast)
 # ---------------------------------------------------------------------------
 
 class TestWorkerPoolSemantics:
+    """A shard through the 2-worker process pool: crashes, errors and
+    timeouts are charged to the right shard, and the cache makes every
+    retry and re-run converge on the clean fingerprint."""
+
+    def pool_run(self, spec, cache_dir, resume=True, **kwargs):
+        runner = CampaignRunner(spec, cache_dir=str(cache_dir), workers=2, **kwargs)
+        assert runner.dispatch.workers == 2
+        return runner.run(resume=resume)
+
+    def clean(self, spec, cache_dir):
+        return CampaignRunner(
+            spec, cache_dir=str(cache_dir), executor=fake_commit
+        ).run()
+
     def test_worker_crash_mid_shard_is_retried(self, tmp_path):
-        spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path) as harness:
-            crasher = harness.connect()
-            work = recv_frame(crasher)
-            assert work["type"] == "work"
-            crasher.close()  # dies holding the lease
-            harness.start_worker()
-        result = harness.result
+        result = self.pool_run(
+            smoke_spec((2,)), tmp_path / "cache",
+            executor=partial(crash_once, str(tmp_path / "crashed")),
+        )
+        assert (tmp_path / "crashed").exists()  # the crash happened
         entry = result.manifest["shards"][0]
         assert entry["status"] == "ok"
         # One attempt charged to the crash, one to the completion.
@@ -430,116 +291,52 @@ class TestWorkerPoolSemantics:
         assert result.counts["ok"] == 1
 
     def test_crash_exhausts_retries_to_failed(self, tmp_path):
-        spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path, retries=0) as harness:
-            crasher = harness.connect()
-            assert recv_frame(crasher)["type"] == "work"
-            crasher.close()
-        entry = harness.result.manifest["shards"][0]
+        result = self.pool_run(smoke_spec((2,)), tmp_path, retries=0, executor=crash)
+        entry = result.manifest["shards"][0]
         assert entry["status"] == "failed"
-        assert "WorkerCrashed" in entry["errors"][0]
+        assert entry["attempts"] == 1
+        assert "BrokenProcessPool" in entry["errors"][0]
 
-    def test_hostile_reply_fails_the_shard_instead_of_stranding_it(
-        self, tmp_path
-    ):
-        """Regression: a reply nested deeper than the JSON decoder
-        recurses escaped the connection thread as RecursionError, which
-        died holding the lease: run() never returned."""
-        spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path, retries=0) as harness:
-            client = harness.connect()
-            assert recv_frame(client)["type"] == "work"
-            client.sendall(struct.pack(">I", len(HOSTILE_NESTING)) + HOSTILE_NESTING)
-            harness._thread.join(timeout=10.0)
-            assert not harness._thread.is_alive(), "run() still blocked"
-            client.close()
-        entry = harness.result.manifest["shards"][0]
-        assert entry["status"] == "failed"
-        assert "WorkerCrashed" in entry["errors"][0]
-        assert "undecodable frame" in entry["errors"][0]
-
-    def test_remote_error_consumes_retries(self, tmp_path):
-        spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path, retries=1) as harness:
-            harness.start_worker(executor=fake_fail)
-        entry = harness.result.manifest["shards"][0]
+    def test_executor_error_consumes_retries(self, tmp_path):
+        result = self.pool_run(smoke_spec((2,)), tmp_path, retries=1, executor=fake_fail)
+        entry = result.manifest["shards"][0]
         assert entry["status"] == "failed"
         assert entry["attempts"] == 2
-        assert all("RemoteShardError" in err for err in entry["errors"])
+        assert all("ValueError: shard 2 is cursed" in err for err in entry["errors"])
 
-    def test_remote_timeout_recorded_not_retried(self, tmp_path):
-        # A remote ShardTimeout is deterministic: one attempt, status
-        # "timeout", exactly like the local pool's semantics.
-        spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path, retries=5) as harness:
-            client = harness.connect()
-            work = recv_frame(client)
-            send_frame(client, {
-                "type": "error", "shard_id": work["shard_id"],
-                "kind": "ShardTimeout", "message": "overran budget",
-            })
-            recv_frame(client)  # shutdown
-            client.close()
-        entry = harness.result.manifest["shards"][0]
+    def test_timeout_recorded_not_retried(self, tmp_path):
+        # The worker's SIGALRM fires in the child; a timeout is
+        # deterministic: one attempt, status "timeout".
+        result = self.pool_run(
+            smoke_spec((2,)), tmp_path, timeout=0.2, retries=5, executor=fake_hang
+        )
+        entry = result.manifest["shards"][0]
         assert entry["status"] == "timeout"
         assert entry["attempts"] == 1
-
-    def test_stale_duplicate_result_frame_discarded(self, tmp_path):
-        # A worker re-sending an already-delivered result must not be
-        # read as the answer to its next lease.
-        spec = smoke_spec((2, 3))
-        with PoolHarness(spec, tmp_path) as harness:
-            client = harness.connect()
-            first = recv_frame(client)
-            record_a = fake_commit(dict(first["payload"]))
-            send_frame(client, {"type": "result",
-                                "shard_id": first["shard_id"],
-                                "record": record_a})
-            second = recv_frame(client)
-            assert second["type"] == "work"
-            assert second["shard_id"] != first["shard_id"]
-            # Stale duplicate of the first result, then the real one.
-            send_frame(client, {"type": "result",
-                                "shard_id": first["shard_id"],
-                                "record": record_a})
-            record_b = fake_commit(dict(second["payload"]))
-            send_frame(client, {"type": "result",
-                                "shard_id": second["shard_id"],
-                                "record": record_b})
-            assert recv_frame(client)["type"] == "shutdown"
-            client.close()
-        assert harness.result.counts["ok"] == 2
-        assert harness.backend.duplicate_results == 1
-        for entry in harness.result.manifest["shards"]:
-            assert entry["attempts"] == 1
+        assert "ShardTimeout" in entry["errors"][0]
 
     def test_duplicate_completion_through_cache_is_idempotent(self, tmp_path):
-        # Worker 1 executes + commits, then dies before reporting; the
-        # requeued shard reaches worker 2 with resume=True and is served
-        # from the single committed entry — one commit, same bytes.
+        # The worker executes + commits, then dies before reporting; the
+        # retried shard carries resume=True and is served from the
+        # single committed entry — one commit, same bytes.
+        cache_dir = tmp_path / "cache"
         spec = smoke_spec((2,))
-        with PoolHarness(spec, tmp_path) as harness:
-            client = harness.connect()
-            work = recv_frame(client)
-            assert work["payload"]["resume"] is True
-            fake_commit(dict(work["payload"]))  # commit, then "die"
-            client.close()
-            harness.start_worker()
-        result = harness.result
+        result = self.pool_run(
+            spec, cache_dir,
+            executor=partial(commit_then_crash_once, str(tmp_path / "crashed")),
+        )
         entry = result.manifest["shards"][0]
         assert entry["status"] == "ok"
-        key = entry["key"]
-        cache = ShardCache(tmp_path)
-        assert cache.load(key)["trace_fingerprint"] == entry["trace_fingerprint"]
+        assert entry["attempts"] == 2
+        assert result.records["t02-smoke-r0"]["cache_hit"] is True
+        cache = ShardCache(cache_dir)
+        assert cache.load(entry["key"])["trace_fingerprint"] == entry["trace_fingerprint"]
         # Exactly one committed trace, no tmp debris.
-        assert len(list(Path(tmp_path).glob("*.trace.jsonl"))) == 1
-        assert list(Path(tmp_path).glob("*.tmp")) == []
+        assert len(list(cache_dir.glob("*.trace.jsonl"))) == 1
+        assert list(cache_dir.glob("*.tmp")) == []
         # The crashed-after-commit run fingerprints identically to a
-        # clean local run of the same spec.
-        clean = CampaignRunner(
-            spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
-        ).run()
-        assert result.fingerprint == clean.fingerprint
+        # clean inline run of the same spec.
+        assert result.fingerprint == self.clean(spec, tmp_path / "clean").fingerprint
 
     def test_racing_commits_are_byte_identical(self, tmp_path):
         # Two real processes commit the same shard concurrently into one
@@ -562,55 +359,34 @@ class TestWorkerPoolSemantics:
 
     def test_resume_after_interrupt_through_worker_pool(self, tmp_path):
         # First run "interrupts" after one shard (filter); the full run
-        # through the worker pool executes only the missing shard and
-        # lands on the clean-run fingerprint.
+        # through the pool executes only the missing shard and lands on
+        # the clean-run fingerprint.
         spec = smoke_spec((2, 3))
         CampaignRunner(
             spec, cache_dir=str(tmp_path), executor=fake_commit
         ).run(shard_filter="t02-*")
-        with PoolHarness(spec, tmp_path) as harness:
-            harness.start_worker()
-        result = harness.result
+        result = self.pool_run(spec, tmp_path, executor=fake_commit)
         assert result.counts["cache_hits"] == 1
         assert result.counts["executed"] == 1
-        clean = CampaignRunner(
-            spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
-        ).run()
-        assert result.fingerprint == clean.fingerprint
+        assert result.fingerprint == self.clean(spec, tmp_path / "clean").fingerprint
 
     def test_fresh_run_through_worker_pool_ignores_the_cache(self, tmp_path):
-        # Regression: the worker-pool payload forced resume=True, so a
-        # --fresh run was answered from the cache it meant to ignore.
         spec = smoke_spec((2,))
         CampaignRunner(spec, cache_dir=str(tmp_path), executor=fake_commit).run()
-        with PoolHarness(spec, tmp_path, resume=False) as harness:
-            harness.start_worker()
-        assert harness.result.counts["cache_hits"] == 0
-        assert harness.result.records["t02-smoke-r0"]["cache_hit"] is False
+        result = self.pool_run(spec, tmp_path, resume=False, executor=fake_commit)
+        assert result.counts["cache_hits"] == 0
+        assert result.records["t02-smoke-r0"]["cache_hit"] is False
 
     def test_failed_shard_retries_on_next_run(self, tmp_path):
         # A shard that failed (no cache entry) re-executes on the next
-        # worker-pool run and converges to the clean fingerprint.
+        # run and converges to the clean fingerprint.
         spec = smoke_spec((2, 3))
-        with PoolHarness(spec, tmp_path, retries=0) as harness:
-            client = harness.connect()
-            work = recv_frame(client)
-            send_frame(client, {
-                "type": "result", "shard_id": work["shard_id"],
-                "record": fake_commit(dict(work["payload"])),
-            })
-            # Crash while holding the second shard: retries=0 fails it.
-            assert recv_frame(client)["type"] == "work"
-            client.close()
-        assert harness.result.counts["failed"] == 1
-        with PoolHarness(spec, tmp_path) as rerun:
-            rerun.start_worker()
-        assert rerun.result.counts["failed"] == 0
-        assert rerun.result.counts["cache_hits"] == 1
-        clean = CampaignRunner(
-            spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
-        ).run()
-        assert rerun.result.fingerprint == clean.fingerprint
+        first = self.pool_run(spec, tmp_path, retries=0, executor=fake_fail_torrent_3)
+        assert first.counts["failed"] == 1
+        rerun = self.pool_run(spec, tmp_path, executor=fake_commit)
+        assert rerun.counts["failed"] == 0
+        assert rerun.counts["cache_hits"] == 1
+        assert rerun.fingerprint == self.clean(spec, tmp_path / "clean").fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -619,23 +395,16 @@ class TestWorkerPoolSemantics:
 
 @pytest.fixture(scope="module")
 def conformance_runs(tmp_path_factory):
-    """Run the same tiny campaign through every backend configuration."""
+    """Run the same tiny campaign at every worker count, then warm."""
     spec = smoke_spec((2, 3))
     root = tmp_path_factory.mktemp("conformance")
     runs = {}
-    for label, kwargs in (
-        ("local-w1", {"workers": 1}),
-        ("local-w2", {"workers": 2}),
-        ("pool-w1", {"backend": "worker-pool:spawn=1"}),
-        ("pool-w3", {"backend": "worker-pool:spawn=3"}),
-    ):
+    for workers in (1, 2, 3):
+        label = "local-w%d" % workers
         runs[label] = CampaignRunner(
-            spec, cache_dir=str(root / label), **kwargs
+            spec, cache_dir=str(root / label), workers=workers
         ).run()
-    runs["warm-rerun"] = CampaignRunner(
-        spec, cache_dir=str(root / "pool-w3"),
-        backend="worker-pool:spawn=1",
-    ).run()
+    runs["warm-rerun"] = CampaignRunner(spec, cache_dir=str(root / "local-w3")).run()
     return runs
 
 
@@ -656,104 +425,6 @@ class TestConformance:
         warm = conformance_runs["warm-rerun"]
         assert warm.counts["cache_hits"] == warm.counts["shards"]
         assert warm.counts["executed"] == 0
-
-    def test_manifest_records_backend(self, conformance_runs):
-        assert conformance_runs["local-w1"].manifest["backend"] == "local"
-        assert (
-            conformance_runs["pool-w1"].manifest["backend"]
-            == "worker-pool:spawn=1"
-        )
-
-    def test_a_worker_started_by_hand_matches_local(
-        self, conformance_runs, tmp_path
-    ):
-        # The path a worker on another host takes: a new interpreter
-        # running the CLI, connected to a coordinator that forks none.
-        with PoolHarness(smoke_spec((2, 3)), tmp_path) as harness:
-            worker = subprocess.Popen(
-                [sys.executable, "-m", "repro", "campaign", "worker",
-                 "--connect", harness.endpoint],
-                env=dict(os.environ, PYTHONPATH=SRC),
-            )
-        assert worker.wait(timeout=30.0) == 0
-        assert harness.result.counts["ok"] == 2
-        assert (
-            harness.result.fingerprint
-            == conformance_runs["local-w1"].fingerprint
-        )
-
-
-# ---------------------------------------------------------------------------
-# Local workers are forks of the coordinator
-# ---------------------------------------------------------------------------
-
-def crash_once(marker):
-    """An executor whose first call kills its process (leaving *marker*
-    behind); every later call commits like :func:`fake_commit`."""
-
-    def executor(payload):
-        if not marker.exists():
-            marker.touch()
-            os._exit(3)
-        return fake_commit(payload)
-
-    return executor
-
-
-class TestForkedWorkers:
-    def test_a_worker_that_dies_is_replaced(self, tmp_path):
-        spec = smoke_spec((2,))
-        result = CampaignRunner(
-            spec, cache_dir=str(tmp_path / "pool"),
-            backend="worker-pool:spawn=1",
-            executor=crash_once(tmp_path / "crashed"),
-        ).run()
-        entry = result.manifest["shards"][0]
-        assert entry["status"] == "ok"
-        # One attempt charged to the dead worker, one to its replacement.
-        assert entry["attempts"] == 2
-        clean = CampaignRunner(
-            spec, cache_dir=str(tmp_path / "clean"), executor=fake_commit
-        ).run()
-        assert result.fingerprint == clean.fingerprint
-
-    def test_no_local_worker_starts_a_new_interpreter(
-        self, tmp_path, monkeypatch
-    ):
-        def no_popen(*args, **kwargs):
-            raise AssertionError("a local worker was started as %r" % (args,))
-
-        monkeypatch.setattr(subprocess, "Popen", no_popen)
-        result = CampaignRunner(
-            smoke_spec((2, 3)), cache_dir=str(tmp_path),
-            backend="worker-pool:spawn=1", executor=fake_commit,
-        ).run()
-        assert result.counts["ok"] == 2
-
-    def test_workers_fork_before_the_coordinator_starts_a_thread(
-        self, tmp_path, monkeypatch
-    ):
-        # Python 3.12 warns when it sees a fork in a multi-threaded
-        # process; on Linux it counts OS threads, numpy's BLAS pool
-        # among them, so the Python thread count at each fork is
-        # checked directly as well.
-        baseline = threading.active_count()
-        threads_at_fork = []
-        real_fork = os.fork
-
-        def counting_fork():
-            threads_at_fork.append(threading.active_count())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = CampaignRunner(
-                smoke_spec((2, 3)), cache_dir=str(tmp_path),
-                backend="worker-pool:spawn=1", executor=fake_commit,
-            ).run()
-        assert result.counts["ok"] == 2
-        assert threads_at_fork == [baseline]
 
 
 # ---------------------------------------------------------------------------

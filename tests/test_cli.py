@@ -437,9 +437,11 @@ class TestMistypedOptions:
             (["tracker", "serve", "--sampler", "uniform:bias=2"],
              "repro tracker serve",
              "bad parameters for sampler 'uniform:bias=2'"),
+            # --workers N is the one way to run shards in parallel:
+            # there is no --backend flag and no worker command.
             (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
-              "--backend", "worker-pool:spwan=3"], "repro campaign run",
-             "bad parameters for dispatch backend 'worker-pool:spwan=3'"),
+              "--backend", "local"], "repro",
+             "unrecognized arguments: --backend local"),
             # A campaign that describes no shard, or one shard twice, is
             # refused before any shard runs.
             (["campaign", "run", "--torrents", "2", "--scenario", "smoke,smoke"],
@@ -526,6 +528,9 @@ class TestMistypedOptions:
              "interval must be in [1, 2**31 / 1) s, not 0.5"),
             (["tracker", "serve", "--interval", "3e9"], "repro tracker serve",
              "interval must be in [1, 2**31 / 1) s, not 3000000000.0"),
+            (["campaign", "worker", "--connect", "127.0.0.1:1"],
+             "repro campaign",
+             "argument campaign_command: invalid choice: 'worker'"),
         ],
     )
     def test_exit_2_one_line_no_traceback(
