@@ -104,7 +104,7 @@ class LocalBackend:
         workers: int = 1,
         executor: Callable[[dict], dict] = run_shard_payload,
     ) -> None:
-        self.workers = max(1, workers)
+        self.workers = workers
         self.executor = executor
 
     def execute(self, pending: List, resolve, absorb_error) -> None:

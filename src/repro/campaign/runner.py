@@ -40,6 +40,7 @@ computed the same results.
 from __future__ import annotations
 
 import json
+import math
 import random
 import signal
 import threading
@@ -273,6 +274,11 @@ class CampaignRunner:
     ``campaign`` workload, which still names it; it goes when that call
     changes to ``workers=N`` (ROADMAP item 1).  The manifest records the
     worker count that ran.
+
+    ``workers < 1``, ``retries < 0`` and a ``timeout`` that is set but
+    not finite and > 0 raise ``ValueError``: none of them describes a
+    campaign that can run (``setitimer`` rejects a negative or NaN
+    timeout in every shard, and takes 0 to mean "no timeout").
     """
 
     def __init__(
@@ -288,13 +294,19 @@ class CampaignRunner:
     ) -> None:
         from repro.campaign.dispatch import resolve_backend
 
+        if workers < 1:
+            raise ValueError("workers must be >= 1, not %d" % workers)
+        if retries < 0:
+            raise ValueError("retries must be >= 0, not %d" % retries)
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError("timeout must be finite and > 0, not %r" % timeout)
         self.spec = spec
         self.timeout = timeout
-        self.retries = max(0, retries)
+        self.retries = retries
         self.progress = progress or (lambda message: None)
         # Built first, so a bad spec fails before the cache exists.
         self.dispatch = resolve_backend(
-            backend, workers=max(1, workers), executor=executor
+            backend, workers=workers, executor=executor
         )
         self.workers = self.dispatch.workers
         self.cache = ShardCache(cache_dir) if cache_dir is not None else None

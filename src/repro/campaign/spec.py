@@ -93,8 +93,7 @@ class ShardSpec:
 
     def as_payload(self) -> dict:
         """A picklable/JSON-safe dict from which the shard can be rebuilt:
-        the identity, then :meth:`RunOptions.as_payload` (whose
-        only-when-set rule keeps historical cache keys valid)."""
+        the identity, then :meth:`RunOptions.as_payload`."""
         payload = {name: getattr(self, name) for name in _IDENTITY_FIELDS}
         payload.update(self.options.as_payload())
         return payload
@@ -112,7 +111,7 @@ class CampaignSpec:
     """The declarative description of a campaign.
 
     The fields that share a name with a :class:`RunOptions` coordinate
-    (``duration`` ... ``tracker_sampler``) apply to every shard and,
+    (``duration``, ``block_size``) apply to every shard and,
     when set, take precedence over the scenario variant's own value
     (they are the explicit knob, the variant is the default).
     """
@@ -124,8 +123,6 @@ class CampaignSpec:
     campaign_seed: int = DEFAULT_CAMPAIGN_SEED
     duration: Optional[float] = None
     block_size: Optional[int] = None
-    selector: Optional[str] = None
-    tracker_sampler: Optional[str] = None
 
     def describe(self) -> dict:
         described = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -155,8 +152,8 @@ def expand_spec(
     shards whose :attr:`~ShardSpec.shard_id` matches the glob (or
     contains it as a substring), e.g. ``"t07-*"`` or ``"faults"``.
 
-    An unknown scenario raises ``KeyError`` and a bad selector, sampler
-    or fault-preset spec ``ValueError`` here (``RunOptions`` validates
+    An unknown scenario raises ``KeyError`` and a bad run length or
+    block size ``ValueError`` here (``RunOptions`` validates
     itself), before any worker is spawned.  So does a spec that
     describes no shard or one shard twice: ``replicates < 1``, no
     torrent id or scenario, or a repeated one.

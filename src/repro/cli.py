@@ -306,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="UDP announce port (default: same as --port; 0 = ephemeral)",
     )
     tracker_serve.add_argument(
-        "--sampler", default="uniform", metavar="SPEC",
-        help="peer-sampling strategy: uniform, "
-        "'seed-biased:seed_fraction=0.5', 'rarity-aware:bias=1.0'",
-    )
-    tracker_serve.add_argument(
         "--seed", type=int, default=0,
         help="service seed for per-request RNG derivation",
     )
@@ -372,17 +367,6 @@ def _run_option_arguments(parser: argparse.ArgumentParser) -> None:
         "--duration", type=float, default=None,
         help="override the simulated run length (seconds) of the run, or "
         "of every shard",
-    )
-    parser.add_argument(
-        "--selector", default=None, metavar="SPEC",
-        help="piece-selection strategy for every peer: rarest-first "
-        "(default), random, sequential, "
-        "'mode-suppression:suppression=0.9'",
-    )
-    parser.add_argument(
-        "--tracker-sampler", default=None, metavar="SPEC",
-        help="tracker peer-sampling strategy: uniform (default), "
-        "'seed-biased:seed_fraction=0.5', 'rarity-aware:bias=1.0'",
     )
 
 
@@ -636,11 +620,9 @@ def _campaign_spec_from_args(args: argparse.Namespace):
             replicates=args.replicates,
             campaign_seed=args.campaign_seed,
             duration=args.duration,
-            selector=args.selector,
-            tracker_sampler=args.tracker_sampler,
         )
-        # Unknown scenario, bad selector / sampler spec: fail as a usage
-        # error before the cache is read or a worker spawned.
+        # Unknown scenario, bad run length: fail as a usage error before
+        # the cache is read or a worker spawned.
         expand_spec(spec)
     except (KeyError, ValueError) as exc:
         args.usage_error(exc.args[0])
@@ -704,14 +686,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 1 if report.invalidated else 0
 
     spec = _campaign_spec_from_args(args)
-    runner = CampaignRunner(
-        spec,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        timeout=args.timeout,
-        retries=args.retries,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
+    try:
+        runner = CampaignRunner(
+            spec,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            timeout=args.timeout,
+            retries=args.retries,
+            progress=lambda message: print(message, file=sys.stderr),
+        )
+    except ValueError as exc:
+        args.usage_error(exc.args[0])
     if args.incremental:
         from repro.campaign import diff_spec
 
@@ -749,6 +734,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         args.usage_error(exc.args[0])
     if args.replicates < 1:
         args.usage_error("--replicates must be at least 1")
+    if args.workers < 1:
+        args.usage_error("workers must be >= 1, not %d" % args.workers)
     try:
         scorecard = reproduce(
             claims,
@@ -907,6 +894,10 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
     from repro.tracker.service import AnnounceBudget, TrackerService
     from repro.tracker.server import TrackerServer
 
+    udp_port = args.udp_port if args.udp_port is not None else args.port
+    for flag, port in (("--port", args.port), ("--udp-port", udp_port)):
+        if not 0 <= port <= 65535:
+            args.usage_error("%s must be in 0-65535, not %d" % (flag, port))
     service_kwargs = {
         "seed": args.seed,
         "expiry_intervals": args.expiry_intervals,
@@ -918,12 +909,9 @@ def _cmd_tracker(args: argparse.Namespace) -> int:
             service_kwargs["budget"] = AnnounceBudget(
                 announces_per_second=args.announce_budget
             )
-        service = TrackerService.from_spec(
-            time.monotonic, sampler_spec=args.sampler, **service_kwargs
-        )
+        service = TrackerService(time.monotonic, **service_kwargs)
     except ValueError as exc:
         args.usage_error(exc.args[0])
-    udp_port = args.udp_port if args.udp_port is not None else args.port
 
     async def serve() -> None:
         server = TrackerServer(

@@ -325,7 +325,6 @@ class PeerCore:
             num_want=num_want,
             is_seed=self.is_seed,
             rng=self.rng,
-            have_count=self.bitfield.count,
         )
 
     # ------------------------------------------------------------------

@@ -193,13 +193,6 @@ class SwarmConfig:
     """Fluid-model timestep in seconds: bandwidth is reallocated and block
     progress advanced once per tick."""
 
-    tracker_sampler: Optional[str] = None
-    """Peer-sampling strategy spec for the tracker
-    (``"uniform"`` / ``"seed-biased[:seed_fraction=f]"`` /
-    ``"rarity-aware[:bias=b]"``; see
-    :func:`repro.tracker.sampling.make_sampler`).  None keeps the
-    default uniform sampler with zero behaviour change."""
-
     trace_announces: bool = False
     """Emit per-announce observer events (``on_announce``) carrying the
     event type, peers returned and swarm occupancy.  Off (default) the

@@ -27,7 +27,6 @@ from repro.sim.engine import Simulator, Timer
 from repro.sim.faults import FaultPlan
 from repro.sim.observer import PeerObserver
 from repro.sim.peer import Peer
-from repro.tracker.sampling import make_sampler
 from repro.tracker.tracker import Tracker
 
 
@@ -91,18 +90,8 @@ class Swarm:
         self.simulator = Simulator()
         self._allocate = resolve_allocator()
         self.rng = Random(self.config.seed)
-        # The tracker sampler is None-transparent: no spec builds the
-        # same UniformSampler the tracker would default to, so runs
-        # without the knob are byte-identical to the pre-knob code.
-        sampler = (
-            make_sampler(self.config.tracker_sampler)
-            if self.config.tracker_sampler is not None
-            else None
-        )
         self.tracker = Tracker(
-            Random(self.rng.getrandbits(64)),
-            lambda: self.simulator.now,
-            sampler=sampler,
+            Random(self.rng.getrandbits(64)), lambda: self.simulator.now
         )
         self.peers: Dict[str, Peer] = {}
         self.result = SwarmResult(duration=0.0)

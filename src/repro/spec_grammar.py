@@ -5,7 +5,8 @@ samplers (``"rarity-aware:bias=1.0"``) are each named by a registry key
 plus keyword parameters.  :func:`parse_spec` splits a spec and checks its
 name; :func:`build_spec` also calls the registered constructor, so a
 misspelt parameter fails as a ``ValueError`` naming the spec where the
-run is described, not in a worker.
+spec is built (``make_selector``, ``make_sampler``, the campaign
+runner's ``backend=``), not in a worker.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ and UDP frontends and a direct call answer a given announce sequence
 identically — the property the sim-vs-live differential tests pin byte
 for byte.  The simulator's :class:`repro.tracker.tracker.Tracker` does
 not run through it: it drives one
-:class:`~repro.tracker.state.SwarmState` and a sampler itself, the two
-pieces it shares with this service.
+:class:`~repro.tracker.state.SwarmState` and the uniform draw itself,
+the two pieces it shares with this service.
 
 **Determinism.**  A caller that *has* a seeded RNG (a simulated peer)
 passes it and the sample is drawn from that stream.  A remote caller
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional
 
-from repro.tracker.sampling import PeerSampler, UniformSampler, make_sampler
+from repro.tracker.sampling import PeerSampler, UniformSampler
 from repro.tracker.state import ShardedSwarmStore, SwarmState
 from repro.tracker.tracker import TrackerUnavailable
 from repro.tracker.wire import DEFAULT_INTERVAL
@@ -173,15 +173,6 @@ class TrackerService:
         self.shed_announces = 0
         self.rejected_announces = 0
         self.expired_peers = 0
-
-    @classmethod
-    def from_spec(
-        cls,
-        clock: Callable[[], float],
-        sampler_spec: str = "uniform",
-        **kwargs,
-    ) -> "TrackerService":
-        return cls(clock, sampler=make_sampler(sampler_spec), **kwargs)
 
     # -- the announce path -------------------------------------------------
 

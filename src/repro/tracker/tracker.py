@@ -1,21 +1,21 @@
 """Tracker: the only centralised component of BitTorrent (§II-B).
 
 The tracker keeps the set of peers currently involved in the torrent,
-hands a subset (50 by default, uniform random unless a different
-:mod:`~repro.tracker.sampling` strategy is installed) to peers that
-announce, and collects the per-torrent statistics (number of seeds and
-leechers over time) the paper probes to establish transient vs. steady
-state.  It is not involved in the actual distribution of the file.
+hands a uniform random subset (50 by default) to peers that announce,
+and collects the per-torrent statistics (number of seeds and leechers
+over time) the paper probes to establish transient vs. steady state.
+It is not involved in the actual distribution of the file.
 
 This in-process class is the synchronous tracker the simulator and the
 live :mod:`repro.net` peers call directly.  It drives one
-:class:`repro.tracker.state.SwarmState` and its sampler itself; it does
-not go through :class:`repro.tracker.service.TrackerService`, the
+:class:`repro.tracker.state.SwarmState` and the uniform draw itself; it
+does not go through :class:`repro.tracker.service.TrackerService`, the
 multi-swarm engine behind the asyncio announce server
 (:mod:`repro.tracker.server`).  The two share the registry and the
-sampler registry, so what an announce does to a swarm and whom it
-samples cannot drift between them; the service alone adds the sharded
-store, load shedding and per-request RNG derivation.
+:class:`~repro.tracker.sampling.UniformSampler`, so what an announce
+does to a swarm and whom it samples cannot drift between them; the
+service alone adds the sharded store, load shedding, per-request RNG
+derivation and the non-uniform samplers.
 
 **RNG discipline.**  ``announce`` samples through the RNG the *caller*
 passes (each peer its own seeded stream).  Historically every sample
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.tracker.sampling import PeerSampler, UniformSampler
+from repro.tracker.sampling import UniformSampler
 from repro.tracker.state import SwarmState
 
 
@@ -58,16 +58,11 @@ class TrackerStats:
 class Tracker:
     """In-memory tracker for a single torrent."""
 
-    def __init__(
-        self,
-        rng: Random,
-        clock: Callable[[], float],
-        sampler: Optional[PeerSampler] = None,
-    ):
+    def __init__(self, rng: Random, clock: Callable[[], float]):
         self._rng = rng
         self._clock = clock
         self._state = SwarmState()
-        self._sampler = sampler or UniformSampler()
+        self._sampler = UniformSampler()
         self._history: List[TrackerStats] = []
         self._outages: Tuple[Tuple[float, float], ...] = ()
         self.announce_count = 0
@@ -90,28 +85,20 @@ class Tracker:
         num_want: int,
         is_seed: bool,
         rng: Optional[Random] = None,
-        have_count: Optional[int] = None,
     ) -> List[str]:
         """Process one announce and return up to *num_want* sampled peers.
 
         ``event`` is ``"started"``, ``"stopped"``, ``"completed"`` or
         ``""`` (the periodic keep-alive announce).  The returned list
         never contains the requester.  ``rng`` is the caller's seeded
-        stream (module docstring); ``have_count`` optionally reports the
-        peer's progress for progress-aware samplers.
+        stream (module docstring).
         """
         now = self._clock()
         if self.is_down(now):
             self.failed_announce_count += 1
             raise TrackerUnavailable("tracker outage at t=%.1f" % now)
         self.announce_count += 1
-        self._state.update(
-            address,
-            event=event,
-            is_seed=is_seed,
-            now=now,
-            have_count=have_count,
-        )
+        self._state.update(address, event=event, is_seed=is_seed, now=now)
         self._record_sample()
         if num_want <= 0 or event == "stopped":
             return []

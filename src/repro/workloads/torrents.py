@@ -23,11 +23,10 @@ torrents start from scratch: one slow initial seed, empty leechers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from random import Random
 from typing import Dict, List, Optional
 
-from repro.core.rarest_first import make_selector
 from repro.instrumentation.logger import Instrumentation
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.protocol.bitfield import Bitfield
@@ -37,7 +36,6 @@ from repro.sim.faults import FAULT_PRESETS
 from repro.sim.observer import FanoutObserver
 from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
-from repro.tracker.sampling import make_sampler
 from repro.workloads.capacities import (
     CapacityDistribution,
     INTERNET_2005,
@@ -189,11 +187,6 @@ def scenario_by_id(torrent_id: int) -> TorrentScenario:
     raise KeyError("no Table-I torrent with id %d" % torrent_id)
 
 
-#: Field metadata: the coordinate is written into every payload, default
-#: or not (see :meth:`RunOptions.as_payload`).
-_ALWAYS = {"always_in_payload": True}
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """The serialisable coordinates of one Table-I run.
@@ -202,31 +195,23 @@ class RunOptions:
     the campaign-level merge and the incremental differ walk
     ``dataclasses.fields(RunOptions)`` in declaration order, and
     :func:`resolve_scenario` and :func:`build_experiment` are the places
-    a coordinate is applied.  Every default means "as the paper ran it"
-    and leaves the trace byte-identical to a run that predates the
-    coordinate.  Adding one is a field here plus a line in
-    :func:`resolve_scenario` or :func:`build_experiment`;
-    ``tests/test_run_options.py`` fails on a field that neither applies.
+    a coordinate is applied.  Every default means "as the paper ran it".
+    A run varies only what a claim varies: each coordinate is set by a
+    scenario variant or by a caller in ``src/``, and
+    ``tests/test_run_options.py`` fails on a field that nothing sets or
+    that :func:`resolve_scenario` and :func:`build_experiment` both
+    ignore.  Every coordinate is in every payload, so adding one changes
+    every shard's cache key.
     """
 
-    duration: Optional[float] = field(default=None, metadata=_ALWAYS)
+    duration: Optional[float] = None
     """Override the scenario's simulated run length (seconds)."""
 
-    block_size: Optional[int] = field(default=None, metadata=_ALWAYS)
+    block_size: Optional[int] = None
     """Override the torrent's block size (bytes)."""
 
-    faults: Optional[str] = field(default=None, metadata=_ALWAYS)
+    faults: Optional[str] = None
     """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
-
-    selector: Optional[str] = None
-    """Piece-selection strategy spec for every peer in the swarm
-    (:func:`repro.core.rarest_first.make_selector` syntax, e.g.
-    ``"mode-suppression:suppression=0.9"``); None is rarest first."""
-
-    tracker_sampler: Optional[str] = None
-    """Tracker peer-sampling strategy spec
-    (:func:`repro.tracker.sampling.make_sampler` syntax, e.g.
-    ``"rarity-aware:bias=1.0"``); None is the uniform draw."""
 
     def __post_init__(self) -> None:
         # Config errors fail where the run is described, before any
@@ -237,9 +222,6 @@ class RunOptions:
             raise ValueError("duration must be finite and > 0, not %r" % self.duration)
         if self.block_size is not None and self.block_size < 1:
             raise ValueError("block_size must be >= 1, not %r" % self.block_size)
-        make_selector(self.selector)
-        if self.tracker_sampler is not None:
-            make_sampler(self.tracker_sampler)
         if self.faults is not None and self.faults not in FAULT_PRESETS:
             raise ValueError(
                 "unknown fault preset %r (have: %s)"
@@ -260,16 +242,8 @@ class RunOptions:
         return replace(base, **self.non_default())
 
     def as_payload(self) -> Dict:
-        """JSON-safe dict: ``duration``/``block_size``/``faults`` always,
-        every other coordinate only when set — so a run that uses none of
-        the later coordinates serialises (and cache-keys) exactly as it
-        did before they existed."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.metadata.get("always_in_payload")
-            or getattr(self, f.name) != f.default
-        }
+        """JSON-safe dict of every coordinate, default or not."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "RunOptions":
@@ -332,10 +306,10 @@ def build_experiment(
 
     The one place a described run is built: *scenario* carries the
     coordinates :func:`resolve_scenario` applied, and every other
-    :class:`RunOptions` coordinate is applied here, to the local
-    (instrumented) peer and the whole population alike.  The local peer
-    otherwise uses the paper's defaults.  A given *swarm_config* is
-    copied, never written to.  Pass ``client_mix`` (e.g.
+    :class:`RunOptions` coordinate is applied here, to the whole swarm.
+    The local (instrumented) peer otherwise uses the paper's defaults.
+    A given *swarm_config* is copied, never written to.  Pass
+    ``client_mix`` (e.g.
     :data:`repro.workloads.clients.CLIENT_MIX_2005`) to give the
     population heterogeneous client IDs, exercising the paper's §III-D
     identification machinery; the mix draws from a dedicated RNG so
@@ -359,20 +333,12 @@ def build_experiment(
     config = swarm_config or SwarmConfig(seed=seed, duration=scenario.duration)
     if options.faults is not None:
         config = replace(config, faults=FAULT_PRESETS[options.faults])
-    if options.tracker_sampler is not None:
-        config = replace(config, tracker_sampler=options.tracker_sampler)
     swarm = Swarm(metainfo, config)
     if trace_recorder is not None and trace_all_peers:
         # Installed before any peer is added, so the initial population,
         # scheduled arrivals and churn joiners are all covered.
         swarm.observer_factory = lambda: TracingObserver(trace_recorder)
     rng = Random(seed ^ 0x5EED)
-
-    def remote_kwargs() -> Dict:
-        # Selectors carry per-peer state: one instance per peer.
-        if options.selector is None:
-            return {}
-        return {"selector": make_selector(options.selector)}
 
     def leecher_config(upload: float, download: Optional[float]) -> PeerConfig:
         client_id = "M4-0-2"
@@ -399,7 +365,6 @@ def build_experiment(
         swarm.add_peer(
             config=PeerConfig(upload_capacity=upload, download_capacity=download),
             is_seed=True,
-            **remote_kwargs(),
         )
 
     # Initial leechers.  Steady-state torrents are met mid-life: leechers
@@ -420,7 +385,6 @@ def build_experiment(
             rng.uniform(0.0, 20.0),
             config=leecher_config(upload, download),
             initial_bitfield=bitfield,
-            **remote_kwargs(),
         )
 
     for __ in range(scenario.almost_complete_joiners):
@@ -433,7 +397,6 @@ def build_experiment(
             initial_bitfield=_partial_bitfield(
                 metainfo.geometry.num_pieces, 0.97, rng
             ),
-            **remote_kwargs(),
         )
 
     for __ in range(scenario.free_riders):
@@ -456,7 +419,6 @@ def build_experiment(
             scenario.duration + scenario.local_join_time,
             config_factory=lambda r: leecher_config(*capacities.sample(r)),
             rng=Random(seed ^ 0xA221),
-            kwargs_factory=remote_kwargs,
         )
 
     # The instrumented local peer: paper defaults (20 kB/s upload cap,
@@ -475,7 +437,6 @@ def build_experiment(
     def add_local() -> None:
         local_holder["peer"] = swarm.add_peer(
             config=PeerConfig(),
-            selector=make_selector(options.selector),
             observer=local_observer,
         )
         instrumentation.start_sampling()

@@ -441,8 +441,8 @@ def apply_edit(spec, edit):
         return CampaignSpec(**{**vars(spec).copy(), "torrent_ids": value})
     if kind == "replicates":
         return CampaignSpec(**{**vars(spec).copy(), "replicates": value})
-    if kind == "selector":
-        return CampaignSpec(**{**vars(spec).copy(), "selector": value})
+    if kind == "block_size":
+        return CampaignSpec(**{**vars(spec).copy(), "block_size": value})
     raise AssertionError(kind)
 
 
@@ -454,7 +454,7 @@ spec_edits = st.one_of(
         st.sampled_from([(2,), (3,), (2, 3), (2, 3, 13)]),
     ),
     st.tuples(st.just("replicates"), st.integers(min_value=1, max_value=2)),
-    st.tuples(st.just("selector"), st.sampled_from([None, "random"])),
+    st.tuples(st.just("block_size"), st.sampled_from([None, 32768])),
 )
 
 

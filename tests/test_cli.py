@@ -372,7 +372,7 @@ def leaf_parsers(parser, prefix=()):
 
 
 class TestSharedFlags:
-    RUN_OPTIONS = ("--duration", "--selector", "--tracker-sampler")
+    RUN_OPTIONS = ("--duration",)
     CAMPAIGN_OPTIONS = ("--replicates", "--workers", "--cache-dir", "--results-dir")
 
     @pytest.mark.parametrize(
@@ -402,6 +402,13 @@ class TestSharedFlags:
             assert (command,) not in parsers
         assert "--save" not in parsers[("run",)]._option_string_actions
         assert "--figure" not in parsers[("replay",)]._option_string_actions
+        # No claim varies the piece selector or the tracker sampler of a
+        # whole run: those are built where a claim needs them.
+        for command in (("run",), ("campaign", "run"), ("campaign", "diff")):
+            actions = parsers[command]._option_string_actions
+            assert "--selector" not in actions
+            assert "--tracker-sampler" not in actions
+        assert "--sampler" not in parsers[("tracker", "serve")]._option_string_actions
 
     def test_reproduce_adds_one_flag_to_the_shared_ones(self):
         actions = leaf_parsers(build_parser())[("reproduce",)]._option_string_actions
@@ -415,28 +422,27 @@ class TestMistypedOptions:
     @pytest.mark.parametrize(
         "argv,prog,message",
         [
-            (["run", "--selector", "bogus"], "repro run",
-             "unknown selector 'bogus' (have: "),
-            (["run", "--tracker-sampler", "bogus"], "repro run",
-             "unknown sampler 'bogus' (have: "),
+            # A run varies no piece selector or tracker sampler: those
+            # flags are gone, and so is the serve command's sampler.
+            (["run", "--selector", "bogus"], "repro",
+             "unrecognized arguments: --selector bogus"),
+            (["run", "--tracker-sampler", "bogus"], "repro",
+             "unrecognized arguments: --tracker-sampler bogus"),
             (["run", "--torrent", "99"], "repro run",
              "no Table-I torrent with id 99"),
             (["campaign", "run", "--scenario", "bogus"], "repro campaign run",
              "unknown scenario 'bogus' (have: "),
-            (["campaign", "diff", "--selector", "bogus"], "repro campaign diff",
-             "unknown selector 'bogus' (have: "),
-            (["campaign", "run", "--tracker-sampler", "bogus"],
-             "repro campaign run", "unknown sampler 'bogus' (have: "),
-            (["tracker", "serve", "--sampler", "bogus"], "repro tracker serve",
-             "unknown sampler 'bogus' (have: "),
-            # A misspelt parameter fails before any shard runs or any
-            # socket is bound, like a misspelt name.
+            (["campaign", "diff", "--selector", "bogus"], "repro",
+             "unrecognized arguments: --selector bogus"),
+            (["campaign", "run", "--tracker-sampler", "bogus"], "repro",
+             "unrecognized arguments: --tracker-sampler bogus"),
+            (["tracker", "serve", "--sampler", "bogus"], "repro",
+             "unrecognized arguments: --sampler bogus"),
             (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
-              "--selector", "rarest-first:windw=3"], "repro campaign run",
-             "bad parameters for selector 'rarest-first:windw=3'"),
-            (["tracker", "serve", "--sampler", "uniform:bias=2"],
-             "repro tracker serve",
-             "bad parameters for sampler 'uniform:bias=2'"),
+              "--selector", "rarest-first:windw=3"], "repro",
+             "unrecognized arguments: --selector rarest-first:windw=3"),
+            (["tracker", "serve", "--sampler", "uniform:bias=2"], "repro",
+             "unrecognized arguments: --sampler uniform:bias=2"),
             # --workers N is the one way to run shards in parallel:
             # there is no --backend flag and no worker command.
             (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
@@ -531,6 +537,36 @@ class TestMistypedOptions:
             (["campaign", "worker", "--connect", "127.0.0.1:1"],
              "repro campaign",
              "argument campaign_command: invalid choice: 'worker'"),
+            # A worker count, retry budget or shard timeout that cannot
+            # run was clamped, or reached setitimer in every shard.
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--workers", "-3"], "repro campaign run",
+             "workers must be >= 1, not -3"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--workers", "0"], "repro campaign run",
+             "workers must be >= 1, not 0"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--retries", "-2"], "repro campaign run",
+             "retries must be >= 0, not -2"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--timeout=-1"], "repro campaign run",
+             "timeout must be finite and > 0, not -1.0"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--timeout", "0"], "repro campaign run",
+             "timeout must be finite and > 0, not 0.0"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--timeout", "nan"], "repro campaign run",
+             "timeout must be finite and > 0, not nan"),
+            (["campaign", "run", "--torrents", "2", "--scenario", "smoke",
+              "--timeout", "inf"], "repro campaign run",
+             "timeout must be finite and > 0, not inf"),
+            (["reproduce", "--claims", "A2", "--workers", "0"], "repro reproduce",
+             "workers must be >= 1, not 0"),
+            # A port outside 0-65535 was an OverflowError from bind.
+            (["tracker", "serve", "--port=-5"], "repro tracker serve",
+             "--port must be in 0-65535, not -5"),
+            (["tracker", "serve", "--udp-port", "70000"], "repro tracker serve",
+             "--udp-port must be in 0-65535, not 70000"),
         ],
     )
     def test_exit_2_one_line_no_traceback(

@@ -193,5 +193,5 @@ class TestNoUnsetKnobs:
 
     def test_settable_value_counts(self):
         assert len(dataclasses.fields(PeerConfig)) == 12
-        assert len(dataclasses.fields(SwarmConfig)) == 8
+        assert len(dataclasses.fields(SwarmConfig)) == 7
         assert len(dataclasses.fields(FaultConfig)) == 7

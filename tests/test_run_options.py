@@ -1,16 +1,19 @@
 """A run is described once: ``RunOptions`` is the list of coordinates.
 
-Pins the three things that keep it so: shard payloads and cache keys are
-byte-identical to the hand-enumerated form they replaced (golden digest
-computed at the parent commit), ``repro run`` and a campaign shard build
-the same experiment from the same description (both hand it to
-``build_experiment``), and a coordinate that ``resolve_scenario`` and
-``build_experiment`` both ignore fails here.
+Pins the four things that keep it so: shard payloads and cache keys are
+byte-identical to the hand-enumerated form they replaced (golden
+digests), ``repro run`` and a campaign shard build the same experiment
+from the same description (both hand it to ``build_experiment``), a
+coordinate that ``resolve_scenario`` and ``build_experiment`` both
+ignore fails here, and so does one that no scenario variant and no
+caller in ``src/`` sets.
 """
 
+import ast
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,18 +29,17 @@ from repro.campaign import (
 )
 from repro.workloads import RunOptions, build_experiment, resolve_scenario
 
-OVERRIDES = dict(
-    duration=300.0,
-    block_size=8192,
-    selector="random",
-    tracker_sampler="seed-biased:seed_fraction=0.5",
-)
+ROOT = Path(__file__).resolve().parent.parent
+
+OVERRIDES = dict(duration=300.0, block_size=8192)
 
 #: sha256 over shard_cache_key(s) + json.dumps(s.as_payload()) for every
 #: shard in expansion order.  Computed by the code that still had the two
 #: open-system scenarios and their coordinates, over the shards of every
 #: other scenario with the surviving overrides: deleting them left each
-#: surviving payload and cache key byte-identical.
+#: surviving payload and cache key byte-identical.  The ``overridden``
+#: digest was computed by the code that still had the ``selector`` and
+#: ``tracker_sampler`` coordinates, for the same spec without them.
 GOLDEN = [
     (
         CampaignSpec(scenarios=tuple(SCENARIOS), replicates=2),
@@ -47,7 +49,7 @@ GOLDEN = [
     (
         CampaignSpec(torrent_ids=(2, 7), scenarios=tuple(SCENARIOS), **OVERRIDES),
         8,
-        "154ffc4a0cf95d63574ab5c1d73e7e503d416a349ec31039f492c1617695b52a",
+        "12d175d32f60dac9580778d36aad682d17206f50c36e7457602157fa83706a91",
     ),
 ]
 
@@ -72,13 +74,8 @@ def test_campaign_level_value_wins_over_the_variants():
 
 
 def test_bad_specs_fail_where_the_run_is_described():
-    for bad in (
-        dict(selector="bogus"),
-        dict(tracker_sampler="bogus"),
-        dict(faults="bogus"),
-    ):
-        with pytest.raises(ValueError, match="unknown .* 'bogus' \\(have: "):
-            RunOptions(**bad)
+    with pytest.raises(ValueError, match="unknown fault preset 'bogus' \\(have: "):
+        RunOptions(faults="bogus")
     # A run length or a geometry that cannot run.
     for bad, message in (
         (dict(duration=0.0), "duration must be finite and > 0, not 0.0"),
@@ -89,8 +86,8 @@ def test_bad_specs_fail_where_the_run_is_described():
     ):
         with pytest.raises(ValueError, match=message):
             RunOptions(**bad)
-    with pytest.raises(ValueError, match="unknown selector"):
-        expand_spec(CampaignSpec(torrent_ids=(), selector="bogus"))
+    with pytest.raises(ValueError, match="block_size must be >= 1"):
+        expand_spec(CampaignSpec(torrent_ids=(), block_size=0))
     # A spec that describes no shard, or one shard twice.
     for bad, message in (
         (dict(scenarios=("smoke", "smoke")), "scenario repeated: smoke"),
@@ -107,13 +104,7 @@ def test_bad_specs_fail_where_the_run_is_described():
 
 #: One non-default value per coordinate.  A new field must be added here,
 #: and must then change what build_experiment builds.
-SAMPLES = dict(
-    duration=123.0,
-    block_size=4096,
-    faults="light",
-    selector="random",
-    tracker_sampler="rarity-aware:bias=1.0",
-)
+SAMPLES = dict(duration=123.0, block_size=4096, faults="light")
 
 
 def built(options):
@@ -145,6 +136,36 @@ def test_every_coordinate_is_applied_and_keyed():
         shard = dataclasses.replace(base, options=options)
         assert shard_cache_key(shard) != shard_cache_key(base), name
         assert shard.as_payload()[name] == SAMPLES[name]
+
+
+def keyword_setters():
+    """The keywords some call to ``CampaignSpec`` or ``RunOptions`` in
+    ``src/`` passes, the CLI aside: the CLI offers a coordinate, it does
+    not vary one."""
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in ("CampaignSpec", "RunOptions"):
+                found |= {keyword.arg for keyword in node.keywords}
+    return found
+
+
+def test_every_coordinate_is_varied_by_something():
+    """A run varies only what a claim varies: a coordinate that no
+    scenario variant and no caller in ``src/`` sets is an option with no
+    run behind it, and goes."""
+    varied = keyword_setters()
+    for variant in SCENARIOS.values():
+        varied |= set(variant.options.non_default())
+    unset = [
+        f.name for f in dataclasses.fields(RunOptions) if f.name not in varied
+    ]
+    assert not unset, "coordinates nothing varies: %s" % ", ".join(unset)
 
 
 def shard_of(scenario, torrent_id=2):

@@ -3,13 +3,12 @@
 import hashlib
 from random import Random
 
-from repro.tracker.sampling import SeedBiasedSampler
 from repro.tracker.tracker import Tracker
 
 
-def make_tracker(**kwargs):
+def make_tracker():
     clock = {"now": 0.0}
-    tracker = Tracker(Random(1), lambda: clock["now"], **kwargs)
+    tracker = Tracker(Random(1), lambda: clock["now"])
     return tracker, clock
 
 
@@ -114,18 +113,6 @@ class TestRngDiscipline:
         sample = tracker.announce("p3", event="", num_want=20, is_seed=False)
         assert len(sample) == 20
         assert "p3" not in sample
-
-    def test_custom_sampler_injected(self):
-        tracker, __ = make_tracker(sampler=SeedBiasedSampler(seed_fraction=1.0))
-        self.populate(tracker)
-        sample = tracker.announce(
-            "p3", event="", num_want=10, is_seed=False, rng=Random(5)
-        )
-        # 15 seeds registered (every 4th of 60): an all-seed request is
-        # satisfiable and the sampler must honour it.
-        seeds = {"p%d" % index for index in range(60) if index % 4 == 0}
-        assert len(sample) == 10
-        assert set(sample) <= seeds
 
 
 class TestScrape:

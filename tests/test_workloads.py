@@ -10,7 +10,6 @@ from repro.workloads import (
     TABLE1,
     CapacityClass,
     CapacityDistribution,
-    RunOptions,
     build_experiment,
     scaled_copy,
     scenario_by_id,
@@ -148,22 +147,6 @@ class TestBuildExperiment:
         )
         harness = build_experiment(scenario, seed=5)
         assert harness.swarm.min_global_copies() >= 2
-
-    def test_population_override_selector(self):
-        from repro.core.rarest_first import SequentialSelector
-
-        scenario = scaled_copy(
-            scenario_by_id(13), seeds=1, leechers=4, num_pieces=8,
-            duration=30.0, arrival_rate=0.0, local_join_time=5.0,
-        )
-        harness = build_experiment(
-            scenario, seed=5, options=RunOptions(selector="sequential")
-        )
-        peers = list(harness.swarm.peers.values())
-        assert len(peers) > 1 and harness.local_peer in peers
-        assert all(isinstance(peer.selector, SequentialSelector) for peer in peers)
-        # One instance per peer: selectors carry per-peer state.
-        assert len({id(peer.selector) for peer in peers}) == len(peers)
 
     def test_free_riders_added(self):
         scenario = scaled_copy(
