@@ -9,7 +9,8 @@ assembly with end-game CANCELs, the 10-second choke round through the
 pluggable :class:`~repro.core.choke.Choker` pair, and the seed
 transition.  It knows no transport: time is read as
 ``self.simulator.now`` (any object with a ``now`` attribute) and every
-outbound message leaves through :meth:`PeerCore._send`.
+outbound message leaves through :meth:`PeerCore._send`, a block request
+by way of :meth:`PeerCore._send_request`.
 
 A *driver* subclasses it and supplies the transport.  The simulator's
 ``Peer`` delivers through the event queue; the live ``NetPeer`` writes
@@ -335,6 +336,13 @@ class PeerCore:
         """Deliver *message* to the far end of *connection*."""
         raise NotImplementedError
 
+    def _send_request(self, connection: LinkState, block: BlockRef) -> None:
+        """Ask the far end of *connection* for *block* (a REQUEST)."""
+        self._send(
+            connection,
+            Request(piece=block.piece, offset=block.offset, length=block.length),
+        )
+
     def _remote_view(
         self, connection: LinkState, message: BitfieldMessage
     ) -> Bitfield:
@@ -434,13 +442,17 @@ class PeerCore:
     # -- request/piece messages ----------------------------------------------
 
     def _handle_request(self, connection: LinkState, message: Request) -> None:
+        self._serve_request(
+            connection, BlockRef(message.piece, message.offset, message.length)
+        )
+
+    def _serve_request(self, connection: LinkState, block: BlockRef) -> None:
+        """The remote asked for *block*: queue it for upload."""
         if connection.am_choking:
             return  # requests received while choking are dropped
-        if not self.bitfield.has(message.piece):
+        if not self.bitfield.has(block.piece):
             return
-        connection.enqueue_upload(
-            BlockRef(message.piece, message.offset, message.length)
-        )
+        connection.enqueue_upload(block)
 
     def _handle_cancel(self, connection: LinkState, message: Cancel) -> None:
         connection.cancel_queued_block(
@@ -454,14 +466,22 @@ class PeerCore:
             block = geometry.block_ref(message.piece, block_index)
         except IndexError:
             return
+        self._receive_block(connection, block, message.data)
+
+    def _receive_block(
+        self, connection: LinkState, block: BlockRef, data: bytes
+    ) -> None:
+        """*block* arrived with its *data* (read only when pieces are
+        materialized)."""
         connection.request_times.pop(block, None)
         if self.bitfield.has(block.piece):
             return  # late duplicate (end game)
         if self._materialize:
+            geometry = self.metainfo.geometry
             buffer = self._piece_buffers.setdefault(
                 block.piece, bytearray(geometry.piece_length(block.piece))
             )
-            buffer[block.offset : block.offset + block.length] = message.data
+            buffer[block.offset : block.offset + block.length] = data
         completed, cancel_keys = self.picker.on_block_received(
             block, connection.remote_key
         )
@@ -528,6 +548,7 @@ class PeerCore:
         remote_bitfield = connection.remote_bitfield
         remote_key = connection.remote_key
         request_times = connection.request_times
+        send_request = self._send_request
         now = self.simulator.now  # one fill is one instant
         while (
             not connection.closed
@@ -539,10 +560,7 @@ class PeerCore:
             if block is None:
                 break
             request_times[block] = now
-            self._send(
-                connection,
-                Request(piece=block.piece, offset=block.offset, length=block.length),
-            )
+            send_request(connection, block)
 
     # ------------------------------------------------------------------
     # the choke round

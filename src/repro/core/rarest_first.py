@@ -24,8 +24,8 @@ Strategies provided:
   offers so open-system flash crowds stay stable.
 
 Selectors are serializable by name via :func:`make_selector` (e.g.
-``"mode-suppression:suppression=0.5"``), which is how scenario configs,
-campaign shards and the CLI reach them.
+``"mode-suppression:suppression=0.5"``), which is how claim S1's policies
+and the benchmark suite reach them.
 """
 
 from __future__ import annotations
@@ -244,19 +244,13 @@ SELECTOR_REGISTRY: Dict[str, Callable[..., PieceSelector]] = {
     SequentialSelector.name: SequentialSelector,
 }
 
-DEFAULT_SELECTOR_SPEC = RarestFirstSelector.name
 
-
-def make_selector(spec: Optional[str]) -> Optional[PieceSelector]:
+def make_selector(spec: str) -> PieceSelector:
     """Build a fresh selector instance from its serialized spec.
 
-    ``None``/empty means "the default" and returns ``None`` so callers
-    keep their historical rarest-first default untouched.  Each call
-    returns a *new* instance: a mode-suppression selector carries a
-    per-peer scarcity binding and must never be shared.  Parameter values
-    parse as int, then float, then bare string; an unknown name or
-    parameter raises ``ValueError``.
+    Each call returns a *new* instance: a mode-suppression selector
+    carries a per-peer scarcity binding and must never be shared.
+    Parameter values parse as int, then float, then bare string; an
+    unknown name (the empty one too) or parameter raises ``ValueError``.
     """
-    if spec is None or not spec.strip():
-        return None
     return build_spec(spec, "selector", SELECTOR_REGISTRY, number)

@@ -12,11 +12,12 @@ round every 10 seconds through pluggable
 around that core: joining, leaving and crashing, announce retries and
 refilling the peer set, message delivery (through the event queue when
 a fault plan delays a message), the fused HAVE fan-out over shared remote
-views (DESIGN §12), super-seeding and the fault sweep.
+views and the per-block pair as direct calls (DESIGN §12), super-seeding
+and the fault sweep.
 
 Transfers are fluid: the swarm's per-tick bandwidth allocation calls
 :meth:`Peer.advance_uploads`, which turns allocated bytes into completed
-blocks and PIECE messages to the downloading side.
+blocks delivered to the downloading side.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from repro.protocol.messages import (
     Message,
     NotInterested,
     Piece,
-    Request,
     Unchoke,
 )
-from repro.protocol.metainfo import Metainfo
+from repro.protocol.metainfo import BlockRef, Metainfo
 from repro.sim.config import (
     FAULT_SWEEP_SECONDS,
     IDLE_TIMEOUT_SECONDS,
@@ -572,20 +572,41 @@ class Peer(PeerCore):
             ]
         )
 
-    # -- request messages ----------------------------------------------------
+    # -- the per-block pair --------------------------------------------------
 
-    def _handle_request(self, connection: Connection, message: Request) -> None:
+    def _calls_blocks(self, connection: Connection) -> bool:
+        """Whether a REQUEST or PIECE on *connection* may be a direct
+        call on the far end instead of a message (DESIGN §12): the
+        shared-view path, nobody observes either end, no trace pair."""
+        return (
+            self.swarm._batched_have
+            and self.observer is None
+            and connection.remote.observer is None
+            and connection.trace_pair is None
+        )
+
+    def _send_request(self, connection: Connection, block: BlockRef) -> None:
+        if not self._calls_blocks(connection):
+            PeerCore._send_request(self, connection, block)
+            return
+        # ``_send`` + ``_receive`` + ``_handle_request``, less the message.
+        twin = connection.twin
+        if not connection.closed and twin is not None and not twin.closed:
+            twin.last_message_at = self.simulator.now
+            connection.remote._serve_request(twin, block)
+
+    def _serve_request(self, connection: Connection, block: BlockRef) -> None:
         if connection.am_choking:
             # Under message faults the remote may have missed our CHOKE;
             # resend it so its view of the link re-synchronises.
             if self.swarm.faults is not None:
                 self._send(connection, Choke())
             return
-        if self.super_seeding and message.piece not in self._revealed_to.get(
+        if self.super_seeding and block.piece not in self._revealed_to.get(
             connection.remote.address, ()
         ):
             return  # only revealed pieces are served under super-seeding
-        PeerCore._handle_request(self, connection, message)
+        PeerCore._serve_request(self, connection, block)
 
     # -- finished pieces -----------------------------------------------------
 
@@ -629,18 +650,27 @@ class Peer(PeerCore):
         connection.uploaded.add(now, transferable)
         self.total_uploaded += transferable
         twin = connection.twin
+        remote = connection.remote
         if twin is not None and not twin.closed:
             twin.downloaded.add(now, transferable)
-            connection.remote.total_downloaded += transferable
+            remote.total_downloaded += transferable
+        calls = self._calls_blocks(connection)
         for block in connection.advance_upload(transferable):
             data = b""
-            if connection.remote._materialize:
+            if remote._materialize:
                 payload = self.metainfo.piece_payload(block.piece)
                 data = payload[block.offset : block.offset + block.length]
-            self._send(
-                connection,
-                Piece(piece=block.piece, offset=block.offset, data=data),
-            )
+            if not calls:
+                self._send(
+                    connection,
+                    Piece(piece=block.piece, offset=block.offset, data=data),
+                )
+            elif not connection.closed and twin is not None and not twin.closed:
+                # ``_send`` + ``_receive`` + ``_handle_piece``, less the
+                # message and the BlockRef rebuilt from it.  The checks
+                # stay per block: a delivery may close the link.
+                twin.last_message_at = now
+                remote._receive_block(twin, block, data)
         return transferable
 
     # ------------------------------------------------------------------

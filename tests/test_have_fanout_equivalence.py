@@ -25,7 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.peer_core import LinkState
 from repro.protocol.bitfield import Bitfield
-from repro.protocol.messages import Choke, Have, Interested, NotInterested, Unchoke
+from repro.protocol.messages import (
+    Choke,
+    Have,
+    Interested,
+    NotInterested,
+    Request,
+    Unchoke,
+)
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.connection import Connection
@@ -88,12 +95,21 @@ class World:
                 reference_broadcast_have_fused, peer
             )
         plain_send = peer._send
+        plain_send_request = peer._send_request
 
         def recording_send(connection, message):
-            self.transcript.append((peer.address, connection.remote_key, message))
+            if not isinstance(message, Request):  # recorded below
+                self.transcript.append((peer.address, connection.remote_key, message))
             plain_send(connection, message)
 
+        def recording_send_request(connection, block):
+            # A request on an unobserved link is a call, not a ``_send``.
+            request = Request(block.piece, block.offset, block.length)
+            self.transcript.append((peer.address, connection.remote_key, request))
+            plain_send_request(connection, block)
+
         peer._send = recording_send
+        peer._send_request = recording_send_request
         return peer
 
     def observer(self):

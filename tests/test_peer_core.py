@@ -417,6 +417,7 @@ class TestWrittenOnce:
 
     HOOKS = {
         "_send",
+        "_send_request",
         "_remote_view",
         "_verify_and_store",
         "_announce_piece",
@@ -426,7 +427,7 @@ class TestWrittenOnce:
     }
     # Sim-only preludes (super-seeding, fault CHOKE resend) that end in
     # the core's method.
-    SIM_PRELUDES = {"_handle_have", "_handle_request"}
+    SIM_PRELUDES = {"_handle_have", "_serve_request"}
 
     def core_methods(self):
         return [
@@ -460,7 +461,9 @@ class TestWrittenOnce:
                 assert phrase not in source, (driver.__name__, phrase)
 
     def test_dispatch_reaches_the_driver_overrides(self):
-        assert Peer._handlers[Request] is vars(Peer)["_handle_request"]
         assert Peer._handlers[Have] is vars(Peer)["_handle_have"]
+        # A REQUEST is decoded by the core and served by the driver's
+        # block-level prelude.
+        assert Peer._handlers[Request] is vars(PeerCore)["_handle_request"]
         assert NetPeer._handlers[Request] is vars(PeerCore)["_handle_request"]
         assert Peer._handlers[Piece] is NetPeer._handlers[Piece]

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.rarest_first import (
-    DEFAULT_SELECTOR_SPEC,
     GlobalRarestSelector,
     ModeSuppressionSelector,
     RandomSelector,
@@ -106,7 +105,7 @@ class TestSelectorRegistry:
         assert set(SELECTOR_REGISTRY) == {
             "rarest-first", "random", "sequential", "mode-suppression",
         }
-        assert DEFAULT_SELECTOR_SPEC in SELECTOR_REGISTRY
+        assert RarestFirstSelector.name in SELECTOR_REGISTRY
 
     def test_parse_plain_name(self):
         assert parse_spec("rarest-first", "selector", SELECTOR_REGISTRY, number) == (
@@ -137,9 +136,10 @@ class TestSelectorRegistry:
             with pytest.raises(ValueError, match=message):
                 make_selector(spec)
 
-    def test_make_selector_none_is_none(self):
-        assert make_selector(None) is None
-        assert make_selector("") is None
+    def test_make_selector_rejects_an_empty_spec(self):
+        for spec in ("", "  "):
+            with pytest.raises(ValueError, match="unknown selector ''"):
+                make_selector(spec)
 
     def test_make_selector_returns_fresh_instances(self):
         # Mode suppression carries a per-peer scarcity binding, so
