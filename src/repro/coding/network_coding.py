@@ -176,8 +176,11 @@ class CodingSwarm:
                     last_unchoked=peer.last_unchoked.get(neighbor.name),
                 )
             )
+        # Every interested neighbour is snapshotted: a superset of the
+        # links that moved, which a choker decides on alike.
+        interested = [c for c in candidates if c.interested]
         choker = peer.choker_seed if peer.is_seed else peer.choker_leecher
-        decision = choker.round(candidates, now, peer.rng)
+        decision = choker.round([c.key for c in interested], interested, now, peer.rng)
         newly = set(decision.unchoked) - peer.unchoked
         peer.unchoked = set(decision.unchoked)
         for name in newly:

@@ -22,11 +22,18 @@ a 10-second round clock (paper §II-C.2):
   argues against (§IV-B.1): a peer refuses to upload to a remote whose
   byte deficit exceeds a threshold, so excess capacity is stranded.
 
-Chokers are pure decision functions over :class:`ChokeCandidate`
-snapshots, which keeps them unit-testable without a simulator.
+Chokers are pure decision functions, which keeps them unit-testable
+without a simulator.  A round reads two inputs: the key of every
+interested link, in link order, and a :class:`ChokeCandidate` snapshot
+of each interested link that *moved* — unchoked, holding a rate sample,
+or with a non-zero lifetime total.  Any other interested key reads as a
+choked link with zero rates and zero totals, which is what most of an
+80-link peer set is at any round (four unchoke slots, §II-C.2).  Extra
+snapshots change nothing, so a caller may snapshot every interested
+link.  Rates are non-negative.
 
 Where :class:`LeecherChoker` differs from mainline's ``Choker``
-(``_round_robin`` and ``_rechoke``).  All three are open; DESIGN §2
+(``_round_robin`` and ``_rechoke``).  All four are open; DESIGN §2
 records them, and none is yet adopted or justified:
 
 * *No anti-snubbing.*  Mainline leaves a remote it considers snubbed
@@ -42,12 +49,16 @@ records them, and none is yet adopted or justified:
 * *No connection order.*  Where a new connection enters mainline's list
   decides when its optimistic turn comes.  Candidates here carry no
   order the choker keeps between rounds.
+* *Ties go to the address string.*  Zero-rate or tied regular slots are
+  filled by ``str(key)``, where mainline's ``preferred.sort()`` on
+  ``(-rate, i)`` breaks ties by connection index.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from operator import attrgetter
 from random import Random
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence
@@ -105,11 +116,13 @@ class Choker(ABC):
     @abstractmethod
     def round(
         self,
+        interested: Sequence[PeerKey],
         candidates: Sequence[ChokeCandidate],
         now: float,
         rng: Random,
     ) -> ChokeDecision:
-        """Decide the unchoked set for this round."""
+        """Decide the unchoked set for this round from the *interested*
+        keys and the *candidates* that moved (module docstring)."""
 
     def reset(self) -> None:
         """Forget internal state (used on leecher→seed transitions)."""
@@ -142,21 +155,32 @@ class LeecherChoker(Choker):
 
     def round(
         self,
+        interested: Sequence[PeerKey],
         candidates: Sequence[ChokeCandidate],
         now: float,
         rng: Random,
     ) -> ChokeDecision:
-        interested = [c for c in candidates if c.interested]
         # Regular unchoke: the fastest peers by ``_rate``.  Ties are
-        # broken by key order for determinism.
+        # broken by key order for determinism.  Only a snapshot can rate
+        # above zero; slots left over go to the zero-rate keys in key
+        # order, where the full sort would have put them.
         rate = self._rate
-        ranked = sorted(interested, key=lambda c: (-rate(c), _sort_key(c.key)))
-        regular = [c.key for c in ranked[: self._regular_slots]]
+        slots = self._regular_slots
+        ranked = sorted(
+            (c for c in candidates if rate(c) > 0.0),
+            key=lambda c: (-rate(c), _sort_key(c.key)),
+        )
+        regular = [c.key for c in ranked[:slots]]
+        if len(regular) < slots:
+            regular += nsmallest(
+                slots - len(regular),
+                [key for key in interested if key not in regular],
+                key=_sort_key,
+            )
 
         rotate = self._round_index % self._optimistic_rounds == 0
         self._round_index += 1
-        present = {c.key for c in interested}
-        if self._optimistic not in present:
+        if self._optimistic not in interested:
             self._optimistic = None  # holder left or lost interest
         if self._optimistic in regular:
             # The optimistic peer earned a regular slot; free the OU slot
@@ -164,7 +188,7 @@ class LeecherChoker(Choker):
             self._optimistic = None
             rotate = True
         if rotate or self._optimistic is None:
-            pool = [c.key for c in interested if c.key not in regular]
+            pool = [key for key in interested if key not in regular]
             self._optimistic = rng.choice(pool) if pool else None
 
         unchoked = list(regular)
@@ -198,19 +222,20 @@ class SeedChoker(Choker):
 
     def round(
         self,
+        interested: Sequence[PeerKey],
         candidates: Sequence[ChokeCandidate],
         now: float,
         rng: Random,
     ) -> ChokeDecision:
-        interested = [c for c in candidates if c.interested]
-        present = {c.key for c in interested}
+        present = set(interested)
         for key in list(self._last_unchoked):
             if key not in present:
                 del self._last_unchoked[key]
 
         # Order the currently unchoked-and-interested peers by last-unchoke
-        # time, most recently unchoked first (step 1 of §II-C.2).
-        unchoked_now = [c for c in interested if not c.choked]
+        # time, most recently unchoked first (step 1 of §II-C.2).  An
+        # unchoked link always moved, so every one has a snapshot.
+        unchoked_now = [c for c in candidates if not c.choked]
         ranked = sorted(
             unchoked_now,
             key=lambda c: (
@@ -227,7 +252,8 @@ class SeedChoker(Choker):
             # Keep the 3 most recently unchoked, add one random
             # choked-and-interested peer (the SRU peer).
             kept = [c.key for c in ranked[: self._slots - 1]]
-            pool = [c.key for c in interested if c.choked and c.key not in kept]
+            unchoked_keys = {c.key for c in unchoked_now}
+            pool = [key for key in interested if key not in unchoked_keys]
             sru = rng.choice(pool) if pool else None
             if sru is not None:
                 decision.unchoked = kept + [sru]
@@ -282,14 +308,18 @@ class TitForTatChoker(Choker):
 
     def round(
         self,
+        interested: Sequence[PeerKey],
         candidates: Sequence[ChokeCandidate],
         now: float,
         rng: Random,
     ) -> ChokeDecision:
+        # A baseline, not a hot path: rebuild the full list, an idle key
+        # as an all-zero candidate (deficit 0, so eligible iff 0 < threshold).
+        snapshots = {c.key: c for c in candidates}
         eligible = [
             c
-            for c in candidates
-            if c.interested and (c.uploaded_to - c.downloaded_from) < self._threshold
+            for c in (snapshots.get(k) or ChokeCandidate(k, True, True) for k in interested)
+            if (c.uploaded_to - c.downloaded_from) < self._threshold
         ]
         ranked = sorted(
             eligible, key=lambda c: (-c.download_rate, _sort_key(c.key))

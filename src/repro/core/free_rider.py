@@ -13,7 +13,7 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from repro.core.choke import ChokeCandidate, ChokeDecision, Choker
+from repro.core.choke import ChokeCandidate, ChokeDecision, Choker, PeerKey
 
 
 class FreeRiderChoker(Choker):
@@ -23,6 +23,7 @@ class FreeRiderChoker(Choker):
 
     def round(
         self,
+        interested: Sequence[PeerKey],
         candidates: Sequence[ChokeCandidate],
         now: float,
         rng: Random,

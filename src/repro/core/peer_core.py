@@ -304,7 +304,7 @@ class PeerCore:
         if connection.initiated_by_local:
             self.initiated_count -= 1
         self.picker.peer_left(connection.remote_bitfield)
-        self.picker.on_peer_gone(connection.remote_key)
+        self.picker.on_peer_gone(connection.remote_key, connection.request_times)
         connection.clear_upload_queue()
         connection.request_times.clear()
         if self.observer:
@@ -431,7 +431,7 @@ class PeerCore:
         connection.peer_choking = True
         # Everything in flight on this link is lost; give the blocks back
         # to the picker so another peer can serve them.
-        self.picker.on_peer_gone(connection.remote_key)
+        self.picker.on_peer_gone(connection.remote_key, connection.request_times)
         connection.request_times.clear()
 
     def _handle_unchoke(self, connection: LinkState, message: Message = None) -> None:
@@ -491,15 +491,14 @@ class PeerCore:
             )
         # Sorted so the CANCEL send order (and hence any RNG draws made
         # per message) never depends on set iteration order / the
-        # process hash seed.
-        for key in sorted(cancel_keys):
-            other = self.connections.get(key)
-            if other is not None:
-                other.request_times.pop(block, None)
-                self._send(
-                    other,
-                    Cancel(piece=block.piece, offset=block.offset, length=block.length),
-                )
+        # process hash seed.  Outside end game the set is empty.
+        if cancel_keys:
+            cancel = Cancel(piece=block.piece, offset=block.offset, length=block.length)
+            for key in sorted(cancel_keys):
+                other = self.connections.get(key)
+                if other is not None:
+                    other.request_times.pop(block, None)
+                    self._send(other, cancel)
         if completed:
             self._on_piece_completed(block.piece)
         if self.picker.in_endgame and not self._was_in_endgame:
@@ -572,32 +571,29 @@ class PeerCore:
         now = self.simulator.now
         observer = self.observer
         snapshot = ChokeCandidate._make
+        interested: List[str] = []
         candidates: List[ChokeCandidate] = []
         # ``connections`` is keyed by ``remote_key``.  Most of a peer set
-        # is idle at any round (four unchoke slots, §II-C.2), and an idle
-        # counter answers ``rate`` without an expiry.
+        # is idle at any round (four unchoke slots, §II-C.2): a counter
+        # without samples rates 0.0 unasked, and an interested link that
+        # never moved is only its key to the choker.  A positive rate
+        # implies a positive total, so the totals catch every rated link.
         for key, connection in self.connections.items():
             downloaded = connection.downloaded
             uploaded = connection.uploaded
-            download_rate = downloaded.rate(now)
-            upload_rate = uploaded.rate(now)
+            download_rate = downloaded.rate(now) if downloaded._samples else 0.0
+            upload_rate = uploaded.rate(now) if uploaded._samples else 0.0
             if observer:
                 observer.on_rate_sample(now, connection, download_rate, upload_rate)
-            candidates.append(
-                snapshot(
-                    (
-                        key,
-                        connection.peer_interested,
-                        connection.am_choking,
-                        download_rate,
-                        upload_rate,
-                        uploaded.total,
-                        downloaded.total,
-                        connection.last_unchoked_local,
-                    )
-                )
-            )
-        decision = self.choker.round(candidates, now, self.rng)
+            if connection.peer_interested:
+                interested.append(key)
+                choking = connection.am_choking
+                if not choking or uploaded.total or downloaded.total:
+                    candidates.append(snapshot((
+                        key, True, choking, download_rate, upload_rate,
+                        uploaded.total, downloaded.total, connection.last_unchoked_local,
+                    )))
+        decision = self.choker.round(interested, candidates, now, self.rng)
         if observer:
             observer.on_choke_round(now, decision)
         unchoke_set = set(decision.unchoked)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -454,30 +454,36 @@ class PiecePicker:
         # end game once that is true again.
         self._endgame = False
 
-    def on_peer_gone(self, peer_key: PeerKey) -> List[BlockRef]:
-        """Release in-flight requests held by a departed/choking peer.
+    def on_peer_gone(self, peer_key: PeerKey, blocks: Iterable[BlockRef]) -> List[BlockRef]:
+        """Release the in-flight requests a departed/choking peer held.
 
-        Returns the blocks that became unrequested again so the caller can
-        account them; pieces with no progress and no requests are dropped
-        from the active set (they can be restarted by any strategy pick).
+        *blocks* are what its link has in flight (``request_times``); an
+        entry the picker no longer files under ``peer_key`` (received
+        meanwhile, or of a piece since reset) is skipped.  Returns the
+        blocks that became unrequested again, in the order given; a piece
+        left with no progress and no requests leaves the active set.
         """
         released: List[BlockRef] = []
-        emptied: List[int] = []
-        for piece, partial in self._active.items():
-            for block_index in list(partial.requested):
-                askers = partial.requested[block_index]
-                askers.discard(peer_key)
-                if not askers:
-                    self._release_block(partial, block_index)
-                    released.append(partial.blocks[block_index])
+        active = self._active
+        block_size = self._geometry.block_size
+        for block in blocks:
+            piece = block.piece
+            partial = active.get(piece)
+            block_index = block.offset // block_size
+            askers = partial.requested.get(block_index) if partial else None
+            if askers is None:
+                continue
+            askers.discard(peer_key)
+            if askers:
+                continue
+            self._release_block(partial, block_index)
+            released.append(partial.blocks[block_index])
             if not partial.received and not partial.requested:
-                emptied.append(piece)
-        for piece in emptied:
-            partial = self._active.pop(piece)
-            if partial.unrequested:
+                # Released blocks are unrequested, so it counted as open.
+                del active[piece]
                 self._open_partials -= 1
-            self._wanted_mask[piece] = True
-            self._wanted_int |= 1 << (self._wanted_top - piece)
+                self._wanted_mask[piece] = True
+                self._wanted_int |= 1 << (self._wanted_top - piece)
         if released:
             # Some blocks are unrequested again: end game is over until
             # next_request finds everything in flight once more.

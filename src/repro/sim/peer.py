@@ -712,7 +712,9 @@ class Peer(PeerCore):
                 plan.stats["stale_requests_reset"] += 1
                 if self.observer:
                     self.observer.on_fault(now, "stale_requests_reset")
-                self.picker.on_peer_gone(connection.remote_key)
+                self.picker.on_peer_gone(
+                    connection.remote_key, connection.request_times
+                )
                 connection.request_times.clear()
             if plan.affects_messages:
                 self._refresh_link_state(connection)

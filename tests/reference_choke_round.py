@@ -10,7 +10,8 @@ the unchoke set before it looks at ``am_choking``.  It is slow and it is
 obviously right — which is what ``tests/test_choke_round_equivalence.py``
 needs to hold the production round to.  The one edit is forced: a link's
 ``ByteCounter`` *is* its estimator now, so the two ``._estimator`` hops
-are gone.
+are gone.  Every link's candidate goes to the choker, so the driver that
+runs this round holds a full-list choker of ``tests/reference_chokers.py``.
 
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """

@@ -4,8 +4,10 @@ Every new-piece pick builds the candidate list by scanning the bitfield
 and hands it to the list-based selector of
 ``tests/reference_selectors.py``; the rarest pieces set and the wanted
 scarcity are full scans of a flat count list; the end-game trigger walks
-every missing piece; and ``next_request`` takes no shortcut past a
-remote that offers nothing wanted.  No production input reaches any of
+every missing piece; ``next_request`` takes no shortcut past a remote
+that offers nothing wanted; and a departed or choking peer's requests
+are found by :func:`full_scan_on_peer_gone`, which walks every block in
+flight of every partial piece instead of the link's own list.  No production input reaches any of
 that — a picker computes its candidates as one array and picks through
 its selector's array kernel — so it lives here, where the equivalence
 suites hold the production picker to it.
@@ -18,7 +20,7 @@ flood raises rows, not pickers.  Install it into a swarm with the
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.piece_picker import PiecePicker
 from repro.protocol.bitfield import Bitfield
@@ -76,3 +78,36 @@ class NaivePiecePicker(PiecePicker):
             if partial is None or partial.unrequested:
                 return False
         return True
+
+    def on_peer_gone(self, peer_key, blocks: Iterable[BlockRef]) -> List[BlockRef]:
+        return full_scan_on_peer_gone(self, peer_key)
+
+
+def full_scan_on_peer_gone(picker: PiecePicker, peer_key) -> List[BlockRef]:
+    """``PiecePicker.on_peer_gone`` as it stood: release *peer_key*'s
+    in-flight requests by scanning every block in flight of every
+    partial piece, and drop each piece left with no progress and no
+    requests.  Returns the released blocks in piece, then request, order.
+    """
+    released: List[BlockRef] = []
+    emptied: List[int] = []
+    for piece, partial in picker._active.items():
+        for block_index in list(partial.requested):
+            askers = partial.requested[block_index]
+            askers.discard(peer_key)
+            if not askers:
+                picker._release_block(partial, block_index)
+                released.append(partial.blocks[block_index])
+        if not partial.received and not partial.requested:
+            emptied.append(piece)
+    for piece in emptied:
+        partial = picker._active.pop(piece)
+        if partial.unrequested:
+            picker._open_partials -= 1
+        picker._wanted_mask[piece] = True
+        picker._wanted_int |= 1 << (picker._wanted_top - piece)
+    if released:
+        # Some blocks are unrequested again: end game is over until
+        # next_request finds everything in flight once more.
+        picker._endgame = False
+    return released

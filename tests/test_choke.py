@@ -13,6 +13,8 @@ from repro.core.choke import (
 )
 from repro.core.free_rider import FreeRiderChoker
 
+from tests.reference_chokers import split_candidates
+
 
 def candidate(key, interested=True, choked=True, down=0.0, up=0.0,
               uploaded=0.0, downloaded=0.0, last_unchoked=None):
@@ -38,20 +40,20 @@ class TestLeecherChoker:
             candidate("d", down=50.0),
             candidate("e", down=10.0),
         ]
-        decision = choker.round(candidates, now=10.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=10.0, rng=Random(1))
         regular = [k for k in decision.unchoked if k != decision.optimistic]
         assert set(regular) == {"a", "b", "c"}
 
     def test_at_most_four_unchoked(self):
         choker = LeecherChoker()
         candidates = [candidate(str(i), down=float(i)) for i in range(20)]
-        decision = choker.round(candidates, now=10.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=10.0, rng=Random(1))
         assert len(decision.unchoked) == 4
 
     def test_optimistic_is_not_a_regular(self):
         choker = LeecherChoker()
         candidates = [candidate(str(i), down=float(10 - i)) for i in range(10)]
-        decision = choker.round(candidates, now=10.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=10.0, rng=Random(1))
         regular = [k for k in decision.unchoked if k != decision.optimistic]
         assert decision.optimistic not in regular
 
@@ -61,7 +63,7 @@ class TestLeecherChoker:
             candidate("a", interested=False, down=1000.0),
             candidate("b", down=1.0),
         ]
-        decision = choker.round(candidates, now=10.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=10.0, rng=Random(1))
         assert "a" not in decision.unchoked
         assert "b" in decision.unchoked
 
@@ -71,7 +73,9 @@ class TestLeecherChoker:
         rng = Random(5)
         holders = []
         for round_index in range(9):
-            decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=rng
+            )
             holders.append(decision.optimistic)
         # Within each 3-round window the optimistic peer is stable.
         assert holders[0] == holders[1] == holders[2]
@@ -80,20 +84,22 @@ class TestLeecherChoker:
     def test_optimistic_replaced_when_it_leaves(self):
         choker = LeecherChoker()
         candidates = [candidate(str(i), down=float(100 - i)) for i in range(6)]
-        decision = choker.round(candidates, now=0.0, rng=Random(3))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(3))
         holder = decision.optimistic
         remaining = [c for c in candidates if c.key != holder]
-        decision2 = choker.round(remaining, now=10.0, rng=Random(3))
+        decision2 = choker.round(*split_candidates(remaining), now=10.0, rng=Random(3))
         assert decision2.optimistic != holder
 
     def test_empty_candidates(self):
-        decision = LeecherChoker().round([], now=0.0, rng=Random(1))
+        decision = LeecherChoker().round(*split_candidates([]), now=0.0, rng=Random(1))
         assert decision.unchoked == []
         assert decision.optimistic is None
 
     def test_fewer_candidates_than_slots(self):
         choker = LeecherChoker()
-        decision = choker.round([candidate("a")], now=0.0, rng=Random(1))
+        decision = choker.round(
+            *split_candidates([candidate("a")]), now=0.0, rng=Random(1)
+        )
         assert decision.unchoked == ["a"]
 
     def test_validation(self):
@@ -104,7 +110,7 @@ class TestLeecherChoker:
 
     def test_reset(self):
         choker = LeecherChoker()
-        choker.round([candidate("a")], now=0.0, rng=Random(1))
+        choker.round(*split_candidates([candidate("a")]), now=0.0, rng=Random(1))
         choker.reset()
         assert choker._round_index == 0
 
@@ -114,7 +120,9 @@ class TestSeedChoker:
         choker = SeedChoker()
         candidates = [candidate(str(i)) for i in range(20)]
         for round_index in range(6):
-            decision = choker.round(candidates, now=10.0 * round_index, rng=Random(1))
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=Random(1)
+            )
             assert len(decision.unchoked) <= 4
 
     def test_sru_rotates_service_over_all_peers(self):
@@ -129,7 +137,9 @@ class TestSeedChoker:
             candidates = [
                 candidate(k, choked=k not in unchoked_now) for k in keys
             ]
-            decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=rng
+            )
             unchoked_now = set(decision.unchoked)
             served |= unchoked_now
         assert served == set(keys)
@@ -145,7 +155,9 @@ class TestSeedChoker:
             candidates = [
                 candidate(k, choked=k not in unchoked_now) for k in keys
             ]
-            decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=rng
+            )
             unchoked_now = set(decision.unchoked)
             history.append(unchoked_now)
         # The unchoked set keeps changing (round robin), it never freezes.
@@ -164,7 +176,9 @@ class TestSeedChoker:
                 candidate("slow%d" % i, choked=("slow%d" % i) not in unchoked_now)
                 for i in range(10)
             ]
-            decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=rng
+            )
             unchoked_now = set(decision.unchoked)
             if "fast" in unchoked_now:
                 fast_rider_rounds += 1
@@ -187,7 +201,9 @@ class TestSeedChoker:
             for i in range(5)
         ]
         for round_index in range(3):  # covers both SRU rounds and the SKU round
-            decision = choker.round(candidates, now=100.0 + round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=100.0 + round_index, rng=rng
+            )
             assert len(decision.unchoked) == 4  # full slots, no idle slot
             assert decision.optimistic is None
 
@@ -195,10 +211,12 @@ class TestSeedChoker:
         """Same regression with fewer peers than slots: all are kept."""
         choker = SeedChoker()
         rng = Random(5)
-        decision = choker.round([candidate("only")], now=0.0, rng=rng)
+        decision = choker.round(
+            *split_candidates([candidate("only")]), now=0.0, rng=rng
+        )
         assert decision.unchoked == ["only"]
         decision = choker.round(
-            [candidate("only", choked=False)], now=10.0, rng=rng
+            *split_candidates([candidate("only", choked=False)]), now=10.0, rng=rng
         )
         assert decision.unchoked == ["only"]
 
@@ -214,7 +232,9 @@ class TestOldSeedChoker:
             candidates = [candidate("fast", choked=False, up=1e6)] + [
                 candidate("slow%d" % i, up=10.0) for i in range(10)
             ]
-            decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(candidates), now=10.0 * round_index, rng=rng
+            )
             if "fast" in decision.unchoked:
                 fast_rounds += 1
         assert fast_rounds == 30  # monopoly — the unfairness of §IV-B.3
@@ -235,26 +255,26 @@ class TestTitForTat:
             candidate("debtor", uploaded=5000.0, downloaded=100.0, down=100.0),
             candidate("fair", uploaded=500.0, downloaded=400.0, down=50.0),
         ]
-        decision = choker.round(candidates, now=0.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(1))
         assert "debtor" not in decision.unchoked
         assert "fair" in decision.unchoked
 
     def test_bootstrap_allowance(self):
         choker = TitForTatChoker(deficit_threshold=1000.0)
         candidates = [candidate("new", uploaded=0.0, downloaded=0.0)]
-        decision = choker.round(candidates, now=0.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(1))
         assert "new" in decision.unchoked
 
     def test_free_rider_starves_after_allowance(self):
         choker = TitForTatChoker(deficit_threshold=1000.0)
         candidates = [candidate("rider", uploaded=1001.0, downloaded=0.0)]
-        decision = choker.round(candidates, now=0.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(1))
         assert decision.unchoked == []
 
     def test_slot_cap(self):
         choker = TitForTatChoker(deficit_threshold=1e9, slots=4)
         candidates = [candidate(str(i), down=float(i)) for i in range(10)]
-        decision = choker.round(candidates, now=0.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(1))
         assert len(decision.unchoked) == 4
 
     def test_validation(self):
@@ -266,7 +286,7 @@ class TestFreeRider:
     def test_never_unchokes(self):
         choker = FreeRiderChoker()
         candidates = [candidate(str(i), down=1e6) for i in range(5)]
-        decision = choker.round(candidates, now=0.0, rng=Random(1))
+        decision = choker.round(*split_candidates(candidates), now=0.0, rng=Random(1))
         assert decision.unchoked == []
 
 
@@ -280,7 +300,9 @@ class TestDeterminism:
                 candidates = [
                     candidate(str(i), down=float(i % 4)) for i in range(12)
                 ]
-                decision = choker.round(candidates, now=10.0 * round_index, rng=rng)
+                decision = choker.round(
+                    *split_candidates(candidates), now=10.0 * round_index, rng=rng
+                )
                 out.append((tuple(decision.unchoked), decision.optimistic))
             return out
 

@@ -12,6 +12,8 @@ from repro.core.choke import (
     TitForTatChoker,
 )
 
+from tests.reference_chokers import split_candidates
+
 
 @st.composite
 def candidates(draw):
@@ -52,7 +54,9 @@ def test_property_unchoked_are_interested_candidates(cands, seed, rounds):
         rng = Random(seed)
         current = cands
         for round_index in range(rounds):
-            decision = choker.round(current, now=10.0 * round_index, rng=rng)
+            decision = choker.round(
+                *split_candidates(current), now=10.0 * round_index, rng=rng
+            )
             assert len(decision.unchoked) <= 4
             assert len(set(decision.unchoked)) == len(decision.unchoked)
             assert set(decision.unchoked) <= interested_keys
@@ -81,8 +85,8 @@ def test_property_unchoked_are_interested_candidates(cands, seed, rounds):
 def test_property_decisions_deterministic(cands, seed):
     """Same candidates + same RNG state => same decision, per strategy."""
     for make in CHOKERS:
-        first = make().round(cands, now=0.0, rng=Random(seed))
-        second = make().round(cands, now=0.0, rng=Random(seed))
+        first = make().round(*split_candidates(cands), now=0.0, rng=Random(seed))
+        second = make().round(*split_candidates(cands), now=0.0, rng=Random(seed))
         assert first.unchoked == second.unchoked
         assert first.optimistic == second.optimistic
 
@@ -92,7 +96,7 @@ def test_property_decisions_deterministic(cands, seed):
 def test_property_tft_never_serves_over_threshold(cands, seed):
     threshold = 1000.0
     choker = TitForTatChoker(deficit_threshold=threshold)
-    decision = choker.round(cands, now=0.0, rng=Random(seed))
+    decision = choker.round(*split_candidates(cands), now=0.0, rng=Random(seed))
     by_key = {c.key: c for c in cands}
     for key in decision.unchoked:
         candidate = by_key[key]

@@ -2,15 +2,19 @@
 two exact shortcuts of the fluid loop against their plain forms.
 
 ``PeerCore._choke_round`` answers an idle link's rate without an expiry,
-snapshots links into tuples and tests ``am_choking`` before it probes the
-unchoke set; ``tests/reference_choke_round.py`` does none of that.  The
-contract is that the two are the same function.  Two drivers are put
-through the *same* arbitrary script — bytes credited to either direction
-of any link, interest flips, clock jumps that leave windows never used,
-warm, holding only already-expired samples, or emptied by an earlier
-round — and they must agree, round by round, on the candidates the
-choker saw and its decision, on the CHOKE/UNCHOKE transcript, the
-``on_rate_sample`` stream and the RNG state, and at the end, bit for
+hands the choker the interested keys and snapshots of only the
+interested links that moved, and tests ``am_choking`` before it probes
+the unchoke set; ``tests/reference_choke_round.py`` snapshots every link
+for the full-list chokers of ``tests/reference_chokers.py`` and does
+none of that.  The contract is that the two are the same function.  Two
+drivers are put through the *same* arbitrary script — bytes credited to
+either direction of any link, interest flips, clock jumps that leave
+windows never used, warm, holding only already-expired samples, or
+emptied by an earlier round — and they must agree, round by round, on
+what the choker was handed (the production round exactly the
+reference's interested keys, and the reference's candidates filtered to
+the snapshot rule) and its decision, on the CHOKE/UNCHOKE transcript,
+the ``on_rate_sample`` stream and the RNG state, and at the end, bit for
 bit, on every rate window.
 
 The Hypothesis properties below hold the single-frame
@@ -40,14 +44,25 @@ from repro.sim.config import KIB, PeerConfig
 
 from tests.conftest import fast_config, tiny_swarm
 from tests.reference_choke_round import reference_choke_round
+from tests.reference_chokers import (
+    ReferenceLeecherChoker,
+    ReferenceOldSeedChoker,
+    ReferenceSeedChoker,
+    ReferenceTitForTatChoker,
+    moved,
+)
 
 WINDOW = 20.0
 
+#: name -> (production choker, its full-list reference).
 CHOKERS = {
-    "leecher": lambda: LeecherChoker(),
-    "seed-new": lambda: SeedChoker(),
-    "seed-old": lambda: OldSeedChoker(),
-    "tit-for-tat": lambda: TitForTatChoker(deficit_threshold=3000.0),
+    "leecher": (LeecherChoker, ReferenceLeecherChoker),
+    "seed-new": (SeedChoker, ReferenceSeedChoker),
+    "seed-old": (OldSeedChoker, ReferenceOldSeedChoker),
+    "tit-for-tat": (
+        lambda: TitForTatChoker(deficit_threshold=3000.0),
+        lambda: ReferenceTitForTatChoker(deficit_threshold=3000.0),
+    ),
 }
 
 
@@ -63,22 +78,34 @@ FIELDS = (
 )
 
 
+def fields(candidate):
+    return tuple(getattr(candidate, name) for name in FIELDS)
+
+
 class RecordingChoker:
-    """Delegates to a real choker; keeps what went in and what came out."""
+    """Delegates to a real choker; keeps what went in and what came out.
+
+    A production round is recorded as its two inputs; a reference round,
+    which passes every link, as those inputs derived from its full list
+    (the interested keys, and the interested candidates that moved), so
+    equal records mean the production round handed over exactly that.
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.rounds = []
 
-    def round(self, candidates, now, rng):
-        decision = self.inner.round(candidates, now, rng)
+    def round(self, *inputs):
+        *given, now, rng = inputs
+        decision = self.inner.round(*given, now, rng)
+        if len(given) == 2:
+            interested, snapshots = given
+            handed = (list(interested), [fields(c) for c in snapshots])
+        else:
+            full = [c for c in given[0] if c.interested]
+            handed = ([c.key for c in full], [fields(c) for c in full if moved(c)])
         self.rounds.append(
-            (
-                [tuple(getattr(c, name) for name in FIELDS) for c in candidates],
-                now,
-                list(decision.unchoked),
-                decision.optimistic,
-            )
+            (handed, now, list(decision.unchoked), decision.optimistic)
         )
         return decision
 
@@ -105,9 +132,9 @@ class RoundDriver(PeerCore):
     """The smallest driver a choke round needs: ``_send`` keeps a
     transcript and the clock is a number the script sets."""
 
-    def __init__(self, choker_name, observed, links):
+    def __init__(self, choker_name, observed, links, reference=False):
         metainfo = make_metainfo("round", 4, piece_size=KIB, block_size=KIB)
-        choker = RecordingChoker(CHOKERS[choker_name]())
+        choker = RecordingChoker(CHOKERS[choker_name][reference]())
         super().__init__(
             "10.0.0.1",
             metainfo,
@@ -211,7 +238,7 @@ def play(driver, choke_round, operations):
 def test_round_matches_reference(choker_name, observed, script):
     links, operations = script
     production = RoundDriver(choker_name, observed, links)
-    reference = RoundDriver(choker_name, observed, links)
+    reference = RoundDriver(choker_name, observed, links, reference=True)
     play(production, PeerCore._choke_round, operations)
     play(reference, reference_choke_round, operations)
     assert production.choker.rounds == reference.choker.rounds
@@ -241,6 +268,9 @@ def test_idle_round_expires_nothing(monkeypatch):
     empty (never used, or emptied by an earlier round) costs no expiry
     at all, whatever the choker."""
     driver = RoundDriver("leecher", True, [(True, True, None)] * 80)
+    driver._choke_round()  # nothing moved yet: 80 keys, no snapshot
+    (keys, snapshots), *__ = driver.choker.rounds[-1]
+    assert len(keys) == 80 and snapshots == []
     for connection in list(driver.connections.values())[:8]:
         connection.downloaded.add(1.0, 4096.0)
         connection.uploaded.add(1.0, 4096.0)
@@ -254,10 +284,17 @@ def test_idle_round_expires_nothing(monkeypatch):
         original(self, now)
 
     monkeypatch.setattr(RateEstimator, "_expire", counting)
+    unchoked = {key for key, c in driver.connections.items() if not c.am_choking}
     driver.simulator.now = 40.0
     driver._choke_round()
     assert expiries == []
-    assert len(driver.choker.rounds[-1][0]) == 80
+    (keys, snapshots), *__ = driver.choker.rounds[-1]
+    # Only the eight links with a lifetime total and the unchoked ones
+    # are snapshotted.
+    assert len(keys) == 80
+    assert [snapshot[0] for snapshot in snapshots] == [
+        key for key in keys if key in keys[:8] or key in unchoked
+    ]
     # The guard must be able to fail: one warm window is one expiry.
     driver.connections["10.0.0.2"].downloaded.add(41.0, 1.0)
     driver.simulator.now = 50.0

@@ -52,7 +52,7 @@ class ScriptedChoker:
         self.unchoke = []
         self.resets = 0
 
-    def round(self, candidates, now, rng):
+    def round(self, interested, candidates, now, rng):
         return ChokeDecision(unchoked=list(self.unchoke))
 
     def reset(self):

@@ -125,7 +125,7 @@ def test_random_operations_preserve_invariants(seed):
             picker.peer_joined(remotes[key])
         elif op < 0.25 and len(remotes) > 1:
             key = rng.choice(sorted(remotes))
-            picker.on_peer_gone(key)
+            picker.on_peer_gone(key, picker.pending_requests_to(key))
             picker.peer_left(remotes.pop(key))
         elif op < 0.40:
             key = rng.choice(sorted(remotes))
@@ -149,7 +149,7 @@ def test_random_operations_preserve_invariants(seed):
                 picker.reset_piece(rng.choice(have))
         else:
             key = rng.choice(sorted(remotes))
-            released = picker.on_peer_gone(key)
+            released = picker.on_peer_gone(key, picker.pending_requests_to(key))
             offsets = [b.offset for b in released]
             assert offsets == sorted(offsets) or len(set(
                 b.piece for b in released

@@ -270,7 +270,7 @@ class TestBlockAccounting:
         picker, __, geometry = make_picker(num_pieces=1)
         picker.peer_joined(full_remote(1))
         first = picker.next_request(full_remote(1), "p")
-        released = picker.on_peer_gone("p")
+        released = picker.on_peer_gone("p", picker.pending_requests_to("p"))
         assert first in released
         # The same block is requestable again, by another peer.
         again = picker.next_request(full_remote(1), "q")
@@ -282,7 +282,7 @@ class TestBlockAccounting:
         first = picker.next_request(full_remote(1), "p")
         picker.on_block_received(first, "p")
         second = picker.next_request(full_remote(1), "p")
-        picker.on_peer_gone("p")
+        picker.on_peer_gone("p", picker.pending_requests_to("p"))
         # piece has progress: stays active, next request resumes it
         assert picker.active_pieces == [first.piece]
 
@@ -293,7 +293,7 @@ class TestBlockAccounting:
         picker.peer_joined(full_remote(1))
         for __ in range(4):  # blocks 0-3 in flight to p, 4-5 unrequested
             picker.next_request(full_remote(1), "p")
-        released = picker.on_peer_gone("p")
+        released = picker.on_peer_gone("p", picker.pending_requests_to("p"))
         assert [b.offset // 16 for b in released] == [0, 1, 2, 3]
         offsets = [
             picker.next_request(full_remote(1), "q").offset // 16
@@ -307,7 +307,8 @@ class TestBlockAccounting:
         first = picker.next_request(full_remote(1), "p")   # block 0
         second = picker.next_request(full_remote(1), "q")  # block 1
         picker.on_block_received(first, "p")
-        picker.on_peer_gone("q")  # block 1 released, 2-3 never requested
+        # block 1 released, 2-3 never requested
+        picker.on_peer_gone("q", picker.pending_requests_to("q"))
         offsets = [
             picker.next_request(full_remote(1), "r").offset // 16
             for __ in range(3)
@@ -399,7 +400,7 @@ class TestEndGame:
             picker.next_request(full_remote(1), "p")
         assert picker.next_request(full_remote(1), "q") is not None
         assert picker.in_endgame
-        picker.on_peer_gone("p")  # releases p's in-flight blocks
+        picker.on_peer_gone("p", picker.pending_requests_to("p"))  # releases p's in-flight blocks
         assert not picker.in_endgame
 
 
