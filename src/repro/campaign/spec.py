@@ -5,7 +5,7 @@ replicates`` — the paper's evaluation is the default campaign: all 26
 Table-I torrents, the ``paper`` scenario, one replicate.  A campaign
 expands into independent :class:`ShardSpec` run shards, each carrying
 everything a worker process needs to execute it: the resolved RNG seed,
-the scenario overrides (duration, block size, fault preset) and a
+the scenario overrides (duration, block size) and a
 stable identity (:attr:`ShardSpec.shard_id`).
 
 **Seed derivation.**  Each shard's RNG seed is a pure function of
@@ -48,14 +48,10 @@ def _variant(name: str, **coordinates) -> ScenarioVariant:
 
 
 #: The scenario registry.  ``paper`` is the evaluation as published;
-#: ``smoke`` is the same swarm on a short window (CI and tests);
-#: the ``faults-*`` variants rerun the campaign under the PR-2 chaos
-#: presets, the sweep related work asks for.
+#: ``smoke`` is the same swarm on a short window (CI and tests).
 SCENARIOS = {
     "paper": _variant("paper"),
     "smoke": _variant("smoke", duration=240.0),
-    "faults-light": _variant("faults-light", faults="light"),
-    "faults-heavy": _variant("faults-heavy", faults="heavy"),
 }
 
 
@@ -150,7 +146,7 @@ def expand_spec(
     — the order is part of the campaign's identity and independent of
     how the shards are later scheduled.  ``shard_filter`` keeps only
     shards whose :attr:`~ShardSpec.shard_id` matches the glob (or
-    contains it as a substring), e.g. ``"t07-*"`` or ``"faults"``.
+    contains it as a substring), e.g. ``"t07-*"`` or ``"smoke"``.
 
     An unknown scenario raises ``KeyError`` and a bad run length or
     block size ``ValueError`` here (``RunOptions`` validates

@@ -137,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--scenario", default="paper",
-            help="comma-separated scenario variants: paper, smoke, "
-            "faults-light, faults-heavy",
+            help="comma-separated scenario variants: paper, smoke",
         )
         _run_option_arguments(parser)
         _campaign_arguments(parser, "--replicates")
@@ -149,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         _campaign_arguments(parser, "--cache-dir")
         parser.add_argument(
             "--filter", default=None, metavar="GLOB",
-            help="only shards whose id matches (e.g. 't07-*', 'faults')",
+            help="only shards whose id matches (e.g. 't07-*', 'smoke')",
         )
 
     campaign_run = campaign_commands.add_parser(
@@ -375,12 +374,6 @@ def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=3, help="RNG seed")
     _run_option_arguments(parser)
     parser.add_argument(
-        "--faults", choices=["off", "light", "heavy"], default="off",
-        help="inject faults: 'light' = 2%% message loss + jitter + one "
-        "60 s tracker outage; 'heavy' adds peer crashes, duplication "
-        "and piece corruption (default: off)",
-    )
-    parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a structured JSONL event trace (replayable with "
         "'repro replay')",
@@ -442,8 +435,6 @@ def _run_options(args: argparse.Namespace):
         for f in fields(RunOptions)
         if hasattr(args, f.name)
     }
-    if named["faults"] == "off":
-        named["faults"] = None
     return RunOptions(**named)
 
 
@@ -497,9 +488,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_recorder=recorder, trace_all_peers=args.trace_all,
     )
     trace = harness.run()
-    if harness.swarm.faults is not None:
-        stats = dict(harness.swarm.faults.stats)
-        print("injected faults: %s" % (stats or "none hit"), file=sys.stderr)
     fingerprint = recorder.close() if recorder is not None else None
     if args.trace:
         print(

@@ -92,7 +92,6 @@ class LinkState:
         "uploaded",
         "downloaded",
         "request_times",
-        "last_message_at",
         "last_unchoked_local",
     )
 
@@ -100,7 +99,6 @@ class LinkState:
         self,
         local: "PeerCore",
         remote: Any,
-        now: float,
         initiated_by_local: bool,
         rate_window: float = 20.0,
     ):
@@ -122,7 +120,6 @@ class LinkState:
         # Download direction (local requests from remote): the blocks
         # requested and not yet received, with their issue times.
         self.request_times: Dict[BlockRef, float] = {}
-        self.last_message_at = now  # last time anything arrived on this link
         # Choke bookkeeping for the seed algorithm and figure 10.
         self.last_unchoked_local: Optional[float] = None
 
@@ -313,12 +310,12 @@ class PeerCore:
     def _tracker_announce(self, event: str, num_want: int) -> List[str]:
         """One announce to ``self.tracker``; the addresses it returns.
 
-        Raises :class:`~repro.tracker.tracker.TrackerUnavailable` while
-        the tracker is down.  The sample is drawn from this peer's own
-        seeded stream, not the tracker's: with a shared stream every
-        announce would perturb every later peer's sample, so churn (or
-        the wall-clock announce order of live peers) would ripple into
-        RNG-sensitive runs.
+        Raises :class:`~repro.tracker.tracker.TrackerUnavailable` when
+        a tracker that can fail does.  The sample is drawn from this
+        peer's own seeded stream, not the tracker's: with a shared stream
+        every announce would perturb every later peer's sample, so churn
+        (or the wall-clock announce order of live peers) would ripple
+        into RNG-sensitive runs.
         """
         return self.tracker.announce(
             self.address,
@@ -390,7 +387,6 @@ class PeerCore:
         sender has already traced the received line (a pair)."""
         if connection.closed:
             return
-        connection.last_message_at = self.simulator.now
         if observe and self.observer:
             self.observer.on_message_received(self.simulator.now, connection, message)
         handler = self._handlers.get(type(message))

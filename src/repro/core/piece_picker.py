@@ -221,8 +221,7 @@ class PiecePicker:
         """Release the matrix row (peer cleanly departed).  Idempotent; any
         later availability access fails loudly rather than corrupting the
         slot's next owner.  Only call when the counts are zero (a clean
-        leave decrements per closed connection); a *crashed* peer keeps its
-        row, so a rejoin sees its stale counts.
+        leave decrements per closed connection).
         """
         if self._matrix is not None and self._slot is not None:
             self._matrix.release(self._slot)

@@ -217,8 +217,8 @@ class Instrumentation(PeerObserver):
             return
         now = peer.simulator.now
         if not peer.online:
-            # Churn window: the sampling timer outlives a departed or
-            # crashed peer.  Silently dropping the sample used to leave a
+            # Churn window: the sampling timer outlives a departed
+            # peer.  Silently dropping the sample used to leave a
             # hole downstream code interpolated across; record an
             # explicit offline marker instead.
             snapshot = Snapshot(
@@ -481,11 +481,10 @@ class Instrumentation(PeerObserver):
 
     @property
     def fault_counters(self) -> Dict[str, int]:
-        """Injected-fault events observed at the local peer, keyed by
-        kind (``announce_failure``, ``announce_retry``,
-        ``connection_reaped``, ``stale_requests_reset``,
-        ``hash_failure_injected``); empty when fault injection is off.
-        Compatibility view over the registry's ``fault.*`` counters."""
+        """Fault events observed at the local peer, keyed by kind (a
+        live peer reports ``connection_reaped``); empty in a simulated
+        run, whose links never fail.  Compatibility view over the
+        registry's ``fault.*`` counters."""
         return {
             kind: int(count)
             for kind, count in self.metrics.with_prefix("fault.").items()

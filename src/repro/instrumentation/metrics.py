@@ -52,7 +52,7 @@ class MetricsRegistry:
     """Name-keyed store of counters, one flat namespace per registry.
 
     Dots namespace the flat keys by convention (``messages.sent``,
-    ``fault.announce_retry``); :meth:`with_prefix` slices a namespace
+    ``fault.connection_reaped``); :meth:`with_prefix` slices a namespace
     back out as a plain mapping.
     """
 

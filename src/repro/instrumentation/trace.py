@@ -44,7 +44,7 @@ seconds), ``type`` and ``peer`` (the observed peer's address):
 ``seed_state`` ``open``: per open connection ``remote`` (+ ``up``/``down``
                when the link is still in the peer's connection table)
 ``hash_fail``  ``piece``
-``fault``      ``kind`` (injected-fault counter key)
+``fault``      ``kind`` (fault counter key, e.g. ``connection_reaped``)
 ``announce``   ``kind`` (``started``/``stopped``/``completed``/
                ``interval``), ``data`` (``peer``, ``num_want``,
                ``returned``, ``attempt``; see

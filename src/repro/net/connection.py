@@ -94,11 +94,10 @@ class NetConnection(LinkState):
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         initiated_by_local: bool,
-        now: float,
         rate_window: float = 20.0,
     ):
         # ``remote`` is a RemotePeerHandle, known once the handshake ends.
-        super().__init__(local, None, now, initiated_by_local, rate_window)
+        super().__init__(local, None, initiated_by_local, rate_window)
         self.reader = reader
         self.writer = writer
         # The handshake is consumed separately (fixed 68-byte read), so

@@ -277,7 +277,6 @@ class NetPeer(PeerCore):
             reader,
             writer,
             initiated_by_local,
-            self.simulator.now,
             self.config.rate_window,
         )
         try:
@@ -365,7 +364,7 @@ class NetPeer(PeerCore):
             return
         except (OSError, MessageError):
             # Reset, garbage or a frame this torrent cannot contain: reap
-            # the link, as the sim's fault sweep reaps a half-open one.
+            # the link.
             reaped = True
         if connection.closed:
             return

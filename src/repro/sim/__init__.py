@@ -10,7 +10,5 @@ in this reproduction.  It provides:
 * :mod:`repro.sim.connection` — per-link protocol state;
 * :mod:`repro.sim.peer` — a complete BitTorrent client;
 * :mod:`repro.sim.swarm` — scenario orchestration;
-* :mod:`repro.sim.churn` — arrival/departure processes;
-* :mod:`repro.sim.faults` — seeded fault injection (lossy links, peer
-  crashes, tracker outages, piece corruption).
+* :mod:`repro.sim.churn` — arrival/departure processes.
 """

@@ -32,14 +32,7 @@ KIB = 1024
 CHOKE_ROUND_SECONDS = 10.0
 TRACKER_ANNOUNCE_SECONDS = 30.0 * 60.0
 TRACKER_NUM_WANT = 50  # peers returned per tracker announce (§II-B)
-REQUEST_TIMEOUT_SECONDS = 60.0  # age at which an in-flight request is lost
 RATE_ESTIMATOR_WINDOW_SECONDS = 20.0
-# Fault handling (only read while a fault plan is installed):
-ANNOUNCE_RETRY_BASE_SECONDS = 5.0  # first retry delay; doubles per failure
-ANNOUNCE_RETRY_CAP_SECONDS = 120.0
-ANNOUNCE_RETRY_JITTER = 0.25  # +/- fraction applied to each retry delay
-IDLE_TIMEOUT_SECONDS = 120.0  # silence after which a half-open link is reaped
-FAULT_SWEEP_SECONDS = 20.0  # period of each peer's fault sweep
 
 
 @dataclass
@@ -110,81 +103,6 @@ class PeerConfig:
             raise ValueError("max_initiated must be positive")
 
 
-@dataclass(frozen=True)
-class FaultConfig:
-    """Fault-injection knobs (all off by default).
-
-    A :class:`~repro.sim.swarm.Swarm` given a config whose
-    :attr:`enabled` property is False behaves *byte-identically* to one
-    given no fault config at all: no extra RNG draws, no extra timers,
-    no code-path divergence.  Every injected fault draws from a single
-    dedicated fault RNG stream, so runs with the same seed and the same
-    fault config are reproducible.
-    """
-
-    message_loss_rate: float = 0.0
-    """Probability that a peer-wire message is silently dropped in
-    flight.  BITFIELD messages are exempt (they ride the handshake,
-    which the simulator models as reliable)."""
-
-    message_duplicate_rate: float = 0.0
-    """Probability that a delivered message arrives twice.  PIECE
-    messages are exempt (the picker already ignores duplicate blocks;
-    duplicating them would only distort byte accounting)."""
-
-    extra_jitter: float = 0.0
-    """Maximum extra one-way delivery delay in seconds, drawn uniformly
-    per message.  Positive jitter breaks per-link FIFO ordering, which
-    is exactly the reordering stress it exists to inject."""
-
-    crash_probability: float = 0.0
-    """Per-peer probability of an abrupt crash at each crash sweep: the
-    peer vanishes with no ``stopped`` announce and no FIN, leaving
-    half-open connections its neighbours must reap."""
-
-    crash_interval: float = 60.0
-    """Seconds between crash sweeps."""
-
-    tracker_outages: tuple = ()
-    """``(start, duration)`` windows (simulated seconds) during which
-    every tracker announce fails with
-    :class:`~repro.tracker.tracker.TrackerUnavailable`; peers retry with
-    the backoff of :data:`ANNOUNCE_RETRY_BASE_SECONDS`."""
-
-    hash_failure_rate: float = 0.0
-    """Probability that a completed piece is corrupted in flight: the
-    peer observes a hash failure and re-downloads the piece through the
-    existing ``on_hash_failure``/``reset_piece`` path."""
-
-    def __post_init__(self) -> None:
-        for name in ("message_loss_rate", "message_duplicate_rate",
-                     "crash_probability", "hash_failure_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("%s must be in [0, 1]" % name)
-        if self.message_loss_rate >= 1.0:
-            raise ValueError("message_loss_rate must be < 1 (total loss deadlocks)")
-        if self.extra_jitter < 0:
-            raise ValueError("extra_jitter must be non-negative")
-        if self.crash_interval <= 0:
-            raise ValueError("crash_interval must be positive")
-        for start, duration in self.tracker_outages:
-            if start < 0 or duration <= 0:
-                raise ValueError("outage windows need start >= 0, duration > 0")
-
-    @property
-    def enabled(self) -> bool:
-        """True when any fault source is actually configured."""
-        return bool(
-            self.message_loss_rate > 0
-            or self.message_duplicate_rate > 0
-            or self.extra_jitter > 0
-            or self.crash_probability > 0
-            or self.hash_failure_rate > 0
-            or self.tracker_outages
-        )
-
-
 @dataclass
 class SwarmConfig:
     """Swarm-level simulation parameters."""
@@ -211,8 +129,3 @@ class SwarmConfig:
 
     duration: float = 4000.0
     """Default run length in simulated seconds."""
-
-    faults: Optional[FaultConfig] = None
-    """Fault-injection plan; None (default) or a config whose
-    ``enabled`` is False leaves the simulation byte-identical to the
-    fault-free code path."""

@@ -38,11 +38,10 @@ class Connection(LinkState):
         self,
         local: "Peer",
         remote: "Peer",
-        now: float,
         initiated_by_local: bool,
         rate_window: float = 20.0,
     ):
-        super().__init__(local, remote, now, initiated_by_local, rate_window)
+        super().__init__(local, remote, initiated_by_local, rate_window)
         self.twin: Optional["Connection"] = None
         self.upload_progress = 0.0  # bytes already sent of the head block
         # The uploading direction's place in the swarm's allocation order
@@ -119,14 +118,6 @@ class Connection(LinkState):
         self.upload_queue.clear()
         self.upload_progress = 0.0
         self.local.swarm.forget_upload(self)
-
-    # -- liveness ----------------------------------------------------------
-
-    @property
-    def half_open(self) -> bool:
-        """True when the remote endpoint is gone (crashed peer) but this
-        endpoint has not noticed yet."""
-        return not self.closed and (self.twin is None or self.twin.closed)
 
     def __repr__(self) -> str:
         flags = "".join(

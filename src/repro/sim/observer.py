@@ -69,11 +69,12 @@ class PeerObserver:
         """A completed piece failed SHA-1 verification."""
 
     def on_fault(self, now: float, kind: str) -> None:
-        """The observed peer hit or recovered from an injected fault.
+        """The observed peer hit a fault of the network under it.
 
-        ``kind`` is a short counter key: ``"announce_failure"``,
-        ``"announce_retry"``, ``"connection_reaped"``,
-        ``"stale_requests_reset"``, ``"hash_failure_injected"``, ...
+        ``kind`` is a short counter key: a live peer reports
+        ``"connection_reaped"`` for a link that died under a reset or a
+        bad frame.  A simulated link never fails, so the simulator
+        reports none.
         """
 
     def on_snapshot(self, now: float, snapshot: "Snapshot") -> None:

@@ -9,11 +9,10 @@ round every 10 seconds through pluggable
 :class:`repro.core.choke.Choker` strategies — is
 :class:`repro.core.peer_core.PeerCore`, shared with the live
 :class:`repro.net.peer.NetPeer`.  This module is the simulator's driver
-around that core: joining, leaving and crashing, announce retries and
-refilling the peer set, message delivery (through the event queue when
-a fault plan delays a message), the fused HAVE fan-out over shared remote
-views and the per-block pair as direct calls (DESIGN §12), super-seeding
-and the fault sweep.
+around that core: joining and leaving, refilling the peer set, message
+delivery (synchronous and lossless on every link), the fused HAVE fan-out
+over shared remote views and the per-block pair as direct calls (DESIGN
+§12), and super-seeding.
 
 Transfers are fluid: the swarm's per-tick bandwidth allocation calls
 :meth:`Peer.advance_uploads`, which turns allocated bytes into completed
@@ -33,19 +32,14 @@ from repro.core.rarest_first import PieceSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
-    Choke,
     Have,
     Interested,
     Message,
     NotInterested,
     Piece,
-    Unchoke,
 )
 from repro.protocol.metainfo import BlockRef, Metainfo
 from repro.sim.config import (
-    FAULT_SWEEP_SECONDS,
-    IDLE_TIMEOUT_SECONDS,
-    REQUEST_TIMEOUT_SECONDS,
     TRACKER_ANNOUNCE_SECONDS,
     TRACKER_NUM_WANT,
     PeerConfig,
@@ -53,7 +47,6 @@ from repro.sim.config import (
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
 from repro.sim.observer import PeerObserver
-from repro.tracker.tracker import TrackerUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.swarm import Swarm
@@ -98,7 +91,7 @@ class Peer(PeerCore):
 
         # Fused HAVE fan-out targets (see _collect_have_targets), built
         # on demand; reset to None by whatever changes the answer: a link
-        # established or closed, either end crashing.
+        # established or closed.
         self._have_targets: Optional[ndarray] = None
         # Super-seeding (§IV-A.4): advertise nothing, reveal pieces one
         # at a time per peer, preferring the least-revealed piece.
@@ -110,7 +103,6 @@ class Peer(PeerCore):
         self._active_reveal: Dict[str, int] = {}
         self._choke_timer: Optional[Timer] = None
         self._announce_timer: Optional[Timer] = None
-        self._fault_timer: Optional[Timer] = None
         self._last_refill = -float("inf")
         self._departure_handle = None
 
@@ -147,114 +139,48 @@ class Peer(PeerCore):
             TRACKER_ANNOUNCE_SECONDS,
             self._periodic_announce,
         )
-        if self.swarm.faults is not None:
-            # Stagger fault sweeps too, so the population does not reap
-            # and refresh in lockstep.
-            self._fault_timer = Timer(
-                self.simulator,
-                FAULT_SWEEP_SECONDS,
-                self._fault_sweep,
-                start_at=self.simulator.now
-                + self.rng.uniform(0.0, FAULT_SWEEP_SECONDS),
-            )
 
     def leave(self) -> None:
         """Depart the torrent, closing every connection."""
         if not self.online:
             return
         self.online = False
-        self._stop_timers()
+        if self._choke_timer:
+            self._choke_timer.stop()
+        if self._announce_timer:
+            self._announce_timer.stop()
+        if self._departure_handle is not None:
+            self._departure_handle.cancel()
+            self._departure_handle = None
         for connection in list(self.connections.values()):
             self._close_connection(connection, notify_remote=True)
         self._announce(event="stopped", num_want=0)
         self.swarm.on_peer_left(self)
         # Every count was decremented as its connection closed above, so
-        # the row is zero: releasing it is lossless.  A crash skips this
-        # (and the per-connection decrements), so a rejoining peer keeps
-        # its stale counts.
+        # the row is zero: releasing it is lossless.
         self.picker.detach_matrix()
 
-    def crash(self) -> None:
-        """Abrupt failure: no ``stopped`` announce, no FIN to remotes.
-
-        Every neighbour is left with a half-open connection that only an
-        idle-timeout reap (the fault sweep) can clean up — the behaviour
-        of a client that is killed or loses connectivity."""
-        if not self.online:
-            return
-        self.online = False
-        self._stop_timers()
-        for connection in list(self.connections.values()):
-            # Close only the local endpoint; the twin stays open.
-            connection.closed = True
-            connection.clear_upload_queue()
-            twin = connection.twin
-            if twin is not None and not twin.closed:
-                connection.remote._have_targets = None
-                if twin.remote_bitfield is self.bitfield:
-                    # The half-open twin stops hearing from us, so a
-                    # shared view freezes here: were we to rejoin and
-                    # download on, it would run ahead of its counts.
-                    twin.remote_bitfield = self.bitfield.copy()
-        self.connections.clear()
-        self._have_targets = None
-        self.swarm.on_peer_crashed(self)
-
-    def _stop_timers(self) -> None:
-        if self._choke_timer:
-            self._choke_timer.stop()
-        if self._announce_timer:
-            self._announce_timer.stop()
-        if self._fault_timer:
-            self._fault_timer.stop()
-        if self._departure_handle is not None:
-            self._departure_handle.cancel()
-            self._departure_handle = None
-
     # ------------------------------------------------------------------
-    # tracker announces (with outage retry)
+    # tracker announces
     # ------------------------------------------------------------------
 
-    def _announce(
-        self, event: str, num_want: int, connect: bool = False, attempt: int = 0
-    ) -> None:
-        """Announce to the tracker; retry with exponential backoff when an
-        injected outage makes it fail (§II-B behaviour under faults).
-
-        ``connect`` initiates connections to the returned addresses once
-        the announce eventually succeeds."""
-        now = self.simulator.now
-        try:
-            addresses = self._tracker_announce(event, num_want)
-        except TrackerUnavailable:
-            plan = self.swarm.faults
-            if plan is None:  # pragma: no cover - outages imply a plan
-                raise
-            plan.stats["announce_failures"] += 1
-            if self.observer:
-                self.observer.on_fault(now, "announce_failure")
-            if not self.online and event != "stopped":
-                return  # departed while waiting; nothing to retry for
-            delay = plan.retry_delay(attempt, self.rng)
-            plan.stats["announce_retries"] += 1
-            if self.observer:
-                self.observer.on_fault(now, "announce_retry")
-            self.simulator.schedule(
-                delay,
-                lambda: self._announce(event, num_want, connect, attempt + 1),
-            )
-            return
+    def _announce(self, event: str, num_want: int, connect: bool = False) -> None:
+        """Announce to the tracker; ``connect`` initiates connections to
+        the returned addresses."""
+        addresses = self._tracker_announce(event, num_want)
         if self.observer and self.swarm.config.trace_announces:
             # Gated: the flag defaults off and this branch is the only
             # cost, keeping default traces byte-identical.
             self.observer.on_announce(
-                now,
+                self.simulator.now,
                 event or "interval",
                 {
                     "peer": self.address,
                     "num_want": num_want,
                     "returned": len(addresses),
-                    "attempt": attempt,
+                    # No announce is retried; the field stays so that
+                    # traces with announce events keep their bytes.
+                    "attempt": 0,
                 },
             )
         if connect and self.online:
@@ -283,10 +209,10 @@ class Peer(PeerCore):
     def _establish(self, remote: "Peer", initiated_by_local: bool) -> None:
         now = self.simulator.now
         local_conn = Connection(
-            self, remote, now, initiated_by_local, self.config.rate_window
+            self, remote, initiated_by_local, self.config.rate_window
         )
         remote_conn = Connection(
-            remote, self, now, not initiated_by_local, remote.config.rate_window
+            remote, self, not initiated_by_local, remote.config.rate_window
         )
         local_conn.twin = remote_conn
         remote_conn.twin = local_conn
@@ -310,17 +236,13 @@ class Peer(PeerCore):
         """The recorder a delivery between us and *remote* is traced
         into as one sent+received pair, or ``None`` (DESIGN §12).
 
-        Exact only when the two lines would be adjacent anyway: both
-        ends are stock tracing observers on one recorder, and with no
-        fault plan ``remote._receive`` runs inside ``_send``, before
-        anything else can emit.
+        Exact because the two lines would be adjacent anyway: both ends
+        are stock tracing observers on one recorder, and
+        ``remote._receive`` runs inside ``_send``, before anything else
+        can emit.
         """
         recorder = getattr(self.observer, "pair_recorder", None)
-        if (
-            recorder is None
-            or self.swarm.faults is not None
-            or getattr(remote.observer, "pair_recorder", None) is not recorder
-        ):
+        if getattr(remote.observer, "pair_recorder", None) is not recorder:
             return None
         return recorder
 
@@ -404,24 +326,8 @@ class Peer(PeerCore):
             return
         if self.observer:
             self.observer.on_message_sent(self.simulator.now, connection, message)
-        remote = connection.remote
-        if twin is None or twin.closed:
-            # Half-open link (the remote crashed): bytes fall into the
-            # void until the fault sweep reaps the connection.
-            return
-        plan = self.swarm.faults
-        if plan is None or not plan.affects_messages:
-            remote._receive(twin, message)
-            return
-        for delay in plan.deliveries(message):
-            if delay > 0:
-                # Delivery is skipped if the link closed in flight.
-                self.simulator.schedule(
-                    delay,
-                    lambda: None if twin.closed else remote._receive(twin, message),
-                )
-            else:
-                remote._receive(twin, message)
+        if twin is not None and not twin.closed:
+            connection.remote._receive(twin, message)
 
     # -- piece-knowledge messages -----------------------------------------
 
@@ -429,10 +335,11 @@ class Peer(PeerCore):
         self, connection: Connection, message: BitfieldMessage
     ) -> Bitfield:
         remote = connection.remote
-        if self.swarm._batched_have and not remote.super_seeding:
-            # Shared view (DESIGN §12): under synchronous lossless
-            # delivery a parsed copy would equal the remote's own bitfield
-            # whenever read.  A super-seeder advertises less than it holds.
+        if not remote.super_seeding:
+            # Shared view (DESIGN §12): delivery is synchronous and
+            # lossless, so a parsed copy would equal the remote's own
+            # bitfield whenever read.  A super-seeder advertises less than
+            # it holds.
             return remote.bitfield
         return PeerCore._remote_view(self, connection, message)
 
@@ -460,9 +367,7 @@ class Peer(PeerCore):
         batched add — exact, because a receiver's counts are read by that
         receiver alone and nothing before its turn reaches it — and the
         loop keeps, in the reference link order, observer emission and
-        what can react.  Only valid under the shared-view precondition
-        (DESIGN §12): ``_send``'s fault branch is elided, not
-        reimplemented.
+        what can react (DESIGN §12).
         """
         piece = message.piece
         now = self.simulator.now
@@ -527,9 +432,6 @@ class Peer(PeerCore):
                         observer.on_message_sent(now, connection, message)
                 if twin is not None:
                     # -- the receiver's reactions (_handle_have) --
-                    # ``last_message_at`` is deliberately not refreshed: its
-                    # only reader is the fault sweep, and a fault plan
-                    # disables the fused path entirely.
                     if (
                         receiver.super_seeding
                         and receiver._active_reveal.get(sender_addr) == piece
@@ -576,11 +478,10 @@ class Peer(PeerCore):
 
     def _calls_blocks(self, connection: Connection) -> bool:
         """Whether a REQUEST or PIECE on *connection* may be a direct
-        call on the far end instead of a message (DESIGN §12): the
-        shared-view path, nobody observes either end, no trace pair."""
+        call on the far end instead of a message (DESIGN §12): nobody
+        observes either end, no trace pair."""
         return (
-            self.swarm._batched_have
-            and self.observer is None
+            self.observer is None
             and connection.remote.observer is None
             and connection.trace_pair is None
         )
@@ -592,16 +493,9 @@ class Peer(PeerCore):
         # ``_send`` + ``_receive`` + ``_handle_request``, less the message.
         twin = connection.twin
         if not connection.closed and twin is not None and not twin.closed:
-            twin.last_message_at = self.simulator.now
             connection.remote._serve_request(twin, block)
 
     def _serve_request(self, connection: Connection, block: BlockRef) -> None:
-        if connection.am_choking:
-            # Under message faults the remote may have missed our CHOKE;
-            # resend it so its view of the link re-synchronises.
-            if self.swarm.faults is not None:
-                self._send(connection, Choke())
-            return
         if self.super_seeding and block.piece not in self._revealed_to.get(
             connection.remote.address, ()
         ):
@@ -610,28 +504,11 @@ class Peer(PeerCore):
 
     # -- finished pieces -----------------------------------------------------
 
-    def _verify_and_store(self, piece: int) -> bool:
-        plan = self.swarm.faults
-        if plan is not None and plan.should_fail_hash():
-            # Injected corruption: the piece fails its hash check and is
-            # re-downloaded, exactly as with a real SHA-1 mismatch.
-            if self.observer:
-                now = self.simulator.now
-                self.observer.on_hash_failure(now, piece)
-                self.observer.on_fault(now, "hash_failure_injected")
-            self._piece_buffers.pop(piece, None)
-            return False
-        return PeerCore._verify_and_store(self, piece)
-
     def _announce_piece(self, piece: int) -> None:
-        # The HAVE flood is the dominant cost of a large swarm; when
-        # delivery is synchronous and lossless the fused loop batches the
-        # availability updates, otherwise the core's observably-identical
-        # per-link loop runs.
-        if self.swarm._batched_have:
-            self.broadcast_have_fused(Have(piece=piece))
-        else:
-            PeerCore._announce_piece(self, piece)
+        # The HAVE flood is the dominant cost of a large swarm: the fused
+        # loop batches the availability updates that the core's per-link
+        # loop makes one by one, with the same observable effect.
+        self.broadcast_have_fused(Have(piece=piece))
         self.swarm.on_piece_replicated(self, piece)
 
     # ------------------------------------------------------------------
@@ -669,78 +546,8 @@ class Peer(PeerCore):
                 # ``_send`` + ``_receive`` + ``_handle_piece``, less the
                 # message and the BlockRef rebuilt from it.  The checks
                 # stay per block: a delivery may close the link.
-                twin.last_message_at = now
                 remote._receive_block(twin, block, data)
         return transferable
-
-    # ------------------------------------------------------------------
-    # fault sweep (only runs when a FaultPlan is installed)
-    # ------------------------------------------------------------------
-
-    def _fault_sweep(self) -> None:
-        """Periodic resilience pass: reap half-open connections, release
-        stale in-flight requests, and refresh link state that a lost
-        control message may have desynchronised (keep-alive stand-in)."""
-        if not self.online:
-            return
-        plan = self.swarm.faults
-        if plan is None:  # pragma: no cover - timer only exists with a plan
-            return
-        now = self.simulator.now
-        for connection in list(self.connections.values()):
-            if connection.closed:
-                continue
-            if (
-                connection.half_open
-                and now - connection.last_message_at >= IDLE_TIMEOUT_SECONDS
-            ):
-                # The remote endpoint is dead (peer crashed) and the link
-                # has been silent past the keep-alive timeout: reap it.
-                plan.stats["connections_reaped"] += 1
-                if self.observer:
-                    self.observer.on_fault(now, "connection_reaped")
-                self._close_connection(connection, notify_remote=False)
-                continue
-            if connection.request_times and any(
-                now - issued >= REQUEST_TIMEOUT_SECONDS
-                for issued in connection.request_times.values()
-            ):
-                # Requests (or the PIECE replies) were lost: hand every
-                # block on this link back to the picker.  Re-requesting
-                # waits for the remote's next UNCHOKE refresh, so a link
-                # that is actually choked does not re-pin the blocks.
-                plan.stats["stale_requests_reset"] += 1
-                if self.observer:
-                    self.observer.on_fault(now, "stale_requests_reset")
-                self.picker.on_peer_gone(
-                    connection.remote_key, connection.request_times
-                )
-                connection.request_times.clear()
-            if plan.affects_messages:
-                self._refresh_link_state(connection)
-
-    def _refresh_link_state(self, connection: Connection) -> None:
-        """Resend state a lost control message may have left stale.
-
-        All four resends are idempotent on the receiving side; they fire
-        only on links whose observable state looks suspicious, so clean
-        links stay quiet."""
-        if connection.am_interested and connection.peer_choking:
-            # Waiting for an unchoke that may never come because our
-            # INTERESTED (or the remote's UNCHOKE) was dropped.
-            self._send(connection, Interested())
-        elif not connection.am_interested and not connection.peer_choking:
-            # The remote is wasting an unchoke slot on us; our
-            # NOT-INTERESTED may have been lost.
-            self._send(connection, NotInterested())
-        if (
-            not connection.am_choking
-            and connection.peer_interested
-            and not connection.upload_queue
-        ):
-            # Unchoked an interested peer but no requests arrived: the
-            # UNCHOKE may have been dropped.
-            self._send(connection, Unchoke())
 
     # ------------------------------------------------------------------
     # seed transition

@@ -24,7 +24,6 @@ from repro.sim.bandwidth import INF, resolve_allocator
 from repro.sim.config import PeerConfig, SwarmConfig
 from repro.sim.connection import Connection
 from repro.sim.engine import Simulator, Timer
-from repro.sim.faults import FaultPlan
 from repro.sim.observer import PeerObserver
 from repro.sim.peer import Peer
 from repro.tracker.tracker import Tracker
@@ -133,29 +132,11 @@ class Swarm:
         # peer — observers hold per-peer state).  Used by the tracing
         # layer to cover churn arrivals, which no caller sees directly.
         self.observer_factory: Optional[Callable[[], PeerObserver]] = None
-        # Fault injection.  The plan (and its dedicated RNG draw) exists
-        # only when faults are actually configured, so a fault-free run
-        # is byte-identical whether config.faults is None or disabled.
-        self.faults: Optional[FaultPlan] = None
-        if self.config.faults is not None and self.config.faults.enabled:
-            self.faults = FaultPlan(
-                self.config.faults, Random(self.rng.getrandbits(64))
-            )
-            self.tracker.set_outages(self.config.faults.tracker_outages)
-            if self.config.faults.crash_probability > 0:
-                self.simulator.schedule(
-                    self.config.faults.crash_interval, self._crash_sweep
-                )
         # Shared availability matrix: one int32 row per online peer, so a
         # completed piece's HAVE flood becomes a single vectorized
         # increment over the receivers' rows instead of per-peer python
         # bookkeeping.
         self.availability_matrix = AvailabilityMatrix(metainfo.geometry.num_pieces)
-        # Batched HAVE fan-out (Peer._announce_piece), and the shared
-        # remote views it rests on (Peer._remote_view), are only observably
-        # identical to per-link sends and parsed views when delivery is
-        # synchronous and lossless: a fault plan takes the per-link path.
-        self._batched_have = self.faults is None
 
     # ------------------------------------------------------------------
     # population management
@@ -247,14 +228,12 @@ class Swarm:
     def on_peer_joined(self, peer: Peer) -> None:
         """Enter a peer coming online into the swarm's books: the mirror
         of :meth:`on_peer_left`, called by every :meth:`Peer.join` (the
-        first one and a rejoin after a leave or a crash alike)."""
+        first one and a rejoin after a leave alike)."""
         address = peer.address
         if self.peers.get(address, peer) is not peer:
             raise ValueError("address %s already in use" % address)
         self.peers[address] = peer
-        # The capacities feed the cached bandwidth allocation: a
-        # half-open flow towards this address may have been rated while
-        # the address had no download cap.
+        # The capacities feed the cached bandwidth allocation.
         self._upload_caps[address] = peer.config.upload_capacity
         node = self._upload_node(address)
         download = peer.config.download_capacity
@@ -280,34 +259,11 @@ class Swarm:
         self.result.bytes_downloaded[peer.address] = peer.total_downloaded
         self.peers.pop(peer.address, None)
         # The capacities feed the cached bandwidth allocation, so
-        # uncapping a departed peer must invalidate the cache: a
-        # surviving uploader can still hold an active flow towards a
-        # *crashed* peer (the half-open link serves into the void until
-        # reaped), and its cached rate was computed with the dead peer's
-        # download cap.  Without the generation bump that stale rate
-        # would persist until some unrelated membership change.
+        # uncapping a departed peer invalidates the cache.
         if self._upload_caps.pop(peer.address, None) is not None:
             node = self._upload_nodes[peer.address]
             self._capacities[node : node + 2] = INF
             self._members_generation += 1
-
-    def on_peer_crashed(self, peer: Peer) -> None:
-        """An abrupt (fault-injected) departure: same swarm bookkeeping
-        as a clean leave, but the tracker is never told — it keeps
-        handing out the dead address until peers fail to connect."""
-        if self.faults is not None:
-            self.faults.stats["peer_crashes"] += 1
-        self.on_peer_left(peer)
-
-    def _crash_sweep(self) -> None:
-        """Periodically crash online peers with the plan's probability."""
-        plan = self.faults
-        if plan is None:  # pragma: no cover - sweep only scheduled with a plan
-            return
-        for peer in list(self.peers.values()):
-            if peer.online and plan.should_crash():
-                peer.crash()
-        self.simulator.schedule(plan.config.crash_interval, self._crash_sweep)
 
     # ------------------------------------------------------------------
     # fluid transfer loop

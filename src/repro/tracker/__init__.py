@@ -8,8 +8,7 @@ Layering (bottom up):
   (``uniform`` / ``seed-biased`` / ``rarity-aware``) drawing from the
   caller's seeded RNG.
 * :mod:`repro.tracker.tracker` — the synchronous in-process frontend
-  the simulator and live peers call directly, with the outage windows
-  of the fault model.
+  the simulator and live peers call directly.
 * :mod:`repro.tracker.service` — the sharded, budget-aware announce
   engine (load shedding) shared by every frontend.
 * :mod:`repro.tracker.server` / :mod:`repro.tracker.client` — the

@@ -24,8 +24,7 @@ past a hard limit, by rejecting announces outright with a retry hint.
 estimate scales the returned interval proportionally to the overload
 factor, and past ``reject_factor`` times the budget the announce fails
 with :class:`TrackerOverloaded` (wire frontends encode it as a bencoded
-``failure reason``; simulated peers retry with their existing
-fault-model backoff).
+``failure reason``).
 """
 
 from __future__ import annotations

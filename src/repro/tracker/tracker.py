@@ -33,17 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.tracker.sampling import UniformSampler
 from repro.tracker.state import SwarmState
 
 
 class TrackerUnavailable(RuntimeError):
-    """Raised by :meth:`Tracker.announce` while the tracker is down.
-
-    Real trackers time out or return HTTP errors; clients retry their
-    announce with backoff rather than dropping out of the torrent."""
+    """An announce got no usable answer: the tracker client's HTTP or UDP
+    request failed (:mod:`repro.tracker.client`), or the service shed it
+    (:class:`~repro.tracker.service.TrackerOverloaded`).  The in-process
+    :class:`Tracker` always answers."""
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,7 @@ class Tracker:
         self._state = SwarmState()
         self._sampler = UniformSampler()
         self._history: List[TrackerStats] = []
-        self._outages: Tuple[Tuple[float, float], ...] = ()
         self.announce_count = 0
-        self.failed_announce_count = 0
-
-    def set_outages(self, windows: Sequence[Tuple[float, float]]) -> None:
-        """Install the ``(start, duration)`` windows during which every
-        announce raises :class:`TrackerUnavailable`."""
-        self._outages = tuple(windows)
-
-    def is_down(self, now: float) -> bool:
-        return any(
-            start <= now < start + duration for start, duration in self._outages
-        )
 
     def announce(
         self,
@@ -94,9 +82,6 @@ class Tracker:
         stream (module docstring).
         """
         now = self._clock()
-        if self.is_down(now):
-            self.failed_announce_count += 1
-            raise TrackerUnavailable("tracker outage at t=%.1f" % now)
         self.announce_count += 1
         self._state.update(address, event=event, is_seed=is_seed, now=now)
         self._record_sample()

@@ -32,7 +32,6 @@ from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import Metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
-from repro.sim.faults import FAULT_PRESETS
 from repro.sim.observer import FanoutObserver
 from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
@@ -210,9 +209,6 @@ class RunOptions:
     block_size: Optional[int] = None
     """Override the torrent's block size (bytes)."""
 
-    faults: Optional[str] = None
-    """Fault-injection preset name (``repro.sim.faults.FAULT_PRESETS``)."""
-
     def __post_init__(self) -> None:
         # Config errors fail where the run is described, before any
         # worker is spawned or any event simulated.
@@ -222,11 +218,6 @@ class RunOptions:
             raise ValueError("duration must be finite and > 0, not %r" % self.duration)
         if self.block_size is not None and self.block_size < 1:
             raise ValueError("block_size must be >= 1, not %r" % self.block_size)
-        if self.faults is not None and self.faults not in FAULT_PRESETS:
-            raise ValueError(
-                "unknown fault preset %r (have: %s)"
-                % (self.faults, ", ".join(sorted(FAULT_PRESETS)))
-            )
 
     def non_default(self) -> Dict:
         """The coordinates that differ from the paper's run, in order."""
@@ -308,7 +299,7 @@ def build_experiment(
     coordinates :func:`resolve_scenario` applied, and every other
     :class:`RunOptions` coordinate is applied here, to the whole swarm.
     The local (instrumented) peer otherwise uses the paper's defaults.
-    A given *swarm_config* is copied, never written to.  Pass
+    A given *swarm_config* is read, never written to.  Pass
     ``client_mix`` (e.g.
     :data:`repro.workloads.clients.CLIENT_MIX_2005`) to give the
     population heterogeneous client IDs, exercising the paper's §III-D
@@ -331,8 +322,6 @@ def build_experiment(
         block_size=options.block_size or scenario.block_size,
     )
     config = swarm_config or SwarmConfig(seed=seed, duration=scenario.duration)
-    if options.faults is not None:
-        config = replace(config, faults=FAULT_PRESETS[options.faults])
     swarm = Swarm(metainfo, config)
     if trace_recorder is not None and trace_all_peers:
         # Installed before any peer is added, so the initial population,

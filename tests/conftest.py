@@ -7,9 +7,11 @@ import pytest
 
 import repro.core.peer_core
 import repro.sim.swarm
+from repro.core.peer_core import PeerCore
 from repro.instrumentation.trace import TracingObserver
 from repro.protocol.metainfo import make_metainfo
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
 
 from tests.reference_allocator import reference_max_min_rates
@@ -52,21 +54,23 @@ def _reference_allocator(patch):
     )
 
 
+def _per_link_announce_piece(peer, piece):
+    PeerCore._announce_piece(peer, piece)
+    peer.swarm.on_piece_replicated(peer, piece)
+
+
 def _per_link(patch):
-    # Parsed per-link views and one HAVE per link, from construction on,
-    # as a latency or fault plan would select them.
-    construct = Swarm.__init__
-
-    def per_link_swarm(self, *args, **kwargs):
-        construct(self, *args, **kwargs)
-        self._batched_have = False
-
-    patch.setattr(Swarm, "__init__", per_link_swarm)
+    # The message route of PeerCore, which NetPeer runs: a view parsed
+    # from each BITFIELD, one HAVE per link, and REQUEST and PIECE as
+    # messages, through ``_send`` and ``_receive``.
+    patch.setattr(Peer, "_remote_view", PeerCore._remote_view)
+    patch.setattr(Peer, "_announce_piece", _per_link_announce_piece)
+    patch.setattr(Peer, "_calls_blocks", lambda peer, connection: False)
 
 
 def _unpaired(patch):
     # No observer offers a pair recorder, so every delivery between two
-    # traced peers goes through both message hooks, as under a fault plan.
+    # traced peers goes through both message hooks, one line each.
     patch.setattr(TracingObserver, "pair_recorder", None)
 
 
@@ -81,8 +85,8 @@ TWINS = {
     "naive-picker": _naive_picker,
 }
 
-#: Every engine fast path on its reference: the python allocator, the
-#: per-link delivery a fault plan selects, and each traced delivery
+#: Every engine fast path on its reference: the python allocator,
+#: PeerCore's per-link message delivery, and each traced delivery
 #: through both observer hooks.  The picker oracle is not an engine path.
 ENGINE_TWINS = ("reference-allocator", "per-link", "unpaired")
 
@@ -99,18 +103,20 @@ def _select(*names):
 def twins():
     """``with twins(*names):`` builds swarms and peers on reference twins.
 
-    The engine chooses its delivery path from what it observes at
-    construction (zero latency and no fault plan), so this reaches each
-    twin the same way: by changing what a swarm built inside the block
-    observes.  ``"reference-allocator"`` hands every swarm built inside
-    the block the python allocator of ``tests/reference_allocator.py``,
-    ``"unpaired"`` traces every delivery through both observer hooks
-    instead of one pair (DESIGN §12), and ``"naive-picker"`` makes every
-    peer built inside the block pick through the naive oracle of
-    ``tests/reference_piece_picker.py``.  A swarm keeps the engine twins
-    it was built with; peers arriving later are built when they arrive,
-    and a link decides on pairing when it opens, so a run with arrivals
-    stays inside the block.  The context manager holds no state, so the
-    fixture is session-wide and safe under Hypothesis.
+    ``"reference-allocator"`` hands every swarm built inside the block
+    the python allocator of ``tests/reference_allocator.py``,
+    ``"per-link"`` makes every simulated peer deliver along PeerCore's
+    message route instead of the fused HAVE flood, the shared remote
+    views and the block calls (DESIGN §12), ``"unpaired"`` traces every
+    delivery through both observer hooks instead of one pair, and
+    ``"naive-picker"`` makes every peer built inside the block pick
+    through the naive oracle of ``tests/reference_piece_picker.py``.  A
+    swarm keeps the allocator it was built with, a peer its picker, and
+    a link decides on pairing when it opens, while the ``per-link``
+    methods hold only inside the block; so a run, arrivals included,
+    stays inside the block, and a test that patches the same methods
+    enters its own patch inside the block, so that both undo in order.
+    The context manager holds no state, so the fixture is session-wide
+    and safe under Hypothesis.
     """
     return _select

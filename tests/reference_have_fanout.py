@@ -71,9 +71,6 @@ def reference_broadcast_have_fused(self, message: Have) -> None:
                     observer.on_message_sent(now, connection, message)
             if twin is not None:
                 # -- the receiver's reactions (_handle_have) --
-                # ``last_message_at`` is deliberately not refreshed: its
-                # only reader is the fault sweep, and a fault plan
-                # disables the fused path entirely.
                 if (
                     receiver.super_seeding
                     and receiver._active_reveal.get(sender_addr) == piece

@@ -12,15 +12,16 @@ ways:
   restructured so both charge residuals with the same arithmetic);
 * **differential swarm runs** execute the same seeded scenario on the
   fast paths and on their reference twins (reached through the
-  ``twins`` fixture, as a fault run reaches per-link delivery and
-  traced deliveries through both observer hooks) and
+  ``twins`` fixture: the python allocator, PeerCore's per-link message
+  route and traced deliveries through both observer hooks) and
   require identical trace fingerprints and final swarm state —
-  including under churn, faults, and rejoins;
+  including under churn and rejoins;
 * **format tests** require the binary trace to reproduce the JSONL
   trace byte for byte, and to fail loudly when truncated or corrupted.
 """
 
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,8 @@ from repro.instrumentation import (
     replay_instrumentation,
 )
 from repro.instrumentation.replay import TraceFormatError
+from repro.core.peer_core import PeerCore
+from repro.protocol.messages import Have, Request
 from repro.protocol.metainfo import make_metainfo
 import repro.sim.swarm
 from repro.sim.bandwidth import (
@@ -43,7 +46,8 @@ from repro.sim.bandwidth import (
     max_min_rates,
     resolve_allocator,
 )
-from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
+from repro.sim.peer import Peer
 from repro.sim.swarm import Swarm
 
 from random import Random
@@ -135,15 +139,13 @@ def run_swarm(
     pieces=128,
     horizon=150.0,
     churn=False,
-    faults=None,
     recorder=None,
 ):
     """One seeded scenario; returns (fingerprint, state, swarm)."""
     metainfo = make_metainfo(
         "equiv", num_pieces=pieces, piece_size=4 * KIB, block_size=4 * KIB
     )
-    config = SwarmConfig(seed=seed, faults=faults)
-    swarm = Swarm(metainfo, config)
+    swarm = Swarm(metainfo, SwarmConfig(seed=seed))
     if recorder is not None:
         swarm.observer_factory = lambda: TracingObserver(recorder)
     rng = Random(seed)
@@ -180,7 +182,15 @@ class TestEngineDifferential:
                 "reference-allocator",
                 lambda swarm: swarm._allocate is reference_max_min_rates,
             ),
-            ("per-link", lambda swarm: swarm._batched_have is False),
+            (
+                # What the run delivered that way is checked by
+                # test_per_link_twin_takes_the_message_route.
+                "per-link",
+                lambda swarm: all(
+                    type(peer)._remote_view is PeerCore._remote_view
+                    for peer in swarm.peers.values()
+                ),
+            ),
             (
                 "unpaired",
                 lambda swarm: all(
@@ -222,21 +232,28 @@ class TestEngineDifferential:
         assert fast_fp == ref_fp
         assert fast_state == ref_state
 
-    def test_allocator_choice_invisible_under_faults(self, twins):
-        # Faults disable the fused fan-out automatically; the allocator
-        # still runs and must stay invisible.
-        faults = FaultConfig(
-            message_loss_rate=0.02,
-            crash_probability=0.05,
-            crash_interval=20.0,
-        )
-        fast_fp, fast_state, __ = run_swarm(faults=faults, recorder=TraceRecorder())
-        with twins(*ENGINE_TWINS):
-            ref_fp, ref_state, __ = run_swarm(
-                faults=faults, recorder=TraceRecorder()
-            )
-        assert fast_fp == ref_fp
-        assert fast_state == ref_state
+    def test_per_link_twin_takes_the_message_route(self, twins, monkeypatch):
+        """Guard against the oracle collapsing into the fused path: on
+        the ``per-link`` twin HAVEs and REQUESTs reach the far end
+        through ``Peer._receive``; on the fast path, with nobody
+        observing, none does."""
+        counts = []
+        receive = Peer._receive
+
+        def counted(peer, connection, message, observe=True):
+            counts[-1][type(message)] += 1
+            receive(peer, connection, message, observe)
+
+        monkeypatch.setattr(Peer, "_receive", counted)
+        counts.append(Counter())
+        with twins("per-link"):
+            run_swarm(horizon=60.0)
+        counts.append(Counter())
+        run_swarm(horizon=60.0)
+        per_link, fast = counts
+        for kind in (Have, Request):
+            assert per_link[kind] > 0, kind
+            assert fast[kind] == 0, kind
 
     def test_leave_and_rejoin_reacquires_matrix_slot(self):
         metainfo = make_metainfo(
@@ -258,9 +275,9 @@ class TestEngineDifferential:
 
 
 class TestFlowCacheUnderChurn:
-    def test_cached_rates_survive_crash_hammer(self):
+    def test_cached_rates_survive_churn_hammer(self):
         """The per-tick allocation cache must stay coherent while peers
-        crash and links are reaped: forcing a recompute on every tick
+        leave and rejoin mid-transfer: forcing a recompute on every tick
         must not change any outcome (regression: stale cached rates for
         departed uploaders)."""
 
@@ -268,19 +285,28 @@ class TestFlowCacheUnderChurn:
             metainfo = make_metainfo(
                 "hammer", num_pieces=32, piece_size=4 * KIB, block_size=4 * KIB
             )
-            faults = FaultConfig(
-                crash_probability=0.15,
-                crash_interval=5.0,
-            )
-            swarm = Swarm(
-                metainfo,
-                SwarmConfig(seed=29, tick_interval=1.0, faults=faults),
-            )
+            swarm = Swarm(metainfo, SwarmConfig(seed=29, tick_interval=1.0))
             swarm.add_peer(
                 config=PeerConfig(upload_capacity=32 * KIB), is_seed=True
             )
-            for __ in range(8):
+            leechers = [
                 swarm.add_peer(config=PeerConfig(upload_capacity=16 * KIB))
+                for __ in range(8)
+            ]
+            rng = Random(29)
+
+            def churn():
+                # Every 5 s each leecher leaves or rejoins with a fixed
+                # draw, so both runs churn alike.
+                for peer in leechers:
+                    if rng.random() < 0.15:
+                        if peer.online:
+                            peer.leave()
+                        else:
+                            peer.join()
+                swarm.simulator.schedule(5.0, churn)
+
+            swarm.simulator.schedule(5.0, churn)
             if force_recompute:
                 def invalidate(now):
                     swarm._members_generation += 1

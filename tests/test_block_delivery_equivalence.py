@@ -1,18 +1,18 @@
 """The per-block pair as calls, against the message path (DESIGN §12).
 
-With no fault plan and nobody observing either end of a link, a block
+With nobody observing either end of a link, a block
 request is a call on the remote's ``_serve_request`` and a finished
 block a call on its ``_receive_block``: no ``Request`` or ``Piece`` is
 built, and neither goes through ``_send`` and ``_receive``.  The
 ``per-link`` twin keeps the message path on every link.  Two checks:
 
-* **counting guard** — an unobserved fault-free run builds no
+* **counting guard** — an unobserved run builds no
   ``Request`` and no ``Piece``; the same run on ``per-link`` builds one
   per request sent and one per block finished, and both end alike;
 * **mixed links** — one swarm where some links take the calls and some
   the messages (an observed peer, a super-seeding seed refusing an
   unrevealed piece, end-game CANCELs, hash-checked payloads, a request
-  that arrives while choked, a crashed remote's half-open twin) equals
+  that arrives while choked, a neighbour leaving mid-upload) equals
   its ``per-link`` run, step by step, in the transcript, every link's
   flags, upload queue and ``request_times``, and every peer's
   ``rng.getstate()``.
@@ -43,9 +43,6 @@ def make_swarm(verify=False):
 
 
 def link_state(connection):
-    # ``last_message_at`` is left out: the fused HAVE fan-out does not
-    # refresh it (DESIGN §12), so it differs from ``per-link`` whatever
-    # the blocks do.  The scripted requests below check it themselves.
     return (
         connection.remote_key,
         connection.closed,
@@ -107,7 +104,7 @@ def count_blocks(patch, counts):
 
 def counted_run(twins, *twin_names):
     counts = Counter()
-    with pytest.MonkeyPatch.context() as patch, twins(*twin_names):
+    with twins(*twin_names), pytest.MonkeyPatch.context() as patch:
         count_blocks(patch, counts)
         swarm = make_swarm()
         rng = Random(5)
@@ -194,9 +191,6 @@ def record_transcript(patch, transcript):
 
     def block_call(kind):
         def entry(peer, connection, block, *data):
-            if kind != "request":
-                # Heard on the link: the receiving end saw it arrive.
-                assert connection.last_message_at == peer.simulator.now
             return (kind, peer.address, connection.remote_key, block) + tuple(
                 len(payload) for payload in data
             )
@@ -252,7 +246,7 @@ class MixedRun:
         self.transcript = []
         self.steps = []
         self.kinds = set()  # (qualifies for calls?) over every link seen
-        with pytest.MonkeyPatch.context() as patch, twins(*twin_names):
+        with twins(*twin_names), pytest.MonkeyPatch.context() as patch:
             record_transcript(patch, self.transcript)
             self.swarm = make_swarm(verify=True)
             self.script()
@@ -291,12 +285,8 @@ class MixedRun:
         self.snapshot("request while choked")
         self.super_seeder_refuses()
         self.snapshot("super-seeder refuses")
-        self.crash()
-        self.snapshot("crash")
-        swarm.run(60)
-        self.snapshot("half-open")
-        self.request_into_the_void()
-        self.snapshot("request into the void")
+        self.leave()
+        self.snapshot("leave")
         swarm.run(400)
         self.snapshot("end")
 
@@ -316,7 +306,6 @@ class MixedRun:
         block = self.swarm.metainfo.geometry.block_ref(piece, 0)
         connection.local._send_request(connection, block)
         assert block not in connection.twin.upload_queue
-        assert connection.twin.last_message_at == self.swarm.simulator.now
 
     def super_seeder_refuses(self):
         """A leecher the super-seeder unchokes asks it for a piece it has
@@ -339,9 +328,9 @@ class MixedRun:
         twin.remote._send_request(twin.twin, block)
         assert twin.upload_queue == queued
 
-    def crash(self):
-        """A leecher an unobserved neighbour is uploading to crashes: its
-        neighbours keep half-open links (no fault plan, no sweep)."""
+    def leave(self):
+        """A leecher an unobserved neighbour is uploading to leaves: its
+        links close at both ends with blocks in flight."""
         self.victim = pick(
             (leecher.address, leecher)
             for leecher in self.leechers
@@ -350,21 +339,7 @@ class MixedRun:
                 for c in leecher.connections.values()
             )
         )
-        self.victim.crash()
-
-    def request_into_the_void(self):
-        """A neighbour of the crashed peer asks it for a block."""
-        victim = self.victim
-        connection = pick(
-            (peer.address, peer.connections[victim.address])
-            for peer in [self.seed, self.observed] + self.leechers
-            if victim.address in peer.connections and peer is not victim
-        )
-        assert connection.half_open
-        before = connection.twin.last_message_at
-        block = self.swarm.metainfo.geometry.block_ref(0, 0)
-        connection.local._send_request(connection, block)
-        assert connection.twin.last_message_at == before
+        self.victim.leave()
 
 
 def test_mixed_links_equal_the_per_link_reference(twins):
@@ -380,10 +355,6 @@ def test_mixed_links_equal_the_per_link_reference(twins):
     assert any(
         entry[1] == "send" and isinstance(entry[-1], Cancel) for entry in transcript
     ), "no end-game CANCEL"
-    assert any(
-        entry[1] == "finished" and entry[4] and entry[2] != calls.observed.address
-        for entry in transcript
-    ), "no block finished on a half-open link that takes calls"
     # Every payload passed its hash check: a wrong one is fetched again
     # and again, and its piece never completes.
     survivors = [peer for peer in calls.leechers if peer is not calls.victim]

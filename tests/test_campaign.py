@@ -112,12 +112,6 @@ class TestSpecExpansion:
         shards = expand_spec(smoke_spec((2,)))
         assert shards[0].options.duration == 240.0
 
-    def test_faults_variant_sets_preset(self):
-        shards = expand_spec(
-            CampaignSpec(torrent_ids=(2,), scenarios=("faults-light",))
-        )
-        assert shards[0].options.faults == "light"
-
     def test_payload_roundtrip(self):
         shard = expand_spec(smoke_spec((7,)))[0]
         assert ShardSpec.from_payload(shard.as_payload()) == shard
@@ -139,7 +133,7 @@ class TestSeedDerivation:
         seeds = {
             derive_shard_seed(3, tid, scenario, replicate)
             for tid in range(1, 27)
-            for scenario in ("paper", "smoke", "faults-light")
+            for scenario in ("paper", "smoke", "other")
             for replicate in range(3)
         }
         assert len(seeds) == 26 * 3 * 3  # no collisions anywhere

@@ -153,7 +153,7 @@ class RoundDriver(PeerCore):
         for index, (interested, choking, last_unchoked) in enumerate(links):
             address = "10.0.0.%d" % (index + 2)
             connection = LinkState(
-                self, SimpleNamespace(address=address), 0.0, True, WINDOW
+                self, SimpleNamespace(address=address), True, WINDOW
             )
             connection.peer_interested = interested
             connection.am_choking = choking

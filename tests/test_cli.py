@@ -402,6 +402,8 @@ class TestSharedFlags:
             assert (command,) not in parsers
         assert "--save" not in parsers[("run",)]._option_string_actions
         assert "--figure" not in parsers[("replay",)]._option_string_actions
+        # Every simulated link is lossless: there is no fault preset.
+        assert "--faults" not in parsers[("run",)]._option_string_actions
         # No claim varies the piece selector or the tracker sampler of a
         # whole run: those are built where a claim needs them.
         for command in (("run",), ("campaign", "run"), ("campaign", "diff")):

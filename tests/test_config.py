@@ -15,7 +15,6 @@ from repro.sim.config import (
     TRACKER_ANNOUNCE_SECONDS,
     TRACKER_NUM_WANT,
     UNCHOKE_SLOTS,
-    FaultConfig,
     PeerConfig,
     SwarmConfig,
 )
@@ -138,7 +137,7 @@ class TestNoEngineKnobs:
             PeerConfig(use_rarity_index=use_rarity_index)
 
 
-CONFIGS = {cls.__name__: cls for cls in (PeerConfig, SwarmConfig, FaultConfig)}
+CONFIGS = {cls.__name__: cls for cls in (PeerConfig, SwarmConfig)}
 
 # Fields no keyword in src/ or benchmarks/ sets, each kept on purpose.
 KEPT_UNSET = {
@@ -154,7 +153,7 @@ KEPT_UNSET = {
 def keyword_setters():
     """Per config class, the field names some call in ``src/`` or
     ``benchmarks/`` passes as a keyword: to the class itself, or to
-    ``replace`` (which any of the three may be)."""
+    ``replace`` (which either may be)."""
     found = {name: set() for name in CONFIGS}
     for root in ("src", "benchmarks"):
         for path in sorted((ROOT / root).rglob("*.py")):
@@ -193,5 +192,4 @@ class TestNoUnsetKnobs:
 
     def test_settable_value_counts(self):
         assert len(dataclasses.fields(PeerConfig)) == 12
-        assert len(dataclasses.fields(SwarmConfig)) == 7
-        assert len(dataclasses.fields(FaultConfig)) == 7
+        assert len(dataclasses.fields(SwarmConfig)) == 6

@@ -7,9 +7,9 @@ is that the filter keeps a *superset* of the links that can react.  Two
 worlds are built from the same arbitrary script — 0 to 12 links whose
 remotes hold subsets, supersets, all or none of the sender's pieces,
 observed or not, super-seeding or not; interest and choke flips on
-either side; a remote that crashes and leaves a half-open twin; an
-observer attached late; a link closed between two floods; a leecher or
-a seed doing the flooding — and after every flood they must agree on
+either side; a remote that leaves the torrent; an observer attached
+late; a link closed between two floods; a leecher or a seed doing the
+flooding — and after every flood they must agree on
 the message transcript, the observers' streams, every link's flags,
 ``request_times`` and upload queue, every availability row and every
 peer's ``rng.getstate()``.
@@ -65,7 +65,6 @@ class World:
             "fanout", num_pieces=PIECES, piece_size=2 * KIB, block_size=KIB
         )
         self.swarm = Swarm(metainfo, SwarmConfig(seed=1906))
-        assert self.swarm._batched_have
         self.reference = reference
         self.transcript = []
         self.observers = []
@@ -154,13 +153,12 @@ class World:
             # Late, and without a word to the target cache.  Side 1 is the
             # sender itself: an observed sender walks every link.
             connection.remote.observer = self.observer()
-        elif kind == "crash":
+        elif kind == "leave":
             victim = self.link(index, 0).remote  # a remote, never the sender
-            if victim.online:
-                return  # crashed already
+            # Built offline (join=False): enter it into the books first.
             self.swarm.on_peer_joined(victim)
             victim.online = True
-            victim.crash()
+            victim.leave()
         elif kind == "close":
             local._close_connection(connection, notify_remote=True)
 
@@ -247,7 +245,7 @@ def scripts(draw):
             st.tuples(
                 st.sampled_from(
                     ["choke", "choke", "interest", "flood", "flood",
-                     "observe", "crash", "close"]
+                     "observe", "leave", "close"]
                 ),
                 st.integers(0, 40),
                 st.integers(0, 1),

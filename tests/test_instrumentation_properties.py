@@ -160,7 +160,7 @@ def test_offline_snapshots_are_marked_not_dropped():
     assert all(size >= 0 for size in sizes)
 
 
-def test_crash_also_yields_offline_markers():
+def test_offline_markers_cover_exactly_the_time_away():
     swarm = tiny_swarm(
         num_pieces=12,
         seed=17,
@@ -174,9 +174,11 @@ def test_crash_also_yields_offline_markers():
     instrumentation.start_sampling()
     swarm.add_peer(config=fast_config(upload=2 * KIB))
     swarm.run(40.0)
-    local.crash()
-    swarm.run(80.0)
-    assert any(s.offline for s in instrumentation.snapshots)
-    assert not any(
-        s.offline for s in instrumentation.snapshots if s.time < 40.0
-    )
+    local.leave()
+    swarm.run(40.0)
+    local.join()
+    swarm.run(40.0)
+    # The sample at each boundary runs before the leave or the join.
+    offline = [s.time for s in instrumentation.snapshots if s.offline]
+    assert offline == [45.0 + 5.0 * step for step in range(8)]
+    assert instrumentation.snapshots[-1].time == 120.0

@@ -3,8 +3,8 @@
 A victim leecher is killed abruptly (task cancellation + TCP RST on
 every link) once it holds a few pieces.  The survivors must reap the
 dead links, re-plan around the lost availability, and still download to
-completion — and the reaps must land in the metrics registry, mirroring
-what the sim's fault-injection layer records.
+completion — and the reaps must land in the metrics registry.  Simulated
+links never fail, so this is where a peer crash is tested.
 """
 
 import asyncio

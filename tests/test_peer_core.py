@@ -86,7 +86,7 @@ class ScriptedPeer(PeerCore):
 
     def link(self, address, have=None, initiated=True):
         """A fresh link whose remote then advertises *have* (default: all)."""
-        connection = LinkState(self, SimpleNamespace(address=address), 0.0, initiated)
+        connection = LinkState(self, SimpleNamespace(address=address), initiated)
         self._add_link(connection)
         num_pieces = self.bitfield.num_pieces
         pieces = range(num_pieces) if have is None else have
@@ -143,7 +143,6 @@ class TestInterestAndPipeline:
         assert {block.piece for block in requests} == {6, 7}
         assert set(full.request_times) == set(requests)
         assert set(full.request_times.values()) == {3.5}
-        assert full.last_message_at == 3.5
 
     def test_choke_returns_blocks_for_another_link(self):
         peer = ScriptedPeer()

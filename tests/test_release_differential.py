@@ -1,8 +1,8 @@
 """``PiecePicker.on_peer_gone`` against the full-scan release it replaced.
 
-A CHOKE, a closed link and the fault sweep's stale reset each hand the
-picker the link's ``request_times`` and the picker releases only those
-blocks; ``tests/reference_piece_picker.full_scan_on_peer_gone`` walks
+A CHOKE and a closed link each hand the picker the link's
+``request_times`` and the picker releases only those blocks;
+``tests/reference_piece_picker.full_scan_on_peer_gone`` walks
 every block in flight of every partial piece instead.  Two pickers are
 put through the *same* arbitrary script — requests pipelined to four
 links, deliveries of any block a link holds (stale ones included),

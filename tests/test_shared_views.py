@@ -1,17 +1,17 @@
 """The shared-view contract of DESIGN §12.
 
-Under synchronous lossless delivery (zero message latency, no fault
-plan, batched HAVE fan-out) a neighbour's view of a peer *is* that
-peer's bitfield, and a completed piece raises every neighbour's copy
-count in one batched add.  Three things pin that down:
+Every simulated link delivers synchronously and losslessly, so a
+neighbour's view of a peer *is* that peer's bitfield, and a completed
+piece raises every neighbour's copy count in one batched add.  Three
+things pin that down:
 
-* **identity** — which views are shared, and that none is without the
-  precondition;
-* **differential runs** — shared views against the per-link reference
-  (the ``twins`` fixture's ``"per-link"``) for every registered
-  selector, with observers on no peer, on one peer and on every peer;
+* **identity** — which views are shared, and that the per-link message
+  route (the ``twins`` fixture's ``"per-link"``) shares none;
+* **differential runs** — shared views against that per-link reference
+  for every registered selector, with observers on no peer, on one peer
+  and on every peer;
 * **churn** — availability row ≡ Σ views over a peer's links on every
-  tick through join, leave, rejoin and a crash with no fault plan.
+  tick through join, leave and rejoin.
 """
 
 from random import Random
@@ -21,7 +21,7 @@ import pytest
 from repro.core.rarest_first import SELECTOR_REGISTRY
 from repro.instrumentation import Instrumentation, TraceRecorder, TracingObserver
 from repro.protocol.metainfo import make_metainfo
-from repro.sim.config import KIB, FaultConfig, PeerConfig, SwarmConfig
+from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.sim.swarm import Swarm
 
 
@@ -101,27 +101,21 @@ class TestIdentity:
         swarm.run(120)
         assert kinds == {True, False}
 
-    @pytest.mark.parametrize(
-        "config, twin",
-        [
-            (dict(faults=FaultConfig(message_loss_rate=0.01)), ()),
-            ({}, ("per-link",)),
-        ],
-        ids=["fault-plan", "unbatched"],
-    )
-    def test_no_view_is_shared_without_the_precondition(self, config, twin, twins):
-        with twins(*twin):
-            swarm = make_swarm(**config)
-        populate(swarm)
+    def test_no_view_is_shared_on_the_per_link_twin(self, twins):
         seen = []
+        with twins("per-link"):
+            swarm = make_swarm()
+            populate(swarm)
 
-        def probe(now):
-            for connection in links(swarm):
-                assert connection.remote_bitfield is not connection.remote.bitfield
-                seen.append(connection)
+            def probe(now):
+                for connection in links(swarm):
+                    assert (
+                        connection.remote_bitfield is not connection.remote.bitfield
+                    )
+                    seen.append(connection)
 
-        swarm.on_tick(probe)
-        swarm.run(120)
+            swarm.on_tick(probe)
+            swarm.run(120)
         assert seen
 
 
@@ -213,9 +207,8 @@ def sum_of_views(peer):
     return expected
 
 
-def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
+def test_row_equals_sum_of_views_through_join_leave_and_rejoin():
     swarm = make_swarm(seed=5, pieces=32)
-    assert swarm._batched_have and swarm.faults is None
     everyone = [
         swarm.add_peer(config=PeerConfig(upload_capacity=16 * KIB), is_seed=True)
     ]
@@ -226,7 +219,6 @@ def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
         swarm.schedule_arrival(
             delay, config=PeerConfig(upload_capacity=4 * KIB, seeding_time=10.0)
         )
-    crashed = []
     ticks = []
     mirrored = []
 
@@ -249,9 +241,7 @@ def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
                 assert connection.peer_interested == twin.am_interested, (now, peer)
                 assert connection.am_choking == twin.peer_choking, (now, peer)
                 mirrored.append(connection)
-            # A crash deliberately strands the victim's own counts (see
-            # PiecePicker.detach_matrix); everyone else must add up.
-            if peer.online and peer not in crashed:
+            if peer.online:
                 assert list(peer.picker.availability) == sum_of_views(peer), (
                     now,
                     peer,
@@ -269,31 +259,22 @@ def test_row_equals_sum_of_views_through_join_leave_rejoin_and_crash():
     assert leaver.picker.matrix_slot is not None
     swarm.run(6)
 
-    # -- a direct crash, no fault plan: links stay half-open for good ---
+    # -- a leave mid-download: every neighbour drops its view at once ---
     victim = everyone[3]
     neighbours = [connection.remote for connection in victim.connections.values()]
     assert neighbours
-    victim.crash()
-    crashed.append(victim)
-    stranded_row = list(victim.picker.availability)
     held = victim.bitfield.count
+    victim.leave()
     for neighbour in neighbours:
-        view = neighbour.connections[victim.address].remote_bitfield
-        assert view is not victim.bitfield and view == victim.bitfield
+        assert victim.address not in neighbour.connections
     swarm.run(6)
-    # Its neighbours completed pieces meanwhile; the dead end counted none.
-    assert list(victim.picker.availability) == stranded_row
+    assert victim.bitfield.count == held
 
-    # -- the victim comes back and downloads on from a newcomer (its old
-    # neighbours still hold the half-open links and refuse a second one) --
+    # -- the victim comes back and downloads on from a newcomer ---------
     swarm.add_peer(config=PeerConfig(upload_capacity=16 * KIB), is_seed=True)
     victim.join()
     swarm.run(120)
     assert victim.bitfield.count > held
-    for neighbour in neighbours:
-        stale = neighbour.connections.get(victim.address)
-        if stale is not None:  # the frozen view did not follow the victim
-            assert stale.remote_bitfield.count == held
     assert len(ticks) > 100 and mirrored
     # Closing every link subtracts every view: nothing may go negative.
     for peer in list(swarm.peers.values()):

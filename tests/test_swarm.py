@@ -4,6 +4,7 @@ results bookkeeping, and the fluid tick plumbing."""
 import pytest
 
 import repro.sim.bandwidth as bandwidth_module
+from repro.sim.bandwidth import INF
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef
 from repro.sim.config import KIB, SwarmConfig
@@ -184,23 +185,21 @@ class TestFlowFastPath:
         assert run_once(False) == run_once(True)
 
     def test_departed_peer_is_uncapped(self):
-        """A departure puts the peer's nodes back to ``inf``: the
-        half-open link a crash leaves behind serves into the void at the
-        uploader's rate, no longer held to the dead peer's download cap."""
+        """A departure puts the peer's nodes back to ``inf`` and ends the
+        flow it capped; a rejoin restores its caps."""
         swarm = tiny_swarm(num_pieces=8, piece_size=16 * KIB, block_size=16 * KIB)
         seed = swarm.add_peer(config=fast_config(upload=8 * KIB), is_seed=True)
         leecher = swarm.add_peer(config=fast_config(upload=8 * KIB, download=1 * KIB))
         swarm.run(15)  # past the first choke round, mid-block
         link = seed.connections[leecher.address]
-
-        def budget():
-            return swarm._budgets[swarm._active_connections.index(link)]
-
-        assert budget() == 1 * KIB
-        leecher.crash()
+        assert swarm._budgets[swarm._active_connections.index(link)] == 1 * KIB
+        node = swarm._upload_nodes[leecher.address]
+        leecher.leave()
         swarm.run(1)
-        assert link.half_open
-        assert budget() == 8 * KIB
+        assert link.closed and link not in swarm._active_connections
+        assert list(swarm._capacities[node : node + 2]) == [INF, INF]
+        leecher.join()
+        assert list(swarm._capacities[node : node + 2]) == [8 * KIB, 1 * KIB]
 
     def test_forced_reallocation_reuses_each_links_flow(self, monkeypatch):
         """Complexity guard: re-running the allocator over an unchanged
@@ -270,29 +269,27 @@ class TestFlowFastPath:
 
 
 class TestRejoinIsRegistered:
-    """A peer that comes back — after a clean leave or after a crash — is
-    entered into every book its departure took it out of (regression: the
-    rejoined peer had no capacity entry, so it uploaded unconstrained, and
-    was invisible to ``peer_by_address``, ``capacity_seconds``, the byte
-    tables and ``global_counts``)."""
+    """A peer that comes back after a leave is entered into every book
+    its departure took it out of (regression: the rejoined peer had no
+    capacity entry, so it uploaded unconstrained, and was invisible to
+    ``peer_by_address``, ``capacity_seconds``, the byte tables and
+    ``global_counts``)."""
 
     CAP = 2 * KIB
 
-    @pytest.mark.parametrize("depart", ["leave", "crash"])
-    def test_books_after_rejoin(self, depart):
+    def test_books_after_rejoin(self):
         swarm = tiny_swarm(num_pieces=64, piece_size=16 * KIB, block_size=16 * KIB)
         seed = swarm.add_peer(config=fast_config(upload=self.CAP), is_seed=True)
         for __ in range(3):
             swarm.add_peer(config=fast_config(upload=self.CAP))
         swarm.run(15)
-        getattr(seed, depart)()
+        seed.leave()
         assert swarm.peer_by_address(seed.address) is None
         swarm.run(5)
         seed.join()
         rejoined_at = swarm.simulator.now
-        # After a crash the old neighbours still hold their half-open
-        # links and refuse a second one; newcomers reach the seed through
-        # the tracker, which requires it to be findable by address.
+        # Newcomers reach the seed through the tracker, which requires it
+        # to be findable by address.
         for __ in range(3):
             swarm.add_peer(config=fast_config(upload=self.CAP))
         uploaded_before = seed.total_uploaded

@@ -3,12 +3,12 @@
 Under synchronous delivery a traced peer's ``msg_sent`` line and its
 neighbour's ``msg_recv`` line are adjacent, so ``Peer._send`` and the
 fused HAVE flood render both in one recorder call when both ends are
-stock :class:`TracingObserver`\\ s on one recorder and no fault plan is
-installed.  Each test runs the same seeded swarm once through the pair
-paths and once inside the ``unpaired`` twin, where every delivery goes
-through both observer hooks, and requires the same lines and the same
-fingerprint.  Pair order follows ``connections`` dict order, so the
-``determinism`` CI lane runs this file under other hash seeds.
+stock :class:`TracingObserver`\\ s on one recorder.  Each test runs
+the same seeded swarm once through the pair paths and once inside the
+``unpaired`` twin, where every delivery goes through both observer
+hooks, and requires the same lines and the same fingerprint.  Pair
+order follows ``connections`` dict order, so the ``determinism`` CI
+lane runs this file under other hash seeds.
 """
 
 from random import Random
@@ -23,7 +23,6 @@ from repro.instrumentation import (
 )
 from repro.sim.churn import abort_downloads, noise_peers, poisson_arrivals
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
-from repro.sim.faults import FAULT_PRESETS
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
 from tests.conftest import fast_config, tiny_swarm
@@ -62,14 +61,14 @@ def assert_same_trace(paired, unpaired):
     assert paired.lines() == unpaired.lines()
 
 
-def traced_experiment(recorder, seed=3, faults=None, duration=120.0):
+def traced_experiment(recorder, seed=3, duration=120.0):
     """Table-I torrent 13 with every peer traced: the local peer through
     a FanoutObserver next to its Instrumentation, the rest stock."""
     scenario = scaled_copy(scenario_by_id(13), duration=duration)
     harness = build_experiment(
         scenario,
         seed=seed,
-        swarm_config=SwarmConfig(seed=seed, duration=duration, faults=faults),
+        swarm_config=SwarmConfig(seed=seed, duration=duration),
         trace_recorder=recorder,
         trace_all_peers=True,
     )
@@ -79,8 +78,8 @@ def traced_experiment(recorder, seed=3, faults=None, duration=120.0):
 
 
 def churned_swarm(recorder, observer_type=TracingObserver, seed=9):
-    """A small swarm with arrivals, aborts, noise peers and a crash, so
-    links open and close (and go half-open) throughout the run."""
+    """A small swarm with arrivals, aborts, noise peers and a leave, so
+    links open and close throughout the run."""
     swarm = tiny_swarm(num_pieces=24, seed=seed)
     swarm.observer_factory = lambda: observer_type(recorder)
     swarm.add_peer(config=fast_config(upload=16 * KIB), is_seed=True)
@@ -95,8 +94,8 @@ def churned_swarm(recorder, observer_type=TracingObserver, seed=9):
     )
     abort_downloads(swarm, probability=0.2, check_interval=40.0, rng=Random(seed + 1))
     noise_peers(swarm, count=4, duration=120.0, rng=Random(seed + 2))
-    crashing = swarm.add_peer(config=fast_config())
-    swarm.simulator.schedule(35.0, crashing.crash)
+    leaving = swarm.add_peer(config=fast_config())
+    swarm.simulator.schedule(35.0, leaving.leave)
     swarm.run(200.0)
     for peer in swarm.peers.values():
         peer.observer.finalize()
@@ -125,15 +124,6 @@ def test_fanout_local_peer_traces_identically_through_pairs(twins, tmp_path):
         event["type"] == "msg_recv" and event["peer"] == local
         for event in paired.events()
     )
-
-
-def test_fault_plan_never_pairs(twins):
-    paired, unpaired, pairs = both_ways(
-        twins,
-        lambda: traced_experiment(TraceRecorder(), faults=FAULT_PRESETS["heavy"]),
-    )
-    assert pairs == 0
-    assert_same_trace(paired, unpaired)
 
 
 class HookCounter(TracingObserver):

@@ -5,10 +5,9 @@ trace file through :func:`replay_instrumentation` rebuilds an
 ``Instrumentation`` whose *every* derived artefact — remote-peer
 records, snapshots, event logs, counters, and the figure series computed
 from them — is field-for-field equal to the live instrumentation of the
-run that wrote the trace.  Exercised for three seeded scenarios: a
-steady-state torrent, a transient torrent, and a transient torrent under
-the heavy fault preset (crashes, outages, message loss — churn with
-half-open connections).
+run that wrote the trace.  Exercised for two seeded scenarios, a
+steady-state torrent and a transient torrent, and, for the ``fault``
+events only a live peer emits, on a hand-built trace.
 
 Set ``REPRO_TRACE_ARTIFACTS`` to a directory to keep the trace files
 (CI uploads them on failure); otherwise they go to pytest's tmp dir.
@@ -32,14 +31,11 @@ from repro.instrumentation import (
     replay_instrumentation,
     trace_stats,
 )
-from repro.sim.config import SwarmConfig
-from repro.sim.faults import FAULT_PRESETS
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
 SCENARIOS = {
-    "steady": dict(torrent_id=19, seed=7, duration=300.0, faults=None),
-    "transient": dict(torrent_id=2, seed=11, duration=400.0, faults=None),
-    "faulty_churn": dict(torrent_id=2, seed=29, duration=400.0, faults="heavy"),
+    "steady": dict(torrent_id=19, seed=7, duration=300.0),
+    "transient": dict(torrent_id=2, seed=11, duration=400.0),
 }
 
 
@@ -56,20 +52,10 @@ def run_and_trace(name, tmp_path):
     scenario = scaled_copy(
         scenario_by_id(spec["torrent_id"]), duration=spec["duration"]
     )
-    swarm_config = None
-    if spec["faults"] is not None:
-        swarm_config = SwarmConfig(
-            seed=spec["seed"],
-            duration=scenario.duration,
-            faults=FAULT_PRESETS[spec["faults"]],
-        )
     path = os.path.join(artifact_dir(tmp_path), "replay_%s.jsonl" % name)
     recorder = TraceRecorder(path)
     harness = build_experiment(
-        scenario,
-        seed=spec["seed"],
-        swarm_config=swarm_config,
-        trace_recorder=recorder,
+        scenario, seed=spec["seed"], trace_recorder=recorder
     )
     live = harness.run()
     recorder.close()
@@ -144,6 +130,30 @@ def test_differential_replay(name, tmp_path):
     assert replayed.replayed_from_events > 0
     assert_equivalent(live, replayed)
     assert_same_figures(live, replayed)
+
+
+#: A live swarm's trace around a reaped link: the ``fault`` line is what
+#: ``NetPeer`` emits through ``PeerObserver.on_fault`` when a link dies
+#: under a reset or a bad frame.  No simulated link fails, so only a
+#: hand-built trace reaches this replay path.
+FAULT_TRACE = [
+    '{"type":"trace_start","v":1}',
+    '{"t":0.0,"type":"attach","peer":"127.0.0.1:7001","pieces":4,"seed":false}',
+    '{"t":0.0,"type":"attach","peer":"127.0.0.1:7002","pieces":4,"seed":true}',
+    '{"t":1.5,"type":"fault","peer":"127.0.0.1:7001","kind":"connection_reaped"}',
+    '{"t":2.0,"type":"fault","peer":"127.0.0.1:7002","kind":"connection_reaped"}',
+    '{"t":4.25,"type":"fault","peer":"127.0.0.1:7001","kind":"connection_reaped"}',
+]
+
+
+def test_fault_events_replay_into_the_fault_counters(tmp_path):
+    path = tmp_path / "live_faults.jsonl"
+    path.write_text("\n".join(FAULT_TRACE) + "\n")
+    assert trace_stats(str(path)).kinds["fault"] == 3
+    first = replay_instrumentation(str(path), peer="127.0.0.1:7001")
+    second = replay_instrumentation(str(path), peer="127.0.0.1:7002")
+    assert first.fault_counters == {"connection_reaped": 2}
+    assert second.fault_counters == {"connection_reaped": 1}
 
 
 def test_replay_is_idempotent(tmp_path):
