@@ -31,14 +31,13 @@ from repro.analysis.stability import (
     fluid_model_for_policy,
     stability_swarms,
 )
-from repro.analysis.stats import cdf, pearson, percentile
+from repro.analysis.stats import pearson, percentile
 
 __all__ = [
     "EntropySummary",
     "InterarrivalSummary",
     "POLICY_EFFECTIVENESS",
     "UnchokeCorrelation",
-    "cdf",
     "classify_fluid",
     "entropy_ratios",
     "fluid_model_for_policy",

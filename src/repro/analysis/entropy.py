@@ -111,40 +111,3 @@ def summarize_entropy(
     """Figure-1 data point for one experiment."""
     local_ratios, remote_ratios = entropy_ratios(instrumentation, min_presence)
     return EntropySummary(local_in_remote=local_ratios, remote_in_local=remote_ratios)
-
-
-def interest_fraction_series(
-    instrumentation: Instrumentation,
-    step: float = 30.0,
-) -> Tuple[List[float], List[float]]:
-    """Entropy over time: at each grid instant during the local peer's
-    leecher phase, the fraction of present remote leechers the local
-    peer is interested in.
-
-    Transient torrents start low and climb as the source releases pieces
-    (§IV-A.1's explanation of figure 1's low-entropy cluster); steady
-    torrents sit near one throughout.
-    """
-    instrumentation.finalize()
-    start, end = instrumentation.leecher_interval
-    if end <= start:
-        return [], []
-    times: List[float] = []
-    fractions: List[float] = []
-    t = start
-    while t <= end:
-        present = 0
-        interested = 0
-        for record in instrumentation.records.values():
-            if record.remote_seed_since is not None and record.remote_seed_since <= t:
-                continue  # only remote leechers count
-            if record.presence.total_clipped(t, t + 1e-6) <= 0:
-                continue
-            present += 1
-            if record.local_interested_in_remote.total_clipped(t, t + 1e-6) > 0:
-                interested += 1
-        if present > 0:
-            times.append(t)
-            fractions.append(interested / present)
-        t += step
-    return times, fractions

@@ -18,7 +18,7 @@ the 15-peer sets of [5].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
@@ -79,8 +79,3 @@ def graph_stats(graph: nx.Graph) -> GraphStats:
         max_degree=max(degrees),
         min_degree=min(degrees),
     )
-
-
-def degree_histogram(graph: nx.Graph) -> List[int]:
-    """Count of nodes per degree (index = degree)."""
-    return nx.degree_histogram(graph)

@@ -24,11 +24,6 @@ class ReplicationSeries:
     mean_copies: List[float]
     max_copies: List[int]
 
-    def always_above(self, threshold: int) -> bool:
-        """True when the least replicated piece never drops to *threshold*
-        or below (steady-state check: min copies >= 1 at all times)."""
-        return all(value > threshold for value in self.min_copies)
-
     def fraction_at_zero(self) -> float:
         """Fraction of samples where some piece is missing from the peer
         set entirely (transient-state signature)."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -26,16 +26,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         return float(ordered[lower])
     weight = position - lower
     return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
-
-
-def cdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """Empirical CDF: returns (sorted values, cumulative fractions)."""
-    if not values:
-        return [], []
-    ordered = sorted(values)
-    n = len(ordered)
-    fractions = [(index + 1) / n for index in range(n)]
-    return [float(v) for v in ordered], fractions
 
 
 def cdf_at(values: Sequence[float], threshold: float) -> float:

@@ -14,6 +14,7 @@
 * :mod:`repro.core.peer_core` — the client that runs the two algorithms:
   what a peer does on each peer-wire message, transport-free, under both
   the simulator's ``Peer`` and the live ``NetPeer``;
-* :mod:`repro.core.fairness` — the paper's two fairness criteria (§IV-B.1);
+* :mod:`repro.core.fairness` — Jain's index and the contribution-set
+  aggregations the fairness claims read (§IV-B.1);
 * :mod:`repro.core.free_rider` — free-riding client behaviour.
 """

@@ -1,4 +1,4 @@
-"""The paper's two fairness criteria (§IV-B.1).
+"""Fairness measures over per-peer transfer totals (§IV-B.1).
 
 The paper rejects bit-level tit-for-tat fairness and proposes instead:
 
@@ -9,68 +9,18 @@ The paper rejects bit-level tit-for-tat fairness and proposes instead:
 2. **Seed criterion** — a seed should give the *same service time* to
    each leecher.
 
-This module turns both into measurable quantities over experiment
-outcomes; the analysis layer feeds it per-peer transfer totals.
+The claims read them through figures 9 and 11's aggregations
+(:func:`contribution_sets`, :func:`reciprocation_shares`) and, for the
+seed criterion, through :func:`jain_index` of the seed-state unchoke
+rounds each leecher got (ablation A2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, List, Mapping, Sequence, Tuple
 
 PeerKey = Hashable
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Summary of both criteria for one experiment."""
-
-    leecher_violations: int
-    """Number of leecher pairs (i, j) with U_j > U_i but D_j < D_i."""
-
-    leecher_pairs: int
-    """Number of comparable pairs examined."""
-
-    seed_service_jain: float
-    """Jain fairness index of per-leecher service received from seeds
-    (1.0 = perfectly equal service time)."""
-
-    @property
-    def leecher_violation_ratio(self) -> float:
-        if self.leecher_pairs == 0:
-            return 0.0
-        return self.leecher_violations / self.leecher_pairs
-
-
-def leecher_fairness_violations(
-    upload_speed: Mapping[PeerKey, float],
-    download_speed: Mapping[PeerKey, float],
-    tolerance: float = 0.05,
-) -> Tuple[int, int]:
-    """Count violations of the leecher criterion.
-
-    A pair (i, j) with ``U_j > U_i`` (beyond *tolerance*, relative) counts
-    as a violation when ``D_j < D_i`` (beyond the same tolerance).
-    Returns ``(violations, comparable_pairs)``.
-    """
-    keys = sorted(upload_speed, key=str)
-    violations = 0
-    pairs = 0
-    for index, i in enumerate(keys):
-        for j in keys[index + 1 :]:
-            u_i, u_j = upload_speed[i], upload_speed[j]
-            if u_i == u_j:
-                continue
-            slow, fast = (i, j) if u_i < u_j else (j, i)
-            if upload_speed[fast] <= upload_speed[slow] * (1 + tolerance):
-                continue
-            pairs += 1
-            d_slow = download_speed.get(slow, 0.0)
-            d_fast = download_speed.get(fast, 0.0)
-            if d_fast < d_slow * (1 - tolerance):
-                violations += 1
-    return violations, pairs
 
 
 def jain_index(values: Sequence[float]) -> float:
@@ -83,16 +33,6 @@ def jain_index(values: Sequence[float]) -> float:
     if square_sum == 0:
         return 1.0
     return (total * total) / (len(values) * square_sum)
-
-
-def seed_service_uniformity(service_bytes: Mapping[PeerKey, float]) -> float:
-    """Jain index of the per-leecher bytes served by a seed.
-
-    The new seed-state choke algorithm should push this toward 1; the old
-    rate-based one concentrates service on the fastest peers and scores
-    much lower.
-    """
-    return jain_index(list(service_bytes.values()))
 
 
 def contribution_sets(
@@ -141,20 +81,3 @@ def reciprocation_shares(
         up_shares.append(chunk_up / up_total if up_total > 0 else 0.0)
         down_shares.append(chunk_down / down_total if down_total > 0 else 0.0)
     return up_shares, down_shares
-
-
-def fairness_report(
-    upload_speed: Mapping[PeerKey, float],
-    download_speed: Mapping[PeerKey, float],
-    seed_service: Mapping[PeerKey, float],
-    tolerance: float = 0.05,
-) -> FairnessReport:
-    """Evaluate both criteria at once."""
-    violations, pairs = leecher_fairness_violations(
-        upload_speed, download_speed, tolerance
-    )
-    return FairnessReport(
-        leecher_violations=violations,
-        leecher_pairs=pairs,
-        seed_service_jain=seed_service_uniformity(seed_service),
-    )

@@ -506,9 +506,3 @@ class PiecePicker:
                 if peer_key in askers:
                     pending.append(partial.blocks[block_index])
         return pending
-
-    def received_blocks_of(self, piece: int) -> int:
-        partial = self._active.get(piece)
-        if partial is None:
-            return self._geometry.blocks_in_piece(piece) if self._bitfield.has(piece) else 0
-        return len(partial.received)

@@ -4,8 +4,7 @@ The paper positions its measurements against two analytical studies that
 assume global knowledge:
 
 * Yang & de Veciana [25] — branching-process view of the *service
-  capacity*: in a flash crowd the number of peers able to serve the
-  content grows exponentially with time
+  capacity*, and the minimum distribution time it bounds
   (:mod:`repro.models.service_capacity`);
 * Qiu & Srikant [21] — a deterministic fluid model of the leecher/seed
   populations with closed-form steady state

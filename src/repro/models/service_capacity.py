@@ -1,54 +1,20 @@
-"""Yang & de Veciana's service-capacity results [25] (paper §I, §IV-A).
+"""Yang & de Veciana's service-capacity bound [25] (paper §I, §IV-A).
 
-Two facts from that paper drive the reproduction's transient-state
-analysis:
-
-* in a flash crowd the capacity of service grows **exponentially**: each
-  served copy can itself serve, so after the source pushes a piece it is
-  replicated with doubling behaviour — the reason "available pieces are
-  replicated with an exponential capacity of service but rare pieces are
-  served by the initial seed at a constant rate" (§IV-A.1);
-* the **minimum distribution time** for one content of size ``s`` from a
-  source of upload capacity ``u`` to ``n`` identical peers of capacity
-  ``b`` is ``(s/u) + log2(n) * (s/b)``-shaped: one source copy plus a
-  binary relay tree.
+In a flash crowd the capacity of service grows exponentially: each
+served copy can itself serve, so a piece the source has pushed is
+replicated with doubling behaviour — the reason "available pieces are
+replicated with an exponential capacity of service but rare pieces are
+served by the initial seed at a constant rate" (§IV-A.1).  The bound
+that follows, the **minimum distribution time** for one content of size
+``s`` from a source of upload capacity ``u`` to ``n`` identical peers
+of capacity ``b``, is ``(s/u) + log2(n) * (s/b)``-shaped: one source
+copy plus a binary relay tree.  ``examples/model_vs_simulation.py``
+holds the simulator against it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
-
-
-def flash_crowd_capacity(
-    initial_servers: int,
-    time: float,
-    service_time: float,
-) -> float:
-    """Number of peers able to serve after *time*, starting from
-    ``initial_servers``, when one service takes ``service_time``.
-
-    Pure branching growth: every completed service creates one more
-    server, so capacity doubles every ``service_time``.
-    """
-    if initial_servers < 0:
-        raise ValueError("initial_servers must be non-negative")
-    if service_time <= 0:
-        raise ValueError("service_time must be positive")
-    return initial_servers * 2.0 ** (time / service_time)
-
-
-def exponential_growth_time(
-    initial_servers: int,
-    target_servers: float,
-    service_time: float,
-) -> float:
-    """Time for the service capacity to reach ``target_servers``."""
-    if initial_servers <= 0:
-        raise ValueError("need at least one initial server")
-    if target_servers <= initial_servers:
-        return 0.0
-    return service_time * math.log2(target_servers / initial_servers)
 
 
 def minimum_distribution_time(
@@ -77,22 +43,3 @@ def minimum_distribution_time(
     piece_size = content_size / num_pieces
     relay_depth = math.ceil(math.log2(num_peers)) if num_peers > 1 else 0
     return source_time + relay_depth * piece_size / peer_upload
-
-
-def capacity_trajectory(
-    initial_servers: int,
-    duration: float,
-    service_time: float,
-    step: float = 1.0,
-) -> List[Tuple[float, float]]:
-    """(time, capacity) samples of the branching growth."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    samples = []
-    time = 0.0
-    while time <= duration:
-        samples.append(
-            (time, flash_crowd_capacity(initial_servers, time, service_time))
-        )
-        time += step
-    return samples

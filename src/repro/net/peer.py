@@ -219,7 +219,9 @@ class NetPeer(PeerCore):
 
     def crash(self) -> None:
         """Abrupt death: cancel every task and RST every link (no FIN,
-        no stopped announce) — remotes observe a connection reset."""
+        no stopped announce) — remotes observe a connection reset.  Each
+        link still closes through ``_drop_link``, so the dead peer keeps
+        no initiated count, availability row or open link."""
         self.online = False
         self._stopping = True
         if self._choke_task is not None:
@@ -232,8 +234,8 @@ class NetPeer(PeerCore):
             if connection.uploader_task is not None:
                 connection.uploader_task.cancel()
             connection.abort()
-            connection.closed = True
-        self.connections.clear()
+            if not connection.closed:
+                self._drop_link(connection)
         if self.metrics is not None:
             self.metrics.inc("fault.peer_crashed")
 

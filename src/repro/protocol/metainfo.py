@@ -3,9 +3,9 @@
 A torrent's content is split in *pieces* (typically 256 kB; the protocol
 only accounts for complete pieces) and each piece is split in *blocks*
 (16 kB, the transmission unit), as in the paper's section II-A.  This
-module owns that arithmetic, the SHA-1 piece digests, and the building
-and parsing of .torrent metainfo dictionaries via
-:mod:`repro.protocol.bencode`.
+module owns that arithmetic, the SHA-1 piece digests and the info
+hash (SHA-1 of the bencoded info dictionary, via
+:mod:`repro.protocol.bencode`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import hashlib
 from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
-from repro.protocol.bencode import bdecode, bencode
+from repro.protocol.bencode import bencode
 
 DEFAULT_PIECE_SIZE = 256 * 1024
 DEFAULT_BLOCK_SIZE = 16 * 1024  # 2**14, the mainline default block size
@@ -118,7 +118,7 @@ class PieceGeometry:
 
 
 class Metainfo:
-    """Torrent metadata: name, geometry, piece digests, announce URL.
+    """Torrent metadata: name, geometry, piece digests, info hash.
 
     Content is synthetic in this reproduction (there is no real payload on
     disk), but the SHA-1 machinery is real: :meth:`synthetic` derives each
@@ -132,7 +132,6 @@ class Metainfo:
         name: str,
         geometry: PieceGeometry,
         piece_hashes: List[bytes],
-        announce: str = "sim://tracker",
     ):
         if len(piece_hashes) != geometry.num_pieces:
             raise ValueError(
@@ -145,7 +144,6 @@ class Metainfo:
         self.name = name
         self.geometry = geometry
         self.piece_hashes = list(piece_hashes)
-        self.announce = announce
         self.info_hash = self._compute_info_hash()
 
     # -- synthetic content --------------------------------------------------
@@ -157,12 +155,11 @@ class Metainfo:
         total_size: int,
         piece_size: int = DEFAULT_PIECE_SIZE,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        announce: str = "sim://tracker",
     ) -> "Metainfo":
         """Build a metainfo over deterministic synthetic content."""
         geometry = PieceGeometry(total_size, piece_size, block_size)
         hashes = _synthetic_digests(name, total_size, piece_size)
-        return cls(name, geometry, hashes, announce)
+        return cls(name, geometry, hashes)
 
     @staticmethod
     def _piece_payload(name: str, piece: int, geometry: PieceGeometry) -> bytes:
@@ -183,7 +180,7 @@ class Metainfo:
             return False
         return hashlib.sha1(data).digest() == self.piece_hashes[piece]
 
-    # -- .torrent round trip --------------------------------------------------
+    # -- info hash ------------------------------------------------------------
 
     def _info_dict(self) -> dict:
         return {
@@ -195,41 +192,6 @@ class Metainfo:
 
     def _compute_info_hash(self) -> bytes:
         return hashlib.sha1(bencode(self._info_dict())).digest()
-
-    def to_torrent_file(self) -> bytes:
-        """Serialise to .torrent (bencoded) bytes."""
-        return bencode(
-            {
-                b"announce": self.announce.encode("utf-8"),
-                b"info": self._info_dict(),
-            }
-        )
-
-    @classmethod
-    def from_torrent_file(
-        cls, data: bytes, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> "Metainfo":
-        """Parse .torrent bytes produced by :meth:`to_torrent_file`."""
-        try:
-            top = bdecode(data)
-        except Exception as exc:
-            raise ValueError("not a valid .torrent file: %s" % exc) from exc
-        if not isinstance(top, dict) or b"info" not in top:
-            raise ValueError("missing 'info' dictionary")
-        info = top[b"info"]
-        required = (b"name", b"piece length", b"length", b"pieces")
-        for key in required:
-            if key not in info:
-                raise ValueError("missing info key %r" % key)
-        pieces_blob = info[b"pieces"]
-        if len(pieces_blob) % 20:
-            raise ValueError("pieces blob is not a multiple of 20 bytes")
-        hashes = [pieces_blob[i : i + 20] for i in range(0, len(pieces_blob), 20)]
-        geometry = PieceGeometry(
-            info[b"length"], info[b"piece length"], block_size
-        )
-        announce = top.get(b"announce", b"sim://tracker").decode("utf-8")
-        return cls(info[b"name"].decode("utf-8"), geometry, hashes, announce)
 
     def __repr__(self) -> str:
         return "Metainfo(%r, %s)" % (self.name, self.geometry)
@@ -254,7 +216,6 @@ def make_metainfo(
     num_pieces: int,
     piece_size: int = DEFAULT_PIECE_SIZE,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    announce: str = "sim://tracker",
     last_piece_size: Optional[int] = None,
 ) -> Metainfo:
     """Convenience builder specifying the piece count directly.
@@ -268,4 +229,4 @@ def make_metainfo(
     if not 0 < last_piece_size <= piece_size:
         raise ValueError("last_piece_size must be in (0, piece_size]")
     total = (num_pieces - 1) * piece_size + last_piece_size
-    return Metainfo.synthetic(name, total, piece_size, block_size, announce)
+    return Metainfo.synthetic(name, total, piece_size, block_size)

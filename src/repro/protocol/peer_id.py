@@ -1,11 +1,10 @@
-"""Peer identifiers and the paper's peer-identification rule.
+"""Peer identifiers and the client ID they carry.
 
 A BitTorrent peer ID is 20 bytes: an Azureus-style client prefix
 (``-XX1234-`` style) or, for the mainline client the paper instruments, a
 prefix like ``M4-0-2--`` followed by random bytes.  The random part is
-regenerated on every client restart, so the paper identifies a peer by the
-pair (IP address, client ID) — see section III-D — and relies on the
-mainline rule that two concurrent connections from the same IP are refused.
+regenerated on every client restart; the client ID is the part that
+survives one.
 """
 
 from __future__ import annotations
@@ -67,22 +66,3 @@ def parse_client_id(raw: bytes) -> Optional[str]:
     if match:
         return "-" + match.group(1).decode("ascii")
     return None
-
-
-@dataclass(frozen=True)
-class PeerIdentity:
-    """The paper's identification key: (IP address, client ID).
-
-    Peer IDs cannot be used alone because the random part changes on every
-    restart; IPs cannot be used alone because of NATs.  Section III-D deems
-    two observations with the same IP and the same client ID to be the same
-    peer.
-    """
-
-    ip: str
-    client_id: Optional[str]
-
-
-def identify(ip: str, peer_id_raw: bytes) -> PeerIdentity:
-    """Build the identification key for one observed (IP, peer ID) pair."""
-    return PeerIdentity(ip=ip, client_id=parse_client_id(peer_id_raw))

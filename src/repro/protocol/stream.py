@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional
 from repro.protocol.messages import (
     HANDSHAKE_LENGTH,
     Handshake,
-    Message,
     MessageError,
     decode_message,
 )
@@ -77,13 +76,3 @@ class MessageStream:
     def buffered_bytes(self) -> int:
         """Bytes received but not yet forming a complete frame."""
         return len(self._buffer)
-
-
-def encode_session(messages: List[Message], handshake: Optional[Handshake] = None) -> bytes:
-    """Serialise a whole session's outbound byte stream (tests, traces)."""
-    parts = []
-    if handshake is not None:
-        parts.append(handshake.encode())
-    for message in messages:
-        parts.append(message.encode())
-    return b"".join(parts)

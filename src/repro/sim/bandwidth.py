@@ -165,11 +165,3 @@ Allocator = Callable[[_np.ndarray, _np.ndarray, _np.ndarray], _np.ndarray]
 def resolve_allocator() -> Allocator:
     """The allocator a swarm runs: :func:`max_min_rates`."""
     return max_min_rates
-
-
-def allocation_summary(flows: List[Flow]) -> Dict[NodeId, float]:
-    """Total allocated upload rate per uploader (handy in tests)."""
-    totals: Dict[NodeId, float] = {}
-    for flow in flows:
-        totals[flow.uploader] = totals.get(flow.uploader, 0.0) + flow.rate
-    return totals

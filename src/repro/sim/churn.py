@@ -1,11 +1,10 @@
 """Arrival and departure processes.
 
 Real torrents are dynamic: leechers arrive over time (flash crowds at
-torrent birth), complete and linger as seeds, sometimes abort before
-completion, and a permanent background of misbehaving "noise" peers joins
-and leaves within seconds without transferring anything (§IV-A.1 filters
-those out of the entropy computation).  This module provides those
-processes as composable generators over a :class:`~repro.sim.swarm.Swarm`.
+torrent birth, or a steady Poisson stream), complete and linger as
+seeds or leave on completion.  This module provides those arrival
+processes as composable generators over a
+:class:`~repro.sim.swarm.Swarm`.
 """
 
 from __future__ import annotations
@@ -114,55 +113,3 @@ def open_system_arrivals(
         kwargs_factory=kwargs_factory,
         **add_peer_kwargs,
     )
-
-
-def noise_peers(
-    swarm: Swarm,
-    count: int,
-    duration: float,
-    rng: Optional[Random] = None,
-    stay: float = 5.0,
-) -> int:
-    """Schedule *count* short-lived "noise" peers over *duration* seconds.
-
-    Each joins, stays about *stay* seconds (always under the 10-second
-    filtering threshold of §IV-A.1) and leaves without transferring:
-    their upload capacity is zero and their request pipeline never fills
-    because they are gone before any choke round unchokes them.
-    """
-    rng = rng or Random(swarm.rng.getrandbits(64))
-    for __ in range(count):
-        when = rng.uniform(0.0, duration)
-
-        def arrive(when=when) -> None:
-            config = PeerConfig(upload_capacity=0.0, client_id="-XX0001")
-            peer = swarm.add_peer(config=config)
-            swarm.simulator.schedule(
-                min(stay, max(0.5, rng.uniform(0.5, stay))), peer.leave
-            )
-
-        swarm.simulator.schedule(when, arrive)
-    return count
-
-
-def abort_downloads(
-    swarm: Swarm,
-    probability: float,
-    check_interval: float = 300.0,
-    rng: Optional[Random] = None,
-) -> None:
-    """Periodically make each incomplete leecher abort with *probability*.
-
-    Models the impatient-user departures that churn real torrents.
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError("probability must be in [0, 1]")
-    rng = rng or Random(swarm.rng.getrandbits(64))
-
-    def sweep() -> None:
-        for peer in list(swarm.peers.values()):
-            if peer.online and not peer.is_seed and rng.random() < probability:
-                peer.leave()
-        swarm.simulator.schedule(check_interval, sweep)
-
-    swarm.simulator.schedule(check_interval, sweep)

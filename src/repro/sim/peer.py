@@ -367,7 +367,8 @@ class Peer(PeerCore):
         batched add — exact, because a receiver's counts are read by that
         receiver alone and nothing before its turn reaches it — and the
         loop keeps, in the reference link order, observer emission and
-        what can react (DESIGN §12).
+        what can react (DESIGN §12).  The sender is a leecher: a seed
+        completes no piece, and becomes one only after its last flood.
         """
         piece = message.piece
         now = self.simulator.now
@@ -382,11 +383,10 @@ class Peer(PeerCore):
         # across the loop, own state only changes afterwards.
         not_ours = ~self.bitfield.as_int()
         own_count = self.bitfield.count
-        sender_is_seed = self.is_seed
         observer = self.observer
         seed_state = PeerState.SEED
         sender_addr = self.address
-        if observer is not None or sender_is_seed:
+        if observer is not None:
             links = list(self.connections.values())
         else:
             # Visit only the links that can react; on every other link
@@ -453,10 +453,7 @@ class Peer(PeerCore):
             # which necessarily hold one we miss (both prefilters exact).
             if connection.am_interested:
                 remote_bits = connection.remote_bitfield
-                if sender_is_seed:
-                    connection.am_interested = False
-                    self._send(connection, NotInterested())
-                elif remote_bits._count <= own_count and (
+                if remote_bits._count <= own_count and (
                     remote_bits._bits[byte_index] & bit_mask
                 ):
                     if not (remote_bits.as_int() & not_ours):

@@ -3,7 +3,7 @@
 Layering (bottom up):
 
 * :mod:`repro.tracker.state` — per-infohash swarm registries behind a
-  sharded store (deterministic CRC-32 placement, online rebalance).
+  sharded store (deterministic CRC-32 placement).
 * :mod:`repro.tracker.sampling` — pluggable peer-sampling strategies
   (``uniform`` / ``seed-biased`` / ``rarity-aware``) drawing from the
   caller's seeded RNG.
@@ -12,5 +12,6 @@ Layering (bottom up):
 * :mod:`repro.tracker.service` — the sharded, budget-aware announce
   engine (load shedding) shared by every frontend.
 * :mod:`repro.tracker.server` / :mod:`repro.tracker.client` — the
-  asyncio HTTP-style + UDP announce server and its async clients.
+  asyncio HTTP-style + UDP announce server and the one-announce async
+  clients the live-server tests drive it with.
 """

@@ -6,21 +6,12 @@ shapes :mod:`repro.tracker.server` serves; both return the decoded
 response* (bencoded ``failure reason``, or a UDP ``error`` action)
 raises :class:`~repro.tracker.tracker.TrackerUnavailable`, so callers
 see the same exception surface as the in-process tracker.
-
-:class:`FederatedAnnouncer` walks an ordered endpoint tier (BEP 12
-announce-list semantics): each announce tries endpoints in tier order,
-first answer wins, unreachable or failing endpoints are skipped and
-counted.  The walk order is the fixed tier order, so failover is
-deterministic given which endpoints are up — the property the
-federation conformance tests assert against live servers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
 from urllib.parse import quote_from_bytes
 
 from repro.tracker.server import (
@@ -161,56 +152,3 @@ async def announce_udp(
         )
     finally:
         transport.close()
-
-
-@dataclass(frozen=True)
-class TrackerEndpoint:
-    """One tracker in a federation tier."""
-
-    host: str
-    port: int
-    scheme: str = "http"
-    """``"http"`` or ``"udp"``."""
-
-    def __str__(self) -> str:
-        return "%s://%s:%d" % (self.scheme, self.host, self.port)
-
-
-@dataclass
-class FederatedAnnouncer:
-    """Walk an ordered tracker tier with deterministic failover."""
-
-    endpoints: List[TrackerEndpoint]
-    timeout: float = DEFAULT_TIMEOUT
-    served_by: Dict[str, int] = field(default_factory=dict)
-    failover_count: int = 0
-
-    async def announce(self, request: AnnounceRequest) -> AnnounceResponse:
-        """Try endpoints in tier order; first answer wins.
-
-        Raises :class:`TrackerUnavailable` carrying the last error when
-        every endpoint fails.
-        """
-        last_error: Optional[Exception] = None
-        for index, endpoint in enumerate(self.endpoints):
-            try:
-                if endpoint.scheme == "udp":
-                    response = await announce_udp(
-                        endpoint.host, endpoint.port, request, self.timeout
-                    )
-                else:
-                    response = await announce_http(
-                        endpoint.host, endpoint.port, request, self.timeout
-                    )
-            except (TrackerUnavailable, OSError, asyncio.TimeoutError) as exc:
-                last_error = exc
-                continue
-            if index > 0:
-                self.failover_count += 1
-            key = str(endpoint)
-            self.served_by[key] = self.served_by.get(key, 0) + 1
-            return response
-        raise TrackerUnavailable(
-            "all %d tracker endpoints failed (last: %s)"
-            % (len(self.endpoints), last_error)
-        )

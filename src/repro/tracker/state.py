@@ -17,10 +17,8 @@ module provides that map at two levels:
 
 * :class:`ShardedSwarmStore` — the infohash map, split over a fixed
   number of shards by a *stable* hash (CRC-32, never the seeded builtin
-  ``hash``).  Shards bound the state any single announce touches, give
-  the announce server a natural unit of concurrency and statistics, and
-  can be rebalanced online (:meth:`ShardedSwarmStore.rebalance`) — the
-  operation the conformance tests exercise mid-outage.
+  ``hash``).  Shards bound the state any single announce touches and
+  give the announce server a natural unit of statistics.
 
 Everything here is deterministic given the announce sequence: no wall
 clock, no global RNG, no seeded-``hash`` iteration order.
@@ -231,7 +229,7 @@ def shard_of(infohash: bytes, num_shards: int) -> int:
 
     CRC-32 rather than ``hash()``: the builtin is salted per process
     (PYTHONHASHSEED), which would make shard placement — and therefore
-    shard statistics and rebalance traffic — nondeterministic.
+    shard statistics — nondeterministic.
     """
     return zlib.crc32(infohash) % num_shards
 
@@ -291,25 +289,6 @@ class ShardedSwarmStore:
         for state in self.swarms():
             reaped += len(state.expire(now, max_age))
         return reaped
-
-    def rebalance(self, num_shards: int) -> int:
-        """Re-home every swarm under a new shard count; returns how many
-        swarms moved shards.  Safe at any point between announces: the
-        swarm objects themselves (and any outstanding references to
-        them) are reused, only the shard map is rebuilt."""
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        moved = 0
-        fresh: List[Dict[bytes, SwarmState]] = [{} for _ in range(num_shards)]
-        for old_index, shard in enumerate(self._shards):
-            for infohash, state in shard.items():
-                new_index = shard_of(infohash, num_shards)
-                if new_index != old_index:
-                    moved += 1
-                fresh[new_index][infohash] = state
-        self.num_shards = num_shards
-        self._shards = fresh
-        return moved
 
     def stats(self) -> List[ShardStats]:
         """Per-shard accounting, in shard order."""

@@ -2,8 +2,7 @@
 
 The tracker keeps the set of peers currently involved in the torrent,
 hands a uniform random subset (50 by default) to peers that announce,
-and collects the per-torrent statistics (number of seeds and leechers
-over time) the paper probes to establish transient vs. steady state.
+and answers a scrape with the number of seeds and leechers it holds now.
 It is not involved in the actual distribution of the file.
 
 This in-process class is the synchronous tracker the simulator and the
@@ -31,7 +30,6 @@ not pass one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Tuple
 
@@ -46,15 +44,6 @@ class TrackerUnavailable(RuntimeError):
     :class:`Tracker` always answers."""
 
 
-@dataclass(frozen=True)
-class TrackerStats:
-    """One scrape sample: (time, seeds, leechers)."""
-
-    time: float
-    seeds: int
-    leechers: int
-
-
 class Tracker:
     """In-memory tracker for a single torrent."""
 
@@ -63,7 +52,6 @@ class Tracker:
         self._clock = clock
         self._state = SwarmState()
         self._sampler = UniformSampler()
-        self._history: List[TrackerStats] = []
         self.announce_count = 0
 
     def announce(
@@ -84,7 +72,6 @@ class Tracker:
         now = self._clock()
         self.announce_count += 1
         self._state.update(address, event=event, is_seed=is_seed, now=now)
-        self._record_sample()
         if num_want <= 0 or event == "stopped":
             return []
         return self._sampler.sample(
@@ -98,15 +85,6 @@ class Tracker:
     def scrape(self) -> Tuple[int, int]:
         """(seeds, leechers) currently registered."""
         return self._state.scrape()
-
-    def _record_sample(self) -> None:
-        seeds, leechers = self._state.scrape()
-        self._history.append(TrackerStats(self._clock(), seeds, leechers))
-
-    @property
-    def history(self) -> List[TrackerStats]:
-        """Every (time, seeds, leechers) sample, one per announce."""
-        return list(self._history)
 
     @property
     def num_registered(self) -> int:

@@ -3,9 +3,9 @@
 Real trackers answer HTTP announces with a bencoded dictionary; the
 *compact* format (BEP 23, universally used) packs each peer into 6
 bytes: 4-byte big-endian IPv4 address + 2-byte big-endian port.  The
-simulator exchanges peer lists directly, but the wire format is part of
-the substrate a downstream user expects from a BitTorrent library, and
-the tests exercise the full round trip.
+simulator exchanges peer lists directly.  The announce server writes
+the answer (:func:`repro.tracker.server.encode_result`); this module
+holds the answer's type, its decoder and the failure response.
 """
 
 from __future__ import annotations
@@ -35,19 +35,10 @@ class AnnounceResponse:
     """(dotted-quad IPv4, port) pairs."""
 
 
-def pack_peers(peers: List[Tuple[str, int]]) -> bytes:
-    """BEP 23 compact peer list: 6 bytes per peer."""
-    packed = bytearray()
-    for address, port in peers:
-        if not 0 < port < 65536:
-            raise ValueError("port %d out of range" % port)
-        packed += socket.inet_aton(address)
-        packed += struct.pack(">H", port)
-    return bytes(packed)
-
-
 def unpack_peers(data: bytes) -> List[Tuple[str, int]]:
-    """Inverse of :func:`pack_peers`."""
+    """The ``(address, port)`` pairs of a BEP 23 compact peer list, 6
+    bytes per peer (the blob :func:`repro.tracker.server.compact_peers`
+    writes)."""
     if len(data) % 6:
         raise ValueError("compact peer blob length is not a multiple of 6")
     peers = []
@@ -56,18 +47,6 @@ def unpack_peers(data: bytes) -> List[Tuple[str, int]]:
         (port,) = struct.unpack(">H", data[offset + 4 : offset + 6])
         peers.append((address, port))
     return peers
-
-
-def encode_announce_response(response: AnnounceResponse) -> bytes:
-    """Bencode an announce response in compact form."""
-    return bencode(
-        {
-            b"interval": response.interval,
-            b"complete": response.complete,
-            b"incomplete": response.incomplete,
-            b"peers": pack_peers(response.peers),
-        }
-    )
 
 
 def decode_announce_response(data: bytes) -> AnnounceResponse:

@@ -4,9 +4,8 @@ from repro.workloads.capacities import (
     CapacityClass,
     CapacityDistribution,
     INTERNET_2005,
-    uniform_capacity,
 )
-from repro.workloads.clients import CLIENT_MIX_2005, client_share, sample_client_id
+from repro.workloads.clients import CLIENT_MIX_2005, sample_client_id
 from repro.workloads.open_system import (
     StabilityDetector,
     StabilitySample,
@@ -39,9 +38,7 @@ __all__ = [
     "classify_samples",
     "scaled_copy",
     "build_experiment",
-    "client_share",
     "resolve_scenario",
     "sample_client_id",
     "scenario_by_id",
-    "uniform_capacity",
 ]

@@ -3,8 +3,8 @@
 The paper runs against live 2005/2006 Internet peers: a mix of
 asymmetric home broadband (ADSL/cable), a few fast academic or seedbox
 hosts, and a tail of very slow uploaders.  ``INTERNET_2005`` reproduces
-that mix; experiments can substitute :func:`uniform_capacity` or custom
-distributions.
+that mix; an experiment can substitute any other
+:class:`CapacityDistribution`.
 """
 
 from __future__ import annotations
@@ -69,10 +69,3 @@ INTERNET_2005 = CapacityDistribution(
     ]
 )
 """Heterogeneous, mostly asymmetric mix modelled on 2005 access links."""
-
-
-def uniform_capacity(
-    upload: float, download: Optional[float] = None
-) -> CapacityDistribution:
-    """A degenerate distribution: every peer gets the same capacities."""
-    return CapacityDistribution([CapacityClass(1.0, upload, download, "uniform")])

@@ -5,14 +5,13 @@ different BitTorrent clients, each client existing in several different
 versions".  This module provides a representative 2005/2006 mix so that
 simulated populations carry realistic client IDs (Azureus dominated,
 then mainline, BitComet, uTorrent's first releases, BitTornado, ...),
-which the instrumentation's (IP, client-ID) identification logic then
-exercises end to end.
+which the instrumentation records per remote peer.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 CLIENT_MIX_2005: Sequence[Tuple[str, float]] = (
     ("-AZ2304", 0.35),  # Azureus
@@ -36,17 +35,3 @@ def sample_client_id(rng: Random, mix: Sequence[Tuple[str, float]] = CLIENT_MIX_
         if point <= acc:
             return client_id
     return mix[-1][0]
-
-
-def client_share(client_ids: Sequence[str]) -> List[Tuple[str, float]]:
-    """Observed share per client ID, sorted descending (for reports)."""
-    if not client_ids:
-        return []
-    counts = {}
-    for client_id in client_ids:
-        counts[client_id] = counts.get(client_id, 0) + 1
-    total = len(client_ids)
-    return sorted(
-        ((client_id, count / total) for client_id, count in counts.items()),
-        key=lambda item: -item[1],
-    )

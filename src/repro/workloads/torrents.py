@@ -302,8 +302,8 @@ def build_experiment(
     A given *swarm_config* is read, never written to.  Pass
     ``client_mix`` (e.g.
     :data:`repro.workloads.clients.CLIENT_MIX_2005`) to give the
-    population heterogeneous client IDs, exercising the paper's §III-D
-    identification machinery; the mix draws from a dedicated RNG so
+    population heterogeneous client IDs, as the paper's §III-D observed
+    them; the mix draws from a dedicated RNG so
     enabling it does not perturb the scenario's other random choices.
 
     ``trace_recorder`` attaches a structured-trace emitter next to the

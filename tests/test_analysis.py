@@ -20,7 +20,7 @@ from repro.analysis.replication import (
     rarest_set_series,
     replication_series,
 )
-from repro.analysis.stats import cdf, cdf_at, median, pearson, percentile
+from repro.analysis.stats import cdf_at, median, pearson, percentile
 from repro.instrumentation import Instrumentation
 from repro.sim.config import KIB
 
@@ -47,14 +47,6 @@ class TestStats:
             percentile([], 0.5)
         with pytest.raises(ValueError):
             percentile([1], 1.5)
-
-    def test_cdf(self):
-        values, fractions = cdf([3, 1, 2])
-        assert values == [1.0, 2.0, 3.0]
-        assert fractions == [pytest.approx(1 / 3), pytest.approx(2 / 3), 1.0]
-
-    def test_cdf_empty(self):
-        assert cdf([]) == ([], [])
 
     def test_cdf_at(self):
         assert cdf_at([1, 2, 3, 4], 2.5) == 0.5

@@ -5,15 +5,13 @@ from random import Random
 import pytest
 
 from repro.sim.churn import (
-    abort_downloads,
     flash_crowd,
-    noise_peers,
     open_system_arrivals,
     poisson_arrivals,
 )
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 
-from tests.conftest import fast_config, tiny_swarm
+from tests.conftest import abort_downloads, fast_config, noise_peers, tiny_swarm
 
 
 def config_factory(rng: Random) -> PeerConfig:

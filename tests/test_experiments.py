@@ -3,12 +3,10 @@ series."""
 
 import pytest
 
-from repro.analysis.entropy import interest_fraction_series
 from repro.analysis.experiments import (
     run_replications,
     summarize_metric,
 )
-from repro.instrumentation import Instrumentation
 from repro.sim.config import KIB
 
 from tests.conftest import fast_config, tiny_swarm
@@ -99,26 +97,3 @@ class TestRunReplications:
         assert summary.n == 4
         assert 4.0 <= summary.mean <= 120.0
         assert summary.ci_low <= summary.mean <= summary.ci_high
-
-
-class TestInterestFractionSeries:
-    def test_steady_swarm_high_fraction(self):
-        swarm = tiny_swarm(num_pieces=24, seed=3)
-        swarm.add_peer(config=fast_config(upload=2 * KIB), is_seed=True)
-        for __ in range(6):
-            swarm.add_peer(config=fast_config(upload=2 * KIB))
-        trace = Instrumentation()
-        swarm.add_peer(config=fast_config(upload=2 * KIB), observer=trace)
-        trace.start_sampling()
-        swarm.run(600)
-        trace.finalize()
-        times, fractions = interest_fraction_series(trace, step=20.0)
-        assert times
-        assert all(0.0 <= fraction <= 1.0 for fraction in fractions)
-        # Mid-download the local peer wants something from most leechers.
-        assert max(fractions) > 0.5
-
-    def test_empty_trace(self):
-        trace = Instrumentation()
-        trace._finalized_at = 0.0
-        assert interest_fraction_series(trace) == ([], [])

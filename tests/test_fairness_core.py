@@ -1,51 +1,9 @@
-"""Tests for the paper's two fairness criteria and figure aggregations."""
+"""Tests for Jain's index and the figure 9/11 aggregations."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.fairness import (
-    contribution_sets,
-    fairness_report,
-    jain_index,
-    leecher_fairness_violations,
-    reciprocation_shares,
-    seed_service_uniformity,
-)
-
-
-class TestLeecherCriterion:
-    def test_no_violation_when_ordered(self):
-        uploads = {"a": 10.0, "b": 20.0, "c": 30.0}
-        downloads = {"a": 100.0, "b": 200.0, "c": 300.0}
-        violations, pairs = leecher_fairness_violations(uploads, downloads)
-        assert violations == 0
-        assert pairs == 3
-
-    def test_violation_detected(self):
-        uploads = {"slow": 10.0, "fast": 100.0}
-        downloads = {"slow": 500.0, "fast": 50.0}
-        violations, pairs = leecher_fairness_violations(uploads, downloads)
-        assert violations == 1
-        assert pairs == 1
-
-    def test_excess_capacity_to_slow_peer_is_allowed(self):
-        """The criterion orders service, it does not forbid serving the
-        slow peer: equal downloads with unequal uploads is fine."""
-        uploads = {"slow": 10.0, "fast": 100.0}
-        downloads = {"slow": 100.0, "fast": 100.0}
-        violations, __ = leecher_fairness_violations(uploads, downloads)
-        assert violations == 0
-
-    def test_tolerance_suppresses_noise(self):
-        uploads = {"a": 100.0, "b": 103.0}
-        downloads = {"a": 200.0, "b": 198.0}
-        violations, pairs = leecher_fairness_violations(
-            uploads, downloads, tolerance=0.05
-        )
-        assert pairs == 0  # uploads within tolerance: not comparable
-
-    def test_empty(self):
-        assert leecher_fairness_violations({}, {}) == (0, 0)
+from repro.core.fairness import contribution_sets, jain_index, reciprocation_shares
 
 
 class TestJain:
@@ -64,9 +22,6 @@ class TestJain:
 
     def test_all_zero(self):
         assert jain_index([0.0, 0.0]) == 1.0
-
-    def test_seed_service_uniformity(self):
-        assert seed_service_uniformity({"a": 10.0, "b": 10.0}) == pytest.approx(1.0)
 
 
 class TestContributionSets:
@@ -130,22 +85,6 @@ class TestReciprocationShares:
     def test_empty(self):
         up, down = reciprocation_shares({}, {})
         assert up == [0.0] * 6 and down == [0.0] * 6
-
-
-class TestReport:
-    def test_combined(self):
-        report = fairness_report(
-            upload_speed={"a": 10.0, "b": 100.0},
-            download_speed={"a": 50.0, "b": 500.0},
-            seed_service={"a": 10.0, "b": 10.0},
-        )
-        assert report.leecher_violations == 0
-        assert report.seed_service_jain == pytest.approx(1.0)
-        assert report.leecher_violation_ratio == 0.0
-
-    def test_violation_ratio_with_no_pairs(self):
-        report = fairness_report({}, {}, {})
-        assert report.leecher_violation_ratio == 0.0
 
 
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50))

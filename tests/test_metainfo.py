@@ -209,16 +209,6 @@ class TestMetainfo:
         assert a.piece_payload(0) != b.piece_payload(0)
         assert a.info_hash != b.info_hash
 
-    def test_torrent_file_roundtrip(self):
-        meta = Metainfo.synthetic("movie", 5000, piece_size=1024, block_size=256)
-        data = meta.to_torrent_file()
-        recovered = Metainfo.from_torrent_file(data, block_size=256)
-        assert recovered.name == "movie"
-        assert recovered.info_hash == meta.info_hash
-        assert recovered.piece_hashes == meta.piece_hashes
-        assert recovered.geometry.total_size == 5000
-        assert recovered.announce == meta.announce
-
     def test_info_hash_is_sha1_of_info_dict(self):
         meta = Metainfo.synthetic("x", 300, piece_size=256, block_size=64)
         assert len(meta.info_hash) == 20
@@ -235,12 +225,6 @@ class TestMetainfo:
         geometry = PieceGeometry(256, piece_size=256, block_size=64)
         with pytest.raises(ValueError):
             Metainfo("t", geometry, [b"\x00" * 19])
-
-    def test_malformed_torrent_file(self):
-        with pytest.raises(ValueError):
-            Metainfo.from_torrent_file(b"not bencoded")
-        with pytest.raises(ValueError):
-            Metainfo.from_torrent_file(b"de")
 
     def test_make_metainfo(self):
         meta = make_metainfo("t", num_pieces=7, piece_size=128, block_size=32)

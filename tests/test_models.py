@@ -4,12 +4,7 @@ service capacity) and their agreement with the simulator."""
 import pytest
 
 from repro.models.fluid import FluidModel
-from repro.models.service_capacity import (
-    capacity_trajectory,
-    exponential_growth_time,
-    flash_crowd_capacity,
-    minimum_distribution_time,
-)
+from repro.models.service_capacity import minimum_distribution_time
 
 
 class TestFluidModelBasics:
@@ -161,30 +156,6 @@ class TestFluidSteadyState:
 
 
 class TestServiceCapacity:
-    def test_doubling(self):
-        assert flash_crowd_capacity(1, 0.0, 10.0) == 1.0
-        assert flash_crowd_capacity(1, 10.0, 10.0) == 2.0
-        assert flash_crowd_capacity(1, 30.0, 10.0) == 8.0
-
-    def test_growth_time_inverse(self):
-        time = exponential_growth_time(1, 64, 10.0)
-        assert flash_crowd_capacity(1, time, 10.0) == pytest.approx(64.0)
-
-    def test_growth_time_already_reached(self):
-        assert exponential_growth_time(8, 4, 10.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            flash_crowd_capacity(-1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            flash_crowd_capacity(1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            exponential_growth_time(0, 10, 1.0)
-
-    def test_trajectory(self):
-        samples = capacity_trajectory(1, 30.0, 10.0, step=10.0)
-        assert [c for __, c in samples] == [1.0, 2.0, 4.0, 8.0]
-
     def test_minimum_distribution_time_splitting_helps(self):
         """The key improvement of [25]: more pieces, shorter distribution."""
         one_piece = minimum_distribution_time(

@@ -64,6 +64,12 @@ def test_swarm_survives_peer_crash():
     assert not victim.bitfield.is_complete()
     assert victim.address not in result.completed_at
 
+    # The victim closed every link it had: none left open, none counted
+    # as initiated, no piece left in its availability counts.
+    assert victim.initiated_count == 0
+    assert not victim.connections
+    assert not any(victim.picker.availability)
+
     # The crash is visible in the registry: the kill itself, the victim's
     # own crash bookkeeping, and at least one survivor reaping a dead
     # link (RST races with FIN-less EOF, so the reap count varies).

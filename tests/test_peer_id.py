@@ -1,4 +1,4 @@
-"""Tests for peer identifiers and the (IP, client-ID) identification rule."""
+"""Tests for peer identifiers and the client ID they carry."""
 
 from random import Random
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.protocol.peer_id import (
     PeerId,
-    PeerIdentity,
-    identify,
     make_peer_id,
     parse_client_id,
 )
@@ -57,29 +55,6 @@ class TestParseClientId:
 
     def test_wrong_length(self):
         assert parse_client_id(b"M4-0-2-") is None
-
-
-class TestIdentity:
-    def test_same_ip_same_client_is_same_identity(self):
-        rng = Random(1)
-        first = make_peer_id("M4-0-2", rng)
-        second = make_peer_id("M4-0-2", rng)  # "restarted" client
-        assert identify("1.2.3.4", first.raw) == identify("1.2.3.4", second.raw)
-
-    def test_same_ip_different_client_differs(self):
-        rng = Random(1)
-        mainline = make_peer_id("M4-0-2", rng)
-        azureus = make_peer_id("-AZ2504", rng)
-        assert identify("1.2.3.4", mainline.raw) != identify("1.2.3.4", azureus.raw)
-
-    def test_different_ip_differs(self):
-        rng = Random(1)
-        peer_id = make_peer_id("M4-0-2", rng)
-        assert identify("1.2.3.4", peer_id.raw) != identify("1.2.3.5", peer_id.raw)
-
-    def test_identity_fields(self):
-        identity = identify("10.0.0.1", b"M4-0-2--abcdefghijkl")
-        assert identity == PeerIdentity(ip="10.0.0.1", client_id="M4-0-2")
 
 
 class TestPeerIdValidation:

@@ -16,19 +16,27 @@ from repro.protocol.messages import (
     Unchoke,
 )
 from repro.protocol.bencode import bencode
-from repro.protocol.stream import MessageStream, encode_session
+from repro.protocol.stream import MessageStream
+from repro.tracker.server import compact_peers, encode_result
+from repro.tracker.service import AnnounceResult
 from repro.tracker.wire import (
     AnnounceResponse,
     decode_announce_response,
-    encode_announce_response,
     encode_failure,
-    pack_peers,
     unpack_peers,
 )
 
 from tests.test_bencode import bencodable
 
 HANDSHAKE = Handshake(info_hash=b"h" * 20, peer_id=b"p" * 20)
+
+
+def encode_session(messages, handshake=None) -> bytes:
+    """A whole session's outbound byte stream: the handshake, if any,
+    then every message's frame."""
+    prefix = handshake.encode() if handshake is not None else b""
+    return prefix + b"".join(message.encode() for message in messages)
+
 
 MESSAGES = [
     Choke(),
@@ -108,20 +116,17 @@ def test_property_arbitrary_fragmentation(messages, data):
 class TestCompactPeers:
     def test_roundtrip(self):
         peers = [("10.0.0.1", 6881), ("192.168.1.2", 51413)]
-        assert unpack_peers(pack_peers(peers)) == peers
+        assert unpack_peers(compact_peers(["10.0.0.1:6881", "192.168.1.2:51413"])) == peers
 
     def test_six_bytes_per_peer(self):
-        assert len(pack_peers([("1.2.3.4", 80)])) == 6
+        assert len(compact_peers(["1.2.3.4:80"])) == 6
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             unpack_peers(b"\x00" * 5)
 
     def test_bad_port_rejected(self):
-        with pytest.raises(ValueError):
-            pack_peers([("1.2.3.4", 0)])
-        with pytest.raises(ValueError):
-            pack_peers([("1.2.3.4", 70000)])
+        assert compact_peers(["1.2.3.4:0", "1.2.3.4:70000"]) == b""
 
     @given(
         st.lists(
@@ -136,18 +141,23 @@ class TestCompactPeers:
         )
     )
     def test_property_roundtrip(self, peers):
-        assert unpack_peers(pack_peers(peers)) == peers
+        assert unpack_peers(compact_peers("%s:%d" % peer for peer in peers)) == peers
 
 
 class TestAnnounceResponse:
     def test_roundtrip(self):
-        response = AnnounceResponse(
+        result = AnnounceResult(
+            peers=["10.0.0.1:6881", "10.0.0.2:6882"],
+            interval=1800,
+            seeds=3,
+            leechers=14,
+        )
+        assert decode_announce_response(encode_result(result)) == AnnounceResponse(
             interval=1800,
             complete=3,
             incomplete=14,
             peers=[("10.0.0.1", 6881), ("10.0.0.2", 6882)],
         )
-        assert decode_announce_response(encode_announce_response(response)) == response
 
     def test_failure_response_raises(self):
         with pytest.raises(ValueError, match="torrent not registered"):

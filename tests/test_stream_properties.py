@@ -24,7 +24,9 @@ from repro.protocol.messages import (
     Request,
     Unchoke,
 )
-from repro.protocol.stream import MAX_FRAME_LENGTH, MessageStream, encode_session
+from repro.protocol.stream import MAX_FRAME_LENGTH, MessageStream
+
+from tests.test_stream import encode_session
 
 HANDSHAKE = Handshake(info_hash=b"h" * 20, peer_id=b"p" * 20)
 

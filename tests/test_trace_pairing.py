@@ -21,11 +21,11 @@ from repro.instrumentation import (
     TracingObserver,
     binary_to_jsonl,
 )
-from repro.sim.churn import abort_downloads, noise_peers, poisson_arrivals
+from repro.sim.churn import poisson_arrivals
 from repro.sim.config import KIB, PeerConfig, SwarmConfig
 from repro.workloads import build_experiment, scaled_copy, scenario_by_id
 
-from tests.conftest import fast_config, tiny_swarm
+from tests.conftest import abort_downloads, fast_config, noise_peers, tiny_swarm
 
 
 class PairCounter:

@@ -129,16 +129,6 @@ class TestScrape:
         tracker.announce("x", event="completed", num_want=0, is_seed=True)
         assert tracker.scrape() == (1, 0)
 
-    def test_history_records_time(self):
-        tracker, clock = make_tracker()
-        tracker.announce("a", event="started", num_want=0, is_seed=False)
-        clock["now"] = 100.0
-        tracker.announce("b", event="started", num_want=0, is_seed=True)
-        history = tracker.history
-        assert [s.time for s in history] == [0.0, 100.0]
-        assert history[-1].seeds == 1
-        assert history[-1].leechers == 1
-
     def test_registered_addresses(self):
         tracker, __ = make_tracker()
         tracker.announce("a", event="started", num_want=0, is_seed=False)

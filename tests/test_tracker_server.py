@@ -19,8 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tracker import server as server_module
 from repro.tracker.client import (
-    FederatedAnnouncer,
-    TrackerEndpoint,
     announce_http,
     announce_udp,
     build_announce_target,
@@ -47,7 +45,7 @@ from repro.tracker.service import (
     TrackerService,
 )
 from repro.tracker.tracker import TrackerUnavailable
-from repro.tracker.wire import decode_announce_response, pack_peers, unpack_peers
+from repro.tracker.wire import decode_announce_response, unpack_peers
 from repro.protocol.bencode import bdecode
 
 pytestmark = pytest.mark.tracker
@@ -749,114 +747,6 @@ class TestLoadSheddingOverWire:
         assert failures == rejected
 
 
-class TestLiveFederationFailover:
-    def test_dead_endpoint_skipped_deterministically(self):
-        async def scenario():
-            service = make_service()
-            async with TrackerServer(service) as live:
-                # A dead TCP endpoint: bind-then-close guarantees a
-                # connection refusal, never a timeout.
-                probe = await asyncio.start_server(
-                    lambda r, w: None, "127.0.0.1", 0
-                )
-                dead_port = probe.sockets[0].getsockname()[1]
-                probe.close()
-                await probe.wait_closed()
-
-                announcer = FederatedAnnouncer(
-                    endpoints=[
-                        TrackerEndpoint("127.0.0.1", dead_port),
-                        TrackerEndpoint("127.0.0.1", live.http_port),
-                        TrackerEndpoint("127.0.0.1", live.udp_port, "udp"),
-                    ],
-                    timeout=TIMEOUT,
-                )
-                for request in announce_sequence(10):
-                    await announcer.announce(request)
-                return announcer
-
-        announcer = run(scenario())
-        live_key = [k for k in announcer.served_by if k.startswith("http")]
-        assert announcer.failover_count == 10
-        assert len(live_key) == 1
-        assert announcer.served_by[live_key[0]] == 10
-        # The UDP fallback never had to serve: tier order is respected.
-        assert not any(k.startswith("udp") for k in announcer.served_by)
-
-    def test_all_endpoints_dead_raises(self):
-        async def scenario():
-            probe = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
-            dead_port = probe.sockets[0].getsockname()[1]
-            probe.close()
-            await probe.wait_closed()
-            announcer = FederatedAnnouncer(
-                endpoints=[TrackerEndpoint("127.0.0.1", dead_port)],
-                timeout=1.0,
-            )
-            with pytest.raises(TrackerUnavailable):
-                await announcer.announce(
-                    AnnounceRequest(infohash=INFOHASH, address="10.0.0.1:6881")
-                )
-
-        run(scenario())
-
-    def test_hostile_tier_is_skipped_not_fatal(self):
-        """Regression: tier 0 answering with a body nested past the
-        recursion limit ended the walk instead of failing over."""
-
-        async def hostile(reader, writer):
-            await reader.readuntil(b"\r\n\r\n")
-            writer.write(b"HTTP/1.0 200 OK\r\n\r\n" + b"l" * 100_000)
-            await writer.drain()
-            writer.close()
-
-        async def scenario():
-            async with TrackerServer(make_service()) as live:
-                bad = await asyncio.start_server(hostile, "127.0.0.1", 0)
-                announcer = FederatedAnnouncer(
-                    endpoints=[
-                        TrackerEndpoint("127.0.0.1", bad.sockets[0].getsockname()[1]),
-                        TrackerEndpoint("127.0.0.1", live.http_port),
-                    ],
-                    timeout=TIMEOUT,
-                )
-                try:
-                    response = await announcer.announce(announce_sequence(1)[0])
-                finally:
-                    bad.close()
-                    await bad.wait_closed()
-                return announcer, response, live.http_port
-
-        announcer, response, live_port = run(scenario())
-        assert announcer.failover_count == 1
-        assert announcer.served_by == {"http://127.0.0.1:%d" % live_port: 1}
-        assert response.interval == 30 * 60
-
-    def test_udp_tier_serves_when_http_down(self):
-        async def scenario():
-            async with TrackerServer(make_service()) as live:
-                probe = await asyncio.start_server(
-                    lambda r, w: None, "127.0.0.1", 0
-                )
-                dead_port = probe.sockets[0].getsockname()[1]
-                probe.close()
-                await probe.wait_closed()
-                announcer = FederatedAnnouncer(
-                    endpoints=[
-                        TrackerEndpoint("127.0.0.1", dead_port),
-                        TrackerEndpoint("127.0.0.1", live.udp_port, "udp"),
-                    ],
-                    timeout=TIMEOUT,
-                )
-                for request in announce_sequence(12):
-                    response = await announcer.announce(request)
-                return announcer, response
-
-        announcer, response = run(scenario())
-        assert announcer.failover_count == 12
-        assert len(response.peers) == 11
-
-
 def _dead_udp_port():
     """A UDP port nothing listens on: bound, then closed."""
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
@@ -866,8 +756,8 @@ def _dead_udp_port():
 
 class TestDeadUdpTracker:
     """Regression: the UDP client dropped the kernel's ECONNREFUSED, so a
-    dead UDP tracker cost the full timeout (and a federation tier 5 s
-    per announce) where a dead HTTP one failed in a millisecond."""
+    dead UDP tracker cost the full timeout where a dead HTTP one failed
+    in a millisecond."""
 
     def test_dead_endpoint_fails_at_once(self):
         async def scenario():
@@ -879,25 +769,6 @@ class TestDeadUdpTracker:
             return time.monotonic() - started
 
         assert run(scenario()) < 1.0
-
-    def test_dead_udp_tier_fails_over_at_once(self):
-        async def scenario():
-            async with TrackerServer(make_service()) as live:
-                announcer = FederatedAnnouncer(
-                    endpoints=[
-                        TrackerEndpoint("127.0.0.1", _dead_udp_port(), "udp"),
-                        TrackerEndpoint("127.0.0.1", live.http_port),
-                    ],
-                    timeout=5.0,
-                )
-                started = time.monotonic()
-                response = await announcer.announce(announce_sequence(1)[0])
-                return time.monotonic() - started, announcer, response
-
-        elapsed, announcer, response = run(scenario())
-        assert elapsed < 1.0
-        assert announcer.failover_count == 1
-        assert response.interval == 30 * 60
 
 
 @pytest.fixture
@@ -1076,20 +947,20 @@ ENCODABLE = st.builds(
 
 
 class TestCompactEncoder:
-    """The memoised compact blob is :func:`pack_peers` of the split
-    addresses, cold or warm, and after the memo has evicted them."""
+    """The memoised compact blob decodes to the split addresses, cold or
+    warm, and after the memo has evicted them."""
 
     @settings(max_examples=100, deadline=None)
     @given(addresses=st.lists(ENCODABLE, max_size=60))
-    def test_memoised_blob_is_pack_peers(self, addresses):
-        expected = pack_peers([split_address(a) for a in addresses])
-        assert compact_peers(addresses) == expected
+    def test_memoised_blob_decodes_to_the_addresses(self, addresses):
+        expected = compact_peers(addresses)
+        assert unpack_peers(expected) == [split_address(a) for a in addresses]
         assert compact_peers(addresses) == expected  # every entry warm
 
     def test_blob_survives_an_eviction(self):
         early = ["10.200.%d.%d:6881" % (i >> 8, i & 255) for i in range(64)]
-        expected = pack_peers([split_address(a) for a in early])
-        assert compact_peers(early) == expected
+        expected = compact_peers(early)
+        assert unpack_peers(expected) == [split_address(a) for a in early]
         filler = (
             "10.%d.%d.%d:7000" % (i >> 16 & 255, i >> 8 & 255, i & 255)
             for i in range(COMPACT_MEMO_SIZE)
@@ -1100,7 +971,7 @@ class TestCompactEncoder:
 
     def test_unencodable_addresses_are_left_out(self):
         mixed = ["1.2.3.4:80", "bare", "5.6.7.8:0", "host:x", "not-an-ip:1", "9.9.9.9:1"]
-        assert compact_peers(mixed) == pack_peers([("1.2.3.4", 80), ("9.9.9.9", 1)])
+        assert compact_peers(mixed) == compact_peers(["1.2.3.4:80", "9.9.9.9:1"])
 
     def test_both_frontends_skip_an_in_process_registration(self):
         """Only an in-process registration can hold an address the

@@ -13,7 +13,6 @@ from repro.workloads import (
     build_experiment,
     scaled_copy,
     scenario_by_id,
-    uniform_capacity,
 )
 from repro.workloads.torrents import MAX_SIMULATED_PEERS
 
@@ -38,11 +37,11 @@ class TestCapacities:
         assert 0.85 < share_slow < 0.95
 
     def test_uniform(self):
-        distribution = uniform_capacity(42.0, 100.0)
+        distribution = CapacityDistribution([CapacityClass(1.0, 42.0, 100.0, "uniform")])
         assert distribution.sample(Random(1)) == (42.0, 100.0)
 
     def test_mean_upload(self):
-        distribution = uniform_capacity(42.0)
+        distribution = CapacityDistribution([CapacityClass(1.0, 42.0, None, "uniform")])
         assert distribution.mean_upload() == 42.0
 
     def test_validation(self):
