@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from random import Random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.choke import ChokeCandidate, Choker, LeecherChoker, SeedChoker
 from repro.core.piece_picker import PiecePicker
@@ -71,16 +71,17 @@ class PeerState(enum.Enum):
 class LinkState:
     """One endpoint's protocol view of a link to ``remote``.
 
-    ``remote`` is whatever identifies the far end to the observers (the
-    remote peer itself in the simulator, a handshake identity over a
-    socket); the core reads only ``remote.address``, through
-    :attr:`remote_key`, and a driver files the link in
-    ``PeerCore.connections`` under that same key.
+    ``remote`` is the far end as the driver holds it: the remote peer
+    itself in the simulator, ``None`` over a socket, whose driver sets
+    :attr:`remote_key` once the handshake names the far end.  The core
+    reads only :attr:`remote_key`, the remote's canonical address, and a
+    driver files the link in ``PeerCore.connections`` under that key.
     """
 
     __slots__ = (
         "local",
         "remote",
+        "remote_key",
         "remote_bitfield",
         "am_choking",
         "peer_choking",
@@ -104,6 +105,10 @@ class LinkState:
     ):
         self.local = local
         self.remote = remote
+        # Picker/choker key for this link: the remote's canonical address.
+        self.remote_key: Optional[str] = (
+            remote.address if remote is not None else None
+        )
         self.remote_bitfield = Bitfield(local.metainfo.geometry.num_pieces)
         self.am_choking = True
         self.peer_choking = True
@@ -122,11 +127,6 @@ class LinkState:
         self.request_times: Dict[BlockRef, float] = {}
         # Choke bookkeeping for the seed algorithm and figure 10.
         self.last_unchoked_local: Optional[float] = None
-
-    @property
-    def remote_key(self) -> str:
-        """Picker/choker key for this link: the remote's canonical address."""
-        return self.remote.address
 
     # -- upload queue (drivers add what serving the queue needs) -----------
 
@@ -248,6 +248,19 @@ class PeerCore:
     def peer_set_size(self) -> int:
         return len(self.connections)
 
+    @property
+    def num_pieces(self) -> int:
+        return self.bitfield.num_pieces
+
+    def link_totals(self) -> List[Tuple[str, float, float]]:
+        """``(remote, up, down)`` byte totals of every link in the peer
+        set, in the order the links opened: what an observer's seed-state
+        and finalize steps record."""
+        return [
+            (key, connection.uploaded.total, connection.downloaded.total)
+            for key, connection in self.connections.items()
+        ]
+
     def __repr__(self) -> str:
         return "%s(%s, %s, %d/%d pieces)" % (
             type(self).__name__,
@@ -305,7 +318,12 @@ class PeerCore:
         connection.clear_upload_queue()
         connection.request_times.clear()
         if self.observer:
-            self.observer.on_connection_close(self.simulator.now, connection)
+            self.observer.on_connection_close(
+                self.simulator.now,
+                connection.remote_key,
+                connection.uploaded.total,
+                connection.downloaded.total,
+            )
 
     def _tracker_announce(self, event: str, num_want: int) -> List[str]:
         """One announce to ``self.tracker``; the addresses it returns.
@@ -388,7 +406,9 @@ class PeerCore:
         if connection.closed:
             return
         if observe and self.observer:
-            self.observer.on_message_received(self.simulator.now, connection, message)
+            self.observer.on_message_received(
+                self.simulator.now, connection.remote_key, message
+            )
         handler = self._handlers.get(type(message))
         if handler is not None:
             handler(self, connection, message)
@@ -483,7 +503,11 @@ class PeerCore:
         )
         if self.observer:
             self.observer.on_block_received(
-                self.simulator.now, connection, block.piece, block.offset, block.length
+                self.simulator.now,
+                connection.remote_key,
+                block.piece,
+                block.offset,
+                block.length,
             )
         # Sorted so the CANCEL send order (and hence any RNG draws made
         # per message) never depends on set iteration order / the
@@ -580,7 +604,7 @@ class PeerCore:
             download_rate = downloaded.rate(now) if downloaded._samples else 0.0
             upload_rate = uploaded.rate(now) if uploaded._samples else 0.0
             if observer:
-                observer.on_rate_sample(now, connection, download_rate, upload_rate)
+                observer.on_rate_sample(now, key, download_rate, upload_rate)
             if connection.peer_interested:
                 interested.append(key)
                 choking = connection.am_choking
@@ -591,7 +615,7 @@ class PeerCore:
                     )))
         decision = self.choker.round(interested, candidates, now, self.rng)
         if observer:
-            observer.on_choke_round(now, decision)
+            observer.on_choke_round(now, decision.unchoked, self.is_seed)
         unchoke_set = set(decision.unchoked)
         for key, connection in list(self.connections.items()):
             if connection.am_choking:
@@ -616,7 +640,7 @@ class PeerCore:
         self.became_seed_at = now
         self.seed_choker.reset()
         if self.observer:
-            self.observer.on_seed_state(now)
+            self.observer.on_seed_state(now, self.link_totals())
         self._announce_completed()
         # "When a leecher becomes a seed, it closes its connections to all
         # the seeds." (§IV-A.2.b)

@@ -294,10 +294,10 @@ class PiecePicker:
         caller is responsible for pipelining (calling repeatedly until the
         pipeline is full or ``None`` is returned).
         """
-        if self._open_partials:
+        if self._strict_priority and self._open_partials:
             # When no active piece has an unrequested block left the
             # strict-priority scan cannot yield anything; skip it.
-            block = self._strict_priority_block(remote_bitfield, peer_key)
+            block = self._active_block(remote_bitfield, peer_key)
             if block is not None:
                 return block
         # Flattened miss path: when nothing wanted intersects the remote's
@@ -328,12 +328,11 @@ class PiecePicker:
             self._open_partials += 1
         partial.release(index)
 
-    def _strict_priority_block(
+    def _active_block(
         self, remote_bitfield: Bitfield, peer_key: PeerKey
     ) -> Optional[BlockRef]:
-        """First unrequested block of an already-started piece the remote has."""
-        if not self._strict_priority:
-            return None
+        """First unrequested block of an already-started piece the remote
+        has: strict priority's pick, and the fallback without it."""
         remote_bits = remote_bitfield._bits
         for piece, partial in self._active.items():
             if partial.unrequested and remote_bits[piece >> 3] & (
@@ -351,7 +350,7 @@ class PiecePicker:
             # Without strict priority, fall back to any startable block of
             # an active piece so progress is still possible.
             if not self._strict_priority:
-                return self._any_active_block(remote_bitfield, peer_key)
+                return self._active_block(remote_bitfield, peer_key)
             return None
         partial = _PartialPiece(blocks=self._geometry.blocks(piece))
         self._active[piece] = partial
@@ -376,16 +375,6 @@ class PiecePicker:
         candidates = (self._wanted_mask & remote_bitfield.as_vector()).nonzero()[0]
         counts = self._matrix.data[self._slot][candidates]
         return selector.select(candidates, counts, self._rng)
-
-    def _any_active_block(
-        self, remote_bitfield: Bitfield, peer_key: PeerKey
-    ) -> Optional[BlockRef]:
-        for piece, partial in self._active.items():
-            if not partial.unrequested or not remote_bitfield.has(piece):
-                continue
-            block_index = self._pop_block(partial, peer_key)
-            return partial.blocks[block_index]
-        return None
 
     def _all_blocks_requested(self) -> bool:
         """True when every missing block is either received or in flight."""
@@ -497,12 +486,3 @@ class PiecePicker:
     def active_pieces(self) -> List[int]:
         """Indices of partially downloaded pieces (insertion order)."""
         return list(self._active)
-
-    def pending_requests_to(self, peer_key: PeerKey) -> List[BlockRef]:
-        """Blocks currently requested from ``peer_key``."""
-        pending = []
-        for partial in self._active.values():
-            for block_index, askers in partial.requested.items():
-                if peer_key in askers:
-                    pending.append(partial.blocks[block_index])
-        return pending

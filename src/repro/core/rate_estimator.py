@@ -72,11 +72,6 @@ class RateEstimator:
         self._expire(now)
         return max(0.0, self._total) / self._window
 
-    def total_in_window(self, now: float) -> float:
-        """Bytes currently inside the window (mostly for tests)."""
-        self._expire(now)
-        return max(0.0, self._total)
-
     def reset(self) -> None:
         self._samples = ()
         self._total = 0.0

@@ -21,9 +21,8 @@ closed ``(start, end)`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.choke import ChokeDecision
 from repro.instrumentation.metrics import MetricsRegistry
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
@@ -32,8 +31,7 @@ from repro.protocol.messages import (
     Message,
     NotInterested,
 )
-from repro.sim.connection import Connection
-from repro.sim.observer import FanoutObserver, PeerObserver
+from repro.sim.observer import FanoutObserver, LinkTotals, PeerObserver
 
 Interval = Tuple[float, float]
 
@@ -131,12 +129,6 @@ class RemotePeerRecord:
     remote_seed_since: Optional[float] = None
     """First time the remote's bitfield was observed complete, if ever."""
 
-    def total_presence(self) -> float:
-        return self.presence.total()
-
-    def was_ever_seed(self) -> bool:
-        return self.remote_seed_since is not None
-
     def was_seed_on_arrival(self) -> bool:
         """True when the remote already had every piece when it entered
         the peer set — a *seed peer* in the paper's sense, as opposed to
@@ -155,7 +147,7 @@ class RemotePeerRecord:
 
 @dataclass
 class _ConnectionState:
-    """Per-connection accounting helpers."""
+    """Per-link accounting helpers, keyed by the remote's address."""
 
     record: RemotePeerRecord
     opened_at: float
@@ -165,7 +157,14 @@ class _ConnectionState:
 
 
 class Instrumentation(PeerObserver):
-    """Record the full local-peer trace of one experiment."""
+    """Record the full local-peer trace of one experiment.
+
+    The hooks read nothing but their arguments, so a trace replays into
+    an equal object through the same hooks (DESIGN §9).  The attached
+    peer is kept only for what a live run alone does with it: the
+    snapshot sampler, and :meth:`finalize`, which reads the peer's
+    state into :meth:`on_finalize`.
+    """
 
     def __init__(self, record_rates: bool = False, snapshot_interval: Optional[float] = None):
         self.peer = None
@@ -192,9 +191,13 @@ class Instrumentation(PeerObserver):
         self._received_counter = self.metrics.counter("messages.received")
         self._record_rates = record_rates
         self._snapshot_interval = snapshot_interval
-        self._connection_states: Dict[int, _ConnectionState] = {}
+        self._connection_states: Dict[str, _ConnectionState] = {}
+        self._remote_pieces: Dict[str, list] = {}  # see _completes
+        self._num_pieces = 0  # until attached
         self._currently_unchoked: set = set()
         self._finalized_at: Optional[float] = None
+        self._joined_at: Optional[float] = None
+        self._became_seed_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     # attachment & sampling
@@ -202,6 +205,7 @@ class Instrumentation(PeerObserver):
 
     def on_attached(self, peer) -> None:
         self.peer = peer
+        self._num_pieces = peer.num_pieces
 
     def start_sampling(self) -> None:
         """Begin periodic snapshots; call after the peer has joined."""
@@ -269,41 +273,49 @@ class Instrumentation(PeerObserver):
     # connection lifecycle
     # ------------------------------------------------------------------
 
-    def _record_for(self, connection: Connection) -> RemotePeerRecord:
-        address = connection.remote.address
+    def _record_for(self, address: str) -> RemotePeerRecord:
         record = self.records.get(address)
         if record is None:
-            record = RemotePeerRecord(address=address)
-            self.records[address] = record
-        if record.client_id is None:
-            record.client_id = connection.remote.peer_id.client_id
+            record = self.records[address] = RemotePeerRecord(address=address)
         return record
 
-    def on_connection_open(self, now: float, connection: Connection) -> None:
-        record = self._record_for(connection)
+    def on_connection_open(
+        self,
+        now: float,
+        remote: str,
+        client: Optional[str],
+        remote_complete: bool,
+        local_seed: bool,
+        initiated: bool,
+    ) -> None:
+        record = self._record_for(remote)
+        if record.client_id is None:
+            record.client_id = client
         record.presence.set_on(now)
-        self._connection_states[id(connection)] = _ConnectionState(
-            record=record,
-            opened_at=now,
-            opened_in_seed_state=self.peer.is_seed if self.peer else False,
+        self._connection_states[remote] = _ConnectionState(
+            record=record, opened_at=now, opened_in_seed_state=local_seed
         )
-        if connection.remote.bitfield.is_complete() and record.remote_seed_since is None:
+        self._remote_pieces.pop(remote, None)  # a new link's view is empty
+        if remote_complete and record.remote_seed_since is None:
             record.remote_seed_since = now
 
-    def on_connection_close(self, now: float, connection: Connection) -> None:
-        state = self._connection_states.pop(id(connection), None)
+    def on_connection_close(
+        self, now: float, remote: str, up: float, down: float
+    ) -> None:
+        self._remote_pieces.pop(remote, None)
+        state = self._connection_states.pop(remote, None)
         if state is None:
             return
         record = state.record
         record.presence.set_off(now)
         record.local_interested_in_remote.set_off(now)
         record.remote_interested_in_local.set_off(now)
-        self._currently_unchoked.discard(connection.remote.address)
-        self._flush_bytes(state, connection)
+        self._currently_unchoked.discard(remote)
+        self._flush_bytes(state, up, down)
 
-    def _flush_bytes(self, state: _ConnectionState, connection: Connection) -> None:
-        uploaded = connection.uploaded.total
-        downloaded = connection.downloaded.total
+    def _flush_bytes(
+        self, state: _ConnectionState, uploaded: float, downloaded: float
+    ) -> None:
         record = state.record
         if state.marker_uploaded is not None:
             record.uploaded_leecher_state += state.marker_uploaded
@@ -321,89 +333,90 @@ class Instrumentation(PeerObserver):
     # messages
     # ------------------------------------------------------------------
 
-    def on_message_sent(self, now: float, connection: Connection, message: Message) -> None:
+    def on_message_sent(self, now: float, remote: str, message: Message) -> None:
         self._sent_counter.inc()
-        record = self._record_for(connection)
+        record = self._record_for(remote)
         if isinstance(message, Interested):
             record.local_interested_in_remote.set_on(now)
         elif isinstance(message, NotInterested):
             record.local_interested_in_remote.set_off(now)
 
-    def on_message_received(
-        self, now: float, connection: Connection, message: Message
-    ) -> None:
+    def on_message_received(self, now: float, remote: str, message: Message) -> None:
         self._received_counter.inc()
-        record = self._record_for(connection)
+        record = self._record_for(remote)
         if isinstance(message, Interested):
             record.remote_interested_in_local.set_on(now)
         elif isinstance(message, NotInterested):
             record.remote_interested_in_local.set_off(now)
         elif isinstance(message, (Have, BitfieldMessage)):
-            if (
-                record.remote_seed_since is None
-                and connection.remote_bitfield is not None
-            ):
-                # Is the remote complete once this message is applied?
-                # The view may or may not hold the announced piece yet
-                # (a per-link view lags this hook, a shared one does
-                # not); the answer must be the same either way.
-                if isinstance(message, Have):
-                    view = connection.remote_bitfield
-                    missing = view.missing
-                    if missing == 0 or (
-                        missing == 1 and not view.has(message.piece)
-                    ):
-                        record.remote_seed_since = now
-                else:
-                    num_pieces = connection.remote_bitfield.num_pieces
-                    ones = sum(bin(byte).count("1") for byte in message.bits)
-                    # Spare padding bits of the final byte must not count
-                    # toward seed detection: a leecher advertising a
-                    # sloppily padded bitfield is still a leecher.
-                    spare = len(message.bits) * 8 - num_pieces
-                    if spare > 0 and message.bits:
-                        ones -= bin(
-                            message.bits[-1] & ((1 << spare) - 1)
-                        ).count("1")
-                    if ones >= num_pieces:
-                        record.remote_seed_since = now
+            if record.remote_seed_since is None and self._completes(remote, message):
+                record.remote_seed_since = now
+
+    def _completes(self, remote: str, message: Message) -> bool:
+        """Whether *remote* holds every piece once *message*, a HAVE or
+        BITFIELD it sent, is applied to what it announced on the link.
+
+        The announced pieces are kept per open link as ``[bits, count]``,
+        piece 0 in the most significant bit as on the wire, and only
+        until the remote is found to be a seed.
+        """
+        num_pieces = self._num_pieces
+        width = (num_pieces + 7) // 8 * 8  # the wire bitfield's bits
+        if isinstance(message, Have):
+            known = self._remote_pieces.get(remote)
+            if known is None:
+                known = self._remote_pieces[remote] = [0, 0]
+            bit = 1 << (width - 1 - message.piece)
+            if not known[0] & bit:
+                known[0] |= bit
+                known[1] += 1
+            return known[1] >= num_pieces
+        bits = int.from_bytes(message.bits, "big")
+        # Spare padding bits of the final byte must not count toward seed
+        # detection: a leecher advertising a sloppily padded bitfield is
+        # still a leecher.
+        spare = len(message.bits) * 8 - num_pieces
+        if spare > 0:
+            bits = bits >> spare << spare
+        count = bin(bits).count("1")
+        self._remote_pieces[remote] = [bits, count]
+        return count >= num_pieces
 
     # ------------------------------------------------------------------
     # choke algorithm
     # ------------------------------------------------------------------
 
-    def on_choke_round(self, now: float, decision: ChokeDecision) -> None:
-        self.choke_rounds.append((now, len(decision.unchoked)))
-        newly_unchoked = set(decision.unchoked) - self._currently_unchoked
+    def on_choke_round(
+        self, now: float, unchoked: List[str], local_seed: bool
+    ) -> None:
+        self.choke_rounds.append((now, len(unchoked)))
+        newly_unchoked = set(unchoked) - self._currently_unchoked
         for address in newly_unchoked:
             record = self.records.get(address)
             if record is not None:
                 record.unchoke_times.append(now)
-        local_is_seed = self.peer.is_seed if self.peer else False
-        for address in decision.unchoked:
+        for address in unchoked:
             record = self.records.get(address)
             if record is None:
                 continue
-            if local_is_seed:
+            if local_seed:
                 record.unchoked_rounds_seed += 1
             else:
                 record.unchoked_rounds_leecher += 1
-        self._currently_unchoked = set(decision.unchoked)
+        self._currently_unchoked = set(unchoked)
 
     def on_rate_sample(
-        self, now: float, connection: Connection, download_rate: float, upload_rate: float
+        self, now: float, remote: str, download_rate: float, upload_rate: float
     ) -> None:
         if self._record_rates:
-            self.rate_samples.append(
-                (now, connection.remote.address, download_rate, upload_rate)
-            )
+            self.rate_samples.append((now, remote, download_rate, upload_rate))
 
     # ------------------------------------------------------------------
     # transfers & events
     # ------------------------------------------------------------------
 
     def on_block_received(
-        self, now: float, connection: Connection, piece: int, offset: int, length: int
+        self, now: float, remote: str, piece: int, offset: int, length: int
     ) -> None:
         self.block_arrivals.append((now, piece, offset, length))
 
@@ -414,20 +427,16 @@ class Instrumentation(PeerObserver):
         if self.endgame_at is None:
             self.endgame_at = now
 
-    def on_seed_state(self, now: float) -> None:
+    def on_seed_state(self, now: float, open_links: Sequence[LinkTotals]) -> None:
         self.seed_state_at = now
-        # Mark byte totals on every open connection so leecher-state and
+        # Mark byte totals on every open link so leecher-state and
         # seed-state transfers can be separated (figures 9 and 11).
-        for state in self._connection_states.values():
-            connection = self._find_connection(state)
-            if connection is not None:
-                state.marker_uploaded = connection.uploaded.total
-                state.marker_downloaded = connection.downloaded.total
-
-    def _find_connection(self, state: _ConnectionState) -> Optional[Connection]:
-        if self.peer is None:
-            return None
-        return self.peer.connections.get(state.record.address)
+        states = self._connection_states
+        for remote, up, down in open_links:
+            state = states.get(remote)
+            if state is not None:
+                state.marker_uploaded = up
+                state.marker_downloaded = down
 
     def on_hash_failure(self, now: float, piece: int) -> None:
         self.hash_failures.append((now, piece))
@@ -444,25 +453,45 @@ class Instrumentation(PeerObserver):
     # ------------------------------------------------------------------
 
     def finalize(self, now: Optional[float] = None) -> None:
-        """Close every open interval and flush open-connection byte totals.
+        """Close every open interval and flush open-link byte totals, at
+        *now* or the attached live peer's clock, from that peer's state.
 
         Idempotent; analysis helpers call it defensively.
         """
-        if self.peer is None:
-            return
-        if now is None:
-            now = self.peer.simulator.now
+        peer = self.peer
+        if peer is not None:
+            self.on_finalize(
+                peer.simulator.now if now is None else now,
+                peer.joined_at,
+                peer.became_seed_at,
+                peer.link_totals(),
+            )
+
+    def on_finalize(
+        self,
+        now: float,
+        joined_at: Optional[float],
+        became_seed_at: Optional[float],
+        open_links: Sequence[LinkTotals],
+    ) -> None:
+        """The finalize step's values (a ``finalize`` trace event's
+        fields): the peer's join and seed times and the byte totals of
+        its open links.  A link missing from *open_links* is closed
+        without a byte flush."""
+        self._joined_at = joined_at
+        self._became_seed_at = became_seed_at
         if self._finalized_at == now:
             return
         self._finalized_at = now
-        for state in list(self._connection_states.values()):
+        totals = {remote: (up, down) for remote, up, down in open_links}
+        for remote, state in self._connection_states.items():
             record = state.record
             record.presence.set_off(now)
             record.local_interested_in_remote.set_off(now)
             record.remote_interested_in_local.set_off(now)
-            connection = self._find_connection(state)
-            if connection is not None:
-                self._flush_bytes(state, connection)
+            link = totals.get(remote)
+            if link is not None:
+                self._flush_bytes(state, *link)
         self._connection_states.clear()
 
     # ------------------------------------------------------------------
@@ -490,32 +519,41 @@ class Instrumentation(PeerObserver):
             for kind, count in self.metrics.with_prefix("fault.").items()
         }
 
+    def _observed_times(self) -> Tuple[Optional[float], Optional[float], float]:
+        """``(joined_at, became_seed_at, now)`` of the observed peer: as
+        the finalize step recorded them, and before it from the attached
+        live peer."""
+        if self._finalized_at is not None:
+            return self._joined_at, self._became_seed_at, self._finalized_at
+        peer = self.peer
+        if peer is None:
+            return None, None, 0.0
+        return peer.joined_at, peer.became_seed_at, peer.simulator.now
+
     @property
     def _seed_since(self) -> Optional[float]:
         """When the local peer entered seed state: the observed event, or
         its join time when it was created as a seed."""
         if self.seed_state_at is not None:
             return self.seed_state_at
-        if self.peer is not None and self.peer.became_seed_at is not None:
-            return max(self.peer.became_seed_at, self.peer.joined_at or 0.0)
+        joined_at, became_seed_at, __ = self._observed_times()
+        if became_seed_at is not None:
+            return max(became_seed_at, joined_at or 0.0)
         return None
 
     @property
     def leecher_interval(self) -> Interval:
         """The local peer's [join, became-seed-or-end] interval."""
-        start = self.peer.joined_at if self.peer else 0.0
+        joined_at, __, now = self._observed_times()
         end = self._seed_since
-        if end is None:
-            end = self._finalized_at or (self.peer.simulator.now if self.peer else 0.0)
-        return (start or 0.0, end)
+        return (joined_at or 0.0, now if end is None else end)
 
     @property
     def seed_interval(self) -> Optional[Interval]:
         start = self._seed_since
         if start is None:
             return None
-        end = self._finalized_at or (self.peer.simulator.now if self.peer else 0.0)
-        return (start, end)
+        return (start, self._observed_times()[2])
 
 
 def peer_snapshot_interval(peer) -> float:

@@ -3,11 +3,11 @@
 :func:`replay_instrumentation` reads a JSONL trace written by
 :class:`~repro.instrumentation.trace.TracingObserver` and rebuilds an
 :class:`~repro.instrumentation.logger.Instrumentation` **without running
-the simulator**: it instantiates the real observer class, points it at a
-lightweight stub peer, and drives the exact same hook methods the live
-simulation would have called, in the same order, with the same
-arguments.  Because the live and replayed objects execute identical
-code on identical inputs, every derived quantity — presence intervals,
+the simulator**: it instantiates the real observer class and calls the
+exact same hook methods the live simulation called, in the same order,
+with each event's fields — the values the live hooks were handed.
+Because the live and replayed objects execute identical code on
+identical inputs, every derived quantity — presence intervals,
 byte splits, unchoke counts, snapshot series, and hence every figure —
 is reproduced with exact field-level equality (floats included: JSON
 round-trips IEEE doubles exactly).
@@ -23,12 +23,10 @@ import hashlib
 import json
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from repro.core.choke import ChokeDecision
 from repro.instrumentation.logger import Instrumentation, Snapshot
 from repro.instrumentation.trace import TRACE_SCHEMA_VERSION, TraceRecorder
-from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
     Cancel,
@@ -41,6 +39,7 @@ from repro.protocol.messages import (
     Request,
     Unchoke,
 )
+from repro.sim.observer import LinkTotals
 
 TraceSource = Union[str, TraceRecorder, Iterable[str]]
 
@@ -234,100 +233,6 @@ def traced_peers(source: TraceSource) -> List[str]:
     return seen
 
 
-# ---------------------------------------------------------------------------
-# Stub simulator objects: just enough surface for Instrumentation's hooks.
-# ---------------------------------------------------------------------------
-
-
-class _StubSimulator:
-    __slots__ = ("now",)
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-
-class _StubCounter:
-    """Stands in for a ByteCounter: only ``.total`` is read."""
-
-    __slots__ = ("total",)
-
-    def __init__(self) -> None:
-        self.total = 0.0
-
-
-class _StubPeerId:
-    __slots__ = ("client_id",)
-
-    def __init__(self, client_id: Optional[str]):
-        self.client_id = client_id
-
-
-class _StubCompleteness:
-    """Stands in for the remote peer's bitfield at connection open; the
-    live observer only asks :meth:`is_complete`."""
-
-    __slots__ = ("_complete",)
-
-    def __init__(self, complete: bool):
-        self._complete = complete
-
-    def is_complete(self) -> bool:
-        return self._complete
-
-
-class _StubRemote:
-    __slots__ = ("address", "peer_id", "bitfield")
-
-    def __init__(self, address: str, client_id: Optional[str], complete: bool):
-        self.address = address
-        self.peer_id = _StubPeerId(client_id)
-        self.bitfield = _StubCompleteness(complete)
-
-
-class _ReplayConnection:
-    """One replayed link: identity, byte totals and the remote bitfield
-    as known *before* each incoming message (the live hook's view)."""
-
-    __slots__ = ("remote", "remote_bitfield", "uploaded", "downloaded")
-
-    def __init__(
-        self,
-        address: str,
-        client_id: Optional[str],
-        remote_complete: bool,
-        num_pieces: int,
-    ):
-        self.remote = _StubRemote(address, client_id, remote_complete)
-        self.remote_bitfield = Bitfield(num_pieces)
-        self.uploaded = _StubCounter()
-        self.downloaded = _StubCounter()
-
-
-class _ReplayPeer:
-    """The observed peer, reduced to the attributes the observer reads."""
-
-    __slots__ = (
-        "address",
-        "is_seed",
-        "online",
-        "joined_at",
-        "became_seed_at",
-        "simulator",
-        "connections",
-        "num_pieces",
-    )
-
-    def __init__(self, address: str):
-        self.address = address
-        self.num_pieces = 0  # until the attach event says
-        self.is_seed = False
-        self.online = True
-        self.joined_at: Optional[float] = None
-        self.became_seed_at: Optional[float] = None
-        self.simulator = _StubSimulator()
-        self.connections: Dict[str, _ReplayConnection] = {}
-
-
 _SIMPLE_MESSAGES = {
     "Interested": Interested,
     "NotInterested": NotInterested,
@@ -367,6 +272,26 @@ def _build_message(event: dict):
     return _OpaqueMessage()
 
 
+class ReplayedPeer(NamedTuple):
+    """The observed peer as its ``attach`` event records it: all that
+    replay keeps of the peer (``repro replay`` prints its address)."""
+
+    address: str
+    num_pieces: int
+
+
+def _link_totals(entries: List[dict]) -> List[LinkTotals]:
+    """The ``open`` field of a ``seed_state`` or ``finalize`` event as
+    hook values.  An entry without totals (older traces) names a link
+    the live peer had already dropped without a close: the live hooks
+    were not handed it either."""
+    return [
+        (entry["remote"], entry["up"], entry["down"])
+        for entry in entries
+        if "up" in entry
+    ]
+
+
 class ReplayedInstrumentation(Instrumentation):
     """An :class:`Instrumentation` rebuilt from a trace file.
 
@@ -374,130 +299,87 @@ class ReplayedInstrumentation(Instrumentation):
     the trace events consumed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, address: str) -> None:
         super().__init__(record_rates=True)
         self.replayed_from_events = 0
+        self.peer = ReplayedPeer(address, 0)  # until the attach event
+        # What the events so far say of the peer's join and seed times,
+        # and the last event's time: a trace cut before its finalize
+        # event (its writer crashed) says no more.
+        self._joined_so_far: Optional[float] = None
+        self._seed_so_far: Optional[float] = None
+        self._last_t = 0.0
 
+    def _observed_times(self) -> Tuple[Optional[float], Optional[float], float]:
+        if self._finalized_at is not None:
+            return Instrumentation._observed_times(self)
+        return self._joined_so_far, self._seed_so_far, self._last_t
 
-def _apply_open_entries(
-    entries: List[dict],
-    peer: _ReplayPeer,
-    open_connections: Dict[str, _ReplayConnection],
-) -> None:
-    """Sync stub connection totals with a ``seed_state``/``finalize``
-    event's snapshot of the live connection table.  Entries without
-    totals mean the live peer had already dropped the link (a crash)
-    without a close notification: the stub table drops it too, so the
-    replayed flush skips it exactly like the live one did."""
-    for entry in entries:
-        address = entry["remote"]
-        connection = open_connections.get(address)
-        if "up" in entry and connection is not None:
-            connection.uploaded.total = entry["up"]
-            connection.downloaded.total = entry["down"]
-        else:
-            peer.connections.pop(address, None)
+    def finalize(self, now: Optional[float] = None) -> None:
+        """The trace's ``finalize`` event is the finalize step.  A trace
+        cut before it is closed here, at *now* or its last event, with
+        no byte flush: it never recorded the final totals."""
+        joined_at, became_seed_at, last_t = self._observed_times()
+        self.on_finalize(last_t if now is None else now, joined_at, became_seed_at, ())
 
-
-def _replay_event(
-    event: dict,
-    instrumentation: ReplayedInstrumentation,
-    stub: _ReplayPeer,
-    open_connections: Dict[str, _ReplayConnection],
-) -> None:
-    """Drive the hook one trace event records, with the stub peer and
-    connections in the state the live hook saw."""
-    kind = event["type"]
-    now = event["t"]
-    stub.simulator.now = now
-    num_pieces = stub.num_pieces
-
-    if kind == "attach":
-        stub.num_pieces = event["pieces"]
-        stub.is_seed = event["seed"]
-        stub.joined_at = now
-        if event["seed"]:
+    def replay_event(self, event: dict) -> None:
+        """Call the hook *event* records, with its fields."""
+        kind = event["type"]
+        now = self._last_t = event["t"]
+        if kind in ("msg_sent", "msg_recv"):
+            message = _build_message(event)
+            if kind == "msg_sent":
+                self.on_message_sent(now, event["remote"], message)
+            else:
+                self.on_message_received(now, event["remote"], message)
+        elif kind == "block":
+            self.on_block_received(
+                now, event["remote"], event["piece"], event["offset"], event["length"]
+            )
+        elif kind == "choke":
+            self.on_choke_round(now, event["unchoked"], event["local_seed"])
+        elif kind == "rate":
+            self.on_rate_sample(now, event["remote"], event["down"], event["up"])
+        elif kind == "snapshot":
+            self.on_snapshot(now, Snapshot(**event["data"]))
+        elif kind == "conn_open":
+            self.on_connection_open(
+                now,
+                event["remote"],
+                event["client"],
+                event["remote_complete"],
+                event["local_seed"],
+                event["initiated"],
+            )
+        elif kind == "conn_close":
+            self.on_connection_close(now, event["remote"], event["up"], event["down"])
+        elif kind == "attach":
+            self.on_attached(ReplayedPeer(event["peer"], event["pieces"]))
+            self._joined_so_far = now
             # Peer.__init__ stamps initial seeds with became_seed_at=0.
-            stub.became_seed_at = 0.0
-    elif kind == "conn_open":
-        connection = _ReplayConnection(
-            event["remote"], event["client"], event["remote_complete"], num_pieces
-        )
-        stub.is_seed = event["local_seed"]
-        open_connections[event["remote"]] = connection
-        stub.connections[event["remote"]] = connection
-        instrumentation.on_connection_open(now, connection)
-    elif kind == "conn_close":
-        connection = open_connections.pop(event["remote"], None)
-        if connection is None:
-            # Open event predates the trace: the live observer had no
-            # state for this link either, so the hook is a no-op.
-            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-        connection.uploaded.total = event["up"]
-        connection.downloaded.total = event["down"]
-        stub.connections.pop(event["remote"], None)
-        instrumentation.on_connection_close(now, connection)
-    elif kind in ("msg_sent", "msg_recv"):
-        connection = open_connections.get(event["remote"])
-        if connection is None:
-            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-        message = _build_message(event)
-        if kind == "msg_sent":
-            instrumentation.on_message_sent(now, connection, message)
-        else:
-            instrumentation.on_message_received(now, connection, message)
-            # The live peer applies the message to its view of the
-            # remote bitfield *after* the hook; mirror that here so
-            # the next hook sees the same pre-message state.
-            if isinstance(message, BitfieldMessage):
-                connection.remote_bitfield = Bitfield.from_bytes(
-                    message.bits, num_pieces
-                )
-            elif isinstance(message, Have):
-                connection.remote_bitfield.set(message.piece)
-    elif kind == "choke":
-        stub.is_seed = event["local_seed"]
-        instrumentation.on_choke_round(
-            now, ChokeDecision(unchoked=list(event["unchoked"]))
-        )
-    elif kind == "rate":
-        connection = open_connections.get(event["remote"])
-        if connection is None:
-            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-        instrumentation.on_rate_sample(
-            now, connection, event["down"], event["up"]
-        )
-    elif kind == "block":
-        connection = open_connections.get(event["remote"])
-        if connection is None:
-            connection = _ReplayConnection(event["remote"], None, False, num_pieces)
-        instrumentation.on_block_received(
-            now, connection, event["piece"], event["offset"], event["length"]
-        )
-    elif kind == "piece":
-        instrumentation.on_piece_completed(now, event["piece"])
-    elif kind == "endgame":
-        instrumentation.on_endgame_entered(now)
-    elif kind == "seed_state":
-        _apply_open_entries(event["open"], stub, open_connections)
-        stub.is_seed = True
-        stub.became_seed_at = now
-        instrumentation.on_seed_state(now)
-    elif kind == "hash_fail":
-        instrumentation.on_hash_failure(now, event["piece"])
-    elif kind == "fault":
-        instrumentation.on_fault(now, event["kind"])
-    elif kind == "snapshot":
-        instrumentation.on_snapshot(now, Snapshot(**event["data"]))
-    elif kind == "announce":
-        instrumentation.on_announce(now, event["kind"], event["data"])
-    elif kind == "finalize":
-        _apply_open_entries(event["open"], stub, open_connections)
-        stub.joined_at = event["joined_at"]
-        stub.became_seed_at = event["became_seed_at"]
-        instrumentation.finalize(now=now)
-    # Unknown event types are skipped: newer minor revisions may add
-    # informational events without breaking old readers.
+            self._seed_so_far = 0.0 if event["seed"] else None
+        elif kind == "piece":
+            self.on_piece_completed(now, event["piece"])
+        elif kind == "endgame":
+            self.on_endgame_entered(now)
+        elif kind == "seed_state":
+            self.on_seed_state(now, _link_totals(event["open"]))
+            self._seed_so_far = now
+        elif kind == "hash_fail":
+            self.on_hash_failure(now, event["piece"])
+        elif kind == "fault":
+            self.on_fault(now, event["kind"])
+        elif kind == "announce":
+            self.on_announce(now, event["kind"], event["data"])
+        elif kind == "finalize":
+            self.on_finalize(
+                now,
+                event["joined_at"],
+                event["became_seed_at"],
+                _link_totals(event["open"]),
+            )
+        # Unknown event types are skipped: newer minor revisions may add
+        # informational events without breaking old readers.
 
 
 def replay_instrumentation(
@@ -524,16 +406,13 @@ def replay_instrumentation(
         peer = event["peer"]
         events = chain((event,), events)
 
-    instrumentation = ReplayedInstrumentation()
-    stub = _ReplayPeer(peer)
-    instrumentation.on_attached(stub)
-    open_connections: Dict[str, _ReplayConnection] = {}
+    instrumentation = ReplayedInstrumentation(peer)
     for event in events:
         if event.get("peer") != peer:
             continue
         instrumentation.replayed_from_events += 1
         try:
-            _replay_event(event, instrumentation, stub, open_connections)
+            instrumentation.replay_event(event)
         except KeyError as exc:
             raise TraceFormatError(
                 "%s event %d of peer %s has no field %s"

@@ -9,9 +9,9 @@ can be attached (alone or fanned out next to the classic
 the swarm, and appends one typed, schema-versioned JSON object per event
 to a shared :class:`TraceRecorder`.
 
-The trace is designed to be **replayable**: it carries exactly the
-information the live :class:`~repro.instrumentation.logger.Instrumentation`
-reads from the simulator at each hook, so
+The trace is designed to be **replayable**: each event carries exactly
+the values its :class:`~repro.sim.observer.PeerObserver` hook is handed,
+so
 :func:`repro.instrumentation.replay.replay_instrumentation` can rebuild
 byte-equal ``RemotePeerRecord``/``Snapshot`` series offline.  It is also
 **deterministic**: events are serialised with a fixed key order and no
@@ -41,8 +41,9 @@ seconds), ``type`` and ``peer`` (the observed peer's address):
 ``block``      ``remote``, ``piece``, ``offset``, ``length``
 ``piece``      ``piece``
 ``endgame``    —
-``seed_state`` ``open``: per open connection ``remote`` (+ ``up``/``down``
-               when the link is still in the peer's connection table)
+``seed_state`` ``open``: per open link ``remote``, ``up``, ``down`` (byte
+               totals); older traces may omit the totals of a link the
+               peer had already dropped
 ``hash_fail``  ``piece``
 ``fault``      ``kind`` (fault counter key, e.g. ``connection_reaped``)
 ``announce``   ``kind`` (``started``/``stopped``/``completed``/
@@ -66,7 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import weakref
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, List, Optional, Sequence
 
 from repro.protocol.messages import (
     Bitfield as BitfieldMessage,
@@ -76,7 +77,7 @@ from repro.protocol.messages import (
     Piece,
     Request,
 )
-from repro.sim.observer import PeerObserver
+from repro.sim.observer import LinkTotals, PeerObserver
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -409,7 +410,6 @@ class TracingObserver(PeerObserver):
         self._addr: Optional[str] = None
         self._sent_mid = ""
         self._recv_mid = ""
-        self._open: Dict[str, object] = {}  # remote address -> Connection
         self._finalized = False
 
     @property
@@ -440,48 +440,53 @@ class TracingObserver(PeerObserver):
                 "t": peer.simulator.now,
                 "type": "attach",
                 "peer": peer.address,
-                "pieces": peer.bitfield.num_pieces,
+                "pieces": peer.num_pieces,
                 "seed": peer.is_seed,
             }
         )
 
-    def on_connection_open(self, now: float, connection) -> None:
-        remote = connection.remote
-        self._open[remote.address] = connection
+    def on_connection_open(
+        self,
+        now: float,
+        remote: str,
+        client: Optional[str],
+        remote_complete: bool,
+        local_seed: bool,
+        initiated: bool,
+    ) -> None:
         self.recorder.emit(
             {
                 "t": now,
                 "type": "conn_open",
                 "peer": self._addr,
-                "remote": remote.address,
-                "client": remote.peer_id.client_id,
-                "remote_complete": remote.bitfield.is_complete(),
-                "local_seed": self.peer.is_seed if self.peer else False,
-                "initiated": connection.initiated_by_local,
+                "remote": remote,
+                "client": client,
+                "remote_complete": remote_complete,
+                "local_seed": local_seed,
+                "initiated": initiated,
             }
         )
 
-    def on_connection_close(self, now: float, connection) -> None:
-        address = connection.remote.address
-        if self._open.get(address) is connection:
-            del self._open[address]
+    def on_connection_close(
+        self, now: float, remote: str, up: float, down: float
+    ) -> None:
         self.recorder.emit(
             {
                 "t": now,
                 "type": "conn_close",
                 "peer": self._addr,
-                "remote": address,
-                "up": connection.uploaded.total,
-                "down": connection.downloaded.total,
+                "remote": remote,
+                "up": up,
+                "down": down,
             }
         )
 
     # -- messages (hot path) -----------------------------------------------
 
-    def on_message_sent(self, now: float, connection, message: Message) -> None:
+    def on_message_sent(self, now: float, remote: str, message: Message) -> None:
         emit_message = self._emit_message
         if emit_message is not None:
-            emit_message(now, 0, self._addr, connection.remote.address, message)
+            emit_message(now, 0, self._addr, remote, message)
             return
         recorder = self.recorder
         if now == recorder._last_t:
@@ -491,14 +496,14 @@ class TracingObserver(PeerObserver):
             recorder._last_t = now
             recorder._last_ts = ts
         recorder.emit_raw(
-            f'{{"t":{ts}{self._sent_mid}{quote_address(connection.remote.address)}'
+            f'{{"t":{ts}{self._sent_mid}{quote_address(remote)}'
             f'{message_tail(message)}'
         )
 
-    def on_message_received(self, now: float, connection, message: Message) -> None:
+    def on_message_received(self, now: float, remote: str, message: Message) -> None:
         emit_message = self._emit_message
         if emit_message is not None:
-            emit_message(now, 1, self._addr, connection.remote.address, message)
+            emit_message(now, 1, self._addr, remote, message)
             return
         recorder = self.recorder
         if now == recorder._last_t:
@@ -508,25 +513,27 @@ class TracingObserver(PeerObserver):
             recorder._last_t = now
             recorder._last_ts = ts
         recorder.emit_raw(
-            f'{{"t":{ts}{self._recv_mid}{quote_address(connection.remote.address)}'
+            f'{{"t":{ts}{self._recv_mid}{quote_address(remote)}'
             f'{message_tail(message)}'
         )
 
     # -- choke algorithm ---------------------------------------------------
 
-    def on_choke_round(self, now: float, decision) -> None:
+    def on_choke_round(
+        self, now: float, unchoked: List[str], local_seed: bool
+    ) -> None:
         self.recorder.emit(
             {
                 "t": now,
                 "type": "choke",
                 "peer": self._addr,
-                "unchoked": list(decision.unchoked),
-                "local_seed": self.peer.is_seed if self.peer else False,
+                "unchoked": list(unchoked),
+                "local_seed": local_seed,
             }
         )
 
     def on_rate_sample(
-        self, now: float, connection, download_rate: float, upload_rate: float
+        self, now: float, remote: str, download_rate: float, upload_rate: float
     ) -> None:
         if self.record_rates:
             self.recorder.emit(
@@ -534,7 +541,7 @@ class TracingObserver(PeerObserver):
                     "t": now,
                     "type": "rate",
                     "peer": self._addr,
-                    "remote": connection.remote.address,
+                    "remote": remote,
                     "down": download_rate,
                     "up": upload_rate,
                 }
@@ -543,18 +550,14 @@ class TracingObserver(PeerObserver):
     # -- transfers & events ------------------------------------------------
 
     def on_block_received(
-        self, now: float, connection, piece: int, offset: int, length: int
+        self, now: float, remote: str, piece: int, offset: int, length: int
     ) -> None:
         emit_block = self._emit_block
         if emit_block is not None:
-            emit_block(
-                now, self._addr, connection.remote.address, piece, offset, length
-            )
+            emit_block(now, self._addr, remote, piece, offset, length)
             return
         self.recorder.emit_raw(
-            block_line(
-                now, self._addr, connection.remote.address, piece, offset, length
-            )
+            block_line(now, self._addr, remote, piece, offset, length)
         )
 
     def on_piece_completed(self, now: float, piece: int) -> None:
@@ -565,13 +568,13 @@ class TracingObserver(PeerObserver):
     def on_endgame_entered(self, now: float) -> None:
         self.recorder.emit({"t": now, "type": "endgame", "peer": self._addr})
 
-    def on_seed_state(self, now: float) -> None:
+    def on_seed_state(self, now: float, open_links: Sequence[LinkTotals]) -> None:
         self.recorder.emit(
             {
                 "t": now,
                 "type": "seed_state",
                 "peer": self._addr,
-                "open": self._open_connection_entries(),
+                "open": _open_entries(open_links),
             }
         )
 
@@ -608,42 +611,44 @@ class TracingObserver(PeerObserver):
 
     # -- finalisation ------------------------------------------------------
 
-    def _open_connection_entries(self) -> List[dict]:
-        """One entry per link opened but never closed, with the byte
-        totals the live instrumentation would read from the peer's
-        connection table — totals are omitted for links the peer dropped
-        without a close notification (a crash), which the live
-        :meth:`Instrumentation.finalize` cannot flush either."""
-        entries: List[dict] = []
-        table = self.peer.connections if self.peer is not None else {}
-        for address in self._open:
-            connection = table.get(address)
-            if connection is None:
-                entries.append({"remote": address})
-            else:
-                entries.append(
-                    {
-                        "remote": address,
-                        "up": connection.uploaded.total,
-                        "down": connection.downloaded.total,
-                    }
-                )
-        return entries
-
     def finalize(self, now: Optional[float] = None) -> None:
-        """Emit the closing ``finalize`` event (idempotent)."""
-        if self._finalized or self.peer is None:
+        """Emit the closing ``finalize`` event from the attached live
+        peer's state (idempotent)."""
+        peer = self.peer
+        if peer is not None:
+            self.on_finalize(
+                peer.simulator.now if now is None else now,
+                peer.joined_at,
+                peer.became_seed_at,
+                peer.link_totals(),
+            )
+
+    def on_finalize(
+        self,
+        now: float,
+        joined_at: Optional[float],
+        became_seed_at: Optional[float],
+        open_links: Sequence[LinkTotals],
+    ) -> None:
+        """The ``finalize`` event's values: the peer's join and seed
+        times and the byte totals of its open links."""
+        if self._finalized:
             return
         self._finalized = True
-        if now is None:
-            now = self.peer.simulator.now
         self.recorder.emit(
             {
                 "t": now,
                 "type": "finalize",
                 "peer": self._addr,
-                "joined_at": self.peer.joined_at,
-                "became_seed_at": self.peer.became_seed_at,
-                "open": self._open_connection_entries(),
+                "joined_at": joined_at,
+                "became_seed_at": became_seed_at,
+                "open": _open_entries(open_links),
             }
         )
+
+
+def _open_entries(open_links: Sequence[LinkTotals]) -> List[dict]:
+    """The ``open`` field of a ``seed_state`` or ``finalize`` event."""
+    return [
+        {"remote": remote, "up": up, "down": down} for remote, up, down in open_links
+    ]

@@ -1,10 +1,8 @@
 """One endpoint's view of a live TCP link.
 
 A :class:`NetConnection` is a :class:`repro.core.peer_core.LinkState` —
-the link fields the shared protocol logic reads and the observers
-dereference (``remote.address`` / ``remote.peer_id.client_id`` /
-``remote.bitfield`` / ``initiated_by_local`` / ``uploaded`` /
-``downloaded``) — plus what a socket needs: the asyncio stream pair, the
+the link fields the shared protocol logic reads, ``remote_key`` set from
+the handshake — plus what a socket needs: the asyncio stream pair, the
 incremental frame decoder, the event that wakes the uploader task when
 the upload queue fills, and the two tasks serving the link.
 """
@@ -18,9 +16,7 @@ import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.peer_core import LinkState
-from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef
-from repro.protocol.peer_id import PeerId, parse_client_id
 from repro.protocol.stream import MessageStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,8 +28,8 @@ class WallClock:
 
     Shared by every peer of a :class:`~repro.net.swarm.LiveSwarm` so all
     trace timestamps live on one axis.  Duck-types the one attribute the
-    observers read from the simulator (``peer.simulator.now``), which is
-    what lets the sim's instrumentation attach to live peers unchanged.
+    core reads from the simulator (``simulator.now``), which is what
+    lets the sim's instrumentation attach to live peers unchanged.
     """
 
     def __init__(self) -> None:
@@ -42,38 +38,6 @@ class WallClock:
     @property
     def now(self) -> float:
         return time.monotonic() - self._t0
-
-
-class RemotePeerHandle:
-    """The instrumentation-facing identity of the peer behind a link.
-
-    In the simulator ``connection.remote`` is the remote peer object
-    itself; over a socket only the handshake identity and the advertised
-    bitfield are known.  This handle carries exactly the fields the
-    observers dereference.
-    """
-
-    __slots__ = ("address", "peer_id", "_connection")
-
-    def __init__(self, address: str, peer_id: PeerId, connection: "NetConnection"):
-        self.address = address
-        self.peer_id = peer_id
-        self._connection = connection
-
-    @property
-    def bitfield(self) -> Bitfield:
-        return self._connection.remote_bitfield
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "RemotePeerHandle(%s, %s)" % (self.address, self.peer_id.client_id)
-
-
-def make_remote_handle(
-    address: str, raw_peer_id: bytes, connection: "NetConnection"
-) -> RemotePeerHandle:
-    client_id = parse_client_id(raw_peer_id)
-    peer_id = PeerId(raw=raw_peer_id, client_id=client_id or "unknown")
-    return RemotePeerHandle(address, peer_id, connection)
 
 
 class NetConnection(LinkState):
@@ -96,7 +60,8 @@ class NetConnection(LinkState):
         initiated_by_local: bool,
         rate_window: float = 20.0,
     ):
-        # ``remote`` is a RemotePeerHandle, known once the handshake ends.
+        # The far end is known by its address alone, once the handshake
+        # ends: the peer sets ``remote_key`` then.
         super().__init__(local, None, initiated_by_local, rate_window)
         self.reader = reader
         self.writer = writer
@@ -158,9 +123,8 @@ class NetConnection(LinkState):
             transport.abort()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        remote = self.remote.address if self.remote is not None else "?"
         return "NetConnection(%s -> %s%s)" % (
             self.local.address,
-            remote,
+            self.remote_key or "?",
             ", closed" if self.closed else "",
         )

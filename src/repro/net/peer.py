@@ -32,7 +32,7 @@ from random import Random
 from typing import Dict, List, Optional
 
 from repro.core.peer_core import PeerCore
-from repro.net.connection import NetConnection, WallClock, make_remote_handle
+from repro.net.connection import NetConnection, WallClock
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.messages import (
     HANDSHAKE_LENGTH,
@@ -45,6 +45,7 @@ from repro.protocol.messages import (
     Request,
 )
 from repro.protocol.metainfo import Metainfo
+from repro.protocol.peer_id import parse_client_id
 from repro.sim.config import PeerConfig
 from repro.sim.observer import PeerObserver
 from repro.tracker.tracker import Tracker, TrackerUnavailable
@@ -329,16 +330,25 @@ class NetPeer(PeerCore):
             writer.close()
             return False
 
-        connection.remote = make_remote_handle(remote_address, shake.peer_id, connection)
+        connection.remote_key = remote_address
         self._add_link(connection)
         if self.observer is not None:
             now = self.simulator.now
-            self.observer.on_connection_open(now, connection)
+            self.observer.on_connection_open(
+                now,
+                remote_address,
+                parse_client_id(shake.peer_id) or "unknown",
+                # The link's view before the opening BITFIELD is applied,
+                # as the sim's view before its remote's BITFIELD arrives.
+                connection.remote_bitfield.is_complete(),
+                self.is_seed,
+                initiated_by_local,
+            )
             # Our bitfield went out with the handshake; log it first so
             # the per-link trace reads conn_open, sent BITFIELD,
             # received BITFIELD — the same shape the sim emits.
             self.observer.on_message_sent(
-                now, connection, BitfieldMessage(bits=self.bitfield.to_bytes())
+                now, remote_address, BitfieldMessage(bits=self.bitfield.to_bytes())
             )
         for message in messages:
             self._deliver(connection, message)
@@ -427,7 +437,9 @@ class NetPeer(PeerCore):
         if connection.closed or self._stopping:
             return
         if self.observer is not None:
-            self.observer.on_message_sent(self.simulator.now, connection, message)
+            self.observer.on_message_sent(
+                self.simulator.now, connection.remote_key, message
+            )
         connection.write_raw(message.encode())
 
     def _verify_and_store(self, piece: int) -> bool:

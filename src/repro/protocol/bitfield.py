@@ -153,21 +153,10 @@ class Bitfield:
     def is_complete(self) -> bool:
         return self._count == self._num_pieces
 
-    def is_empty(self) -> bool:
-        return self._count == 0
-
     def have_indices(self) -> Iterator[int]:
         """Iterate over indices of held pieces, in increasing order
         (a snapshot taken at call time)."""
         return iter(list(_set_bit_indices(self._bits)))
-
-    def missing_indices(self) -> Iterator[int]:
-        """Iterate over indices of missing pieces, in increasing order."""
-        size = len(self._bits)
-        # Every valid position set, spare padding bits zero.
-        every_piece = ((1 << self._num_pieces) - 1) << (size * 8 - self._num_pieces)
-        missing = every_piece & ~self.as_int()
-        return _set_bit_indices(missing.to_bytes(size, "big"))
 
     def as_int(self) -> int:
         """The bits as one big-endian integer (piece 0 at the most
@@ -203,13 +192,6 @@ class Bitfield:
         if other._num_pieces != self._num_pieces:
             raise ValueError("bitfields cover different torrents")
         return bool(other.as_int() & ~self.as_int())
-
-    def pieces_only_in(self, other: "Bitfield") -> Iterator[int]:
-        """Indices held by *other* but missing here."""
-        if other._num_pieces != self._num_pieces:
-            raise ValueError("bitfields cover different torrents")
-        only_there = other.as_int() & ~self.as_int()
-        yield from _set_bit_indices(only_there.to_bytes(len(self._bits), "big"))
 
     # -- dunder ------------------------------------------------------------
 

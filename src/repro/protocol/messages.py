@@ -77,11 +77,6 @@ class Message:
         body = self.payload()
         return struct.pack(">IB", 1 + len(body), self.MESSAGE_ID) + body
 
-    @property
-    def wire_length(self) -> int:
-        """Total bytes this message occupies on the wire."""
-        return 4 + 1 + len(self.payload())
-
 
 @dataclass(frozen=True)
 class KeepAlive(Message):
@@ -89,10 +84,6 @@ class KeepAlive(Message):
 
     def encode(self) -> bytes:
         return struct.pack(">I", 0)
-
-    @property
-    def wire_length(self) -> int:
-        return 4
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,6 @@ class PieceGeometry:
             return remainder
         return self.piece_size
 
-    def blocks_in_piece(self, piece: int) -> int:
-        length = self.piece_length(piece)
-        return -(-length // self.block_size)
-
     def blocks(self, piece: int) -> Tuple[BlockRef, ...]:
         """All blocks of *piece*, in offset order (interned: every call
         returns the same immutable tuple of the same objects)."""
@@ -99,10 +95,6 @@ class PieceGeometry:
                 "block %d out of range for piece %d" % (block_index, piece)
             )
         return refs[block_index]
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.blocks_in_piece(piece) for piece in range(self.num_pieces))
 
     def _check_piece(self, piece: int) -> None:
         if not 0 <= piece < self.num_pieces:

@@ -71,8 +71,3 @@ class MessageStream:
             del self._buffer[:total]
             self.bytes_consumed += total
             yield decode_message(frame)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes received but not yet forming a complete frame."""
-        return len(self._buffer)

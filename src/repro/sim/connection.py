@@ -58,8 +58,8 @@ class Connection(LinkState):
     # -- transfer helpers --------------------------------------------------
 
     def transferable_bytes(self, budget: float) -> float:
-        """``min(budget, queued_upload_bytes())``, walking the queue only
-        as far as the block that covers *budget*.
+        """``min(budget, bytes still queued)``, walking the queue only as
+        far as the block that covers *budget*.
 
         Exact, not approximate: block lengths are positive integers,
         so the prefix sums only grow and so does ``prefix - progress``;
@@ -72,10 +72,6 @@ class Connection(LinkState):
             if queued - progress >= budget:
                 return budget
         return min(budget, queued - progress)
-
-    def queued_upload_bytes(self) -> float:
-        """Bytes still to send to satisfy the remote's pending requests."""
-        return self.transferable_bytes(float("inf"))
 
     def has_active_upload(self) -> bool:
         """True when this endpoint is actively serving the remote."""

@@ -124,11 +124,6 @@ class Simulator:
         finally:
             self._running = False
 
-    @property
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
-
 
 class Timer:
     """A recurring callback with optional phase offset.

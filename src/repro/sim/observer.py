@@ -7,54 +7,88 @@ important events (end game mode, seed state)" (§III-C).  The simulator
 exposes those exact points as callbacks: attach a
 :class:`repro.instrumentation.logger.Instrumentation` (or any subclass of
 :class:`PeerObserver`) to a peer to record them.
+
+Every hook but :meth:`PeerObserver.on_attached` carries plain values —
+addresses, flags, byte totals, the message — and exactly the values its
+trace event records (DESIGN §9), so a trace replays through the same
+hooks with each event's fields.  ``remote`` is always the far end's
+canonical address (the key of the link in the peer's ``connections``),
+``now`` the observed peer's clock.  A peer builds the values only when an
+observer is attached.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.choke import ChokeDecision
+    from repro.core.peer_core import PeerCore
     from repro.instrumentation.logger import Snapshot
     from repro.protocol.messages import Message
-    from repro.sim.connection import Connection
-    from repro.sim.peer import Peer
+
+LinkTotals = Tuple[str, float, float]
+"""One open link's ``(remote, up, down)``: the bytes uploaded to and
+downloaded from *remote* over the link's life."""
 
 
 class PeerObserver:
     """No-op base class; override the hooks you need."""
 
-    def on_attached(self, peer: "Peer") -> None:
-        """Called once when the observer is attached to *peer*."""
+    def on_attached(self, peer: "PeerCore") -> None:
+        """Called once when the observer is attached to *peer*.
 
-    def on_connection_open(self, now: float, connection: "Connection") -> None:
-        """A link to a remote peer entered the peer set."""
+        The one hook that hands over an object: the observed peer, for
+        what only a live observer can do with it (sample snapshots on its
+        clock, finalize from its current state).
+        """
 
-    def on_connection_close(self, now: float, connection: "Connection") -> None:
-        """A link left the peer set (either side closed it)."""
-
-    def on_message_sent(
-        self, now: float, connection: "Connection", message: "Message"
+    def on_connection_open(
+        self,
+        now: float,
+        remote: str,
+        client: Optional[str],
+        remote_complete: bool,
+        local_seed: bool,
+        initiated: bool,
     ) -> None:
-        """The observed peer sent *message* on *connection*."""
+        """A link to *remote* entered the peer set.
+
+        *client* is the remote's client id from its peer id,
+        *remote_complete* whether the link's view of the remote's pieces
+        was complete, *local_seed* whether the observed peer was a seed,
+        *initiated* whether the observed peer dialed the link.
+        """
+
+    def on_connection_close(
+        self, now: float, remote: str, up: float, down: float
+    ) -> None:
+        """The link to *remote* left the peer set (either side closed
+        it); *up* and *down* are its byte totals."""
+
+    def on_message_sent(self, now: float, remote: str, message: "Message") -> None:
+        """The observed peer sent *message* to *remote*."""
 
     def on_message_received(
-        self, now: float, connection: "Connection", message: "Message"
+        self, now: float, remote: str, message: "Message"
     ) -> None:
-        """The observed peer received *message* on *connection*."""
+        """The observed peer received *message* from *remote*."""
 
-    def on_choke_round(self, now: float, decision: "ChokeDecision") -> None:
-        """A choke round ran; *decision* is the resulting unchoked set."""
+    def on_choke_round(
+        self, now: float, unchoked: List[str], local_seed: bool
+    ) -> None:
+        """A choke round ran: *unchoked* are the addresses it left
+        unchoked (read, never kept or changed), *local_seed* whether the
+        observed peer was a seed."""
 
     def on_rate_sample(
-        self, now: float, connection: "Connection", download_rate: float, upload_rate: float
+        self, now: float, remote: str, download_rate: float, upload_rate: float
     ) -> None:
-        """Rate-estimator values read by the choke algorithm."""
+        """Rate-estimator values the choke round read for *remote*."""
 
     def on_block_received(
-        self, now: float, connection: "Connection", piece: int, offset: int, length: int
+        self, now: float, remote: str, piece: int, offset: int, length: int
     ) -> None:
-        """A block finished downloading."""
+        """A block finished downloading from *remote*."""
 
     def on_piece_completed(self, now: float, piece: int) -> None:
         """A piece completed (and, when enabled, passed its hash check)."""
@@ -62,8 +96,10 @@ class PeerObserver:
     def on_endgame_entered(self, now: float) -> None:
         """The piece picker entered end game mode."""
 
-    def on_seed_state(self, now: float) -> None:
-        """The observed peer completed the content and became a seed."""
+    def on_seed_state(self, now: float, open_links: Sequence[LinkTotals]) -> None:
+        """The observed peer completed the content and became a seed;
+        *open_links* holds the byte totals of every link in its peer set
+        at that instant, in the order the links opened."""
 
     def on_hash_failure(self, now: float, piece: int) -> None:
         """A completed piece failed SHA-1 verification."""
@@ -123,45 +159,57 @@ class FanoutObserver(PeerObserver):
     def __contains__(self, observer: PeerObserver) -> bool:
         return any(member is observer for member in self.observers)
 
-    def on_attached(self, peer: "Peer") -> None:
+    def on_attached(self, peer: "PeerCore") -> None:
         for observer in self.observers:
             observer.on_attached(peer)
 
-    def on_connection_open(self, now: float, connection: "Connection") -> None:
-        for observer in self.observers:
-            observer.on_connection_open(now, connection)
-
-    def on_connection_close(self, now: float, connection: "Connection") -> None:
-        for observer in self.observers:
-            observer.on_connection_close(now, connection)
-
-    def on_message_sent(
-        self, now: float, connection: "Connection", message: "Message"
+    def on_connection_open(
+        self,
+        now: float,
+        remote: str,
+        client: Optional[str],
+        remote_complete: bool,
+        local_seed: bool,
+        initiated: bool,
     ) -> None:
         for observer in self.observers:
-            observer.on_message_sent(now, connection, message)
+            observer.on_connection_open(
+                now, remote, client, remote_complete, local_seed, initiated
+            )
+
+    def on_connection_close(
+        self, now: float, remote: str, up: float, down: float
+    ) -> None:
+        for observer in self.observers:
+            observer.on_connection_close(now, remote, up, down)
+
+    def on_message_sent(self, now: float, remote: str, message: "Message") -> None:
+        for observer in self.observers:
+            observer.on_message_sent(now, remote, message)
 
     def on_message_received(
-        self, now: float, connection: "Connection", message: "Message"
+        self, now: float, remote: str, message: "Message"
     ) -> None:
         for observer in self.observers:
-            observer.on_message_received(now, connection, message)
+            observer.on_message_received(now, remote, message)
 
-    def on_choke_round(self, now: float, decision: "ChokeDecision") -> None:
+    def on_choke_round(
+        self, now: float, unchoked: List[str], local_seed: bool
+    ) -> None:
         for observer in self.observers:
-            observer.on_choke_round(now, decision)
+            observer.on_choke_round(now, unchoked, local_seed)
 
     def on_rate_sample(
-        self, now: float, connection: "Connection", download_rate: float, upload_rate: float
+        self, now: float, remote: str, download_rate: float, upload_rate: float
     ) -> None:
         for observer in self.observers:
-            observer.on_rate_sample(now, connection, download_rate, upload_rate)
+            observer.on_rate_sample(now, remote, download_rate, upload_rate)
 
     def on_block_received(
-        self, now: float, connection: "Connection", piece: int, offset: int, length: int
+        self, now: float, remote: str, piece: int, offset: int, length: int
     ) -> None:
         for observer in self.observers:
-            observer.on_block_received(now, connection, piece, offset, length)
+            observer.on_block_received(now, remote, piece, offset, length)
 
     def on_piece_completed(self, now: float, piece: int) -> None:
         for observer in self.observers:
@@ -171,9 +219,9 @@ class FanoutObserver(PeerObserver):
         for observer in self.observers:
             observer.on_endgame_entered(now)
 
-    def on_seed_state(self, now: float) -> None:
+    def on_seed_state(self, now: float, open_links: Sequence[LinkTotals]) -> None:
         for observer in self.observers:
-            observer.on_seed_state(now)
+            observer.on_seed_state(now, open_links)
 
     def on_hash_failure(self, now: float, piece: int) -> None:
         for observer in self.observers:

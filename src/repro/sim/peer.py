@@ -221,9 +221,9 @@ class Peer(PeerCore):
         remote._add_link(remote_conn)
         self._have_targets = remote._have_targets = None
         if self.observer:
-            self.observer.on_connection_open(now, local_conn)
+            self._observe_open(now, remote, initiated_by_local)
         if remote.observer:
-            remote.observer.on_connection_open(now, remote_conn)
+            remote._observe_open(now, self, not initiated_by_local)
         # Both sides advertise their bitfield right after the handshake.
         self._send(local_conn, BitfieldMessage(bits=self._advertised_bits()))
         remote._send(remote_conn, BitfieldMessage(bits=remote._advertised_bits()))
@@ -231,6 +231,17 @@ class Peer(PeerCore):
             self._reveal_next(local_conn)
         if remote.super_seeding:
             remote._reveal_next(remote_conn)
+
+    def _observe_open(self, now: float, remote: "Peer", initiated: bool) -> None:
+        """``on_connection_open`` of the link to *remote*, just filed."""
+        self.observer.on_connection_open(
+            now,
+            remote.address,
+            remote.peer_id.client_id,
+            remote.bitfield.is_complete(),
+            self.is_seed,
+            initiated,
+        )
 
     def _trace_pair(self, remote: "Peer"):
         """The recorder a delivery between us and *remote* is traced
@@ -325,7 +336,9 @@ class Peer(PeerCore):
             connection.remote._receive(twin, message, False)
             return
         if self.observer:
-            self.observer.on_message_sent(self.simulator.now, connection, message)
+            self.observer.on_message_sent(
+                self.simulator.now, connection.remote_key, message
+            )
         if twin is not None and not twin.closed:
             connection.remote._receive(twin, message)
 
@@ -421,15 +434,17 @@ class Peer(PeerCore):
                         )
                     else:
                         if observer:
-                            observer.on_message_sent(now, connection, message)
+                            observer.on_message_sent(
+                                now, connection.remote_key, message
+                            )
                         if receiver.observer is not None:
                             receiver.observer.on_message_received(
-                                now, twin, message
+                                now, sender_addr, message
                             )
                 else:
                     twin = receiver = None
                     if observer:
-                        observer.on_message_sent(now, connection, message)
+                        observer.on_message_sent(now, connection.remote_key, message)
                 if twin is not None:
                     # -- the receiver's reactions (_handle_have) --
                     if (

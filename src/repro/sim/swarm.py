@@ -68,14 +68,6 @@ class SwarmResult:
             return None
         return sum(times) / len(times)
 
-    def utilization(self) -> Optional[float]:
-        """Fraction of the swarm's aggregate upload capacity actually
-        used: the "capacity of service utilization" of [21] that the
-        paper credits BitTorrent with keeping high."""
-        if self.capacity_seconds <= 0:
-            return None
-        return self.bytes_moved / self.capacity_seconds
-
 
 _ALLOCATION_ORDER = attrgetter("flow_key")
 
@@ -392,15 +384,6 @@ class Swarm:
     def seeds_and_leechers(self) -> Tuple[int, int]:
         seeds = sum(1 for peer in self.peers.values() if peer.is_seed)
         return seeds, len(self.peers) - seeds
-
-    def min_global_copies(self) -> int:
-        """Copies of the least replicated piece across the whole torrent."""
-        return min(self.global_counts) if self.global_counts else 0
-
-    def is_transient(self) -> bool:
-        """True while some piece exists on at most one peer: the paper's
-        transient state (rare pieces present only at the initial seed)."""
-        return self.min_global_copies() <= 1
 
     def availability_snapshot(self) -> Sequence[int]:
         return tuple(self.global_counts)

@@ -51,7 +51,7 @@ def reference_choke_round(self) -> None:
         upload_rate = max(0.0, estimator._total) / estimator._window
         if self.observer:
             self.observer.on_rate_sample(
-                now, connection, download_rate, upload_rate
+                now, connection.remote_key, download_rate, upload_rate
             )
         candidates.append(
             ReferenceChokeCandidate(
@@ -67,7 +67,7 @@ def reference_choke_round(self) -> None:
         )
     decision = self.choker.round(candidates, now, self.rng)
     if self.observer:
-        self.observer.on_choke_round(now, decision)
+        self.observer.on_choke_round(now, decision.unchoked, self.is_seed)
     unchoke_set = set(decision.unchoked)
     for connection in list(self.connections.values()):
         if connection.remote_key in unchoke_set:

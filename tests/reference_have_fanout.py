@@ -13,6 +13,10 @@ forced: the per-peer target cache now holds an index array, so the
 oracle collects its targets afresh on each flood instead of reading it;
 and every picker now owns a matrix row, so the targets are slots alone.
 
+A seed never floods: it completes no piece, and ``World.flood`` in that
+test returns for a sender that became one.  So, like production, the
+oracle has no branch for a seed sender.
+
 Lives in the test tree on purpose: nothing under ``src/`` may import it.
 """
 
@@ -43,7 +47,6 @@ def reference_broadcast_have_fused(self, message: Have) -> None:
     # across the loop, own state only changes afterwards.
     not_ours = ~self.bitfield.as_int()
     own_count = self.bitfield.count
-    sender_is_seed = self.is_seed
     observer = self.observer
     seed_state = PeerState.SEED
     sender_addr = self.address
@@ -60,15 +63,15 @@ def reference_broadcast_have_fused(self, message: Have) -> None:
                     )
                 else:
                     if observer:
-                        observer.on_message_sent(now, connection, message)
+                        observer.on_message_sent(now, connection.remote_key, message)
                     if receiver.observer is not None:
                         receiver.observer.on_message_received(
-                            now, twin, message
+                            now, sender_addr, message
                         )
             else:
                 twin = receiver = None
                 if observer:
-                    observer.on_message_sent(now, connection, message)
+                    observer.on_message_sent(now, connection.remote_key, message)
             if twin is not None:
                 # -- the receiver's reactions (_handle_have) --
                 if (
@@ -92,10 +95,7 @@ def reference_broadcast_have_fused(self, message: Have) -> None:
         # which necessarily hold one we miss (both prefilters exact).
         if connection.am_interested:
             remote_bits = connection.remote_bitfield
-            if sender_is_seed:
-                connection.am_interested = False
-                self._send(connection, NotInterested())
-            elif remote_bits._count <= own_count and (
+            if remote_bits._count <= own_count and (
                 remote_bits._bits[byte_index] & bit_mask
             ):
                 if not (remote_bits.as_int() & not_ours):

@@ -27,6 +27,7 @@ from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import BlockRef
 
 from tests.reference_selectors import reference_select
+from tests.probes import missing_indices, pieces_only_in
 
 
 class NaivePiecePicker(PiecePicker):
@@ -38,7 +39,7 @@ class NaivePiecePicker(PiecePicker):
     def wanted_scarcity(self) -> Optional[int]:
         counts = self._counts()
         best: Optional[int] = None
-        for piece in self._bitfield.missing_indices():
+        for piece in missing_indices(self._bitfield):
             if piece in self._active:
                 continue
             if best is None or counts[piece] < best:
@@ -52,7 +53,9 @@ class NaivePiecePicker(PiecePicker):
         return rarest_count, pieces
 
     def next_request(self, remote_bitfield: Bitfield, peer_key) -> Optional[BlockRef]:
-        block = self._strict_priority_block(remote_bitfield, peer_key)
+        block = None
+        if self._strict_priority:
+            block = self._active_block(remote_bitfield, peer_key)
         if block is None:
             block = self._start_new_piece(remote_bitfield, peer_key)
         if block is None and self._endgame_enabled and self._all_blocks_requested():
@@ -65,7 +68,7 @@ class NaivePiecePicker(PiecePicker):
         selector = self._random_selector if random_first else self._selector
         candidates = [
             piece
-            for piece in self._bitfield.pieces_only_in(remote_bitfield)
+            for piece in pieces_only_in(self._bitfield, remote_bitfield)
             if piece not in self._active
         ]
         if not candidates:
@@ -73,7 +76,7 @@ class NaivePiecePicker(PiecePicker):
         return reference_select(selector, candidates, self._counts(), self._rng)
 
     def _all_blocks_requested(self) -> bool:
-        for piece in self._bitfield.missing_indices():
+        for piece in missing_indices(self._bitfield):
             partial = self._active.get(piece)
             if partial is None or partial.unrequested:
                 return False

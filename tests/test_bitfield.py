@@ -8,13 +8,15 @@ from hypothesis import given, strategies as st
 
 from repro.protocol.bitfield import Bitfield
 
+from tests.probes import is_empty, missing_indices, pieces_only_in
+
 
 class TestBasics:
     def test_starts_empty(self):
         field = Bitfield(10)
         assert field.count == 0
         assert field.missing == 10
-        assert field.is_empty()
+        assert is_empty(field)
         assert not field.is_complete()
 
     def test_set_and_has(self):
@@ -61,7 +63,7 @@ class TestBasics:
         field = Bitfield.full(13)
         assert field.is_complete()
         assert field.count == 13
-        assert list(field.missing_indices()) == []
+        assert list(missing_indices(field)) == []
 
     def test_copy_is_independent(self):
         field = Bitfield(8, have=[1])
@@ -85,7 +87,7 @@ class TestIteration:
 
     def test_missing_indices(self):
         field = Bitfield(4, have=[1, 2])
-        assert list(field.missing_indices()) == [0, 3]
+        assert list(missing_indices(field)) == [0, 3]
 
 
 class TestInterest:
@@ -116,7 +118,7 @@ class TestInterest:
     def test_pieces_only_in(self):
         ours = Bitfield(6, have=[0, 2])
         theirs = Bitfield(6, have=[0, 1, 5])
-        assert list(ours.pieces_only_in(theirs)) == [1, 5]
+        assert list(pieces_only_in(ours, theirs)) == [1, 5]
 
 
 class TestWireFormat:
@@ -188,7 +190,7 @@ def test_property_interest_definition(num_pieces, data):
     a = Bitfield(num_pieces, have=ours)
     b = Bitfield(num_pieces, have=theirs)
     assert a.interesting_in(b) == bool(theirs - ours)
-    assert set(a.pieces_only_in(b)) == theirs - ours
+    assert set(pieces_only_in(a, b)) == theirs - ours
 
 
 class TestIndexIterators:
@@ -205,21 +207,21 @@ class TestIndexIterators:
 
     def test_spare_bits_are_never_reported_missing(self):
         # 11 pieces: the last byte has 5 spare (zero) padding bits.
-        assert list(Bitfield.full(11).missing_indices()) == []
-        assert list(Bitfield(11).missing_indices()) == list(range(11))
-        assert list(Bitfield(11, have=[10]).missing_indices()) == list(range(10))
+        assert list(missing_indices(Bitfield.full(11))) == []
+        assert list(missing_indices(Bitfield(11))) == list(range(11))
+        assert list(missing_indices(Bitfield(11, have=[10]))) == list(range(10))
 
     def test_ends_and_zero_bytes(self):
         field = Bitfield(35, have=[0, 34])  # three all-zero bytes between
         assert list(field.have_indices()) == [0, 34]
-        assert list(Bitfield(35).pieces_only_in(field)) == [0, 34]
-        assert list(field.pieces_only_in(Bitfield.full(35))) == list(range(1, 34))
+        assert list(pieces_only_in(Bitfield(35), field)) == [0, 34]
+        assert list(pieces_only_in(field, Bitfield.full(35))) == list(range(1, 34))
 
     def test_empty_torrent(self):
         field = Bitfield(0)
         assert list(field.have_indices()) == []
-        assert list(field.missing_indices()) == []
-        assert list(field.pieces_only_in(Bitfield(0))) == []
+        assert list(missing_indices(field)) == []
+        assert list(pieces_only_in(field, Bitfield(0))) == []
 
     def agree(self, field):
         """Bitmap, count and the two memoised forms say the same."""
@@ -327,7 +329,7 @@ class TestIndexIterators:
 
     def test_pieces_only_in_rejects_another_torrent(self):
         with pytest.raises(ValueError):
-            list(Bitfield(5).pieces_only_in(Bitfield(6)))
+            list(pieces_only_in(Bitfield(5), Bitfield(6)))
 
     @given(st.integers(0, 70), st.data())
     def test_property_iterators_match_the_per_index_probe(self, num_pieces, data):
@@ -338,9 +340,9 @@ class TestIndexIterators:
         b = Bitfield(num_pieces, have=theirs)
         have = self.probed(a)
         assert list(a.have_indices()) == have == sorted(ours)
-        assert list(a.missing_indices()) == [
+        assert list(missing_indices(a)) == [
             index for index in range(num_pieces) if index not in ours
         ]
-        assert list(a.pieces_only_in(b)) == [
+        assert list(pieces_only_in(a, b)) == [
             index for index in self.probed(b) if index not in ours
         ]

@@ -148,14 +148,14 @@ class RecordingObserver(PeerObserver):
     def __init__(self):
         self.events = []
 
-    def on_message_sent(self, now, connection, message):
-        self.events.append((now, "sent", connection.remote_key, message))
+    def on_message_sent(self, now, remote, message):
+        self.events.append((now, "sent", remote, message))
 
-    def on_message_received(self, now, connection, message):
-        self.events.append((now, "received", connection.remote_key, message))
+    def on_message_received(self, now, remote, message):
+        self.events.append((now, "received", remote, message))
 
-    def on_block_received(self, now, connection, piece, offset, length):
-        self.events.append((now, "block", connection.remote_key, piece, offset))
+    def on_block_received(self, now, remote, piece, offset, length):
+        self.events.append((now, "block", remote, piece, offset))
 
     def on_hash_failure(self, now, piece):
         self.events.append((now, "hash failure", piece))

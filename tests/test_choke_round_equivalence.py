@@ -51,6 +51,7 @@ from tests.reference_chokers import (
     ReferenceTitForTatChoker,
     moved,
 )
+from tests.probes import queued_upload_bytes
 
 WINDOW = 20.0
 
@@ -117,15 +118,11 @@ class RecordingObserver:
     def __init__(self):
         self.events = []
 
-    def on_rate_sample(self, now, connection, download_rate, upload_rate):
-        self.events.append(
-            ("rate", now, connection.remote_key, download_rate, upload_rate)
-        )
+    def on_rate_sample(self, now, remote, download_rate, upload_rate):
+        self.events.append(("rate", now, remote, download_rate, upload_rate))
 
-    def on_choke_round(self, now, decision):
-        self.events.append(
-            ("round", now, list(decision.unchoked), decision.optimistic)
-        )
+    def on_choke_round(self, now, unchoked, local_seed):
+        self.events.append(("round", now, list(unchoked), local_seed))
 
 
 class RoundDriver(PeerCore):
@@ -409,4 +406,4 @@ def test_bounded_walk_is_min_of_budget_and_queue(uploading_link, state):
     connection.upload_progress = progress
     expected = min(budget, whole_queue_bytes(connection))
     assert connection.transferable_bytes(budget) == expected
-    assert connection.queued_upload_bytes() == whole_queue_bytes(connection)
+    assert queued_upload_bytes(connection) == whole_queue_bytes(connection)

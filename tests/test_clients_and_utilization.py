@@ -9,6 +9,7 @@ from repro.sim.config import KIB
 from repro.workloads.clients import CLIENT_MIX_2005, sample_client_id
 
 from tests.conftest import fast_config, tiny_swarm
+from tests.probes import utilization
 
 
 class TestClientMix:
@@ -70,9 +71,9 @@ class TestUtilization:
         for __ in range(4):
             swarm.add_peer(config=fast_config(upload=2 * KIB))
         result = swarm.run(300)
-        utilization = result.utilization()
-        assert utilization is not None
-        assert 0.0 <= utilization <= 1.0 + 1e-9
+        used = utilization(result)
+        assert used is not None
+        assert 0.0 <= used <= 1.0 + 1e-9
 
     def test_busy_swarm_uses_most_capacity(self):
         """While everyone is leeching, most upload capacity is in use —
@@ -82,7 +83,7 @@ class TestUtilization:
         for __ in range(7):
             swarm.add_peer(config=fast_config(upload=4 * KIB))
         result = swarm.run(200)  # mid-download, nobody has finished
-        assert result.utilization() > 0.5
+        assert utilization(result) > 0.5
 
     def test_idle_swarm_wastes_capacity(self):
         """All-seed swarms move nothing: utilisation falls toward zero."""
@@ -90,11 +91,11 @@ class TestUtilization:
         for __ in range(3):
             swarm.add_peer(config=fast_config(), is_seed=True)
         result = swarm.run(100)
-        assert result.utilization() == pytest.approx(0.0)
+        assert utilization(result) == pytest.approx(0.0)
 
     def test_none_before_any_tick(self):
         swarm = tiny_swarm(num_pieces=8)
-        assert swarm.result.utilization() is None
+        assert utilization(swarm.result) is None
 
     def test_bytes_moved_matches_downloads(self):
         swarm = tiny_swarm(num_pieces=8)

@@ -7,6 +7,7 @@ import pytest
 from repro.protocol.metainfo import BlockRef
 
 from tests.conftest import fast_config, tiny_swarm
+from tests.probes import queued_upload_bytes, total_in_window
 
 
 def linked_pair(num_pieces=8):
@@ -60,16 +61,16 @@ class TestIdleEndpoint:
         for counter in counters:
             assert not isinstance(counter._samples, deque)
             assert counter.rate(5.0) == 0.0
-            assert counter.total_in_window(5.0) == 0.0
+            assert total_in_window(counter, 5.0) == 0.0
         counter = conn_ab.uploaded
         counter.add(5.0, 1000.0)
         assert isinstance(counter._samples, deque)
         assert counter.rate(5.0) == 1000.0 / counter.window
-        assert counter.total_in_window(5.0) == 1000.0
+        assert total_in_window(counter, 5.0) == 1000.0
         counter.reset()
         assert not isinstance(counter._samples, deque)
         assert counter.rate(5.0) == 0.0
-        assert counter.total_in_window(5.0) == 0.0
+        assert total_in_window(counter, 5.0) == 0.0
         assert counter.total == 1000.0  # the lifetime total survives
 
 
@@ -103,7 +104,7 @@ class TestUploadQueue:
         __, a, b, conn_ab, __b = linked_pair()
         conn_ab.upload_queue.extend([BlockRef(0, 0, 1000), BlockRef(0, 1000, 24)])
         conn_ab.advance_upload(100)
-        assert conn_ab.queued_upload_bytes() == pytest.approx(924)
+        assert queued_upload_bytes(conn_ab) == pytest.approx(924)
 
     def test_one_block_budget_visits_one_block_of_a_long_queue(self):
         """Complexity guard: serving a budget costs the blocks it covers,

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim.engine import SimulationError, Simulator, Timer
 
+from tests.probes import pending_events
+
 
 class TestScheduling:
     def test_clock_starts_at_zero(self):
@@ -84,7 +86,7 @@ class TestScheduling:
         sim.schedule(1.0, lambda: None)
         handle = sim.schedule(2.0, lambda: None)
         handle.cancel()
-        assert sim.pending_events == 1
+        assert pending_events(sim) == 1
 
 
 class TestTimer:

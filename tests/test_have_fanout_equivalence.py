@@ -40,6 +40,7 @@ from repro.sim.observer import PeerObserver
 from repro.sim.swarm import Swarm
 
 from tests.reference_have_fanout import reference_broadcast_have_fused
+from tests.probes import missing_indices
 
 PIECES = 12
 
@@ -50,11 +51,11 @@ class RecordingObserver(PeerObserver):
     def __init__(self):
         self.events = []
 
-    def on_message_sent(self, now, connection, message):
-        self.events.append(("sent", connection.remote_key, message))
+    def on_message_sent(self, now, remote, message):
+        self.events.append(("sent", remote, message))
 
-    def on_message_received(self, now, connection, message):
-        self.events.append(("received", connection.remote_key, message))
+    def on_message_received(self, now, remote, message):
+        self.events.append(("received", remote, message))
 
 
 class World:
@@ -169,7 +170,7 @@ class World:
             return
         startable = [
             piece
-            for piece in sender.bitfield.missing_indices()
+            for piece in missing_indices(sender.bitfield)
             if piece not in sender.picker.active_pieces
         ]
         if not startable:
@@ -336,7 +337,7 @@ def test_a_super_seeder_keeps_its_turn_whatever_its_flags_say():
         assert connection.peer_interested and connection.am_choking
         assert not connection.am_interested
         revealed = remote._active_reveal[sender.address]
-        world.flood(list(sender.bitfield.missing_indices()).index(revealed))
+        world.flood(list(missing_indices(sender.bitfield)).index(revealed))
         assert sender.bitfield.has(revealed)
         # The reaction: a second piece revealed to us.
         reveals = [

@@ -71,7 +71,7 @@ class TestTraceRecording:
         swarm.run(200)
         trace.finalize()
         for record in trace.records.values():
-            assert record.total_presence() > 0
+            assert record.presence.total() > 0
 
     def test_piece_completions_count(self):
         swarm, local, trace = instrumented_swarm(num_pieces=8)
@@ -157,7 +157,9 @@ class TestTraceRecording:
         swarm.run(400)
         trace.finalize()
         seed_records = [
-            record for record in trace.records.values() if record.was_ever_seed()
+            record
+            for record in trace.records.values()
+            if record.remote_seed_since is not None
         ]
         assert seed_records  # at least the initial seed
 
@@ -166,12 +168,12 @@ class TestTraceRecording:
         swarm.run(100)
         trace.finalize()
         first = {
-            address: record.total_presence()
+            address: record.presence.total()
             for address, record in trace.records.items()
         }
         trace.finalize()
         second = {
-            address: record.total_presence()
+            address: record.presence.total()
             for address, record in trace.records.items()
         }
         assert first == second
@@ -226,7 +228,7 @@ class TestBitfieldSeedDetection:
         # 8 of 12 pieces set, plus all 4 spare padding bits set: 12 one
         # bits in total, but only 8 real pieces — still a leecher.
         padded = BitfieldMessage(bits=bytes([0xFF, 0x0F]))
-        trace.on_message_received(swarm.simulator.now, connection, padded)
+        trace.on_message_received(swarm.simulator.now, other.address, padded)
         assert record.remote_seed_since is None
 
     def test_true_seed_bitfield_still_detected(self):
@@ -235,7 +237,7 @@ class TestBitfieldSeedDetection:
         swarm, trace, connection, other = self.linked_pair(num_pieces=12)
         record = trace.records[other.address]
         complete = BitfieldMessage(bits=bytes([0xFF, 0xF0]))
-        trace.on_message_received(swarm.simulator.now, connection, complete)
+        trace.on_message_received(swarm.simulator.now, other.address, complete)
         assert record.remote_seed_since == swarm.simulator.now
 
     def test_multiple_of_eight_unaffected(self):
@@ -244,41 +246,52 @@ class TestBitfieldSeedDetection:
         swarm, trace, connection, other = self.linked_pair(num_pieces=8)
         record = trace.records[other.address]
         trace.on_message_received(
-            swarm.simulator.now, connection, BitfieldMessage(bits=bytes([0xFF]))
+            swarm.simulator.now, other.address, BitfieldMessage(bits=bytes([0xFF]))
         )
         assert record.remote_seed_since == swarm.simulator.now
 
 
 class TestHaveSeedDetection:
     """The HAVE hook answers "is the remote complete once this message
-    is applied?" whether or not its view already holds the piece: a
-    per-link view lags the hook, a shared view (DESIGN §12) does not."""
+    is applied?" from what the remote announced on the link, its
+    BITFIELD and the HAVEs since, counting a piece once however often it
+    is announced."""
 
     @staticmethod
-    def receive_have(view, piece):
-        from repro.instrumentation.replay import _ReplayConnection
-        from repro.protocol.messages import Have
+    def announce(view, haves):
+        """The remote's BITFIELD (*view*) at t=41, then a HAVE of each
+        piece of *haves* at t=42, 43, ...; its ``remote_seed_since``."""
+        from repro.instrumentation.replay import ReplayedPeer
+        from repro.protocol.messages import Bitfield as BitfieldMessage, Have
 
         trace = Instrumentation()
-        connection = _ReplayConnection("10.0.0.9", None, False, view.num_pieces)
-        connection.remote_bitfield = view
-        trace.on_message_received(42.0, connection, Have(piece=piece))
+        trace.on_attached(ReplayedPeer("10.0.0.1", view.num_pieces))
+        trace.on_connection_open(40.0, "10.0.0.9", None, False, False, True)
+        trace.on_message_received(
+            41.0, "10.0.0.9", BitfieldMessage(bits=view.to_bytes())
+        )
+        for step, piece in enumerate(haves):
+            trace.on_message_received(42.0 + step, "10.0.0.9", Have(piece=piece))
         return trace.records["10.0.0.9"].remote_seed_since
 
     def test_view_that_already_holds_the_final_piece(self):
-        assert self.receive_have(Bitfield.full(12), piece=7) == 42.0
+        view = Bitfield.full(12)
+        view.clear(7)
+        # The repeat announces nothing new: the seed time stays.
+        assert self.announce(view, [7, 7]) == 42.0
 
     def test_view_still_missing_the_final_piece(self):
         lagging = Bitfield.full(12)
         lagging.clear(7)
-        assert self.receive_have(lagging, piece=7) == 42.0
+        assert self.announce(lagging, []) is None
+        assert self.announce(lagging, [7]) == 42.0
 
     def test_remote_that_misses_another_piece_is_no_seed(self):
         view = Bitfield.full(12)
         view.clear(3)
-        assert self.receive_have(view, piece=7) is None  # 7 already applied
         view.clear(7)
-        assert self.receive_have(view, piece=7) is None  # 7 still to apply
+        assert self.announce(view, [7, 7]) is None  # 7 counted once
+        assert self.announce(view, [7, 3]) == 43.0
 
 
 class TestFlushBytesAcrossReconnect:

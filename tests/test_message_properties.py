@@ -27,6 +27,8 @@ from repro.protocol.messages import (
     decode_message,
 )
 
+from tests.probes import wire_length
+
 MAX_U32 = 2**32 - 1
 U32 = st.integers(min_value=0, max_value=MAX_U32)
 
@@ -89,7 +91,7 @@ class TestEdgePayloads:
     def test_zero_length_piece_block(self):
         message = Piece(piece=0, offset=0, data=b"")
         assert roundtrip(message) == message
-        assert message.wire_length == 4 + 1 + 8
+        assert wire_length(message) == 4 + 1 + 8
 
     def test_max_piece_index(self):
         assert roundtrip(Have(piece=MAX_U32)) == Have(piece=MAX_U32)

@@ -21,6 +21,8 @@ from repro.protocol.messages import (
     decode_message,
 )
 
+from tests.probes import wire_length
+
 
 class TestHandshake:
     def test_roundtrip(self):
@@ -60,13 +62,13 @@ class TestStateMessages:
         wire = message.encode()
         assert wire == struct.pack(">IB", 1, message_id)
         assert decode_message(wire) == message
-        assert message.wire_length == len(wire)
+        assert wire_length(message) == len(wire)
 
     def test_keepalive(self):
         wire = KeepAlive().encode()
         assert wire == b"\x00\x00\x00\x00"
         assert decode_message(wire) == KeepAlive()
-        assert KeepAlive().wire_length == 4
+        assert wire_length(KeepAlive()) == 4
 
     def test_state_message_with_payload_rejected(self):
         wire = struct.pack(">IB", 2, 0) + b"x"
@@ -112,7 +114,7 @@ class TestPayloadMessages:
 
     def test_piece_wire_length_includes_data(self):
         message = Piece(piece=0, offset=0, data=b"x" * 100)
-        assert message.wire_length == 4 + 1 + 8 + 100
+        assert wire_length(message) == 4 + 1 + 8 + 100
 
     def test_piece_too_short(self):
         wire = struct.pack(">IB", 5, 7) + b"abcd"

@@ -18,6 +18,8 @@ from repro.protocol.metainfo import (
     make_metainfo,
 )
 
+from tests.probes import blocks_in_piece, total_blocks
+
 
 def fresh_blocks(geometry, piece):
     """The block list as ``blocks`` built it on every call before it was
@@ -38,7 +40,7 @@ class TestPieceGeometry:
         assert geometry.num_pieces == 4
         assert geometry.piece_length(0) == 256
         assert geometry.piece_length(3) == 256
-        assert geometry.blocks_in_piece(0) == 4
+        assert blocks_in_piece(geometry, 0) == 4
 
     def test_short_last_piece(self):
         geometry = PieceGeometry(1000, piece_size=256, block_size=64)
@@ -74,7 +76,7 @@ class TestPieceGeometry:
         the raise to stop a hostile offset."""
         geometry = PieceGeometry(1000, piece_size=256, block_size=64)
         for piece in range(geometry.num_pieces):
-            count = geometry.blocks_in_piece(piece)
+            count = blocks_in_piece(geometry, piece)
             for block_index in (-1, -count, count, count + 7):
                 with pytest.raises(IndexError):
                     geometry.block_ref(piece, block_index)
@@ -94,7 +96,7 @@ class TestPieceGeometry:
         for piece in range(geometry.num_pieces):
             blocks = geometry.blocks(piece)
             assert list(blocks) == fresh_blocks(geometry, piece)
-            assert len(blocks) == geometry.blocks_in_piece(piece)
+            assert len(blocks) == blocks_in_piece(geometry, piece)
             assert geometry.blocks(piece) is blocks  # one tuple per piece
             with pytest.raises(TypeError):
                 blocks[0] = blocks[-1]  # immutable: pickers share it
@@ -128,8 +130,8 @@ class TestPieceGeometry:
 
     def test_total_blocks(self):
         geometry = PieceGeometry(1000, piece_size=256, block_size=64)
-        assert geometry.total_blocks == sum(
-            geometry.blocks_in_piece(p) for p in range(4)
+        assert total_blocks(geometry) == sum(
+            blocks_in_piece(geometry, p) for p in range(4)
         )
 
     def test_invalid_sizes_rejected(self):

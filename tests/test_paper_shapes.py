@@ -21,6 +21,7 @@ from repro.instrumentation import Instrumentation
 from repro.sim.config import KIB, PeerConfig
 
 from tests.conftest import fast_config, tiny_swarm
+from tests.probes import is_transient
 
 
 def populated_swarm(
@@ -121,7 +122,7 @@ class TestTransientState:
         series = replication_series(trace)
         at_most_one = sum(1 for low in series.min_copies if low <= 1)
         assert at_most_one / len(series.min_copies) > 0.8
-        assert swarm.is_transient()
+        assert is_transient(swarm)
 
     def test_rarest_set_decays_linearly_with_seed_capacity(self):
         def decay(seed_upload):

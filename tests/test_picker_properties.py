@@ -30,6 +30,8 @@ from repro.core.rarest_first import RarestFirstSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry
 
+from tests.probes import missing_indices, pending_requests_to
+
 NUM_PIECES = 16
 BLOCKS_PER_PIECE = 3
 BLOCK = 16
@@ -98,7 +100,7 @@ def check_invariants(picker, bitfield, remotes):
     # O(1) end-game trigger vs the naive every-missing-piece scan.
     naive_all_requested = all(
         piece in active and not picker._active[piece].unrequested
-        for piece in bitfield.missing_indices()
+        for piece in missing_indices(bitfield)
     )
     assert picker._all_blocks_requested() == naive_all_requested
 
@@ -125,7 +127,7 @@ def test_random_operations_preserve_invariants(seed):
             picker.peer_joined(remotes[key])
         elif op < 0.25 and len(remotes) > 1:
             key = rng.choice(sorted(remotes))
-            picker.on_peer_gone(key, picker.pending_requests_to(key))
+            picker.on_peer_gone(key, pending_requests_to(picker, key))
             picker.peer_left(remotes.pop(key))
         elif op < 0.40:
             key = rng.choice(sorted(remotes))
@@ -149,7 +151,7 @@ def test_random_operations_preserve_invariants(seed):
                 picker.reset_piece(rng.choice(have))
         else:
             key = rng.choice(sorted(remotes))
-            released = picker.on_peer_gone(key, picker.pending_requests_to(key))
+            released = picker.on_peer_gone(key, pending_requests_to(picker, key))
             offsets = [b.offset for b in released]
             assert offsets == sorted(offsets) or len(set(
                 b.piece for b in released

@@ -12,6 +12,8 @@ from repro.core.rarest_first import RarestFirstSelector
 from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry
 
+from tests.probes import pending_requests_to, total_blocks
+
 
 def make_picker(
     num_pieces=8,
@@ -270,7 +272,7 @@ class TestBlockAccounting:
         picker, __, geometry = make_picker(num_pieces=1)
         picker.peer_joined(full_remote(1))
         first = picker.next_request(full_remote(1), "p")
-        released = picker.on_peer_gone("p", picker.pending_requests_to("p"))
+        released = picker.on_peer_gone("p", pending_requests_to(picker, "p"))
         assert first in released
         # The same block is requestable again, by another peer.
         again = picker.next_request(full_remote(1), "q")
@@ -282,7 +284,7 @@ class TestBlockAccounting:
         first = picker.next_request(full_remote(1), "p")
         picker.on_block_received(first, "p")
         second = picker.next_request(full_remote(1), "p")
-        picker.on_peer_gone("p", picker.pending_requests_to("p"))
+        picker.on_peer_gone("p", pending_requests_to(picker, "p"))
         # piece has progress: stays active, next request resumes it
         assert picker.active_pieces == [first.piece]
 
@@ -293,7 +295,7 @@ class TestBlockAccounting:
         picker.peer_joined(full_remote(1))
         for __ in range(4):  # blocks 0-3 in flight to p, 4-5 unrequested
             picker.next_request(full_remote(1), "p")
-        released = picker.on_peer_gone("p", picker.pending_requests_to("p"))
+        released = picker.on_peer_gone("p", pending_requests_to(picker, "p"))
         assert [b.offset // 16 for b in released] == [0, 1, 2, 3]
         offsets = [
             picker.next_request(full_remote(1), "q").offset // 16
@@ -308,7 +310,7 @@ class TestBlockAccounting:
         second = picker.next_request(full_remote(1), "q")  # block 1
         picker.on_block_received(first, "p")
         # block 1 released, 2-3 never requested
-        picker.on_peer_gone("q", picker.pending_requests_to("q"))
+        picker.on_peer_gone("q", pending_requests_to(picker, "q"))
         offsets = [
             picker.next_request(full_remote(1), "r").offset // 16
             for __ in range(3)
@@ -319,8 +321,8 @@ class TestBlockAccounting:
         picker, __, geometry = make_picker(num_pieces=2)
         picker.peer_joined(full_remote(2))
         block = picker.next_request(full_remote(2), "p")
-        assert picker.pending_requests_to("p") == [block]
-        assert picker.pending_requests_to("q") == []
+        assert pending_requests_to(picker, "p") == [block]
+        assert pending_requests_to(picker, "q") == []
 
 
 class TestEndGame:
@@ -400,7 +402,7 @@ class TestEndGame:
             picker.next_request(full_remote(1), "p")
         assert picker.next_request(full_remote(1), "q") is not None
         assert picker.in_endgame
-        picker.on_peer_gone("p", picker.pending_requests_to("p"))  # releases p's in-flight blocks
+        picker.on_peer_gone("p", pending_requests_to(picker, "p"))  # releases p's in-flight blocks
         assert not picker.in_endgame
 
 
@@ -437,5 +439,5 @@ def test_property_full_download_terminates(num_pieces, blocks_per_piece, seed):
         requested.append(block)
         picker.on_block_received(block, "p")
     assert bitfield.is_complete()
-    assert len(requested) == geometry.total_blocks
+    assert len(requested) == total_blocks(geometry)
     assert len(set(requested)) == len(requested)

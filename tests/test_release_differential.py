@@ -25,6 +25,7 @@ from repro.protocol.bitfield import Bitfield
 from repro.protocol.metainfo import PieceGeometry
 
 from tests.reference_piece_picker import full_scan_on_peer_gone
+from tests.probes import pending_requests_to
 
 NUM_PIECES = 4
 BLOCKS_PER_PIECE = 3
@@ -167,6 +168,6 @@ def test_stale_entry_of_a_restarted_piece_is_skipped():
     again = picker.next_request(only, "p1")
     assert again == stale
     assert picker.on_peer_gone("p0", {stale: 0.0}) == []
-    assert picker.pending_requests_to("p1") == [stale]
+    assert pending_requests_to(picker, "p1") == [stale]
     assert picker.on_peer_gone("p1", {stale: 0.0}) == [stale]
     assert picker.active_pieces == []

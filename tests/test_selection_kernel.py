@@ -208,13 +208,14 @@ def test_mode_suppression_declines_in_lockstep():
 
 @pytest.mark.parametrize("spec", sorted(SELECTOR_REGISTRY))
 def test_matrix_swarm_never_scans_candidates_in_python(spec, monkeypatch):
-    """No pick — random first included — may fall back to the per-piece
-    ``Bitfield.pieces_only_in`` scan."""
+    """No pick — random first included — may fall back to a per-piece
+    scan.  The scan is ``tests.probes.pieces_only_in``, out of reach of
+    ``src/``; a ``Bitfield.pieces_only_in`` that grew back would fail."""
 
     def forbidden(self, other):
         raise AssertionError("pieces_only_in called by a production picker")
 
-    monkeypatch.setattr(Bitfield, "pieces_only_in", forbidden)
+    monkeypatch.setattr(Bitfield, "pieces_only_in", forbidden, raising=False)
     metainfo = make_metainfo(
         "kernel-guard", num_pieces=21, piece_size=4 * KIB, block_size=1 * KIB
     )

@@ -27,6 +27,7 @@ from repro.tracker.wire import (
 )
 
 from tests.test_bencode import bencodable
+from tests.probes import buffered_bytes
 
 HANDSHAKE = Handshake(info_hash=b"h" * 20, peer_id=b"p" * 20)
 
@@ -57,7 +58,7 @@ class TestMessageStream:
         out = stream.feed(wire)
         assert out[0] == HANDSHAKE
         assert out[1:] == MESSAGES
-        assert stream.buffered_bytes == 0
+        assert buffered_bytes(stream) == 0
         assert stream.bytes_consumed == len(wire)
 
     def test_byte_at_a_time(self):
@@ -79,7 +80,7 @@ class TestMessageStream:
         stream = MessageStream(expect_handshake=False)
         wire = Have(piece=7).encode()
         assert stream.feed(wire[:-1]) == []
-        assert stream.buffered_bytes == len(wire) - 1
+        assert buffered_bytes(stream) == len(wire) - 1
         assert stream.feed(wire[-1:]) == [Have(piece=7)]
 
     def test_handshake_recorded(self):

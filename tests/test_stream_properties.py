@@ -27,6 +27,7 @@ from repro.protocol.messages import (
 from repro.protocol.stream import MAX_FRAME_LENGTH, MessageStream
 
 from tests.test_stream import encode_session
+from tests.probes import buffered_bytes
 
 HANDSHAKE = Handshake(info_hash=b"h" * 20, peer_id=b"p" * 20)
 
@@ -79,7 +80,7 @@ class TestRechunkingIdentity:
             out.extend(stream.feed(chunk))
         expected = ([HANDSHAKE] if with_handshake else []) + messages
         assert out == expected
-        assert stream.buffered_bytes == 0
+        assert buffered_bytes(stream) == 0
         assert stream.bytes_consumed == len(wire)
 
     @settings(max_examples=50, deadline=None)
@@ -107,7 +108,7 @@ class TestMalformedFrames:
             stream.feed(bad + encode_session(tail))
         # The poisoned frame is consumed; everything behind it is intact.
         assert stream.feed(b"") == tail
-        assert stream.buffered_bytes == 0
+        assert buffered_bytes(stream) == 0
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -10,6 +10,7 @@ from repro.protocol.metainfo import BlockRef
 from repro.sim.config import KIB, SwarmConfig
 
 from tests.conftest import fast_config, tiny_swarm
+from tests.probes import is_transient, min_global_copies
 
 
 class TestGlobalOracle:
@@ -56,15 +57,15 @@ class TestTransientDetection:
         swarm = tiny_swarm(num_pieces=4)
         swarm.add_peer(config=fast_config(), is_seed=True)
         swarm.add_peer(config=fast_config())
-        assert swarm.is_transient()
-        assert swarm.min_global_copies() == 1
+        assert is_transient(swarm)
+        assert min_global_copies(swarm) == 1
 
     def test_steady_after_replication(self):
         swarm = tiny_swarm(num_pieces=4)
         swarm.add_peer(config=fast_config(), is_seed=True)
         swarm.add_peer(config=fast_config())
         swarm.run(300)
-        assert not swarm.is_transient()
+        assert not is_transient(swarm)
 
     def test_first_full_copy_recorded(self):
         swarm = tiny_swarm(num_pieces=8)
@@ -324,7 +325,7 @@ class TestRejoinIsRegistered:
             for piece in peer.bitfield.have_indices():
                 recount[piece] += 1
         assert list(swarm.global_counts) == recount
-        assert swarm.is_transient() == (min(recount) <= 1)
+        assert is_transient(swarm) == (min(recount) <= 1)
 
     def test_offline_peer_is_in_no_book_until_it_joins(self):
         """``capacity_seconds`` integrates over online peers only."""

@@ -58,22 +58,22 @@ class TraceFingerprint(PeerObserver):
     def _feed(self, *parts) -> None:
         self._hash.update(repr(parts).encode())
 
-    def on_connection_open(self, now, connection):
-        self._feed("open", now, connection.remote.address)
+    def on_connection_open(self, now, remote, *flags):
+        self._feed("open", now, remote)
 
-    def on_connection_close(self, now, connection):
-        self._feed("close", now, connection.remote.address)
+    def on_connection_close(self, now, remote, up, down):
+        self._feed("close", now, remote)
 
-    def on_message_sent(self, now, connection, message):
-        self._feed("sent", now, connection.remote.address, type(message).__name__)
+    def on_message_sent(self, now, remote, message):
+        self._feed("sent", now, remote, type(message).__name__)
 
-    def on_message_received(self, now, connection, message):
-        self._feed("recv", now, connection.remote.address, type(message).__name__)
+    def on_message_received(self, now, remote, message):
+        self._feed("recv", now, remote, type(message).__name__)
 
-    def on_choke_round(self, now, decision):
-        self._feed("choke", now, sorted(map(str, decision.unchoked)))
+    def on_choke_round(self, now, unchoked, local_seed):
+        self._feed("choke", now, sorted(map(str, unchoked)))
 
-    def on_block_received(self, now, connection, piece, offset, length):
+    def on_block_received(self, now, remote, piece, offset, length):
         self._feed("block", now, piece, offset, length)
 
     def on_piece_completed(self, now, piece):

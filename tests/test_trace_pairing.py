@@ -132,13 +132,13 @@ class HookCounter(TracingObserver):
     sent = 0
     received = 0
 
-    def on_message_sent(self, now, connection, message):
+    def on_message_sent(self, now, remote, message):
         HookCounter.sent += 1
-        super().on_message_sent(now, connection, message)
+        super().on_message_sent(now, remote, message)
 
-    def on_message_received(self, now, connection, message):
+    def on_message_received(self, now, remote, message):
         HookCounter.received += 1
-        super().on_message_received(now, connection, message)
+        super().on_message_received(now, remote, message)
 
 
 def test_hook_overriding_subclass_sees_every_call(twins):

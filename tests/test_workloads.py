@@ -16,6 +16,8 @@ from repro.workloads import (
 )
 from repro.workloads.torrents import MAX_SIMULATED_PEERS
 
+from tests.probes import is_transient, min_global_copies
+
 
 class TestCapacities:
     def test_sample_returns_known_class(self):
@@ -136,8 +138,8 @@ class TestBuildExperiment:
         )
         harness = build_experiment(scenario, seed=5)
         # Right after the build, pieces only exist at the initial seed.
-        assert harness.swarm.min_global_copies() <= 1
-        assert harness.swarm.is_transient()
+        assert min_global_copies(harness.swarm) <= 1
+        assert is_transient(harness.swarm)
 
     def test_steady_scenario_starts_replicated(self):
         scenario = scaled_copy(
@@ -145,7 +147,7 @@ class TestBuildExperiment:
             duration=60.0, arrival_rate=0.0, local_join_time=25.0,
         )
         harness = build_experiment(scenario, seed=5)
-        assert harness.swarm.min_global_copies() >= 2
+        assert min_global_copies(harness.swarm) >= 2
 
     def test_free_riders_added(self):
         scenario = scaled_copy(
