@@ -35,7 +35,6 @@ tests hold it to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -103,7 +102,6 @@ class AvailabilityMatrix:
         self.data[slots, piece] += 1
 
 
-@dataclass
 class _PartialPiece:
     """Download state of one in-progress piece.
 
@@ -113,16 +111,15 @@ class _PartialPiece:
     straggler duplicates, which are dropped on receipt).
     """
 
-    blocks: Sequence[BlockRef]
-    received: Set[int] = field(default_factory=set)
-    requested: Dict[int, Set[PeerKey]] = field(default_factory=dict)
-    unrequested: List[int] = field(default_factory=list)
-    """Block indices not yet requested, sorted in DESCENDING index order
-    so the next block (the lowest offset) pops from the end in O(1)."""
+    __slots__ = ("blocks", "received", "requested", "unrequested")
 
-    def __post_init__(self) -> None:
-        if not self.received and not self.requested and not self.unrequested:
-            self.unrequested = list(range(len(self.blocks) - 1, -1, -1))
+    def __init__(self, blocks: Sequence[BlockRef]):
+        self.blocks = blocks
+        self.received: Set[int] = set()
+        self.requested: Dict[int, Set[PeerKey]] = {}
+        # Block indices not yet requested, in DESCENDING index order so
+        # the next block (the lowest offset) pops from the end in O(1).
+        self.unrequested: List[int] = list(range(len(blocks) - 1, -1, -1))
 
     def is_complete(self) -> bool:
         return len(self.received) == len(self.blocks)
@@ -300,12 +297,12 @@ class PiecePicker:
             block = self._active_block(remote_bitfield, peer_key)
             if block is not None:
                 return block
-        # Flattened miss path: when nothing wanted intersects the remote's
-        # pieces no new piece can start and no selector draws any
-        # randomness (_select_new_piece runs the same exact test two calls
-        # deeper), which is the overwhelmingly common outcome on a busy
-        # link.  Valid for every strategy and for random first; without
-        # strict priority a failed start still falls back to active pieces.
+        # The miss test, once per call: when nothing wanted intersects
+        # the remote's pieces no new piece can start and no selector draws
+        # any randomness, which is the overwhelmingly common outcome on a
+        # busy link.  Valid for every strategy and for random first;
+        # without strict priority a failed start still falls back to
+        # active pieces.
         if not self._strict_priority or self._wanted_int & remote_bitfield.as_int():
             block = self._start_new_piece(remote_bitfield, peer_key)
             if block is not None:
@@ -352,7 +349,7 @@ class PiecePicker:
             if not self._strict_priority:
                 return self._active_block(remote_bitfield, peer_key)
             return None
-        partial = _PartialPiece(blocks=self._geometry.blocks(piece))
+        partial = _PartialPiece(self._geometry.blocks(piece))
         self._active[piece] = partial
         self._open_partials += 1
         self._wanted_mask[piece] = False
@@ -361,18 +358,21 @@ class PiecePicker:
         return partial.blocks[block_index]
 
     def _select_new_piece(self, remote_bitfield: Bitfield) -> Optional[int]:
-        """Pick the next piece to start, or None when nothing is startable."""
+        """Pick the next piece to start, or None when nothing is startable
+        (then no strategy is asked and nothing is drawn)."""
+        # The candidates of the reference scan, in its ascending order.
+        # The mask is bool AND bool: ``as_vector()`` is uint8, and
+        # ``nonzero`` on a uint8 mask is several times slower than on a
+        # bool one (DESIGN §12, "new-piece pick").
+        candidates = (
+            self._wanted_mask & remote_bitfield.as_vector().view(bool)
+        ).nonzero()[0]
+        if not len(candidates):
+            return None
         random_first = self._bitfield.count < self._random_first_threshold
         selector = self._random_selector if random_first else self._selector
-        # Nothing wanted that the remote offers means no selection and —
-        # crucially — no RNG draw, so the big-int miss test is trace-exact
-        # for every strategy.
-        if not self._wanted_int & remote_bitfield.as_int():
-            return None
-        # The candidates of the reference scan, in its ascending order,
-        # and their copy counts gathered from the matrix row: every
-        # strategy picks from these two aligned arrays.
-        candidates = (self._wanted_mask & remote_bitfield.as_vector()).nonzero()[0]
+        # Every strategy picks from the candidates and their copy counts,
+        # gathered from the matrix row.
         counts = self._matrix.data[self._slot][candidates]
         return selector.select(candidates, counts, self._rng)
 

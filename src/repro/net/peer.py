@@ -338,9 +338,9 @@ class NetPeer(PeerCore):
                 now,
                 remote_address,
                 parse_client_id(shake.peer_id) or "unknown",
-                # The link's view before the opening BITFIELD is applied,
-                # as the sim's view before its remote's BITFIELD arrives.
-                connection.remote_bitfield.is_complete(),
+                # Decoded from the opening BITFIELD above, as the sim
+                # passes its remote's real bitfield.
+                remote_is_seed,
                 self.is_seed,
                 initiated_by_local,
             )

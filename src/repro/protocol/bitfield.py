@@ -174,7 +174,11 @@ class Bitfield:
     def as_vector(self):
         """The pieces as a 0/1 ``uint8`` vector, built on
         first use and kept current by ``set`` / ``clear``.  Live and
-        read-only: combine it at once (``mask & bits``), never hold it."""
+        read-only: combine it at once (``mask & bits``), never hold it.
+        Combine it into a bool mask before ``nonzero`` (``mask &
+        bits.view(bool)``): a bool mask AND a uint8 vector is uint8, and
+        ``nonzero`` on uint8 costs several times what it does on bool
+        (DESIGN §12, "new-piece pick")."""
         vector = self._vector
         if vector is None:
             vector = self._vector = _np.unpackbits(

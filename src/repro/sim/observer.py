@@ -54,8 +54,9 @@ class PeerObserver:
         """A link to *remote* entered the peer set.
 
         *client* is the remote's client id from its peer id,
-        *remote_complete* whether the link's view of the remote's pieces
-        was complete, *local_seed* whether the observed peer was a seed,
+        *remote_complete* whether the remote held every piece as the
+        link opened (the simulator reads the remote's bitfield, the live
+        driver the remote's opening BITFIELD), *local_seed* whether the observed peer was a seed,
         *initiated* whether the observed peer dialed the link.
         """
 

@@ -18,7 +18,7 @@ something.
 import pytest
 
 from repro.analysis import interarrival_summary
-from repro.instrumentation.replay import replay_instrumentation, traced_peers
+from repro.instrumentation.replay import iter_trace, replay_instrumentation, traced_peers
 from repro.instrumentation.trace import TraceRecorder, TracingObserver
 from repro.net.conformance import (
     check_byte_conservation,
@@ -111,6 +111,31 @@ class TestLiveSwarm:
         assert report.checks["unchoke"] >= SEEDS + LEECHERS
         assert report.checks["conservation"] > 1
         assert report.checks["rarest_first"] > 10
+
+    def test_conn_open_says_whether_the_remote_is_a_seed(self):
+        """A live ``conn_open`` carries what the remote's opening BITFIELD
+        said, as the simulator's carries the remote's bitfield."""
+        recorder = TraceRecorder()
+        swarm = LiveSwarm(
+            _make_metainfo("connopen"),
+            seed=SEED,
+            config=LIVE_CONFIG,
+            recorder=recorder,
+            trace_all=False,  # only the first peer added is traced
+        )
+        watched = swarm.add_peer()
+        seed = swarm.add_peer(is_seed=True)
+        other = swarm.add_peer()
+        result = swarm.run_sync(timeout=60.0)
+        assert result.all_complete
+        opened = [
+            (event["peer"], event["remote"], event["remote_complete"])
+            for event in iter_trace(recorder)
+            if event["type"] == "conn_open"
+        ]
+        assert sorted(opened) == sorted(
+            [(watched.address, seed.address, True), (watched.address, other.address, False)]
+        )
 
     def test_sim_trace_satisfies_all_invariants(self, sim_run):
         __, recorder = sim_run

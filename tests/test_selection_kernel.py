@@ -15,7 +15,9 @@ state — own bitfield, remote offer, started pieces, copy counts — and
 asked for one pick each, so the property reaches the corners a seeded
 swarm rarely visits: a piece count that is not a multiple of 8, piece 0
 and the last piece, an empty candidate set, every candidate already
-started, a mode-suppression decline.
+started, a mode-suppression decline.  A second family reaches the
+``mega_swarm`` geometry: up to 2,048 pieces, a one-piece offer, a
+seed's full offer, and offers of a drawn size in between.
 """
 
 from random import Random
@@ -146,6 +148,58 @@ def picker_states(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=picker_states())
 def test_matrix_kernel_in_lockstep_with_both_references(strategy, case):
+    check_lockstep(strategy, case)
+
+
+@st.composite
+def wide_picker_states(draw):
+    """Up to 2,048 pieces.  The offer is one piece, a drawn number of
+    pieces, or a seed's full bitfield (whatever the own pieces leave of
+    it).  The layout comes from one drawn seed, since Hypothesis draws a
+    set of thousands of elements slowly; the shape, piece count,
+    densities and count range are drawn directly."""
+    shape = draw(st.sampled_from(["one", "some", "seed"]))
+    size = None if shape == "seed" else 1
+    if shape == "some":
+        size = draw(st.integers(2, 256))
+    num_pieces = draw(st.one_of(st.just(2048), st.integers(size or 1, 2048)))
+    own_share = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    top_count = draw(st.sampled_from([0, 1, 3, 8]))
+    layout = Random(draw(st.integers(0, 2**32 - 1)))
+    pieces = list(range(num_pieces))
+    if shape == "seed":
+        offered = []
+        own = {piece for piece in pieces if layout.random() < own_share}
+    else:
+        offered = layout.sample(pieces, size)
+        rest = sorted(set(pieces) - set(offered))
+        own = {piece for piece in rest if layout.random() < own_share}
+    missing = sorted(set(pieces) - own - set(offered))
+    active = layout.sample(missing, min(len(missing), layout.randint(0, 12)))
+    if shape == "seed":
+        remote = pieces
+    else:
+        # Owned and started pieces on offer too: they are not candidates.
+        extras = sorted(own) + active
+        remote = sorted(set(offered) | set(layout.sample(extras, len(extras) // 2)))
+    return {
+        "own": sorted(own),
+        "remote": remote,
+        "active": active,
+        "availability": [layout.randint(0, top_count) for __ in pieces],
+        "global_counts": [layout.randint(0, 9) for __ in pieces],
+        "seed": layout.getrandbits(32),
+        "offer_size": size,
+    }
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=25, deadline=None)
+@given(case=wide_picker_states())
+def test_mega_swarm_geometry_in_lockstep_with_both_references(strategy, case):
+    candidates = set(case["remote"]) - set(case["own"]) - set(case["active"])
+    if case["offer_size"] is not None:
+        assert len(candidates) == case["offer_size"]
     check_lockstep(strategy, case)
 
 
